@@ -5,10 +5,11 @@
 // The paper's contribution - a congestion controller whose mobile client
 // decodes the cellular control channel to measure available capacity per
 // scheduling interval - lives in internal/core. Everything it depends on
-// is built in this module as well: a subframe-accurate LTE MAC simulator
-// with carrier aggregation and HARQ (internal/lte), a slot-accurate 5G NR
-// MAC with flexible numerology, mmWave carriers, code-block-group HARQ
-// and EN-DC dual connectivity (internal/nr), a PDCCH blind decoder with
+// is built in this module as well: one slot-accurate MAC simulator
+// (internal/ran) configured as LTE with carrier aggregation and whole-TB
+// HARQ (internal/lte) and as 5G NR with flexible numerology, mmWave
+// carriers, code-block-group HARQ and EN-DC dual connectivity
+// (internal/nr), a PDCCH blind decoder with
 // real channel coding (internal/pdcch), PHY-layer rate/error models and
 // the NR numerology tables (internal/phy), a discrete-event engine
 // (internal/sim), a wired-network model (internal/netsim), seven baseline

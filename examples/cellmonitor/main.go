@@ -18,6 +18,7 @@ import (
 	"pbecc/internal/netsim"
 	"pbecc/internal/pdcch"
 	"pbecc/internal/phy"
+	"pbecc/internal/ran"
 	"pbecc/internal/sim"
 	"pbecc/internal/trace"
 )
@@ -56,7 +57,7 @@ func main() {
 
 	decoder := pdcch.NewDecoder(0)
 	decodedSubframes := 0
-	cell.AttachMonitor(func(rep *lte.SubframeReport) {
+	cell.AttachMonitor(func(rep *ran.SubframeReport) {
 		// Demonstrate the coded path on the first 5 non-empty subframes.
 		if decodedSubframes < 5 && len(rep.Allocs) > 0 {
 			decodedSubframes++

@@ -8,9 +8,9 @@ import (
 	"pbecc/internal/cc/cctest"
 	"pbecc/internal/cc/gcc"
 	"pbecc/internal/core"
-	"pbecc/internal/lte"
 	"pbecc/internal/netsim"
 	"pbecc/internal/phy"
+	"pbecc/internal/ran"
 	"pbecc/internal/sim"
 	"pbecc/internal/stats"
 )
@@ -82,10 +82,10 @@ func monitorFeed(mon *core.Monitor, mcs phy.MCS, myPRBs, otherPRBs int) func(*si
 	mon.AttachCell(core.CellInfo{ID: 1, NPRB: 100,
 		Rate: func() float64 { return mcs.BitsPerPRB() },
 		BER:  func() float64 { return 1e-6 }})
-	rep := &lte.SubframeReport{CellID: 1, NPRB: 100}
-	rep.Allocs = append(rep.Allocs, lte.Alloc{RNTI: 61, PRBs: myPRBs, MCS: mcs})
+	rep := &ran.SubframeReport{CellID: 1, NPRB: 100}
+	rep.Allocs = append(rep.Allocs, ran.Alloc{RNTI: 61, PRBs: myPRBs, MCS: mcs})
 	if otherPRBs > 0 {
-		rep.Allocs = append(rep.Allocs, lte.Alloc{RNTI: 99, PRBs: otherPRBs, MCS: mcs})
+		rep.Allocs = append(rep.Allocs, ran.Alloc{RNTI: 99, PRBs: otherPRBs, MCS: mcs})
 	}
 	return func(eng *sim.Engine) {
 		eng.Every(time.Millisecond, func() {
@@ -108,8 +108,8 @@ func TestWirelessStatePinsToEntitlement(t *testing.T) {
 	// The entitled rate of the 2-user cell: C_f = R_w * NPRB/2.
 	mon2 := core.NewMonitor(61)
 	monitorFeed(mon2, mcs, 10, 90) // attach cell
-	rep := &lte.SubframeReport{CellID: 1, NPRB: 100,
-		Allocs: []lte.Alloc{{RNTI: 61, PRBs: 10, MCS: mcs}, {RNTI: 99, PRBs: 90, MCS: mcs}}}
+	rep := &ran.SubframeReport{CellID: 1, NPRB: 100,
+		Allocs: []ran.Alloc{{RNTI: 61, PRBs: 10, MCS: mcs}, {RNTI: 99, PRBs: 90, MCS: mcs}}}
 	for i := 0; i < 2*core.DefaultWindow; i++ {
 		mon2.OnSubframe(rep)
 	}
@@ -164,8 +164,8 @@ func TestInternetBitClearsRegionHooks(t *testing.T) {
 	mon.AttachCell(core.CellInfo{ID: 1, NPRB: 100,
 		Rate: func() float64 { return mcs.BitsPerPRB() },
 		BER:  func() float64 { return 1e-6 }})
-	rep := &lte.SubframeReport{CellID: 1, NPRB: 100,
-		Allocs: []lte.Alloc{{RNTI: 61, PRBs: 10, MCS: mcs}, {RNTI: 99, PRBs: 90, MCS: mcs}}}
+	rep := &ran.SubframeReport{CellID: 1, NPRB: 100,
+		Allocs: []ran.Alloc{{RNTI: 61, PRBs: 10, MCS: mcs}, {RNTI: 99, PRBs: 90, MCS: mcs}}}
 	for i := 0; i < 2*core.DefaultWindow; i++ {
 		mon.OnSubframe(rep)
 	}
@@ -208,8 +208,8 @@ func TestSoleOccupantKeepsStartupRamp(t *testing.T) {
 	mon.AttachCell(core.CellInfo{ID: 1, NPRB: 100,
 		Rate: func() float64 { return mcs.BitsPerPRB() },
 		BER:  func() float64 { return 1e-6 }})
-	rep := &lte.SubframeReport{CellID: 1, NPRB: 100,
-		Allocs: []lte.Alloc{{RNTI: 61, PRBs: 30, MCS: mcs}}}
+	rep := &ran.SubframeReport{CellID: 1, NPRB: 100,
+		Allocs: []ran.Alloc{{RNTI: 61, PRBs: 30, MCS: mcs}}}
 	for i := 0; i < 2*core.DefaultWindow; i++ {
 		mon.OnSubframe(rep)
 	}

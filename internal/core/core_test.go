@@ -6,8 +6,8 @@ import (
 	"time"
 
 	"pbecc/internal/cc"
-	"pbecc/internal/lte"
 	"pbecc/internal/phy"
+	"pbecc/internal/ran"
 )
 
 // --- Wire format ---
@@ -99,12 +99,12 @@ func TestDetectorNpktFloor(t *testing.T) {
 
 // --- Monitor (Eqns 1-5, Figure 5/7 logic) ---
 
-func report(cellID, nprb int, allocs ...lte.Alloc) *lte.SubframeReport {
-	return &lte.SubframeReport{CellID: cellID, Subframe: 0, NPRB: nprb, Allocs: allocs}
+func report(cellID, nprb int, allocs ...ran.Alloc) *ran.SubframeReport {
+	return &ran.SubframeReport{CellID: cellID, Subframe: 0, NPRB: nprb, Allocs: allocs}
 }
 
-func alloc(rnti uint16, prbs, cqi int) lte.Alloc {
-	return lte.Alloc{RNTI: rnti, PRBs: prbs,
+func alloc(rnti uint16, prbs, cqi int) ran.Alloc {
+	return ran.Alloc{RNTI: rnti, PRBs: prbs,
 		MCS: phy.MCS{CQI: cqi, Table: phy.Table64QAM, Streams: 1}, NDI: true}
 }
 

@@ -14,10 +14,11 @@ import (
 	"pbecc/internal/fluid"
 	"pbecc/internal/lte"
 	"pbecc/internal/phy"
+	"pbecc/internal/ran"
 	"pbecc/internal/sim"
 )
 
-func newVisibilityMonitor(cell *lte.Cell) *core.Monitor {
+func newVisibilityMonitor(cell *ran.Cell) *core.Monitor {
 	mon := core.NewMonitor(61)
 	mcs := phy.MCS{CQI: 11, Table: phy.Table64QAM, Streams: 1}
 	mon.AttachCell(core.CellInfo{

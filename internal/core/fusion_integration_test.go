@@ -9,6 +9,7 @@ import (
 	"pbecc/internal/netsim"
 	"pbecc/internal/pdcch"
 	"pbecc/internal/phy"
+	"pbecc/internal/ran"
 	"pbecc/internal/sim"
 )
 
@@ -48,10 +49,10 @@ func TestFullDecodePipelineWithFusion(t *testing.T) {
 	fusion := pdcch.NewFusion(1, 2)
 	decA := pdcch.NewDecoder(0)
 	decB := pdcch.NewDecoder(0)
-	reports := map[int]map[int]*lte.SubframeReport{1: {}, 2: {}} // cell -> sf -> decoded rep
+	reports := map[int]map[int]*ran.SubframeReport{1: {}, 2: {}} // cell -> sf -> decoded rep
 
-	feed := func(cell *lte.Cell, dec *pdcch.Decoder) lte.Monitor {
-		return func(rep *lte.SubframeReport) {
+	feed := func(cell *ran.Cell, dec *pdcch.Decoder) ran.Monitor {
+		return func(rep *ran.SubframeReport) {
 			oracle.OnSubframe(rep)
 			region := lte.EncodeReport(rep, 3)
 			if region == nil {

@@ -20,8 +20,8 @@
 package core
 
 import (
-	"pbecc/internal/lte"
 	"pbecc/internal/phy"
+	"pbecc/internal/ran"
 )
 
 // Filter thresholds of §4.2.1: users active for at most FilterMinSubframes
@@ -183,9 +183,9 @@ func (m *Monitor) ActiveCellIDs() []int { return m.order }
 // OnSubframe ingests one scheduling interval of a cell's control
 // information - a 1 ms subframe for LTE, one slot for NR (the NR cell
 // emits one report per slot with the slot index in the Subframe field).
-// It has the signature of lte.Monitor so it can be attached to either
+// It has the signature of ran.Monitor so it can be attached to either
 // cell type directly.
-func (m *Monitor) OnSubframe(rep *lte.SubframeReport) {
+func (m *Monitor) OnSubframe(rep *ran.SubframeReport) {
 	ct, ok := m.cells[rep.CellID]
 	if !ok {
 		return

@@ -6,8 +6,8 @@ import (
 	"testing/quick"
 	"time"
 
-	"pbecc/internal/lte"
 	"pbecc/internal/phy"
+	"pbecc/internal/ran"
 )
 
 // TestMonitorCapacityBounds property-tests Eqn 3's output against its
@@ -23,13 +23,13 @@ func TestMonitorCapacityBounds(t *testing.T) {
 			Rate: func() float64 { return 400 },
 			BER:  func() float64 { return 2e-6 }})
 		for sf := 0; sf < int(nSubframes)+1; sf++ {
-			rep := &lte.SubframeReport{CellID: 1, Subframe: sf, NPRB: nprb}
+			rep := &ran.SubframeReport{CellID: 1, Subframe: sf, NPRB: nprb}
 			remaining := nprb
 			for u := 0; u < rng.Intn(6) && remaining > 0; u++ {
 				prbs := 1 + rng.Intn(remaining)
 				remaining -= prbs
 				rnti := uint16(61 + rng.Intn(5))
-				rep.Allocs = append(rep.Allocs, lte.Alloc{
+				rep.Allocs = append(rep.Allocs, ran.Alloc{
 					RNTI: rnti, PRBs: prbs,
 					MCS: phy.MCS{CQI: 1 + rng.Intn(15), Table: phy.Table64QAM,
 						Streams: 1 + rng.Intn(2)},

@@ -38,8 +38,8 @@ import (
 	"time"
 
 	"pbecc/internal/core"
-	"pbecc/internal/lte"
 	"pbecc/internal/obs"
+	"pbecc/internal/ran"
 	"pbecc/internal/sim"
 )
 
@@ -283,14 +283,14 @@ func (in *Injector) storm() {
 // stale intensity it returns next unchanged. Each stale window replays
 // the last successfully decoded report (content frozen, subframe clock
 // still ticking) for StaleHoldSubframes intervals.
-func (in *Injector) WrapFeed(next lte.Monitor) lte.Monitor {
+func (in *Injector) WrapFeed(next ran.Monitor) ran.Monitor {
 	if in.spec.Stale <= 0 {
 		return next
 	}
 	p := staleEntryProb * in.spec.Stale
-	var held *lte.SubframeReport
+	var held *ran.SubframeReport
 	left := 0
-	return func(rep *lte.SubframeReport) {
+	return func(rep *ran.SubframeReport) {
 		if left > 0 && held != nil {
 			left--
 			mStaleSubframes.Inc()
@@ -307,7 +307,7 @@ func (in *Injector) WrapFeed(next lte.Monitor) lte.Monitor {
 		// Cells reuse the report struct across subframes: deep-copy the
 		// grants so the held snapshot does not mutate underneath us.
 		cp := *rep
-		cp.Allocs = append([]lte.Alloc(nil), rep.Allocs...)
+		cp.Allocs = append([]ran.Alloc(nil), rep.Allocs...)
 		held = &cp
 		next(rep)
 	}

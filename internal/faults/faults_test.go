@@ -5,8 +5,8 @@ import (
 	"time"
 
 	"pbecc/internal/core"
-	"pbecc/internal/lte"
 	"pbecc/internal/phy"
+	"pbecc/internal/ran"
 	"pbecc/internal/sim"
 )
 
@@ -57,7 +57,7 @@ func TestStaleHoldsLastDecode(t *testing.T) {
 	in := New(eng, mon, Spec{Stale: 1}, 99, 61)
 
 	var got []int // PRBs of RNTI 7 as seen downstream
-	feed := in.WrapFeed(func(rep *lte.SubframeReport) {
+	feed := in.WrapFeed(func(rep *ran.SubframeReport) {
 		prbs := 0
 		for _, a := range rep.Allocs {
 			if a.RNTI == 7 {
@@ -67,10 +67,10 @@ func TestStaleHoldsLastDecode(t *testing.T) {
 		got = append(got, prbs)
 	})
 	mcs := phy.MCS{CQI: 10, Table: phy.Table64QAM, Streams: 1}
-	rep := &lte.SubframeReport{CellID: 1, NPRB: 100}
+	rep := &ran.SubframeReport{CellID: 1, NPRB: 100}
 	for i := 0; i < 400; i++ {
 		rep.Subframe = i
-		rep.Allocs = []lte.Alloc{{RNTI: 7, PRBs: i % 97, MCS: mcs}}
+		rep.Allocs = []ran.Alloc{{RNTI: 7, PRBs: i % 97, MCS: mcs}}
 		feed(rep)
 	}
 	if len(got) != 400 {
@@ -97,9 +97,9 @@ func TestStaleOffIsIdentity(t *testing.T) {
 	mon := core.NewMonitor(61)
 	in := New(eng, mon, Spec{Miss: 1}, 99, 61)
 	calls := 0
-	next := lte.Monitor(func(*lte.SubframeReport) { calls++ })
+	next := ran.Monitor(func(*ran.SubframeReport) { calls++ })
 	feed := in.WrapFeed(next)
-	feed(&lte.SubframeReport{CellID: 1, NPRB: 100})
+	feed(&ran.SubframeReport{CellID: 1, NPRB: 100})
 	if calls != 1 {
 		t.Fatal("wrapped feed did not forward")
 	}
@@ -146,8 +146,8 @@ func TestHandoverStormResetsWindows(t *testing.T) {
 		t.Fatal("clean attach did not land")
 	}
 	mcs := phy.MCS{CQI: 10, Table: phy.Table64QAM, Streams: 1}
-	rep := &lte.SubframeReport{CellID: 1, NPRB: 100,
-		Allocs: []lte.Alloc{{RNTI: 61, PRBs: 50, MCS: mcs}}}
+	rep := &ran.SubframeReport{CellID: 1, NPRB: 100,
+		Allocs: []ran.Alloc{{RNTI: 61, PRBs: 50, MCS: mcs}}}
 	detached, reattached := 0, 0
 	wasAttached := true
 	eng.Every(time.Millisecond, func() {
@@ -180,14 +180,14 @@ func TestInjectorDeterminism(t *testing.T) {
 		mon := core.NewMonitor(61)
 		in := New(eng, mon, Spec{Stale: 0.7}, seed, 61)
 		var pattern []int
-		feed := in.WrapFeed(func(rep *lte.SubframeReport) {
+		feed := in.WrapFeed(func(rep *ran.SubframeReport) {
 			pattern = append(pattern, rep.Allocs[0].PRBs)
 		})
 		mcs := phy.MCS{CQI: 10, Table: phy.Table64QAM, Streams: 1}
-		rep := &lte.SubframeReport{CellID: 1, NPRB: 100}
+		rep := &ran.SubframeReport{CellID: 1, NPRB: 100}
 		for i := 0; i < 500; i++ {
 			rep.Subframe = i
-			rep.Allocs = []lte.Alloc{{RNTI: 7, PRBs: i % 89, MCS: mcs}}
+			rep.Allocs = []ran.Alloc{{RNTI: 7, PRBs: i % 89, MCS: mcs}}
 			feed(rep)
 		}
 		return pattern

@@ -6,7 +6,7 @@
 // Two tiers with different fidelity/cost points:
 //
 //   - CellProcess binds virtual background sessions to a real lte/nr
-//     cell through the lte.BackgroundSource hook. Sessions accrue
+//     cell through the ran.BackgroundSource hook. Sessions accrue
 //     offered bits continuously while their on/off envelope says they
 //     are active, enter the cell's water-fill alongside packet users
 //     once at least one packet quantum is backlogged, and appear in the
@@ -39,10 +39,10 @@ import (
 	"time"
 
 	"pbecc/internal/core"
-	"pbecc/internal/lte"
 	"pbecc/internal/netsim"
 	"pbecc/internal/obs"
 	"pbecc/internal/phy"
+	"pbecc/internal/ran"
 	"pbecc/internal/trace"
 )
 
@@ -134,7 +134,7 @@ func (s *Stats) OfferedMbps(dur time.Duration) float64 {
 }
 
 // CellProcess is the per-cell fluid background process bound to a real
-// cell: it implements lte.BackgroundSource. Not safe for concurrent use;
+// cell: it implements ran.BackgroundSource. Not safe for concurrent use;
 // like the cell it feeds, it lives on one shard's event loop.
 type CellProcess struct {
 	window     time.Duration
@@ -147,7 +147,7 @@ type CellProcess struct {
 	last       time.Duration // accrued up to this virtual time
 	nextUpdate time.Duration
 
-	demand []lte.BackgroundDemand
+	demand []ran.BackgroundDemand
 	idx    []int // demand index -> session index
 
 	stats Stats
@@ -195,10 +195,10 @@ func (p *CellProcess) accrue(t time.Duration) {
 	p.last = t
 }
 
-// Demand implements lte.BackgroundSource: it advances the envelope
+// Demand implements ran.BackgroundSource: it advances the envelope
 // through any window boundaries up to now, accrues offered bits, and
 // returns the sessions holding at least one packet quantum of backlog.
-func (p *CellProcess) Demand(now time.Duration) []lte.BackgroundDemand {
+func (p *CellProcess) Demand(now time.Duration) []ran.BackgroundDemand {
 	for now >= p.nextUpdate {
 		p.accrue(p.nextUpdate)
 		for i := range p.sessions {
@@ -221,7 +221,7 @@ func (p *CellProcess) Demand(now time.Duration) []lte.BackgroundDemand {
 		if p.backlog[i] < QuantumBits {
 			continue
 		}
-		p.demand = append(p.demand, lte.BackgroundDemand{
+		p.demand = append(p.demand, ran.BackgroundDemand{
 			RNTI: p.sessions[i].RNTI,
 			MCS:  p.sessions[i].MCS,
 			Bits: int(p.backlog[i]),
@@ -231,7 +231,7 @@ func (p *CellProcess) Demand(now time.Duration) []lte.BackgroundDemand {
 	return p.demand
 }
 
-// Serve implements lte.BackgroundSource: the cell granted capacity for
+// Serve implements ran.BackgroundSource: the cell granted capacity for
 // the i-th demand entry; drain the session's backlog by up to bits.
 func (p *CellProcess) Serve(i int, bits int) {
 	si := p.idx[i]

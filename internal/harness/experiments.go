@@ -11,6 +11,7 @@ import (
 	"pbecc/internal/lte"
 	"pbecc/internal/netsim"
 	"pbecc/internal/phy"
+	"pbecc/internal/ran"
 	"pbecc/internal/sim"
 	"pbecc/internal/stats"
 	"pbecc/internal/trace"
@@ -237,7 +238,7 @@ func Figure2(quick bool) []Table {
 	}))
 	ue.Start()
 	var prb1, prb2 []int
-	primary.AttachMonitor(func(rep *lte.SubframeReport) {
+	primary.AttachMonitor(func(rep *ran.SubframeReport) {
 		s := 0
 		for _, a := range rep.Allocs {
 			if a.RNTI == 61 {
@@ -246,7 +247,7 @@ func Figure2(quick bool) []Table {
 		}
 		prb1 = append(prb1, s)
 	})
-	secondary.AttachMonitor(func(rep *lte.SubframeReport) {
+	secondary.AttachMonitor(func(rep *ran.SubframeReport) {
 		s := 0
 		for _, a := range rep.Allocs {
 			if a.RNTI == 61 {
@@ -340,7 +341,7 @@ func Figure5(quick bool) []Table {
 	eng := sim.New(5)
 	cell := lte.NewCell(eng, 1, 100, phy.Table64QAM, nil)
 	var rows [][]string
-	cell.AttachMonitor(func(rep *lte.SubframeReport) {
+	cell.AttachMonitor(func(rep *ran.SubframeReport) {
 		per := map[uint16]int{}
 		for _, a := range rep.Allocs {
 			per[a.RNTI] += a.PRBs
@@ -353,7 +354,7 @@ func Figure5(quick bool) []Table {
 			fmt.Sprint(per[61]), fmt.Sprint(per[62]), fmt.Sprint(per[63]),
 			fmt.Sprint(rep.IdlePRBs())})
 	})
-	mk := func(id int, rnti uint16) *lte.UE {
+	mk := func(id int, rnti uint16) *ran.UE {
 		u := lte.NewUE(eng, id, rnti)
 		u.AddCell(cell, phy.NewStaticChannel(-93, phy.Table64QAM, nil))
 		u.SetCarrierAggregation(false)
@@ -437,7 +438,7 @@ func Figure7(quick bool) []Table {
 	mon.AttachCell(core.CellInfo{ID: 1, NPRB: 100, Rate: func() float64 { return 400 }})
 	cell.AttachMonitor(mon.OnSubframe)
 	var raw, filtered stats.Series
-	cell.AttachMonitor(func(rep *lte.SubframeReport) {
+	cell.AttachMonitor(func(rep *ran.SubframeReport) {
 		if rep.Subframe%40 != 0 {
 			return
 		}

@@ -5,9 +5,8 @@ import (
 	"time"
 
 	"pbecc/internal/fluid"
-	"pbecc/internal/lte"
-	"pbecc/internal/nr"
 	"pbecc/internal/phy"
+	"pbecc/internal/ran"
 )
 
 // FluidSpec configures a scenario's fluid background tier (see
@@ -85,32 +84,31 @@ type fluidRuntime struct {
 // assignment depends only on the shard topology - itself a pure function
 // of the scenario - so fluid output is byte-identical for any
 // Scenario.Shards value.
-func setupFluid(sc *Scenario, pl *placement, cells map[int]*lte.Cell, nrCells map[int]*nr.Cell) *fluidRuntime {
+func setupFluid(sc *Scenario, pl *placement, cells map[int]*ran.Cell) *fluidRuntime {
 	spec := sc.Fluid
 	w := spec.Window
 	if w <= 0 {
 		w = fluid.DefaultWindow
 	}
 	rt := &fluidRuntime{}
-	bind := func(cellID int, maxBacklog float64, attach func(lte.BackgroundSource)) {
-		ss := spec.Sessions[cellID]
+	bind := func(cell *ran.Cell) {
+		ss := spec.Sessions[cell.ID]
 		if len(ss) == 0 {
 			return
 		}
+		maxBacklog := float64(cell.PerUserQueueBytes * 8)
 		if spec.MaxBacklogBits > 0 {
 			maxBacklog = spec.MaxBacklogBits
 		}
 		p := fluid.NewCellProcess(ss, w, maxBacklog)
-		attach(p)
+		cell.SetBackground(p)
 		rt.procs = append(rt.procs, p)
 	}
 	for _, cs := range sc.Cells {
-		cell := cells[cs.ID]
-		bind(cs.ID, float64(lte.DefaultPerUserQueueBytes*8), cell.SetBackground)
+		bind(cells[cs.ID])
 	}
 	for _, ns := range sc.NRCells {
-		cell := nrCells[ns.ID]
-		bind(ns.ID, float64(nr.DefaultPerUserQueueBytes*8), cell.SetBackground)
+		bind(cells[ns.ID])
 	}
 
 	if spec.ModeledCells > 0 {

@@ -7,6 +7,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"pbecc/internal/cc"
@@ -28,6 +29,7 @@ import (
 	"pbecc/internal/obs"
 	"pbecc/internal/pdcch"
 	"pbecc/internal/phy"
+	"pbecc/internal/ran"
 	"pbecc/internal/rtc"
 	"pbecc/internal/sim"
 	"pbecc/internal/stats"
@@ -49,7 +51,7 @@ type CellSpec struct {
 	ID      int
 	NPRB    int
 	Table   phy.CQITable
-	Control lte.ControlSource // nil = no control-plane chatter
+	Control ran.ControlSource // nil = no control-plane chatter
 }
 
 // NRCellSpec describes one 5G NR carrier. Cell IDs share a namespace with
@@ -61,7 +63,7 @@ type NRCellSpec struct {
 	NPRB         int // 0 = derive from BandwidthMHz
 	BandwidthMHz int
 	Table        phy.CQITable      // 0 = 256-QAM
-	Control      lte.ControlSource // nil = no control-plane chatter
+	Control      ran.ControlSource // nil = no control-plane chatter
 }
 
 // UESpec describes one mobile device. A UE with only CellIDs is an LTE
@@ -328,7 +330,9 @@ func Run(sc *Scenario) *Result {
 	pl := newPlacement(sc)
 	res := &Result{Scenario: sc, PRBSamples: map[int][]float64{}}
 
-	cells := map[int]*lte.Cell{}
+	// LTE and NR cells share one ID namespace (the monitor tracks both
+	// RATs in one table) and, past construction, one type.
+	cells := map[int]*ran.Cell{}
 	for _, cs := range sc.Cells {
 		table := cs.Table
 		if table == 0 {
@@ -337,9 +341,8 @@ func Run(sc *Scenario) *Result {
 		cells[cs.ID] = lte.NewCell(pl.cell(cs.ID).Engine, cs.ID, cs.NPRB, table, cs.Control)
 	}
 
-	nrCells := map[int]*nr.Cell{}
 	for _, ns := range sc.NRCells {
-		nrCells[ns.ID] = nr.NewCell(pl.cell(ns.ID).Engine, nr.Config{
+		cells[ns.ID] = nr.NewCell(pl.cell(ns.ID).Engine, nr.Config{
 			ID: ns.ID, Mu: ns.Mu, NPRB: ns.NPRB, BandwidthMHz: ns.BandwidthMHz,
 			Table: ns.Table, Control: ns.Control,
 		})
@@ -347,10 +350,10 @@ func Run(sc *Scenario) *Result {
 
 	var flRT *fluidRuntime
 	if sc.Fluid != nil {
-		flRT = setupFluid(sc, pl, cells, nrCells)
+		flRT = setupFluid(sc, pl, cells)
 	}
 
-	ues := map[int]*lte.UE{}              // LTE-only devices
+	anchors := map[int]*ran.UE{}          // LTE legs: LTE-only devices and EN-DC anchors
 	endcs := map[int]*nr.ENDC{}           // dual-connectivity devices
 	devices := map[int]device{}           // every device, by UE ID
 	channels := map[[2]int]*phy.Channel{} // (ueID, cellID) -> channel
@@ -367,16 +370,20 @@ func Run(sc *Scenario) *Result {
 			}
 			return phy.NewStaticChannel(rssi, table, fading)
 		}
-		var anchor *lte.UE
+		addCells := func(ue *ran.UE, ids []int, rssi float64, traj phy.Trajectory) {
+			for _, cid := range ids {
+				cell := cells[cid]
+				ch := mkChannel(rssi, traj, cell.Table)
+				channels[[2]int{us.ID, cid}] = ch
+				ue.AddCell(cell, ch)
+			}
+		}
+		var anchor *ran.UE
 		if len(us.CellIDs) > 0 {
 			anchor = lte.NewUE(ueEng, us.ID, us.RNTI)
-			for _, cid := range us.CellIDs {
-				cell := cells[cid]
-				ch := mkChannel(us.RSSI, us.Trajectory, cell.Table)
-				channels[[2]int{us.ID, cid}] = ch
-				anchor.AddCell(cell, ch)
-			}
+			addCells(anchor, us.CellIDs, us.RSSI, us.Trajectory)
 			anchor.SetCarrierAggregation(us.CA)
+			anchors[us.ID] = anchor
 		}
 		nrRSSI := us.NRRSSI
 		if nrRSSI == 0 {
@@ -388,7 +395,7 @@ func Run(sc *Scenario) *Result {
 			if len(us.NRCellIDs) > 1 {
 				panic("harness: EN-DC supports one NR secondary cell")
 			}
-			cell := nrCells[us.NRCellIDs[0]]
+			cell := cells[us.NRCellIDs[0]]
 			ch := mkChannel(nrRSSI, us.NRTrajectory, cell.Table)
 			channels[[2]int{us.ID, us.NRCellIDs[0]}] = ch
 			endc := nr.NewENDC(ueEng, us.ID, us.RNTI, anchor, cell, ch)
@@ -397,17 +404,11 @@ func Run(sc *Scenario) *Result {
 			devices[us.ID] = endc
 		case anchor != nil:
 			anchor.Start()
-			ues[us.ID] = anchor
 			devices[us.ID] = anchor
 		case len(us.NRCellIDs) > 0:
 			// Standalone 5G device.
 			ue := nr.NewUE(ueEng, us.ID, us.RNTI)
-			for _, cid := range us.NRCellIDs {
-				cell := nrCells[cid]
-				ch := mkChannel(nrRSSI, us.NRTrajectory, cell.Table)
-				channels[[2]int{us.ID, cid}] = ch
-				ue.AddCell(cell, ch)
-			}
+			addCells(ue, us.NRCellIDs, nrRSSI, us.NRTrajectory)
 			devices[us.ID] = ue
 		default:
 			panic(fmt.Sprintf("harness: UE %d has no cells", us.ID))
@@ -463,120 +464,26 @@ func Run(sc *Scenario) *Result {
 		// direct path: it is the fault-free reference PBEErrPct is
 		// measured against. With no axes active the injector is never
 		// constructed and the clean path is byte-identical to before.
-		var inj *faults.Injector
+		var transport cellSet = mon
+		wrap := func(m ran.Monitor) ran.Monitor { return m }
 		if sc.Faults.MonitorAxes() {
-			inj = faults.New(pl.ueShard(us).Engine, mon, sc.Faults, sc.Seed, us.RNTI)
+			inj := faults.New(pl.ueShard(us).Engine, mon, sc.Faults, sc.Seed, us.RNTI)
+			transport, wrap = inj, inj.WrapFeed
 		}
-		attach := func(info core.CellInfo) {
-			if inj != nil {
-				inj.AttachCell(info)
-			} else {
-				mon.AttachCell(info)
-			}
-			probe.oracle.AttachCell(info)
-		}
-		detach := func(id int) {
-			if inj != nil {
-				inj.DetachCell(id)
-			} else {
-				mon.DetachCell(id)
-			}
-			probe.oracle.DetachCell(id)
-		}
-		wrap := func(m lte.Monitor) lte.Monitor {
-			if inj != nil {
-				return inj.WrapFeed(m)
-			}
-			return m
-		}
+		mirrorActiveCells(devices[fs.UE], us.ID, channels, probe.oracle, transport)
 
-		// attachNR registers one NR carrier with its slot clock.
-		attachNR := func(cid int) {
-			cell := nrCells[cid]
-			ch := channels[[2]int{fs.UE, cid}]
-			attach(core.CellInfo{
-				ID:               cell.ID,
-				NPRB:             cell.NPRB,
-				SlotsPerSubframe: cell.SlotsPerSubframe(),
-				CBGBits:          nr.CodeBlockBits,
-				Rate:             func() float64 { return ch.MCS().BitsPerPRB() },
-				BER:              func() float64 { return ch.BER() },
-			})
-		}
-		// attachLTE tracks the anchor's active LTE carrier set, preserving
-		// any NR cells already attached to the monitor. The oracle's cell
-		// set is the source of truth for "already attached": under the
-		// Miss axis the monitor itself lags the desired set.
-		attachLTE := func(active []*lte.Cell) {
-			activeSet := map[int]bool{}
-			for _, cid := range us.NRCellIDs {
-				activeSet[cid] = true // NR attach/detach is handled separately
-			}
-			for _, c := range active {
-				activeSet[c.ID] = true
-				already := false
-				for _, id := range probe.oracle.ActiveCellIDs() {
-					if id == c.ID {
-						already = true
-					}
-				}
-				if !already {
-					ch := channels[[2]int{fs.UE, c.ID}]
-					attach(core.CellInfo{
-						ID:   c.ID,
-						NPRB: c.NPRB,
-						Rate: func() float64 { return ch.MCS().BitsPerPRB() },
-						BER:  func() float64 { return ch.BER() },
-					})
-				}
-			}
-			for _, id := range append([]int(nil), probe.oracle.ActiveCellIDs()...) {
-				if !activeSet[id] {
-					detach(id)
-				}
-			}
-		}
-
-		switch dev := devices[fs.UE].(type) {
-		case *lte.UE:
-			attachLTE(dev.ActiveCells())
-			dev.OnActiveChange(attachLTE)
-		case *nr.ENDC:
-			anchor := dev.AnchorUE()
-			attachLTE(anchor.ActiveCells())
-			anchor.OnActiveChange(attachLTE)
-			nrID := us.NRCellIDs[0]
-			dev.OnSecondaryChange(func(active bool) {
-				if active {
-					attachNR(nrID)
-				} else {
-					detach(nrID)
-				}
-			})
-		case *nr.UE:
-			for _, cid := range us.NRCellIDs {
-				attachNR(cid)
-			}
-		}
-		for _, cid := range us.CellIDs {
-			cells[cid].AttachMonitor(wrap(monitorFeed(sc, cells[cid], mon)))
+		ids := us.cellIDs()
+		for i, cid := range ids {
+			// The bit-level PDCCH encode/decode path models the LTE
+			// control channel only; NR control information always feeds
+			// the monitor directly.
+			decode := sc.MonitorDecodesPDCCH && i < len(us.CellIDs)
+			cells[cid].AttachMonitor(wrap(monitorFeed(decode, cells[cid], mon)))
 			cells[cid].AttachMonitor(probe.oracle.OnSubframe)
-		}
-		for _, cid := range us.NRCellIDs {
-			// NR control information feeds the monitor directly; the
-			// bit-level PDCCH encode/decode path models the LTE control
-			// channel only.
-			nrCells[cid].AttachMonitor(wrap(mon.OnSubframe))
-			nrCells[cid].AttachMonitor(probe.oracle.OnSubframe)
 		}
 		// The accuracy sampler runs once per primary-cell slot, attached
 		// after both feeds so it observes fully ingested windows.
-		sample := probe.sampler(pl.ueShard(us).Engine, us.ID)
-		if len(us.CellIDs) > 0 {
-			cells[us.CellIDs[0]].AttachMonitor(sample)
-		} else {
-			nrCells[us.NRCellIDs[0]].AttachMonitor(sample)
-		}
+		cells[ids[0]].AttachMonitor(probe.sampler(pl.ueShard(us).Engine, us.ID))
 	}
 
 	// Truth-only capacity oracle for the measured flow when its scheme
@@ -586,7 +493,7 @@ func Run(sc *Scenario) *Result {
 		fs := sc.Flows[0]
 		if fs.Scheme != "fixed" && !SchemeUsesMonitor(fs.Scheme) {
 			us := spec(fs.UE)
-			attachTruthOracle(sc, pl.ueShard(us).Engine, us, devices[fs.UE], cells, nrCells, channels)
+			attachTruthOracle(sc, pl.ueShard(us).Engine, us, devices[fs.UE], cells, channels)
 		}
 	}
 
@@ -685,7 +592,7 @@ func Run(sc *Scenario) *Result {
 		for _, us := range sc.UEs {
 			rnti2ue[us.RNTI] = us.ID
 		}
-		primary.AttachMonitor(func(rep *lte.SubframeReport) {
+		primary.AttachMonitor(func(rep *ran.SubframeReport) {
 			for _, a := range rep.Allocs {
 				if _, ok := rnti2ue[a.RNTI]; ok {
 					acc[a.RNTI] += a.PRBs
@@ -743,7 +650,7 @@ func Run(sc *Scenario) *Result {
 			}
 		}
 	}
-	for _, ue := range ues {
+	for _, ue := range anchors {
 		if ue.Activations > 0 {
 			res.CATriggered = true
 		}
@@ -753,19 +660,71 @@ func Run(sc *Scenario) *Result {
 			res.CATriggered = true
 			res.NRActivated = true
 		}
-		if e.AnchorUE().Activations > 0 {
-			res.CATriggered = true
-		}
 	}
 	return res
 }
 
 // device is the UE-side endpoint a flow terminates on, regardless of RAT:
-// an LTE UE, a standalone 5G UE, or an EN-DC dual-connectivity UE.
+// an LTE or standalone 5G UE (both *ran.UE), or an EN-DC dual-connectivity
+// UE.
 type device interface {
 	netsim.Handler
 	RegisterFlow(flowID int, h netsim.Handler)
 	SetDefaultHandler(h netsim.Handler)
+	ActiveCells() []*ran.Cell
+	OnActiveChange(fn func(active []*ran.Cell))
+}
+
+// cellIDs lists the UE's configured carriers, LTE first: the order its
+// monitors are fed in, and whose head is the primary cell.
+func (us *UESpec) cellIDs() []int {
+	return append(append([]int(nil), us.CellIDs...), us.NRCellIDs...)
+}
+
+// cellSet is the attached-cell side of a monitor, or of the fault
+// injector interposed in front of one.
+type cellSet interface {
+	AttachCell(info core.CellInfo)
+	DetachCell(id int)
+}
+
+// mirrorActiveCells keeps the oracle monitor - and the transport monitor
+// when there is one - tracking exactly the device's active carrier set,
+// now and on every change. The oracle's cell set is the source of truth
+// for "already attached": under the Miss fault axis the transport monitor
+// itself lags the desired set.
+func mirrorActiveCells(dev device, ueID int, channels map[[2]int]*phy.Channel, oracle *core.Monitor, transport cellSet) {
+	sync := func(active []*ran.Cell) {
+		for _, c := range active {
+			if slices.Contains(oracle.ActiveCellIDs(), c.ID) {
+				continue
+			}
+			ch := channels[[2]int{ueID, c.ID}]
+			info := core.CellInfo{
+				ID:               c.ID,
+				NPRB:             c.NPRB,
+				SlotsPerSubframe: c.SlotsPerSubframe(),
+				CBGBits:          c.CBGBits(),
+				Rate:             func() float64 { return ch.MCS().BitsPerPRB() },
+				BER:              func() float64 { return ch.BER() },
+			}
+			if transport != nil {
+				transport.AttachCell(info)
+			}
+			oracle.AttachCell(info)
+		}
+		for _, id := range slices.Clone(oracle.ActiveCellIDs()) {
+			if slices.ContainsFunc(active, func(c *ran.Cell) bool { return c.ID == id }) {
+				continue
+			}
+			if transport != nil {
+				transport.DetachCell(id)
+			}
+			oracle.DetachCell(id)
+		}
+	}
+	sync(dev.ActiveCells())
+	dev.OnActiveChange(sync)
 }
 
 func (fr *FlowResult) buildTimeline() {
@@ -810,14 +769,14 @@ func (s *sharedFeedback) Feedback(now time.Duration, owd time.Duration, dataByte
 	return rate, btl
 }
 
-// monitorFeed returns the lte.Monitor feeding rep into mon, optionally
-// routing it through the PDCCH encode/blind-decode pipeline.
-func monitorFeed(sc *Scenario, cell *lte.Cell, mon *core.Monitor) lte.Monitor {
-	if !sc.MonitorDecodesPDCCH {
+// monitorFeed returns the feed of cell reports into mon, routed through
+// the PDCCH encode/blind-decode pipeline when decode is set.
+func monitorFeed(decode bool, cell *ran.Cell, mon *core.Monitor) ran.Monitor {
+	if !decode {
 		return mon.OnSubframe
 	}
 	dec := pdcch.NewDecoder(0)
-	return func(rep *lte.SubframeReport) {
+	return func(rep *ran.SubframeReport) {
 		region := lte.EncodeReport(rep, 3)
 		if region == nil {
 			mon.OnSubframe(rep) // control region overflow: fall back

@@ -5,8 +5,8 @@ import (
 	"time"
 
 	"pbecc/internal/faults"
-	"pbecc/internal/lte"
 	"pbecc/internal/phy"
+	"pbecc/internal/ran"
 	"pbecc/internal/trace"
 )
 
@@ -210,7 +210,7 @@ func addOnOffCompetitor(sc *Scenario, level float64) {
 // controlFor returns the cell's control-plane source for the Busy knob:
 // calibrated chatter on a busy cell, the idle trace otherwise. (The steady
 // family additionally adds background data users on busy cells.)
-func controlFor(p Params) lte.ControlSource {
+func controlFor(p Params) ran.ControlSource {
 	if p.Busy {
 		return trace.Busy()
 	}

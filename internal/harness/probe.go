@@ -4,10 +4,9 @@ import (
 	"fmt"
 
 	"pbecc/internal/core"
-	"pbecc/internal/lte"
-	"pbecc/internal/nr"
 	"pbecc/internal/obs"
 	"pbecc/internal/phy"
+	"pbecc/internal/ran"
 	"pbecc/internal/sim"
 )
 
@@ -66,11 +65,11 @@ func newPBEProbe(mon *core.Monitor, rnti uint16) *pbeProbe {
 // When the run is traced it also emits the error as a per-UE counter
 // track (batched per 40 ms window), and when it records series it
 // downsamples truth and estimate into the capacity tracks.
-func (p *pbeProbe) sampler(eng *sim.Engine, ueID int) lte.Monitor {
+func (p *pbeProbe) sampler(eng *sim.Engine, ueID int) ran.Monitor {
 	var track string
 	var truthTrack, estTrack *obs.SeriesTrack
 	seriesInit := false
-	return func(rep *lte.SubframeReport) {
+	return func(rep *ran.SubframeReport) {
 		if !seriesInit {
 			seriesInit = true
 			if sb := eng.SeriesBuffer(); sb != nil {
@@ -122,93 +121,23 @@ func (p *pbeProbe) ErrPct() float64 {
 // probe oracle's attach discipline (direct feeds, no noise, no decode
 // path) and is strictly passive, so attaching it never changes the run.
 func attachTruthOracle(sc *Scenario, eng *sim.Engine, us *UESpec, dev device,
-	cells map[int]*lte.Cell, nrCells map[int]*nr.Cell, channels map[[2]int]*phy.Channel) {
+	cells map[int]*ran.Cell, channels map[[2]int]*phy.Channel) {
 	sb := eng.SeriesBuffer()
 	if sb == nil {
 		return
 	}
 	oracle := core.NewMonitor(us.RNTI)
 	oracle.UseFilter = !sc.DisableUserFilter
-
-	attachNR := func(cid int) {
-		cell := nrCells[cid]
-		ch := channels[[2]int{us.ID, cid}]
-		oracle.AttachCell(core.CellInfo{
-			ID:               cell.ID,
-			NPRB:             cell.NPRB,
-			SlotsPerSubframe: cell.SlotsPerSubframe(),
-			CBGBits:          nr.CodeBlockBits,
-			Rate:             func() float64 { return ch.MCS().BitsPerPRB() },
-			BER:              func() float64 { return ch.BER() },
-		})
-	}
-	attachLTE := func(active []*lte.Cell) {
-		activeSet := map[int]bool{}
-		for _, cid := range us.NRCellIDs {
-			activeSet[cid] = true // NR attach/detach is handled separately
-		}
-		for _, c := range active {
-			activeSet[c.ID] = true
-			already := false
-			for _, id := range oracle.ActiveCellIDs() {
-				if id == c.ID {
-					already = true
-				}
-			}
-			if !already {
-				ch := channels[[2]int{us.ID, c.ID}]
-				oracle.AttachCell(core.CellInfo{
-					ID:   c.ID,
-					NPRB: c.NPRB,
-					Rate: func() float64 { return ch.MCS().BitsPerPRB() },
-					BER:  func() float64 { return ch.BER() },
-				})
-			}
-		}
-		for _, id := range append([]int(nil), oracle.ActiveCellIDs()...) {
-			if !activeSet[id] {
-				oracle.DetachCell(id)
-			}
-		}
-	}
-
-	switch dev := dev.(type) {
-	case *lte.UE:
-		attachLTE(dev.ActiveCells())
-		dev.OnActiveChange(attachLTE)
-	case *nr.ENDC:
-		anchor := dev.AnchorUE()
-		attachLTE(anchor.ActiveCells())
-		anchor.OnActiveChange(attachLTE)
-		nrID := us.NRCellIDs[0]
-		dev.OnSecondaryChange(func(active bool) {
-			if active {
-				attachNR(nrID)
-			} else {
-				oracle.DetachCell(nrID)
-			}
-		})
-	case *nr.UE:
-		for _, cid := range us.NRCellIDs {
-			attachNR(cid)
-		}
-	}
-	for _, cid := range us.CellIDs {
+	mirrorActiveCells(dev, us.ID, channels, oracle, nil)
+	ids := us.cellIDs()
+	for _, cid := range ids {
 		cells[cid].AttachMonitor(oracle.OnSubframe)
-	}
-	for _, cid := range us.NRCellIDs {
-		nrCells[cid].AttachMonitor(oracle.OnSubframe)
 	}
 
 	track := sb.Track(seriesTruth, us.ID)
-	sample := func(rep *lte.SubframeReport) {
+	cells[ids[0]].AttachMonitor(func(rep *ran.SubframeReport) {
 		if truth := oracle.CapacityBits(); truth > 0 {
 			track.Sample(eng.Now(), truth/1e3)
 		}
-	}
-	if len(us.CellIDs) > 0 {
-		cells[us.CellIDs[0]].AttachMonitor(sample)
-	} else {
-		nrCells[us.NRCellIDs[0]].AttachMonitor(sample)
-	}
+	})
 }

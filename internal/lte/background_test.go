@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"pbecc/internal/phy"
+	"pbecc/internal/ran"
 	"pbecc/internal/sim"
 )
 
@@ -15,11 +16,11 @@ type stubBG struct {
 	served int
 }
 
-func (s *stubBG) Demand(now time.Duration) []BackgroundDemand {
+func (s *stubBG) Demand(now time.Duration) []ran.BackgroundDemand {
 	if s.bits <= 0 {
 		return nil
 	}
-	return []BackgroundDemand{{
+	return []ran.BackgroundDemand{{
 		RNTI: 900,
 		MCS:  phy.MCS{CQI: 11, Table: phy.Table64QAM, Streams: 1},
 		Bits: s.bits,
@@ -93,16 +94,5 @@ func TestBackgroundSharesWaterFill(t *testing.T) {
 	ratio := float64(uePRBs) / float64(bgPRBs)
 	if ratio < 0.8 || ratio > 1.25 {
 		t.Fatalf("PRB split ue/bg = %d/%d (ratio %.2f), want roughly even", uePRBs, bgPRBs, ratio)
-	}
-}
-
-// TestNilBackgroundUnchanged: with no source attached the scheduler path
-// must not touch the fluid hook at all.
-func TestNilBackgroundUnchanged(t *testing.T) {
-	eng := sim.New(1)
-	cell := NewCell(eng, 1, 100, phy.Table64QAM, nil)
-	eng.RunUntil(10 * time.Millisecond)
-	if cell.FluidPRBs != 0 {
-		t.Fatalf("FluidPRBs = %d on a cell with no background source", cell.FluidPRBs)
 	}
 }

@@ -1,168 +1,48 @@
+// Package lte configures the shared RAN scheduler core (package ran) as an
+// FDD LTE component carrier - 1 ms subframes, the TS 36.213 RBG sizes,
+// RBG-granular control grants, whole-transport-block HARQ eight subframes
+// after an error with at most three retries (§3 of the paper) - and as an
+// LTE UE with occupancy-driven carrier aggregation (Figure 2). It also
+// holds the bit-level PDCCH rendering of a subframe report, which models
+// the LTE control channel only.
+//
+// Together with ran it replaces the commercial cells and USRP radios of
+// the paper's testbed; see DESIGN.md for the substitution argument.
 package lte
 
 import (
-	"math/rand"
-	"time"
-
-	"pbecc/internal/netsim"
 	"pbecc/internal/phy"
+	"pbecc/internal/ran"
 	"pbecc/internal/sim"
 )
 
-// HARQ parameters of FDD LTE (§3 of the paper): an erroneous transport
-// block is retransmitted eight subframes after the original transmission,
-// at most three times.
-const (
-	HARQDelaySubframes = 8
-	MaxRetransmissions = 3
+// The cell, UE and report types are the shared RAN core's; the names stay
+// available here for code that speaks of LTE cells and subframes.
+type (
+	Cell           = ran.Cell
+	UE             = ran.UE
+	Alloc          = ran.Alloc
+	SubframeReport = ran.SubframeReport
+	Monitor        = ran.Monitor
 )
 
 // DefaultPerUserQueueBytes is the default cap on one user's downlink
 // queue at a cell, modeling the finite RLC buffer of deployed base
-// stations (roughly 250 ms at 50 Mbit/s). Loss-based senders fill it and
-// see drops, as on real cells.
+// stations (roughly 250 ms at 50 Mbit/s).
 const DefaultPerUserQueueBytes = 1_500_000
 
-// ControlGrant is a small allocation made to a user that is exchanging
-// control-plane traffic (parameter updates, timers, security) rather than
-// data - the population the paper's Figure 7 measures and PBE-CC filters.
-type ControlGrant struct {
-	RNTI uint16
-	RBGs int
+// NewCell creates an LTE cell and starts its subframe ticker on the
+// engine. control may be nil for a cell without control-plane chatter.
+func NewCell(eng *sim.Engine, id, nprb int, table phy.CQITable, control ran.ControlSource) *Cell {
+	p := rbgSizeFor(nprb)
+	return ran.NewCell(eng, ran.CellConfig{
+		ID: id, NPRB: nprb, Table: table, Control: control,
+		SlotsPerSubframe: 1, RBGSize: p, ControlGrantPRBs: p,
+		PerUserQueueBytes: DefaultPerUserQueueBytes,
+	})
 }
 
-// ControlSource produces the control-plane grants of each subframe.
-// Implementations keep their own state across subframes; package trace
-// provides a population calibrated to Figure 7.
-type ControlSource interface {
-	Tick(subframe int, rng *rand.Rand) []ControlGrant
-}
-
-// Cell is one component carrier: a base station scheduler with per-user
-// queues, HARQ, and control-channel emission.
-type Cell struct {
-	eng *sim.Engine
-
-	ID    int
-	NPRB  int
-	Table phy.CQITable
-
-	control    ControlSource
-	background BackgroundSource
-	users      []*cellUser
-	byRNTI     map[uint16]*cellUser
-	monitors   []Monitor
-
-	subframe    int
-	pendingRetx map[int][]*transportBlock
-	rng         *rand.Rand
-	ticker      *sim.Ticker
-	pool        *netsim.PacketPool
-
-	nRBG    int
-	rbgSize int
-
-	// Per-subframe scratch, reused across ticks (DESIGN.md section 12):
-	// one SubframeReport per cell whose Allocs slice is resliced each
-	// subframe (monitor consumers copy what they keep), the water-fill
-	// inputs, and a transport-block free list. deliveries is the
-	// coalesced TB-delivery queue: instead of one event per transport
-	// block, the cell schedules a single pre-bound delivery event per
-	// subframe that drains the queue in transmit order at the next
-	// subframe boundary.
-	rep          *SubframeReport
-	blUsers      []*cellUser
-	wants        []int
-	wf           WaterFiller
-	tbFree       []*transportBlock
-	deliveries   []tbDelivery
-	deliverArmed bool
-	deliverFn    func()
-
-	// PerUserQueueBytes caps each user's downlink queue; packets beyond
-	// it are dropped at enqueue (drop-tail). Zero means unbounded.
-	PerUserQueueBytes int
-
-	// ErrorModel, when non-nil, replaces random transport-block error
-	// sampling: it is called per transmission attempt and returns whether
-	// the block was received in error. Used by tests and the Figure 3
-	// experiment to inject deterministic errors.
-	ErrorModel func(rnti uint16, tbSeq uint64, attempt int, bits int, ber float64) bool
-
-	// Counters for evaluation (Figure 6a and others).
-	TotalTBs     uint64
-	ErrorTBs     uint64
-	LostTBs      uint64
-	DataPRBs     uint64
-	RetxPRBs     uint64
-	ControlPRBs  uint64
-	FluidPRBs    uint64 // PRBs granted to fluid background users
-	QueueDropped uint64
-}
-
-type cellUser struct {
-	rnti uint16
-	ue   *UE
-	ch   *phy.Channel
-
-	// queue is the user's downlink queue, indexed from qHead (head-index
-	// dequeue with amortized compaction, retained capacity).
-	queue      []*netsim.Packet
-	qHead      int
-	headSent   int // bytes of the head packet already carried in earlier TBs
-	queuedBits int
-	nextTB     uint64
-
-	// Per-subframe scratch, read back by the UE's carrier-aggregation
-	// manager after the cell ticks.
-	lastPRBs       int
-	lastServedBits int
-}
-
-type transportBlock struct {
-	user      *cellUser
-	seq       uint64
-	rbgs      int
-	prbs      int
-	bits      int // allocated size (drives the error probability)
-	completed []*netsim.Packet
-	attempts  int
-	mcs       phy.MCS
-}
-
-// tbDelivery is one entry of the cell's coalesced delivery queue: the
-// transport block's outcome, decoupled from the (recycled) block struct.
-// The packets slice transfers to the UE's reorder buffer.
-type tbDelivery struct {
-	ue   *UE
-	seq  uint64
-	pkts []*netsim.Packet
-	ok   bool
-}
-
-// NewCell creates a cell and starts its subframe ticker on the engine.
-// control may be nil for a cell without control-plane chatter.
-func NewCell(eng *sim.Engine, id, nprb int, table phy.CQITable, control ControlSource) *Cell {
-	c := &Cell{
-		eng:         eng,
-		ID:          id,
-		NPRB:        nprb,
-		Table:       table,
-		control:     control,
-		byRNTI:      make(map[uint16]*cellUser),
-		pendingRetx: make(map[int][]*transportBlock),
-		rng:         eng.Rand(),
-	}
-	c.PerUserQueueBytes = DefaultPerUserQueueBytes
-	c.rbgSize = rbgSizeFor(nprb)
-	c.nRBG = (nprb + c.rbgSize - 1) / c.rbgSize
-	c.pool = netsim.PoolOf(eng)
-	c.rep = &SubframeReport{CellID: id, NPRB: nprb}
-	c.deliverFn = c.deliverPending
-	c.ticker = eng.Every(time.Millisecond, c.tick)
-	return c
-}
-
+// rbgSizeFor returns the RBG size P of 3GPP TS 36.213 Table 7.1.6.1-1.
 func rbgSizeFor(nprb int) int {
 	switch {
 	case nprb <= 10:
@@ -176,433 +56,8 @@ func rbgSizeFor(nprb int) int {
 	}
 }
 
-// Stop halts the cell's subframe ticker.
-func (c *Cell) Stop() { c.ticker.Stop() }
-
-// Subframe returns the index of the last processed subframe.
-func (c *Cell) Subframe() int { return c.subframe }
-
-// AttachMonitor registers a control-channel monitor; monitors run in
-// registration order after each subframe is scheduled.
-func (c *Cell) AttachMonitor(m Monitor) { c.monitors = append(c.monitors, m) }
-
-// AttachUser connects a UE to this cell under the given RNTI with the
-// given radio channel.
-func (c *Cell) AttachUser(ue *UE, rnti uint16, ch *phy.Channel) {
-	if _, dup := c.byRNTI[rnti]; dup {
-		panic("lte: duplicate RNTI on cell")
-	}
-	u := &cellUser{rnti: rnti, ue: ue, ch: ch}
-	c.users = append(c.users, u)
-	c.byRNTI[rnti] = u
-}
-
-// DetachUser removes a user; queued packets are dropped (and released:
-// the cell was their last owner).
-func (c *Cell) DetachUser(rnti uint16) {
-	u, ok := c.byRNTI[rnti]
-	if !ok {
-		return
-	}
-	delete(c.byRNTI, rnti)
-	for i, v := range c.users {
-		if v == u {
-			c.users = append(c.users[:i], c.users[i+1:]...)
-			break
-		}
-	}
-	c.pool.ReleaseAll(u.queue[u.qHead:])
-	u.queue = u.queue[:0]
-	u.qHead, u.headSent, u.queuedBits = 0, 0, 0
-}
-
-// Enqueue adds a downlink packet to the user's queue at this cell. It
-// reports false if the RNTI is not attached. On either false path the
-// packet is dropped - callers never retry a refused packet - so the cell
-// releases it as its last owner.
-func (c *Cell) Enqueue(rnti uint16, p *netsim.Packet) bool {
-	u, ok := c.byRNTI[rnti]
-	if !ok {
-		c.pool.Release(p)
-		return false
-	}
-	if c.PerUserQueueBytes > 0 && u.queuedBits/8+p.Size > c.PerUserQueueBytes {
-		c.QueueDropped++
-		c.pool.Release(p)
-		return false
-	}
-	u.queue = append(u.queue, p)
-	u.queuedBits += p.Size * 8
-	return true
-}
-
-// UserQueueBits returns the bits waiting in a user's queue.
-func (c *Cell) UserQueueBits(rnti uint16) int {
-	if u, ok := c.byRNTI[rnti]; ok {
-		return u.queuedBits
-	}
-	return 0
-}
-
-// UserRate returns the user's current physical rate in bits per PRB.
-func (c *Cell) UserRate(rnti uint16) float64 {
-	if u, ok := c.byRNTI[rnti]; ok {
-		return u.ch.MCS().BitsPerPRB()
-	}
-	return 0
-}
-
-// LastUserPRBs returns the PRBs granted to the user in the last subframe.
-func (c *Cell) LastUserPRBs(rnti uint16) int {
-	if u, ok := c.byRNTI[rnti]; ok {
-		return u.lastPRBs
-	}
-	return 0
-}
-
-// LastUserServedBits returns the payload bits served to the user in the
-// last subframe.
-func (c *Cell) LastUserServedBits(rnti uint16) int {
-	if u, ok := c.byRNTI[rnti]; ok {
-		return u.lastServedBits
-	}
-	return 0
-}
-
-// prbsInRBGSpan counts PRBs in RBGs [first, first+n).
-func (c *Cell) prbsInRBGSpan(first, n int) int {
-	if n <= 0 {
-		return 0
-	}
-	prbs := n * c.rbgSize
-	if first+n == c.nRBG {
-		if rem := c.NPRB % c.rbgSize; rem != 0 {
-			prbs -= c.rbgSize - rem
-		}
-	}
-	return prbs
-}
-
-// tick runs one subframe: advance channels, serve control users, serve
-// HARQ retransmissions, water-fill the remaining RBGs over backlogged
-// users, sample transport-block errors, and publish the control channel.
-func (c *Cell) tick() {
-	now := c.eng.Now()
-	c.subframe++
-	for _, u := range c.users {
-		u.ch.Step(now, time.Millisecond)
-		u.lastPRBs = 0
-		u.lastServedBits = 0
-	}
-
-	// The report struct and its Allocs slice are reused across subframes;
-	// monitor consumers must copy whatever they keep past the callback
-	// (core.Monitor and faults.WrapFeed both do).
-	rep := c.rep
-	rep.Subframe = c.subframe
-	rep.Allocs = rep.Allocs[:0]
-	rbgLeft := c.nRBG
-	cursor := 0
-
-	// 1. Control-plane users occupy a few RBGs first.
-	if c.control != nil {
-		for _, g := range c.control.Tick(c.subframe, c.rng) {
-			n := g.RBGs
-			if n > rbgLeft {
-				n = rbgLeft
-			}
-			if n == 0 {
-				break
-			}
-			prbs := c.prbsInRBGSpan(cursor, n)
-			mcs := phy.MCS{CQI: 5, Table: c.Table, Streams: 1}
-			rep.Allocs = append(rep.Allocs, Alloc{
-				RNTI: g.RNTI, FirstRBG: cursor, NumRBGs: n, PRBs: prbs,
-				MCS: mcs, TBBits: int(float64(prbs) * mcs.BitsPerPRB()),
-				NDI: true, Control: true,
-			})
-			c.ControlPRBs += uint64(prbs)
-			cursor += n
-			rbgLeft -= n
-		}
-	}
-
-	// 2. HARQ retransmissions scheduled for this subframe.
-	if due := c.pendingRetx[c.subframe]; len(due) > 0 {
-		delete(c.pendingRetx, c.subframe)
-		for i, tb := range due {
-			if _, attached := c.byRNTI[tb.user.rnti]; !attached {
-				continue
-			}
-			if tb.rbgs > rbgLeft {
-				// Control region exhausted: postpone the rest by one
-				// subframe.
-				c.pendingRetx[c.subframe+1] = append(c.pendingRetx[c.subframe+1], due[i:]...)
-				break
-			}
-			prbs := c.prbsInRBGSpan(cursor, tb.rbgs)
-			rep.Allocs = append(rep.Allocs, Alloc{
-				RNTI: tb.user.rnti, FirstRBG: cursor, NumRBGs: tb.rbgs, PRBs: prbs,
-				MCS: tb.mcs, TBBits: tb.bits, NDI: false,
-			})
-			c.RetxPRBs += uint64(prbs)
-			tb.user.lastPRBs += prbs
-			cursor += tb.rbgs
-			rbgLeft -= tb.rbgs
-			c.transmit(tb)
-		}
-	}
-
-	// 3. Water-fill the remaining RBGs over backlogged data users. Fluid
-	// background users (virtual aggregate sessions, see SetBackground)
-	// join the same water-fill after the packet users, so both tiers
-	// share capacity under one fairness policy.
-	blUsers := c.blUsers[:0]
-	wants := c.wants[:0]
-	for _, u := range c.users {
-		if u.queuedBits <= 0 || !u.ch.MCS().Valid() {
-			continue
-		}
-		perRBG := u.ch.MCS().BitsPerPRB() * float64(c.rbgSize)
-		w := int(float64(u.queuedBits)/perRBG) + 1
-		blUsers = append(blUsers, u)
-		wants = append(wants, w)
-	}
-	var bg []BackgroundDemand
-	if c.background != nil {
-		bg = c.background.Demand(now)
-		for i := range bg {
-			perRBG := bg[i].MCS.BitsPerPRB() * float64(c.rbgSize)
-			wants = append(wants, int(float64(bg[i].Bits)/perRBG)+1)
-		}
-	}
-	c.blUsers, c.wants = blUsers, wants
-	grants := c.wf.Fill(wants, rbgLeft, c.subframe)
-	for i, u := range blUsers {
-		n := grants[i]
-		if n == 0 {
-			continue
-		}
-		prbs := c.prbsInRBGSpan(cursor, n)
-		mcs := u.ch.MCS()
-		bits := int(float64(prbs) * mcs.BitsPerPRB())
-		tb := c.buildTB(u, n, prbs, bits, mcs)
-		rep.Allocs = append(rep.Allocs, Alloc{
-			RNTI: u.rnti, FirstRBG: cursor, NumRBGs: n, PRBs: prbs,
-			MCS: mcs, TBBits: bits, NDI: true,
-		})
-		c.DataPRBs += uint64(prbs)
-		u.lastPRBs += prbs
-		cursor += n
-		rbgLeft -= n
-		c.transmit(tb)
-	}
-	for i := range bg {
-		n := grants[len(blUsers)+i]
-		if n == 0 {
-			continue
-		}
-		prbs := c.prbsInRBGSpan(cursor, n)
-		bits := int(float64(prbs) * bg[i].MCS.BitsPerPRB())
-		rep.Allocs = append(rep.Allocs, Alloc{
-			RNTI: bg[i].RNTI, FirstRBG: cursor, NumRBGs: n, PRBs: prbs,
-			MCS: bg[i].MCS, TBBits: bits, NDI: true,
-		})
-		c.FluidPRBs += uint64(prbs)
-		cursor += n
-		rbgLeft -= n
-		c.background.Serve(i, bits)
-	}
-
-	for _, m := range c.monitors {
-		m(rep)
-	}
-}
-
-// buildTB drains up to the allocated bits from the user's queue into a new
-// transport block.
-func (c *Cell) buildTB(u *cellUser, rbgs, prbs, bits int, mcs phy.MCS) *transportBlock {
-	var tb *transportBlock
-	if n := len(c.tbFree); n > 0 {
-		tb = c.tbFree[n-1]
-		c.tbFree[n-1] = nil
-		c.tbFree = c.tbFree[:n-1]
-	} else {
-		tb = &transportBlock{}
-	}
-	tb.user, tb.seq, tb.rbgs, tb.prbs, tb.bits, tb.mcs = u, u.nextTB, rbgs, prbs, bits, mcs
-	u.nextTB++
-	capBytes := bits / 8
-	served := 0
-	for capBytes > 0 && u.qHead < len(u.queue) {
-		head := u.queue[u.qHead]
-		rem := head.Size - u.headSent
-		take := rem
-		if take > capBytes {
-			take = capBytes
-		}
-		u.headSent += take
-		capBytes -= take
-		served += take
-		if u.headSent == head.Size {
-			tb.completed = append(tb.completed, head)
-			u.queue[u.qHead] = nil
-			u.qHead++
-			u.headSent = 0
-		}
-	}
-	if u.qHead == len(u.queue) {
-		u.queue = u.queue[:0]
-		u.qHead = 0
-	} else if u.qHead > 32 && u.qHead*2 >= len(u.queue) {
-		n := copy(u.queue, u.queue[u.qHead:])
-		for i := n; i < len(u.queue); i++ {
-			u.queue[i] = nil
-		}
-		u.queue = u.queue[:n]
-		u.qHead = 0
-	}
-	u.queuedBits -= served * 8
-	u.lastServedBits += served * 8
-	return tb
-}
-
-// transmit samples the block error process for one attempt and schedules
-// either in-order delivery at the next subframe boundary or a HARQ
-// retransmission eight subframes later. After the maximum number of
-// retransmissions the block is declared lost and the receiver's reordering
-// buffer is released (its packets never arrive).
-func (c *Cell) transmit(tb *transportBlock) {
-	c.TotalTBs++
-	ue := tb.user.ue
-	var errored bool
-	if c.ErrorModel != nil {
-		errored = c.ErrorModel(tb.user.rnti, tb.seq, tb.attempts, tb.bits, tb.user.ch.BER())
-	} else {
-		errored = c.rng.Float64() < phy.TBErrorRate(tb.user.ch.BER(), tb.bits)
-	}
-	if !errored {
-		c.queueDelivery(ue, tb, true)
-		return
-	}
-	c.ErrorTBs++
-	tb.attempts++
-	if tb.attempts > MaxRetransmissions {
-		c.LostTBs++
-		c.queueDelivery(ue, tb, false)
-		return
-	}
-	retxAt := c.subframe + HARQDelaySubframes
-	c.pendingRetx[retxAt] = append(c.pendingRetx[retxAt], tb)
-}
-
-// queueDelivery appends the block's outcome to the coalesced delivery
-// queue and recycles the block struct (its packets now belong to the
-// queue entry, then to the UE's reorder buffer). The queue is drained by
-// one pre-bound event at the next subframe boundary - scheduled on the
-// first delivery of the tick, so a subframe costs one delivery event no
-// matter how many blocks it carries. Order within the event equals
-// transmit order, exactly the order the per-block events fired in before
-// coalescing; the queue is only appended to during tick, never while
-// draining.
-func (c *Cell) queueDelivery(ue *UE, tb *transportBlock, ok bool) {
-	c.deliveries = append(c.deliveries, tbDelivery{ue: ue, seq: tb.seq, pkts: tb.completed, ok: ok})
-	if !c.deliverArmed {
-		c.deliverArmed = true
-		c.eng.Schedule(time.Millisecond, c.deliverFn)
-	}
-	*tb = transportBlock{}
-	c.tbFree = append(c.tbFree, tb)
-}
-
-// deliverPending hands every queued transport-block outcome to its UE.
-func (c *Cell) deliverPending() {
-	c.deliverArmed = false
-	ds := c.deliveries
-	for i := range ds {
-		d := &ds[i]
-		d.ue.deliverTB(c.ID, d.seq, d.pkts, d.ok)
-		*d = tbDelivery{}
-	}
-	c.deliveries = ds[:0]
-}
-
-// WaterFill distributes capacity RBGs over users with the given demands,
-// equalizing shares: users wanting less than the fair share are satisfied
-// in full and the surplus is redistributed. Leftover odd RBGs rotate with
-// the subframe (or NR slot) index so no user position is systematically
-// favored. The NR scheduler in internal/nr shares this policy.
-//
-// WaterFill allocates fresh result storage per call; schedulers on the
-// per-subframe hot path hold a WaterFiller and use Fill, which reuses it.
-func WaterFill(wants []int, capacity, rotate int) []int {
-	var f WaterFiller
-	return f.Fill(wants, capacity, rotate)
-}
-
-// WaterFiller is reusable scratch for WaterFill's policy: Fill returns a
-// grants slice that stays valid until the next Fill call on the same
-// WaterFiller. The zero value is ready to use.
-type WaterFiller struct {
-	grants []int
-	unsat  []int
-}
-
-// Fill is WaterFill with retained storage; see WaterFill for the policy.
-func (f *WaterFiller) Fill(wants []int, capacity, rotate int) []int {
-	if cap(f.grants) < len(wants) {
-		f.grants = make([]int, len(wants))
-		f.unsat = make([]int, 0, len(wants))
-	}
-	grants := f.grants[:len(wants)]
-	for i := range grants {
-		grants[i] = 0
-	}
-	unsat := f.unsat[:0]
-	for i, w := range wants {
-		if w > 0 {
-			unsat = append(unsat, i)
-		}
-	}
-	f.unsat = unsat
-	for capacity > 0 && len(unsat) > 0 {
-		share := capacity / len(unsat)
-		if share == 0 {
-			// Fewer RBGs than users: hand out one each, rotating.
-			off := rotate % len(unsat)
-			for k := 0; k < capacity; k++ {
-				grants[unsat[(off+k)%len(unsat)]]++
-			}
-			capacity = 0
-			break
-		}
-		progress := false
-		next := unsat[:0]
-		for _, i := range unsat {
-			need := wants[i] - grants[i]
-			if need <= share {
-				grants[i] = wants[i]
-				capacity -= need
-				progress = true
-			} else {
-				next = append(next, i)
-			}
-		}
-		unsat = next
-		if !progress {
-			// Everyone needs more than the share: grant the share and
-			// rotate the remainder.
-			for _, i := range unsat {
-				grants[i] += share
-				capacity -= share
-			}
-			off := rotate % len(unsat)
-			for k := 0; k < capacity; k++ {
-				grants[unsat[(off+k)%len(unsat)]]++
-			}
-			capacity = 0
-			break
-		}
-	}
-	return grants
+// NewUE creates an LTE UE with carrier aggregation enabled; add component
+// carriers with AddCell (primary first), then Start.
+func NewUE(eng *sim.Engine, id int, rnti uint16) *UE {
+	return ran.NewUE(eng, id, rnti, true)
 }

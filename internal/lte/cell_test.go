@@ -7,6 +7,7 @@ import (
 
 	"pbecc/internal/netsim"
 	"pbecc/internal/phy"
+	"pbecc/internal/ran"
 	"pbecc/internal/sim"
 )
 
@@ -153,58 +154,6 @@ func TestShortQueueReleasesCapacity(t *testing.T) {
 	}
 }
 
-func TestWaterFill(t *testing.T) {
-	cases := []struct {
-		wants    []int
-		capacity int
-		want     []int
-	}{
-		{[]int{10, 10}, 10, []int{5, 5}},
-		{[]int{2, 10}, 10, []int{2, 8}},
-		{[]int{1, 1, 1}, 25, []int{1, 1, 1}},
-		{[]int{100}, 25, []int{25}},
-		{[]int{0, 10}, 10, []int{0, 10}},
-		{[]int{}, 10, []int{}},
-		{[]int{3, 3, 3}, 2, nil}, // fewer RBGs than users: one each, rotating
-	}
-	for i, c := range cases {
-		got := WaterFill(c.wants, c.capacity, 0)
-		if c.want == nil {
-			sum := 0
-			for _, g := range got {
-				sum += g
-			}
-			if sum != c.capacity {
-				t.Fatalf("case %d: distributed %d, want %d", i, sum, c.capacity)
-			}
-			continue
-		}
-		for j := range c.want {
-			if got[j] != c.want[j] {
-				t.Fatalf("case %d: got %v, want %v", i, got, c.want)
-			}
-		}
-	}
-}
-
-func TestWaterFillNeverExceedsCapacity(t *testing.T) {
-	for rot := 0; rot < 7; rot++ {
-		for _, cap := range []int{0, 1, 5, 25, 100} {
-			got := WaterFill([]int{7, 3, 9, 1, 12}, cap, rot)
-			sum := 0
-			for i, g := range got {
-				sum += g
-				if g > []int{7, 3, 9, 1, 12}[i] {
-					t.Fatalf("over-grant: %v", got)
-				}
-			}
-			if sum > cap {
-				t.Fatalf("cap %d rot %d: granted %d", cap, rot, sum)
-			}
-		}
-	}
-}
-
 func TestHARQRetransmissionDelay(t *testing.T) {
 	eng := sim.New(5)
 	ue, cell, sink := newTestUE(eng, 100, -85)
@@ -280,7 +229,7 @@ func TestInOrderDeliveryWithinCell(t *testing.T) {
 
 func TestControlGrantsVisibleAndFirst(t *testing.T) {
 	eng := sim.New(8)
-	src := &stubControl{grants: []ControlGrant{{RNTI: 5000, RBGs: 1}}}
+	src := &stubControl{grants: []ran.ControlGrant{{RNTI: 5000, RBGs: 1}}}
 	cell := NewCell(eng, 1, 100, phy.Table64QAM, src)
 	var reports []*SubframeReport
 	cell.AttachMonitor(func(rep *SubframeReport) { reports = append(reports, rep) })
@@ -305,9 +254,9 @@ func TestControlGrantsVisibleAndFirst(t *testing.T) {
 	}
 }
 
-type stubControl struct{ grants []ControlGrant }
+type stubControl struct{ grants []ran.ControlGrant }
 
-func (s *stubControl) Tick(subframe int, rng *rand.Rand) []ControlGrant {
+func (s *stubControl) Tick(subframe int, rng *rand.Rand) []ran.ControlGrant {
 	return s.grants
 }
 
@@ -336,20 +285,6 @@ func TestEnqueueUnknownRNTI(t *testing.T) {
 	}
 }
 
-func TestDuplicateRNTIPanics(t *testing.T) {
-	eng := sim.New(11)
-	cell := NewCell(eng, 1, 100, phy.Table64QAM, nil)
-	ue := NewUE(eng, 1, 61)
-	ue.AddCell(cell, phy.NewStaticChannel(-85, phy.Table64QAM, nil))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate RNTI did not panic")
-		}
-	}()
-	ue2 := NewUE(eng, 2, 61)
-	ue2.AddCell(cell, phy.NewStaticChannel(-85, phy.Table64QAM, nil))
-}
-
 func TestDeterminism(t *testing.T) {
 	run := func() (uint64, int) {
 		eng := sim.New(42)
@@ -365,18 +300,42 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestPRBsInRBGSpanLastGroup: a 50-PRB carrier has P=3, so 17 RBGs of
+// which the last holds 2 PRBs. Grants that reach the band edge must count
+// PRBs, not whole RBGs.
 func TestPRBsInRBGSpanLastGroup(t *testing.T) {
 	eng := sim.New(12)
-	cell := NewCell(eng, 1, 50, phy.Table64QAM, nil) // P=3, 17 RBGs, last has 2
-	if got := cell.prbsInRBGSpan(0, 17); got != 50 {
-		t.Fatalf("full span = %d PRBs, want 50", got)
-	}
-	if got := cell.prbsInRBGSpan(16, 1); got != 2 {
-		t.Fatalf("last RBG = %d PRBs, want 2", got)
-	}
-	if got := cell.prbsInRBGSpan(0, 0); got != 0 {
-		t.Fatalf("empty span = %d", got)
-	}
+	// Control takes the first 16 RBGs, leaving a data user the last one.
+	src := &stubControl{grants: []ran.ControlGrant{{RNTI: 5000, RBGs: 16}}}
+	cell := NewCell(eng, 1, 50, phy.Table64QAM, src)
+	ue := NewUE(eng, 1, 61)
+	ue.AddCell(cell, phy.NewStaticChannel(-85, phy.Table64QAM, nil))
+	ue.SetDefaultHandler(&collector{})
+	fillQueue(ue, 100)
+	cell.AttachMonitor(func(rep *SubframeReport) {
+		if len(rep.Allocs) != 2 {
+			t.Fatalf("allocs = %+v, want control + data", rep.Allocs)
+		}
+		ctl, data := rep.Allocs[0], rep.Allocs[1]
+		if ctl.FirstRBG != 0 || ctl.NumRBGs != 16 || ctl.PRBs != 48 {
+			t.Fatalf("control grant = %+v, want RBGs [0,16) = 48 PRBs", ctl)
+		}
+		if data.FirstRBG != 16 || data.NumRBGs != 1 || data.PRBs != 2 {
+			t.Fatalf("last RBG grant = %+v, want RBG 16 = 2 PRBs", data)
+		}
+	})
+	eng.RunUntil(5 * time.Millisecond)
+
+	// Alone on the carrier the user spans all 17 RBGs = 50 PRBs.
+	eng2 := sim.New(12)
+	ue2, cell2, _ := newTestUE(eng2, 50, -85)
+	fillQueue(ue2, 1000)
+	cell2.AttachMonitor(func(rep *SubframeReport) {
+		if a := rep.Allocs[0]; a.NumRBGs != 17 || a.PRBs != 50 {
+			t.Fatalf("full span = %+v, want 17 RBGs = 50 PRBs", a)
+		}
+	})
+	eng2.RunUntil(5 * time.Millisecond)
 }
 
 func TestErrorRateMatchesModel(t *testing.T) {

@@ -1,64 +1,9 @@
-// Package lte is a subframe-accurate simulator of the LTE/5G-NR MAC layer
-// behaviours PBE-CC depends on: per-cell PRB scheduling with per-user
-// queues, carrier aggregation with occupancy-driven secondary-cell
-// activation (Figure 2 of the paper), HARQ retransmission eight
-// subframes after an erroneous transport block with at most three retries,
-// in-order delivery through a reordering buffer (Figure 3), and per-subframe
-// emission of every user's control information, which is what the PBE-CC
-// monitor decodes.
-//
-// It replaces the commercial cells and USRP radios of the paper's testbed;
-// see DESIGN.md for the substitution argument.
 package lte
 
 import (
 	"pbecc/internal/pdcch"
 	"pbecc/internal/phy"
 )
-
-// Alloc describes one user's downlink grant in one subframe - the
-// information content of one DCI message.
-type Alloc struct {
-	RNTI     uint16
-	FirstRBG int
-	NumRBGs  int
-	PRBs     int     // PRBs covered by the RBG span
-	MCS      phy.MCS // wireless physical rate of the user
-	TBBits   int     // allocated transport block size
-	NDI      bool    // true = new data, false = HARQ retransmission
-
-	// Control marks grants of control-plane-only users. It is ground
-	// truth for evaluation; the PBE-CC monitor must not read it (the
-	// paper's monitor cannot observe it either, and filters such users
-	// by activity time and PRB thresholds instead).
-	Control bool
-}
-
-// SubframeReport is everything a control-channel monitor learns about one
-// cell in one subframe.
-type SubframeReport struct {
-	CellID   int
-	Subframe int
-	NPRB     int
-	Allocs   []Alloc
-}
-
-// AllocatedPRBs sums the PRBs granted in the subframe.
-func (r *SubframeReport) AllocatedPRBs() int {
-	n := 0
-	for i := range r.Allocs {
-		n += r.Allocs[i].PRBs
-	}
-	return n
-}
-
-// IdlePRBs returns the unallocated PRBs of the subframe (the paper's
-// Eqn. 4 numerator contribution).
-func (r *SubframeReport) IdlePRBs() int { return r.NPRB - r.AllocatedPRBs() }
-
-// Monitor consumes per-subframe control information from one cell, the
-// role of the PBE-CC client's decoder threads.
-type Monitor func(rep *SubframeReport)
 
 // EncodeReport renders a subframe report as an encoded PDCCH control
 // region, so that monitors can consume control information recovered from

@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"os"
 	"sync/atomic"
 
 	"pbecc/internal/obs"
@@ -15,15 +14,9 @@ var mPktReuse = obs.NewCounter("sim.packet_pool_reuse")
 // poolingOff is the global packet-pool kill switch. Pooling is a pure
 // memory optimization - a pooled run and an unpooled run are
 // byte-identical (the property tests in internal/harness enforce it) -
-// so the switch exists for bisecting and for those tests, not for
-// correctness. Set PBECC_PACKET_POOL=off or call SetPooling(false).
+// so the switch exists for those tests (SetPooling(false) is their
+// reference path), not for correctness.
 var poolingOff atomic.Bool
-
-func init() {
-	if os.Getenv("PBECC_PACKET_POOL") == "off" {
-		poolingOff.Store(true)
-	}
-}
 
 // SetPooling enables or disables packet pooling process-wide and returns
 // the previous setting. With pooling off, Get returns ordinary heap

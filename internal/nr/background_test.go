@@ -4,8 +4,8 @@ import (
 	"testing"
 	"time"
 
-	"pbecc/internal/lte"
 	"pbecc/internal/phy"
+	"pbecc/internal/ran"
 	"pbecc/internal/sim"
 )
 
@@ -14,11 +14,11 @@ type stubBG struct {
 	served int
 }
 
-func (s *stubBG) Demand(now time.Duration) []lte.BackgroundDemand {
+func (s *stubBG) Demand(now time.Duration) []ran.BackgroundDemand {
 	if s.bits <= 0 {
 		return nil
 	}
-	return []lte.BackgroundDemand{{
+	return []ran.BackgroundDemand{{
 		RNTI: 900,
 		MCS:  phy.MCS{CQI: 11, Table: phy.Table256QAM, Streams: 1},
 		Bits: s.bits,
@@ -36,7 +36,7 @@ func TestBackgroundAppearsInNRReports(t *testing.T) {
 	bg := &stubBG{bits: 1 << 30}
 	cell.SetBackground(bg)
 	bgPRBs, bgAllocs := 0, 0
-	cell.AttachMonitor(func(rep *lte.SubframeReport) {
+	cell.AttachMonitor(func(rep *ran.SubframeReport) {
 		for _, a := range rep.Allocs {
 			if a.RNTI != 900 {
 				continue
@@ -60,15 +60,5 @@ func TestBackgroundAppearsInNRReports(t *testing.T) {
 	}
 	if bg.served <= 0 {
 		t.Fatal("Serve was never called")
-	}
-}
-
-// TestNRNilBackgroundUnchanged: no source, no fluid accounting.
-func TestNRNilBackgroundUnchanged(t *testing.T) {
-	eng := sim.New(1)
-	cell := NewCell(eng, Config{ID: 1, Mu: 1, BandwidthMHz: 100})
-	eng.RunUntil(10 * time.Millisecond)
-	if cell.FluidPRBs != 0 {
-		t.Fatalf("FluidPRBs = %d on a cell with no background source", cell.FluidPRBs)
 	}
 }

@@ -1,36 +1,37 @@
-// Package nr is a slot-accurate simulator of the 5G New Radio MAC layer:
-// cells with flexible numerology (subcarrier spacing 15 kHz * 2^µ, so slots
-// of 1/0.5/0.25/0.125 ms), wide sub-6 and mmWave carriers, 256-QAM by
-// default, per-slot PDCCH emission in the same report format the LTE cells
-// use (so the PBE-CC monitor consumes both RATs), HARQ retransmission a
-// fixed number of slots after an erroneous transport block, and an EN-DC
-// dual-connectivity UE that aggregates an LTE anchor with an NR secondary
-// cell (the non-standalone deployment the paper's 5G discussion targets).
+// Package nr configures the shared RAN scheduler core (package ran) as a
+// 5G New Radio carrier: flexible numerology (subcarrier spacing 15 kHz *
+// 2^µ, so slots of 1/0.5/0.25/0.125 ms), wide sub-6 and mmWave carriers,
+// 256-QAM by default, the TS 38.214 RBG sizes, PRB-granular control
+// grants, and code-block-group HARQ. It adds what only NR has: the mmWave
+// blockage profile and an EN-DC dual-connectivity UE that aggregates an
+// LTE anchor with an NR secondary cell (the non-standalone deployment the
+// paper's 5G discussion targets).
 //
-// The scheduler policy matches the LTE cell - control-plane users first,
-// HARQ retransmissions second, water-filling over backlogged data users -
-// so cross-RAT comparisons isolate the effect of the numerology, not of a
-// different scheduler.
+// The scheduler itself is the one the LTE cell runs - control-plane users
+// first, HARQ retransmissions second, water-filling over backlogged data
+// users - so cross-RAT comparisons isolate the effect of the numerology,
+// not of a different scheduler.
 package nr
 
 import (
-	"math/rand"
 	"time"
 
-	"pbecc/internal/lte"
-	"pbecc/internal/netsim"
 	"pbecc/internal/phy"
+	"pbecc/internal/ran"
 	"pbecc/internal/sim"
+)
+
+// The cell and UE types are the shared RAN core's.
+type (
+	Cell = ran.Cell
+	UE   = ran.UE
 )
 
 // HARQ parameters: NR uses asynchronous HARQ with a typical round-trip of
 // a few slots; we keep the LTE count of eight scheduling intervals, which
 // in wall time shrinks with the numerology (8 slots = 1 ms at µ=3),
 // matching NR's lower retransmission latency.
-const (
-	HARQDelaySlots     = 8
-	MaxRetransmissions = 3
-)
+const HARQDelaySlots = ran.HARQDelaySlots
 
 // CodeBlockBits is the maximum code block size of the NR LDPC coder
 // (3GPP TS 38.212 §5.2.2). NR transport blocks are far larger than LTE's,
@@ -44,12 +45,13 @@ const CodeBlockBits = 8448
 // carrier rate (roughly 100 ms at 500 Mbit/s).
 const DefaultPerUserQueueBytes = 6_000_000
 
-// TBSink receives completed transport blocks from a cell. ok=false marks a
-// block lost after exhausting HARQ retransmissions; its packets never
-// arrive but the sink must advance its reordering state.
-type TBSink interface {
-	DeliverTB(cellID int, seq uint64, packets []*netsim.Packet, ok bool)
-}
+// ControlGrantPRBs is the downlink footprint of one control-grant unit.
+// The control-traffic populations in package trace are calibrated in
+// 20 MHz LTE RBGs of four PRBs; NR carries such small allocations with
+// resource-allocation type 1 (contiguous PRBs, no RBG rounding), so one
+// grant unit occupies four PRBs here too and the paper's Ta/Pa filter
+// thresholds keep their meaning on NR cells despite the 16-PRB RBGs.
+const ControlGrantPRBs = 4
 
 // Config describes one NR carrier.
 type Config struct {
@@ -64,112 +66,13 @@ type Config struct {
 	// Table selects the CQI table; zero means 256-QAM, the NR default.
 	Table phy.CQITable
 
-	// Control produces per-slot control-plane grants (nil = quiet cell).
-	// The lte.ControlSource interface is reused with the slot index in
-	// place of the subframe index.
-	Control lte.ControlSource
+	// Control produces control-plane grants once per subframe (nil = quiet
+	// cell).
+	Control ran.ControlSource
 
 	// PerUserQueueBytes caps each user's downlink queue; zero selects
 	// DefaultPerUserQueueBytes, negative means unbounded.
 	PerUserQueueBytes int
-}
-
-// Cell is one NR component carrier: a slot-clocked scheduler with per-user
-// queues, HARQ, and per-slot control-channel emission.
-type Cell struct {
-	eng *sim.Engine
-
-	ID    int
-	Mu    int
-	NPRB  int
-	Table phy.CQITable
-
-	control    lte.ControlSource
-	background lte.BackgroundSource
-	users      []*cellUser
-	byRNTI     map[uint16]*cellUser
-	monitors   []lte.Monitor
-
-	slot        int
-	spf         int // slots per subframe, 2^µ
-	slotDur     time.Duration
-	pendingRetx map[int][]*transportBlock
-	rng         *rand.Rand
-	ticker      *sim.Ticker
-	pool        *netsim.PacketPool
-
-	rbgSize int
-
-	// Per-slot scratch, reused across ticks exactly like the LTE cell's
-	// (DESIGN.md section 12): reused report + Allocs, water-fill inputs,
-	// transport-block free list, and the coalesced TB-delivery queue
-	// drained by one pre-bound event per slot.
-	rep          *lte.SubframeReport
-	blUsers      []*cellUser
-	wants        []int
-	wf           lte.WaterFiller
-	tbFree       []*transportBlock
-	deliveries   []tbDelivery
-	deliverArmed bool
-	deliverFn    func()
-
-	perUserQueueBytes int
-
-	// ErrorModel, when non-nil, replaces random transport-block error
-	// sampling (deterministic tests and blockage studies).
-	ErrorModel func(rnti uint16, tbSeq uint64, attempt int, bits int, ber float64) bool
-
-	// Counters.
-	TotalTBs     uint64
-	ErrorTBs     uint64
-	LostTBs      uint64
-	DataPRBs     uint64
-	RetxPRBs     uint64
-	ControlPRBs  uint64
-	FluidPRBs    uint64 // PRBs granted to fluid background users
-	QueueDropped uint64
-}
-
-type cellUser struct {
-	rnti uint16
-	sink TBSink
-	ch   *phy.Channel
-
-	// queue is indexed from qHead (head-index dequeue with amortized
-	// compaction, retained capacity).
-	queue      []*netsim.Packet
-	qHead      int
-	headSent   int
-	queuedBits int
-	nextTB     uint64
-
-	lastPRBs       int
-	lastServedBits int
-}
-
-type transportBlock struct {
-	user      *cellUser
-	seq       uint64
-	rbgs      int
-	prbs      int
-	bits      int
-	completed []*netsim.Packet
-	attempts  int
-	mcs       phy.MCS
-
-	// Code-block-group HARQ state: total groups in the original block and
-	// the groups still outstanding (failed in every attempt so far).
-	cbTotal       int
-	cbOutstanding int
-}
-
-// tbDelivery is one entry of the cell's coalesced delivery queue; see
-// the LTE cell's twin for the ordering argument.
-type tbDelivery struct {
-	sink TBSink
-	seq  uint64
-	pkts []*netsim.Packet
-	ok   bool
 }
 
 // NewCell creates an NR cell from the config and starts its slot ticker on
@@ -186,40 +89,24 @@ func NewCell(eng *sim.Engine, cfg Config) *Cell {
 	if table == 0 {
 		table = phy.Table256QAM
 	}
-	c := &Cell{
-		eng:         eng,
-		ID:          cfg.ID,
-		Mu:          cfg.Mu,
-		NPRB:        nprb,
-		Table:       table,
-		control:     cfg.Control,
-		byRNTI:      make(map[uint16]*cellUser),
-		pendingRetx: make(map[int][]*transportBlock),
-		rng:         eng.Rand(),
-		spf:         phy.NRSlotsPerSubframe(cfg.Mu),
-		slotDur:     phy.NRSlotDuration(cfg.Mu),
-	}
+	queueBytes := cfg.PerUserQueueBytes
 	switch {
-	case cfg.PerUserQueueBytes > 0:
-		c.perUserQueueBytes = cfg.PerUserQueueBytes
-	case cfg.PerUserQueueBytes == 0:
-		c.perUserQueueBytes = DefaultPerUserQueueBytes
+	case queueBytes == 0:
+		queueBytes = DefaultPerUserQueueBytes
+	case queueBytes < 0:
+		queueBytes = 0
 	}
-	c.rbgSize = rbgSizeFor(nprb)
-	c.pool = netsim.PoolOf(eng)
-	c.rep = &lte.SubframeReport{CellID: c.ID, NPRB: c.NPRB}
-	c.deliverFn = c.deliverPending
-	c.ticker = eng.Every(c.slotDur, c.tick)
-	return c
-}
+	return ran.NewCell(eng, ran.CellConfig{
+		ID: cfg.ID, NPRB: nprb, Table: table, Control: cfg.Control,
+		SlotsPerSubframe: phy.NRSlotsPerSubframe(cfg.Mu),
+		RBGSize:          rbgSizeFor(nprb),
+		ControlGrantPRBs: ControlGrantPRBs,
+		RotateUsers:      true,
+		CBGBits:          CodeBlockBits,
 
-// ControlGrantPRBs is the downlink footprint of one control-grant unit.
-// The control-traffic populations in package trace are calibrated in
-// 20 MHz LTE RBGs of four PRBs; NR carries such small allocations with
-// resource-allocation type 1 (contiguous PRBs, no RBG rounding), so one
-// grant unit occupies four PRBs here too and the paper's Ta/Pa filter
-// thresholds keep their meaning on NR cells despite the 16-PRB RBGs.
-const ControlGrantPRBs = 4
+		PerUserQueueBytes: queueBytes,
+	})
+}
 
 // rbgSizeFor returns the nominal RBG size P of 3GPP TS 38.214
 // Table 5.1.2.2.1-1 (configuration 1).
@@ -236,409 +123,12 @@ func rbgSizeFor(nprb int) int {
 	}
 }
 
-// Stop halts the cell's slot ticker.
-func (c *Cell) Stop() { c.ticker.Stop() }
-
-// Slot returns the index of the last processed slot.
-func (c *Cell) Slot() int { return c.slot }
-
-// SlotDuration returns the slot length of the cell's numerology.
-func (c *Cell) SlotDuration() time.Duration { return c.slotDur }
-
-// SlotsPerSubframe returns 2^µ.
-func (c *Cell) SlotsPerSubframe() int { return phy.NRSlotsPerSubframe(c.Mu) }
-
-// AttachMonitor registers a control-channel monitor; monitors run in
-// registration order after each slot is scheduled. The report's Subframe
-// field carries the slot index.
-func (c *Cell) AttachMonitor(m lte.Monitor) { c.monitors = append(c.monitors, m) }
-
-// SetBackground attaches the cell's fluid background-traffic source (see
-// lte.BackgroundSource); virtual users join the per-slot water-fill like
-// packet users but generate no packet events.
-func (c *Cell) SetBackground(b lte.BackgroundSource) { c.background = b }
-
-// AttachUser connects a transport-block sink to this cell under the given
-// RNTI with the given radio channel.
-func (c *Cell) AttachUser(sink TBSink, rnti uint16, ch *phy.Channel) {
-	if _, dup := c.byRNTI[rnti]; dup {
-		panic("nr: duplicate RNTI on cell")
-	}
-	u := &cellUser{rnti: rnti, sink: sink, ch: ch}
-	c.users = append(c.users, u)
-	c.byRNTI[rnti] = u
-}
-
-// DetachUser removes a user; queued packets are dropped (and released:
-// the cell was their last owner).
-func (c *Cell) DetachUser(rnti uint16) {
-	u, ok := c.byRNTI[rnti]
-	if !ok {
-		return
-	}
-	delete(c.byRNTI, rnti)
-	for i, v := range c.users {
-		if v == u {
-			c.users = append(c.users[:i], c.users[i+1:]...)
-			break
-		}
-	}
-	c.pool.ReleaseAll(u.queue[u.qHead:])
-	u.queue = u.queue[:0]
-	u.qHead, u.headSent, u.queuedBits = 0, 0, 0
-}
-
-// Enqueue adds a downlink packet to the user's queue at this cell. It
-// reports false if the RNTI is not attached or the queue is full; on
-// either false path the packet is dropped and released (the cell is its
-// last owner).
-func (c *Cell) Enqueue(rnti uint16, p *netsim.Packet) bool {
-	u, ok := c.byRNTI[rnti]
-	if !ok {
-		c.pool.Release(p)
-		return false
-	}
-	if c.perUserQueueBytes > 0 && u.queuedBits/8+p.Size > c.perUserQueueBytes {
-		c.QueueDropped++
-		c.pool.Release(p)
-		return false
-	}
-	u.queue = append(u.queue, p)
-	u.queuedBits += p.Size * 8
-	return true
-}
-
-// UserQueueBits returns the bits waiting in a user's queue.
-func (c *Cell) UserQueueBits(rnti uint16) int {
-	if u, ok := c.byRNTI[rnti]; ok {
-		return u.queuedBits
-	}
-	return 0
-}
-
-// UserRate returns the user's current physical rate in bits per PRB per
-// slot.
-func (c *Cell) UserRate(rnti uint16) float64 {
-	if u, ok := c.byRNTI[rnti]; ok {
-		return u.ch.MCS().BitsPerPRB()
-	}
-	return 0
-}
-
-// UserRateBps returns the rate the user would see alone on the whole
-// carrier, in bits per second.
-func (c *Cell) UserRateBps(rnti uint16) float64 {
-	return c.UserRate(rnti) * float64(c.NPRB) * phy.NRSlotsPerSecond(c.Mu)
-}
-
-// LastUserPRBs returns the PRBs granted to the user in the last slot.
-func (c *Cell) LastUserPRBs(rnti uint16) int {
-	if u, ok := c.byRNTI[rnti]; ok {
-		return u.lastPRBs
-	}
-	return 0
-}
-
-// LastUserServedBits returns the payload bits served to the user in the
-// last slot.
-func (c *Cell) LastUserServedBits(rnti uint16) int {
-	if u, ok := c.byRNTI[rnti]; ok {
-		return u.lastServedBits
-	}
-	return 0
-}
-
-// tick runs one slot: advance channels, serve control users, serve HARQ
-// retransmissions, water-fill the remaining RBGs over backlogged users,
-// sample code-block-group errors, and publish the control channel.
-//
-// The cursor tracks PRBs rather than RBGs: control grants use the
-// PRB-granular resource-allocation type 1, while HARQ and data grants use
-// RBG-granular type 0 over the remaining PRBs (the last grant absorbs the
-// partial RBG at the band edge).
-func (c *Cell) tick() {
-	now := c.eng.Now()
-	c.slot++
-	for _, u := range c.users {
-		u.ch.Step(now, c.slotDur)
-		u.lastPRBs = 0
-		u.lastServedBits = 0
-	}
-
-	// Reused across slots; monitor consumers copy what they keep.
-	rep := c.rep
-	rep.Subframe = c.slot
-	rep.Allocs = rep.Allocs[:0]
-	cursorPRB := 0
-	prbLeft := c.NPRB
-
-	// 1. Control-plane users first, on subframe boundaries so the per-ms
-	// signaling load matches the LTE calibration of package trace at any
-	// numerology.
-	if c.control != nil && (c.slot-1)%c.spf == 0 {
-		subframe := 1 + (c.slot-1)/c.spf
-		for _, g := range c.control.Tick(subframe, c.rng) {
-			prbs := g.RBGs * ControlGrantPRBs
-			if prbs > prbLeft {
-				prbs = prbLeft
-			}
-			if prbs == 0 {
-				break
-			}
-			mcs := phy.MCS{CQI: 5, Table: c.Table, Streams: 1}
-			rep.Allocs = append(rep.Allocs, lte.Alloc{
-				RNTI: g.RNTI, FirstRBG: cursorPRB / c.rbgSize,
-				NumRBGs: (prbs + c.rbgSize - 1) / c.rbgSize, PRBs: prbs,
-				MCS: mcs, TBBits: int(float64(prbs) * mcs.BitsPerPRB()),
-				NDI: true, Control: true,
-			})
-			c.ControlPRBs += uint64(prbs)
-			cursorPRB += prbs
-			prbLeft -= prbs
-		}
-	}
-
-	// allocPRBs converts an RBG-granular grant into PRBs, capped at the
-	// carrier edge.
-	allocPRBs := func(nRBG int) int {
-		prbs := nRBG * c.rbgSize
-		if prbs > prbLeft {
-			prbs = prbLeft
-		}
-		return prbs
-	}
-	rbgLeft := (prbLeft + c.rbgSize - 1) / c.rbgSize
-
-	// 2. HARQ retransmissions scheduled for this slot.
-	if due := c.pendingRetx[c.slot]; len(due) > 0 {
-		delete(c.pendingRetx, c.slot)
-		for i, tb := range due {
-			if _, attached := c.byRNTI[tb.user.rnti]; !attached {
-				continue
-			}
-			if tb.rbgs > rbgLeft {
-				// Slot exhausted: postpone the rest by one slot.
-				c.pendingRetx[c.slot+1] = append(c.pendingRetx[c.slot+1], due[i:]...)
-				break
-			}
-			prbs := allocPRBs(tb.rbgs)
-			rep.Allocs = append(rep.Allocs, lte.Alloc{
-				RNTI: tb.user.rnti, FirstRBG: cursorPRB / c.rbgSize,
-				NumRBGs: tb.rbgs, PRBs: prbs,
-				MCS: tb.mcs, TBBits: tb.bits, NDI: false,
-			})
-			c.RetxPRBs += uint64(prbs)
-			tb.user.lastPRBs += prbs
-			cursorPRB += prbs
-			prbLeft -= prbs
-			rbgLeft -= tb.rbgs
-			c.transmit(tb)
-		}
-	}
-
-	// 3. Water-fill the remaining RBGs over backlogged data users, reusing
-	// the LTE fairness policy. The service order rotates with the slot
-	// index so the capped grant at the band edge does not always fall on
-	// the same user. Fluid background users (virtual aggregate sessions,
-	// see SetBackground) join the same water-fill after the packet users.
-	blUsers := c.blUsers[:0]
-	wants := c.wants[:0]
-	for k := range c.users {
-		u := c.users[(k+c.slot)%len(c.users)]
-		if u.queuedBits <= 0 || !u.ch.MCS().Valid() {
-			continue
-		}
-		perRBG := u.ch.MCS().BitsPerPRB() * float64(c.rbgSize)
-		w := int(float64(u.queuedBits)/perRBG) + 1
-		blUsers = append(blUsers, u)
-		wants = append(wants, w)
-	}
-	var bg []lte.BackgroundDemand
-	if c.background != nil {
-		bg = c.background.Demand(now)
-		for i := range bg {
-			perRBG := bg[i].MCS.BitsPerPRB() * float64(c.rbgSize)
-			wants = append(wants, int(float64(bg[i].Bits)/perRBG)+1)
-		}
-	}
-	c.blUsers, c.wants = blUsers, wants
-	grants := c.wf.Fill(wants, rbgLeft, c.slot)
-	for i, u := range blUsers {
-		n := grants[i]
-		if n == 0 {
-			continue
-		}
-		prbs := allocPRBs(n)
-		if prbs == 0 {
-			continue
-		}
-		mcs := u.ch.MCS()
-		bits := int(float64(prbs) * mcs.BitsPerPRB())
-		tb := c.buildTB(u, n, prbs, bits, mcs)
-		rep.Allocs = append(rep.Allocs, lte.Alloc{
-			RNTI: u.rnti, FirstRBG: cursorPRB / c.rbgSize,
-			NumRBGs: n, PRBs: prbs,
-			MCS: mcs, TBBits: bits, NDI: true,
-		})
-		c.DataPRBs += uint64(prbs)
-		u.lastPRBs += prbs
-		cursorPRB += prbs
-		prbLeft -= prbs
-		rbgLeft -= n
-		c.transmit(tb)
-	}
-	for i := range bg {
-		n := grants[len(blUsers)+i]
-		if n == 0 {
-			continue
-		}
-		prbs := allocPRBs(n)
-		if prbs == 0 {
-			continue
-		}
-		bits := int(float64(prbs) * bg[i].MCS.BitsPerPRB())
-		rep.Allocs = append(rep.Allocs, lte.Alloc{
-			RNTI: bg[i].RNTI, FirstRBG: cursorPRB / c.rbgSize,
-			NumRBGs: n, PRBs: prbs,
-			MCS: bg[i].MCS, TBBits: bits, NDI: true,
-		})
-		c.FluidPRBs += uint64(prbs)
-		cursorPRB += prbs
-		prbLeft -= prbs
-		rbgLeft -= n
-		c.background.Serve(i, bits)
-	}
-
-	for _, m := range c.monitors {
-		m(rep)
-	}
-}
-
-// buildTB drains up to the allocated bits from the user's queue into a new
-// transport block.
-func (c *Cell) buildTB(u *cellUser, rbgs, prbs, bits int, mcs phy.MCS) *transportBlock {
-	var tb *transportBlock
-	if n := len(c.tbFree); n > 0 {
-		tb = c.tbFree[n-1]
-		c.tbFree[n-1] = nil
-		c.tbFree = c.tbFree[:n-1]
-	} else {
-		tb = &transportBlock{}
-	}
-	tb.user, tb.seq, tb.rbgs, tb.prbs, tb.bits, tb.mcs = u, u.nextTB, rbgs, prbs, bits, mcs
-	u.nextTB++
-	capBytes := bits / 8
-	served := 0
-	for capBytes > 0 && u.qHead < len(u.queue) {
-		head := u.queue[u.qHead]
-		rem := head.Size - u.headSent
-		take := rem
-		if take > capBytes {
-			take = capBytes
-		}
-		u.headSent += take
-		capBytes -= take
-		served += take
-		if u.headSent == head.Size {
-			tb.completed = append(tb.completed, head)
-			u.queue[u.qHead] = nil
-			u.qHead++
-			u.headSent = 0
-		}
-	}
-	if u.qHead == len(u.queue) {
-		u.queue = u.queue[:0]
-		u.qHead = 0
-	} else if u.qHead > 32 && u.qHead*2 >= len(u.queue) {
-		n := copy(u.queue, u.queue[u.qHead:])
-		for i := n; i < len(u.queue); i++ {
-			u.queue[i] = nil
-		}
-		u.queue = u.queue[:n]
-		u.qHead = 0
-	}
-	u.queuedBits -= served * 8
-	u.lastServedBits += served * 8
-	return tb
-}
-
-// transmit samples the error process of one attempt per outstanding
-// code-block group and schedules either in-order delivery at the next slot
-// boundary or a HARQ retransmission HARQDelaySlots later, carrying only
-// the failed groups in a proportionally smaller grant. After the maximum
-// number of retransmissions the block is declared lost and the sink's
-// reordering state advances without its packets.
-func (c *Cell) transmit(tb *transportBlock) {
-	c.TotalTBs++
-	sink := tb.user.sink
-	if tb.attempts == 0 {
-		tb.cbTotal = (tb.bits + CodeBlockBits - 1) / CodeBlockBits
-		if tb.cbTotal < 1 {
-			tb.cbTotal = 1
-		}
-		tb.cbOutstanding = tb.cbTotal
-	}
-	failed := 0
-	if c.ErrorModel != nil {
-		// Deterministic override keeps whole-TB semantics for tests.
-		if c.ErrorModel(tb.user.rnti, tb.seq, tb.attempts, tb.bits, tb.user.ch.BER()) {
-			failed = tb.cbOutstanding
-		}
-	} else {
-		pcb := phy.TBErrorRate(tb.user.ch.BER(), CodeBlockBits)
-		for i := 0; i < tb.cbOutstanding; i++ {
-			if c.rng.Float64() < pcb {
-				failed++
-			}
-		}
-	}
-	if failed == 0 {
-		c.queueDelivery(sink, tb, true)
-		return
-	}
-	c.ErrorTBs++
-	tb.attempts++
-	if tb.attempts > MaxRetransmissions {
-		c.LostTBs++
-		c.queueDelivery(sink, tb, false)
-		return
-	}
-	// Shrink the retransmission grant to the failed groups' share of the
-	// original allocation.
-	tb.cbOutstanding = failed
-	retxRBGs := (tb.rbgs*failed + tb.cbTotal - 1) / tb.cbTotal
-	if retxRBGs < 1 {
-		retxRBGs = 1
-	}
-	tb.rbgs = retxRBGs
-	tb.bits = failed * CodeBlockBits
-	retxAt := c.slot + HARQDelaySlots
-	c.pendingRetx[retxAt] = append(c.pendingRetx[retxAt], tb)
-}
-
-// queueDelivery appends the block's outcome to the coalesced delivery
-// queue and recycles the block struct; one pre-bound event per slot
-// drains the queue in transmit order (see the LTE cell's twin).
-func (c *Cell) queueDelivery(sink TBSink, tb *transportBlock, ok bool) {
-	c.deliveries = append(c.deliveries, tbDelivery{sink: sink, seq: tb.seq, pkts: tb.completed, ok: ok})
-	if !c.deliverArmed {
-		c.deliverArmed = true
-		c.eng.Schedule(c.slotDur, c.deliverFn)
-	}
-	*tb = transportBlock{}
-	c.tbFree = append(c.tbFree, tb)
-}
-
-// deliverPending hands every queued transport-block outcome to its sink.
-func (c *Cell) deliverPending() {
-	c.deliverArmed = false
-	ds := c.deliveries
-	for i := range ds {
-		d := &ds[i]
-		d.sink.DeliverTB(c.ID, d.seq, d.pkts, d.ok)
-		*d = tbDelivery{}
-	}
-	c.deliveries = ds[:0]
+// NewUE creates a standalone-mode 5G device; add carriers with AddCell.
+// Unlike the LTE UE it runs no carrier-(de)activation policy - NR carriers
+// are semi-statically configured and all active; dynamic secondary
+// activation is the EN-DC UE's job.
+func NewUE(eng *sim.Engine, id int, rnti uint16) *UE {
+	return ran.NewUE(eng, id, rnti, false)
 }
 
 // BlockageTrajectory builds the abrupt mmWave blockage profile: the RSSI

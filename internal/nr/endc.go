@@ -3,25 +3,10 @@ package nr
 import (
 	"time"
 
-	"pbecc/internal/lte"
 	"pbecc/internal/netsim"
 	"pbecc/internal/phy"
+	"pbecc/internal/ran"
 	"pbecc/internal/sim"
-)
-
-// EN-DC secondary-cell-group policy constants, mirroring the LTE
-// carrier-aggregation dynamics of the paper's Figure 2: the NR leg
-// activates after roughly 100 ms of sustained demand on the LTE anchor and
-// deactivates once the offered load fits comfortably in the anchor alone.
-const (
-	scgDecisionWindow  = 100 // subframes observed before activation
-	scgActivateFrac    = 0.8 // fraction of window that must show demand
-	scgOccupancyFrac   = 0.6 // anchor PRB share that signals demand
-	scgBacklogBits     = 12000
-	scgActivateHoldoff = 150 * time.Millisecond
-	scgDeactWindow     = 500 // subframes for the deactivation decision
-	scgDeactFrac       = 0.6 // load must fit in this fraction of the anchor
-	scgDeactHoldoff    = 500 * time.Millisecond
 )
 
 // ENDC is a non-standalone (EN-DC, 3GPP option 3) dual-connectivity UE: an
@@ -31,32 +16,28 @@ const (
 // RATs by estimated drain time, each leg reorders its own HARQ-delayed
 // transport blocks, and released packets merge into per-flow receivers.
 type ENDC struct {
+	ran.FlowTable
+
 	eng  *sim.Engine
 	ID   int
 	RNTI uint16
 
-	anchor *lte.UE
-	nrLeg  *UE
+	anchor *ran.UE
+	nrLeg  *ran.UE
 	nrCell *Cell
-
-	flows       map[int]netsim.Handler
-	defaultFlow netsim.Handler
 
 	nrActive bool
 	enabled  bool
 
-	onSecondaryChange []func(active bool)
+	onActiveChange []func(active []*Cell)
 
-	// SCG decision state, sampled on the anchor's subframe clock.
-	demandRing []bool
-	demandIdx  int
-	demandFill int
-	servedRing []int
-	servedIdx  int
-	servedFill int
-	servedSum  int64
-	lastChange time.Duration
-	ticker     *sim.Ticker
+	// Secondary-cell-group policy, mirroring the LTE carrier-aggregation
+	// dynamics of the paper's Figure 2 and sampled on the anchor's
+	// subframe clock: the NR leg activates after roughly 100 ms of
+	// sustained demand on the LTE anchor and deactivates once the offered
+	// load fits comfortably in the anchor alone.
+	scg    *ran.Activation
+	ticker *sim.Ticker
 
 	// Counters.
 	Activations   uint64
@@ -68,28 +49,24 @@ type ENDC struct {
 // the EN-DC UE takes over its flow routing (packets released by either leg
 // merge through the EN-DC flow table). The NR leg attaches immediately but
 // stays inactive until demand activates it.
-func NewENDC(eng *sim.Engine, id int, rnti uint16, anchor *lte.UE, nrCell *Cell, nrCh *phy.Channel) *ENDC {
+func NewENDC(eng *sim.Engine, id int, rnti uint16, anchor *ran.UE, nrCell *Cell, nrCh *phy.Channel) *ENDC {
 	e := &ENDC{
-		eng:        eng,
-		ID:         id,
-		RNTI:       rnti,
-		anchor:     anchor,
-		nrCell:     nrCell,
-		enabled:    true,
-		flows:      make(map[int]netsim.Handler),
-		demandRing: make([]bool, scgDecisionWindow),
-		servedRing: make([]int, scgDeactWindow),
+		FlowTable: ran.NewFlowTable(eng),
+		eng:       eng,
+		ID:        id,
+		RNTI:      rnti,
+		anchor:    anchor,
+		nrCell:    nrCell,
+		enabled:   true,
+		scg:       ran.NewActivation(),
 	}
 	e.nrLeg = NewUE(eng, id, rnti)
 	e.nrLeg.AddCell(nrCell, nrCh)
-	merge := netsim.HandlerFunc(func(now time.Duration, p *netsim.Packet) { e.route(now, p) })
+	merge := netsim.HandlerFunc(e.Route)
 	anchor.SetDefaultHandler(merge)
 	e.nrLeg.SetDefaultHandler(merge)
 	return e
 }
-
-// AnchorUE returns the LTE anchor leg.
-func (e *ENDC) AnchorUE() *lte.UE { return e.anchor }
 
 // NRCell returns the secondary NR carrier.
 func (e *ENDC) NRCell() *Cell { return e.nrCell }
@@ -101,18 +78,23 @@ func (e *ENDC) NRActive() bool { return e.nrActive }
 // (disabled models an LTE-only data plan on a 5G phone).
 func (e *ENDC) SetDualConnectivity(on bool) { e.enabled = on }
 
-// OnSecondaryChange registers a callback fired when the NR leg activates
-// or deactivates (PBE-CC's monitor attaches or detaches the NR cell on
-// this event, restarting its ramp as in §4.1).
-func (e *ENDC) OnSecondaryChange(fn func(active bool)) {
-	e.onSecondaryChange = append(e.onSecondaryChange, fn)
+// ActiveCells returns the anchor's active LTE carriers followed by the NR
+// secondary cell while it is active.
+func (e *ENDC) ActiveCells() []*Cell {
+	active := append([]*Cell(nil), e.anchor.ActiveCells()...)
+	if e.nrActive {
+		active = append(active, e.nrCell)
+	}
+	return active
 }
 
-// RegisterFlow routes released packets with the given flow ID to h.
-func (e *ENDC) RegisterFlow(flowID int, h netsim.Handler) { e.flows[flowID] = h }
-
-// SetDefaultHandler routes packets of unregistered flows.
-func (e *ENDC) SetDefaultHandler(h netsim.Handler) { e.defaultFlow = h }
+// OnActiveChange registers a callback fired whenever the device's active
+// carrier set changes on either leg (PBE-CC's monitor attaches or detaches
+// the cell on this event, restarting its ramp as in §4.1).
+func (e *ENDC) OnActiveChange(fn func(active []*Cell)) {
+	e.anchor.OnActiveChange(func([]*Cell) { fn(e.ActiveCells()) })
+	e.onActiveChange = append(e.onActiveChange, fn)
+}
 
 // Start begins the anchor's carrier-aggregation bookkeeping and the EN-DC
 // secondary-activation policy on the subframe clock.
@@ -170,7 +152,7 @@ func (e *ENDC) HandlePacket(now time.Duration, p *netsim.Packet) {
 func (e *ENDC) anchorRateBps() float64 {
 	var rate float64
 	for _, c := range e.anchor.ActiveCells() {
-		rate += c.UserRate(e.RNTI) * float64(c.NPRB) * 1000
+		rate += c.UserRateBps(e.RNTI)
 	}
 	return rate
 }
@@ -185,23 +167,10 @@ func (e *ENDC) anchorQueueBits() int {
 	return bits
 }
 
-func (e *ENDC) route(now time.Duration, p *netsim.Packet) {
-	h := e.flows[p.FlowID]
-	if h == nil {
-		h = e.defaultFlow
-	}
-	if h != nil {
-		h.HandlePacket(now, p)
-	}
-}
-
 // tick runs once per subframe, sampling anchor demand and total served
 // load for the secondary-activation policy.
 func (e *ENDC) tick() {
-	queued := e.anchorQueueBits()
-	userPRBs := 0
-	totalPRBs := 0
-	served := 0
+	userPRBs, totalPRBs, served := 0, 0, 0
 	for _, c := range e.anchor.ActiveCells() {
 		userPRBs += c.LastUserPRBs(e.RNTI)
 		totalPRBs += c.NPRB
@@ -213,68 +182,29 @@ func (e *ENDC) tick() {
 		// estimate for the deactivation decision.
 		served += e.nrCell.LastUserServedBits(e.RNTI) * e.nrCell.SlotsPerSubframe()
 	}
-	demand := queued >= scgBacklogBits ||
-		float64(userPRBs) >= scgOccupancyFrac*float64(totalPRBs)
-	e.demandRing[e.demandIdx] = demand
-	e.demandIdx = (e.demandIdx + 1) % len(e.demandRing)
-	if e.demandFill < len(e.demandRing) {
-		e.demandFill++
-	}
-	e.servedSum += int64(served) - int64(e.servedRing[e.servedIdx])
-	e.servedRing[e.servedIdx] = served
-	e.servedIdx = (e.servedIdx + 1) % len(e.servedRing)
-	if e.servedFill < len(e.servedRing) {
-		e.servedFill++
-	}
+	e.scg.Sample(e.anchorQueueBits(), userPRBs, totalPRBs, served)
 	if !e.enabled {
 		return
 	}
 	now := e.eng.Now()
-
-	// Activation: sustained demand on the anchor over the decision window.
-	if !e.nrActive && e.demandFill == len(e.demandRing) &&
-		now-e.lastChange >= scgActivateHoldoff {
-		cnt := 0
-		for _, d := range e.demandRing {
-			if d {
-				cnt++
-			}
-		}
-		if float64(cnt) >= scgActivateFrac*float64(len(e.demandRing)) {
-			e.setNRActive(now, true)
-			return
-		}
+	if !e.nrActive && e.scg.ActivationDue(now) {
+		e.Activations++
+		e.setNRActive(now, true)
+		return
 	}
-
-	// Deactivation: the served load of the last window would fit
-	// comfortably in the anchor alone.
-	if e.nrActive && e.servedFill == len(e.servedRing) &&
-		now-e.lastChange >= scgDeactHoldoff {
-		anchorCap := e.anchorRateBps() / 1000 * float64(len(e.servedRing))
-		if float64(e.servedSum) <= scgDeactFrac*anchorCap {
-			e.setNRActive(now, false)
-		}
+	// Deactivation: the window's load would fit in the anchor alone.
+	if e.nrActive && e.scg.DeactivationDue(now) &&
+		e.scg.ServedFits(e.anchorRateBps()/1000*ran.DeactWindow) {
+		e.Deactivations++
+		e.setNRActive(now, false)
 	}
 }
 
 func (e *ENDC) setNRActive(now time.Duration, active bool) {
 	e.nrActive = active
-	e.lastChange = now
-	if active {
-		e.Activations++
-	} else {
-		e.Deactivations++
-	}
-	for i := range e.demandRing {
-		e.demandRing[i] = false
-	}
-	e.demandFill = 0
-	for i := range e.servedRing {
-		e.servedRing[i] = 0
-	}
-	e.servedSum = 0
-	e.servedFill = 0
-	for _, fn := range e.onSecondaryChange {
-		fn(active)
+	e.scg.Changed(now)
+	act := e.ActiveCells()
+	for _, fn := range e.onActiveChange {
+		fn(act)
 	}
 }

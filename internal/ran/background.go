@@ -1,4 +1,4 @@
-package lte
+package ran
 
 import (
 	"time"
@@ -31,5 +31,7 @@ type BackgroundSource interface {
 	Serve(i int, bits int)
 }
 
-// SetBackground attaches the cell's fluid background-traffic source.
+// SetBackground attaches the cell's fluid background-traffic source;
+// virtual users join the per-slot water-fill like packet users but
+// generate no packet events.
 func (c *Cell) SetBackground(b BackgroundSource) { c.background = b }

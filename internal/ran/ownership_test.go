@@ -1,0 +1,114 @@
+package ran_test
+
+import (
+	"testing"
+	"time"
+
+	"pbecc/internal/lte"
+	"pbecc/internal/netsim"
+	"pbecc/internal/nr"
+	"pbecc/internal/phy"
+	"pbecc/internal/sim"
+)
+
+// pooled draws n full-size packets of one flow from the engine's pool and
+// returns them with their staleness handles.
+func pooled(eng *sim.Engine, flow, n int) ([]*netsim.Packet, []netsim.PacketHandle) {
+	pool := netsim.PoolOf(eng)
+	ps := make([]*netsim.Packet, n)
+	hs := make([]netsim.PacketHandle, n)
+	for i := range ps {
+		ps[i] = pool.Get()
+		ps[i].FlowID, ps[i].Seq, ps[i].Size = flow, uint64(i), netsim.MSS
+		hs[i] = netsim.HandleOf(ps[i])
+	}
+	return ps, hs
+}
+
+// TestDetachWithRetransmissionPending: a block awaiting its HARQ
+// retransmission when its user detaches must be dropped and its packets
+// released (the cell is their last owner) - not leaked, and not
+// retransmitted into the old user's sequence space when the RNTI has been
+// re-attached in the meantime.
+func TestDetachWithRetransmissionPending(t *testing.T) {
+	for _, r := range rats {
+		t.Run(r.name, func(t *testing.T) {
+			eng := sim.New(1)
+			cell := r.newCell(eng, nil)
+			// Every block fails its first attempt: block 0 of the first
+			// user, sent in slot 1, awaits a retransmission in slot 9.
+			cell.ErrorModel = func(_ uint16, _ uint64, attempt, _ int, _ float64) bool { return attempt == 0 }
+			ueA, sinkA := r.attach(eng, cell, 1, -85, 0)
+			old, handles := pooled(eng, 1, 3) // fits one transport block
+			for _, p := range old {
+				ueA.HandlePacket(0, p)
+			}
+			eng.RunUntil(slots(cell, 3))
+			if cell.ErrorTBs != 1 || cell.UserQueueBits(61) != 0 {
+				t.Fatalf("setup: ErrorTBs = %d, queued = %d bits; want the one block in HARQ", cell.ErrorTBs, cell.UserQueueBits(61))
+			}
+			cell.DetachUser(61)
+
+			// The RNTI is reused by a new device before the stale block's
+			// retransmission slot.
+			cell.ErrorModel = noErrors
+			ueB, sinkB := r.attach(eng, cell, 1, -85, 0)
+			for i := 0; i < 3; i++ {
+				ueB.HandlePacket(eng.Now(), &netsim.Packet{FlowID: 2, Seq: uint64(100 + i), Size: netsim.MSS})
+			}
+			eng.RunUntil(slots(cell, 14))
+
+			for i, h := range handles {
+				if h.Live() {
+					t.Fatalf("packet %d of the detached user's pending block was never released", i)
+				}
+			}
+			if cell.RetxPRBs != 0 || len(sinkA.seqs) != 0 {
+				t.Fatalf("stale block retransmitted: RetxPRBs = %d, old device received %v", cell.RetxPRBs, sinkA.seqs)
+			}
+			if len(sinkB.seqs) != 3 || sinkB.seqs[0] != 100 {
+				t.Fatalf("re-attached device received %v, want its own three packets", sinkB.seqs)
+			}
+		})
+	}
+}
+
+// TestUnrouteablePacketReleased: a packet released by the reorder buffer
+// for a flow nobody registered, on a device with no default handler, dies
+// at the device's flow table - on every device type.
+func TestUnrouteablePacketReleased(t *testing.T) {
+	devices := []struct {
+		name  string
+		build func(eng *sim.Engine) netsim.Handler
+	}{
+		{"lte_ue", func(eng *sim.Engine) netsim.Handler {
+			ue := lte.NewUE(eng, 1, 61)
+			ue.AddCell(lte.NewCell(eng, 1, 100, phy.Table64QAM, nil), phy.NewStaticChannel(-85, phy.Table64QAM, nil))
+			return ue
+		}},
+		{"nr_ue", func(eng *sim.Engine) netsim.Handler {
+			cell := nr.NewCell(eng, nr.Config{ID: 1, Mu: 1, BandwidthMHz: 100})
+			ue := nr.NewUE(eng, 1, 61)
+			ue.AddCell(cell, phy.NewStaticChannel(-85, cell.Table, nil))
+			return ue
+		}},
+		{"endc", func(eng *sim.Engine) netsim.Handler {
+			anchor := lte.NewUE(eng, 1, 61)
+			anchor.AddCell(lte.NewCell(eng, 1, 100, phy.Table64QAM, nil), phy.NewStaticChannel(-85, phy.Table64QAM, nil))
+			cell := nr.NewCell(eng, nr.Config{ID: 101, Mu: 1, BandwidthMHz: 100})
+			return nr.NewENDC(eng, 1, 61, anchor, cell, phy.NewStaticChannel(-85, cell.Table, nil))
+		}},
+	}
+	for _, d := range devices {
+		t.Run(d.name, func(t *testing.T) {
+			eng := sim.New(1)
+			dev := d.build(eng)
+			ps, handles := pooled(eng, 7, 1)
+			dev.HandlePacket(0, ps[0])
+			eng.RunUntil(50 * time.Millisecond) // ample for HARQ retries
+			if handles[0].Live() {
+				t.Fatal("unrouteable packet was dropped without being released")
+			}
+		})
+	}
+}

@@ -10,7 +10,7 @@ import (
 	"math/rand"
 	"time"
 
-	"pbecc/internal/lte"
+	"pbecc/internal/ran"
 )
 
 // Control-traffic population parameters matched to Figure 7(b):
@@ -32,7 +32,7 @@ const (
 	IdleArrivalPerMs = 0.015
 )
 
-// ControlTraffic is an lte.ControlSource producing the calibrated
+// ControlTraffic is a ran.ControlSource producing the calibrated
 // control-plane population.
 type ControlTraffic struct {
 	ArrivalPerMs float64
@@ -64,16 +64,16 @@ func Busy() *ControlTraffic { return NewControlTraffic(BusyArrivalPerMs) }
 // Idle returns a source calibrated to a late-night cell.
 func Idle() *ControlTraffic { return NewControlTraffic(IdleArrivalPerMs) }
 
-// Tick implements lte.ControlSource.
-func (c *ControlTraffic) Tick(subframe int, rng *rand.Rand) []lte.ControlGrant {
+// Tick implements ran.ControlSource.
+func (c *ControlTraffic) Tick(subframe int, rng *rand.Rand) []ran.ControlGrant {
 	for n := poisson(rng, c.ArrivalPerMs); n > 0; n-- {
 		c.spawn(rng)
 	}
-	grants := make([]lte.ControlGrant, 0, len(c.active))
+	grants := make([]ran.ControlGrant, 0, len(c.active))
 	out := c.active[:0]
 	for i := range c.active {
 		u := &c.active[i]
-		grants = append(grants, lte.ControlGrant{RNTI: u.rnti, RBGs: u.rbgs})
+		grants = append(grants, ran.ControlGrant{RNTI: u.rnti, RBGs: u.rbgs})
 		u.remaining--
 		if u.remaining > 0 {
 			out = append(out, *u)

@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"pbecc/internal/lte"
+	"pbecc/internal/ran"
 )
 
 func TestControlPopulationCalibration(t *testing.T) {
@@ -48,7 +48,7 @@ func TestBusyCellActiveUserWindow(t *testing.T) {
 	c := Busy()
 	var counts []int
 	window := map[uint16]int{}
-	var events [][]lte.ControlGrant
+	var events [][]ran.ControlGrant
 	for sf := 0; sf < 20000; sf++ {
 		g := c.Tick(sf, rng)
 		events = append(events, g)

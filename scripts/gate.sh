@@ -23,6 +23,9 @@
 #   nation-diff    BENCH_nation_baseline.json    vs BENCH_NATION_PR.json (>10% fails)
 #   scorecard-diff BENCH_scorecard_baseline.json vs BENCH_SCORECARD_PR.json (>5 points fails)
 #   traj-diff      BENCH_traj_baseline.json      vs BENCH_TRAJ_PR.json   (>10% fails)
+#   baseline-ident cmp of the five *_PR.json artifacts above against their
+#                  committed baselines: a PR that is not an announced
+#                  behaviour fix must reproduce them byte for byte
 #
 # Timing budget:
 #   budget         sum the wall-clock of every gate run so far and fail
@@ -130,6 +133,20 @@ gate_nation_diff() { sweep -diff -max-regress 10 BENCH_nation_baseline.json BENC
 # percent for the clean throughput it is normalized against).
 gate_scorecard_diff() { sweep -scorecard-diff -max-regress 5 BENCH_scorecard_baseline.json BENCH_SCORECARD_PR.json; }
 gate_traj_diff()      { sweep -diff -max-regress 10 BENCH_traj_baseline.json BENCH_TRAJ_PR.json; }
+
+# The sweep artifacts are virtual-time deterministic, so the committed
+# baselines are reproducible byte for byte; the percent budgets above only
+# bound how far an announced behaviour change may move them. Reuses the
+# artifacts the determinism gates wrote - no extra simulation. A PR that
+# changes behaviour on purpose regenerates the baselines in the same
+# commit, which keeps this gate green and the change visible in the diff.
+gate_baseline_ident() {
+  cmp BENCH_PR.json BENCH_baseline.json
+  cmp BENCH_METRO_PR.json BENCH_metro_baseline.json
+  cmp BENCH_NATION_PR.json BENCH_nation_baseline.json
+  cmp BENCH_SCORECARD_PR.json BENCH_scorecard_baseline.json
+  cmp BENCH_TRAJ_PR.json BENCH_traj_baseline.json
+}
 
 gate_budget() {
   if [ ! -f "$TIMES_FILE" ]; then
