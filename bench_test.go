@@ -15,6 +15,7 @@ import (
 	"pbecc/internal/nr"
 	"pbecc/internal/phy"
 	"pbecc/internal/sim"
+	"pbecc/internal/sweep"
 )
 
 func benchExperiment(b *testing.B, id string) {
@@ -148,6 +149,22 @@ func BenchmarkMetroSmokeSlice(b *testing.B) {
 		}
 		if harness.Run(sc).Flows[0].Received == 0 {
 			b.Fatal("measured flow received nothing")
+		}
+	}
+}
+
+// BenchmarkSmokeSweep is the sweep path's allocation gate: the 160-job CI
+// smoke matrix on one worker (run with -benchtime 1x). Its B/op and
+// allocs/op are what per-job set-up plus the per-packet loop cost, summed
+// over every family, scheme and RAT the smoke matrix crosses.
+func BenchmarkSmokeSweep(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		res, err := sweep.Run(sweep.Smoke(), 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Rows) != 160 {
+			b.Fatalf("smoke matrix ran %d jobs, want 160", len(res.Rows))
 		}
 	}
 }

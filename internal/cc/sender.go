@@ -43,9 +43,16 @@ type Sender struct {
 	ctrl   Controller
 	mss    int
 
+	// Sent-packet window: a power-of-two ring indexed by seq&mask. Every
+	// sequence in [base, nextSeq] owns its slot, so an ACK is looked up by
+	// index arithmetic and walking from base visits packets in send order.
+	// A slot is reused only after base has advanced past a resolved (acked
+	// or lost) packet; the ring doubles when the window outgrows it. Between
+	// events base is the oldest unresolved sequence, nextSeq+1 when there
+	// is none.
 	nextSeq       uint64
-	sent          map[uint64]sentPkt
-	order         []uint64
+	base          uint64
+	ring          []sentPkt
 	inflightBytes int
 	pool          *netsim.PacketPool
 
@@ -97,13 +104,17 @@ type Sender struct {
 }
 
 type sentPkt struct {
-	seq                 uint64
 	bytes               int
 	sentAt              time.Duration
 	deliveredAtSend     uint64
 	deliveredTimeAtSend time.Duration
 	appLimited          bool
+	live                bool // sent and neither acked nor declared lost
 }
+
+// initialWindow is the sent-packet ring's starting size in packets; a
+// flow whose in-flight window outgrows it doubles the ring.
+const initialWindow = 64
 
 // lossSweepInterval is how often the in-flight list is scanned for
 // timed-out packets.
@@ -123,7 +134,8 @@ func NewSender(eng *sim.Engine, flowID int, out netsim.Handler, ctrl Controller)
 		out:    out,
 		ctrl:   ctrl,
 		mss:    netsim.MSS,
-		sent:   make(map[uint64]sentPkt),
+		base:   1,
+		ring:   make([]sentPkt, initialWindow),
 		pool:   netsim.PoolOf(eng),
 	}
 	s.pumpFn = s.pump
@@ -224,15 +236,17 @@ func (s *Sender) sendOne(now time.Duration) int {
 	s.nextSeq++
 	seq := s.nextSeq
 	p.FlowID, p.Seq, p.SentAt = s.FlowID, seq, now
-	s.sent[seq] = sentPkt{
-		seq:                 seq,
+	if seq-s.base == uint64(len(s.ring)) {
+		s.growRing()
+	}
+	*s.slot(seq) = sentPkt{
 		bytes:               p.Size,
 		sentAt:              now,
 		deliveredAtSend:     s.delivered,
 		deliveredTimeAtSend: s.deliveredAt,
 		appLimited:          s.AppLimited,
+		live:                true,
 	}
-	s.order = append(s.order, seq)
 	s.inflightBytes += p.Size
 	s.SentPackets++
 	s.SentBytes += uint64(p.Size)
@@ -249,11 +263,16 @@ func (s *Sender) HandlePacket(now time.Duration, p *netsim.Packet) {
 	if !p.IsAck {
 		return
 	}
-	info, ok := s.sent[p.Ack.AckSeq]
-	if !ok {
+	seq := p.Ack.AckSeq
+	if seq < s.base || seq > s.nextSeq {
+		return // resolved long ago, or never sent
+	}
+	slot := s.slot(seq)
+	if !slot.live {
 		return // already declared lost or duplicate
 	}
-	delete(s.sent, p.Ack.AckSeq)
+	info := *slot
+	slot.live = false
 	s.inflightBytes -= info.bytes
 	s.delivered += uint64(info.bytes)
 	s.deliveredAt = now
@@ -280,7 +299,7 @@ func (s *Sender) HandlePacket(now time.Duration, p *netsim.Packet) {
 
 	sample := AckSample{
 		Now:                now,
-		Seq:                info.seq,
+		Seq:                seq,
 		AckedBytes:         info.bytes,
 		RTT:                rtt,
 		SRTT:               s.srtt,
@@ -298,7 +317,7 @@ func (s *Sender) HandlePacket(now time.Duration, p *netsim.Packet) {
 	if s.OnAckHook != nil {
 		s.OnAckHook(sample)
 	}
-	s.compactOrder()
+	s.advanceBase()
 	s.pump()
 }
 
@@ -345,8 +364,8 @@ func (s *Sender) observeDecision(now time.Duration) {
 // sweepLosses declares packets lost when they have been in flight longer
 // than srtt plus variance plus the HARQ reordering allowance.
 func (s *Sender) sweepLosses() {
-	if len(s.sent) == 0 || s.srtt == 0 {
-		return
+	if s.base > s.nextSeq || s.srtt == 0 {
+		return // nothing in flight, or no RTT estimate yet
 	}
 	now := s.eng.Now()
 	slack := 4 * s.rttvar
@@ -354,15 +373,15 @@ func (s *Sender) sweepLosses() {
 		slack = 10 * time.Millisecond
 	}
 	threshold := s.srtt + slack + harqReorderAllowance
-	for _, seq := range s.order {
-		info, ok := s.sent[seq]
-		if !ok {
+	for seq := s.base; seq <= s.nextSeq; seq++ {
+		info := s.slot(seq)
+		if !info.live {
 			continue
 		}
 		if now-info.sentAt <= threshold {
-			break // order holds sequences in send order
+			break // the window holds sequences in send order
 		}
-		delete(s.sent, seq)
+		info.live = false
 		s.inflightBytes -= info.bytes
 		s.LostPackets++
 		s.ctrl.OnLoss(LossSample{
@@ -375,7 +394,7 @@ func (s *Sender) sweepLosses() {
 	}
 	s.observeDecision(now)
 	s.observeSeries(now, 0)
-	s.compactOrder()
+	s.advanceBase()
 	s.pump()
 }
 
@@ -402,16 +421,24 @@ func (s *Sender) observeSeries(now time.Duration, ackedBytes int) {
 	}
 }
 
-// compactOrder drops the acked/lost prefix of the send-order list.
-func (s *Sender) compactOrder() {
-	i := 0
-	for i < len(s.order) {
-		if _, ok := s.sent[s.order[i]]; ok {
-			break
-		}
-		i++
+// advanceBase moves the window's lower edge past the acked/lost prefix,
+// freeing those slots for reuse.
+func (s *Sender) advanceBase() {
+	for s.base <= s.nextSeq && !s.slot(s.base).live {
+		s.base++
 	}
-	if i > 0 {
-		s.order = s.order[i:]
+}
+
+// slot returns the ring slot that seq, a sequence of the window, owns.
+func (s *Sender) slot(seq uint64) *sentPkt { return &s.ring[seq&uint64(len(s.ring)-1)] }
+
+// growRing doubles the ring, keeping every sequence of [base, nextSeq) at
+// its new seq&mask slot. Called when the next sequence would land on the
+// slot base still owns.
+func (s *Sender) growRing() {
+	old := s.ring
+	s.ring = make([]sentPkt, 2*len(old))
+	for seq := s.base; seq < s.nextSeq; seq++ {
+		*s.slot(seq) = old[seq&uint64(len(old)-1)]
 	}
 }

@@ -129,8 +129,8 @@ func (e *ENDC) HandlePacket(now time.Duration, p *netsim.Packet) {
 		e.anchor.HandlePacket(now, p)
 		return
 	}
-	anchorRate := e.anchorRateBps()
-	nrRate := e.nrCell.UserRateBps(e.RNTI)
+	anchorRate := e.anchor.RateBps()
+	nrRate := e.nrLeg.RateBps()
 	if nrRate <= 0 {
 		e.anchor.HandlePacket(now, p)
 		return
@@ -139,8 +139,8 @@ func (e *ENDC) HandlePacket(now time.Duration, p *netsim.Packet) {
 		e.nrLeg.HandlePacket(now, p)
 		return
 	}
-	anchorDrain := float64(e.anchorQueueBits()) / anchorRate
-	nrDrain := float64(e.nrCell.UserQueueBits(e.RNTI)) / nrRate
+	anchorDrain := float64(e.anchor.QueueBits()) / anchorRate
+	nrDrain := float64(e.nrLeg.QueueBits()) / nrRate
 	if nrDrain < anchorDrain {
 		e.nrLeg.HandlePacket(now, p)
 		return
@@ -148,41 +148,18 @@ func (e *ENDC) HandlePacket(now time.Duration, p *netsim.Packet) {
 	e.anchor.HandlePacket(now, p)
 }
 
-// anchorRateBps sums the anchor's active-cell rates in bits per second.
-func (e *ENDC) anchorRateBps() float64 {
-	var rate float64
-	for _, c := range e.anchor.ActiveCells() {
-		rate += c.UserRateBps(e.RNTI)
-	}
-	return rate
-}
-
-// anchorQueueBits sums the bits queued for this UE across the anchor's
-// active cells.
-func (e *ENDC) anchorQueueBits() int {
-	bits := 0
-	for _, c := range e.anchor.ActiveCells() {
-		bits += c.UserQueueBits(e.RNTI)
-	}
-	return bits
-}
-
 // tick runs once per subframe, sampling anchor demand and total served
 // load for the secondary-activation policy.
 func (e *ENDC) tick() {
-	userPRBs, totalPRBs, served := 0, 0, 0
-	for _, c := range e.anchor.ActiveCells() {
-		userPRBs += c.LastUserPRBs(e.RNTI)
-		totalPRBs += c.NPRB
-		served += c.LastUserServedBits(e.RNTI)
-	}
+	userPRBs, totalPRBs, served := e.anchor.SlotLoad()
 	if e.nrActive {
-		// The NR cell schedules 2^µ slots per subframe; LastUserServedBits
-		// covers only the latest slot, so scale it to a per-subframe
-		// estimate for the deactivation decision.
-		served += e.nrCell.LastUserServedBits(e.RNTI) * e.nrCell.SlotsPerSubframe()
+		// The NR cell schedules 2^µ slots per subframe; SlotLoad covers
+		// only the latest slot, so scale it to a per-subframe estimate for
+		// the deactivation decision.
+		_, _, nrServed := e.nrLeg.SlotLoad()
+		served += nrServed * e.nrCell.SlotsPerSubframe()
 	}
-	e.scg.Sample(e.anchorQueueBits(), userPRBs, totalPRBs, served)
+	e.scg.Sample(e.anchor.QueueBits(), userPRBs, totalPRBs, served)
 	if !e.enabled {
 		return
 	}
@@ -194,7 +171,7 @@ func (e *ENDC) tick() {
 	}
 	// Deactivation: the window's load would fit in the anchor alone.
 	if e.nrActive && e.scg.DeactivationDue(now) &&
-		e.scg.ServedFits(e.anchorRateBps()/1000*ran.DeactWindow) {
+		e.scg.ServedFits(e.anchor.RateBps()/1000*ran.DeactWindow) {
 		e.Deactivations++
 		e.setNRActive(now, false)
 	}

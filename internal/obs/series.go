@@ -111,15 +111,20 @@ func (p SeriesPoint) Sum() float64 { return p.Mean * float64(p.Count) }
 // interval's flushed points, not the whole run's.
 const DefaultSeriesCap = 1 << 14
 
+// seriesInitialCap is the ring's first allocation; it doubles on demand up
+// to the buffer's bufCap.
+const seriesInitialCap = 64
+
 // SeriesBuffer is one shard's series ring plus its live track aggregates.
 // Only the shard's goroutine samples during a window; the recorder drains
-// the ring serially at the barrier. On overflow the oldest points of the
-// interval are overwritten (Dropped counts them).
+// the ring serially at the barrier. The ring grows on demand up to bufCap
+// points; beyond that the oldest points of the interval are overwritten
+// (Dropped counts them).
 type SeriesBuffer struct {
 	pid     int
-	ring    []SeriesPoint
-	next    int
-	fill    int
+	bufCap  int
+	ring    []SeriesPoint // the interval's points; below bufCap, oldest first
+	next    int           // at bufCap: the oldest point, the next overwritten
 	seq     uint64
 	Dropped uint64
 
@@ -169,13 +174,30 @@ func (b *SeriesBuffer) Flush() {
 func (b *SeriesBuffer) emit(p SeriesPoint) {
 	b.seq++
 	p.pid, p.seq = b.pid, b.seq
-	if b.fill == len(b.ring) {
-		b.Dropped++
-	} else {
-		b.fill++
+	if len(b.ring) < b.bufCap {
+		if len(b.ring) == cap(b.ring) {
+			b.grow()
+		}
+		b.ring = append(b.ring, p)
+		return
 	}
+	b.Dropped++
 	b.ring[b.next] = p
-	b.next = (b.next + 1) % len(b.ring)
+	b.next = (b.next + 1) % b.bufCap
+}
+
+// grow doubles the ring's backing array, never past bufCap.
+func (b *SeriesBuffer) grow() {
+	n := 2 * cap(b.ring)
+	if n < seriesInitialCap {
+		n = seriesInitialCap
+	}
+	if n > b.bufCap {
+		n = b.bufCap
+	}
+	ring := make([]SeriesPoint, len(b.ring), n)
+	copy(ring, b.ring)
+	b.ring = ring
 }
 
 // SeriesTrack accumulates one signal instance's samples into the current
@@ -257,7 +279,7 @@ func (r *SeriesRecorder) SetBufferCap(n int) {
 func (r *SeriesRecorder) NewBuffer(pid int) *SeriesBuffer {
 	return &SeriesBuffer{
 		pid:    pid,
-		ring:   make([]SeriesPoint, r.bufCap),
+		bufCap: r.bufCap,
 		tracks: map[seriesKey]*SeriesTrack{},
 	}
 }
@@ -269,16 +291,11 @@ func (r *SeriesRecorder) Drain(b *SeriesBuffer) {
 	if b == nil {
 		return
 	}
-	if b.fill > 0 {
-		start := b.next - b.fill
-		if start < 0 {
-			start += len(b.ring)
-		}
-		for i := 0; i < b.fill; i++ {
-			r.points = append(r.points, b.ring[(start+i)%len(b.ring)])
-		}
-		b.next, b.fill = 0, 0
-	}
+	// A ring that wrapped holds its oldest point at next; one that did not
+	// has next == 0, and the second copy moves nothing.
+	r.points = append(r.points, b.ring[b.next:]...)
+	r.points = append(r.points, b.ring[:b.next]...)
+	b.ring, b.next = b.ring[:0], 0
 	if b.Dropped > 0 {
 		r.Dropped += b.Dropped
 		b.Dropped = 0

@@ -196,3 +196,102 @@ func TestCounterWindowedBatchesPerWindow(t *testing.T) {
 		t.Fatalf("window 1 event wrong: ts=%v v=%v", evs[1].TS, evs[1].V)
 	}
 }
+
+// refSeriesRing is the reference model the growing series ring is checked
+// against: the ring allocated at full capacity up front that it replaced,
+// kept here only as the tests' oracle.
+type refSeriesRing struct {
+	ring       []int64 // window indices
+	next, fill int
+	dropped    uint64
+}
+
+func (r *refSeriesRing) emit(win int64) {
+	if r.fill == len(r.ring) {
+		r.dropped++
+	} else {
+		r.fill++
+	}
+	r.ring[r.next] = win
+	r.next = (r.next + 1) % len(r.ring)
+}
+
+func (r *refSeriesRing) drain() []int64 {
+	out := make([]int64, 0, r.fill)
+	start := (r.next - r.fill + len(r.ring)) % len(r.ring)
+	for i := 0; i < r.fill; i++ {
+		out = append(out, r.ring[(start+i)%len(r.ring)])
+	}
+	r.next, r.fill = 0, 0
+	return out
+}
+
+// TestSeriesRingMatchesPresizedRing: interval sizes below, exactly at and
+// above the cap - across several drains, so a ring that wrapped is reused
+// - must yield the points, order and Dropped count of a pre-sized ring.
+func TestSeriesRingMatchesPresizedRing(t *testing.T) {
+	const bufCap = 200 // not a power of two: growth must clamp to it
+	r := NewSeriesRecorder()
+	r.SetBufferCap(bufCap)
+	b := r.NewBuffer(0)
+	tr := b.Track(tsA, 0)
+	ref := &refSeriesRing{ring: make([]int64, bufCap)}
+	var want []int64
+	win := int64(0)
+	for _, n := range []int{0, 1, 63, 64, 65, bufCap - 1, bufCap, bufCap + 1, 3*bufCap + 7, 5, bufCap, 2 * bufCap} {
+		// Each sample lands in a new window, closing the previous one: n
+		// samples emit n points once the first window of all is open.
+		for i := 0; i < n; i++ {
+			if win > 0 {
+				ref.emit(win - 1)
+			}
+			tr.Sample(time.Duration(win)*SeriesWindow, 1)
+			win++
+		}
+		if cap(b.ring) > bufCap {
+			t.Fatalf("ring grew to %d points, cap is %d", cap(b.ring), bufCap)
+		}
+		want = append(want, ref.drain()...)
+		r.Drain(b)
+		if r.Dropped != ref.dropped {
+			t.Fatalf("after an interval of %d: Dropped = %d, pre-sized ring dropped %d", n, r.Dropped, ref.dropped)
+		}
+		if r.Len() != len(want) {
+			t.Fatalf("after an interval of %d: %d points drained, pre-sized ring holds %d", n, r.Len(), len(want))
+		}
+		for i, p := range r.points {
+			if p.Win != want[i] {
+				t.Fatalf("after an interval of %d: drained point %d is window %d, pre-sized ring says %d", n, i, p.Win, want[i])
+			}
+		}
+	}
+	if ref.dropped == 0 {
+		t.Fatal("script never overflowed the ring")
+	}
+}
+
+// TestSeriesSampleWithinCapacityAllocatesNothing: once the ring has grown
+// to an interval's size, sampling - including the window close that emits
+// a point - allocates nothing.
+func TestSeriesSampleWithinCapacityAllocatesNothing(t *testing.T) {
+	r := NewSeriesRecorder()
+	b := r.NewBuffer(0)
+	tr := b.Track(tsA, 0)
+	win := int64(0)
+	interval := func() {
+		for i := 0; i < 500; i++ {
+			tr.Sample(time.Duration(win)*SeriesWindow, 1)
+			tr.Sample(time.Duration(win)*SeriesWindow+time.Millisecond, 2)
+			win++
+		}
+	}
+	interval()
+	r.Drain(b)
+	allocs := testing.AllocsPerRun(10, func() {
+		interval()
+		b.ring, b.next = b.ring[:0], 0 // what Drain does to the buffer, without growing the recorder
+	})
+	if allocs != 0 {
+		t.Fatalf("an interval of 500 points allocates %.1f objects, want 0", allocs)
+	}
+}

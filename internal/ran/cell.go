@@ -93,12 +93,16 @@ type Cell struct {
 	// a transport-block free list. deliveries is the coalesced TB-delivery
 	// queue: instead of one event per transport block, the cell schedules
 	// a single pre-bound delivery event per slot that drains the queue in
-	// transmit order at the next slot boundary.
+	// transmit order at the next slot boundary. listFree recycles the
+	// blocks' packet lists: a list travels block -> delivery entry ->
+	// reorder slot and comes back here once its last packet is routed or
+	// released, so it has exactly one owner at any time.
 	rep          *SubframeReport
 	blUsers      []*cellUser
 	wants        []int
 	wf           WaterFiller
 	tbFree       []*transportBlock
+	listFree     [][]*netsim.Packet
 	deliveries   []tbDelivery
 	deliverArmed bool
 	deliverFn    func()
@@ -125,10 +129,15 @@ type Cell struct {
 	QueueDropped uint64
 }
 
+// cellUser is one attachment of a device to a cell. The cell finds it by
+// RNTI; the device keeps the pointer AddCell got, so the per-packet and
+// per-slot paths never hash.
 type cellUser struct {
-	rnti uint16
-	ue   *UE
-	ch   *phy.Channel
+	cell     *Cell
+	rnti     uint16
+	ue       *UE
+	ch       *phy.Channel
+	detached bool
 
 	// queue is the user's downlink queue, indexed from qHead (head-index
 	// dequeue with amortized compaction, retained capacity).
@@ -142,6 +151,23 @@ type cellUser struct {
 	// the cell ticks.
 	lastPRBs       int
 	lastServedBits int
+
+	// reorder is the device's reordering buffer for this carrier.
+	reorder reorderState
+}
+
+// rate returns the user's physical rate in bits per PRB per slot, zero
+// once detached.
+func (u *cellUser) rate() float64 {
+	if u.detached {
+		return 0
+	}
+	return u.ch.MCS().BitsPerPRB()
+}
+
+// rateBps returns the rate the user would see alone on the whole carrier.
+func (u *cellUser) rateBps() float64 {
+	return u.rate() * float64(u.cell.NPRB) * (1000 * float64(u.cell.spf))
 }
 
 type transportBlock struct {
@@ -164,7 +190,7 @@ type transportBlock struct {
 // transport block's outcome, decoupled from the (recycled) block struct.
 // The packets slice transfers to the UE's reorder buffer.
 type tbDelivery struct {
-	ue   *UE
+	user *cellUser
 	seq  uint64
 	pkts []*netsim.Packet
 	ok   bool
@@ -223,13 +249,17 @@ func (c *Cell) AttachMonitor(m Monitor) { c.monitors = append(c.monitors, m) }
 
 // AttachUser connects a UE to this cell under the given RNTI with the
 // given radio channel.
-func (c *Cell) AttachUser(ue *UE, rnti uint16, ch *phy.Channel) {
+func (c *Cell) AttachUser(ue *UE, rnti uint16, ch *phy.Channel) { c.attach(ue, rnti, ch) }
+
+// attach is AttachUser returning the attachment, which UE.AddCell keeps.
+func (c *Cell) attach(ue *UE, rnti uint16, ch *phy.Channel) *cellUser {
 	if _, dup := c.byRNTI[rnti]; dup {
 		panic("ran: duplicate RNTI on cell")
 	}
-	u := &cellUser{rnti: rnti, ue: ue, ch: ch}
+	u := &cellUser{cell: c, rnti: rnti, ue: ue, ch: ch}
 	c.users = append(c.users, u)
 	c.byRNTI[rnti] = u
+	return u
 }
 
 // DetachUser removes a user; queued packets are dropped (and released:
@@ -241,6 +271,7 @@ func (c *Cell) DetachUser(rnti uint16) {
 		return
 	}
 	delete(c.byRNTI, rnti)
+	u.detached = true
 	for i, v := range c.users {
 		if v == u {
 			c.users = append(c.users[:i], c.users[i+1:]...)
@@ -250,6 +281,7 @@ func (c *Cell) DetachUser(rnti uint16) {
 	c.pool.ReleaseAll(u.queue[u.qHead:])
 	u.queue = u.queue[:0]
 	u.qHead, u.headSent, u.queuedBits = 0, 0, 0
+	u.lastPRBs, u.lastServedBits = 0, 0
 }
 
 // Enqueue adds a downlink packet to the user's queue at this cell. It
@@ -257,8 +289,12 @@ func (c *Cell) DetachUser(rnti uint16) {
 // either false path the packet is dropped - callers never retry a refused
 // packet - so the cell releases it as its last owner.
 func (c *Cell) Enqueue(rnti uint16, p *netsim.Packet) bool {
-	u, ok := c.byRNTI[rnti]
-	if !ok {
+	return c.enqueue(c.byRNTI[rnti], p)
+}
+
+// enqueue is Enqueue on an attachment (nil or detached = not attached).
+func (c *Cell) enqueue(u *cellUser, p *netsim.Packet) bool {
+	if u == nil || u.detached {
 		c.pool.Release(p)
 		return false
 	}
@@ -284,7 +320,7 @@ func (c *Cell) UserQueueBits(rnti uint16) int {
 // slot.
 func (c *Cell) UserRate(rnti uint16) float64 {
 	if u, ok := c.byRNTI[rnti]; ok {
-		return u.ch.MCS().BitsPerPRB()
+		return u.rate()
 	}
 	return 0
 }
@@ -292,22 +328,8 @@ func (c *Cell) UserRate(rnti uint16) float64 {
 // UserRateBps returns the rate the user would see alone on the whole
 // carrier, in bits per second.
 func (c *Cell) UserRateBps(rnti uint16) float64 {
-	return c.UserRate(rnti) * float64(c.NPRB) * (1000 * float64(c.spf))
-}
-
-// LastUserPRBs returns the PRBs granted to the user in the last slot.
-func (c *Cell) LastUserPRBs(rnti uint16) int {
 	if u, ok := c.byRNTI[rnti]; ok {
-		return u.lastPRBs
-	}
-	return 0
-}
-
-// LastUserServedBits returns the payload bits served to the user in the
-// last slot.
-func (c *Cell) LastUserServedBits(rnti uint16) int {
-	if u, ok := c.byRNTI[rnti]; ok {
-		return u.lastServedBits
+		return u.rateBps()
 	}
 	return 0
 }
@@ -364,11 +386,12 @@ func (c *Cell) tick() {
 	if due := c.pendingRetx[c.slot]; len(due) > 0 {
 		delete(c.pendingRetx, c.slot)
 		for i, tb := range due {
-			if c.byRNTI[tb.user.rnti] != tb.user {
+			if tb.user.detached {
 				// The user detached (its RNTI may since belong to someone
 				// else, with a new sequence space): the cell is the
 				// packets' last owner.
 				c.pool.ReleaseAll(tb.completed)
+				c.putList(tb.completed)
 				c.recycle(tb)
 				continue
 			}
@@ -491,6 +514,11 @@ func (c *Cell) buildTB(u *cellUser, rbgs, bits int, mcs phy.MCS) *transportBlock
 	}
 	tb.user, tb.seq, tb.rbgs, tb.bits, tb.mcs = u, u.nextTB, rbgs, bits, mcs
 	u.nextTB++
+	if n := len(c.listFree); n > 0 {
+		tb.completed = c.listFree[n-1]
+		c.listFree[n-1] = nil
+		c.listFree = c.listFree[:n-1]
+	}
 	capBytes := bits / 8
 	served := 0
 	for capBytes > 0 && u.qHead < len(u.queue) {
@@ -595,7 +623,7 @@ func (c *Cell) transmit(tb *transportBlock) {
 // exactly the order per-block events would fire in; the queue is only
 // appended to during tick, never while draining.
 func (c *Cell) queueDelivery(tb *transportBlock, ok bool) {
-	c.deliveries = append(c.deliveries, tbDelivery{ue: tb.user.ue, seq: tb.seq, pkts: tb.completed, ok: ok})
+	c.deliveries = append(c.deliveries, tbDelivery{user: tb.user, seq: tb.seq, pkts: tb.completed, ok: ok})
 	if !c.deliverArmed {
 		c.deliverArmed = true
 		c.eng.Schedule(c.slotDur, c.deliverFn)
@@ -610,13 +638,23 @@ func (c *Cell) recycle(tb *transportBlock) {
 	c.tbFree = append(c.tbFree, tb)
 }
 
+// putList takes back a block's packet list once every packet in it has
+// been routed or released; the caller must not touch it afterwards.
+func (c *Cell) putList(l []*netsim.Packet) {
+	if cap(l) == 0 {
+		return
+	}
+	clear(l)
+	c.listFree = append(c.listFree, l[:0])
+}
+
 // deliverPending hands every queued transport-block outcome to its UE.
 func (c *Cell) deliverPending() {
 	c.deliverArmed = false
 	ds := c.deliveries
 	for i := range ds {
 		d := &ds[i]
-		d.ue.deliverTB(c.ID, d.seq, d.pkts, d.ok)
+		d.user.ue.deliverTB(d.user, d.seq, d.pkts, d.ok)
 		*d = tbDelivery{}
 	}
 	c.deliveries = ds[:0]

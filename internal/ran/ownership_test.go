@@ -8,6 +8,7 @@ import (
 	"pbecc/internal/netsim"
 	"pbecc/internal/nr"
 	"pbecc/internal/phy"
+	"pbecc/internal/ran"
 	"pbecc/internal/sim"
 )
 
@@ -108,6 +109,81 @@ func TestUnrouteablePacketReleased(t *testing.T) {
 			eng.RunUntil(50 * time.Millisecond) // ample for HARQ retries
 			if handles[0].Live() {
 				t.Fatal("unrouteable packet was dropped without being released")
+			}
+		})
+	}
+}
+
+// TestBareAttachmentDeliversOrReleases: a device attached with
+// Cell.AttachUser alone - it never called AddCell, so it configured no
+// carrier of its own - still owns a reorder buffer through the attachment:
+// its blocks are released in order to the flow table (here with no
+// handler, so they die there) instead of being dropped unreleased.
+func TestBareAttachmentDeliversOrReleases(t *testing.T) {
+	for _, r := range rats {
+		t.Run(r.name, func(t *testing.T) {
+			eng := sim.New(1)
+			cell := r.newCell(eng, nil)
+			cell.ErrorModel = noErrors
+			ue := r.newUE(eng, 1, 61)
+			cell.AttachUser(ue, 61, phy.NewStaticChannel(-85, cell.Table, nil))
+			ps, handles := pooled(eng, 1, 3)
+			for _, p := range ps {
+				if !cell.Enqueue(61, p) {
+					t.Fatal("enqueue refused on an attached RNTI")
+				}
+			}
+			eng.RunUntil(slots(cell, 4))
+			if ue.Delivered != 3 {
+				t.Fatalf("Delivered = %d, want the three packets through the reorder buffer", ue.Delivered)
+			}
+			for i, h := range handles {
+				if h.Live() {
+					t.Fatalf("packet %d was dropped without being released", i)
+				}
+			}
+		})
+	}
+}
+
+// TestDeliveryCycleAllocatesNothing pins the downlink hop: once queues,
+// transport blocks and packet lists have been through the free lists,
+// enqueue -> slot -> coalesced delivery -> reorder -> route allocates
+// nothing on any configuration.
+func TestDeliveryCycleAllocatesNothing(t *testing.T) {
+	for _, r := range rats {
+		t.Run(r.name, func(t *testing.T) {
+			eng := sim.New(1)
+			cell := r.newCell(eng, nil)
+			cell.ErrorModel = noErrors
+			pool := netsim.PoolOf(eng)
+			var ues []*ran.UE
+			for id := 1; id <= 3; id++ {
+				ue := r.newUE(eng, id, uint16(60+id))
+				ue.AddCell(cell, phy.NewStaticChannel(-85, cell.Table, nil))
+				ue.SetDefaultHandler(&netsim.Sink{Pool: pool})
+				ue.Start()
+				ues = append(ues, ue)
+			}
+			cycle := func() {
+				for _, ue := range ues {
+					for i := 0; i < 4; i++ {
+						p := pool.Get()
+						p.FlowID, p.Size = ue.ID, netsim.MSS
+						ue.HandlePacket(eng.Now(), p)
+					}
+				}
+				eng.RunUntil(eng.Now() + slots(cell, 2))
+			}
+			for i := 0; i < 50; i++ {
+				cycle()
+			}
+			if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+				t.Fatalf("delivery cycle allocates %.1f objects, want 0", allocs)
+			}
+			// The last cycle's tail may still be on the air.
+			if got := ues[0].Delivered; got < 4*(50+200) {
+				t.Fatalf("UE 1 received %d of %d packets: the cycle is not delivering", got, 4*(50+201))
 			}
 		})
 	}

@@ -53,9 +53,9 @@ type UE struct {
 	ID   int
 	RNTI uint16
 
-	cells   []*Cell
-	active  int
-	reorder map[int]*reorderState
+	cells  []*Cell
+	users  []*cellUser // users[i] is this device's attachment to cells[i]
+	active int
 
 	onActiveChange []func(active []*Cell)
 
@@ -72,14 +72,38 @@ type UE struct {
 	Deactivations uint64
 }
 
+// reorderState is one carrier's reordering buffer: a power-of-two ring in
+// which the block with sequence seq waits at ring[seq&mask] until every
+// earlier block has arrived. HARQ bounds how far ahead of next a block
+// normally arrives (MaxRetransmissions x HARQDelaySlots slots, one new
+// block per slot); the ring doubles when an arrival is further ahead.
 type reorderState struct {
-	next    uint64
-	pending map[uint64]tbArrival
+	next uint64 // sequence of the next block to release
+	ring []tbArrival
 }
 
 type tbArrival struct {
 	packets []*netsim.Packet
 	ok      bool
+	held    bool // the slot holds a block awaiting release
+}
+
+// reorderInitialSlots is the ring's first size, allocated on a carrier's
+// first delivery.
+const reorderInitialSlots = 8
+
+// grow doubles the ring, keeping every held block at its seq&mask slot.
+func (st *reorderState) grow() {
+	old := st.ring
+	n := 2 * len(old)
+	if n == 0 {
+		n = reorderInitialSlots
+	}
+	st.ring = make([]tbArrival, n)
+	for i := range old {
+		seq := st.next + uint64(i)
+		st.ring[seq&uint64(n-1)] = old[seq&uint64(len(old)-1)]
+	}
 }
 
 // NewUE creates a UE; add component carriers with AddCell (primary first),
@@ -94,7 +118,6 @@ func NewUE(eng *sim.Engine, id int, rnti uint16, dynamicCA bool) *UE {
 		eng:       eng,
 		ID:        id,
 		RNTI:      rnti,
-		reorder:   make(map[int]*reorderState),
 	}
 	if dynamicCA {
 		u.act = NewActivation()
@@ -113,9 +136,8 @@ func (u *UE) AddCell(c *Cell, ch *phy.Channel) {
 		// links may cross a shard boundary.
 		panic("ran: UE and cell live on different engines (shard boundary)")
 	}
-	c.AttachUser(u, u.RNTI, ch)
+	u.users = append(u.users, c.attach(u, u.RNTI, ch))
 	u.cells = append(u.cells, c)
-	u.reorder[c.ID] = &reorderState{pending: make(map[uint64]tbArrival)}
 	if u.act == nil || u.active == 0 {
 		u.active++
 	}
@@ -160,12 +182,12 @@ func (u *UE) OnActiveChange(fn func(active []*Cell)) {
 func (u *UE) HandlePacket(now time.Duration, p *netsim.Packet) {
 	best := -1
 	bestDrain := 0.0
-	for i, c := range u.cells[:u.active] {
-		rate := c.UserRateBps(u.RNTI)
+	for i, cu := range u.users[:u.active] {
+		rate := cu.rateBps()
 		if rate <= 0 {
 			continue
 		}
-		drain := float64(c.UserQueueBits(u.RNTI)) / rate
+		drain := float64(cu.queuedBits) / rate
 		if best < 0 || drain < bestDrain {
 			best, bestDrain = i, drain
 		}
@@ -173,25 +195,63 @@ func (u *UE) HandlePacket(now time.Duration, p *netsim.Packet) {
 	if best < 0 {
 		best = 0
 	}
-	u.cells[best].Enqueue(u.RNTI, p)
+	u.cells[best].enqueue(u.users[best], p)
+}
+
+// RateBps sums, over the active carriers, the rate the device would see
+// alone on each, in bits per second.
+func (u *UE) RateBps() float64 {
+	var rate float64
+	for _, cu := range u.users[:u.active] {
+		rate += cu.rateBps()
+	}
+	return rate
+}
+
+// QueueBits returns the bits queued for the device across its active
+// carriers.
+func (u *UE) QueueBits() int {
+	bits := 0
+	for _, cu := range u.users[:u.active] {
+		bits += cu.queuedBits
+	}
+	return bits
+}
+
+// SlotLoad returns, summed over the active carriers, the PRBs granted to
+// the device in each carrier's last slot, the carriers' total PRBs, and
+// the payload bits served to the device in that slot.
+func (u *UE) SlotLoad() (userPRBs, totalPRBs, servedBits int) {
+	for _, cu := range u.users[:u.active] {
+		userPRBs += cu.lastPRBs
+		totalPRBs += cu.cell.NPRB
+		servedBits += cu.lastServedBits
+	}
+	return
 }
 
 // deliverTB receives one transport block's completed packets from a cell
 // (ok=false marks a block lost after exhausting HARQ retransmissions) and
 // releases packets in per-cell order, modeling the reordering buffer of
-// Figure 3.
-func (u *UE) deliverTB(cellID int, seq uint64, packets []*netsim.Packet, ok bool) {
-	st := u.reorder[cellID]
-	if st == nil {
-		return
+// Figure 3. The packet list goes back to the cell once the block's last
+// packet is routed or released.
+func (u *UE) deliverTB(cu *cellUser, seq uint64, packets []*netsim.Packet, ok bool) {
+	st := &cu.reorder
+	if seq < st.next {
+		panic("ran: transport block delivered twice")
 	}
-	st.pending[seq] = tbArrival{packets: packets, ok: ok}
+	for seq-st.next >= uint64(len(st.ring)) {
+		st.grow()
+	}
+	mask := uint64(len(st.ring) - 1)
+	st.ring[seq&mask] = tbArrival{packets: packets, ok: ok, held: true}
 	for {
-		a, exists := st.pending[st.next]
-		if !exists {
+		slot := &st.ring[st.next&mask]
+		if !slot.held {
 			return
 		}
-		delete(st.pending, st.next)
+		a := *slot
+		*slot = tbArrival{}
 		st.next++
 		for _, p := range a.packets {
 			if !a.ok {
@@ -204,20 +264,15 @@ func (u *UE) deliverTB(cellID int, seq uint64, packets []*netsim.Packet, ok bool
 			u.Delivered++
 			u.Route(u.eng.Now(), p)
 		}
+		cu.cell.putList(a.packets)
 	}
 }
 
 // tick runs once per subframe after the cells have scheduled, sampling
 // demand and served load for the carrier-aggregation policy.
 func (u *UE) tick() {
-	queued, userPRBs, totalPRBs, served := 0, 0, 0, 0
-	for _, c := range u.cells[:u.active] {
-		queued += c.UserQueueBits(u.RNTI)
-		userPRBs += c.LastUserPRBs(u.RNTI)
-		totalPRBs += c.NPRB
-		served += c.LastUserServedBits(u.RNTI)
-	}
-	u.act.Sample(queued, userPRBs, totalPRBs, served)
+	userPRBs, totalPRBs, served := u.SlotLoad()
+	u.act.Sample(u.QueueBits(), userPRBs, totalPRBs, served)
 	if !u.caEnabled {
 		return
 	}
@@ -232,8 +287,8 @@ func (u *UE) tick() {
 		// Would the window's load fit comfortably in the active cells
 		// minus the last one?
 		var capMinusLast float64
-		for _, c := range u.cells[:u.active-1] {
-			capMinusLast += c.UserRate(u.RNTI) * float64(c.NPRB) * DeactWindow
+		for _, cu := range u.users[:u.active-1] {
+			capMinusLast += cu.rate() * float64(cu.cell.NPRB) * DeactWindow
 		}
 		if u.act.ServedFits(capMinusLast) {
 			u.active--

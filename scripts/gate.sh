@@ -7,8 +7,11 @@
 # Determinism gates (byte compare; writes the *_PR artifact):
 #   micro          engine microbenchmarks + allocation gate (>10% B/op or allocs/op)
 #   micro-diff     hot-path benches (cluster window sync, engine scheduling,
-#                  metro shard scaling) with the ns/op gate ON (>25% fails;
-#                  override with MICRO_NS_BUDGET) -> BENCH_MICRODIFF_PR.txt
+#                  metro shard scaling, the smoke sweep) with the ns/op gate
+#                  ON (>25% fails; override with MICRO_NS_BUDGET)
+#                  -> BENCH_MICRODIFF_PR.txt
+#   bench-build    builds and tests the benchmark/ module, which the root
+#                  go build ./... and go test ./... do not descend into
 #   smoke-det      smoke matrix, workers 1 vs 8           -> BENCH_PR.json
 #   metro-det      metro slice, shards 1 vs 4             -> BENCH_METRO_PR.json
 #   obs-det        metro slice, -obs vs plain             -> metro_obs.json
@@ -57,17 +60,28 @@ gate_micro() {
 # Hot-path speed gate: unlike gate_micro, this one gates ns/op too (25%
 # budget, MICRO_NS_BUDGET overrides) on the benches whose per-op time is
 # long or tight enough to be stable across runs of the same runner class:
-# the cluster window loop, the engine scheduling core, and the metro
-# shard-scaling family (one full iteration each; a 2+ second simulated
-# run amortizes scheduler noise). A slower runner generation can trip
-# this - loosen with MICRO_NS_BUDGET=-1 and regenerate the baseline.
+# the cluster window loop, the engine scheduling core, the metro
+# shard-scaling family and the 160-job smoke sweep on one worker (one full
+# iteration each; a 2+ second run amortizes scheduler noise). The sweep
+# row is the allocation gate of the path users and CI run most: per-job
+# set-up plus the per-packet loop of every family. A slower runner
+# generation can trip this - loosen with MICRO_NS_BUDGET=-1 and
+# regenerate the baseline.
 gate_micro_diff() {
   go test -bench 'ClusterWindowSync|ScheduleRun' -benchmem -run '^$' ./internal/sim/ | tee BENCH_MICRODIFF_PR.txt
   # One iteration of each multi-second metro bench; ten of the ~60 ms
   # smoke slice, where a single sample is scheduler-noise dominated.
-  go test -bench 'Metro[0-9]' -benchmem -benchtime 1x -run '^$' . | tee -a BENCH_MICRODIFF_PR.txt
+  go test -bench 'Metro[0-9]|SmokeSweep' -benchmem -benchtime 1x -run '^$' . | tee -a BENCH_MICRODIFF_PR.txt
   go test -bench 'MetroSmokeSlice' -benchmem -benchtime 10x -run '^$' . | tee -a BENCH_MICRODIFF_PR.txt
   sweep -benchdiff -max-regress 25 -max-regress-ns "${MICRO_NS_BUDGET:-25}" -allow-missing BENCH_micro_baseline.txt BENCH_MICRODIFF_PR.txt
+}
+
+# The benchmark is a module of its own (pbecc/benchmark, replace pbecc =>
+# ../) importing pbecc/internal/...: a rename in internal/ breaks it
+# without the root build noticing.
+gate_bench_build() {
+  go -C benchmark build ./...
+  go -C benchmark test ./...
 }
 
 gate_smoke_det() {
