@@ -216,9 +216,10 @@ func (s *Sender) pump() {
 	}
 }
 
+// schedulePump re-arms the pacing timer in place: at most one pump event
+// is ever queued per sender.
 func (s *Sender) schedulePump(d time.Duration) {
-	s.pumpEv.Cancel()
-	s.pumpEv = s.eng.Schedule(d, s.pumpFn)
+	s.eng.Reset(&s.pumpEv, d, s.pumpFn)
 }
 
 // sendOne transmits the next packet and returns its size in bytes (0 when

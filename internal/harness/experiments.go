@@ -200,8 +200,7 @@ func Table1(quick bool) []Table {
 			if busy {
 				label = "busy"
 			}
-			t.Rows = append(t.Rows, []string{base, label,
-				f2(speedup.Mean()) + "x", f2(p95red.Mean()) + "x", f2(avgred.Mean()) + "x"})
+			t.Rows = append(t.Rows, []string{base, label, meanRatio(&speedup), meanRatio(&p95red), meanRatio(&avgred)})
 		}
 	}
 	for _, p := range grid["pbe"] {
@@ -212,11 +211,29 @@ func Table1(quick bool) []Table {
 		}
 	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("PBE time in Internet-bottleneck state: busy %.1f%%, idle %.1f%% (paper: 18%%/4%%)",
-			100*internetBusy.Mean(), 100*internetIdle.Mean()),
+		fmt.Sprintf("PBE time in Internet-bottleneck state: busy %s, idle %s (paper: 18%%/4%%)",
+			meanPct(&internetBusy), meanPct(&internetIdle)),
 		"paper: vs BBR busy 1.04x/1.54x/1.39x, idle 1.10x/2.07x/1.84x;"+
 			" vs Verus busy 1.25x/3.97x/2.53x; vs Copa busy 10.35x/0.80x/0.80x")
 	return []Table{*t}
+}
+
+// meanRatio formats a series' mean as a ratio, or "n/a" when it is empty
+// (the quick grid has no idle location).
+func meanRatio(s *stats.Series) string {
+	if s.Len() == 0 {
+		return "n/a"
+	}
+	return f2(s.Mean()) + "x"
+}
+
+// meanPct formats a series of fractions' mean as a percentage, or "n/a"
+// when it is empty.
+func meanPct(s *stats.Series) string {
+	if s.Len() == 0 {
+		return "n/a"
+	}
+	return f1(100*s.Mean()) + "%"
 }
 
 // Figure2 reproduces the carrier activation/deactivation trace: a fixed

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"os"
+	"strings"
 	"testing"
 )
 
@@ -50,6 +51,16 @@ func TestTable1Shape(t *testing.T) {
 		if len(r) != 5 {
 			t.Fatalf("row %v has %d cells", r, len(r))
 		}
+		// The quick grid has busy locations only: idle rows have no
+		// samples and must say so instead of printing 0.00x.
+		for _, cell := range r[2:] {
+			if idle := r[1] == "idle"; idle != (cell == "n/a") {
+				t.Errorf("%s %s row: cell %q", r[0], r[1], cell)
+			}
+		}
+	}
+	if !strings.Contains(tb.Notes[0], "idle n/a") {
+		t.Errorf("residency note %q, want idle n/a", tb.Notes[0])
 	}
 }
 

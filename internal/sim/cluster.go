@@ -369,8 +369,8 @@ func (c *Cluster) observeWindow(start, end time.Duration) {
 	}
 }
 
-// Shard is one partition of a clustered simulation: a full Engine (free
-// list, 4-ary heap, seeded randomness) plus mailboxes for events that
+// Shard is one partition of a clustered simulation: a full Engine (event
+// arena, 4-ary heap, seeded randomness) plus mailboxes for events that
 // cross to other shards. All entities pinned to a shard schedule on its
 // embedded engine exactly as they would on a standalone one.
 type Shard struct {

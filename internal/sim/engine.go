@@ -5,15 +5,20 @@
 // the same instant run in scheduling order, which together with seeded
 // randomness makes every simulation run exactly reproducible.
 //
-// The engine is built for the per-job hot path of large scenario sweeps:
-// event objects are pooled through a free list (steady-state scheduling does
-// not allocate), the priority queue is a 4-ary heap (shallower than a binary
-// heap, fewer comparisons per sift), and cancelled events are removed lazily
-// in bulk once they occupy a quarter of the heap rather than one heap fixup
-// per cancellation.
+// The engine is built for the per-job hot path of large scenario sweeps. The
+// priority queue is a 4-ary heap (shallower than a binary heap, fewer
+// comparisons per sift) of pointer-free 16-byte entries: the firing time and
+// a key packing the scheduling's sequence number over the event's arena id.
+// Comparisons never chase pointers, sifts pay no write barriers, and the
+// collector never scans the queue. Callbacks live in an index-addressed arena
+// of blocks that never move, recycled through a free list, so steady-state
+// scheduling does not allocate. Each queued event records its heap position:
+// Cancel removes the entry on the spot and Reset re-keys it in place, so the
+// heap only ever holds events that will run.
 package sim
 
 import (
+	"math/bits"
 	"math/rand"
 	"time"
 
@@ -27,69 +32,107 @@ var (
 	mSched   = obs.NewCounter("sim.events_scheduled")
 	mCancel  = obs.NewCounter("sim.events_cancelled")
 	mReuse   = obs.NewCounter("sim.event_pool_reuse")
-	mSweeps  = obs.NewCounter("sim.heap_sweeps")
 	mHeapMax = obs.NewWatermark("sim.heap_len_max")
 )
 
-// event is the engine-internal representation of a scheduled callback.
-// Events are pooled: once an event fires or a sweep discards it, the engine
-// bumps its generation and recycles the struct through the free list.
+// Heap key layout: key = seq<<idBits | id. The sequence number is unique
+// per engine, so ordering entries by (at, key) orders them by (at, seq).
+// Both limits panic rather than wrap.
+const (
+	idBits  = 24 // at most 2^24 events queued on one engine at once
+	idMask  = 1<<idBits - 1
+	seqBits = 64 - idBits // at most 2^40 schedulings over an engine's life
+	maxSeq  = 1<<seqBits - 1
+)
+
+// Arena layout: ids below inlineEvents live in the Engine itself, so a
+// small engine allocates no block; the rest live in fixed-size blocks.
+const (
+	inlineEvents = 4
+	blockBits    = 8
+	blockSize    = 1 << blockBits
+	blockMask    = blockSize - 1
+)
+
+// event is one arena slot: the callback of a queued event and its heap
+// index, or - while the slot is free - the id of the next free slot.
 type event struct {
-	eng       *Engine
-	at        time.Duration
-	seq       uint64
-	gen       uint64
-	fn        func()
-	cancelled bool
-	index     int // heap index, -1 once popped
+	fn   func()
+	pos  int32 // heap index while queued, -1 otherwise
+	next int32 // free-list link while free, -1 ends the list
 }
 
-// Event is a handle to a scheduled callback. The zero value is inert:
-// Cancel and Cancelled on it are safe no-ops. The underlying event object
-// may be recycled for a later Schedule call after it fires, but a stale
-// handle can never cancel the recycled event (generation-checked).
+// entry is one heap element.
+type entry struct {
+	at  time.Duration
+	key uint64 // seq<<idBits | arena id
+}
+
+// lessMask is all ones when a sorts before b and zero otherwise. It
+// compares (at, key) as one 128-bit number - virtual time is never
+// negative, so at compares correctly as unsigned - and the borrow chain
+// leaves no branch for the data to mispredict.
+func (a entry) lessMask(b entry) uint64 {
+	_, borrow := bits.Sub64(a.key, b.key, 0)
+	_, borrow = bits.Sub64(uint64(a.at), uint64(b.at), borrow)
+	return -borrow
+}
+
+func (a entry) less(b entry) bool { return a.lessMask(b) != 0 }
+
+func (a entry) id() uint32 { return uint32(a.key & idMask) }
+
+// Event is a handle to a scheduled callback: the engine, the event's arena
+// id and a generation, which is the scheduling's sequence number - both
+// packed in the heap key. The handle is live while the entry at its arena
+// slot's heap position still carries that key; firing, Cancel and Reset all
+// retire the key, and sequence numbers are never reused, so a stale handle
+// (a copy kept past Reset, or one whose slot was recycled) can never touch
+// a later scheduling. The zero value is inert: Cancel and Cancelled on it
+// are safe no-ops.
 type Event struct {
-	ev        *event
-	gen       uint64
+	eng       *Engine
+	key       uint64
 	cancelled bool
 }
 
-// live reports whether the handle still refers to its original scheduling.
-func (h *Event) live() bool { return h.ev != nil && h.ev.gen == h.gen }
+// pos returns the heap index of the handle's event, or -1 once the handle
+// is stale.
+func (h *Event) pos() int {
+	e := h.eng
+	if e == nil {
+		return -1
+	}
+	i := e.slot(uint32(h.key & idMask)).pos
+	if i < 0 || e.queue[i].key != h.key {
+		return -1
+	}
+	return int(i)
+}
 
-// Cancel prevents the event's callback from running. Cancelling an event
-// that already fired (or was already cancelled) is a no-op.
+// Cancel prevents the event's callback from running and removes it from
+// the queue. Cancelling an event that already fired (or was already
+// cancelled) is a no-op.
 func (h *Event) Cancel() {
 	if h == nil {
 		return
 	}
 	h.cancelled = true
-	if !h.live() {
-		h.ev = nil
-		return
+	if i := h.pos(); i >= 0 {
+		mCancel.Inc()
+		h.eng.removeAt(i)
 	}
-	ev := h.ev
-	h.ev = nil
-	if ev.cancelled {
-		return
-	}
-	ev.cancelled = true
-	ev.fn = nil
-	mCancel.Inc()
-	if ev.index >= 0 {
-		ev.eng.dead++
-		ev.eng.maybeSweep()
-	}
+	h.eng = nil
 }
 
 // Cancelled reports whether Cancel was called through this handle.
 func (h *Event) Cancelled() bool { return h != nil && h.cancelled }
 
 // At returns the virtual time the event fires at, or 0 once the handle is
-// stale (the event fired or was swept).
+// stale (the event fired, was cancelled or was re-armed).
 func (h Event) At() time.Duration {
-	if h.live() {
-		return h.ev.at
+	if i := h.pos(); i >= 0 {
+		return h.eng.queue[i].at
 	}
 	return 0
 }
@@ -98,13 +141,20 @@ func (h Event) At() time.Duration {
 // The zero value is not usable; construct with New.
 type Engine struct {
 	now      time.Duration
-	queue    eventHeap
+	queue    []entry
 	seq      uint64
 	rng      *rand.Rand
 	stopped  bool
-	free     []*event
-	dead     int    // cancelled events still occupying heap slots
 	executed uint64 // events run since construction
+
+	// Event arena. Id i < inlineEvents is inline[i]; a larger id is
+	// blocks[j>>blockBits][j&blockMask] with j = i - inlineEvents. Blocks
+	// are never moved or freed, so growth copies only the table of block
+	// pointers.
+	inline [inlineEvents]event
+	blocks []*[blockSize]event
+	slots  int32 // ids handed out so far
+	free   int32 // first free id, -1 when the free list is empty
 
 	// obsBuf, when non-nil, is the shard-local trace ring instrumented
 	// subsystems (cc senders, the PBE probe) emit virtual-time trace
@@ -127,7 +177,7 @@ type Engine struct {
 
 // New returns an engine whose random source is seeded with seed.
 func New(seed int64) *Engine {
-	return &Engine{rng: rand.New(rand.NewSource(seed))}
+	return &Engine{rng: rand.New(rand.NewSource(seed)), free: -1}
 }
 
 // Now returns the current virtual time.
@@ -181,68 +231,90 @@ func (e *Engine) At(t time.Duration, fn func()) Event {
 	if t < e.now {
 		t = e.now
 	}
-	e.seq++
-	var ev *event
-	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		mReuse.Inc()
-	} else {
-		ev = &event{eng: e}
-	}
+	id, ev := e.alloc()
+	ev.fn = fn
+	x := entry{at: t, key: e.nextKey(id)}
 	mSched.Inc()
 	mHeapMax.Observe(int64(len(e.queue) + 1))
-	ev.at, ev.seq, ev.fn = t, e.seq, fn
-	e.queue.push(ev)
-	return Event{ev: ev, gen: ev.gen}
+	e.queue = append(e.queue, x)
+	e.up(len(e.queue)-1, x)
+	return Event{eng: e, key: x.key}
 }
 
-// release returns a popped or swept event to the free list, invalidating
-// every outstanding handle to it.
-func (e *Engine) release(ev *event) {
-	ev.gen++
-	ev.fn = nil
-	ev.cancelled = false
-	ev.index = -1
-	e.free = append(e.free, ev)
+// Reset re-arms h to run fn after delay. It is exactly
+//
+//	h.Cancel()
+//	*h = e.Schedule(delay, fn)
+//
+// - it draws the next sequence number at the same point, leaves every copy
+// of the old handle stale and clears Cancelled - but an event still queued
+// on e keeps its arena slot and has its heap entry re-keyed in place
+// instead of being removed and pushed again. Pacing timers re-armed on
+// every ACK use it.
+func (e *Engine) Reset(h *Event, delay time.Duration, fn func()) {
+	i := -1
+	if h.eng == e {
+		i = h.pos()
+	}
+	if i < 0 {
+		h.Cancel()
+		*h = e.Schedule(delay, fn)
+		return
+	}
+	if delay < 0 {
+		delay = 0
+	}
+	old := e.queue[i]
+	id := old.id()
+	e.slot(id).fn = fn
+	x := entry{at: e.now + delay, key: e.nextKey(id)}
+	mSched.Inc()
+	mReuse.Inc()
+	if x.less(old) {
+		e.up(i, x)
+	} else {
+		e.down(i, x)
+	}
+	*h = Event{eng: e, key: x.key}
 }
 
-// sweepMinDead is the floor below which cancelled events are simply left in
-// the heap to be discarded at pop time; above it, once cancelled events
-// occupy at least a quarter of the heap, one O(n) compaction removes them
-// all.
-const sweepMinDead = 64
-
-func (e *Engine) maybeSweep() {
-	if e.dead >= sweepMinDead && e.dead*4 >= len(e.queue) {
-		e.sweep()
+// nextKey draws the next sequence number and packs it over id.
+func (e *Engine) nextKey(id uint32) uint64 {
+	if e.seq == maxSeq {
+		panic("sim: more than 2^40 events scheduled on one engine (the heap key's sequence field is 40 bits)")
 	}
+	e.seq++
+	return e.seq<<idBits | uint64(id)
 }
 
-// sweep compacts the heap in place, dropping every cancelled event and
-// restoring the heap property. Pop order is unaffected: the (at, seq) key
-// is a total order, so any valid heap over the surviving set pops
-// identically.
-func (e *Engine) sweep() {
-	mSweeps.Inc()
-	kept := e.queue[:0]
-	for _, ev := range e.queue {
-		if ev.cancelled {
-			e.release(ev)
-		} else {
-			kept = append(kept, ev)
-		}
+// slot returns the arena slot of id.
+func (e *Engine) slot(id uint32) *event {
+	if id < inlineEvents {
+		return &e.inline[id]
 	}
-	for i := len(kept); i < len(e.queue); i++ {
-		e.queue[i] = nil
+	id -= inlineEvents
+	return &e.blocks[id>>blockBits][id&blockMask]
+}
+
+// alloc hands out a free arena slot, growing the arena by one block when
+// every slot is in use.
+func (e *Engine) alloc() (uint32, *event) {
+	if e.free >= 0 {
+		id := uint32(e.free)
+		ev := e.slot(id)
+		e.free = ev.next
+		mReuse.Inc()
+		return id, ev
 	}
-	for i, ev := range kept {
-		ev.index = i
+	id := uint32(e.slots)
+	if id > idMask {
+		panic("sim: more than 2^24 events queued on one engine (the heap key's id field is 24 bits)")
 	}
-	e.queue = kept
-	e.queue.init()
-	e.dead = 0
+	if id >= inlineEvents && (id-inlineEvents)&blockMask == 0 {
+		e.blocks = append(e.blocks, new([blockSize]event))
+	}
+	e.slots++
+	return id, e.slot(id)
 }
 
 // Stop makes Run and RunUntil return after the currently executing event.
@@ -268,24 +340,101 @@ func (e *Engine) RunUntil(t time.Duration) {
 	}
 }
 
-// step pops and executes the earliest event.
+// step pops and executes the earliest event. Its slot is freed before the
+// callback runs, so the callback may schedule into it.
 func (e *Engine) step() {
-	ev := e.queue.pop()
-	if ev.cancelled {
-		e.dead--
-		e.release(ev)
-		return
-	}
-	e.now = ev.at
+	at := e.queue[0].at
+	fn := e.removeAt(0)
+	e.now = at
 	e.executed++
-	fn := ev.fn
-	e.release(ev)
 	fn()
 }
 
-// Pending returns the number of events waiting in the queue, including
-// cancelled events that have not yet been discarded.
+// Pending returns the number of events waiting in the queue.
 func (e *Engine) Pending() int { return len(e.queue) }
+
+// removeAt deletes the heap entry at i, frees its arena slot and returns
+// the callback the slot held.
+func (e *Engine) removeAt(i int) func() {
+	id := e.queue[i].id()
+	n := len(e.queue) - 1
+	last := e.queue[n]
+	e.queue = e.queue[:n]
+	switch {
+	case i == n:
+	case last.less(e.queue[i]):
+		e.up(i, last)
+	default:
+		e.down(i, last)
+	}
+	ev := e.slot(id)
+	fn := ev.fn
+	ev.fn, ev.pos, ev.next = nil, -1, e.free
+	e.free = int32(id)
+	return fn
+}
+
+// up fills the hole at heap index i with x, sifting x toward the root; every
+// entry it moves has its slot's position updated.
+func (e *Engine) up(i int, x entry) {
+	q := e.queue
+	for i > 0 {
+		p := (i - 1) / 4
+		if !x.less(q[p]) {
+			break
+		}
+		q[i] = q[p]
+		e.slot(q[i].id()).pos = int32(i)
+		i = p
+	}
+	q[i] = x
+	e.slot(x.id()).pos = int32(i)
+}
+
+// down fills the hole at heap index i with x, sifting x toward the leaves.
+// A full group of four siblings is reduced as a two-round tournament, so
+// the second pair's pick does not wait on the first's.
+func (e *Engine) down(i int, x entry) {
+	q := e.queue
+	n := len(q)
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		var m int
+		var y entry
+		if c+4 <= n {
+			g := q[c : c+4 : c+4]
+			m0, y0 := pick(c, g[0], c+1, g[1])
+			m1, y1 := pick(c+2, g[2], c+3, g[3])
+			m, y = pick(m0, y0, m1, y1)
+		} else {
+			m, y = c, q[c]
+			for j := c + 1; j < n; j++ {
+				m, y = pick(m, y, j, q[j])
+			}
+		}
+		if !y.less(x) {
+			break
+		}
+		q[i] = y
+		e.slot(y.id()).pos = int32(i)
+		i = m
+	}
+	q[i] = x
+	e.slot(x.id()).pos = int32(i)
+}
+
+// pick returns (j, z) when z sorts before y and (m, y) otherwise. Which
+// sibling is smallest is data the branch predictor cannot learn, so the
+// choice is made with masks, not branches.
+func pick(m int, y entry, j int, z entry) (int, entry) {
+	k := z.lessMask(y)
+	y.at ^= (y.at ^ z.at) & time.Duration(k)
+	y.key ^= (y.key ^ z.key) & k
+	return m ^ (m^j)&int(k), y
+}
 
 // Ticker fires a callback at a fixed virtual-time interval until stopped.
 type Ticker struct {
@@ -321,86 +470,4 @@ func (e *Engine) Every(interval time.Duration, fn func()) *Ticker {
 func (t *Ticker) Stop() {
 	t.stopped = true
 	t.ev.Cancel()
-}
-
-// eventHeap is a 4-ary min-heap ordered by (at, seq). The wider node cuts
-// the tree depth in half versus a binary heap, trading slightly more
-// comparisons per level for far fewer levels (and cache misses) per sift.
-type eventHeap []*event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *eventHeap) push(ev *event) {
-	*h = append(*h, ev)
-	ev.index = len(*h) - 1
-	h.up(ev.index)
-}
-
-func (h *eventHeap) pop() *event {
-	old := *h
-	ev := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	old[0].index = 0
-	old[n] = nil
-	*h = old[:n]
-	if n > 0 {
-		h.down(0)
-	}
-	ev.index = -1
-	return ev
-}
-
-// init heapifies the slice bottom-up (used after a sweep compaction).
-func (h eventHeap) init() {
-	for i := (len(h) - 2) / 4; i >= 0; i-- {
-		h.down(i)
-	}
-}
-
-func (h eventHeap) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !h.less(i, parent) {
-			break
-		}
-		h.swap(i, parent)
-		i = parent
-	}
-}
-
-func (h eventHeap) down(i int) {
-	n := len(h)
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		smallest := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if h.less(c, smallest) {
-				smallest = c
-			}
-		}
-		if !h.less(smallest, i) {
-			break
-		}
-		h.swap(i, smallest)
-		i = smallest
-	}
-}
-
-func (h eventHeap) swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
 }

@@ -251,16 +251,15 @@ func TestCancelAfterFireStillReportsCancelled(t *testing.T) {
 	}
 }
 
-// TestLazySweepBoundsHeap checks that a heap accumulating many cancelled
-// events is compacted once they exceed the sweep fraction, instead of
-// retaining every tombstone until its timestamp comes due.
+// TestLazySweepBoundsHeap checks that cancelled events do not stay in the
+// heap until their timestamps come due: Cancel removes them at once.
 func TestLazySweepBoundsHeap(t *testing.T) {
 	e := New(1)
 	const total = 10000
 	events := make([]Event, 0, total)
 	for i := 0; i < total; i++ {
-		// Far-future events: without sweeping they would sit in the
-		// queue for the whole run.
+		// Far-future events: left in the queue as tombstones they
+		// would sit there for the whole run.
 		events = append(events, e.Schedule(time.Duration(i+1)*time.Hour, func() {}))
 	}
 	live := 0
@@ -271,8 +270,8 @@ func TestLazySweepBoundsHeap(t *testing.T) {
 		}
 		events[i].Cancel()
 	}
-	if e.Pending() >= total/2 {
-		t.Fatalf("Pending = %d after cancelling 90%% of %d events, want sweep to bound it", e.Pending(), total)
+	if e.Pending() != live {
+		t.Fatalf("Pending = %d after cancelling 90%% of %d events, want the %d live ones", e.Pending(), total, live)
 	}
 	fired := 0
 	for i := range events {
@@ -289,9 +288,9 @@ func TestLazySweepBoundsHeap(t *testing.T) {
 	}
 }
 
-// TestSweepPreservesPopOrder cancels interleaved events under enough
-// pressure to trigger compactions and checks the survivors still fire in
-// non-decreasing time order, exactly once each.
+// TestSweepPreservesPopOrder cancels every third of 2000 interleaved
+// events and checks the survivors still fire in non-decreasing time order,
+// exactly once each.
 func TestSweepPreservesPopOrder(t *testing.T) {
 	e := New(3)
 	var got []time.Duration
@@ -356,4 +355,36 @@ func BenchmarkTicker(b *testing.B) {
 	e.RunUntil(time.Duration(b.N) * time.Millisecond)
 	b.StopTimer()
 	tk.Stop()
+}
+
+// BenchmarkScheduleReset has the queue shape of a smoke-sweep job: about
+// 3,500 live events, each re-arming itself when it fires, and about 22 %
+// of all schedulings re-arming one of 64 pacing pumps through Reset. One
+// iteration executes one event.
+func BenchmarkScheduleReset(b *testing.B) {
+	const live, pumps = 3500, 64
+	e := New(1)
+	pump := make([]Event, pumps)
+	noop := func() {}
+	x := uint64(1) // LCG state: cheap, deterministic delays
+	var fire func()
+	fire = func() {
+		x = x*6364136223846793005 + 1442695040888963407
+		r := x >> 16
+		e.Schedule(time.Duration(1+r%1000)*time.Microsecond, fire)
+		if (r>>10)%100 < 28 { // 28 re-arms per 128 schedulings
+			e.Reset(&pump[(r>>17)%pumps], time.Duration(1+(r>>24)%500)*time.Microsecond, noop)
+		}
+	}
+	for i := 0; i < live-pumps; i++ {
+		e.Schedule(time.Duration(i%1000)*time.Microsecond, fire)
+	}
+	for k := range pump {
+		pump[k] = e.Schedule(time.Duration(k)*time.Microsecond, noop)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.step()
+	}
 }
