@@ -16,13 +16,16 @@
 //	pbesweep -benchdiff base_bench.txt cur_bench.txt  # go test -bench gate
 //	pbesweep -list                              # families, schemes, axes, built-in specs
 //
-// Results are bit-identical for any -workers value (every job runs on its
-// own seeded engine and rows land at their matrix index) and for any
+// Results are bit-identical for any -workers value (every job starts from
+// its own seeded engine state, on engines its worker recycles, and rows
+// land at their matrix index) and for any
 // -shards value (inside a sharded job, the shard topology and mailbox
 // merge order are fixed; -shards only sets how many shards advance
 // concurrently). The -obs flag enables the metrics registry for the run
 // and writes a snapshot next to the result; it never changes the result
-// bytes (CI enforces this).
+// bytes (CI enforces this). Two snapshot counters, sim.event_pool_reuse and
+// sim.packet_pool_reuse, depend on -workers: each worker reuses its engines
+// from job to job, so reuse depends on what a worker ran before.
 package main
 
 import (

@@ -34,10 +34,13 @@ const (
 )
 
 // rateWindow measures the incoming throughput over a sliding window, the
-// R_hat input to the AIMD controller.
+// R_hat input to the AIMD controller. samples[head:] are the window's
+// samples; expired ones are skipped by advancing head and compacted away
+// in bulk, so the backing array stops growing once it spans a window.
 type rateWindow struct {
 	window  time.Duration
 	samples []rateSample
+	head    int
 	bytes   int
 }
 
@@ -57,13 +60,13 @@ func (r *rateWindow) add(now time.Duration, bytes int) {
 }
 
 func (r *rateWindow) expire(now time.Duration) {
-	cut := 0
-	for cut < len(r.samples) && r.samples[cut].at < now-r.window {
-		r.bytes -= r.samples[cut].bytes
-		cut++
+	for r.head < len(r.samples) && r.samples[r.head].at < now-r.window {
+		r.bytes -= r.samples[r.head].bytes
+		r.head++
 	}
-	if cut > 0 {
-		r.samples = r.samples[cut:]
+	if r.head > 0 && r.head*2 >= len(r.samples) {
+		n := copy(r.samples, r.samples[r.head:])
+		r.samples, r.head = r.samples[:n], 0
 	}
 }
 
@@ -71,11 +74,11 @@ func (r *rateWindow) expire(now time.Duration) {
 // window has data).
 func (r *rateWindow) rate(now time.Duration) float64 {
 	r.expire(now)
-	if len(r.samples) == 0 {
+	if r.head == len(r.samples) {
 		return 0
 	}
 	span := r.window
-	if elapsed := now - r.samples[0].at; elapsed < span {
+	if elapsed := now - r.samples[r.head].at; elapsed < span {
 		// Window not yet full: avoid overestimating from a short span,
 		// but never divide by less than one burst interval.
 		if elapsed < burstInterval {

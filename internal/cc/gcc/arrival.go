@@ -90,12 +90,15 @@ func (t *trendline) update(arrival time.Duration, deltaMs float64) float64 {
 	} else {
 		t.smoothedDelay = trendlineSmoothing*t.smoothedDelay + (1-trendlineSmoothing)*t.accumDelayMs
 	}
+	if len(t.times) == trendlineWindow {
+		// Drop the oldest sample in place: the arrays keep their oldest-to-
+		// newest order (the slope sums depend on it) and never reallocate.
+		copy(t.times, t.times[1:])
+		copy(t.delays, t.delays[1:])
+		t.times, t.delays = t.times[:trendlineWindow-1], t.delays[:trendlineWindow-1]
+	}
 	t.times = append(t.times, float64((arrival-t.firstArrival).Microseconds())/1000)
 	t.delays = append(t.delays, t.smoothedDelay)
-	if len(t.times) > trendlineWindow {
-		t.times = t.times[1:]
-		t.delays = t.delays[1:]
-	}
 	return t.slope()
 }
 

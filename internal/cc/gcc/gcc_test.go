@@ -207,3 +207,49 @@ func TestREMBFeedbackInterface(t *testing.T) {
 		t.Fatalf("estimate %.0f did not grow from the start rate", rate)
 	}
 }
+
+// TestWindowsAllocateNothing pins the receive-rate window and the
+// trendline at zero allocations once warmed: expired samples are skipped
+// in place instead of re-sliced away, so append never reallocates.
+func TestWindowsAllocateNothing(t *testing.T) {
+	r := newRateWindow(500 * time.Millisecond)
+	var tl trendline
+	now := time.Duration(0)
+	step := func() {
+		now += time.Millisecond
+		r.add(now, 1200)
+		r.rate(now)
+		tl.update(now, 0.25)
+	}
+	batch := func() {
+		for i := 0; i < 5000; i++ {
+			step()
+		}
+	}
+	// One measured batch after one warm-up batch: every allocation counts
+	// (a per-step average would round the periodic reallocations away).
+	if n := testing.AllocsPerRun(1, batch); n != 0 {
+		t.Fatalf("5000 warmed add/rate/update steps allocate %v times, want 0", n)
+	}
+}
+
+// TestTrendlineKeepsNewestWindow checks the in-place shift against the
+// least-squares fit over exactly the newest trendlineWindow samples, in
+// oldest-to-newest order, bit for bit.
+func TestTrendlineKeepsNewestWindow(t *testing.T) {
+	var tl trendline
+	var ts, ds []float64
+	for i := 0; i < 3*trendlineWindow; i++ {
+		at := time.Duration(i*7) * time.Millisecond
+		got := tl.update(at, float64(i%5)-1.5)
+		ts = append(ts, float64(at.Microseconds())/1000)
+		ds = append(ds, tl.smoothedDelay)
+		if len(ts) > trendlineWindow {
+			ts, ds = ts[1:], ds[1:]
+		}
+		ref := trendline{times: ts, delays: ds}
+		if want := ref.slope(); got != want {
+			t.Fatalf("sample %d: slope %v, want %v", i, got, want)
+		}
+	}
+}

@@ -116,6 +116,12 @@ type sentPkt struct {
 // flow whose in-flight window outgrows it doubles the ring.
 const initialWindow = 64
 
+// ringKey is the engine-local stock of sent-packet rings: a sender built
+// on a recycled engine starts with the ring a sender of the previous run
+// grew. Any power-of-two ring works - every slot of [base, nextSeq] is
+// written before it is read - so a larger ring only means fewer doublings.
+var ringKey = sim.NewLocalKey()
+
 // lossSweepInterval is how often the in-flight list is scanned for
 // timed-out packets.
 const lossSweepInterval = 5 * time.Millisecond
@@ -135,9 +141,13 @@ func NewSender(eng *sim.Engine, flowID int, out netsim.Handler, ctrl Controller)
 		ctrl:   ctrl,
 		mss:    netsim.MSS,
 		base:   1,
-		ring:   make([]sentPkt, initialWindow),
 		pool:   netsim.PoolOf(eng),
 	}
+	rings := sim.StockOf[sentPkt](eng, ringKey)
+	if s.ring = rings.Take(); s.ring == nil {
+		s.ring = make([]sentPkt, initialWindow)
+	}
+	rings.Keep(&s.ring)
 	s.pumpFn = s.pump
 	return s
 }

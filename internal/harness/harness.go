@@ -295,7 +295,9 @@ type FlowResult struct {
 	pbe     *core.Client
 }
 
-// Result is a completed scenario.
+// Result is a completed scenario. A result from Arena.Run is valid until it
+// is handed back with Arena.Reclaim: its delay samples, series and engines
+// then belong to the arena's next run, so read everything needed first.
 type Result struct {
 	Scenario *Scenario
 	Flows    []*FlowResult
@@ -323,12 +325,18 @@ type Result struct {
 	// Fluid aggregates the fluid background tier's offered/served load
 	// when Scenario.Fluid was set (nil otherwise).
 	Fluid *fluid.Stats
+
+	cluster *sim.Cluster // what Arena.Reclaim recycles
 }
 
-// Run executes the scenario and collects per-flow statistics.
-func Run(sc *Scenario) *Result {
-	pl := newPlacement(sc)
-	res := &Result{Scenario: sc, PRBSamples: map[int][]float64{}}
+// Run executes the scenario and collects per-flow statistics. It runs on a
+// throwaway arena: the path is the one Arena.Run takes, and the result is
+// never handed back.
+func Run(sc *Scenario) *Result { return NewArena().Run(sc) }
+
+func run(sc *Scenario, a *Arena) *Result {
+	pl := newPlacement(sc, a)
+	res := &Result{Scenario: sc, PRBSamples: map[int][]float64{}, cluster: pl.cluster}
 
 	// LTE and NR cells share one ID namespace (the monitor tracks both
 	// RATs in one table) and, past construction, one type.
@@ -509,9 +517,11 @@ func Run(sc *Scenario) *Result {
 		if stop == 0 {
 			stop = end
 		}
-		var delay stats.DelayDist = &stats.DurationSeries{}
+		var delay stats.DelayDist
 		if sc.StreamStats {
 			delay = stats.NewDurationP2()
+		} else {
+			delay = a.delaySeries()
 		}
 		fr := &FlowResult{ID: fs.ID, Scheme: fs.Scheme,
 			Tput: &stats.Series{}, Delay: delay}

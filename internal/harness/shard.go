@@ -27,8 +27,8 @@ type placement struct {
 	core    *sim.Shard
 }
 
-func newPlacement(sc *Scenario) *placement {
-	cl := sim.NewCluster(sc.Seed)
+func newPlacement(sc *Scenario, a *Arena) *placement {
+	cl := a.cluster(sc.Seed)
 	workers := sc.Shards
 	if workers < 1 {
 		workers = 1
@@ -38,7 +38,7 @@ func newPlacement(sc *Scenario) *placement {
 		cl.SetRecorder(obs.NewRecorder())
 	}
 	if sc.Series {
-		cl.SetSeriesRecorder(obs.NewSeriesRecorder())
+		cl.SetSeriesRecorder(a.seriesRecorder())
 	}
 	pl := &placement{cluster: cl, byCell: map[int]*sim.Shard{}}
 
@@ -140,5 +140,5 @@ func (pl *placement) ueShard(us *UESpec) *sim.Shard {
 // ShardCount reports how many shards a scenario's topology yields,
 // exposed for tests and capacity planning.
 func (sc *Scenario) ShardCount() int {
-	return len(newPlacement(sc).cluster.Shards())
+	return len(newPlacement(sc, NewArena()).cluster.Shards())
 }

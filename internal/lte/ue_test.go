@@ -263,3 +263,70 @@ func TestSubframeReportHelpers(t *testing.T) {
 		t.Fatalf("helpers wrong: %d/%d", rep.AllocatedPRBs(), rep.IdlePRBs())
 	}
 }
+
+// TestSingleCarrierUEArmsNoTicker: a device whose carrier set cannot
+// change schedules nothing; its activation ticker appears with the second
+// carrier, even one added after Start.
+func TestSingleCarrierUEArmsNoTicker(t *testing.T) {
+	eng := sim.New(1)
+	primary := NewCell(eng, 1, 100, phy.Table64QAM, nil)
+	secondary := NewCell(eng, 2, 100, phy.Table64QAM, nil)
+	ue := NewUE(eng, 1, 61)
+	ue.AddCell(primary, phy.NewStaticChannel(-93, phy.Table64QAM, nil))
+	before := eng.Pending()
+	ue.Start()
+	if got := eng.Pending(); got != before {
+		t.Fatalf("single-carrier Start left %d events pending, want %d", got, before)
+	}
+	ue.AddCell(secondary, phy.NewStaticChannel(-93, phy.Table64QAM, nil))
+	if got := eng.Pending(); got != before+1 {
+		t.Fatalf("second carrier after Start: %d events pending, want %d", got, before+1)
+	}
+	ue.Stop()
+	if got := eng.Pending(); got != before {
+		t.Fatalf("after Stop: %d events pending, want %d", got, before)
+	}
+}
+
+// TestSecondCarrierAfterStartActivatesAlike: a secondary carrier added
+// after Start activates (and the device delivers) exactly as one
+// configured before Start.
+func TestSecondCarrierAfterStartActivatesAlike(t *testing.T) {
+	type outcome struct {
+		activatedAt         time.Duration
+		activations, deacts uint64
+		delivered           uint64
+	}
+	run := func(addAfterStart bool) outcome {
+		eng := sim.New(21)
+		primary := NewCell(eng, 1, 100, phy.Table64QAM, nil)
+		secondary := NewCell(eng, 2, 100, phy.Table64QAM, nil)
+		ue := NewUE(eng, 1, 61)
+		ue.AddCell(primary, phy.NewStaticChannel(-93, phy.Table64QAM, nil))
+		if addAfterStart {
+			ue.Start()
+		}
+		ue.AddCell(secondary, phy.NewStaticChannel(-93, phy.Table64QAM, nil))
+		if !addAfterStart {
+			ue.Start()
+		}
+		ue.SetDefaultHandler(&collector{})
+		var o outcome
+		ue.OnActiveChange(func(active []*Cell) {
+			if len(active) == 2 && o.activatedAt == 0 {
+				o.activatedAt = eng.Now()
+			}
+		})
+		netsim.NewCrossTraffic(eng, ue, 40e6, 1).Start()
+		eng.RunUntil(time.Second)
+		o.activations, o.deacts, o.delivered = ue.Activations, ue.Deactivations, ue.Delivered
+		return o
+	}
+	before, after := run(false), run(true)
+	if before.activations == 0 {
+		t.Fatal("secondary never activated under overload")
+	}
+	if before != after {
+		t.Fatalf("added after Start: %+v, configured before Start: %+v", after, before)
+	}
+}

@@ -70,10 +70,19 @@ type Link struct {
 	queueTrack *obs.SeriesTrack
 }
 
+// queueKey is the engine-local stock of link queue and pending-ring
+// storage: a link built on a recycled engine starts with the backing arrays
+// a link of the previous run grew.
+var queueKey = sim.NewLocalKey()
+
 // NewLink returns a link that delivers packets to dst.
 func NewLink(eng *sim.Engine, rateBps float64, delay time.Duration, queueBytes int, dst Handler) *Link {
 	l := &Link{eng: eng, RateBps: rateBps, Delay: delay, QueueBytes: queueBytes, dst: dst}
 	l.pool = PoolOf(eng)
+	stock := sim.StockOf[*Packet](eng, queueKey)
+	l.queue, l.pending = stock.Take()[:0], stock.Take()[:0]
+	stock.Keep(&l.queue)
+	stock.Keep(&l.pending)
 	l.txDone = func() {
 		p := l.txPkt
 		l.txPkt = nil

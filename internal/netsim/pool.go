@@ -43,19 +43,34 @@ func SetPooling(on bool) (prev bool) {
 // engine it is running on; cross-shard packets thereby migrate between
 // shard pools without synchronization, because release rewrites the
 // packet's pool binding while holding the only live reference.
+//
+// The pool survives its engine's Recycle: the slab records every packet
+// the pool created, and Recycle takes back the ones the run touched -
+// including packets still queued or in flight, whose generation it bumps
+// so no handle from the run stays live - while dropping the rest.
 type PacketPool struct {
 	free []*Packet
+
+	// slab is every packet this pool created and still owns. After a
+	// Recycle the free list equals the slab, so the free list's low-water
+	// mark since then bounds what the run touched: free[:low] still holds
+	// slab[:low], untouched, and slab[low:] were handed out.
+	slab []*Packet
+	low  int
 }
+
+// poolKey is the engine-local slot of the engine's packet pool.
+var poolKey = sim.NewLocalKey()
 
 // PoolOf returns eng's packet pool, installing one on first use. The
 // engine owns the slot, so every subsystem sharing an engine shares one
 // free list.
 func PoolOf(eng *sim.Engine) *PacketPool {
-	if p, ok := eng.PacketPool().(*PacketPool); ok {
+	if p, ok := eng.Local(poolKey).(*PacketPool); ok {
 		return p
 	}
 	p := &PacketPool{}
-	eng.SetPacketPool(p)
+	eng.SetLocal(poolKey, p)
 	return p
 }
 
@@ -66,11 +81,14 @@ func (pp *PacketPool) Get() *Packet {
 	}
 	n := len(pp.free)
 	if n == 0 {
-		return &Packet{pool: pp}
+		p := &Packet{pool: pp}
+		pp.slab = append(pp.slab, p)
+		return p
 	}
 	p := pp.free[n-1]
 	pp.free[n-1] = nil
 	pp.free = pp.free[:n-1]
+	pp.low = min(pp.low, n-1)
 	mPktReuse.Inc()
 	gen := p.gen
 	*p = Packet{}
@@ -94,6 +112,29 @@ func (pp *PacketPool) Release(p *Packet) {
 	p.pooled = true
 	p.pool = pp
 	pp.free = append(pp.free, p)
+}
+
+// Recycle implements sim.Recycler: every packet the run took from the
+// slab returns to the free list - one still held elsewhere first has its
+// generation bumped, so its handles go stale - and the free list becomes
+// the slab again. Untouched packets and packets other pools created are
+// dropped, so the pool keeps one run's working set. The cost is O(packets
+// the run touched).
+func (pp *PacketPool) Recycle() {
+	used := pp.slab[pp.low:]
+	for _, p := range used {
+		if !p.pooled {
+			p.gen++
+			p.pooled = true
+		}
+		p.pool = pp
+	}
+	n := copy(pp.slab, used)
+	clear(pp.slab[n:])
+	pp.slab = pp.slab[:n]
+	clear(pp.free)
+	pp.free = append(pp.free[:0], pp.slab...)
+	pp.low = n
 }
 
 // ReleaseAll releases every packet in ps and zeroes the slice's

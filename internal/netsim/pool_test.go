@@ -113,3 +113,64 @@ func TestPacketPoolCrossPoolAdoption(t *testing.T) {
 		t.Fatal("origin pool must not also hold the packet")
 	}
 }
+
+// TestPacketPoolRecycle: recycling the engine takes back every packet the
+// run took from the pool - released or still held - and handles to them
+// stay stale even once the next run is handed the same packets; that run
+// allocates nothing, and a run that needs fewer leaves the pool holding
+// only those. Packets adopted from another pool go back to their maker.
+func TestPacketPoolRecycle(t *testing.T) {
+	eng := sim.New(1)
+	pp := PoolOf(eng)
+	var ps []*Packet
+	var hs []PacketHandle
+	for i := 0; i < 6; i++ {
+		p := pp.Get()
+		ps, hs = append(ps, p), append(hs, HandleOf(p))
+	}
+	pp.Release(ps[0])
+	pp.Release(ps[1]) // ps[2:] are still queued or in flight at the end
+	other := PoolOf(sim.New(2))
+	foreign := other.Get()
+	pp.Release(foreign)
+
+	eng.Recycle()
+	if len(pp.free) != 6 || len(pp.slab) != 6 {
+		t.Fatalf("after recycle: %d free, slab %d; want the run's 6 packets", len(pp.free), len(pp.slab))
+	}
+	mine := map[*Packet]bool{}
+	for _, p := range ps {
+		mine[p] = true
+	}
+	var again []*Packet
+	for i := 0; i < 6; i++ {
+		p := pp.Get()
+		if !mine[p] {
+			t.Fatal("the next run got a packet the pool did not take back")
+		}
+		again = append(again, p)
+	}
+	for i, h := range hs {
+		if h.Live() {
+			t.Fatalf("handle %d from the previous run is live in the next", i)
+		}
+	}
+
+	// The next run releases two and holds the rest; the one after touches
+	// only two packets, so the other four are dropped.
+	pp.Release(again[0])
+	pp.Release(again[1])
+	eng.Recycle()
+	a, b := pp.Get(), pp.Get()
+	pp.Release(a)
+	_ = b // still held at the end
+	eng.Recycle()
+	if len(pp.slab) != 2 || len(pp.free) != 2 {
+		t.Fatalf("after a smaller run: slab %d, free %d; want 2", len(pp.slab), len(pp.free))
+	}
+	for _, p := range pp.free {
+		if p == foreign || !p.pooled || p.pool != pp {
+			t.Fatal("free list holds a packet this pool does not own")
+		}
+	}
+}

@@ -151,7 +151,14 @@ func (b *SeriesBuffer) Track(def *SeriesDef, tid int) *SeriesTrack {
 	if t, ok := b.tracks[k]; ok {
 		return t
 	}
-	t := &SeriesTrack{buf: b, def: def, tid: tid}
+	var t *SeriesTrack
+	if n := len(b.order); n < cap(b.order) {
+		t = b.order[:n+1][n] // a track of the buffer's previous run, if any
+	}
+	if t == nil {
+		t = new(SeriesTrack)
+	}
+	*t = SeriesTrack{buf: b, def: def, tid: tid}
 	b.tracks[k] = t
 	b.order = append(b.order, t)
 	return t
@@ -256,10 +263,28 @@ func (t *SeriesTrack) flush() {
 
 // SeriesRecorder collects one run's series: one buffer per shard, drained
 // at the cluster's serial phases, merged into a deterministic stream.
+// Reset readies it for another run on the storage this one grew.
 type SeriesRecorder struct {
 	bufCap  int
 	points  []SeriesPoint
 	Dropped uint64 // points lost to ring overwrites across all shards
+
+	// bufs are the buffers NewBuffer handed out; after a Reset, bufs[next:]
+	// are the previous run's, reused in order by the next NewBuffer calls.
+	bufs []*SeriesBuffer
+	next int
+}
+
+// Reset empties the recorder for another run, keeping its point storage
+// and the shard buffers - rings, track maps and tracks - for the next run's
+// NewBuffer calls. Buffers the previous run did not need are dropped.
+// Nothing the previous run handed out may be used afterwards.
+func (r *SeriesRecorder) Reset() {
+	clear(r.bufs[r.next:])
+	r.bufs = r.bufs[:r.next]
+	r.next = 0
+	r.points = r.points[:0]
+	r.Dropped = 0
 }
 
 // NewSeriesRecorder returns a recorder whose shard buffers hold
@@ -275,13 +300,24 @@ func (r *SeriesRecorder) SetBufferCap(n int) {
 	r.bufCap = n
 }
 
-// NewBuffer creates the series buffer for shard pid.
+// NewBuffer creates the series buffer for shard pid, on a buffer of the
+// previous run when Reset kept one.
 func (r *SeriesRecorder) NewBuffer(pid int) *SeriesBuffer {
-	return &SeriesBuffer{
+	if r.next < len(r.bufs) {
+		b := r.bufs[r.next]
+		r.next++
+		clear(b.tracks)
+		*b = SeriesBuffer{pid: pid, bufCap: r.bufCap, ring: b.ring[:0], tracks: b.tracks, order: b.order[:0]}
+		return b
+	}
+	b := &SeriesBuffer{
 		pid:    pid,
 		bufCap: r.bufCap,
 		tracks: map[seriesKey]*SeriesTrack{},
 	}
+	r.bufs = append(r.bufs, b)
+	r.next = len(r.bufs)
+	return b
 }
 
 // Drain moves the buffer's flushed points (oldest first) into the

@@ -47,13 +47,19 @@ func BERFromRSSI(rssiDBm float64) float64 {
 // bits is received in error, 1-(1-p)^L, computed in log space for numerical
 // stability at small p and large L.
 func TBErrorRate(ber float64, sizeBits int) float64 {
+	return tbErrorRate(ber, math.Log1p(-ber), sizeBits)
+}
+
+// tbErrorRate is TBErrorRate with log1p(-ber) supplied by the caller, so
+// a solver trying many sizes at one BER takes the logarithm once.
+func tbErrorRate(ber, log1pNegBER float64, sizeBits int) float64 {
 	if sizeBits <= 0 || ber <= 0 {
 		return 0
 	}
 	if ber >= 1 {
 		return 1
 	}
-	return -math.Expm1(float64(sizeBits) * math.Log1p(-ber))
+	return -math.Expm1(float64(sizeBits) * log1pNegBER)
 }
 
 // ProtocolOverhead is the fraction of physical-layer capacity consumed by
@@ -66,16 +72,25 @@ const ProtocolOverhead = 0.068
 //
 //	C_p = C_t + C_t*(1-(1-p)^L) + gamma*C_p,  L = C_t (bits in one subframe)
 //
-// The equation is solved by bisection on C_t in [0, C_p].
+// The equation is solved by bisection on C_t in [0, C_p]. The error rate
+// depends on C_t only through its integer bit count, which stops changing
+// once the bracket is narrower than a bit, so each count's rate is
+// computed once (and the logarithm once per call): the result is
+// bit-identical to evaluating TBErrorRate at every step.
 func TransportFromPhysical(cp float64, ber float64) float64 {
 	if cp <= 0 {
 		return 0
 	}
 	budget := cp * (1 - ProtocolOverhead)
+	logq := math.Log1p(-ber)
+	lastBits, lastRate := -1, 0.0
 	lo, hi := 0.0, budget
 	for i := 0; i < 60 && hi-lo > 1e-9*budget; i++ {
 		ct := (lo + hi) / 2
-		need := ct * (1 + TBErrorRate(ber, int(ct)))
+		if bits := int(ct); bits != lastBits {
+			lastBits, lastRate = bits, tbErrorRate(ber, logq, bits)
+		}
+		need := ct * (1 + lastRate)
 		if need > budget {
 			hi = ct
 		} else {

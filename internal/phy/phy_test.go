@@ -340,3 +340,63 @@ func BenchmarkTranslationTableLookup(b *testing.B) {
 		tab.Transport(float64(i%200) * 1000)
 	}
 }
+
+// tbErrorRateRef and transportFromPhysicalRef are the Eqn 5 solver as
+// first written: TBErrorRate, logarithm included, at every bisection step.
+func tbErrorRateRef(ber float64, sizeBits int) float64 {
+	if sizeBits <= 0 || ber <= 0 {
+		return 0
+	}
+	if ber >= 1 {
+		return 1
+	}
+	return -math.Expm1(float64(sizeBits) * math.Log1p(-ber))
+}
+
+func transportFromPhysicalRef(cp float64, ber float64) float64 {
+	if cp <= 0 {
+		return 0
+	}
+	budget := cp * (1 - ProtocolOverhead)
+	lo, hi := 0.0, budget
+	for i := 0; i < 60 && hi-lo > 1e-9*budget; i++ {
+		ct := (lo + hi) / 2
+		need := ct * (1 + tbErrorRateRef(ber, int(ct)))
+		if need > budget {
+			hi = ct
+		} else {
+			lo = ct
+		}
+	}
+	return (lo + hi) / 2
+}
+
+// TestTransportFromPhysicalBitExact holds the solver, which computes the
+// logarithm once and each bit count's error rate once, to the reference
+// bit for bit over a grid of capacities and error rates - including cp <= 0,
+// capacities below one bit, and the guarded BERs 0, 1 and 2.
+func TestTransportFromPhysicalBitExact(t *testing.T) {
+	bers := []float64{0, 1, 2, -1e-6, 1e-9, 1e-7, 1e-6, 2.5e-6, 5e-6, 1e-5, 1e-4, 1e-3, 0.01, 0.1, 0.5, 0.999}
+	cps := []float64{-100, -1e-9, 0, 1e-12, 0.3, 0.999, 1, 1.07, 1.5, 2, 3.3, 17}
+	for cp := 10.0; cp < 2e6; cp *= 1.37 {
+		cps = append(cps, cp, cp+0.5, math.Nextafter(cp, 0))
+	}
+	n := 0
+	for _, ber := range bers {
+		for _, cp := range cps {
+			got, want := TransportFromPhysical(cp, ber), transportFromPhysicalRef(cp, ber)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("TransportFromPhysical(%v, %v) = %v, reference %v", cp, ber, got, want)
+			}
+			for _, bits := range []int{-1, 0, 1, int(cp)} {
+				if got, want := TBErrorRate(ber, bits), tbErrorRateRef(ber, bits); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("TBErrorRate(%v, %d) = %v, reference %v", ber, bits, got, want)
+				}
+			}
+			n++
+		}
+	}
+	if n < 1000 {
+		t.Fatalf("grid has %d cases, want at least 1000", n)
+	}
+}

@@ -196,6 +196,11 @@ type tbDelivery struct {
 	ok   bool
 }
 
+// queueKey is the engine-local stock of per-user queue storage: an
+// attachment made on a recycled engine starts with the backing array an
+// attachment of the previous run grew.
+var queueKey = sim.NewLocalKey()
+
 // NewCell creates a cell and starts its slot ticker on the engine.
 func NewCell(eng *sim.Engine, cfg CellConfig) *Cell {
 	c := &Cell{
@@ -257,6 +262,9 @@ func (c *Cell) attach(ue *UE, rnti uint16, ch *phy.Channel) *cellUser {
 		panic("ran: duplicate RNTI on cell")
 	}
 	u := &cellUser{cell: c, rnti: rnti, ue: ue, ch: ch}
+	queues := sim.StockOf[*netsim.Packet](c.eng, queueKey)
+	u.queue = queues.Take()[:0]
+	queues.Keep(&u.queue)
 	c.users = append(c.users, u)
 	c.byRNTI[rnti] = u
 	return u

@@ -63,6 +63,7 @@ type UE struct {
 	// semi-statically configured and therefore all active.
 	act       *Activation
 	caEnabled bool
+	started   bool
 	ticker    *sim.Ticker
 
 	// Counters.
@@ -141,16 +142,26 @@ func (u *UE) AddCell(c *Cell, ch *phy.Channel) {
 	if u.act == nil || u.active == 0 {
 		u.active++
 	}
+	u.armTicker()
 }
 
 // SetCarrierAggregation enables or disables secondary-cell activation
 // (disabled models a device like the paper's Redmi 8 with one carrier).
 func (u *UE) SetCarrierAggregation(on bool) { u.caEnabled = on }
 
-// Start begins the per-subframe carrier-aggregation bookkeeping; a device
-// without dynamic carrier aggregation needs none.
+// Start begins the per-subframe carrier-aggregation bookkeeping. A device
+// without dynamic carrier aggregation needs none, and neither does one
+// with a single carrier, whose active set cannot change: its ticker is
+// armed when a second carrier is added.
 func (u *UE) Start() {
-	if u.act == nil || u.ticker != nil {
+	u.started = true
+	u.armTicker()
+}
+
+// armTicker starts the activation ticker once the device is started with
+// two or more carriers under dynamic carrier aggregation.
+func (u *UE) armTicker() {
+	if !u.started || u.act == nil || u.ticker != nil || len(u.cells) < 2 {
 		return
 	}
 	u.ticker = u.eng.Every(time.Millisecond, u.tick)
@@ -158,6 +169,7 @@ func (u *UE) Start() {
 
 // Stop halts the UE's ticker.
 func (u *UE) Stop() {
+	u.started = false
 	if u.ticker != nil {
 		u.ticker.Stop()
 		u.ticker = nil

@@ -64,6 +64,7 @@ type JitterBuffer struct {
 	next    uint64 // next frame seq to release
 	started bool
 	pending map[uint64]*pendingFrame
+	spare   []*pendingFrame // released or abandoned frames, seen maps cleared on reuse
 
 	lastRelease time.Duration
 
@@ -120,15 +121,13 @@ func (jb *JitterBuffer) Add(now time.Duration, p *netsim.Packet) {
 	}
 	pf := jb.pending[m.FrameSeq]
 	if pf == nil {
-		pf = &pendingFrame{
-			frame: Frame{
-				Seq:        m.FrameSeq,
-				Layer:      int(m.Layer),
-				Bytes:      m.FrameBytes,
-				Keyframe:   m.Keyframe,
-				CapturedAt: m.CapturedAt,
-			},
-			seen: map[int]bool{},
+		pf = jb.newFrame()
+		pf.frame = Frame{
+			Seq:        m.FrameSeq,
+			Layer:      int(m.Layer),
+			Bytes:      m.FrameBytes,
+			Keyframe:   m.Keyframe,
+			CapturedAt: m.CapturedAt,
 		}
 		jb.pending[m.FrameSeq] = pf
 	}
@@ -141,12 +140,34 @@ func (jb *JitterBuffer) Add(now time.Duration, p *netsim.Packet) {
 		return
 	}
 	pf.complete = true
-	jb.releaseReady(now)
-	if jb.pending[pf.frame.Seq] != nil && pf.frame.Seq > jb.next {
+	seq := pf.frame.Seq
+	jb.releaseReady(now) // may recycle pf
+	if jb.pending[seq] != nil && seq > jb.next {
 		// This frame is ready but an older gap blocks it: give the gap
 		// skipWait to fill, then abandon it.
-		seq := pf.frame.Seq
 		jb.eng.Schedule(skipWait, func() { jb.skipTo(seq) })
+	}
+}
+
+// newFrame returns an empty pending frame, recycled from the spare list
+// when one is there: steady-state playout allocates nothing per frame.
+func (jb *JitterBuffer) newFrame() *pendingFrame {
+	n := len(jb.spare)
+	if n == 0 {
+		return &pendingFrame{seen: map[int]bool{}}
+	}
+	pf := jb.spare[n-1]
+	jb.spare = jb.spare[:n-1]
+	clear(pf.seen)
+	*pf = pendingFrame{seen: pf.seen}
+	return pf
+}
+
+// drop removes frame seq from the pending set and keeps its storage.
+func (jb *JitterBuffer) drop(seq uint64) {
+	if pf := jb.pending[seq]; pf != nil {
+		delete(jb.pending, seq)
+		jb.spare = append(jb.spare, pf)
 	}
 }
 
@@ -176,10 +197,11 @@ func (jb *JitterBuffer) release(now time.Duration, pf *pendingFrame) {
 		}
 	}
 	jb.lastRelease = now
-	delete(jb.pending, pf.frame.Seq)
-	jb.next = pf.frame.Seq + 1
+	f := pf.frame
+	jb.drop(f.Seq)
+	jb.next = f.Seq + 1
 	if jb.OnFrame != nil {
-		jb.OnFrame(pf.frame, delay)
+		jb.OnFrame(f, delay)
 	}
 }
 
@@ -198,7 +220,7 @@ func (jb *JitterBuffer) skipTo(seq uint64) {
 			jb.release(now, pf)
 			continue
 		}
-		delete(jb.pending, jb.next)
+		jb.drop(jb.next)
 		jb.stats.Skipped++
 		jb.next++
 	}

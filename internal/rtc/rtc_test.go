@@ -268,3 +268,39 @@ func TestStreamPlayer(t *testing.T) {
 		t.Fatalf("rebuffer %v out of range", rebuffer)
 	}
 }
+
+// TestJitterBufferAddAllocatesNothing pins steady-state playout: once the
+// buffer has recycled a few frames (and its delay series has room), adding
+// packets and releasing frames allocates nothing.
+func TestJitterBufferAddAllocatesNothing(t *testing.T) {
+	eng := sim.New(1)
+	jb := NewJitterBuffer(eng, MediaSpec{})
+	p := &netsim.Packet{Size: 1000, Media: netsim.MediaInfo{FrameBytes: 2000}}
+	var seq uint64
+	frame := func() {
+		now := time.Duration(seq) * 33 * time.Millisecond
+		p.Media.FrameSeq, p.Media.CapturedAt = seq, now
+		p.Media.Offset = 0
+		jb.Add(now, p)
+		p.Media.Offset = 1000
+		jb.Add(now, p)
+		seq++
+	}
+	for i := 0; i < 4096; i++ {
+		frame()
+	}
+	jb.stats.Delay.Reset() // room for the measured frames
+	// One run of a 1000-frame batch (after one warm-up batch) counts every
+	// allocation: AllocsPerRun's per-run average would round rare ones away.
+	batch := func() {
+		for i := 0; i < 1000; i++ {
+			frame()
+		}
+	}
+	if n := testing.AllocsPerRun(1, batch); n != 0 {
+		t.Fatalf("1000 warmed frames allocate %v times, want 0", n)
+	}
+	if jb.Stats().Released != 4096+2000 {
+		t.Fatalf("released %d frames, want %d", jb.Stats().Released, 4096+2000)
+	}
+}

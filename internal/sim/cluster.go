@@ -84,6 +84,10 @@ type Cluster struct {
 	// series the same way: per-shard rings, drained at every window
 	// barrier, merged by (window, shard, seq).
 	srec *obs.SeriesRecorder
+
+	// spare holds recycled engines of an earlier run (Reuse); AddShard
+	// reseeds them, in order, before it constructs new ones.
+	spare []*Engine
 }
 
 // NewCluster returns an empty cluster. Shard engine seeds derive from
@@ -111,7 +115,17 @@ func shardSeed(seed int64, id int) int64 {
 // the cluster seed and the shard's index.
 func (c *Cluster) AddShard() *Shard {
 	id := len(c.shards)
-	s := &Shard{Engine: New(shardSeed(c.seed, id)), id: id, cluster: c}
+	var e *Engine
+	if len(c.spare) > 0 {
+		e, c.spare = c.spare[0], c.spare[1:]
+		if e.seq != 0 || e.now != 0 {
+			panic("sim: Reuse of an engine that was not recycled")
+		}
+		e.reseed(shardSeed(c.seed, id))
+	} else {
+		e = New(shardSeed(c.seed, id))
+	}
+	s := &Shard{Engine: e, id: id, cluster: c}
 	if c.rec != nil {
 		s.Engine.SetObsBuffer(c.rec.NewBuffer(id))
 	}
@@ -121,6 +135,13 @@ func (c *Cluster) AddShard() *Shard {
 	c.shards = append(c.shards, s)
 	return s
 }
+
+// Reuse hands the cluster engines an earlier run is done with, each
+// already recycled (Engine.Recycle): AddShard reseeds them, in order, to
+// the shard's seed before it constructs new ones. A reused shard starts in
+// exactly the state a new one would, so reuse changes where memory comes
+// from, never results.
+func (c *Cluster) Reuse(engines []*Engine) { c.spare = engines }
 
 // SetRecorder attaches a trace recorder: every shard (existing and
 // future) gets a ring buffer keyed by its id. Tracing changes what is

@@ -245,3 +245,117 @@ func TestClusterWindowSyncAllocs(t *testing.T) {
 		t.Errorf("workers=4 allocates %.0f/op, more than 2x workers=1 (%.0f/op)", a4, a1)
 	}
 }
+
+// TestRecycledEngineRunsLikeNew: an engine recycled after a run that left
+// a ticker, one-shots and a re-armed handle queued, then reseeded, replays
+// a workload exactly like a new engine with that seed - same times, same
+// order, same random draws.
+func TestRecycledEngineRunsLikeNew(t *testing.T) {
+	workload := func(e *Engine) []string {
+		var log []string
+		var h Event
+		for i := 0; i < 50; i++ {
+			i := i
+			e.Schedule(time.Duration(e.Rand().Intn(40))*time.Millisecond, func() {
+				log = append(log, fmt.Sprintf("%v %d %d", e.Now(), i, e.Rand().Int63()))
+				e.Reset(&h, 2*time.Millisecond, func() { log = append(log, fmt.Sprintf("%v reset", e.Now())) })
+			})
+		}
+		e.Every(3*time.Millisecond, func() { log = append(log, fmt.Sprintf("%v tick", e.Now())) })
+		e.RunUntil(25 * time.Millisecond)
+		return log
+	}
+	want := workload(New(7))
+	e := New(99)
+	workload(e)
+	if e.Pending() == 0 {
+		t.Fatal("the dirty run should leave events queued")
+	}
+	e.Recycle()
+	if e.Now() != 0 || e.Pending() != 0 || e.Executed() != 0 {
+		t.Fatalf("recycled engine: now %v, %d pending, %d executed", e.Now(), e.Pending(), e.Executed())
+	}
+	e.reseed(7)
+	if got := workload(e); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recycled engine diverged from a new one:\n got  %v\n want %v", got, want)
+	}
+}
+
+// TestClusterReusesRecycledEngines: AddShard takes the engines handed to
+// Reuse in order, reseeded to the new cluster's shard seeds, then builds
+// new ones; an engine that was not recycled is refused.
+func TestClusterReusesRecycledEngines(t *testing.T) {
+	old := NewCluster(5)
+	a, b := old.AddShard(), old.AddShard()
+	a.Every(time.Millisecond, func() {})
+	b.Schedule(time.Second, func() {})
+	old.RunUntil(10 * time.Millisecond)
+	engines := []*Engine{a.Engine, b.Engine}
+	for _, e := range engines {
+		e.Recycle()
+	}
+	cl := NewCluster(9)
+	cl.Reuse(engines)
+	for i := 0; i < 3; i++ {
+		s := cl.AddShard()
+		if i < 2 && s.Engine != engines[i] {
+			t.Fatalf("shard %d did not reuse engine %d", i, i)
+		}
+		if got, want := s.Rand().Int63(), New(shardSeed(9, i)).Rand().Int63(); got != want {
+			t.Fatalf("shard %d draws %d, a new engine %d", i, got, want)
+		}
+	}
+
+	dirty := New(1)
+	dirty.Schedule(time.Millisecond, func() {})
+	cl = NewCluster(1)
+	cl.Reuse([]*Engine{dirty})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("reusing an engine that was not recycled must panic")
+		}
+	}()
+	cl.AddShard()
+}
+
+// TestStockHandsBackHolderSlices: after a Recycle the stock holds each
+// registered holder's final slice, in registration order (nil for a holder
+// that grew none), and only the last run's.
+func TestStockHandsBackHolderSlices(t *testing.T) {
+	e := New(1)
+	k := NewLocalKey()
+	st := StockOf[int](e, k)
+	if StockOf[int](e, k) != st {
+		t.Fatal("StockOf must return the engine's stock")
+	}
+	if st.Take() != nil {
+		t.Fatal("a new stock is empty")
+	}
+	a, b, c := make([]int, 8), []int(nil), make([]int, 3, 32)
+	st.Keep(&a)
+	st.Keep(&b)
+	st.Keep(&c)
+	a = append(a, 1) // the holder grows its slice; the grown one returns
+	e.Recycle()
+	if got := st.Take(); cap(got) != cap(a) || len(got) != 9 {
+		t.Fatalf("first take: len %d cap %d, want the grown slice", len(got), cap(got))
+	}
+	if got := st.Take(); got != nil {
+		t.Fatal("a holder that grew nothing hands back nil")
+	}
+	d := st.Take()
+	if cap(d) != 32 || len(d) != 3 {
+		t.Fatalf("third take: len %d cap %d", len(d), cap(d))
+	}
+	if st.Take() != nil {
+		t.Fatal("stock should be exhausted")
+	}
+	st.Keep(&d)
+	e.Recycle()
+	if got := st.Take(); cap(got) != 32 {
+		t.Fatalf("the second run kept cap %d, want only its own slice (32)", cap(got))
+	}
+	if st.Take() != nil {
+		t.Fatal("slices the last run did not register must be dropped")
+	}
+}

@@ -20,6 +20,7 @@ package sim
 import (
 	"math/bits"
 	"math/rand"
+	"sync/atomic"
 	"time"
 
 	"pbecc/internal/obs"
@@ -86,10 +87,10 @@ func (a entry) id() uint32 { return uint32(a.key & idMask) }
 // id and a generation, which is the scheduling's sequence number - both
 // packed in the heap key. The handle is live while the entry at its arena
 // slot's heap position still carries that key; firing, Cancel and Reset all
-// retire the key, and sequence numbers are never reused, so a stale handle
-// (a copy kept past Reset, or one whose slot was recycled) can never touch
-// a later scheduling. The zero value is inert: Cancel and Cancelled on it
-// are safe no-ops.
+// retire the key, and sequence numbers are never reused within a run, so a
+// stale handle (a copy kept past Reset, or one whose slot was recycled) can
+// never touch a later scheduling of the run. The zero value is inert:
+// Cancel and Cancelled on it are safe no-ops.
 type Event struct {
 	eng       *Engine
 	key       uint64
@@ -145,7 +146,7 @@ type Engine struct {
 	seq      uint64
 	rng      *rand.Rand
 	stopped  bool
-	executed uint64 // events run since construction
+	executed uint64 // events run since New or the last Recycle
 
 	// Event arena. Id i < inlineEvents is inline[i]; a larger id is
 	// blocks[j>>blockBits][j&blockMask] with j = i - inlineEvents. Blocks
@@ -168,16 +169,137 @@ type Engine struct {
 	// load at each track-creation site and one branch per sample.
 	seriesBuf *obs.SeriesBuffer
 
-	// pktPool is an opaque per-engine slot for netsim's packet free
-	// list. The engine cannot name the concrete type (sim must not
-	// import netsim), but owning the slot keeps the pool engine-local:
-	// one single-threaded free list per shard, no locks, no global map.
-	pktPool any
+	// locals holds the engine-local values of other packages (netsim's
+	// packet pool; the sender-ring, link-queue and cell-queue stocks),
+	// indexed by LocalKey. The engine cannot name their types (sim must
+	// not import netsim), but owning the slots keeps each value
+	// engine-local: single-threaded per shard, no locks, no global map -
+	// and recycled with the engine.
+	locals []any
 }
 
 // New returns an engine whose random source is seeded with seed.
 func New(seed int64) *Engine {
 	return &Engine{rng: rand.New(rand.NewSource(seed)), free: -1}
+}
+
+// Recycle empties the engine for another run while keeping the storage
+// earlier runs grew: the heap's backing array, the event arena and the
+// engine-local values, each of which it recycles. The clock and sequence
+// numbers restart at zero and the trace and series rings are detached;
+// the random source is left for the caller to reseed. Recycle costs
+// O(queued events + what the locals' Recycle touches), not O(capacity).
+//
+// Handles and callbacks of the previous run must not be used afterwards:
+// sequence numbers restart, so an old Event could alias a new one. Recycle
+// once per run: the locals keep what the run used, so a second Recycle with
+// no run in between would drop it all.
+func (e *Engine) Recycle() {
+	for _, x := range e.queue {
+		id := x.id()
+		ev := e.slot(id)
+		ev.fn, ev.pos, ev.next = nil, -1, e.free
+		e.free = int32(id)
+	}
+	e.queue = e.queue[:0]
+	e.now, e.seq, e.stopped, e.executed = 0, 0, false, 0
+	e.obsBuf, e.seriesBuf = nil, nil
+	for _, v := range e.locals {
+		if r, ok := v.(Recycler); ok {
+			r.Recycle()
+		}
+	}
+}
+
+// reseed restarts the random source exactly as New(seed) seeds it.
+func (e *Engine) reseed(seed int64) { e.rng.Seed(seed) }
+
+// LocalKey names one engine-local value: per-engine storage another
+// package keeps on the engine (see Local). Allocate keys with
+// NewLocalKey at package initialization.
+type LocalKey int
+
+var localKeys atomic.Int32
+
+// NewLocalKey allocates a key for an engine-local value.
+func NewLocalKey() LocalKey { return LocalKey(localKeys.Add(1) - 1) }
+
+// Recycler is implemented by engine-local values that hold per-run state:
+// Engine.Recycle calls Recycle on each so the next run starts logically
+// empty.
+type Recycler interface{ Recycle() }
+
+// Local returns the engine's value under k, nil until SetLocal installs
+// one.
+func (e *Engine) Local(k LocalKey) any {
+	if int(k) < len(e.locals) {
+		return e.locals[k]
+	}
+	return nil
+}
+
+// SetLocal installs the engine's value under k.
+func (e *Engine) SetLocal(k LocalKey, v any) {
+	if int(k) >= len(e.locals) {
+		e.locals = append(e.locals, make([]any, int(k)+1-len(e.locals))...)
+	}
+	e.locals[k] = v
+}
+
+// Stock is an engine-local supply of slices that outlive their holders:
+// a holder takes a slice when it is built and registers where it keeps
+// it (Keep); when the engine is recycled, every registered slice - in
+// whatever size the run grew it to - returns to the stock, and the next
+// run's holders take them back in registration order. A simulation builds
+// its holders in the same order every run, so each one tends to get the
+// slice its predecessor grew. Only the last run's slices are retained.
+type Stock[T any] struct {
+	free    [][]T
+	next    int
+	holders []*[]T
+}
+
+// StockOf returns e's stock under k, installing an empty one on first use.
+func StockOf[T any](e *Engine, k LocalKey) *Stock[T] {
+	if s, ok := e.Local(k).(*Stock[T]); ok {
+		return s
+	}
+	s := &Stock[T]{}
+	e.SetLocal(k, s)
+	return s
+}
+
+// Take returns the next slice the previous run handed back, or nil when
+// none is left (or its holder never grew one). Its length is what the
+// previous holder left and its
+// contents are stale: the holder must write an element before reading it.
+func (s *Stock[T]) Take() []T {
+	if s.next == len(s.free) {
+		return nil
+	}
+	b := s.free[s.next]
+	s.free[s.next] = nil
+	s.next++
+	return b
+}
+
+// Keep registers *p: the slice it holds when the engine is recycled
+// returns to the stock.
+func (s *Stock[T]) Keep(p *[]T) { s.holders = append(s.holders, p) }
+
+// Recycle implements Recycler: the registered holders' slices become the
+// stock, and slices the run did not take are dropped. A holder that never
+// grew its slice hands back nil, keeping the order aligned with the next
+// run's holders.
+func (s *Stock[T]) Recycle() {
+	clear(s.free[s.next:])
+	s.free = s.free[:0]
+	for _, h := range s.holders {
+		s.free = append(s.free, *h)
+	}
+	clear(s.holders)
+	s.holders = s.holders[:0]
+	s.next = 0
 }
 
 // Now returns the current virtual time.
@@ -196,16 +318,6 @@ func (e *Engine) SetObsBuffer(b *obs.Buffer) { e.obsBuf = b }
 // ObsBuffer returns the engine's trace ring, nil when the run is not
 // traced. Emission sites must nil-check.
 func (e *Engine) ObsBuffer() *obs.Buffer { return e.obsBuf }
-
-// PacketPool returns the engine's packet-pool slot (nil until netsim
-// installs one). The slot is opaque at this layer; netsim.PoolOf does
-// the typed access.
-func (e *Engine) PacketPool() any { return e.pktPool }
-
-// SetPacketPool installs the engine's packet pool. Like the engine's
-// event free list, the pool is engine-local and therefore needs no
-// synchronization: in a cluster every shard engine carries its own.
-func (e *Engine) SetPacketPool(p any) { e.pktPool = p }
 
 // SetSeriesBuffer attaches (or detaches, with nil) the engine's series
 // ring.

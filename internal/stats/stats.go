@@ -41,6 +41,10 @@ func (s *Series) Add(v float64) {
 	s.sorted = false
 }
 
+// Reset empties the series but keeps its backing array, so a series
+// reused for a run like the last one appends without growing.
+func (s *Series) Reset() { s.vals, s.sorted = s.vals[:0], false }
+
 // Len returns the number of samples.
 func (s *Series) Len() int { return len(s.vals) }
 

@@ -4,11 +4,13 @@
 // jobs, executes them across a bounded worker pool, and aggregates the
 // per-job rows into machine-readable summaries.
 //
-// Every job runs on its own seeded sim.Engine, so each row is a pure
-// function of its job key: the aggregated output is bit-identical
-// regardless of worker count or completion order. That property is what
-// lets CI diff a sweep against a committed baseline (see Diff) and treat
-// any byte difference as a real behaviour change.
+// Every job runs on its own seeded engine state - each worker recycles its
+// engines and storage from job to job (harness.Arena), and a recycled
+// engine starts exactly as a new one - so each row is a pure function of
+// its job key: the aggregated output is bit-identical regardless of worker
+// count or completion order. That property is what lets CI diff a sweep
+// against a committed baseline (see Diff) and treat any byte difference as
+// a real behaviour change.
 package sweep
 
 import (
@@ -360,8 +362,11 @@ func RunProgress(spec *Spec, workers int, progress func(done, total int)) (*Resu
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// One arena per worker: each job runs on the storage the
+			// worker's previous job grew (see harness.Arena).
+			arena := harness.NewArena()
 			for i := range idx {
-				rows[i] = runJob(spec, jobs[i])
+				rows[i] = runJob(spec, jobs[i], arena)
 				if progress != nil {
 					mu.Lock()
 					done++
@@ -379,9 +384,11 @@ func RunProgress(spec *Spec, workers int, progress func(done, total int)) (*Resu
 	return &Result{Spec: *spec, Rows: rows, Summaries: Summarize(rows)}, nil
 }
 
-// runJob executes one job on a private engine and measures the first flow,
-// which every scenario family reserves for the scheme under test.
-func runJob(spec *Spec, j Job) Row {
+// runJob executes one job on the worker's arena and measures the first
+// flow, which every scenario family reserves for the scheme under test.
+// The row is built completely before the result is handed back to the
+// arena: nothing reads the result after Reclaim.
+func runJob(spec *Spec, j Job, arena *harness.Arena) Row {
 	sc, err := harness.BuildScenario(j.Experiment, j.Scheme, j.params(spec))
 	if err != nil {
 		// Jobs() validated this combination already.
@@ -392,7 +399,7 @@ func runJob(spec *Spec, j Job) Row {
 	// it on means the trajectory fields exist for every row and the -obs
 	// determinism gate still holds.
 	sc.Series = true
-	res := harness.Run(sc)
+	res := arena.Run(sc)
 	f := res.Flows[0]
 	row := Row{
 		Experiment: j.Experiment, RAT: j.RAT, Scheme: j.Scheme,
@@ -437,6 +444,7 @@ func runJob(spec *Spec, j Job) Row {
 			row.EstAUC = stats.Round2(auc)
 		}
 	}
+	arena.Reclaim(res)
 	return row
 }
 

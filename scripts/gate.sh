@@ -7,7 +7,7 @@
 # Determinism gates (byte compare; writes the *_PR artifact):
 #   bench-build    builds and tests the benchmark/ module, which the root
 #                  go build ./... and go test ./... do not descend into
-#   smoke-det      smoke matrix, workers 1 vs 8           -> BENCH_PR.json
+#   smoke-det      smoke matrix, workers 1 vs 3 vs 8      -> BENCH_PR.json
 #   metro-det      metro slice, shards 1 vs 4             -> BENCH_METRO_PR.json
 #   obs-det        metro slice, -obs vs plain             -> metro_obs.json
 #   scorecard-det  robustness scorecard, workers 1 vs 8   -> BENCH_SCORECARD_PR.json
@@ -72,10 +72,16 @@ gate_bench_build() {
   go -C benchmark test ./...
 }
 
+# Each sweep worker carries one arena from job to job (harness.Arena), so
+# the worker count decides which jobs inherit which job's storage. An odd
+# width reshuffles that pairing against 1 and 8: state leaking from one job
+# into the next shows up as a byte difference.
 gate_smoke_det() {
   sweep -smoke -workers 1 -out run1.json
+  sweep -smoke -workers 3 -out run3.json
   sweep -smoke -workers 8 -out BENCH_PR.json
   cmp run1.json BENCH_PR.json
+  cmp run1.json run3.json
 }
 
 gate_metro_det() {
