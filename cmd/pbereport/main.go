@@ -29,6 +29,7 @@ import (
 	"strings"
 	"time"
 
+	"pbecc/internal/faults"
 	"pbecc/internal/harness"
 	"pbecc/internal/sweep"
 )
@@ -39,10 +40,8 @@ func main() {
 	rat := flag.String("rat", harness.RATLTE, "radio access technology: lte or nr")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	dur := flag.Duration("duration", 4*time.Second, "simulated duration")
-	fStale := flag.Float64("fault-stale", 0, "stale PDCCH decode fault intensity in [0, 1]")
-	fMiss := flag.Float64("fault-miss", 0, "missed cell-detection fault intensity in [0, 1]")
-	fHandover := flag.Float64("fault-handover", 0, "handover-storm fault intensity in [0, 1]")
-	fOnOff := flag.Float64("fault-onoff", 0, "adversarial on-off competitor intensity in [0, 1]")
+	var fspec faults.Spec
+	fspec.RegisterFlags(flag.CommandLine)
 	out := flag.String("out", "-", "SVG file ('-' = stdout)")
 	csvOut := flag.String("csv", "", "also write the plotted trajectories as CSV to this file")
 	flag.Parse()
@@ -55,8 +54,7 @@ func main() {
 		}
 		sc, err := harness.BuildScenario(*family, scheme, harness.Params{
 			Seed: *seed, Duration: *dur, RAT: *rat,
-			FaultStale: *fStale, FaultMiss: *fMiss,
-			FaultHandover: *fHandover, FaultOnOff: *fOnOff,
+			Faults: fspec,
 		})
 		if err != nil {
 			fatal(err)

@@ -11,6 +11,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -34,14 +35,7 @@ func main() {
 	seriesFilter := flag.String("series-filter", "", "comma-separated signal names to keep in the -series CSV (default: all)")
 	flag.Parse()
 
-	ok := false
-	for _, s := range harness.Schemes {
-		if s == *scheme {
-			ok = true
-			break
-		}
-	}
-	if !ok {
+	if !slices.Contains(harness.Schemes, *scheme) {
 		fmt.Fprintf(os.Stderr, "pbesim: unknown scheme %q\nregistered schemes:\n", *scheme)
 		for _, s := range harness.Schemes {
 			fmt.Fprintf(os.Stderr, "  %s\n", s)
@@ -70,6 +64,10 @@ func main() {
 	if *series != "" {
 		sc.Series = true
 	}
+	if err := sc.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "pbesim:", err)
+		os.Exit(2)
+	}
 
 	r := harness.Run(sc)
 	if *series != "" {
@@ -88,7 +86,7 @@ func main() {
 	fmt.Printf("delay p50/95    %.1f / %.1f ms\n",
 		f.Delay.Percentile(50), f.Delay.Percentile(95))
 	fmt.Printf("packets         %d acked, %d lost\n", f.Received, f.Lost)
-	if f.Scheme == "pbe" {
+	if f.MeasuresInternetState() {
 		fmt.Printf("internet state  %.1f%% of time\n", 100*f.InternetFrac)
 	}
 	if harness.SchemeUsesMonitor(f.Scheme) {

@@ -60,8 +60,7 @@ func main() {
 	obsDiff := flag.Bool("obs-diff", false, "diff two -obs snapshot files: pbesweep -obs-diff base.obs.json cur.obs.json (rejects snapshots of different specs)")
 	scorecardDiff := flag.Bool("scorecard-diff", false, "diff two scorecard files: pbesweep -scorecard-diff [-max-regress N] base.json cur.json (robustness budget in percentage points)")
 	maxRegress := flag.Float64("max-regress", 10, "with -diff/-benchdiff: fail when any tracked metric (for -benchdiff: B/op, allocs/op) regresses more than this percentage")
-	benchDiff := flag.Bool("benchdiff", false, "diff two 'go test -bench -benchmem' output files: pbesweep -benchdiff [-max-regress N] [-max-regress-ns N] [-allow-missing] base.txt cur.txt")
-	maxRegressNs := flag.Float64("max-regress-ns", -1, "with -benchdiff: ns/op regression budget in percent; negative disables the ns/op gate (the default: wall-clock is only comparable between runs on the same machine)")
+	benchDiff := flag.Bool("benchdiff", false, "diff two 'go test -bench -benchmem' output files: pbesweep -benchdiff [-max-regress N] [-allow-missing] base.txt cur.txt (ns/op is printed, never gated)")
 	allowMissing := flag.Bool("allow-missing", false, "with -benchdiff: tolerate benchmarks present on only one side (base-ref comparisons that predate new benchmarks)")
 	list := flag.Bool("list", false, "list scenario families, schemes and spec axes")
 	prof := obs.RegisterProfileFlags(flag.CommandLine)
@@ -77,7 +76,7 @@ func main() {
 	case *scorecardDiff:
 		runScorecardDiff(flag.Args(), *maxRegress)
 	case *benchDiff:
-		runBenchDiff(flag.Args(), *maxRegressNs, *maxRegress, *allowMissing)
+		runBenchDiff(flag.Args(), *maxRegress, *allowMissing)
 	default:
 		stopProf, err := prof.Start()
 		if err != nil {
@@ -354,10 +353,9 @@ func runDiff(args []string, maxRegress float64) {
 }
 
 // runBenchDiff gates `go test -bench -benchmem` output: the
-// deterministic B/op and allocs/op columns against allocBudget, and -
-// only when explicitly enabled with a non-negative nsBudget, for
-// same-machine base-ref comparisons - ns/op.
-func runBenchDiff(args []string, nsBudget, allocBudget float64, allowMissing bool) {
+// deterministic B/op and allocs/op columns against budget; ns/op is
+// printed only.
+func runBenchDiff(args []string, budget float64, allowMissing bool) {
 	if len(args) != 2 {
 		fatal(fmt.Errorf("-benchdiff needs exactly two bench output files, got %d", len(args)))
 	}
@@ -379,9 +377,9 @@ func runBenchDiff(args []string, nsBudget, allocBudget float64, allowMissing boo
 		fatal(err)
 	}
 	sweep.FprintDeltas(os.Stdout, deltas)
-	if bad := sweep.ExceededBench(deltas, nsBudget, allocBudget); len(bad) > 0 {
-		fmt.Fprintf(os.Stderr, "FAIL: %d benchmark metric(s) exceed their budget (ns/op %.2f%%, B/op+allocs/op %.2f%%):\n",
-			len(bad), nsBudget, allocBudget)
+	if bad := sweep.ExceededBench(deltas, budget); len(bad) > 0 {
+		fmt.Fprintf(os.Stderr, "FAIL: %d benchmark metric(s) exceed the %.2f%% B/op+allocs/op budget:\n",
+			len(bad), budget)
 		for _, d := range bad {
 			fmt.Fprintf(os.Stderr, "  %s %s: %.2f -> %.2f (+%.2f%%)\n",
 				d.Group, d.Metric, d.Base, d.Cur, d.RegressPct)

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"os"
 
+	"pbecc/internal/faults"
 	"pbecc/internal/harness"
 	"pbecc/internal/obs"
 )
@@ -38,18 +39,15 @@ func main() {
 	dur := flag.Duration("duration", 0, "simulated duration (0 = family default)")
 	noise := flag.Float64("noise", 0, "capacity measurement noise std fraction")
 	shards := flag.Int("shards", 0, "parallel shard width (0 = serial); never changes results")
-	fStale := flag.Float64("fault-stale", 0, "stale PDCCH decode fault intensity in [0, 1]")
-	fMiss := flag.Float64("fault-miss", 0, "missed cell-detection fault intensity in [0, 1]")
-	fHandover := flag.Float64("fault-handover", 0, "handover-storm fault intensity in [0, 1]")
-	fOnOff := flag.Float64("fault-onoff", 0, "adversarial on-off competitor intensity in [0, 1]")
+	var fspec faults.Spec
+	fspec.RegisterFlags(flag.CommandLine)
 	out := flag.String("out", "-", "trace file ('-' = stdout)")
 	flag.Parse()
 
 	sc, err := harness.BuildScenario(*family, *scheme, harness.Params{
 		Seed: *seed, Duration: *dur, Cells: *cells, RAT: *rat,
 		CapacityNoise: *noise, Shards: *shards,
-		FaultStale: *fStale, FaultMiss: *fMiss,
-		FaultHandover: *fHandover, FaultOnOff: *fOnOff,
+		Faults: fspec,
 	})
 	if err != nil {
 		fatal(err)

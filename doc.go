@@ -12,8 +12,9 @@
 // (internal/nr), a PDCCH blind decoder with
 // real channel coding (internal/pdcch), PHY-layer rate/error models and
 // the NR numerology tables (internal/phy), a discrete-event engine
-// (internal/sim), a wired-network model (internal/netsim), seven baseline
-// congestion-control algorithms (internal/cc/...), workload generators
+// (internal/sim), a wired-network model (internal/netsim), the paper's
+// seven baseline congestion-control algorithms plus GCC and the pbertc
+// hybrid (internal/cc/...), workload generators
 // calibrated to the paper's measurements (internal/trace), and the
 // experiment harness regenerating every table and figure of the
 // evaluation plus the nr-* 5G scenarios (internal/harness).

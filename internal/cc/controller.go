@@ -1,9 +1,9 @@
-// Package cc defines the congestion-control framework shared by PBE-CC and
-// the seven baseline algorithms the paper compares against: the Controller
-// interface, per-ACK samples with BBR-style delivery-rate estimation, a
-// paced, window-limited UDP-like Sender, a Receiver that echoes timestamps
-// and attaches PBE-CC feedback, and the windowed min/max filters BBR-family
-// algorithms rely on.
+// Package cc defines the congestion-control framework shared by all ten
+// schemes - PBE-CC, the seven baselines the paper compares against, GCC
+// and the pbertc hybrid: the Controller interface, per-ACK samples with
+// BBR-style delivery-rate estimation, a paced, window-limited UDP-like
+// Sender, a Receiver that echoes timestamps and attaches PBE-CC feedback,
+// and the windowed min/max filters BBR-family algorithms rely on.
 package cc
 
 import "time"

@@ -93,14 +93,18 @@ type Client struct {
 	lastObserve  time.Duration
 }
 
-// NewClient wires a client around a monitor.
+// NewClient wires a client around a monitor and counts it there as one
+// more of the device's connections.
 func NewClient(mon *Monitor) *Client {
+	mon.clients++
 	return &Client{Monitor: mon, Detector: NewDetector()}
 }
 
 // Feedback implements cc.FeedbackSource: called per received data packet,
 // it returns the quantized capacity feedback in bits/sec and the
-// bottleneck-state bit.
+// bottleneck-state bit. A device's connections share its capacity
+// equally (§6.3.4): with n clients on the monitor each feeds back 1/n of
+// the quantized rate.
 func (c *Client) Feedback(now time.Duration, owd time.Duration, dataBytes int) (float64, bool) {
 	ct := c.Monitor.CapacityBits() // bits per subframe
 	npkt := int(NpktSubframes * ct / (8 * netsim.MSS))
@@ -129,7 +133,7 @@ func (c *Client) Feedback(now time.Duration, owd time.Duration, dataBytes int) (
 		// load (§4.1, §4.3), so C_f is a sound lower bound.
 		rate = cf
 	}
-	return QuantizeRate(BitsPerSubframeToBps(rate)), internet
+	return QuantizeRate(BitsPerSubframeToBps(rate)) / float64(max(c.Monitor.clients, 1)), internet
 }
 
 // InternetFraction returns the fraction of observed time spent in the

@@ -524,3 +524,31 @@ func TestClientFeedbackQuantized(t *testing.T) {
 		t.Fatal("feedback not quantized through the wire format")
 	}
 }
+
+// TestClientsShareMonitorCapacity: a device's connections split its
+// capacity equally (§6.3.4), so each of two clients on one monitor feeds
+// back exactly half of what a lone client on an identical monitor does.
+func TestClientsShareMonitorCapacity(t *testing.T) {
+	feed := func(m *Monitor) {
+		for i := 0; i < 40; i++ {
+			m.OnSubframe(report(1, 100, alloc(61, 60, 11), alloc(62, 40, 9)))
+		}
+	}
+	lone, shared := newTestMonitor(), newTestMonitor()
+	feed(lone)
+	feed(shared)
+	solo := NewClient(lone)
+	a, b := NewClient(shared), NewClient(shared)
+	now := time.Duration(0)
+	for i, owd := range []time.Duration{30, 30, 300, 300, 300, 30} {
+		now += time.Millisecond
+		want, wantBtl := solo.Feedback(now, owd*time.Millisecond, 1500)
+		for _, c := range []*Client{a, b} {
+			got, btl := c.Feedback(now, owd*time.Millisecond, 1500)
+			if math.Float64bits(got) != math.Float64bits(want/2) || btl != wantBtl {
+				t.Fatalf("step %d: shared client fed back %v (internet %v), want half of %v (internet %v)",
+					i, got, btl, want, wantBtl)
+			}
+		}
+	}
+}

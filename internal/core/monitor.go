@@ -92,6 +92,9 @@ type Monitor struct {
 	// instead of calling CapacityBits itself: a fresh call would draw
 	// from the Noise hook's RNG and perturb the simulation it observes.
 	lastCapacity float64
+
+	// clients counts the device's connections: the Clients built on it.
+	clients int
 }
 
 // cellTrack is the sliding window of one cell. The ring holds one sample

@@ -33,6 +33,7 @@
 package faults
 
 import (
+	"flag"
 	"fmt"
 	"math/rand"
 	"time"
@@ -86,47 +87,55 @@ func (s Spec) MonitorAxes() bool { return s.Stale > 0 || s.Miss > 0 || s.Handove
 
 // Validate rejects intensities outside [0, 1].
 func (s Spec) Validate() error {
-	for _, a := range []struct {
-		name string
-		v    float64
-	}{{"stale", s.Stale}, {"miss", s.Miss}, {"handover", s.Handover}, {"onoff", s.OnOff}} {
-		if a.v < 0 || a.v > 1 {
-			return fmt.Errorf("fault axis %s intensity %v outside [0, 1]", a.name, a.v)
+	for _, name := range Axes() {
+		if v, _ := s.axis(name); *v < 0 || *v > 1 {
+			return fmt.Errorf("fault axis %s intensity %v outside [0, 1]", name, *v)
 		}
 	}
 	return nil
 }
 
+// axis returns the named axis's field and its flag help, or nil for an
+// unknown axis.
+func (s *Spec) axis(name string) (level *float64, help string) {
+	switch name {
+	case "stale":
+		return &s.Stale, "stale PDCCH decode fault intensity in [0, 1]"
+	case "miss":
+		return &s.Miss, "missed cell-detection fault intensity in [0, 1]"
+	case "handover":
+		return &s.Handover, "handover-storm fault intensity in [0, 1]"
+	case "onoff":
+		return &s.OnOff, "adversarial on-off competitor intensity in [0, 1]"
+	}
+	return nil, ""
+}
+
 // Set assigns one named axis (the sweep's string-keyed interface).
 func (s *Spec) Set(axis string, level float64) error {
-	switch axis {
-	case "stale":
-		s.Stale = level
-	case "miss":
-		s.Miss = level
-	case "handover":
-		s.Handover = level
-	case "onoff":
-		s.OnOff = level
-	default:
+	p, _ := s.axis(axis)
+	if p == nil {
 		return fmt.Errorf("unknown fault axis %q (valid: %v)", axis, Axes())
 	}
+	*p = level
 	return nil
 }
 
-// Level reads one named axis.
+// Level reads one named axis (0 for an unknown one).
 func (s Spec) Level(axis string) float64 {
-	switch axis {
-	case "stale":
-		return s.Stale
-	case "miss":
-		return s.Miss
-	case "handover":
-		return s.Handover
-	case "onoff":
-		return s.OnOff
+	if p, _ := s.axis(axis); p != nil {
+		return *p
 	}
 	return 0
+}
+
+// RegisterFlags declares one -fault-<axis> flag per axis on fs, each
+// setting that axis of s. Validate checks the [0, 1] range afterwards.
+func (s *Spec) RegisterFlags(fs *flag.FlagSet) {
+	for _, name := range Axes() {
+		p, help := s.axis(name)
+		fs.Float64Var(p, "fault-"+name, 0, help)
+	}
 }
 
 // Tuning constants. Hold lengths and periods are chosen against the

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"time"
 
@@ -579,7 +578,7 @@ func Figure12(quick bool) []Table {
 	return []Table{tput, delay}
 }
 
-// orderStatsAt runs all eight schemes at a set of locations and reports
+// orderStatsAt runs all ten schemes at a set of locations and reports
 // the 10/25/50/75/90th percentiles of windowed throughput and delay.
 func orderStatsAt(id, title string, locs []Location, quick bool) []Table {
 	dur := 5 * time.Second
@@ -658,7 +657,7 @@ func mobilityScenario(scheme string, dur time.Duration) *Scenario {
 }
 
 // Figure16 runs the mobility trajectory (-85 -> -105 -> -85 dBm) for all
-// eight schemes.
+// ten schemes.
 func Figure16(quick bool) []Table {
 	dur := 40 * time.Second
 	if quick {
@@ -893,11 +892,6 @@ func Ablations(quick bool) []Table {
 		"without the filter, inflated N shrinks the fair share on busy cells",
 		"the bit-level decode path must match the oracle path (identical control information)")
 	return []Table{*t}
-}
-
-// SortTablesByID orders tables for stable output.
-func SortTablesByID(ts []Table) {
-	sort.SliceStable(ts, func(i, j int) bool { return ts[i].ID < ts[j].ID })
 }
 
 // timelineAvg averages a flow's 100 ms throughput timeline over [from, to).

@@ -52,7 +52,7 @@ func TestFaultAxesRecordActivity(t *testing.T) {
 	}()
 	sc, err := BuildScenario("steady", "pbe", Params{
 		Seed: 3, Duration: 600 * time.Millisecond,
-		FaultStale: 1, FaultMiss: 1, FaultHandover: 1, FaultOnOff: 0.5,
+		Faults: faults.Spec{Stale: 1, Miss: 1, Handover: 1, OnOff: 0.5},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +71,7 @@ func TestFaultAxesRecordActivity(t *testing.T) {
 // the half-period tuned to the monitor window.
 func TestOnOffCompetitorAssembly(t *testing.T) {
 	sc, err := BuildScenario("steady", "pbe", Params{
-		Seed: 3, Duration: 400 * time.Millisecond, FaultOnOff: 0.5})
+		Seed: 3, Duration: 400 * time.Millisecond, Faults: faults.Spec{OnOff: 0.5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestFaultsGrowEstimationError(t *testing.T) {
 		return Run(sc).Flows[0].PBEErrPct
 	}
 	clean := run(Params{})
-	faulted := run(Params{FaultStale: 1, FaultHandover: 1})
+	faulted := run(Params{Faults: faults.Spec{Stale: 1, Handover: 1}})
 	if faulted <= clean {
 		t.Fatalf("PBEErrPct did not grow under faults: clean=%v faulted=%v", clean, faulted)
 	}
@@ -116,7 +116,7 @@ func TestFaultedRunsAreDeterministic(t *testing.T) {
 	run := func() (float64, float64, uint64) {
 		sc, err := BuildScenario("steady", "pbe", Params{
 			Seed: 9, Duration: 600 * time.Millisecond,
-			FaultStale: 0.7, FaultMiss: 0.5, FaultHandover: 0.8, FaultOnOff: 0.3,
+			Faults: faults.Spec{Stale: 0.7, Miss: 0.5, Handover: 0.8, OnOff: 0.3},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -162,7 +162,7 @@ func TestPbertcFaultAxesApply(t *testing.T) {
 		obs.Reset()
 	}()
 	sc, err := BuildScenario("rtc", "pbertc", Params{
-		Seed: 6, Duration: 600 * time.Millisecond, FaultStale: 1})
+		Seed: 6, Duration: 600 * time.Millisecond, Faults: faults.Spec{Stale: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,11 +91,12 @@ func setupFluid(sc *Scenario, pl *placement, cells map[int]*ran.Cell) *fluidRunt
 		w = fluid.DefaultWindow
 	}
 	rt := &fluidRuntime{}
-	bind := func(cell *ran.Cell) {
-		ss := spec.Sessions[cell.ID]
+	for _, id := range sc.cellIDs() {
+		ss := spec.Sessions[id]
 		if len(ss) == 0 {
-			return
+			continue
 		}
+		cell := cells[id]
 		maxBacklog := float64(cell.PerUserQueueBytes * 8)
 		if spec.MaxBacklogBits > 0 {
 			maxBacklog = spec.MaxBacklogBits
@@ -103,12 +104,6 @@ func setupFluid(sc *Scenario, pl *placement, cells map[int]*ran.Cell) *fluidRunt
 		p := fluid.NewCellProcess(ss, w, maxBacklog)
 		cell.SetBackground(p)
 		rt.procs = append(rt.procs, p)
-	}
-	for _, cs := range sc.Cells {
-		bind(cells[cs.ID])
-	}
-	for _, ns := range sc.NRCells {
-		bind(cells[ns.ID])
 	}
 
 	if spec.ModeledCells > 0 {

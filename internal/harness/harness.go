@@ -35,16 +35,75 @@ import (
 	"pbecc/internal/stats"
 )
 
-// Schemes lists every congestion-control algorithm under test: the
-// paper's order (§6.1) plus the GCC/REMB real-time baseline added with
-// the rtc subsystem and the pbertc physical-layer/GCC hybrid.
-var Schemes = []string{"pbe", "bbr", "cubic", "verus", "sprout", "copa", "pcc", "vivace", "gcc", "pbertc"}
+// scheme is one row of the scheme table: everything the harness needs to
+// stand a flow of that congestion-control algorithm up.
+type scheme struct {
+	name       string
+	controller func() cc.Controller
+	// feedback builds the receiver-side feedback source, given the UE's
+	// PBE monitor (nil unless usesMonitor); nil for schemes whose receiver
+	// only echoes timestamps.
+	feedback func(mon *core.Monitor) cc.FeedbackSource
+	// usesMonitor: the scheme consumes the PBE monitor's physical-layer
+	// capacity feed, so its UE gets a monitor and it alone reacts to the
+	// measurement-noise and monitor-fault axes.
+	usesMonitor bool
+}
+
+// schemes is the scheme table: the paper's order (§6.1), then the GCC/REMB
+// real-time baseline and the pbertc physical-layer/GCC hybrid. Adding a
+// scheme is adding a row.
+var schemes = []scheme{
+	{"pbe", controller(core.NewSender), feedback(core.NewClient), true},
+	{"bbr", controller(bbr.New), nil, false},
+	{"cubic", controller(cubic.New), nil, false},
+	{"verus", controller(verus.New), nil, false},
+	{"sprout", controller(sprout.New), nil, false},
+	{"copa", controller(copa.New), nil, false},
+	{"pcc", controller(pcc.New), nil, false},
+	{"vivace", controller(vivace.New), nil, false},
+	{"gcc", controller(gcc.New), func(*core.Monitor) cc.FeedbackSource { return gcc.NewREMB() }, false},
+	{"pbertc", controller(pbertc.New), feedback(pbertc.NewFeedback), true},
+}
+
+// controller and feedback adapt a scheme package's constructor, which
+// returns its concrete type, to the table's column types.
+func controller[C cc.Controller](newC func() C) func() cc.Controller {
+	return func() cc.Controller { return newC() }
+}
+
+func feedback[F cc.FeedbackSource](newF func(*core.Monitor) F) func(*core.Monitor) cc.FeedbackSource {
+	return func(mon *core.Monitor) cc.FeedbackSource { return newF(mon) }
+}
+
+// Schemes lists every congestion-control algorithm under test, in scheme
+// table order.
+var Schemes = func() []string {
+	names := make([]string, len(schemes))
+	for i, s := range schemes {
+		names[i] = s.name
+	}
+	return names
+}()
+
+// lookupScheme returns the named scheme's table row, or nil.
+func lookupScheme(name string) *scheme {
+	for i := range schemes {
+		if schemes[i].name == name {
+			return &schemes[i]
+		}
+	}
+	return nil
+}
 
 // SchemeUsesMonitor reports whether a scheme consumes the PBE monitor's
 // physical-layer capacity feed. Only these schemes react to the
 // measurement-noise and monitor-fault axes; for the rest, faulted jobs
 // would duplicate the clean run exactly.
-func SchemeUsesMonitor(scheme string) bool { return scheme == "pbe" || scheme == "pbertc" }
+func SchemeUsesMonitor(name string) bool {
+	s := lookupScheme(name)
+	return s != nil && s.usesMonitor
+}
 
 // CellSpec describes one LTE component carrier.
 type CellSpec struct {
@@ -52,6 +111,14 @@ type CellSpec struct {
 	NPRB    int
 	Table   phy.CQITable
 	Control ran.ControlSource // nil = no control-plane chatter
+}
+
+// table returns the carrier's CQI table, 64-QAM when unset.
+func (cs CellSpec) table() phy.CQITable {
+	if cs.Table == 0 {
+		return phy.Table64QAM
+	}
+	return cs.Table
 }
 
 // NRCellSpec describes one 5G NR carrier. Cell IDs share a namespace with
@@ -207,18 +274,14 @@ type Scenario struct {
 	Fluid *FluidSpec
 }
 
-// SFUSpec configures the fan-out relay and its ingest leg.
+// SFUSpec configures the fan-out relay and its ingest leg. The ingest is
+// provisioned: it paces at twice the simulcast bundle rate without
+// adapting - a production SFU's dedicated uplink - so the scenario's
+// congestion dynamics live on the subscriber legs.
 type SFUSpec struct {
 	// Media describes the ingest stream; Simulcast is forced on (an SFU
 	// needs every ladder rung to select from).
 	Media rtc.MediaSpec
-
-	// IngestScheme is the ingest leg's congestion controller. The
-	// default "provisioned" paces at twice the simulcast bundle rate
-	// without adapting - a production SFU's dedicated uplink - so the
-	// scenario's congestion dynamics live on the subscriber legs. Any
-	// scheme name (e.g. "gcc") puts a real controller on the ingest.
-	IngestScheme string
 
 	// Ingest path shape: server -> SFU over a wired link.
 	IngestRTT   time.Duration // round-trip propagation (default 20 ms)
@@ -232,11 +295,7 @@ type SFUSpec struct {
 func (sc *Scenario) NominalCapacityMbps() float64 {
 	var bps float64
 	for _, cs := range sc.Cells {
-		table := cs.Table
-		if table == 0 {
-			table = phy.Table64QAM
-		}
-		peak := phy.MCS{CQI: 15, Table: table, Streams: 2}
+		peak := phy.MCS{CQI: 15, Table: cs.table(), Streams: 2}
 		bps += peak.BitsPerPRB() * float64(cs.NPRB) * 1000
 	}
 	for _, ns := range sc.NRCells {
@@ -292,7 +351,8 @@ type FlowResult struct {
 	windows *stats.Windowed
 	start   time.Duration
 	stop    time.Duration
-	pbe     *core.Client
+	pbe     *core.Client // the flow's PBE client, if its scheme has one
+	probe   *pbeProbe    // its UE's accuracy probe, if its scheme uses the monitor
 }
 
 // Result is a completed scenario. A result from Arena.Run is valid until it
@@ -329,143 +389,191 @@ type Result struct {
 	cluster *sim.Cluster // what Arena.Reclaim recycles
 }
 
+// Validate reports the first structural error in the scenario: a cell ID
+// declared twice (LTE and NR cells share one namespace), a duplicate UE
+// ID, a UE with no cells, a UE naming an unknown cell or a cell of the
+// other RAT, an EN-DC UE with more than one NR cell, and a flow on an
+// unknown UE, of an unknown scheme, or marked SFULeg without an SFU.
+// BuildScenario returns this error; Run panics with it.
+func (sc *Scenario) Validate() error {
+	isLTE := make(map[int]bool, len(sc.Cells)+len(sc.NRCells))
+	for i, id := range sc.cellIDs() {
+		if _, dup := isLTE[id]; dup {
+			return fmt.Errorf("cell %d declared twice", id)
+		}
+		isLTE[id] = i < len(sc.Cells)
+	}
+	ues := make(map[int]bool, len(sc.UEs))
+	for _, us := range sc.UEs {
+		switch {
+		case ues[us.ID]:
+			return fmt.Errorf("UE %d declared twice", us.ID)
+		case len(us.CellIDs)+len(us.NRCellIDs) == 0:
+			return fmt.Errorf("UE %d has no cells", us.ID)
+		case len(us.CellIDs) > 0 && len(us.NRCellIDs) > 1:
+			return fmt.Errorf("EN-DC UE %d names %d NR cells; EN-DC supports one", us.ID, len(us.NRCellIDs))
+		}
+		ues[us.ID] = true
+		for i, ids := range [...][]int{us.CellIDs, us.NRCellIDs} {
+			for _, id := range ids {
+				if lte, ok := isLTE[id]; !ok {
+					return fmt.Errorf("UE %d names unknown cell %d", us.ID, id)
+				} else if lte != (i == 0) {
+					return fmt.Errorf("UE %d names cell %d as a carrier of the other RAT", us.ID, id)
+				}
+			}
+		}
+	}
+	for _, fs := range sc.Flows {
+		switch {
+		case !ues[fs.UE]:
+			return fmt.Errorf("flow %d is on unknown UE %d", fs.ID, fs.UE)
+		case fs.Scheme != "fixed" && lookupScheme(fs.Scheme) == nil:
+			return fmt.Errorf("flow %d has unknown scheme %q (valid: %v or \"fixed\")", fs.ID, fs.Scheme, Schemes)
+		case fs.SFULeg && sc.SFU == nil:
+			return fmt.Errorf("flow %d is marked SFULeg but the scenario has no SFU", fs.ID)
+		}
+	}
+	return nil
+}
+
 // Run executes the scenario and collects per-flow statistics. It runs on a
 // throwaway arena: the path is the one Arena.Run takes, and the result is
-// never handed back.
+// never handed back. It panics if the scenario fails Validate.
 func Run(sc *Scenario) *Result { return NewArena().Run(sc) }
 
+// build carries one run's construction state from stage to stage. The
+// stages keep a fixed order - cells, fluid, UEs in spec order, monitors,
+// truth oracle, SFU ingest, flows, PRB sampler - because fading channels,
+// the monitor noise stream and faults.New draw from shard random sources
+// as they are built.
+type build struct {
+	sc  *Scenario
+	a   *Arena
+	pl  *placement
+	res *Result
+
+	cells    map[int]*ran.Cell       // LTE and NR cells, one ID namespace
+	fluid    *fluidRuntime           // nil without Scenario.Fluid
+	specs    map[int]*UESpec         // by UE ID
+	devices  map[int]device          // by UE ID
+	channels map[[2]int]*phy.Channel // (ueID, cellID) -> channel
+	probes   map[int]*pbeProbe       // by UE ID: each monitor and its probe
+}
+
 func run(sc *Scenario, a *Arena) *Result {
-	pl := newPlacement(sc, a)
-	res := &Result{Scenario: sc, PRBSamples: map[int][]float64{}, cluster: pl.cluster}
-
-	// LTE and NR cells share one ID namespace (the monitor tracks both
-	// RATs in one table) and, past construction, one type.
-	cells := map[int]*ran.Cell{}
-	for _, cs := range sc.Cells {
-		table := cs.Table
-		if table == 0 {
-			table = phy.Table64QAM
-		}
-		cells[cs.ID] = lte.NewCell(pl.cell(cs.ID).Engine, cs.ID, cs.NPRB, table, cs.Control)
+	if err := sc.Validate(); err != nil {
+		panic("harness: " + err.Error())
 	}
+	pl := newPlacement(sc, a)
+	b := &build{sc: sc, a: a, pl: pl,
+		res:      &Result{Scenario: sc, PRBSamples: map[int][]float64{}, cluster: pl.cluster},
+		cells:    map[int]*ran.Cell{},
+		specs:    make(map[int]*UESpec, len(sc.UEs)),
+		devices:  map[int]device{},
+		channels: map[[2]int]*phy.Channel{},
+		probes:   map[int]*pbeProbe{},
+	}
+	b.buildCells()
+	for i := range sc.UEs {
+		b.buildDevice(&sc.UEs[i])
+	}
+	b.buildMonitors()
+	b.buildTruthOracle()
+	b.buildFlows()
+	b.buildPRBSampler()
+	pl.cluster.RunUntil(sc.Duration)
+	return b.collect()
+}
 
-	for _, ns := range sc.NRCells {
-		cells[ns.ID] = nr.NewCell(pl.cell(ns.ID).Engine, nr.Config{
+// buildCells stands up every LTE and NR cell, then the fluid tier on them.
+func (b *build) buildCells() {
+	for _, cs := range b.sc.Cells {
+		b.cells[cs.ID] = lte.NewCell(b.pl.byCell[cs.ID].Engine, cs.ID, cs.NPRB, cs.table(), cs.Control)
+	}
+	for _, ns := range b.sc.NRCells {
+		b.cells[ns.ID] = nr.NewCell(b.pl.byCell[ns.ID].Engine, nr.Config{
 			ID: ns.ID, Mu: ns.Mu, NPRB: ns.NPRB, BandwidthMHz: ns.BandwidthMHz,
 			Table: ns.Table, Control: ns.Control,
 		})
 	}
-
-	var flRT *fluidRuntime
-	if sc.Fluid != nil {
-		flRT = setupFluid(sc, pl, cells)
+	if b.sc.Fluid != nil {
+		b.fluid = setupFluid(b.sc, b.pl, b.cells)
 	}
+}
 
-	anchors := map[int]*ran.UE{}          // LTE legs: LTE-only devices and EN-DC anchors
-	endcs := map[int]*nr.ENDC{}           // dual-connectivity devices
-	devices := map[int]device{}           // every device, by UE ID
-	channels := map[[2]int]*phy.Channel{} // (ueID, cellID) -> channel
-	for _, us := range sc.UEs {
-		us := us
-		ueEng := pl.ueShard(&us).Engine
-		mkChannel := func(rssi float64, traj phy.Trajectory, table phy.CQITable) *phy.Channel {
-			var fading *phy.Fading
-			if us.FadingSigma > 0 {
-				fading = phy.NewFading(us.FadingSigma, 50*time.Millisecond, ueEng.Rand())
-			}
-			if traj != nil {
-				return phy.NewMobileChannel(traj, table, fading)
-			}
-			return phy.NewStaticChannel(rssi, table, fading)
+// buildDevice stands up one UE: an LTE device, a standalone 5G device, or
+// an EN-DC device whose LTE anchor carries one NR secondary cell group.
+func (b *build) buildDevice(us *UESpec) {
+	eng := b.pl.ueShard(us).Engine
+	channel := func(cid int, rssi float64, traj phy.Trajectory) *phy.Channel {
+		var fading *phy.Fading
+		if us.FadingSigma > 0 {
+			fading = phy.NewFading(us.FadingSigma, 50*time.Millisecond, eng.Rand())
 		}
-		addCells := func(ue *ran.UE, ids []int, rssi float64, traj phy.Trajectory) {
-			for _, cid := range ids {
-				cell := cells[cid]
-				ch := mkChannel(rssi, traj, cell.Table)
-				channels[[2]int{us.ID, cid}] = ch
-				ue.AddCell(cell, ch)
-			}
+		var ch *phy.Channel
+		if traj != nil {
+			ch = phy.NewMobileChannel(traj, b.cells[cid].Table, fading)
+		} else {
+			ch = phy.NewStaticChannel(rssi, b.cells[cid].Table, fading)
 		}
-		var anchor *ran.UE
-		if len(us.CellIDs) > 0 {
-			anchor = lte.NewUE(ueEng, us.ID, us.RNTI)
-			addCells(anchor, us.CellIDs, us.RSSI, us.Trajectory)
-			anchor.SetCarrierAggregation(us.CA)
-			anchors[us.ID] = anchor
-		}
-		nrRSSI := us.NRRSSI
-		if nrRSSI == 0 {
-			nrRSSI = us.RSSI
-		}
-		switch {
-		case anchor != nil && len(us.NRCellIDs) > 0:
-			// EN-DC: LTE anchor plus one NR secondary cell group.
-			if len(us.NRCellIDs) > 1 {
-				panic("harness: EN-DC supports one NR secondary cell")
-			}
-			cell := cells[us.NRCellIDs[0]]
-			ch := mkChannel(nrRSSI, us.NRTrajectory, cell.Table)
-			channels[[2]int{us.ID, us.NRCellIDs[0]}] = ch
-			endc := nr.NewENDC(ueEng, us.ID, us.RNTI, anchor, cell, ch)
-			endc.Start()
-			endcs[us.ID] = endc
-			devices[us.ID] = endc
-		case anchor != nil:
-			anchor.Start()
-			devices[us.ID] = anchor
-		case len(us.NRCellIDs) > 0:
-			// Standalone 5G device.
-			ue := nr.NewUE(ueEng, us.ID, us.RNTI)
-			addCells(ue, us.NRCellIDs, nrRSSI, us.NRTrajectory)
-			devices[us.ID] = ue
-		default:
-			panic(fmt.Sprintf("harness: UE %d has no cells", us.ID))
+		b.channels[[2]int{us.ID, cid}] = ch
+		return ch
+	}
+	addCells := func(ue *ran.UE, ids []int, rssi float64, traj phy.Trajectory) {
+		for _, cid := range ids {
+			ue.AddCell(b.cells[cid], channel(cid, rssi, traj))
 		}
 	}
-
-	// UE specs by ID, looked up once per flow below (a linear scan per
-	// flow would be O(flows x UEs) at metro scale).
-	specs := make(map[int]*UESpec, len(sc.UEs))
-	for i := range sc.UEs {
-		specs[sc.UEs[i].ID] = &sc.UEs[i]
+	b.specs[us.ID] = us
+	nrRSSI := us.NRRSSI
+	if nrRSSI == 0 {
+		nrRSSI = us.RSSI
 	}
-	spec := func(ueID int) *UESpec {
-		us, ok := specs[ueID]
-		if !ok {
-			panic(fmt.Sprintf("harness: unknown UE %d", ueID))
-		}
-		return us
+	if len(us.CellIDs) == 0 {
+		ue := nr.NewUE(eng, us.ID, us.RNTI)
+		addCells(ue, us.NRCellIDs, nrRSSI, us.NRTrajectory)
+		b.devices[us.ID] = ue
+		return
 	}
+	anchor := lte.NewUE(eng, us.ID, us.RNTI)
+	addCells(anchor, us.CellIDs, us.RSSI, us.Trajectory)
+	anchor.SetCarrierAggregation(us.CA)
+	if len(us.NRCellIDs) == 0 {
+		anchor.Start()
+		b.devices[us.ID] = anchor
+		return
+	}
+	cid := us.NRCellIDs[0]
+	endc := nr.NewENDC(eng, us.ID, us.RNTI, anchor, b.cells[cid], channel(cid, nrRSSI, us.NRTrajectory))
+	endc.Start()
+	b.devices[us.ID] = endc
+}
 
-	// PBE monitors: one per UE hosting at least one PBE flow, fed by every
-	// configured cell but tracking only the active set. Each monitor gets
-	// a measurement-accuracy probe whose oracle mirrors every attach and
-	// detach but takes the direct (noise-free, decode-free) feed.
-	monitors := map[int]*core.Monitor{}
-	probes := map[int]*pbeProbe{}
-	clientGroups := map[int]*clientGroup{}
+// buildMonitors gives every UE hosting a monitor-using flow one PBE
+// monitor, fed by every configured cell but tracking only the active set,
+// and its measurement-accuracy probe, whose oracle mirrors every attach
+// and detach but takes the direct (noise-free, decode-free) feed.
+func (b *build) buildMonitors() {
+	sc := b.sc
 	for _, fs := range sc.Flows {
-		if !SchemeUsesMonitor(fs.Scheme) {
+		if !SchemeUsesMonitor(fs.Scheme) || b.probes[fs.UE] != nil {
 			continue
 		}
-		us := spec(fs.UE)
-		if _, ok := monitors[fs.UE]; ok {
-			continue
-		}
+		us := b.specs[fs.UE]
+		sh := b.pl.ueShard(us)
 		mon := core.NewMonitor(us.RNTI)
 		mon.UseFilter = !sc.DisableUserFilter
 		if sigma := sc.CapacityNoise; sigma > 0 {
 			// The monitor runs on the UE's shard; its noise stream draws
 			// from that shard's engine.
-			rng := pl.ueShard(us).Rand()
+			rng := sh.Rand()
 			mon.Noise = func(v float64) float64 {
 				return v * (1 + sigma*rng.NormFloat64())
 			}
 		}
 		probe := newPBEProbe(mon, us.RNTI)
-		monitors[fs.UE] = mon
-		probes[fs.UE] = probe
-		clientGroups[fs.UE] = &clientGroup{}
+		b.probes[fs.UE] = probe
 
 		// Monitor-fault axes interpose an injector on every attach,
 		// detach and control feed. The probe's oracle stays on the
@@ -475,10 +583,10 @@ func run(sc *Scenario, a *Arena) *Result {
 		var transport cellSet = mon
 		wrap := func(m ran.Monitor) ran.Monitor { return m }
 		if sc.Faults.MonitorAxes() {
-			inj := faults.New(pl.ueShard(us).Engine, mon, sc.Faults, sc.Seed, us.RNTI)
+			inj := faults.New(sh.Engine, mon, sc.Faults, sc.Seed, us.RNTI)
 			transport, wrap = inj, inj.WrapFeed
 		}
-		mirrorActiveCells(devices[fs.UE], us.ID, channels, probe.oracle, transport)
+		mirrorActiveCells(b.devices[fs.UE], us.ID, b.channels, probe.oracle, transport)
 
 		ids := us.cellIDs()
 		for i, cid := range ids {
@@ -486,192 +594,210 @@ func run(sc *Scenario, a *Arena) *Result {
 			// control channel only; NR control information always feeds
 			// the monitor directly.
 			decode := sc.MonitorDecodesPDCCH && i < len(us.CellIDs)
-			cells[cid].AttachMonitor(wrap(monitorFeed(decode, cells[cid], mon)))
-			cells[cid].AttachMonitor(probe.oracle.OnSubframe)
+			b.cells[cid].AttachMonitor(wrap(monitorFeed(decode, b.cells[cid], mon)))
+			b.cells[cid].AttachMonitor(probe.oracle.OnSubframe)
 		}
 		// The accuracy sampler runs once per primary-cell slot, attached
 		// after both feeds so it observes fully ingested windows.
-		cells[ids[0]].AttachMonitor(probe.sampler(pl.ueShard(us).Engine, us.ID))
+		b.cells[ids[0]].AttachMonitor(probe.sampler(sh.Engine, us.ID))
 	}
+}
 
-	// Truth-only capacity oracle for the measured flow when its scheme
-	// never reads the monitor: series analytics need the ground-truth
-	// trajectory for every scheme, not just the monitor-consuming ones.
-	if sc.Series && len(sc.Flows) > 0 {
-		fs := sc.Flows[0]
-		if fs.Scheme != "fixed" && !SchemeUsesMonitor(fs.Scheme) {
-			us := spec(fs.UE)
-			attachTruthOracle(sc, pl.ueShard(us).Engine, us, devices[fs.UE], cells, channels)
-		}
-	}
-
-	// Flows.
-	end := sc.Duration
+// buildFlows stands up the SFU relay, if any, then every flow in spec
+// order.
+func (b *build) buildFlows() {
 	var sfu *rtc.SFU
-	if sc.SFU != nil {
-		sfu = buildSFUIngest(pl.core.Engine, sc)
+	if b.sc.SFU != nil {
+		sfu = buildSFUIngest(b.pl.core.Engine, b.sc)
 	}
-	for i := range sc.Flows {
-		fs := &sc.Flows[i]
-		stop := fs.Stop
-		if stop == 0 {
-			stop = end
-		}
-		var delay stats.DelayDist
-		if sc.StreamStats {
-			delay = stats.NewDurationP2()
-		} else {
-			delay = a.delaySeries()
-		}
-		fr := &FlowResult{ID: fs.ID, Scheme: fs.Scheme,
-			Tput: &stats.Series{}, Delay: delay}
-		res.Flows = append(res.Flows, fr)
-		if fs.SFULeg && sc.SFU == nil {
-			panic(fmt.Sprintf("harness: flow %d is marked SFULeg but the scenario has no SFU", fs.ID))
-		}
-		dev := devices[fs.UE]
-		ueSh := pl.ueShard(spec(fs.UE))
-		ueEng := ueSh.Engine
+	for i := range b.sc.Flows {
+		b.buildFlow(&b.sc.Flows[i], sfu)
+	}
+}
 
-		if fs.Scheme == "fixed" {
-			ct := netsim.NewCrossTraffic(ueEng, dev, fs.FixedRate, fs.ID)
-			// The OnOff fault competitor's on-transitions are injection
-			// events for the recovery analytics; the competition family's
-			// deliberate competitor is workload, not a fault.
-			mark := sc.Faults.OnOff > 0 && fs.OnPeriod == faults.OnOffHalfPeriod &&
-				fs.OffPeriod == faults.OnOffHalfPeriod
-			scheduleOnOff(ueEng, ct, fs, stop, mark)
-			continue
-		}
+// buildFlow wires one flow - a fixed-rate source, an SFU leg, a media
+// flow or a bulk download - and its measurement.
+func (b *build) buildFlow(fs *FlowSpec, sfu *rtc.SFU) {
+	sc, end := b.sc, b.sc.Duration
+	stop := fs.Stop
+	if stop == 0 {
+		stop = end
+	}
+	var delay stats.DelayDist
+	if sc.StreamStats {
+		delay = stats.NewDurationP2()
+	} else {
+		delay = b.a.delaySeries()
+	}
+	fr := &FlowResult{ID: fs.ID, Scheme: fs.Scheme, Tput: &stats.Series{}, Delay: delay}
+	b.res.Flows = append(b.res.Flows, fr)
+	dev := b.devices[fs.UE]
+	ueSh := b.pl.ueShard(b.specs[fs.UE])
+	ueEng := ueSh.Engine
 
-		ctrl := newController(fs.Scheme)
-		if p, ok := ctrl.(*core.Sender); ok && sc.MisreportGuard > 0 {
-			p.MisreportGuard = sc.MisreportGuard
-		}
-		fb := flowFeedback(fs, fr, monitors, clientGroups)
-
-		windows := stats.NewWindowed(100 * time.Millisecond)
-		start := fs.Start
-		fr.windows = windows
-		fr.start, fr.stop = start, stop
-		onData := func(now time.Duration, p *netsim.Packet, owd time.Duration) {
-			if now < start || now > stop || p.Padding {
-				return
-			}
-			windows.Add(now, p.Size)
-			fr.Delay.AddDuration(owd)
-		}
-
-		switch {
-		case sfu != nil && fs.SFULeg:
-			attachSubscriber(ueSh, pl.core, sfu, fs, fr, dev, ctrl, fb, onData, end)
-		case fs.Media != nil:
-			attachMediaFlow(ueEng, fs, fr, dev, ctrl, fb, onData, end)
-		default:
-			var snd *cc.Sender
-			ackLink := netsim.NewLink(ueEng, 0, fs.RTTBase/2, 0,
-				netsim.HandlerFunc(func(now time.Duration, p *netsim.Packet) {
-					snd.HandlePacket(now, p)
-				}))
-			rcv := cc.NewReceiver(ueEng, fs.ID, ackLink)
-			rcv.Feedback = fb
-			rcv.OnData = onData
-			dev.RegisterFlow(fs.ID, rcv)
-
-			// Data path: sender -> (internet bottleneck) -> tower -> UE.
-			// The content server is pinned to its UE's cell shard, so the
-			// whole loop is shard-local.
-			bottleneck := netsim.NewLink(ueEng, fs.InternetRate, fs.RTTBase/2, fs.InternetQueue, dev)
-			bottleneck.EnableQueueSeries(fs.ID)
-			snd = cc.NewSender(ueEng, fs.ID, bottleneck, ctrl)
-			fr.snd = snd
-			ueEng.At(start, snd.Start)
-			if stop < end {
-				ueEng.At(stop, snd.Stop)
-			}
-		}
+	row := lookupScheme(fs.Scheme)
+	if row == nil { // "fixed"
+		ct := netsim.NewCrossTraffic(ueEng, dev, fs.FixedRate, fs.ID)
+		// The OnOff fault competitor's on-transitions are injection
+		// events for the recovery analytics; the competition family's
+		// deliberate competitor is workload, not a fault.
+		mark := sc.Faults.OnOff > 0 && fs.OnPeriod == faults.OnOffHalfPeriod &&
+			fs.OffPeriod == faults.OnOffHalfPeriod
+		scheduleOnOff(ueEng, ct, fs, stop, mark)
+		return
 	}
 
-	// PRB sampling for the fairness figures, on the primary cell's shard.
-	if sc.PRBSampleEvery > 0 && len(sc.Cells) > 0 {
-		eng := pl.cell(sc.Cells[0].ID).Engine
-		primary := cells[sc.Cells[0].ID]
-		acc := map[uint16]int{}
-		subframes := 0
-		rnti2ue := map[uint16]int{}
-		for _, us := range sc.UEs {
-			rnti2ue[us.RNTI] = us.ID
-		}
-		primary.AttachMonitor(func(rep *ran.SubframeReport) {
-			for _, a := range rep.Allocs {
-				if _, ok := rnti2ue[a.RNTI]; ok {
-					acc[a.RNTI] += a.PRBs
-				}
-			}
-			subframes++
-		})
-		eng.Every(sc.PRBSampleEvery, func() {
-			res.PRBTimes = append(res.PRBTimes, eng.Now())
-			for rnti, ueID := range rnti2ue {
-				avg := 0.0
-				if subframes > 0 {
-					avg = float64(acc[rnti]) / float64(subframes)
-				}
-				res.PRBSamples[ueID] = append(res.PRBSamples[ueID], avg)
-				acc[rnti] = 0
-			}
-			subframes = 0
-		})
+	ctrl := row.controller()
+	if p, ok := ctrl.(*core.Sender); ok && sc.MisreportGuard > 0 {
+		p.MisreportGuard = sc.MisreportGuard
+	}
+	var mon *core.Monitor
+	if row.usesMonitor {
+		fr.probe = b.probes[fs.UE]
+		mon = fr.probe.mon
+	}
+	var fb cc.FeedbackSource
+	if row.feedback != nil {
+		fb = row.feedback(mon)
+		fr.pbe, _ = fb.(*core.Client)
 	}
 
-	pl.cluster.RunUntil(sc.Duration)
-	res.Trace = pl.cluster.Recorder()
-	res.Series = pl.cluster.SeriesRecorder()
-	if flRT != nil {
-		res.Fluid = flRT.stats()
+	windows := stats.NewWindowed(100 * time.Millisecond)
+	start := fs.Start
+	fr.windows = windows
+	fr.start, fr.stop = start, stop
+	onData := func(now time.Duration, p *netsim.Packet, owd time.Duration) {
+		if now < start || now > stop || p.Padding {
+			return
+		}
+		windows.Add(now, p.Size)
+		fr.Delay.AddDuration(owd)
 	}
 
-	for i, fr := range res.Flows {
-		if fr.windows != nil {
-			fr.Tput = fr.windows.RatesMbps(fr.start, fr.stop)
-			span := (fr.stop - fr.start).Seconds()
-			var bytes float64
-			for _, b := range fr.windows.Buckets() {
-				bytes += b
-			}
-			if span > 0 {
-				fr.AvgTputMbps = bytes * 8 / span / 1e6
-			}
-			fr.buildTimeline()
-		}
-		if fr.snd != nil {
-			fr.Lost = fr.snd.LostPackets
-			fr.Received = fr.snd.AckedPackets
-		}
-		if fr.msnd != nil && fr.Frames != nil {
-			fr.Frames.SenderDrop = fr.msnd.FramesDropped
-		}
-		if fr.pbe != nil {
-			fr.InternetFrac = fr.pbe.InternetFraction()
-		}
-		if SchemeUsesMonitor(fr.Scheme) {
-			if pr := probes[sc.Flows[i].UE]; pr != nil {
-				fr.PBEErrPct = pr.ErrPct()
-			}
-		}
-	}
-	for _, ue := range anchors {
-		if ue.Activations > 0 {
-			res.CATriggered = true
+	switch {
+	case sfu != nil && fs.SFULeg:
+		attachSubscriber(ueSh, b.pl.core, sfu, fs, fr, dev, ctrl, fb, onData, end)
+	case fs.Media != nil:
+		attachMediaFlow(ueEng, fs, fr, dev, ctrl, fb, onData, end)
+	default:
+		var snd *cc.Sender
+		ackLink := netsim.NewLink(ueEng, 0, fs.RTTBase/2, 0,
+			netsim.HandlerFunc(func(now time.Duration, p *netsim.Packet) {
+				snd.HandlePacket(now, p)
+			}))
+		rcv := cc.NewReceiver(ueEng, fs.ID, ackLink)
+		rcv.Feedback = fb
+		rcv.OnData = onData
+		dev.RegisterFlow(fs.ID, rcv)
+
+		// Data path: sender -> (internet bottleneck) -> tower -> UE.
+		// The content server is pinned to its UE's cell shard, so the
+		// whole loop is shard-local.
+		bottleneck := netsim.NewLink(ueEng, fs.InternetRate, fs.RTTBase/2, fs.InternetQueue, dev)
+		bottleneck.EnableQueueSeries(fs.ID)
+		snd = cc.NewSender(ueEng, fs.ID, bottleneck, ctrl)
+		fr.snd = snd
+		ueEng.At(start, snd.Start)
+		if stop < end {
+			ueEng.At(stop, snd.Stop)
 		}
 	}
-	for _, e := range endcs {
-		if e.Activations > 0 {
-			res.CATriggered = true
-			res.NRActivated = true
+}
+
+// buildPRBSampler samples each UE's primary-cell PRB share for the
+// fairness figures, on the primary cell's shard.
+func (b *build) buildPRBSampler() {
+	sc, res := b.sc, b.res
+	if sc.PRBSampleEvery <= 0 || len(sc.Cells) == 0 {
+		return
+	}
+	eng := b.pl.byCell[sc.Cells[0].ID].Engine
+	acc := map[uint16]int{}
+	subframes := 0
+	rnti2ue := map[uint16]int{}
+	for _, us := range sc.UEs {
+		rnti2ue[us.RNTI] = us.ID
+	}
+	b.cells[sc.Cells[0].ID].AttachMonitor(func(rep *ran.SubframeReport) {
+		for _, a := range rep.Allocs {
+			if _, ok := rnti2ue[a.RNTI]; ok {
+				acc[a.RNTI] += a.PRBs
+			}
+		}
+		subframes++
+	})
+	eng.Every(sc.PRBSampleEvery, func() {
+		res.PRBTimes = append(res.PRBTimes, eng.Now())
+		for rnti, ueID := range rnti2ue {
+			avg := 0.0
+			if subframes > 0 {
+				avg = float64(acc[rnti]) / float64(subframes)
+			}
+			res.PRBSamples[ueID] = append(res.PRBSamples[ueID], avg)
+			acc[rnti] = 0
+		}
+		subframes = 0
+	})
+}
+
+// collect reads the finished run into the result: recorders, fluid
+// accounting, per-flow statistics, and whether any device activated a
+// secondary carrier (LTE legs only: LTE devices and EN-DC anchors).
+func (b *build) collect() *Result {
+	res := b.res
+	res.Trace = b.pl.cluster.Recorder()
+	res.Series = b.pl.cluster.SeriesRecorder()
+	if b.fluid != nil {
+		res.Fluid = b.fluid.stats()
+	}
+	for _, fr := range res.Flows {
+		fr.collect()
+	}
+	for _, us := range b.sc.UEs {
+		switch d := b.devices[us.ID].(type) {
+		case *nr.ENDC:
+			if d.Activations > 0 {
+				res.CATriggered, res.NRActivated = true, true
+			}
+			if d.Anchor().Activations > 0 {
+				res.CATriggered = true
+			}
+		case *ran.UE:
+			if len(us.CellIDs) > 0 && d.Activations > 0 {
+				res.CATriggered = true
+			}
 		}
 	}
 	return res
+}
+
+// collect derives the flow's statistics from what the run recorded.
+func (fr *FlowResult) collect() {
+	if fr.windows != nil {
+		fr.Tput = fr.windows.RatesMbps(fr.start, fr.stop)
+		span := (fr.stop - fr.start).Seconds()
+		var bytes float64
+		for _, b := range fr.windows.Buckets() {
+			bytes += b
+		}
+		if span > 0 {
+			fr.AvgTputMbps = bytes * 8 / span / 1e6
+		}
+		fr.buildTimeline()
+	}
+	if fr.snd != nil {
+		fr.Lost = fr.snd.LostPackets
+		fr.Received = fr.snd.AckedPackets
+	}
+	if fr.msnd != nil && fr.Frames != nil {
+		fr.Frames.SenderDrop = fr.msnd.FramesDropped
+	}
+	if fr.pbe != nil {
+		fr.InternetFrac = fr.pbe.InternetFraction()
+	}
+	if fr.probe != nil {
+		fr.PBEErrPct = fr.probe.ErrPct()
+	}
 }
 
 // device is the UE-side endpoint a flow terminates on, regardless of RAT:
@@ -680,9 +806,20 @@ func run(sc *Scenario, a *Arena) *Result {
 type device interface {
 	netsim.Handler
 	RegisterFlow(flowID int, h netsim.Handler)
-	SetDefaultHandler(h netsim.Handler)
 	ActiveCells() []*ran.Cell
 	OnActiveChange(fn func(active []*ran.Cell))
+}
+
+// cellIDs lists the scenario's cells, LTE first: the declaration order.
+func (sc *Scenario) cellIDs() []int {
+	ids := make([]int, 0, len(sc.Cells)+len(sc.NRCells))
+	for _, cs := range sc.Cells {
+		ids = append(ids, cs.ID)
+	}
+	for _, ns := range sc.NRCells {
+		ids = append(ids, ns.ID)
+	}
+	return ids
 }
 
 // cellIDs lists the UE's configured carriers, LTE first: the order its
@@ -737,6 +874,10 @@ func mirrorActiveCells(dev device, ueID int, channels map[[2]int]*phy.Channel, o
 	dev.OnActiveChange(sync)
 }
 
+// MeasuresInternetState reports whether InternetFrac was measured: the
+// flow's receiver ran the PBE client's bottleneck detector.
+func (fr *FlowResult) MeasuresInternetState() bool { return fr.pbe != nil }
+
 func (fr *FlowResult) buildTimeline() {
 	buckets := fr.windows.Buckets()
 	// Pad to the flow's stop time so silent periods (a starved sender)
@@ -754,29 +895,6 @@ func (fr *FlowResult) buildTimeline() {
 		fr.TimelineT = append(fr.TimelineT, t)
 		fr.TimelineR = append(fr.TimelineR, b*8/fr.windows.Window.Seconds()/1e6)
 	}
-}
-
-// clientGroup shares one UE's capacity estimate across its concurrent PBE
-// flows (§6.3.4: the client fairly allocates estimated capacity to its
-// own connections).
-type clientGroup struct {
-	clients []*core.Client
-}
-
-type sharedFeedback struct {
-	c   *core.Client
-	grp *clientGroup
-}
-
-// Feedback divides the client's capacity feedback by the number of local
-// PBE flows.
-func (s *sharedFeedback) Feedback(now time.Duration, owd time.Duration, dataBytes int) (float64, bool) {
-	rate, btl := s.c.Feedback(now, owd, dataBytes)
-	n := len(s.grp.clients)
-	if n > 1 {
-		rate /= float64(n)
-	}
-	return rate, btl
 }
 
 // monitorFeed returns the feed of cell reports into mon, routed through
@@ -825,50 +943,4 @@ func scheduleOnOff(eng *sim.Engine, ct *netsim.CrossTraffic, fs *FlowSpec, stop 
 		cycle(at + fs.OnPeriod + fs.OffPeriod)
 	}
 	cycle(fs.Start)
-}
-
-// flowFeedback builds the receiver-side feedback source a scheme needs:
-// the PBE client (shared across the UE's PBE flows) or the GCC REMB
-// estimator; nil for schemes without receiver feedback.
-func flowFeedback(fs *FlowSpec, fr *FlowResult, monitors map[int]*core.Monitor, clientGroups map[int]*clientGroup) cc.FeedbackSource {
-	switch fs.Scheme {
-	case "pbe":
-		client := core.NewClient(monitors[fs.UE])
-		grp := clientGroups[fs.UE]
-		grp.clients = append(grp.clients, client)
-		fr.pbe = client
-		return &sharedFeedback{c: client, grp: grp}
-	case "gcc":
-		return gcc.NewREMB()
-	case "pbertc":
-		return pbertc.NewFeedback(monitors[fs.UE])
-	}
-	return nil
-}
-
-// newController builds a controller by scheme name.
-func newController(name string) cc.Controller {
-	switch name {
-	case "pbe":
-		return core.NewSender()
-	case "gcc":
-		return gcc.New()
-	case "pbertc":
-		return pbertc.New()
-	case "bbr":
-		return bbr.New()
-	case "cubic":
-		return cubic.New()
-	case "copa":
-		return copa.New()
-	case "verus":
-		return verus.New()
-	case "sprout":
-		return sprout.New()
-	case "pcc":
-		return pcc.New()
-	case "vivace":
-		return vivace.New()
-	}
-	panic(fmt.Sprintf("harness: unknown scheme %q", name))
 }

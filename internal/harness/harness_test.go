@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -230,11 +232,79 @@ func TestPRBSampling(t *testing.T) {
 	}
 }
 
-func TestUnknownSchemePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unknown scheme did not panic")
+// TestSchemeTable: every row builds a controller under its own name, the
+// exported list keeps the table's order, and exactly pbe and pbertc read
+// the monitor.
+func TestSchemeTable(t *testing.T) {
+	want := []string{"pbe", "bbr", "cubic", "verus", "sprout", "copa", "pcc", "vivace", "gcc", "pbertc"}
+	if !slices.Equal(Schemes, want) {
+		t.Fatalf("Schemes = %v, want %v", Schemes, want)
+	}
+	for _, s := range schemes {
+		if got := s.controller().Name(); got != s.name {
+			t.Errorf("row %q builds controller %q", s.name, got)
 		}
-	}()
-	newController("quic-magic")
+		if got, want := SchemeUsesMonitor(s.name), s.name == "pbe" || s.name == "pbertc"; got != want {
+			t.Errorf("SchemeUsesMonitor(%q) = %v, want %v", s.name, got, want)
+		}
+	}
+	for _, name := range []string{"fixed", "quic-magic"} {
+		if SchemeUsesMonitor(name) {
+			t.Errorf("SchemeUsesMonitor(%q) = true", name)
+		}
+	}
+}
+
+// TestScenarioValidate: one malformed scenario per structural error, each
+// rejected with an error naming the offending ID, and the well-formed base
+// accepted.
+func TestScenarioValidate(t *testing.T) {
+	base := func() *Scenario {
+		return &Scenario{
+			Cells:   []CellSpec{{ID: 1, NPRB: 100}},
+			NRCells: []NRCellSpec{{ID: 101, Mu: 1, BandwidthMHz: 100}, {ID: 102, Mu: 1, BandwidthMHz: 100}},
+			UEs: []UESpec{
+				{ID: 1, RNTI: 61, CellIDs: []int{1}},
+				{ID: 2, RNTI: 62, NRCellIDs: []int{101}},
+				{ID: 3, RNTI: 63, CellIDs: []int{1}, NRCellIDs: []int{102}},
+			},
+			Flows: []FlowSpec{
+				{ID: 1, UE: 1, Scheme: "pbe"},
+				{ID: 2, UE: 2, Scheme: "fixed", FixedRate: 1e6},
+				{ID: 3, UE: 3, Scheme: "gcc"},
+			},
+		}
+	}
+	if err := base().Validate(); err != nil {
+		t.Fatalf("base scenario rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(sc *Scenario)
+		want   string
+	}{
+		{"unknown_scheme", func(sc *Scenario) { sc.Flows[0].Scheme = "quic-magic" }, `"quic-magic"`},
+		{"unknown_ue", func(sc *Scenario) { sc.Flows[0].UE = 77 }, "UE 77"},
+		{"sfu_leg_without_sfu", func(sc *Scenario) { sc.Flows[2].SFULeg = true }, "flow 3"},
+		{"ue_without_cells", func(sc *Scenario) { sc.UEs[1].NRCellIDs = nil }, "UE 2"},
+		{"endc_two_nr_cells", func(sc *Scenario) { sc.UEs[2].NRCellIDs = []int{101, 102} }, "UE 3"},
+		{"unknown_lte_cell", func(sc *Scenario) { sc.UEs[0].CellIDs = []int{1, 9} }, "cell 9"},
+		{"unknown_nr_cell", func(sc *Scenario) { sc.UEs[1].NRCellIDs = []int{109} }, "cell 109"},
+		{"duplicate_cell_id", func(sc *Scenario) { sc.NRCells[1].ID = 1 }, "cell 1 "},
+		{"duplicate_ue_id", func(sc *Scenario) { sc.UEs[2].ID = 2 }, "UE 2"},
+		{"lte_ids_name_nr_cell", func(sc *Scenario) { sc.UEs[0].CellIDs = []int{101} }, "cell 101"},
+		{"nr_ids_name_lte_cell", func(sc *Scenario) { sc.UEs[1].NRCellIDs = []int{1} }, "cell 1 "},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sc := base()
+			tc.mutate(sc)
+			err := sc.Validate()
+			if err == nil {
+				t.Fatal("accepted")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not name %s", err, tc.want)
+			}
+		})
+	}
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"pbecc/internal/faults"
@@ -27,15 +28,12 @@ type Params struct {
 	// feedback.
 	CapacityNoise float64
 
-	// Fault axes (internal/faults), each an intensity in [0, 1]: the
-	// structured measurement-fault counterpart to CapacityNoise's white
-	// error. Stale/Miss/Handover perturb what monitor-using schemes
-	// observe; OnOff adds an adversarial square-wave competitor every
-	// scheme contends with.
-	FaultStale    float64
-	FaultMiss     float64
-	FaultHandover float64
-	FaultOnOff    float64
+	// Faults selects the fault axes (internal/faults), each an intensity
+	// in [0, 1]: the structured measurement-fault counterpart to
+	// CapacityNoise's white error. Stale/Miss/Handover perturb what
+	// monitor-using schemes observe; OnOff adds an adversarial
+	// square-wave competitor every scheme contends with.
+	Faults faults.Spec
 
 	// Shards bounds how many shards of a sharded scenario advance
 	// concurrently (0 = family default, which is serial). Results are
@@ -48,24 +46,6 @@ type Params struct {
 	// scales with the measured flows. Families without a churn population
 	// ignore it; the nation family forces it on.
 	FluidBackground bool
-}
-
-// faultSpec collects the fault knobs into the faults vocabulary.
-func (p Params) faultSpec() faults.Spec {
-	return faults.Spec{Stale: p.FaultStale, Miss: p.FaultMiss,
-		Handover: p.FaultHandover, OnOff: p.FaultOnOff}
-}
-
-// SetFaultAxis assigns one named fault axis: the sweep's string-keyed
-// interface over the Fault* fields.
-func (p *Params) SetFaultAxis(axis string, level float64) error {
-	s := p.faultSpec()
-	if err := s.Set(axis, level); err != nil {
-		return err
-	}
-	p.FaultStale, p.FaultMiss, p.FaultHandover, p.FaultOnOff =
-		s.Stale, s.Miss, s.Handover, s.OnOff
-	return nil
 }
 
 // RATLTE and RATNR name the radio-access-technology axis values.
@@ -118,7 +98,7 @@ func (p Params) Validate() error {
 	if p.Shards < 0 {
 		return fmt.Errorf("negative shard count %d", p.Shards)
 	}
-	if err := p.faultSpec().Validate(); err != nil {
+	if err := p.Faults.Validate(); err != nil {
 		return err
 	}
 	switch p.RAT {
@@ -141,10 +121,10 @@ func (p Params) apply(sc *Scenario) *Scenario {
 	if p.Shards > 0 {
 		sc.Shards = p.Shards
 	}
-	if fspec := p.faultSpec(); fspec.Any() {
-		sc.Faults = fspec
-		if fspec.OnOff > 0 {
-			addOnOffCompetitor(sc, fspec.OnOff)
+	if p.Faults.Any() {
+		sc.Faults = p.Faults
+		if p.Faults.OnOff > 0 {
+			addOnOffCompetitor(sc, p.Faults.OnOff)
 		}
 	}
 	return sc
@@ -251,33 +231,20 @@ func Families() []Family {
 }
 
 // BuildScenario builds one family's scenario for a scheme, validating the
-// family ID, scheme name, and RAT support first.
+// params, scheme name, family ID and RAT support first and the built
+// scenario (Scenario.Validate) last.
 func BuildScenario(family, scheme string, p Params) (*Scenario, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("invalid params: %w", err)
 	}
-	known := false
-	for _, s := range Schemes {
-		if s == scheme {
-			known = true
-			break
-		}
-	}
-	if !known {
+	if lookupScheme(scheme) == nil {
 		return nil, fmt.Errorf("unknown scheme %q (valid: %v)", scheme, Schemes)
 	}
 	for _, f := range Families() {
 		if f.ID != family {
 			continue
 		}
-		ratOK := false
-		for _, r := range f.RATs {
-			if r == p.rat() {
-				ratOK = true
-				break
-			}
-		}
-		if !ratOK {
+		if !slices.Contains(f.RATs, p.rat()) {
 			return nil, fmt.Errorf("family %q does not support RAT %q", family, p.rat())
 		}
 		if p.Cells > 0 && !f.CellsAxis {
@@ -286,7 +253,11 @@ func BuildScenario(family, scheme string, p Params) (*Scenario, error) {
 		if p.Cells > 0 && p.Cells < f.MinCells {
 			return nil, fmt.Errorf("family %q needs at least %d cells (got %d)", family, f.MinCells, p.Cells)
 		}
-		return f.Build(scheme, p), nil
+		sc := f.Build(scheme, p)
+		if err := sc.Validate(); err != nil {
+			return nil, fmt.Errorf("family %q built an invalid scenario: %w", family, err)
+		}
+		return sc, nil
 	}
 	ids := make([]string, 0, len(Families()))
 	for _, f := range Families() {

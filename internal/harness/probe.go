@@ -5,7 +5,6 @@ import (
 
 	"pbecc/internal/core"
 	"pbecc/internal/obs"
-	"pbecc/internal/phy"
 	"pbecc/internal/ran"
 	"pbecc/internal/sim"
 )
@@ -114,28 +113,38 @@ func (p *pbeProbe) ErrPct() float64 {
 	return 100 * p.sumAbs / float64(p.n)
 }
 
-// attachTruthOracle stands up a truth-only oracle monitor for a UE whose
-// measured flow's scheme never reads the PBE monitor: the series layer
-// still needs the ground-truth capacity trajectory so convergence time
-// and tracking lag are defined for every scheme. The oracle mirrors the
-// probe oracle's attach discipline (direct feeds, no noise, no decode
-// path) and is strictly passive, so attaching it never changes the run.
-func attachTruthOracle(sc *Scenario, eng *sim.Engine, us *UESpec, dev device,
-	cells map[int]*ran.Cell, channels map[[2]int]*phy.Channel) {
+// buildTruthOracle stands up a truth-only oracle monitor for the measured
+// (first) flow's UE when that flow's scheme never reads the PBE monitor:
+// the series layer still needs the ground-truth capacity trajectory so
+// convergence time and tracking lag are defined for every scheme. The
+// oracle mirrors the probe oracle's attach discipline (direct feeds, no
+// noise, no decode path) and is strictly passive, so attaching it never
+// changes the run.
+func (b *build) buildTruthOracle() {
+	sc := b.sc
+	if !sc.Series || len(sc.Flows) == 0 {
+		return
+	}
+	fs := sc.Flows[0]
+	if fs.Scheme == "fixed" || SchemeUsesMonitor(fs.Scheme) {
+		return
+	}
+	us := b.specs[fs.UE]
+	eng := b.pl.ueShard(us).Engine
 	sb := eng.SeriesBuffer()
 	if sb == nil {
 		return
 	}
 	oracle := core.NewMonitor(us.RNTI)
 	oracle.UseFilter = !sc.DisableUserFilter
-	mirrorActiveCells(dev, us.ID, channels, oracle, nil)
+	mirrorActiveCells(b.devices[fs.UE], us.ID, b.channels, oracle, nil)
 	ids := us.cellIDs()
 	for _, cid := range ids {
-		cells[cid].AttachMonitor(oracle.OnSubframe)
+		b.cells[cid].AttachMonitor(oracle.OnSubframe)
 	}
 
 	track := sb.Track(seriesTruth, us.ID)
-	cells[ids[0]].AttachMonitor(func(rep *ran.SubframeReport) {
+	b.cells[ids[0]].AttachMonitor(func(rep *ran.SubframeReport) {
 		if truth := oracle.CapacityBits(); truth > 0 {
 			track.Sample(eng.Now(), truth/1e3)
 		}

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"pbecc/internal/cc"
-	"pbecc/internal/cc/gcc"
 	"pbecc/internal/netsim"
 	"pbecc/internal/rtc"
 	"pbecc/internal/sim"
@@ -70,19 +69,13 @@ func buildSFUIngest(eng *sim.Engine, sc *Scenario) *rtc.SFU {
 	spec.Simulcast = true
 	sfu := rtc.NewSFU(eng, spec)
 
-	var ctrl cc.Controller
-	scheme := sp.IngestScheme
-	if scheme == "" || scheme == "provisioned" {
-		// A dedicated uplink: pace at twice the full simulcast bundle so
-		// the ingest never becomes the experiment's bottleneck.
-		var bundle float64
-		for _, r := range sfu.Spec().Ladder {
-			bundle += r
-		}
-		ctrl = &provisionedController{rate: 2 * bundle}
-	} else {
-		ctrl = newController(scheme)
+	// A dedicated uplink: pace at twice the full simulcast bundle so the
+	// ingest never becomes the experiment's bottleneck.
+	var bundle float64
+	for _, r := range sfu.Spec().Ladder {
+		bundle += r
 	}
+	ctrl := &provisionedController{rate: 2 * bundle}
 	rtt := sp.IngestRTT
 	if rtt == 0 {
 		rtt = 20 * time.Millisecond
@@ -93,9 +86,6 @@ func buildSFUIngest(eng *sim.Engine, sc *Scenario) *rtc.SFU {
 			isnd.HandlePacket(now, p)
 		}))
 	ircv := rtc.NewReceiver(eng, sfuIngestFlowID, ackLink, spec)
-	if scheme == "gcc" {
-		ircv.Transport().Feedback = gcc.NewREMB()
-	}
 	ircv.OnFrame = func(f rtc.Frame, _ time.Duration) { sfu.OnFrame(f) }
 	path := netsim.NewLink(eng, sp.IngestRate, rtt/2, sp.IngestQueue, ircv)
 	isnd = rtc.NewSender(eng, sfuIngestFlowID, path, ctrl, spec)

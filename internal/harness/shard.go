@@ -1,8 +1,6 @@
 package harness
 
 import (
-	"fmt"
-
 	"pbecc/internal/obs"
 	"pbecc/internal/sim"
 )
@@ -20,7 +18,8 @@ import (
 //
 // An unsharded scenario is the degenerate one-shard cluster, which the
 // sim layer guarantees is bit-compatible with the bare engine the
-// harness used before sharding existed.
+// harness used before sharding existed. Placement assumes a scenario
+// that passed Validate: every cell a UE names is declared.
 type placement struct {
 	cluster *sim.Cluster
 	byCell  map[int]*sim.Shard
@@ -29,11 +28,7 @@ type placement struct {
 
 func newPlacement(sc *Scenario, a *Arena) *placement {
 	cl := a.cluster(sc.Seed)
-	workers := sc.Shards
-	if workers < 1 {
-		workers = 1
-	}
-	cl.SetWorkers(workers)
+	cl.SetWorkers(max(sc.Shards, 1))
 	if sc.Trace {
 		cl.SetRecorder(obs.NewRecorder())
 	}
@@ -41,14 +36,12 @@ func newPlacement(sc *Scenario, a *Arena) *placement {
 		cl.SetSeriesRecorder(a.seriesRecorder())
 	}
 	pl := &placement{cluster: cl, byCell: map[int]*sim.Shard{}}
+	cells := sc.cellIDs()
 
 	if !sc.Sharded {
 		s := cl.AddShard()
-		for _, cs := range sc.Cells {
-			pl.byCell[cs.ID] = s
-		}
-		for _, ns := range sc.NRCells {
-			pl.byCell[ns.ID] = s
+		for _, id := range cells {
+			pl.byCell[id] = s
 		}
 		pl.core = s
 		return pl
@@ -57,28 +50,18 @@ func newPlacement(sc *Scenario, a *Arena) *placement {
 	// Union-find over cell IDs: each device merges every carrier it
 	// touches, so no device ever spans a shard boundary.
 	parent := map[int]int{}
-	for _, cs := range sc.Cells {
-		parent[cs.ID] = cs.ID
-	}
-	for _, ns := range sc.NRCells {
-		parent[ns.ID] = ns.ID
+	for _, id := range cells {
+		parent[id] = id
 	}
 	var find func(int) int
 	find = func(x int) int {
-		p, ok := parent[x]
-		if !ok {
-			panic(fmt.Sprintf("harness: UE references unknown cell %d", x))
+		if p := parent[x]; p != x {
+			parent[x] = find(p)
 		}
-		if p != x {
-			p = find(p)
-			parent[x] = p
-		}
-		return p
+		return parent[x]
 	}
 	for _, us := range sc.UEs {
-		ids := make([]int, 0, len(us.CellIDs)+len(us.NRCellIDs))
-		ids = append(ids, us.CellIDs...)
-		ids = append(ids, us.NRCellIDs...)
+		ids := us.cellIDs()
 		for i := 1; i < len(ids); i++ {
 			ra, rb := find(ids[0]), find(ids[i])
 			if ra != rb {
@@ -91,18 +74,12 @@ func newPlacement(sc *Scenario, a *Arena) *placement {
 	// so the topology (and with it every shard engine seed) is
 	// deterministic.
 	roots := map[int]*sim.Shard{}
-	assign := func(id int) {
+	for _, id := range cells {
 		r := find(id)
 		if roots[r] == nil {
 			roots[r] = cl.AddShard()
 		}
 		pl.byCell[id] = roots[r]
-	}
-	for _, cs := range sc.Cells {
-		assign(cs.ID)
-	}
-	for _, ns := range sc.NRCells {
-		assign(ns.ID)
 	}
 
 	if sc.SFU != nil {
@@ -116,25 +93,13 @@ func newPlacement(sc *Scenario, a *Arena) *placement {
 	return pl
 }
 
-// cell returns the shard that owns the given cell.
-func (pl *placement) cell(id int) *sim.Shard {
-	s, ok := pl.byCell[id]
-	if !ok {
-		panic(fmt.Sprintf("harness: no shard for cell %d", id))
-	}
-	return s
-}
-
 // ueShard returns the shard a UE (and everything terminating on it) is
 // pinned to: the shard of its primary cell.
 func (pl *placement) ueShard(us *UESpec) *sim.Shard {
 	if len(us.CellIDs) > 0 {
-		return pl.cell(us.CellIDs[0])
+		return pl.byCell[us.CellIDs[0]]
 	}
-	if len(us.NRCellIDs) > 0 {
-		return pl.cell(us.NRCellIDs[0])
-	}
-	panic(fmt.Sprintf("harness: UE %d has no cells", us.ID))
+	return pl.byCell[us.NRCellIDs[0]]
 }
 
 // ShardCount reports how many shards a scenario's topology yields,

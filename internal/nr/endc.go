@@ -27,7 +27,6 @@ type ENDC struct {
 	nrCell *Cell
 
 	nrActive bool
-	enabled  bool
 
 	onActiveChange []func(active []*Cell)
 
@@ -57,7 +56,6 @@ func NewENDC(eng *sim.Engine, id int, rnti uint16, anchor *ran.UE, nrCell *Cell,
 		RNTI:      rnti,
 		anchor:    anchor,
 		nrCell:    nrCell,
-		enabled:   true,
 		scg:       ran.NewActivation(),
 	}
 	e.nrLeg = NewUE(eng, id, rnti)
@@ -68,15 +66,11 @@ func NewENDC(eng *sim.Engine, id int, rnti uint16, anchor *ran.UE, nrCell *Cell,
 	return e
 }
 
-// NRCell returns the secondary NR carrier.
-func (e *ENDC) NRCell() *Cell { return e.nrCell }
-
 // NRActive reports whether the NR secondary cell group is active.
 func (e *ENDC) NRActive() bool { return e.nrActive }
 
-// SetDualConnectivity enables or disables NR secondary activation
-// (disabled models an LTE-only data plan on a 5G phone).
-func (e *ENDC) SetDualConnectivity(on bool) { e.enabled = on }
+// Anchor returns the LTE anchor leg.
+func (e *ENDC) Anchor() *ran.UE { return e.anchor }
 
 // ActiveCells returns the anchor's active LTE carriers followed by the NR
 // secondary cell while it is active.
@@ -160,9 +154,6 @@ func (e *ENDC) tick() {
 		served += nrServed * e.nrCell.SlotsPerSubframe()
 	}
 	e.scg.Sample(e.anchor.QueueBits(), userPRBs, totalPRBs, served)
-	if !e.enabled {
-		return
-	}
 	now := e.eng.Now()
 	if !e.nrActive && e.scg.ActivationDue(now) {
 		e.Activations++

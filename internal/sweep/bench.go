@@ -120,18 +120,14 @@ func DiffBench(base, cur map[string]Bench, allowMissing bool) ([]Delta, error) {
 	return deltas, nil
 }
 
-// ExceededBench filters bench deltas down to gate violations. The two
-// budgets are percentages; a negative budget disables that gate. nsBudget
-// governs ns/op (meaningful only when base and current ran on the same
-// machine); allocBudget governs the deterministic B/op and allocs/op.
-func ExceededBench(deltas []Delta, nsBudget, allocBudget float64) []Delta {
+// ExceededBench filters bench deltas down to gate violations: the
+// deterministic B/op and allocs/op columns regressing more than budget
+// percent. ns/op is never gated; it measures the machine as much as the
+// code.
+func ExceededBench(deltas []Delta, budget float64) []Delta {
 	var bad []Delta
 	for _, d := range deltas {
-		budget := allocBudget
-		if d.Metric == "ns/op" {
-			budget = nsBudget
-		}
-		if budget >= 0 && d.RegressPct > budget {
+		if d.Metric != "ns/op" && d.RegressPct > budget {
 			bad = append(bad, d)
 		}
 	}

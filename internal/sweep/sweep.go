@@ -91,7 +91,7 @@ func (j Job) params(spec *Spec) harness.Params {
 		FluidBackground: spec.Fluid,
 	}
 	if j.FaultAxis != "" {
-		if err := p.SetFaultAxis(j.FaultAxis, j.FaultLevel); err != nil {
+		if err := p.Faults.Set(j.FaultAxis, j.FaultLevel); err != nil {
 			// Jobs() validated every axis name before expanding.
 			panic(fmt.Sprintf("sweep: job %d carries invalid fault axis: %v", j.Index, err))
 		}

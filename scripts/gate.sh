@@ -20,14 +20,11 @@
 #                  smoke sweep vs BENCH_micro_baseline.txt: B/op or
 #                  allocs/op >10% fails, ns/op is printed only
 #                  -> BENCH_MICRODIFF_PR.txt
-#   smoke-diff     BENCH_baseline.json           vs BENCH_PR.json        (>10% fails)
-#   metro-diff     BENCH_metro_baseline.json     vs BENCH_METRO_PR.json  (>10% fails)
-#   nation-diff    BENCH_nation_baseline.json    vs BENCH_NATION_PR.json (>10% fails)
-#   scorecard-diff BENCH_scorecard_baseline.json vs BENCH_SCORECARD_PR.json (>5 points fails)
-#   traj-diff      BENCH_traj_baseline.json      vs BENCH_TRAJ_PR.json   (>10% fails)
 #   baseline-ident cmp of the five *_PR.json artifacts above against their
 #                  committed baselines: a PR that is not an announced
-#                  behaviour fix must reproduce them byte for byte
+#                  behaviour fix must reproduce them byte for byte. On a
+#                  mismatch it prints the pair's pbesweep -diff (or
+#                  -scorecard-diff) table - what moved - then fails
 #
 # Timing budget:
 #   budget         sum the wall-clock of every gate run so far and fail
@@ -134,26 +131,28 @@ gate_report_det() {
   cmp report_run.csv docs/report_steady.csv
 }
 
-gate_smoke_diff()  { sweep -diff -max-regress 10 BENCH_baseline.json BENCH_PR.json; }
-gate_metro_diff()  { sweep -diff -max-regress 10 BENCH_metro_baseline.json BENCH_METRO_PR.json; }
-gate_nation_diff() { sweep -diff -max-regress 10 BENCH_nation_baseline.json BENCH_NATION_PR.json; }
-# Budget is percentage points of mean fault degradation per scheme (and
-# percent for the clean throughput it is normalized against).
-gate_scorecard_diff() { sweep -scorecard-diff -max-regress 5 BENCH_scorecard_baseline.json BENCH_SCORECARD_PR.json; }
-gate_traj_diff()      { sweep -diff -max-regress 10 BENCH_traj_baseline.json BENCH_TRAJ_PR.json; }
-
 # The sweep artifacts are virtual-time deterministic, so the committed
-# baselines are reproducible byte for byte; the percent budgets above only
-# bound how far an announced behaviour change may move them. Reuses the
-# artifacts the determinism gates wrote - no extra simulation. A PR that
-# changes behaviour on purpose regenerates the baselines in the same
-# commit, which keeps this gate green and the change visible in the diff.
+# baselines are reproducible byte for byte. Reuses the artifacts the
+# determinism gates wrote - no extra simulation. A PR that changes
+# behaviour on purpose regenerates the baselines in the same commit, which
+# keeps this gate green and the change visible in the diff. A mismatch
+# prints the metric table of every pair that moved (budgets: 10% per
+# sweep metric, 5 points per scorecard metric) before the gate fails.
 gate_baseline_ident() {
-  cmp BENCH_PR.json BENCH_baseline.json
-  cmp BENCH_METRO_PR.json BENCH_metro_baseline.json
-  cmp BENCH_NATION_PR.json BENCH_nation_baseline.json
-  cmp BENCH_SCORECARD_PR.json BENCH_scorecard_baseline.json
-  cmp BENCH_TRAJ_PR.json BENCH_traj_baseline.json
+  local rc=0 pr base mode budget
+  while read -r pr base mode budget; do
+    if ! cmp "$pr" "$base"; then
+      sweep "$mode" -max-regress "$budget" "$base" "$pr" || true
+      rc=1
+    fi
+  done <<'EOF'
+BENCH_PR.json BENCH_baseline.json -diff 10
+BENCH_METRO_PR.json BENCH_metro_baseline.json -diff 10
+BENCH_NATION_PR.json BENCH_nation_baseline.json -diff 10
+BENCH_SCORECARD_PR.json BENCH_scorecard_baseline.json -scorecard-diff 5
+BENCH_TRAJ_PR.json BENCH_traj_baseline.json -diff 10
+EOF
+  return "$rc"
 }
 
 gate_budget() {
