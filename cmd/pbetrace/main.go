@@ -1,7 +1,7 @@
 // Command pbetrace runs one scenario with the virtual-time trace
 // recorder attached and writes Chrome trace-event JSON, viewable in
 // Perfetto (ui.perfetto.dev) or chrome://tracing: shard window spans,
-// per-flow congestion-control decision tracks, PBE estimation-error
+// per-flow rate and window tracks, per-UE capacity estimate and truth
 // tracks, and frame-shed instants, all on the simulation's virtual
 // clock.
 //
@@ -14,7 +14,7 @@
 //
 // The -fault-* flags drive the deterministic measurement-fault injector
 // (internal/faults); each injection lands on the trace as an instant in
-// the "faults" category, aligned with the cc decision tracks.
+// the "faults" category, aligned with the rate and window tracks.
 //
 // Tracing observes the run without changing it: the scenario's results
 // are byte-identical with the recorder on or off, for any -shards value.
@@ -82,10 +82,11 @@ func main() {
 }
 
 // addSeriesTracks projects the run's recorded series onto the trace as
-// counter tracks under a dedicated trace process: the transport's
-// per-window rate decisions ("series/cc.rate/flow<id>") next to the
-// monitor's capacity estimate ("series/monitor.est/ue<id>"), on the same
-// virtual clock as the shard spans and fault instants. The points are
+// counter tracks under a dedicated trace process: each flow's per-window
+// pacing rate and window ("series/cc.rate/flow<id>", "series/cc.cwnd/...")
+// next to the monitor's capacity estimate and the noise-free oracle's
+// truth ("series/monitor.est/ue<id>", "series/monitor.truth/..."), on the
+// same virtual clock as the shard spans and fault instants. The points are
 // already 40 ms window aggregates, so even a metro trace adds only a few
 // hundred events per track.
 func addSeriesTracks(rec *obs.Recorder, series *obs.SeriesRecorder) {
@@ -101,7 +102,9 @@ func addSeriesTracks(rec *obs.Recorder, series *obs.SeriesRecorder) {
 	sb := rec.NewBuffer(pid)
 	for _, sig := range []struct{ name, unit string }{
 		{"cc.rate", "flow"},
+		{"cc.cwnd", "flow"},
 		{"monitor.est", "ue"},
+		{"monitor.truth", "ue"},
 	} {
 		for _, k := range series.Keys() {
 			if k.Name != sig.name {

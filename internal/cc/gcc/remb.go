@@ -7,8 +7,7 @@ import "time"
 // publishes the resulting receiver-estimated maximum bitrate. It
 // implements cc.FeedbackSource, so in the simulator the estimate rides in
 // the acknowledgement's feedback-rate word exactly as a REMB message rides
-// in RTCP; over real sockets the same word travels in the
-// transport.REMB message.
+// in RTCP.
 type REMB struct {
 	ia   interArrival
 	tl   trendline

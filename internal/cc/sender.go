@@ -1,7 +1,6 @@
 package cc
 
 import (
-	"fmt"
 	"time"
 
 	"pbecc/internal/netsim"
@@ -91,11 +90,10 @@ type Sender struct {
 	SentBytes    uint64
 	AckedBytes   uint64
 
-	// Last observed controller decision, for change-triggered metric and
-	// trace emission; trace track names are built once per flow.
-	lastRate             float64
-	lastCwnd             int
-	traceRate, traceCwnd string
+	// Last observed controller decision, for change-triggered metric
+	// emission.
+	lastRate float64
+	lastCwnd int
 
 	// Series tracks, created lazily on the first ACK (nil when the run
 	// records no series; Sample on nil is one branch).
@@ -323,7 +321,7 @@ func (s *Sender) HandlePacket(now time.Duration, p *netsim.Packet) {
 	}
 	s.ctrl.OnAck(sample)
 	mAcks.Inc()
-	s.observeDecision(now)
+	s.observeDecision()
 	s.observeSeries(now, info.bytes)
 	if s.OnAckHook != nil {
 		s.OnAckHook(sample)
@@ -333,14 +331,11 @@ func (s *Sender) HandlePacket(now time.Duration, p *netsim.Packet) {
 }
 
 // observeDecision records the controller's post-event pacing rate and
-// window when either changed: a counter plus a rate histogram in the
-// metrics registry, and - when the run is traced - one counter track per
-// flow for the Perfetto cc-decision timeline. Purely observational: it
-// reads the controller, never drives it.
-func (s *Sender) observeDecision(now time.Duration) {
-	buf := s.eng.ObsBuffer()
-	metricsOn := obs.Enabled()
-	if buf == nil && !metricsOn {
+// window in the metrics registry when either changed: a counter plus a
+// rate histogram. Purely observational: it reads the controller, never
+// drives it.
+func (s *Sender) observeDecision() {
+	if !obs.Enabled() {
 		return
 	}
 	rate := s.ctrl.PacingRate()
@@ -348,26 +343,9 @@ func (s *Sender) observeDecision(now time.Duration) {
 	if rate == s.lastRate && cwnd == s.lastCwnd {
 		return
 	}
-	if metricsOn {
-		mRateDecisions.Inc()
-		if rate > 0 {
-			mPacingKbps.Observe(int64(rate / 1e3))
-		}
-	}
-	if buf != nil {
-		if s.traceRate == "" {
-			s.traceRate = fmt.Sprintf("cc/%s/flow%d/rate_mbps", s.ctrl.Name(), s.FlowID)
-			s.traceCwnd = fmt.Sprintf("cc/%s/flow%d/cwnd_kB", s.ctrl.Name(), s.FlowID)
-		}
-		// Decision tracks batch per 40 ms window: one ACK per packet
-		// makes per-sample counter events the dominant trace volume at
-		// metro scale, and Perfetto stalls loading them.
-		if rate != s.lastRate {
-			buf.CounterWindowed(s.traceRate, now, rate/1e6)
-		}
-		if cwnd != s.lastCwnd {
-			buf.CounterWindowed(s.traceCwnd, now, float64(cwnd)/1e3)
-		}
+	mRateDecisions.Inc()
+	if rate > 0 {
+		mPacingKbps.Observe(int64(rate / 1e3))
 	}
 	s.lastRate, s.lastCwnd = rate, cwnd
 }
@@ -403,7 +381,7 @@ func (s *Sender) sweepLosses() {
 		})
 		mLosses.Inc()
 	}
-	s.observeDecision(now)
+	s.observeDecision()
 	s.observeSeries(now, 0)
 	s.advanceBase()
 	s.pump()

@@ -245,10 +245,10 @@ type Scenario struct {
 	StreamStats bool
 
 	// Trace records a virtual-time execution trace of the run: shard
-	// window spans, per-flow congestion-control decision tracks, and
-	// PBE estimation-error tracks, merged deterministically at window
-	// barriers and exported through Result.Trace as Chrome trace-event
-	// JSON. Tracing changes what is observed, never what happens.
+	// window spans plus frame-shed and fault instants, merged
+	// deterministically at window barriers and exported through
+	// Result.Trace as Chrome trace-event JSON. Tracing changes what is
+	// observed, never what happens.
 	Trace bool
 
 	// Series records the run's downsampled virtual-time series (40 ms

@@ -1,8 +1,6 @@
 package harness
 
 import (
-	"fmt"
-
 	"pbecc/internal/core"
 	"pbecc/internal/obs"
 	"pbecc/internal/ran"
@@ -61,11 +59,9 @@ func newPBEProbe(mon *core.Monitor, rnti uint16) *pbeProbe {
 
 // sampler returns the per-slot callback attached to the UE's primary
 // cell, after both monitor feeds, so it observes a fully ingested slot.
-// When the run is traced it also emits the error as a per-UE counter
-// track (batched per 40 ms window), and when it records series it
-// downsamples truth and estimate into the capacity tracks.
+// When the run records series it downsamples truth and estimate into the
+// capacity tracks.
 func (p *pbeProbe) sampler(eng *sim.Engine, ueID int) ran.Monitor {
-	var track string
 	var truthTrack, estTrack *obs.SeriesTrack
 	seriesInit := false
 	return func(rep *ran.SubframeReport) {
@@ -94,12 +90,6 @@ func (p *pbeProbe) sampler(eng *sim.Engine, ueID int) ran.Monitor {
 		if obs.Enabled() {
 			mProbeSamples.Inc()
 			mProbeErrPct.Observe(int64(e * 100))
-		}
-		if buf := eng.ObsBuffer(); buf != nil {
-			if track == "" {
-				track = fmt.Sprintf("pbe/ue%d/err_pct", ueID)
-			}
-			buf.CounterWindowed(track, eng.Now(), e*100)
 		}
 	}
 }

@@ -174,29 +174,6 @@ func TestSeriesNamesSorted(t *testing.T) {
 	}
 }
 
-func TestCounterWindowedBatchesPerWindow(t *testing.T) {
-	r := NewRecorder()
-	b := r.NewBuffer(0)
-	// 100 samples inside window 0 collapse to one event; the window-1
-	// sample opens a new aggregate that FlushCounters closes.
-	for i := 0; i < 100; i++ {
-		b.CounterWindowed("cc/x", time.Duration(i)*100*time.Microsecond, float64(i))
-	}
-	b.CounterWindowed("cc/x", 45*time.Millisecond, 7)
-	b.FlushCounters()
-	r.Drain(b)
-	evs := r.Events()
-	if len(evs) != 2 {
-		t.Fatalf("got %d events, want 2", len(evs))
-	}
-	if evs[0].TS != 0 || evs[0].V != 49.5 {
-		t.Fatalf("window 0 event wrong: ts=%v v=%v", evs[0].TS, evs[0].V)
-	}
-	if evs[1].TS != SeriesWindow || evs[1].V != 7 {
-		t.Fatalf("window 1 event wrong: ts=%v v=%v", evs[1].TS, evs[1].V)
-	}
-}
-
 // refSeriesRing is the reference model the growing series ring is checked
 // against: the ring allocated at full capacity up front that it replaced,
 // kept here only as the tests' oracle.

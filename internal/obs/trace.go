@@ -51,18 +51,6 @@ type Buffer struct {
 	fill    int
 	seq     uint64
 	Dropped uint64
-
-	// Windowed-counter aggregates (CounterWindowed), keyed by track name,
-	// flushed as one counter event per 40 ms window. aggOrder keeps the
-	// end-of-run FlushCounters deterministic.
-	aggs     map[string]*counterAgg
-	aggOrder []string
-}
-
-type counterAgg struct {
-	win int64
-	sum float64
-	n   int
 }
 
 // DefaultBufferCap is the per-shard ring capacity. Rings are drained at
@@ -94,54 +82,6 @@ func (b *Buffer) Complete(name, cat string, ts, dur time.Duration, tid int) {
 // track per (pid, name), so per-flow series bake the flow into the name.
 func (b *Buffer) CounterEvent(name string, ts time.Duration, v float64) {
 	b.emit(TraceEvent{Name: name, Cat: "counter", Ph: PhaseCounter, TS: ts, V: v})
-}
-
-// CounterWindowed batches a counter track per 40 ms SeriesWindow: samples
-// accumulate per track name and one event carrying the window mean is
-// emitted at the window's start time when a sample lands in a later
-// window. Dense decision tracks (one sample per ACK) collapse ~1000x, so
-// Perfetto loads metro traces without stalling; the merged trace stays
-// deterministic because flushed events sort by (TS, Pid, seq) and TS is
-// the window start. Call FlushCounters at end of run to close open
-// windows.
-func (b *Buffer) CounterWindowed(name string, ts time.Duration, v float64) {
-	if b.aggs == nil {
-		b.aggs = map[string]*counterAgg{}
-	}
-	a := b.aggs[name]
-	if a == nil {
-		a = &counterAgg{}
-		b.aggs[name] = a
-		b.aggOrder = append(b.aggOrder, name)
-	}
-	w := int64(ts / SeriesWindow)
-	if a.n > 0 && w != a.win {
-		b.flushAgg(name, a)
-	}
-	if a.n == 0 {
-		a.win = w
-	}
-	a.sum += v
-	a.n++
-}
-
-func (b *Buffer) flushAgg(name string, a *counterAgg) {
-	b.emit(TraceEvent{Name: name, Cat: "counter", Ph: PhaseCounter,
-		TS: time.Duration(a.win) * SeriesWindow, V: a.sum / float64(a.n)})
-	a.n, a.sum = 0, 0
-}
-
-// FlushCounters emits every open windowed-counter aggregate, in track
-// creation order. Call only at end of run, from a serial phase.
-func (b *Buffer) FlushCounters() {
-	if b == nil {
-		return
-	}
-	for _, name := range b.aggOrder {
-		if a := b.aggs[name]; a.n > 0 {
-			b.flushAgg(name, a)
-		}
-	}
 }
 
 // Instant emits a point marker.

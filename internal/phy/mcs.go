@@ -17,14 +17,6 @@ import "math"
 // of control region and cell reference signals.
 const DataREsPerPRB = 120
 
-// PRB widths of standard LTE channel bandwidths.
-const (
-	PRBs5MHz  = 25
-	PRBs10MHz = 50
-	PRBs15MHz = 75
-	PRBs20MHz = 100
-)
-
 // cqiEff64 is 3GPP TS 36.213 Table 7.2.3-1 (up to 64-QAM): spectral
 // efficiency in bits per resource element, indexed by CQI 1..15.
 var cqiEff64 = [16]float64{0,

@@ -333,15 +333,6 @@ func (c *Cell) UserRate(rnti uint16) float64 {
 	return 0
 }
 
-// UserRateBps returns the rate the user would see alone on the whole
-// carrier, in bits per second.
-func (c *Cell) UserRateBps(rnti uint16) float64 {
-	if u, ok := c.byRNTI[rnti]; ok {
-		return u.rateBps()
-	}
-	return 0
-}
-
 // tick runs one slot: advance channels, serve control users, serve HARQ
 // retransmissions, water-fill the remaining RBGs over backlogged users,
 // sample block errors, and publish the control channel.

@@ -20,15 +20,17 @@ type rat struct {
 	name    string
 	newCell func(eng *sim.Engine, control ran.ControlSource) *ran.Cell
 	newUE   func(eng *sim.Engine, id int, rnti uint16) *ran.UE
+	// queueBytes is the RAT's default per-user RLC buffer cap.
+	queueBytes int
 }
 
 var rats = []rat{
 	{"lte_100prb", func(eng *sim.Engine, ctl ran.ControlSource) *ran.Cell {
 		return lte.NewCell(eng, 1, 100, phy.Table64QAM, ctl)
-	}, lte.NewUE},
-	{"nr_mu0_20mhz", nrCell(0, 20), nr.NewUE},
-	{"nr_mu1_100mhz", nrCell(1, 100), nr.NewUE},
-	{"nr_mu3_100mhz", nrCell(3, 100), nr.NewUE},
+	}, lte.NewUE, lte.DefaultPerUserQueueBytes},
+	{"nr_mu0_20mhz", nrCell(0, 20), nr.NewUE, nr.DefaultPerUserQueueBytes},
+	{"nr_mu1_100mhz", nrCell(1, 100), nr.NewUE, nr.DefaultPerUserQueueBytes},
+	{"nr_mu3_100mhz", nrCell(3, 100), nr.NewUE, nr.DefaultPerUserQueueBytes},
 }
 
 func nrCell(mu, mhz int) func(*sim.Engine, ran.ControlSource) *ran.Cell {
@@ -179,8 +181,8 @@ func TestSchedulerConformance(t *testing.T) {
 				}
 			})
 			eng.RunUntil(slots(cell, 40))
-			if want := 1 + ran.HARQDelaySlots; retxSlot != want {
-				t.Fatalf("retransmission in slot %d, want %d", retxSlot, want)
+			if want := 1 + ran.HARQDelaySlots; retxSlot != want || cell.ErrorTBs != 1 {
+				t.Fatalf("retransmission in slot %d after %d block errors, want slot %d after 1", retxSlot, cell.ErrorTBs, want)
 			}
 			// Block 0 goes out in slot 1, fails, is retransmitted in slot 9
 			// and delivered one slot later; blocks 1..8 wait behind it in
@@ -197,6 +199,11 @@ func TestSchedulerConformance(t *testing.T) {
 			}
 			if len(flushed) < 2 {
 				t.Fatalf("no reordering-buffer flush at %v", first)
+			}
+			for i := 1; i < len(sink.seqs); i++ {
+				if sink.seqs[i] < sink.seqs[i-1] {
+					t.Fatalf("out-of-order release across the retransmission: seq %d after %d", sink.seqs[i], sink.seqs[i-1])
+				}
 			}
 		}},
 		{"loss_after_3_retx_advances_reorder", func(t *testing.T, r rat) {
@@ -240,8 +247,8 @@ func TestSchedulerConformance(t *testing.T) {
 			eng := sim.New(7)
 			cell := r.newCell(eng, nil)
 			limit := cell.PerUserQueueBytes
-			if limit <= 0 {
-				t.Fatalf("default per-user queue cap = %d, want a finite RLC buffer", limit)
+			if limit != r.queueBytes {
+				t.Fatalf("default per-user queue cap = %d, want %d", limit, r.queueBytes)
 			}
 			r.attach(eng, cell, 1, -85, limit/netsim.MSS+100)
 			if cell.QueueDropped != 100 {

@@ -192,9 +192,6 @@ func (c *Cluster) SetWorkers(n int) {
 	c.workers = n
 }
 
-// Workers returns the configured parallel width.
-func (c *Cluster) Workers() int { return c.workers }
-
 // DeclareLookahead records a cross-shard latency; the cluster's window
 // length is the minimum declared value. Cross-shard links declare their
 // propagation delay here at construction time.
@@ -206,10 +203,6 @@ func (c *Cluster) DeclareLookahead(d time.Duration) {
 		c.lookahead = d
 	}
 }
-
-// Lookahead returns the current window length (0 until a cross-shard
-// latency is declared).
-func (c *Cluster) Lookahead() time.Duration { return c.lookahead }
 
 // Now returns the start of the current synchronization window, the time
 // every shard has reached together.
@@ -247,12 +240,9 @@ func (c *Cluster) RunUntil(t time.Duration) {
 	c.stopWorkers()
 	if c.rec != nil {
 		// Collect anything emitted after the last barrier (the final
-		// convergence pass above, or an unsharded straight-through run),
-		// closing open windowed-counter aggregates first.
+		// convergence pass above, or an unsharded straight-through run).
 		for _, s := range c.shards {
-			buf := s.Engine.ObsBuffer()
-			buf.FlushCounters()
-			c.rec.Drain(buf)
+			c.rec.Drain(s.Engine.ObsBuffer())
 		}
 	}
 	if c.srec != nil {

@@ -33,9 +33,6 @@ func NewP2(p float64) *P2 {
 	return e
 }
 
-// Quantile returns the target quantile.
-func (e *P2) Quantile() float64 { return e.p }
-
 // Count returns the number of observations.
 func (e *P2) Count() int { return e.n }
 

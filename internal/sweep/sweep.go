@@ -154,6 +154,11 @@ func (s *Spec) Jobs() ([]Job, error) {
 			return nil, fmt.Errorf("fault level %v outside (0, 1] (zero is the implicit clean point)", lv)
 		}
 	}
+	for _, lv := range s.NoiseLevels {
+		if lv < 0 {
+			return nil, fmt.Errorf("noise level %v is negative", lv)
+		}
+	}
 	rats := s.RATs
 	if len(rats) == 0 {
 		rats = []string{harness.RATLTE}

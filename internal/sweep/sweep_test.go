@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -76,6 +77,13 @@ func TestJobsValidatesUpfront(t *testing.T) {
 		Seeds: []int64{1}, CellCounts: []int{2}}
 	if _, err := cellsOnMobility.Jobs(); err == nil {
 		t.Fatal("cell_counts accepted for a family that ignores them")
+	}
+	// Only the first noise level of each (experiment, RAT, scheme, cells)
+	// reaches BuildScenario, so a later negative one must be caught here.
+	negNoise := &Spec{Experiments: []string{"steady"}, Schemes: []string{"pbe"},
+		Seeds: []int64{1}, NoiseLevels: []float64{0, -0.1}}
+	if _, err := negNoise.Jobs(); err == nil || !strings.Contains(err.Error(), "-0.1") {
+		t.Fatalf("negative noise level not rejected by name: %v", err)
 	}
 }
 

@@ -15,6 +15,10 @@
 #   series-det     trajectory slice, workers 1 vs 8       -> BENCH_TRAJ_PR.json
 #   report-det     pbereport figure, two renders + docs/  -> report_run.svg
 #
+# Surface gate (no simulation):
+#   surface        every pbecc/internal/... package has an importer outside
+#                  pbecc/examples/...; its own tests do not count
+#
 # Regression gates (against the committed baselines):
 #   micro-diff     every internal/sim bench, the metro benches and the
 #                  smoke sweep vs BENCH_micro_baseline.txt: B/op or
@@ -67,6 +71,22 @@ gate_micro_diff() {
 gate_bench_build() {
   go -C benchmark build ./...
   go -C benchmark test ./...
+}
+
+# A package that only an example imports (or nobody does) is surface with
+# no user in the simulator, its tests or the tools: fail and name it. Test
+# imports of other packages count as use; a package's own tests do not.
+gate_surface() {
+  go list -f '{{.ImportPath}}|{{join .Imports " "}} {{join .TestImports " "}} {{join .XTestImports " "}}' ./... |
+    awk -F'|' '
+      { pkgs[NR] = $1; n = split($2, imps, " ")
+        for (i = 1; i <= n; i++)
+          if (imps[i] != $1 && $1 !~ /^pbecc\/examples\//) used[imps[i]] = 1 }
+      END { rc = 0
+        for (i = 1; i <= NR; i++)
+          if (pkgs[i] ~ /^pbecc\/internal\// && !used[pkgs[i]]) {
+            print "surface: " pkgs[i] " has no importer outside pbecc/examples/..." > "/dev/stderr"; rc = 1 }
+        exit rc }'
 }
 
 # Each sweep worker carries one arena from job to job (harness.Arena), so
