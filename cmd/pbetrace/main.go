@@ -1,9 +1,11 @@
-// Command pbetrace runs one scenario with the virtual-time trace
-// recorder attached and writes Chrome trace-event JSON, viewable in
-// Perfetto (ui.perfetto.dev) or chrome://tracing: shard window spans,
-// per-flow rate and window tracks, per-UE capacity estimate and truth
-// tracks, and frame-shed instants, all on the simulation's virtual
-// clock.
+// Command pbetrace runs one scenario with the series recorder on and
+// writes its 40 ms series as Chrome trace-event JSON, viewable in
+// Perfetto (ui.perfetto.dev) or chrome://tracing: one counter track per
+// recorded signal instance ("series/cc.rate/1" is flow 1's pacing rate,
+// "series/monitor.est/1" UE 1's capacity estimate) under the process of
+// the shard that produced it, all on the simulation's virtual clock.
+// Event signals (fault.inject, rtc.shed) drop to 0 in windows without an
+// event, so each injection or frame shed shows as a pulse.
 //
 // Usage:
 //
@@ -13,11 +15,12 @@
 //	pbetrace -family rtc -scheme pbertc -fault-stale 1 -fault-handover 0.5 -out faulted.json
 //
 // The -fault-* flags drive the deterministic measurement-fault injector
-// (internal/faults); each injection lands on the trace as an instant in
-// the "faults" category, aligned with the rate and window tracks.
+// (internal/faults); each injection lands on the fault.inject track,
+// aligned with the rate and window tracks.
 //
-// Tracing observes the run without changing it: the scenario's results
-// are byte-identical with the recorder on or off, for any -shards value.
+// Recording observes the run without changing it: the scenario's results
+// are byte-identical with the recorder on or off, and the trace is
+// byte-identical for any -shards value.
 package main
 
 import (
@@ -27,7 +30,6 @@ import (
 
 	"pbecc/internal/faults"
 	"pbecc/internal/harness"
-	"pbecc/internal/obs"
 )
 
 func main() {
@@ -52,20 +54,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	sc.Trace = true
 	sc.Series = true
 
-	res := harness.Run(sc)
-	rec := res.Trace
-	if rec == nil {
-		fatal(fmt.Errorf("scenario produced no trace recorder"))
-	}
-	addSeriesTracks(rec, res.Series)
-	if rec.Dropped > 0 {
-		fmt.Fprintf(os.Stderr, "pbetrace: ring overflow dropped %d oldest events within single windows\n", rec.Dropped)
-	}
-	fmt.Fprintf(os.Stderr, "pbetrace: %s/%s/%s seed %d: %d trace events\n",
-		*family, *rat, *scheme, *seed, rec.Len())
+	series := harness.Run(sc).Series
+	fmt.Fprintf(os.Stderr, "pbetrace: %s/%s/%s seed %d: %d series points\n",
+		*family, *rat, *scheme, *seed, series.Len())
 
 	w := os.Stdout
 	if *out != "-" {
@@ -76,46 +69,8 @@ func main() {
 		defer f.Close()
 		w = f
 	}
-	if err := rec.WriteChromeTrace(w); err != nil {
+	if err := series.WriteChromeTrace(w); err != nil {
 		fatal(err)
-	}
-}
-
-// addSeriesTracks projects the run's recorded series onto the trace as
-// counter tracks under a dedicated trace process: each flow's per-window
-// pacing rate and window ("series/cc.rate/flow<id>", "series/cc.cwnd/...")
-// next to the monitor's capacity estimate and the noise-free oracle's
-// truth ("series/monitor.est/ue<id>", "series/monitor.truth/..."), on the
-// same virtual clock as the shard spans and fault instants. The points are
-// already 40 ms window aggregates, so even a metro trace adds only a few
-// hundred events per track.
-func addSeriesTracks(rec *obs.Recorder, series *obs.SeriesRecorder) {
-	if series == nil {
-		return
-	}
-	pid := 0
-	for _, ev := range rec.Events() {
-		if ev.Pid >= pid {
-			pid = ev.Pid + 1
-		}
-	}
-	sb := rec.NewBuffer(pid)
-	for _, sig := range []struct{ name, unit string }{
-		{"cc.rate", "flow"},
-		{"cc.cwnd", "flow"},
-		{"monitor.est", "ue"},
-		{"monitor.truth", "ue"},
-	} {
-		for _, k := range series.Keys() {
-			if k.Name != sig.name {
-				continue
-			}
-			track := fmt.Sprintf("series/%s/%s%d", sig.name, sig.unit, k.Tid)
-			for _, p := range series.TrackPoints(k.Name, k.Tid) {
-				sb.CounterEvent(track, p.Time(), p.Mean)
-			}
-			rec.Drain(sb)
-		}
 	}
 }
 

@@ -76,10 +76,3 @@ func main() {
 	fmt.Printf("\ntotal: placed=%d decoded=%d exact=%d (%.1f%% recovery)\n",
 		placed, decoded, correct, 100*float64(correct)/float64(max(placed, 1)))
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -216,7 +216,7 @@ func (in *Injector) attach(info core.CellInfo) {
 	if in.spec.Miss > 0 && in.rng.Float64() < in.spec.Miss {
 		delay := time.Duration((0.25 + 0.75*in.rng.Float64()) * in.spec.Miss * float64(missMaxDelay))
 		mMissDelays.Inc()
-		in.instant("faults.miss", info.ID)
+		MarkInjection(in.eng)
 		in.eng.Schedule(delay, func() {
 			if in.gen[info.ID] != g {
 				return
@@ -271,7 +271,7 @@ func (in *Injector) storm() {
 		return
 	}
 	mHandoverBursts.Inc()
-	in.instant("faults.handover", 0)
+	MarkInjection(in.eng)
 	for _, id := range append([]int(nil), in.order...) {
 		id := id
 		in.gen[id]++
@@ -311,7 +311,7 @@ func (in *Injector) WrapFeed(next ran.Monitor) ran.Monitor {
 		if in.rng.Float64() < p {
 			left = StaleHoldSubframes
 			mStaleWindows.Inc()
-			in.instant("faults.stale", rep.CellID)
+			MarkInjection(in.eng)
 		}
 		// Cells reuse the report struct across subframes: deep-copy the
 		// grants so the held snapshot does not mutate underneath us.
@@ -322,21 +322,10 @@ func (in *Injector) WrapFeed(next ran.Monitor) ran.Monitor {
 	}
 }
 
-// MarkInjection records one fault-injection event on eng's series. The
-// harness calls it for the OnOff competitor's on-transitions, which are
-// assembled at scenario build time rather than through an Injector.
+// MarkInjection records one fault-injection event on eng's series: the
+// injector calls it for every fault it injects, the harness for the
+// OnOff competitor's on-transitions, which are assembled at scenario
+// build time rather than through an Injector.
 func MarkInjection(eng *sim.Engine) {
 	eng.SeriesBuffer().Track(seriesInject, 0).Sample(eng.Now(), 1)
-}
-
-// instant marks a fault on the run's trace when tracing is on, so
-// Perfetto shows injections aligned with the cc rate tracks, and on the
-// run's "fault.inject" series (one sample per injection; a window's
-// Count is its injection volume) - the shading and recovery analytics
-// read the series.
-func (in *Injector) instant(name string, tid int) {
-	if b := in.eng.ObsBuffer(); b != nil {
-		b.Instant(name, "faults", in.eng.Now(), tid)
-	}
-	in.eng.SeriesBuffer().Track(seriesInject, 0).Sample(in.eng.Now(), 1)
 }

@@ -343,7 +343,7 @@ func Figure3(quick bool) []Table {
 		if i%10 != 0 && r.release == base {
 			continue
 		}
-		extra := float64(r.release-base)/1e6 - float64(i)*0.0 // per-packet release offset
+		extra := float64(r.release-base) / 1e6 // per-packet release offset
 		t.Rows = append(t.Rows, []string{fmt.Sprint(r.seq),
 			f2(float64(r.release) / 1e6), f2(extra)})
 		base = r.release

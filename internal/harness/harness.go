@@ -244,20 +244,14 @@ type Scenario struct {
 	// series, keeping memory O(flows) at metro scale.
 	StreamStats bool
 
-	// Trace records a virtual-time execution trace of the run: shard
-	// window spans plus frame-shed and fault instants, merged
-	// deterministically at window barriers and exported through
-	// Result.Trace as Chrome trace-event JSON. Tracing changes what is
-	// observed, never what happens.
-	Trace bool
-
 	// Series records the run's downsampled virtual-time series (40 ms
 	// windows): ground-truth versus estimated capacity, every cc flow's
 	// rate/cwnd/acked-volume trajectory, bottleneck queue depth, frame
-	// delay and freeze onsets, and fault-injection markers - exported
-	// through Result.Series. Like Trace, recording changes what is
-	// observed, never what happens: the sweep runner keeps it on for
-	// every job, and rows are byte-identical either way.
+	// delay and freeze onsets, frame sheds, and fault-injection markers -
+	// exported through Result.Series as CSV or Chrome trace-event JSON.
+	// Recording changes what is observed, never what happens: the sweep
+	// runner keeps it on for every job, and rows are byte-identical
+	// either way.
 	Series bool
 
 	// Faults selects the structured measurement-fault axes injected
@@ -372,10 +366,6 @@ type Result struct {
 	// PRBSamples[ueIndex] holds the sampled primary-cell PRB shares.
 	PRBTimes   []time.Duration
 	PRBSamples map[int][]float64
-
-	// Trace is the run's merged virtual-time trace when Scenario.Trace
-	// was set (nil otherwise); export with Trace.WriteChromeTrace.
-	Trace *obs.Recorder
 
 	// Series is the run's merged virtual-time series when Scenario.Series
 	// was set (nil otherwise); export with Series.WriteCSV or feed it to
@@ -740,12 +730,11 @@ func (b *build) buildPRBSampler() {
 	})
 }
 
-// collect reads the finished run into the result: recorders, fluid
+// collect reads the finished run into the result: the series, fluid
 // accounting, per-flow statistics, and whether any device activated a
 // secondary carrier (LTE legs only: LTE devices and EN-DC anchors).
 func (b *build) collect() *Result {
 	res := b.res
-	res.Trace = b.pl.cluster.Recorder()
 	res.Series = b.pl.cluster.SeriesRecorder()
 	if b.fluid != nil {
 		res.Fluid = b.fluid.stats()

@@ -28,19 +28,13 @@ func obsFingerprint(t *testing.T, res *Result) []byte {
 	return b
 }
 
-func runMetroObs(t *testing.T, shards int, metrics, trace bool) ([]byte, *Result) {
-	t.Helper()
-	return runMetroObsSeries(t, shards, metrics, trace, false)
-}
-
-func runMetroObsSeries(t *testing.T, shards int, metrics, trace, series bool) ([]byte, *Result) {
+func runMetroObs(t *testing.T, shards int, metrics, series bool) ([]byte, *Result) {
 	t.Helper()
 	sc, err := BuildScenario("metro", "pbe", Params{
 		Seed: 5, Cells: 4, Duration: 300 * time.Millisecond, Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc.Trace = trace
 	sc.Series = series
 	if metrics {
 		obs.Reset()
@@ -55,43 +49,43 @@ func runMetroObsSeries(t *testing.T, shards int, metrics, trace, series bool) ([
 }
 
 // TestObservabilityDoesNotChangeResults is the layer's central contract:
-// a metro slice is byte-identical with metrics and tracing off, with both
+// a metro slice is byte-identical with metrics and series off, with both
 // on, and for any parallel shard width - observation never feeds back
 // into the simulation.
 func TestObservabilityDoesNotChangeResults(t *testing.T) {
 	base, baseRes := runMetroObs(t, 1, false, false)
-	if baseRes.Trace != nil {
-		t.Fatal("untraced run returned a recorder")
+	if baseRes.Series != nil {
+		t.Fatal("unrecorded run returned a series recorder")
 	}
 	cases := []struct {
-		name           string
-		shards         int
-		metrics, trace bool
+		name            string
+		shards          int
+		metrics, series bool
 	}{
 		{"metrics on", 1, true, false},
-		{"metrics+trace on", 1, true, true},
-		{"metrics+trace on, shards 4", 4, true, true},
+		{"metrics+series on", 1, true, true},
+		{"metrics+series on, shards 4", 4, true, true},
 	}
 	for _, c := range cases {
-		got, res := runMetroObs(t, c.shards, c.metrics, c.trace)
+		got, res := runMetroObs(t, c.shards, c.metrics, c.series)
 		if !bytes.Equal(base, got) {
 			t.Fatalf("%s: results differ from the plain run", c.name)
 		}
-		if c.trace && (res.Trace == nil || res.Trace.Len() == 0) {
-			t.Fatalf("%s: traced run produced no events", c.name)
+		if c.series && (res.Series == nil || res.Series.Len() == 0) {
+			t.Fatalf("%s: recorded run produced no points", c.name)
 		}
 	}
 }
 
-// TestTraceByteIdenticalAcrossShards: the merged trace itself - not just
-// the simulation results - is independent of the parallel width, because
-// rings drain serially in shard order and (TS, Pid, seq) is a total
-// order.
+// TestTraceByteIdenticalAcrossShards: the Chrome trace rendered from the
+// merged series - not just the simulation results - is independent of
+// the parallel width, because buffers drain serially in shard order and
+// (Win, Pid, seq) is a total order.
 func TestTraceByteIdenticalAcrossShards(t *testing.T) {
 	render := func(shards int) []byte {
 		_, res := runMetroObs(t, shards, false, true)
 		var buf bytes.Buffer
-		if err := res.Trace.WriteChromeTrace(&buf); err != nil {
+		if err := res.Series.WriteChromeTrace(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -101,13 +95,13 @@ func TestTraceByteIdenticalAcrossShards(t *testing.T) {
 	}
 }
 
-// TestSeriesDoesNotChangeResults: recording series is as passive as
-// tracing - the metro fingerprint is byte-identical whether the series
-// layer is off, on, or on across a parallel shard split.
+// TestSeriesDoesNotChangeResults: recording series is passive - the
+// metro fingerprint is byte-identical whether the series layer is off,
+// on, or on across a parallel shard split.
 func TestSeriesDoesNotChangeResults(t *testing.T) {
 	base, _ := runMetroObs(t, 1, false, false)
 	for _, shards := range []int{1, 4} {
-		got, res := runMetroObsSeries(t, shards, false, false, true)
+		got, res := runMetroObs(t, shards, false, true)
 		if !bytes.Equal(base, got) {
 			t.Fatalf("shards %d: series recording changed the results", shards)
 		}
@@ -123,13 +117,10 @@ func TestSeriesDoesNotChangeResults(t *testing.T) {
 // order.
 func TestSeriesByteIdenticalAcrossShards(t *testing.T) {
 	render := func(shards int) []byte {
-		_, res := runMetroObsSeries(t, shards, false, false, true)
+		_, res := runMetroObs(t, shards, false, true)
 		var buf bytes.Buffer
 		if err := res.Series.WriteCSV(&buf); err != nil {
 			t.Fatal(err)
-		}
-		if res.Series.Dropped != 0 {
-			t.Fatalf("shards %d: dropped %d series points", shards, res.Series.Dropped)
 		}
 		return buf.Bytes()
 	}

@@ -1,9 +1,6 @@
 package harness
 
-import (
-	"pbecc/internal/obs"
-	"pbecc/internal/sim"
-)
+import "pbecc/internal/sim"
 
 // placement pins every scenario entity to a shard of one sim.Cluster.
 //
@@ -29,9 +26,6 @@ type placement struct {
 func newPlacement(sc *Scenario, a *Arena) *placement {
 	cl := a.cluster(sc.Seed)
 	cl.SetWorkers(max(sc.Shards, 1))
-	if sc.Trace {
-		cl.SetRecorder(obs.NewRecorder())
-	}
 	if sc.Series {
 		cl.SetSeriesRecorder(a.seriesRecorder())
 	}

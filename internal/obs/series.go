@@ -15,11 +15,13 @@ import (
 // keeps the sample stream's shape over time - downsampled into fixed
 // 40 ms windows (the monitor's smoothing window, so one series point
 // aligns with one capacity-estimation window) as (count, min, mean, max,
-// last) aggregates. Like the trace recorder, series points land in
-// per-shard ring buffers that only their shard's goroutine touches
-// during a window and that the cluster drains serially at every window
-// barrier; the merged stream sorts by (window, shard, seq), a total
-// order, so the bytes are identical for any shard or worker width.
+// last) aggregates. Series points land in per-shard append-only buffers
+// that only their shard's goroutine touches during a window and that the
+// cluster drains serially at every window barrier; the merged stream
+// sorts by (window, shard, seq), a total order, so the bytes are
+// identical for any shard or worker width. The series is the simulator's
+// one virtual-time recorder: CSV, the trajectory analytics and the
+// Perfetto trace are all views of it.
 //
 // Series definitions are registered once, at package init time of the
 // instrumented package, through Series(name). Instrumented sites hold a
@@ -89,9 +91,9 @@ type SeriesPoint struct {
 	Max   float64
 	Last  float64
 
-	// pid/seq mirror the trace recorder's merge key: pid is the shard
-	// that produced the point and seq its per-shard flush order, so
-	// (Win, pid, seq) is a total order independent of worker scheduling.
+	// pid is the shard that produced the point and seq its per-shard
+	// flush order, so (Win, pid, seq) is a total order independent of
+	// worker scheduling.
 	pid int
 	seq uint64
 }
@@ -106,28 +108,14 @@ func (p SeriesPoint) Pid() int { return p.pid }
 // for volume-style signals such as acked bytes per window.
 func (p SeriesPoint) Sum() float64 { return p.Mean * float64(p.Count) }
 
-// DefaultSeriesCap is the per-shard series ring capacity. Rings drain at
-// every synchronization window barrier, so the cap bounds one barrier
-// interval's flushed points, not the whole run's.
-const DefaultSeriesCap = 1 << 14
-
-// seriesInitialCap is the ring's first allocation; it doubles on demand up
-// to the buffer's bufCap.
-const seriesInitialCap = 64
-
-// SeriesBuffer is one shard's series ring plus its live track aggregates.
-// Only the shard's goroutine samples during a window; the recorder drains
-// the ring serially at the barrier. The ring grows on demand up to bufCap
-// points; beyond that the oldest points of the interval are overwritten
-// (Dropped counts them).
+// SeriesBuffer is one shard's flushed points plus its live track
+// aggregates. Only the shard's goroutine samples during a window; the
+// recorder drains the points serially at the barrier. The buffer only
+// appends, so every point a run flushes reaches the recorder.
 type SeriesBuffer struct {
-	pid     int
-	bufCap  int
-	ring    []SeriesPoint // the interval's points; below bufCap, oldest first
-	next    int           // at bufCap: the oldest point, the next overwritten
-	seq     uint64
-	Dropped uint64
-
+	pid    int
+	pts    []SeriesPoint // the interval's points, oldest first
+	seq    uint64
 	tracks map[seriesKey]*SeriesTrack
 	order  []*SeriesTrack // creation order, for the deterministic final flush
 }
@@ -136,9 +124,6 @@ type seriesKey struct {
 	def *SeriesDef
 	tid int
 }
-
-// Pid returns the shard id the buffer belongs to.
-func (b *SeriesBuffer) Pid() int { return b.pid }
 
 // Track returns the buffer's track for (def, tid), creating it on first
 // use. Callers cache the pointer; repeated calls return the same track,
@@ -181,34 +166,11 @@ func (b *SeriesBuffer) Flush() {
 func (b *SeriesBuffer) emit(p SeriesPoint) {
 	b.seq++
 	p.pid, p.seq = b.pid, b.seq
-	if len(b.ring) < b.bufCap {
-		if len(b.ring) == cap(b.ring) {
-			b.grow()
-		}
-		b.ring = append(b.ring, p)
-		return
-	}
-	b.Dropped++
-	b.ring[b.next] = p
-	b.next = (b.next + 1) % b.bufCap
-}
-
-// grow doubles the ring's backing array, never past bufCap.
-func (b *SeriesBuffer) grow() {
-	n := 2 * cap(b.ring)
-	if n < seriesInitialCap {
-		n = seriesInitialCap
-	}
-	if n > b.bufCap {
-		n = b.bufCap
-	}
-	ring := make([]SeriesPoint, len(b.ring), n)
-	copy(ring, b.ring)
-	b.ring = ring
+	b.pts = append(b.pts, p)
 }
 
 // SeriesTrack accumulates one signal instance's samples into the current
-// 40 ms window; the aggregate flushes into the shard's ring when a sample
+// 40 ms window; the aggregate flushes into the shard's buffer when a sample
 // lands in a later window (or at the end-of-run Flush).
 type SeriesTrack struct {
 	buf *SeriesBuffer
@@ -265,9 +227,7 @@ func (t *SeriesTrack) flush() {
 // at the cluster's serial phases, merged into a deterministic stream.
 // Reset readies it for another run on the storage this one grew.
 type SeriesRecorder struct {
-	bufCap  int
-	points  []SeriesPoint
-	Dropped uint64 // points lost to ring overwrites across all shards
+	points []SeriesPoint
 
 	// bufs are the buffers NewBuffer handed out; after a Reset, bufs[next:]
 	// are the previous run's, reused in order by the next NewBuffer calls.
@@ -276,29 +236,19 @@ type SeriesRecorder struct {
 }
 
 // Reset empties the recorder for another run, keeping its point storage
-// and the shard buffers - rings, track maps and tracks - for the next run's
-// NewBuffer calls. Buffers the previous run did not need are dropped.
+// and the shard buffers - point slices, track maps and tracks - for the
+// next run's NewBuffer calls. Buffers the previous run did not need are
+// dropped.
 // Nothing the previous run handed out may be used afterwards.
 func (r *SeriesRecorder) Reset() {
 	clear(r.bufs[r.next:])
 	r.bufs = r.bufs[:r.next]
 	r.next = 0
 	r.points = r.points[:0]
-	r.Dropped = 0
 }
 
-// NewSeriesRecorder returns a recorder whose shard buffers hold
-// DefaultSeriesCap points each.
-func NewSeriesRecorder() *SeriesRecorder { return &SeriesRecorder{bufCap: DefaultSeriesCap} }
-
-// SetBufferCap overrides the per-shard ring capacity for buffers created
-// afterwards (tests use tiny rings to exercise overwrite).
-func (r *SeriesRecorder) SetBufferCap(n int) {
-	if n < 1 {
-		n = 1
-	}
-	r.bufCap = n
-}
+// NewSeriesRecorder returns an empty recorder.
+func NewSeriesRecorder() *SeriesRecorder { return &SeriesRecorder{} }
 
 // NewBuffer creates the series buffer for shard pid, on a buffer of the
 // previous run when Reset kept one.
@@ -307,35 +257,24 @@ func (r *SeriesRecorder) NewBuffer(pid int) *SeriesBuffer {
 		b := r.bufs[r.next]
 		r.next++
 		clear(b.tracks)
-		*b = SeriesBuffer{pid: pid, bufCap: r.bufCap, ring: b.ring[:0], tracks: b.tracks, order: b.order[:0]}
+		*b = SeriesBuffer{pid: pid, pts: b.pts[:0], tracks: b.tracks, order: b.order[:0]}
 		return b
 	}
-	b := &SeriesBuffer{
-		pid:    pid,
-		bufCap: r.bufCap,
-		tracks: map[seriesKey]*SeriesTrack{},
-	}
+	b := &SeriesBuffer{pid: pid, tracks: map[seriesKey]*SeriesTrack{}}
 	r.bufs = append(r.bufs, b)
 	r.next = len(r.bufs)
 	return b
 }
 
 // Drain moves the buffer's flushed points (oldest first) into the
-// recorder and resets the ring. Call only from a serial phase. Open
+// recorder and empties the buffer. Call only from a serial phase. Open
 // window aggregates stay in their tracks - a window may span barriers.
 func (r *SeriesRecorder) Drain(b *SeriesBuffer) {
 	if b == nil {
 		return
 	}
-	// A ring that wrapped holds its oldest point at next; one that did not
-	// has next == 0, and the second copy moves nothing.
-	r.points = append(r.points, b.ring[b.next:]...)
-	r.points = append(r.points, b.ring[:b.next]...)
-	b.ring, b.next = b.ring[:0], 0
-	if b.Dropped > 0 {
-		r.Dropped += b.Dropped
-		b.Dropped = 0
-	}
+	r.points = append(r.points, b.pts...)
+	b.pts = b.pts[:0]
 }
 
 // Points returns the merged series sorted by (Win, Pid, seq) - a total
@@ -369,33 +308,6 @@ func (r *SeriesRecorder) TrackPoints(name string, tid int) []SeriesPoint {
 	return out
 }
 
-// SeriesKeyID identifies one recorded track.
-type SeriesKeyID struct {
-	Name string
-	Tid  int
-}
-
-// Keys returns the distinct (name, tid) tracks present in the recorder,
-// sorted by name then tid.
-func (r *SeriesRecorder) Keys() []SeriesKeyID {
-	seen := map[SeriesKeyID]bool{}
-	var keys []SeriesKeyID
-	for _, p := range r.points {
-		k := SeriesKeyID{p.Name, p.Tid}
-		if !seen[k] {
-			seen[k] = true
-			keys = append(keys, k)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Name != keys[j].Name {
-			return keys[i].Name < keys[j].Name
-		}
-		return keys[i].Tid < keys[j].Tid
-	})
-	return keys
-}
-
 // fmtG renders a float with the shortest round-trip representation -
 // deterministic bytes for a given value.
 func fmtG(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
@@ -426,5 +338,62 @@ func (r *SeriesRecorder) WriteCSVFiltered(w io.Writer, names []string) error {
 			p.Name, p.Tid, p.Time().Milliseconds(), p.Count,
 			fmtG(p.Min), fmtG(p.Mean), fmtG(p.Max), fmtG(p.Last))
 	}
+	return bw.Flush()
+}
+
+// WriteChromeTrace renders the merged series as Chrome trace-event JSON,
+// viewable in Perfetto (ui.perfetto.dev) or chrome://tracing: every point
+// becomes a counter sample of its window mean on track
+// "series/<name>/<tid>" under the process of the shard that produced it.
+// A track that has no point in the window after one it does have drops
+// to 0 there, so event signals (fault.inject, rtc.shed) show as pulses
+// instead of holding their last value. Virtual nanoseconds map to trace
+// microseconds with three decimals, so one trace millisecond is one
+// simulated millisecond, and the bytes are deterministic for any shard or
+// worker width.
+func (r *SeriesRecorder) WriteChromeTrace(w io.Writer) error {
+	type track struct {
+		name     string
+		tid, pid int
+	}
+	pts := r.Points()
+	// gap[i]: the track of point i has no point in window pts[i].Win+1.
+	gap := make([]bool, len(pts))
+	last := map[track]int{}
+	for i, p := range pts {
+		k := track{p.Name, p.Tid, p.pid}
+		if j, ok := last[k]; ok {
+			gap[j] = p.Win > pts[j].Win+1
+		}
+		gap[i] = true
+		last[k] = i
+	}
+	bw := bufio.NewWriter(w)
+	bw.WriteString("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[")
+	sep := "\n"
+	counter := func(p *SeriesPoint, win int64, v float64) {
+		ts := float64(time.Duration(win)*SeriesWindow) / float64(time.Microsecond)
+		fmt.Fprintf(bw, "%s{\"name\":\"series/%s/%d\",\"cat\":\"series\",\"ph\":\"C\",\"ts\":%.3f,\"pid\":%d,\"args\":{\"v\":%g}}",
+			sep, p.Name, p.Tid, ts, p.pid, v)
+		sep = ",\n"
+	}
+	// Drops to 0 are written once the merge reaches their window, so the
+	// stream stays in time order.
+	var drops []*SeriesPoint
+	for i := range pts {
+		p := &pts[i]
+		for len(drops) > 0 && drops[0].Win < p.Win {
+			counter(drops[0], drops[0].Win+1, 0)
+			drops = drops[1:]
+		}
+		counter(p, p.Win, p.Mean)
+		if gap[i] {
+			drops = append(drops, p)
+		}
+	}
+	for _, p := range drops {
+		counter(p, p.Win+1, 0)
+	}
+	bw.WriteString("\n]}\n")
 	return bw.Flush()
 }

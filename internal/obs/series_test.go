@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -91,22 +92,27 @@ func TestSeriesMergeTotalOrder(t *testing.T) {
 	}
 }
 
-func TestSeriesRingOverflowCountsDropped(t *testing.T) {
+// TestSeriesKeepsEveryPoint: one drain interval far larger than any
+// shard emits between barriers is kept whole and in order - the buffer
+// never overwrites.
+func TestSeriesKeepsEveryPoint(t *testing.T) {
+	const n = 20000
 	r := NewSeriesRecorder()
-	r.SetBufferCap(2)
 	b := r.NewBuffer(0)
 	tr := b.Track(tsA, 0)
-	for w := 0; w < 5; w++ {
-		tr.Sample(time.Duration(w)*SeriesWindow, 1)
+	for w := 0; w < n; w++ {
+		tr.Sample(time.Duration(w)*SeriesWindow, float64(w))
 	}
 	b.Flush()
 	r.Drain(b)
-	if r.Dropped != 3 {
-		t.Fatalf("Dropped = %d, want 3", r.Dropped)
-	}
 	pts := r.Points()
-	if len(pts) != 2 || pts[0].Win != 3 || pts[1].Win != 4 {
-		t.Fatalf("ring must keep the newest windows, got %+v", pts)
+	if len(pts) != n {
+		t.Fatalf("kept %d points, want %d", len(pts), n)
+	}
+	for i, p := range pts {
+		if p.Win != int64(i) || p.Mean != float64(i) {
+			t.Fatalf("point %d is window %d (mean %v), want window %d", i, p.Win, p.Mean, i)
+		}
 	}
 }
 
@@ -174,80 +180,7 @@ func TestSeriesNamesSorted(t *testing.T) {
 	}
 }
 
-// refSeriesRing is the reference model the growing series ring is checked
-// against: the ring allocated at full capacity up front that it replaced,
-// kept here only as the tests' oracle.
-type refSeriesRing struct {
-	ring       []int64 // window indices
-	next, fill int
-	dropped    uint64
-}
-
-func (r *refSeriesRing) emit(win int64) {
-	if r.fill == len(r.ring) {
-		r.dropped++
-	} else {
-		r.fill++
-	}
-	r.ring[r.next] = win
-	r.next = (r.next + 1) % len(r.ring)
-}
-
-func (r *refSeriesRing) drain() []int64 {
-	out := make([]int64, 0, r.fill)
-	start := (r.next - r.fill + len(r.ring)) % len(r.ring)
-	for i := 0; i < r.fill; i++ {
-		out = append(out, r.ring[(start+i)%len(r.ring)])
-	}
-	r.next, r.fill = 0, 0
-	return out
-}
-
-// TestSeriesRingMatchesPresizedRing: interval sizes below, exactly at and
-// above the cap - across several drains, so a ring that wrapped is reused
-// - must yield the points, order and Dropped count of a pre-sized ring.
-func TestSeriesRingMatchesPresizedRing(t *testing.T) {
-	const bufCap = 200 // not a power of two: growth must clamp to it
-	r := NewSeriesRecorder()
-	r.SetBufferCap(bufCap)
-	b := r.NewBuffer(0)
-	tr := b.Track(tsA, 0)
-	ref := &refSeriesRing{ring: make([]int64, bufCap)}
-	var want []int64
-	win := int64(0)
-	for _, n := range []int{0, 1, 63, 64, 65, bufCap - 1, bufCap, bufCap + 1, 3*bufCap + 7, 5, bufCap, 2 * bufCap} {
-		// Each sample lands in a new window, closing the previous one: n
-		// samples emit n points once the first window of all is open.
-		for i := 0; i < n; i++ {
-			if win > 0 {
-				ref.emit(win - 1)
-			}
-			tr.Sample(time.Duration(win)*SeriesWindow, 1)
-			win++
-		}
-		if cap(b.ring) > bufCap {
-			t.Fatalf("ring grew to %d points, cap is %d", cap(b.ring), bufCap)
-		}
-		want = append(want, ref.drain()...)
-		r.Drain(b)
-		if r.Dropped != ref.dropped {
-			t.Fatalf("after an interval of %d: Dropped = %d, pre-sized ring dropped %d", n, r.Dropped, ref.dropped)
-		}
-		if r.Len() != len(want) {
-			t.Fatalf("after an interval of %d: %d points drained, pre-sized ring holds %d", n, r.Len(), len(want))
-		}
-		for i, p := range r.points {
-			if p.Win != want[i] {
-				t.Fatalf("after an interval of %d: drained point %d is window %d, pre-sized ring says %d", n, i, p.Win, want[i])
-			}
-		}
-	}
-	if ref.dropped == 0 {
-		t.Fatal("script never overflowed the ring")
-	}
-}
-
-// TestSeriesSampleWithinCapacityAllocatesNothing: once the ring has grown
+// TestSeriesSampleWithinCapacityAllocatesNothing: once the buffer has grown
 // to an interval's size, sampling - including the window close that emits
 // a point - allocates nothing.
 func TestSeriesSampleWithinCapacityAllocatesNothing(t *testing.T) {
@@ -266,9 +199,75 @@ func TestSeriesSampleWithinCapacityAllocatesNothing(t *testing.T) {
 	r.Drain(b)
 	allocs := testing.AllocsPerRun(10, func() {
 		interval()
-		b.ring, b.next = b.ring[:0], 0 // what Drain does to the buffer, without growing the recorder
+		b.pts = b.pts[:0] // what Drain does to the buffer, without growing the recorder
 	})
 	if allocs != 0 {
 		t.Fatalf("an interval of 500 points allocates %.1f objects, want 0", allocs)
+	}
+}
+
+// TestWriteChromeTraceValidAndDeterministic: the trace is valid JSON,
+// identical across identical recorders, maps each point to a counter on
+// its shard's series track, and drops a track to 0 in the window after
+// its last point before a gap.
+func TestWriteChromeTraceValidAndDeterministic(t *testing.T) {
+	build := func() *SeriesRecorder {
+		r := NewSeriesRecorder()
+		b := r.NewBuffer(2)
+		rate, shed := b.Track(tsA, 7), b.Track(tsB, 7)
+		rate.Sample(10*time.Millisecond, 3.25)
+		rate.Sample(50*time.Millisecond, 4)
+		shed.Sample(50*time.Millisecond, 1)
+		rate.Sample(170*time.Millisecond, 5) // windows 2 and 3 have no point
+		b.Flush()
+		r.Drain(b)
+		return r
+	}
+	var a, b bytes.Buffer
+	if err := build().WriteChromeTrace(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := build().WriteChromeTrace(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatal("identical recorders produced different trace bytes")
+	}
+	var doc struct {
+		DisplayTimeUnit string `json:"displayTimeUnit"`
+		TraceEvents     []struct {
+			Name string  `json:"name"`
+			Ph   string  `json:"ph"`
+			TS   float64 `json:"ts"`
+			Pid  int     `json:"pid"`
+			Args map[string]float64
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(a.Bytes(), &doc); err != nil {
+		t.Fatalf("trace is not valid JSON: %v\n%s", err, a.String())
+	}
+	type ev struct {
+		name string
+		ts   float64
+		v    float64
+	}
+	// Virtual nanoseconds render as microsecond ts: window 1 -> 40000 µs.
+	want := []ev{
+		{"series/test.a/7", 0, 3.25},
+		{"series/test.a/7", 40000, 4},
+		{"series/test.b/7", 40000, 1},
+		{"series/test.a/7", 80000, 0},
+		{"series/test.b/7", 80000, 0},
+		{"series/test.a/7", 160000, 5},
+		{"series/test.a/7", 200000, 0},
+	}
+	if len(doc.TraceEvents) != len(want) {
+		t.Fatalf("trace has %d events, want %d:\n%s", len(doc.TraceEvents), len(want), a.String())
+	}
+	for i, w := range want {
+		got := doc.TraceEvents[i]
+		if got.Name != w.name || got.Ph != "C" || got.TS != w.ts || got.Pid != 2 || got.Args["v"] != w.v {
+			t.Fatalf("event %d = %+v, want %+v on pid 2", i, got, w)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"pbecc/internal/cc"
 	"pbecc/internal/cc/gcc"
 	"pbecc/internal/netsim"
+	"pbecc/internal/obs"
 	"pbecc/internal/sim"
 )
 
@@ -77,7 +78,10 @@ func TestSimulcastProducesEveryRung(t *testing.T) {
 }
 
 func TestSenderShedsStaleFrames(t *testing.T) {
-	eng := sim.New(1)
+	cl := sim.NewCluster(1)
+	rec := obs.NewSeriesRecorder()
+	cl.SetSeriesRecorder(rec)
+	eng := cl.AddShard().Engine
 	sink := &netsim.Sink{}
 	// A starved controller: 100 kbit/s pacing against a 2.5 Mbit/s stream.
 	ctrl := &fixedRateController{rate: 100e3}
@@ -86,9 +90,17 @@ func TestSenderShedsStaleFrames(t *testing.T) {
 	enc := NewEncoder(eng, MediaSpec{}, snd.QueueFrame)
 	enc.Available = func() float64 { return 2.5e6 / 0.85 }
 	enc.Start()
-	eng.RunUntil(4 * time.Second)
+	cl.RunUntil(4 * time.Second)
 	if snd.FramesDropped == 0 {
 		t.Fatal("overloaded sender never shed a frame")
+	}
+	// Every shed frame is one sample on the flow's rtc.shed series.
+	shed := 0
+	for _, p := range rec.TrackPoints("rtc.shed", 1) {
+		shed += p.Count
+	}
+	if uint64(shed) != snd.FramesDropped {
+		t.Fatalf("rtc.shed series counts %d sheds, sender dropped %d frames", shed, snd.FramesDropped)
 	}
 	// The queue must stay near the MaxQueueDelay bound, not grow without
 	// limit: at 2.5 Mbit/s in and 0.1 Mbit/s out, an unbounded queue

@@ -16,6 +16,10 @@ var (
 	mPadding    = obs.NewCounter("rtc.padding_packets")
 )
 
+// Frame-shed series (40 ms windows; tid = flow ID): one sample per frame
+// shed past MaxQueueDelay, so a window's Count is its shed volume.
+var seriesShed = obs.Series("rtc.shed")
+
 // Sender is the media transport: it packetizes queued frames into
 // MSS-sized packets carrying frame metadata and ships them through a
 // cc.Sender, so pacing, windowing, RTT estimation and loss detection are
@@ -41,6 +45,10 @@ type Sender struct {
 	DisablePadding bool
 
 	deliveryMax cc.WindowedMax
+
+	// sShed is the flow's frame-shed series track, cached in Start (nil
+	// when the run records no series; Sample on nil is one branch).
+	sShed *obs.SeriesTrack
 
 	// Counters.
 	FramesQueued  uint64
@@ -91,7 +99,10 @@ func (s *Sender) Transport() *cc.Sender { return s.snd }
 func (s *Sender) Controller() cc.Controller { return s.snd.Controller() }
 
 // Start begins transmission and loss detection.
-func (s *Sender) Start() { s.snd.Start() }
+func (s *Sender) Start() {
+	s.sShed = s.eng.SeriesBuffer().Track(seriesShed, s.snd.FlowID)
+	s.snd.Start()
+}
 
 // Stop halts transmission.
 func (s *Sender) Stop() { s.snd.Stop() }
@@ -140,9 +151,7 @@ func (s *Sender) next(now time.Duration) *netsim.Packet {
 		if now-head.frame.CapturedAt > s.spec.MaxQueueDelay {
 			s.FramesDropped++
 			mFramesShed.Inc()
-			if buf := s.eng.ObsBuffer(); buf != nil {
-				buf.Instant("frame_shed", "rtc", now, s.snd.FlowID)
-			}
+			s.sShed.Sample(now, 1)
 			// Only the untransmitted remainder counts as dropped bytes;
 			// the sent prefix is already in the transport's SentBytes. The
 			// remainder never reaches the wire, so the pacer is its last

@@ -74,15 +74,11 @@ type Cluster struct {
 	workerWG sync.WaitGroup
 	poolSize int
 
-	// rec, when non-nil, collects the run's virtual-time trace: each
-	// shard gets a ring buffer, drained into the recorder at every
-	// window barrier (a serial phase, in shard order, so the merged
-	// trace is byte-identical for any worker count).
-	rec *obs.Recorder
-
 	// srec, when non-nil, collects the run's downsampled virtual-time
-	// series the same way: per-shard rings, drained at every window
-	// barrier, merged by (window, shard, seq).
+	// series: each shard gets a buffer, drained into the recorder at
+	// every window barrier (a serial phase, in shard order) and merged by
+	// (window, shard, seq), so the series is byte-identical for any
+	// worker count.
 	srec *obs.SeriesRecorder
 
 	// spare holds recycled engines of an earlier run (Reuse); AddShard
@@ -126,11 +122,8 @@ func (c *Cluster) AddShard() *Shard {
 		e = New(shardSeed(c.seed, id))
 	}
 	s := &Shard{Engine: e, id: id, cluster: c}
-	if c.rec != nil {
-		s.Engine.SetObsBuffer(c.rec.NewBuffer(id))
-	}
 	if c.srec != nil {
-		s.Engine.SetSeriesBuffer(c.srec.NewBuffer(id))
+		e.seriesBuf = c.srec.NewBuffer(id)
 	}
 	c.shards = append(c.shards, s)
 	return s
@@ -143,37 +136,11 @@ func (c *Cluster) AddShard() *Shard {
 // from, never results.
 func (c *Cluster) Reuse(engines []*Engine) { c.spare = engines }
 
-// SetRecorder attaches a trace recorder: every shard (existing and
-// future) gets a ring buffer keyed by its id. Tracing changes what is
-// observed, never what happens - the engines run identically with or
-// without it.
-func (c *Cluster) SetRecorder(r *obs.Recorder) {
-	c.rec = r
-	for _, s := range c.shards {
-		if r != nil {
-			s.Engine.SetObsBuffer(r.NewBuffer(s.id))
-		} else {
-			s.Engine.SetObsBuffer(nil)
-		}
-	}
-}
-
-// Recorder returns the attached trace recorder (nil when untraced).
-func (c *Cluster) Recorder() *obs.Recorder { return c.rec }
-
-// SetSeriesRecorder attaches a series recorder: every shard (existing
-// and future) gets a series ring keyed by its id. Like tracing, series
-// recording changes what is observed, never what happens.
-func (c *Cluster) SetSeriesRecorder(r *obs.SeriesRecorder) {
-	c.srec = r
-	for _, s := range c.shards {
-		if r != nil {
-			s.Engine.SetSeriesBuffer(r.NewBuffer(s.id))
-		} else {
-			s.Engine.SetSeriesBuffer(nil)
-		}
-	}
-}
+// SetSeriesRecorder attaches a series recorder before the first AddShard:
+// every shard then gets a series buffer keyed by its id. Recording
+// changes what is observed, never what happens - the engines run
+// identically with or without it.
+func (c *Cluster) SetSeriesRecorder(r *obs.SeriesRecorder) { c.srec = r }
 
 // SeriesRecorder returns the attached series recorder (nil when the run
 // records no series).
@@ -224,7 +191,7 @@ func (c *Cluster) RunUntil(t time.Duration) {
 			end = c.clock + c.lookahead
 		}
 		c.runWindow(end)
-		c.observeWindow(c.clock, end)
+		c.observeWindow()
 		c.clock = end
 	}
 	if c.lookahead > 0 {
@@ -238,15 +205,10 @@ func (c *Cluster) RunUntil(t time.Duration) {
 		c.runWindow(t)
 	}
 	c.stopWorkers()
-	if c.rec != nil {
-		// Collect anything emitted after the last barrier (the final
-		// convergence pass above, or an unsharded straight-through run).
-		for _, s := range c.shards {
-			c.rec.Drain(s.Engine.ObsBuffer())
-		}
-	}
 	if c.srec != nil {
-		// Same for series: close every track's open window, then drain.
+		// Collect anything flushed after the last barrier (the final
+		// convergence pass above, or an unsharded straight-through run):
+		// close every track's open window, then drain.
 		for _, s := range c.shards {
 			buf := s.Engine.SeriesBuffer()
 			buf.Flush()
@@ -343,12 +305,10 @@ func (c *Cluster) runPhase() {
 }
 
 // observeWindow is the serial per-window bookkeeping: shard idle
-// accounting, window-span trace emission, and ring drains. A shard that
-// executed no events this window leaves a gap in its trace track - the
-// visual form of the idle fraction the metrics count.
-func (c *Cluster) observeWindow(start, end time.Duration) {
+// accounting and series drains.
+func (c *Cluster) observeWindow() {
 	metricsOn := obs.Enabled()
-	if !metricsOn && c.rec == nil && c.srec == nil {
+	if !metricsOn && c.srec == nil {
 		return
 	}
 	if metricsOn {
@@ -363,13 +323,6 @@ func (c *Cluster) observeWindow(start, end time.Duration) {
 			if idle {
 				mIdleWindows.Inc()
 			}
-		}
-		if c.rec != nil {
-			buf := s.Engine.ObsBuffer()
-			if buf != nil && !idle {
-				buf.Complete("window", "shard", start, end-start, 0)
-			}
-			c.rec.Drain(buf)
 		}
 		if c.srec != nil {
 			// Open window aggregates stay in their tracks (a 40 ms

@@ -157,13 +157,7 @@ type Engine struct {
 	slots  int32 // ids handed out so far
 	free   int32 // first free id, -1 when the free list is empty
 
-	// obsBuf, when non-nil, is the shard-local trace ring instrumented
-	// subsystems (cc senders, the PBE probe) emit virtual-time trace
-	// events into. Set by the cluster when a run is traced; nil costs
-	// one pointer load at each emission site.
-	obsBuf *obs.Buffer
-
-	// seriesBuf, when non-nil, is the shard-local series ring the
+	// seriesBuf, when non-nil, is the shard-local series buffer the
 	// instrumented subsystems downsample virtual-time signals into. Set
 	// by the cluster when a run records series; nil costs one pointer
 	// load at each track-creation site and one branch per sample.
@@ -186,7 +180,7 @@ func New(seed int64) *Engine {
 // Recycle empties the engine for another run while keeping the storage
 // earlier runs grew: the heap's backing array, the event arena and the
 // engine-local values, each of which it recycles. The clock and sequence
-// numbers restart at zero and the trace and series rings are detached;
+// numbers restart at zero and the series buffer is detached;
 // the random source is left for the caller to reseed. Recycle costs
 // O(queued events + what the locals' Recycle touches), not O(capacity).
 //
@@ -203,7 +197,7 @@ func (e *Engine) Recycle() {
 	}
 	e.queue = e.queue[:0]
 	e.now, e.seq, e.stopped, e.executed = 0, 0, false, 0
-	e.obsBuf, e.seriesBuf = nil, nil
+	e.seriesBuf = nil
 	for _, v := range e.locals {
 		if r, ok := v.(Recycler); ok {
 			r.Recycle()
@@ -312,18 +306,7 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 // reads it at window barriers to measure per-shard idle fraction.
 func (e *Engine) Executed() uint64 { return e.executed }
 
-// SetObsBuffer attaches (or detaches, with nil) the engine's trace ring.
-func (e *Engine) SetObsBuffer(b *obs.Buffer) { e.obsBuf = b }
-
-// ObsBuffer returns the engine's trace ring, nil when the run is not
-// traced. Emission sites must nil-check.
-func (e *Engine) ObsBuffer() *obs.Buffer { return e.obsBuf }
-
-// SetSeriesBuffer attaches (or detaches, with nil) the engine's series
-// ring.
-func (e *Engine) SetSeriesBuffer(b *obs.SeriesBuffer) { e.seriesBuf = b }
-
-// SeriesBuffer returns the engine's series ring, nil when the run
+// SeriesBuffer returns the engine's series buffer, nil when the run
 // records no series. Instrumentation sites must nil-check (a nil
 // buffer's Track returns a nil track, whose Sample is a no-op branch).
 func (e *Engine) SeriesBuffer() *obs.SeriesBuffer { return e.seriesBuf }

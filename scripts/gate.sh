@@ -13,7 +13,8 @@
 #   scorecard-det  robustness scorecard, workers 1 vs 8   -> BENCH_SCORECARD_PR.json
 #   nation-det     nation slice, shards 1 vs 8            -> BENCH_NATION_PR.json
 #   series-det     trajectory slice, workers 1 vs 8       -> BENCH_TRAJ_PR.json
-#   report-det     pbereport figure, two renders + docs/  -> report_run.svg
+#   report-det     pbereport figure, two renders + docs/, and the
+#                  pbetrace example vs docs/              -> report_run.svg, trace_run.json
 #
 # Surface gate (no simulation):
 #   surface        every pbecc/internal/... package has an importer outside
@@ -142,13 +143,16 @@ gate_series_det() {
 
 # The report figure must be a pure function of the scenario: two renders
 # byte-identical, and both identical to the committed docs/ example (a
-# drifting example means the docs lie about what the code produces).
+# drifting example means the docs lie about what the code produces). The
+# committed Perfetto trace example is held to the same rule.
 gate_report_det() {
   go run ./cmd/pbereport -schemes pbe,cubic,pbertc -out report_run.svg -csv report_run.csv
   go run ./cmd/pbereport -schemes pbe,cubic,pbertc -out report_run2.svg
   cmp report_run.svg report_run2.svg
   cmp report_run.svg docs/report_steady.svg
   cmp report_run.csv docs/report_steady.csv
+  go run ./cmd/pbetrace -family steady -scheme pbe -out trace_run.json
+  cmp trace_run.json docs/trace_steady_pbe.json
 }
 
 # The sweep artifacts are virtual-time deterministic, so the committed
