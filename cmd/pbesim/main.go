@@ -1,147 +1,147 @@
-// Command pbesim runs a single end-to-end scenario and prints a summary:
-// one flow of the chosen scheme over a configurable cellular path.
+// Command pbesim runs one scenario of a family (harness.BuildScenario) and
+// prints a summary of its first flow, whose path -rtt and -internet-rate
+// override when non-zero. -series writes the run's 40 ms series: a path
+// ending in .json gets Chrome trace-event JSON for Perfetto
+// (ui.perfetto.dev) or chrome://tracing, one counter track per signal
+// instance on the virtual clock; any other path gets CSV ('-' = stdout,
+// which moves the summary to stderr). Recording never changes the run,
+// and the series is byte-identical for any -shards.
 //
-// Example:
+// Examples:
 //
 //	pbesim -scheme pbe -duration 10s -rssi -93 -cells 2 -busy
 //	pbesim -scheme bbr -internet-rate 10e6
+//	pbesim -family steady -scheme pbe -series trace.json
+//	pbesim -family metro -scheme pbe -cells 8 -duration 500ms -shards 4 -series metro.json
+//	pbesim -family rtc -scheme pbertc -fault-stale 1 -fault-handover 0.5 -series faulted.json
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"slices"
 	"strings"
-	"time"
 
+	"pbecc/internal/faults"
 	"pbecc/internal/harness"
 	"pbecc/internal/obs"
-	"pbecc/internal/phy"
-	"pbecc/internal/trace"
 )
 
 func main() {
+	family := flag.String("family", "steady", "scenario family (see pbesweep -list)")
 	scheme := flag.String("scheme", "pbe", "congestion control scheme")
-	dur := flag.Duration("duration", 8*time.Second, "simulated duration")
-	rssi := flag.Float64("rssi", -93, "signal strength in dBm")
-	cells := flag.Int("cells", 1, "configured component carriers (1-3)")
-	busy := flag.Bool("busy", false, "busy cell (control chatter + background users)")
-	rtt := flag.Duration("rtt", 40*time.Millisecond, "server-tower round-trip propagation")
-	internetRate := flag.Float64("internet-rate", 0, "Internet bottleneck rate in bits/s (0 = none)")
+	rat := flag.String("rat", harness.RATLTE, "radio access technology: lte or nr")
 	seed := flag.Int64("seed", 1, "simulation seed")
-	mobile := flag.Bool("mobility", false, "use the paper's -85/-105 dBm trajectory")
-	series := flag.String("series", "", "write the run's time-series CSV to this file ('-' = stdout)")
+	dur := flag.Duration("duration", 0, "simulated duration (0 = family default)")
+	cells := flag.Int("cells", 0, "cell count (0 = family default)")
+	busy := flag.Bool("busy", false, "busy cell (control chatter + background users)")
+	rssi := flag.Float64("rssi", 0, "signal strength in dBm (0 = family default)")
+	noise := flag.Float64("noise", 0, "capacity measurement noise std fraction")
+	shards := flag.Int("shards", 0, "parallel shard width (0 = serial); never changes results")
+	var fspec faults.Spec
+	fspec.RegisterFlags(flag.CommandLine)
+	rtt := flag.Duration("rtt", 0, "first flow's server-tower round-trip propagation (0 = family default)")
+	internetRate := flag.Float64("internet-rate", 0, "Internet bottleneck rate on the first flow in bits/s (0 = none)")
+	series := flag.String("series", "", "write the run's series to this file: trace JSON if it ends in .json, else CSV ('-' = stdout)")
 	seriesFilter := flag.String("series-filter", "", "comma-separated signal names to keep in the -series CSV (default: all)")
 	flag.Parse()
 
-	if !slices.Contains(harness.Schemes, *scheme) {
-		fmt.Fprintf(os.Stderr, "pbesim: unknown scheme %q\nregistered schemes:\n", *scheme)
-		for _, s := range harness.Schemes {
-			fmt.Fprintf(os.Stderr, "  %s\n", s)
-		}
-		os.Exit(2)
+	filter := parseSeriesFilter(*seriesFilter, *series)
+	sc, err := harness.BuildScenario(*family, *scheme, harness.Params{
+		Seed: *seed, Duration: *dur, Cells: *cells, RAT: *rat, Busy: *busy, RSSI: *rssi,
+		CapacityNoise: *noise, Shards: *shards, Faults: fspec,
+	})
+	if err != nil {
+		fatal(err)
 	}
-	filter := parseSeriesFilter(*seriesFilter, *series != "")
-
-	loc := harness.Location{
-		Index: int(*seed), Name: "cli", Indoor: true,
-		CCs: *cells, Busy: *busy, RSSI: *rssi,
+	if *rtt > 0 {
+		sc.Flows[0].RTTBase = *rtt
 	}
-	sc := harness.LocationScenario(loc, *scheme, *dur)
-	sc.Seed = *seed
-	sc.Flows[0].RTTBase = *rtt
 	if *internetRate > 0 {
 		sc.Flows[0].InternetRate = *internetRate
 		sc.Flows[0].InternetQueue = 1 << 18
 	}
-	if *mobile {
-		sc.UEs[0].Trajectory = phy.PaperMobilityTrajectory()
-	}
-	if *busy {
-		sc.Cells[0].Control = trace.Busy()
-	}
-	if *series != "" {
-		sc.Series = true
-	}
-	if err := sc.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "pbesim:", err)
-		os.Exit(2)
-	}
+	sc.Series = *series != ""
 
 	r := harness.Run(sc)
+	out := os.Stdout
 	if *series != "" {
-		if err := writeSeries(*series, r, filter); err != nil {
-			fmt.Fprintln(os.Stderr, "pbesim:", err)
-			os.Exit(2)
+		if err := writeSeries(*series, r.Series, filter); err != nil {
+			fatal(err)
+		}
+		if *series == "-" {
+			out = os.Stderr
 		}
 	}
 	f := r.Flows[0]
-	fmt.Printf("scheme          %s\n", f.Scheme)
-	fmt.Printf("duration        %v (seed %d)\n", *dur, *seed)
-	fmt.Printf("avg throughput  %.2f Mbit/s\n", f.AvgTputMbps)
-	fmt.Printf("tput p10/50/90  %.1f / %.1f / %.1f Mbit/s\n",
+	fmt.Fprintf(out, "scheme          %s (%s/%s)\n", f.Scheme, *family, *rat)
+	fmt.Fprintf(out, "duration        %v (seed %d)\n", sc.Duration, sc.Seed)
+	fmt.Fprintf(out, "avg throughput  %.2f Mbit/s\n", f.AvgTputMbps)
+	fmt.Fprintf(out, "tput p10/50/90  %.1f / %.1f / %.1f Mbit/s\n",
 		f.Tput.Percentile(10), f.Tput.Percentile(50), f.Tput.Percentile(90))
-	fmt.Printf("delay avg       %.1f ms\n", f.Delay.Mean())
-	fmt.Printf("delay p50/95    %.1f / %.1f ms\n",
+	fmt.Fprintf(out, "delay avg       %.1f ms\n", f.Delay.Mean())
+	fmt.Fprintf(out, "delay p50/95    %.1f / %.1f ms\n",
 		f.Delay.Percentile(50), f.Delay.Percentile(95))
-	fmt.Printf("packets         %d acked, %d lost\n", f.Received, f.Lost)
+	fmt.Fprintf(out, "packets         %d acked, %d lost\n", f.Received, f.Lost)
 	if f.MeasuresInternetState() {
-		fmt.Printf("internet state  %.1f%% of time\n", 100*f.InternetFrac)
+		fmt.Fprintf(out, "internet state  %.1f%% of time\n", 100*f.InternetFrac)
 	}
 	if harness.SchemeUsesMonitor(f.Scheme) {
-		fmt.Printf("capacity error  %.1f%% mean abs (vs noise-free oracle)\n", f.PBEErrPct)
+		fmt.Fprintf(out, "capacity error  %.1f%% mean abs (vs noise-free oracle)\n", f.PBEErrPct)
 	}
-	fmt.Printf("CA triggered    %v\n", r.CATriggered)
+	fmt.Fprintf(out, "CA triggered    %v\n", r.CATriggered)
 }
 
-// parseSeriesFilter validates the -series-filter value against the
-// registered signal names, exiting 2 with the valid names on a typo -
-// the same UX as an unknown -scheme, and for the same reason: a typo'd
-// signal silently filtering everything away looks like an empty run.
-func parseSeriesFilter(spec string, haveSeries bool) []string {
-	if spec == "" {
+// parseSeriesFilter validates the -series-filter names, exiting 2 with the
+// registered names on a typo: a typo'd signal silently filtering everything
+// away would look like an empty run.
+func parseSeriesFilter(spec, path string) []string {
+	switch {
+	case spec == "":
 		return nil
-	}
-	if !haveSeries {
-		fmt.Fprintln(os.Stderr, "pbesim: -series-filter requires -series <file>")
-		os.Exit(2)
-	}
-	valid := map[string]bool{}
-	for _, n := range obs.SeriesNames() {
-		valid[n] = true
+	case path == "":
+		fatal(fmt.Errorf("-series-filter requires -series <file>"))
+	case strings.HasSuffix(path, ".json"):
+		fatal(fmt.Errorf("-series-filter applies to CSV only; the .json trace keeps every series"))
 	}
 	var names []string
 	for _, n := range strings.Split(spec, ",") {
-		n = strings.TrimSpace(n)
-		if n == "" {
+		if n = strings.TrimSpace(n); n == "" {
 			continue
 		}
-		if !valid[n] {
-			fmt.Fprintf(os.Stderr, "pbesim: unknown series %q in -series-filter\nregistered series:\n", n)
-			for _, s := range obs.SeriesNames() {
-				fmt.Fprintf(os.Stderr, "  %s\n", s)
-			}
-			os.Exit(2)
+		if !slices.Contains(obs.SeriesNames(), n) {
+			fatal(fmt.Errorf("unknown series %q in -series-filter (registered: %s)",
+				n, strings.Join(obs.SeriesNames(), ", ")))
 		}
 		names = append(names, n)
 	}
 	return names
 }
 
-// writeSeries dumps the run's recorded series as CSV.
-func writeSeries(path string, r *harness.Result, names []string) error {
-	if r.Series == nil {
-		return fmt.Errorf("run produced no series recorder")
+// writeSeries writes the recorded series to path: trace-event JSON for a
+// .json path, CSV otherwise.
+func writeSeries(path string, s *obs.SeriesRecorder, names []string) error {
+	write := func(w io.Writer) error { return s.WriteCSVFiltered(w, names) }
+	if strings.HasSuffix(path, ".json") {
+		write = s.WriteChromeTrace
 	}
-	w := os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
+	if path == "-" {
+		return write(os.Stdout)
 	}
-	return r.Series.WriteCSVFiltered(w, names)
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "pbesim:", err)
+	os.Exit(2)
 }

@@ -5,11 +5,11 @@
 // Usage:
 //
 //	pbesweep -spec sweep.json -workers 8 -out results.json
-//	pbesweep -smoke -out BENCH_PR.json          # built-in CI smoke matrix
-//	pbesweep -metro-smoke -shards 4 -out m.json # city-scale sharded slice
-//	pbesweep -nation-smoke -shards 8 -out n.json # 64k-cell fluid-tier slice
+//	pbesweep -spec smoke -out BENCH_PR.json     # built-in CI smoke matrix
+//	pbesweep -spec metro-smoke -shards 4 -out m.json  # city-scale sharded slice
+//	pbesweep -spec nation-smoke -shards 8 -out n.json # 64k-cell fluid-tier slice
+//	pbesweep -spec traj -out traj.json          # trajectory slice (convergence/tracking gates)
 //	pbesweep -scorecard -out scorecard.json     # robustness ranking under faults
-//	pbesweep -traj-smoke -out traj.json         # trajectory slice (convergence/tracking gates)
 //	pbesweep -obs-diff base.obs.json cur.obs.json # snapshot diff (spec-hash checked)
 //	pbesweep -diff -max-regress 10 BENCH_baseline.json BENCH_PR.json
 //	pbesweep -scorecard-diff BENCH_scorecard_baseline.json scorecard.json
@@ -45,13 +45,9 @@ import (
 )
 
 func main() {
-	specPath := flag.String("spec", "", "sweep spec JSON file")
-	smoke := flag.Bool("smoke", false, "run the built-in CI smoke matrix")
-	metroSmoke := flag.Bool("metro-smoke", false, "run the built-in city-scale metro smoke slice")
-	nationSmoke := flag.Bool("nation-smoke", false, "run the built-in nation-scale fluid-tier smoke slice")
-	trajSmoke := flag.Bool("traj-smoke", false, "run the built-in trajectory slice (steady family, all schemes, series analytics)")
+	specArg := flag.String("spec", "", "built-in spec name (see -list) or sweep spec JSON file")
 	fluidBG := flag.Bool("fluid", false, "convert background churn to the fluid tier (sets the spec's \"fluid\" field; the nation family is always fluid)")
-	scorecard := flag.Bool("scorecard", false, "run the built-in robustness scorecard (schemes x fault axes) and write the ranked result; a spec with fault_axes can substitute via -spec")
+	scorecard := flag.Bool("scorecard", false, "write the ranked robustness scorecard (schemes x fault axes); runs the built-in scorecard spec unless -spec names one with fault_axes")
 	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	shards := flag.Int("shards", 0, "parallel shard width inside sharded jobs (0 = serial); never changes results")
 	out := flag.String("out", "-", "result file ('-' = stdout)")
@@ -82,7 +78,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		runSweep(*specPath, *smoke, *metroSmoke, *nationSmoke, *trajSmoke, *scorecard, *workers, *shards, *out, *obsOn, *fluidBG)
+		runSweep(*specArg, *scorecard, *workers, *shards, *out, *obsOn, *fluidBG)
 		if err := stopProf(); err != nil {
 			fatal(err)
 		}
@@ -97,18 +93,9 @@ func listAxes() {
 	fmt.Printf("schemes: %v\n", harness.Schemes)
 	fmt.Println("other axes: seeds, rats, cell_counts, noise_levels, busy, duration_ms, fluid")
 	fmt.Printf("fault axes (spec \"fault_axes\" + \"fault_levels\", see -scorecard): %v\n", faults.Axes())
-	fmt.Println("built-in specs (job counts include the fault-axis expansion):")
-	for _, b := range []struct {
-		flag string
-		spec *sweep.Spec
-	}{
-		{"-smoke", sweep.Smoke()},
-		{"-metro-smoke", sweep.MetroSmoke()},
-		{"-nation-smoke", sweep.NationSmoke()},
-		{"-traj-smoke", sweep.TrajSmoke()},
-		{"-scorecard", sweep.ScorecardSpec()},
-	} {
-		jobs, err := b.spec.Jobs()
+	fmt.Println("built-in specs (-spec <name>; job counts include the fault-axis expansion):")
+	for _, spec := range sweep.Builtins() {
+		jobs, err := spec.Jobs()
 		if err != nil {
 			fatal(err)
 		}
@@ -118,50 +105,23 @@ func listAxes() {
 				faulted++
 			}
 		}
-		fmt.Printf("  %-13s %-13s %4d jobs (%d on fault axes)\n",
-			b.flag, b.spec.Name, len(jobs), faulted)
+		fmt.Printf("  %-13s %4d jobs (%d on fault axes)\n", spec.Name, len(jobs), faulted)
 	}
 	fmt.Println("flags, not axes: -workers (job pool), -shards (intra-job width); neither changes results")
 }
 
-func runSweep(specPath string, smoke, metroSmoke, nationSmoke, trajSmoke, scorecard bool, workers, shards int, out string, obsOn, fluidBG bool) {
+func runSweep(specArg string, scorecard bool, workers, shards int, out string, obsOn, fluidBG bool) {
 	var spec *sweep.Spec
-	exclusive := 0
-	for _, on := range []bool{smoke, metroSmoke, nationSmoke, trajSmoke, specPath != ""} {
-		if on {
-			exclusive++
-		}
-	}
 	switch {
-	case exclusive > 1:
-		fatal(fmt.Errorf("-smoke, -metro-smoke, -nation-smoke, -traj-smoke and -spec are mutually exclusive"))
-	case scorecard && (smoke || metroSmoke || nationSmoke || trajSmoke):
-		fatal(fmt.Errorf("-scorecard cannot combine with -smoke/-metro-smoke/-nation-smoke/-traj-smoke (it has its own built-in matrix)"))
-	case smoke:
-		spec = sweep.Smoke()
-	case metroSmoke:
-		spec = sweep.MetroSmoke()
-	case nationSmoke:
-		spec = sweep.NationSmoke()
-	case trajSmoke:
-		spec = sweep.TrajSmoke()
-	case scorecard && specPath == "":
+	case specArg != "":
+		spec = loadSpec(specArg)
+	case scorecard:
 		spec = sweep.ScorecardSpec()
-	case specPath != "":
-		data, err := os.ReadFile(specPath)
-		if err != nil {
-			fatal(err)
-		}
-		spec = &sweep.Spec{}
-		// A typo'd axis key must not silently collapse to its default
-		// and run the wrong matrix.
-		dec := json.NewDecoder(bytes.NewReader(data))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(spec); err != nil {
-			fatal(fmt.Errorf("%s: %w", specPath, err))
-		}
 	default:
-		fatal(fmt.Errorf("need -spec, -smoke, -metro-smoke, -nation-smoke, -diff or -list (see -h)"))
+		fatal(fmt.Errorf("need -spec <name|file>, -scorecard, -diff or -list (see -h)"))
+	}
+	if scorecard && len(spec.FaultAxes) == 0 {
+		fatal(fmt.Errorf("-scorecard needs a spec with fault_axes; %q has none", spec.Name))
 	}
 	spec.Shards = shards
 	if fluidBG {
@@ -202,6 +162,29 @@ func runSweep(specPath string, smoke, metroSmoke, nationSmoke, trajSmoke, scorec
 		return
 	}
 	writeAtomic(out, write)
+}
+
+// loadSpec resolves -spec: a built-in spec name, which wins over a file
+// of the same name, or a JSON spec file.
+func loadSpec(arg string) *sweep.Spec {
+	for _, spec := range sweep.Builtins() {
+		if spec.Name == arg {
+			return spec
+		}
+	}
+	data, err := os.ReadFile(arg)
+	if err != nil {
+		fatal(fmt.Errorf("%w (and %q is no built-in spec; see -list)", err, arg))
+	}
+	spec := &sweep.Spec{}
+	// A typo'd axis key must not silently collapse to its default
+	// and run the wrong matrix.
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(spec); err != nil {
+		fatal(fmt.Errorf("%s: %w", arg, err))
+	}
+	return spec
 }
 
 // writeAtomic writes via temp file + rename so an interrupted run cannot

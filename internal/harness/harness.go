@@ -331,10 +331,9 @@ type FlowResult struct {
 	// in percent (PBE flows only; see pbeProbe).
 	PBEErrPct float64
 
-	// Timeline series sampled every 100 ms (rate in Mbit/s, delay ms).
+	// Timeline series sampled every 100 ms (rate in Mbit/s).
 	TimelineT []time.Duration
 	TimelineR []float64
-	TimelineD []float64
 
 	// Frames holds frame-level QoE metrics for media flows (nil for
 	// bulk flows).

@@ -58,6 +58,11 @@ func TestParamsOverrideKnobs(t *testing.T) {
 	if len(sc.UEs) != 3 {
 		t.Fatalf("busy steady scenario has %d UEs, want 3 (1 + 2 background)", len(sc.UEs))
 	}
+	// The seed is a multiple of 3: it must not pick the location grid's
+	// Internet-bottlenecked path, which keys on the location index.
+	if sc.Flows[0].InternetRate != 0 {
+		t.Fatalf("busy steady scenario has a %v bit/s Internet bottleneck, want none", sc.Flows[0].InternetRate)
+	}
 
 	nrSC, err := BuildScenario("steady", "pbe", Params{RAT: RATNR, Cells: 2, Seed: 5})
 	if err != nil {

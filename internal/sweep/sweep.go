@@ -619,3 +619,9 @@ func NationSmoke() *Spec {
 		DurationMs:  250,
 	}
 }
+
+// Builtins returns the built-in specs that pbesweep -spec runs by name.
+// Their names are serialized into the committed baselines.
+func Builtins() []*Spec {
+	return []*Spec{Smoke(), MetroSmoke(), NationSmoke(), TrajSmoke(), ScorecardSpec()}
+}

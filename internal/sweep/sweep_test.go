@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -53,6 +54,36 @@ func TestJobsExpansionOrderAndCount(t *testing.T) {
 		if jobs[i] != again[i] {
 			t.Fatalf("job %d differs between expansions", i)
 		}
+	}
+}
+
+// TestBuiltins pins the names pbesweep -spec resolves: each is the Name
+// its constructor sets (and the committed baselines serialize), no two
+// collide, and every built-in spec expands.
+func TestBuiltins(t *testing.T) {
+	ctors := map[string]func() *Spec{
+		"smoke": Smoke, "metro-smoke": MetroSmoke, "nation-smoke": NationSmoke,
+		"traj": TrajSmoke, "scorecard": ScorecardSpec,
+	}
+	seen := map[string]bool{}
+	for _, spec := range Builtins() {
+		if seen[spec.Name] {
+			t.Fatalf("built-in name %q is listed twice", spec.Name)
+		}
+		seen[spec.Name] = true
+		ctor, ok := ctors[spec.Name]
+		if !ok {
+			t.Fatalf("built-in %q has no known constructor", spec.Name)
+		}
+		if !reflect.DeepEqual(spec, ctor()) {
+			t.Fatalf("built-in %q differs from its constructor's spec", spec.Name)
+		}
+		if jobs, err := spec.Jobs(); err != nil || len(jobs) == 0 {
+			t.Fatalf("built-in %q: %d jobs, err %v", spec.Name, len(jobs), err)
+		}
+	}
+	if len(seen) != len(ctors) {
+		t.Fatalf("%d built-in specs, want %d", len(seen), len(ctors))
 	}
 }
 

@@ -4,7 +4,8 @@
 #
 #   scripts/gate.sh <gate>
 #
-# Determinism gates (byte compare; writes the *_PR artifact):
+# Determinism gates (byte compare; writes the *_PR artifact). The sweep
+# gates run built-in specs by name (pbesweep -spec <name>; see -list):
 #   bench-build    builds and tests the benchmark/ module, which the root
 #                  go build ./... and go test ./... do not descend into
 #   smoke-det      smoke matrix, workers 1 vs 3 vs 8      -> BENCH_PR.json
@@ -13,8 +14,9 @@
 #   scorecard-det  robustness scorecard, workers 1 vs 8   -> BENCH_SCORECARD_PR.json
 #   nation-det     nation slice, shards 1 vs 8            -> BENCH_NATION_PR.json
 #   series-det     trajectory slice, workers 1 vs 8       -> BENCH_TRAJ_PR.json
-#   report-det     pbereport figure, two renders + docs/, and the
-#                  pbetrace example vs docs/              -> report_run.svg, trace_run.json
+#   report-det     pbereport figure, two renders + docs/, the pbesim
+#                  Perfetto trace vs docs/, and pbesim -series - parsing
+#                  as CSV                                 -> report_run.svg, trace_run.json
 #
 # Surface gate (no simulation):
 #   surface        every pbecc/internal/... package has an importer outside
@@ -95,16 +97,16 @@ gate_surface() {
 # width reshuffles that pairing against 1 and 8: state leaking from one job
 # into the next shows up as a byte difference.
 gate_smoke_det() {
-  sweep -smoke -workers 1 -out run1.json
-  sweep -smoke -workers 3 -out run3.json
-  sweep -smoke -workers 8 -out BENCH_PR.json
+  sweep -spec smoke -workers 1 -out run1.json
+  sweep -spec smoke -workers 3 -out run3.json
+  sweep -spec smoke -workers 8 -out BENCH_PR.json
   cmp run1.json BENCH_PR.json
   cmp run1.json run3.json
 }
 
 gate_metro_det() {
-  sweep -metro-smoke -shards 1 -out metro1.json
-  sweep -metro-smoke -shards 4 -out BENCH_METRO_PR.json
+  sweep -spec metro-smoke -shards 1 -out metro1.json
+  sweep -spec metro-smoke -shards 4 -out BENCH_METRO_PR.json
   cmp metro1.json BENCH_METRO_PR.json
 }
 
@@ -112,21 +114,21 @@ gate_metro_det() {
 # with the metrics registry enabled has to reproduce the untraced bytes
 # exactly. The snapshot lands in metro_obs.json.obs.json.
 gate_obs_det() {
-  sweep -metro-smoke -shards 4 -obs -out metro_obs.json
+  sweep -spec metro-smoke -shards 4 -obs -out metro_obs.json
   cmp BENCH_METRO_PR.json metro_obs.json
 }
 
 gate_scorecard_det() {
-  sweep -scorecard -workers 1 -out score1.json
-  sweep -scorecard -workers 8 -out BENCH_SCORECARD_PR.json
+  sweep -spec scorecard -scorecard -workers 1 -out score1.json
+  sweep -spec scorecard -scorecard -workers 8 -out BENCH_SCORECARD_PR.json
   cmp score1.json BENCH_SCORECARD_PR.json
 }
 
 # The fluid tier's contract: 64k modeled cells / 1M+ users advanced by
 # per-shard chunks must produce the same bytes at any parallel width.
 gate_nation_det() {
-  sweep -nation-smoke -shards 1 -out nation1.json
-  sweep -nation-smoke -shards 8 -out BENCH_NATION_PR.json
+  sweep -spec nation-smoke -shards 1 -out nation1.json
+  sweep -spec nation-smoke -shards 8 -out BENCH_NATION_PR.json
   cmp nation1.json BENCH_NATION_PR.json
 }
 
@@ -136,23 +138,27 @@ gate_nation_det() {
 # order is deterministic. (Shard-width determinism of the raw series CSV
 # is the TestSeriesByteIdenticalAcrossShards property test.)
 gate_series_det() {
-  sweep -traj-smoke -workers 1 -out traj1.json
-  sweep -traj-smoke -workers 8 -out BENCH_TRAJ_PR.json
+  sweep -spec traj -workers 1 -out traj1.json
+  sweep -spec traj -workers 8 -out BENCH_TRAJ_PR.json
   cmp traj1.json BENCH_TRAJ_PR.json
 }
 
 # The report figure must be a pure function of the scenario: two renders
 # byte-identical, and both identical to the committed docs/ example (a
 # drifting example means the docs lie about what the code produces). The
-# committed Perfetto trace example is held to the same rule.
+# committed Perfetto trace example is held to the same rule. pbesim's CSV
+# on stdout must stay pure CSV: every line has the header's 8 fields (the
+# run summary goes to stderr).
 gate_report_det() {
   go run ./cmd/pbereport -schemes pbe,cubic,pbertc -out report_run.svg -csv report_run.csv
   go run ./cmd/pbereport -schemes pbe,cubic,pbertc -out report_run2.svg
   cmp report_run.svg report_run2.svg
   cmp report_run.svg docs/report_steady.svg
   cmp report_run.csv docs/report_steady.csv
-  go run ./cmd/pbetrace -family steady -scheme pbe -out trace_run.json
+  go run ./cmd/pbesim -family steady -scheme pbe -series trace_run.json
   cmp trace_run.json docs/trace_steady_pbe.json
+  go run ./cmd/pbesim -duration 1s -series - |
+    awk -F, 'NF != 8 { bad++ } END { if (NR == 0 || bad) { print "pbesim -series -: " bad+0 " of " NR " lines are not 8-field CSV" > "/dev/stderr"; exit 1 } }'
 }
 
 # The sweep artifacts are virtual-time deterministic, so the committed
