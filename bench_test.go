@@ -20,11 +20,17 @@ import (
 
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
-	for i := 0; i < b.N; i++ {
-		tables, err := harness.RunExperiment(id, true)
-		if err != nil {
-			b.Fatal(err)
+	var run func(quick bool) []harness.Table
+	for _, e := range harness.Experiments() {
+		if e.ID == id {
+			run = e.Run
 		}
+	}
+	if run == nil {
+		b.Fatalf("unknown experiment %q", id)
+	}
+	for i := 0; i < b.N; i++ {
+		tables := run(true)
 		if len(tables) == 0 || len(tables[0].Rows) == 0 {
 			b.Fatalf("%s produced no output", id)
 		}

@@ -43,8 +43,11 @@ func main() {
 	var fspec faults.Spec
 	fspec.RegisterFlags(flag.CommandLine)
 	out := flag.String("out", "-", "SVG file ('-' = stdout)")
-	csvOut := flag.String("csv", "", "also write the plotted trajectories as CSV to this file")
+	csvOut := flag.String("csv", "", "also write the plotted trajectories as CSV to this file ('-' = stdout)")
 	flag.Parse()
+	if *out == "-" && *csvOut == "-" {
+		fatal(fmt.Errorf("-out and -csv both name stdout: give one of them a file"))
+	}
 
 	var panels []panel
 	for _, scheme := range strings.Split(*schemes, ",") {

@@ -100,16 +100,6 @@ func New() *BBR {
 // Name implements cc.Controller.
 func (b *BBR) Name() string { return "bbr" }
 
-// State returns the current state machine phase (exported for tests and
-// instrumentation).
-func (b *BBR) State() State { return b.state }
-
-// PacingGain returns the current pacing gain.
-func (b *BBR) PacingGain() float64 { return b.pacingGain }
-
-// BtlBw returns the current bottleneck bandwidth estimate in bits/sec.
-func (b *BBR) BtlBw() float64 { return b.btlBw.Get() }
-
 // RTprop returns the current propagation-delay estimate.
 func (b *BBR) RTprop() time.Duration { return time.Duration(b.rtProp.Get()) }
 

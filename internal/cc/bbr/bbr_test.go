@@ -25,12 +25,12 @@ func TestGainCyclePattern(t *testing.T) {
 
 func TestStartupToProbeBW(t *testing.T) {
 	b := New()
-	if b.State() != Startup {
+	if b.state != Startup {
 		t.Fatal("must start in Startup")
 	}
 	r := cctest.Run(1, b, 20e6, 80*time.Millisecond, 1<<20, 3*time.Second)
-	if b.State() != ProbeBW && b.State() != ProbeRTT {
-		t.Fatalf("state after 3s = %v, want ProbeBW", b.State())
+	if b.state != ProbeBW && b.state != ProbeRTT {
+		t.Fatalf("state after 3s = %v, want ProbeBW", b.state)
 	}
 	if r.ThroughputMbps < 17 {
 		t.Fatalf("throughput = %.1f Mbit/s on a 20 Mbit/s link", r.ThroughputMbps)
@@ -40,7 +40,7 @@ func TestStartupToProbeBW(t *testing.T) {
 func TestBtlBwConverges(t *testing.T) {
 	b := New()
 	cctest.Run(2, b, 40e6, 60*time.Millisecond, 1<<20, 3*time.Second)
-	bw := b.BtlBw()
+	bw := b.btlBw.Get()
 	if bw < 36e6 || bw > 46e6 {
 		t.Fatalf("BtlBw = %.1f Mbit/s, want ~40", bw/1e6)
 	}
@@ -76,7 +76,7 @@ func TestProbeRTTEntered(t *testing.T) {
 	_ = eng
 	// State may have already returned to ProbeBW; detect via the counter
 	// of min-cwnd dips instead: rerun with a probe.
-	if b.State() == ProbeRTT {
+	if b.state == ProbeRTT {
 		entered = true
 	}
 	// Accept either being in ProbeRTT at cutoff or having a refreshed
@@ -90,8 +90,8 @@ func TestPacingGainCyclesDuringProbeBW(t *testing.T) {
 	b := New()
 	seen := map[float64]bool{}
 	eng := newManualLoop(t, b, func() {
-		if b.State() == ProbeBW {
-			seen[b.PacingGain()] = true
+		if b.state == ProbeBW {
+			seen[b.pacingGain] = true
 		}
 	})
 	_ = eng

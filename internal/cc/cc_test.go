@@ -1,7 +1,6 @@
 package cc
 
 import (
-	"math"
 	"testing"
 	"time"
 
@@ -174,8 +173,8 @@ func TestStopHaltsTransmission(t *testing.T) {
 	if snd.SentPackets != sentAtStop {
 		t.Fatal("sender kept transmitting after Stop")
 	}
-	if snd.Running() {
-		t.Fatal("Running() true after Stop")
+	if snd.running {
+		t.Fatal("running after Stop")
 	}
 }
 
@@ -226,9 +225,9 @@ func TestWindowedMax(t *testing.T) {
 	if w.Get() != 7 {
 		t.Fatalf("max after expiry = %v, want 7", w.Get())
 	}
-	w.Expire(400 * time.Millisecond)
-	if w.Get() != 0 {
-		t.Fatalf("max after full expiry = %v, want 0", w.Get())
+	w.Update(400*time.Millisecond, 3)
+	if w.Get() != 3 {
+		t.Fatalf("max after full expiry = %v, want 3", w.Get())
 	}
 }
 
@@ -267,21 +266,6 @@ func TestWindowedMaxDominance(t *testing.T) {
 	w.Update(100*time.Millisecond, 1000)
 	if w.Get() != 1000 {
 		t.Fatalf("new max = %v", w.Get())
-	}
-}
-
-func TestEWMA(t *testing.T) {
-	e := EWMA{Alpha: 0.5}
-	if e.Initialized() {
-		t.Fatal("initialized before first sample")
-	}
-	e.Update(10)
-	if e.Get() != 10 {
-		t.Fatalf("first sample = %v", e.Get())
-	}
-	e.Update(20)
-	if math.Abs(e.Get()-15) > 1e-9 {
-		t.Fatalf("EWMA = %v, want 15", e.Get())
 	}
 }
 

@@ -46,9 +46,6 @@ func New() *Copa {
 // Name implements cc.Controller.
 func (co *Copa) Name() string { return "copa" }
 
-// WindowMSS returns the window in segments.
-func (co *Copa) WindowMSS() float64 { return co.cwnd }
-
 // OnSent implements cc.Controller.
 func (co *Copa) OnSent(now time.Duration, seq uint64, bytes, inflight int) {}
 

@@ -47,9 +47,6 @@ func New() *Cubic {
 // Name implements cc.Controller.
 func (cu *Cubic) Name() string { return "cubic" }
 
-// WindowMSS returns the window in segments (for tests).
-func (cu *Cubic) WindowMSS() float64 { return cu.cwnd }
-
 // InSlowStart reports whether the window is below the slow-start
 // threshold.
 func (cu *Cubic) InSlowStart() bool { return cu.cwnd < cu.ssthresh }

@@ -13,12 +13,12 @@ func TestSlowStartDoubles(t *testing.T) {
 	if !cu.InSlowStart() {
 		t.Fatal("must begin in slow start")
 	}
-	w0 := cu.WindowMSS()
+	w0 := cu.cwnd
 	// Acking a window's worth of data in slow start doubles the window.
 	for i := 0; i < 10; i++ {
 		cu.OnAck(cc.AckSample{Now: time.Millisecond, Seq: uint64(i), AckedBytes: 1500, SRTT: 50 * time.Millisecond})
 	}
-	if got := cu.WindowMSS(); got < 2*w0-0.01 {
+	if got := cu.cwnd; got < 2*w0-0.01 {
 		t.Fatalf("window after 10 acks = %.1f, want ~%.1f", got, 2*w0)
 	}
 }
@@ -28,7 +28,7 @@ func TestLossMultiplicativeDecrease(t *testing.T) {
 	cu.cwnd = 100
 	cu.OnSent(0, 500, 1500, 0)
 	cu.OnLoss(cc.LossSample{Now: time.Second, Seq: 100})
-	if got := cu.WindowMSS(); got < 69 || got > 71 {
+	if got := cu.cwnd; got < 69 || got > 71 {
 		t.Fatalf("window after loss = %.1f, want 70 (beta=0.7)", got)
 	}
 	if cu.InSlowStart() {
@@ -41,18 +41,18 @@ func TestLossCoalescedPerWindow(t *testing.T) {
 	cu.cwnd = 100
 	cu.OnSent(0, 500, 1500, 0)
 	cu.OnLoss(cc.LossSample{Now: time.Second, Seq: 100})
-	w := cu.WindowMSS()
+	w := cu.cwnd
 	// More losses from the same window of data must not reduce again.
 	cu.OnLoss(cc.LossSample{Now: time.Second, Seq: 101})
 	cu.OnLoss(cc.LossSample{Now: time.Second, Seq: 499})
-	if cu.WindowMSS() != w {
-		t.Fatalf("window reduced twice in one episode: %.1f -> %.1f", w, cu.WindowMSS())
+	if cu.cwnd != w {
+		t.Fatalf("window reduced twice in one episode: %.1f -> %.1f", w, cu.cwnd)
 	}
 	// A loss from data sent after recovery began does reduce.
 	cu.OnSent(0, 600, 1500, 0)
 	cu.OnAck(cc.AckSample{Now: time.Second, Seq: 501, AckedBytes: 1500, SRTT: 50 * time.Millisecond})
 	cu.OnLoss(cc.LossSample{Now: 2 * time.Second, Seq: 600})
-	if cu.WindowMSS() >= w {
+	if cu.cwnd >= w {
 		t.Fatal("new-episode loss did not reduce window")
 	}
 }
@@ -76,16 +76,16 @@ func TestCubicGrowthConcaveThenConvex(t *testing.T) {
 	cu.cwnd = 100
 	cu.OnSent(0, 1, 1500, 0)
 	cu.OnLoss(cc.LossSample{Now: 0, Seq: 1})
-	base := cu.WindowMSS()
+	base := cu.cwnd
 	var atK, late float64
 	k := time.Duration(cu.kAfterEpochStart(base) * float64(time.Second))
 	step := 10 * time.Millisecond
 	for now := step; now <= 3*k; now += step {
 		cu.OnAck(cc.AckSample{Now: now, Seq: 2, AckedBytes: 1500, SRTT: 50 * time.Millisecond})
 		if now <= k {
-			atK = cu.WindowMSS()
+			atK = cu.cwnd
 		}
-		late = cu.WindowMSS()
+		late = cu.cwnd
 	}
 	if atK < base || atK > cu.wMax*1.1 {
 		t.Fatalf("window at K = %.1f, want between %.1f and ~wMax %.1f", atK, base, cu.wMax)

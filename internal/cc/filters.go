@@ -43,15 +43,6 @@ func (w *WindowedMax) Get() float64 {
 	return w.samples[0].v
 }
 
-// Expire drops samples older than the window relative to now.
-func (w *WindowedMax) Expire(now time.Duration) {
-	cut := 0
-	for cut < len(w.samples) && w.samples[cut].at < now-w.Window {
-		cut++
-	}
-	w.samples = w.samples[cut:]
-}
-
 // Reset clears the filter.
 func (w *WindowedMax) Reset() { w.samples = w.samples[:0] }
 
@@ -76,38 +67,5 @@ func (w *WindowedMin) Get() float64 {
 	return w.samples[0].v
 }
 
-// Expire drops samples older than the window relative to now.
-func (w *WindowedMin) Expire(now time.Duration) {
-	cut := 0
-	for cut < len(w.samples) && w.samples[cut].at < now-w.Window {
-		cut++
-	}
-	w.samples = w.samples[cut:]
-}
-
 // Reset clears the filter.
 func (w *WindowedMin) Reset() { w.samples = w.samples[:0] }
-
-// EWMA is an exponentially weighted moving average.
-type EWMA struct {
-	Alpha float64 // weight of the new sample
-	val   float64
-	init  bool
-}
-
-// Update folds in a sample and returns the new average.
-func (e *EWMA) Update(v float64) float64 {
-	if !e.init {
-		e.val = v
-		e.init = true
-		return v
-	}
-	e.val = e.Alpha*v + (1-e.Alpha)*e.val
-	return e.val
-}
-
-// Get returns the current average (0 before the first sample).
-func (e *EWMA) Get() float64 { return e.val }
-
-// Initialized reports whether any sample has been folded in.
-func (e *EWMA) Initialized() bool { return e.init }

@@ -37,10 +37,6 @@ func NewREMB() *REMB {
 // Rate returns the current receiver-side estimate in bits per second.
 func (r *REMB) Rate() float64 { return r.aimd.rate }
 
-// State exposes the detector hypothesis (for tests and instrumentation):
-// 0 normal, 1 overusing, 2 underusing.
-func (r *REMB) State() int { return int(r.lastSignal) }
-
 // Overusing reports whether the detector currently hypothesizes an
 // overused (queue-building) bottleneck.
 func (r *REMB) Overusing() bool { return r.lastSignal == usageOver }

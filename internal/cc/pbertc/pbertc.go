@@ -87,9 +87,6 @@ func NewFeedback(mon *core.Monitor) *Feedback {
 	return &Feedback{mon: mon, det: core.NewDetector(), remb: gcc.NewREMB(), floorArmed: true}
 }
 
-// REMB exposes the underlying estimator (tests and instrumentation).
-func (f *Feedback) REMB() *gcc.REMB { return f.remb }
-
 // InternetBottleneck reports the detector's current state.
 func (f *Feedback) InternetBottleneck() bool { return f.det.InternetBottleneck() }
 

@@ -182,9 +182,6 @@ func (s *Sender) Stop() {
 	s.pumpEv.Cancel()
 }
 
-// Running reports whether the sender is transmitting.
-func (s *Sender) Running() bool { return s.running }
-
 // Pump attempts transmission immediately; media sources call it when new
 // frames arrive while the sender is source-starved.
 func (s *Sender) Pump() {

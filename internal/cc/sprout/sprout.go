@@ -14,19 +14,17 @@
 package sprout
 
 import (
-	"math"
 	"time"
 
 	"pbecc/internal/cc"
 )
 
 const (
-	mss           = 1500
-	tick          = 20 * time.Millisecond
-	horizon       = 100 * time.Millisecond // target queueing delay bound
-	driftPerTick  = 0.2                    // std-dev growth of rate belief per tick (fraction)
-	cautiousSigma = 1.65                   // ~5th percentile
-	rateEWMA      = 0.25
+	mss          = 1500
+	tick         = 20 * time.Millisecond
+	horizon      = 100 * time.Millisecond // target queueing delay bound
+	driftPerTick = 0.2                    // std-dev growth of rate belief per tick (fraction)
+	rateEWMA     = 0.25
 )
 
 // Sprout is the controller. Create with New.
@@ -49,15 +47,6 @@ func New() *Sprout {
 
 // Name implements cc.Controller.
 func (sp *Sprout) Name() string { return "sprout" }
-
-// ForecastRate returns the cautious rate estimate in bits/sec.
-func (sp *Sprout) ForecastRate() float64 {
-	r := sp.rateMean - cautiousSigma*math.Sqrt(sp.rateVar)
-	if r < 0 {
-		r = 0
-	}
-	return r
-}
 
 // OnSent implements cc.Controller.
 func (sp *Sprout) OnSent(now time.Duration, seq uint64, bytes, inflight int) {

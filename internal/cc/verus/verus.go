@@ -51,9 +51,6 @@ func New() *Verus {
 // Name implements cc.Controller.
 func (v *Verus) Name() string { return "verus" }
 
-// WindowMSS returns the window in segments.
-func (v *Verus) WindowMSS() float64 { return v.cwnd }
-
 // OnSent implements cc.Controller.
 func (v *Verus) OnSent(now time.Duration, seq uint64, bytes, inflight int) {}
 

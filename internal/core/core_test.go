@@ -461,7 +461,7 @@ func TestSenderMisreportGuard(t *testing.T) {
 	// Delivery rate says 20 Mbit/s; a malicious receiver reports 500.
 	s.OnAck(ackWith(0, 500e6, false))
 	s.OnAck(ackWith(200*time.Millisecond, 500e6, false))
-	if got := s.Target(); got > 2*20e6+1 {
+	if got := s.target; got > 2*20e6+1 {
 		t.Fatalf("guarded target = %v, want <= 40e6", got)
 	}
 }

@@ -92,9 +92,6 @@ func (s *Sender) Name() string { return "pbe" }
 // Mode returns the current operating mode.
 func (s *Sender) Mode() Mode { return s.mode }
 
-// Target returns the current feedback-driven target rate in bits/sec.
-func (s *Sender) Target() float64 { return s.target }
-
 // RTprop returns the sender's propagation-delay estimate.
 func (s *Sender) RTprop() time.Duration {
 	if v := s.rtProp.Get(); v > 0 {

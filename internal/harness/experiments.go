@@ -103,16 +103,6 @@ func Experiments() []Experiment {
 	}
 }
 
-// RunExperiment runs one experiment by id.
-func RunExperiment(id string, quick bool) ([]Table, error) {
-	for _, e := range Experiments() {
-		if e.ID == id {
-			return e.Run(quick), nil
-		}
-	}
-	return nil, fmt.Errorf("unknown experiment %q", id)
-}
-
 func f0(v float64) string { return fmt.Sprintf("%.0f", v) }
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }

@@ -16,10 +16,7 @@ func TestRunAllExperimentsQuick(t *testing.T) {
 	for _, e := range Experiments() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			tables, err := RunExperiment(e.ID, true)
-			if err != nil {
-				t.Fatal(err)
-			}
+			tables := e.Run(true)
 			if len(tables) == 0 {
 				t.Fatalf("%s produced no tables", e.ID)
 			}

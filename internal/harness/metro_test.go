@@ -116,12 +116,12 @@ func TestMetroComposition(t *testing.T) {
 		t.Fatalf("flow mix bulk=%d media=%d legs=%d endc=%d fixed=%d", bulk, media, legs, endc, fixed)
 	}
 	// 4 EN-DC-entangled LTE+NR pairs plus the wired-core shard.
-	if got := sc.ShardCount(); got != 5 {
+	if got := len(newPlacement(sc, NewArena()).cluster.Shards()); got != 5 {
 		t.Fatalf("shard topology: got %d shards, want 5", got)
 	}
 	// The topology must not depend on the parallel width.
 	sc.Shards = 4
-	if got := sc.ShardCount(); got != 5 {
+	if got := len(newPlacement(sc, NewArena()).cluster.Shards()); got != 5 {
 		t.Fatalf("shard topology changed with Shards knob: %d", got)
 	}
 }

@@ -95,9 +95,3 @@ func (pl *placement) ueShard(us *UESpec) *sim.Shard {
 	}
 	return pl.byCell[us.NRCellIDs[0]]
 }
-
-// ShardCount reports how many shards a scenario's topology yields,
-// exposed for tests and capacity planning.
-func (sc *Scenario) ShardCount() int {
-	return len(newPlacement(sc, NewArena()).cluster.Shards())
-}

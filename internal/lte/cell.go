@@ -23,7 +23,6 @@ type (
 	UE             = ran.UE
 	Alloc          = ran.Alloc
 	SubframeReport = ran.SubframeReport
-	Monitor        = ran.Monitor
 )
 
 // DefaultPerUserQueueBytes is the default cap on one user's downlink

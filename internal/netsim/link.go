@@ -176,13 +176,6 @@ func (l *Link) EnableQueueSeries(tid int) {
 	}
 }
 
-// SetDestination rewires the link's receiving end.
-func (l *Link) SetDestination(dst Handler) { l.dst = dst }
-
-// QueuedBytes returns the bytes currently waiting in the queue (not
-// counting the packet in transmission).
-func (l *Link) QueuedBytes() int { return l.queuedBytes }
-
 // HandlePacket lets links be chained after other links or radios.
 func (l *Link) HandlePacket(now time.Duration, p *Packet) { l.Send(p) }
 

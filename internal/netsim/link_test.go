@@ -72,8 +72,8 @@ func TestQueueDrainsAfterBurst(t *testing.T) {
 	if sink.Count != 50 {
 		t.Fatalf("delivered %d, want 50", sink.Count)
 	}
-	if l.QueuedBytes() != 0 {
-		t.Fatalf("queue not drained: %d bytes", l.QueuedBytes())
+	if l.queuedBytes != 0 {
+		t.Fatalf("queue not drained: %d bytes", l.queuedBytes)
 	}
 	if eng.Now() != 50*time.Millisecond {
 		t.Fatalf("drain completed at %v, want 50ms", eng.Now())
@@ -143,20 +143,6 @@ func TestCrossTrafficRestart(t *testing.T) {
 	eng.RunUntil(2 * time.Second)
 	if sink.Count < 1990 || sink.Count > 2010 {
 		t.Fatalf("restart broken: %d packets after 2s", sink.Count)
-	}
-}
-
-func TestSetDestination(t *testing.T) {
-	eng := sim.New(1)
-	a, b := &Sink{}, &Sink{}
-	l := NewLink(eng, 0, 0, 0, a)
-	l.Send(&Packet{Size: 100})
-	eng.Run()
-	l.SetDestination(b)
-	l.Send(&Packet{Size: 100})
-	eng.Run()
-	if a.Count != 1 || b.Count != 1 {
-		t.Fatalf("rewire failed: a=%d b=%d", a.Count, b.Count)
 	}
 }
 

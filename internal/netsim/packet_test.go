@@ -135,11 +135,11 @@ func TestQueuedBytesTracksOccupancy(t *testing.T) {
 		l.Send(&Packet{Seq: uint64(i + 1), Size: MSS})
 	}
 	// One packet is in serialization; four wait in the queue.
-	if got := l.QueuedBytes(); got != 4*MSS {
+	if got := l.queuedBytes; got != 4*MSS {
 		t.Fatalf("QueuedBytes = %d, want %d", got, 4*MSS)
 	}
 	eng.RunUntil(time.Second)
-	if got := l.QueuedBytes(); got != 0 {
+	if got := l.queuedBytes; got != 0 {
 		t.Fatalf("QueuedBytes = %d after drain, want 0", got)
 	}
 }

@@ -27,12 +27,6 @@ type (
 	UE   = ran.UE
 )
 
-// HARQ parameters: NR uses asynchronous HARQ with a typical round-trip of
-// a few slots; we keep the LTE count of eight scheduling intervals, which
-// in wall time shrinks with the numerology (8 slots = 1 ms at µ=3),
-// matching NR's lower retransmission latency.
-const HARQDelaySlots = ran.HARQDelaySlots
-
 // CodeBlockBits is the maximum code block size of the NR LDPC coder
 // (3GPP TS 38.212 §5.2.2). NR transport blocks are far larger than LTE's,
 // so whole-TB retransmission would waste a large fraction of the carrier;

@@ -66,9 +66,6 @@ func NewENDC(eng *sim.Engine, id int, rnti uint16, anchor *ran.UE, nrCell *Cell,
 	return e
 }
 
-// NRActive reports whether the NR secondary cell group is active.
-func (e *ENDC) NRActive() bool { return e.nrActive }
-
 // Anchor returns the LTE anchor leg.
 func (e *ENDC) Anchor() *ran.UE { return e.anchor }
 

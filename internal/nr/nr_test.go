@@ -9,6 +9,7 @@ import (
 	"pbecc/internal/lte"
 	"pbecc/internal/netsim"
 	"pbecc/internal/phy"
+	"pbecc/internal/ran"
 	"pbecc/internal/sim"
 )
 
@@ -119,10 +120,10 @@ func TestHARQReordering(t *testing.T) {
 	if cell.ErrorTBs != 1 {
 		t.Fatalf("ErrorTBs = %d, want 1", cell.ErrorTBs)
 	}
-	// The retransmission lands HARQDelaySlots after the error; at µ=1 that
+	// The retransmission lands ran.HARQDelaySlots after the error; at µ=1 that
 	// is 4 ms, so some release gap must be about that long.
 	slot := cell.SlotDuration()
-	wantGap := time.Duration(HARQDelaySlots) * slot
+	wantGap := time.Duration(ran.HARQDelaySlots) * slot
 	found := false
 	for i := 1; i < len(releases); i++ {
 		gap := releases[i] - releases[i-1]
@@ -215,7 +216,7 @@ func TestENDCActivatesAndAggregates(t *testing.T) {
 	if endc.Activations == 0 {
 		t.Fatal("EN-DC never activated the NR secondary cell")
 	}
-	if !endc.NRActive() {
+	if !endc.nrActive {
 		t.Fatal("NR leg inactive at end of saturated run")
 	}
 	if endc.nrLeg.Delivered == 0 {
@@ -252,9 +253,9 @@ func TestENDCDeactivates(t *testing.T) {
 	if endc.Activations == 0 {
 		t.Fatal("never activated")
 	}
-	if endc.Deactivations == 0 || endc.NRActive() {
+	if endc.Deactivations == 0 || endc.nrActive {
 		t.Fatalf("NR leg did not deactivate after load drop (deact=%d active=%v)",
-			endc.Deactivations, endc.NRActive())
+			endc.Deactivations, endc.nrActive)
 	}
 }
 

@@ -282,11 +282,9 @@ func TakeSnapshot() Snapshot {
 	return s
 }
 
-// WriteSnapshot renders the registry as indented JSON. Map keys encode
-// sorted, so the bytes are deterministic for a given registry state.
-func WriteSnapshot(w io.Writer) error { return WriteSnapshotSpec(w, "") }
-
-// WriteSnapshotSpec is WriteSnapshot with the spec-hash header set.
+// WriteSnapshotSpec renders the registry as indented JSON under the given
+// spec-hash header. Map keys encode sorted, so the bytes are deterministic
+// for a given registry state.
 func WriteSnapshotSpec(w io.Writer, specHash string) error {
 	s := TakeSnapshot()
 	s.SpecHash = specHash
@@ -295,7 +293,7 @@ func WriteSnapshotSpec(w io.Writer, specHash string) error {
 	return enc.Encode(s)
 }
 
-// ReadSnapshot loads a snapshot file written by WriteSnapshot.
+// ReadSnapshot loads a snapshot file written by WriteSnapshotSpec.
 func ReadSnapshot(path string) (Snapshot, error) {
 	var s Snapshot
 	data, err := os.ReadFile(path)
@@ -314,9 +312,9 @@ type SnapshotDelta struct {
 	Base, Cur float64
 }
 
-// DiffSnapshots compares two snapshots metric by metric (counters,
-// watermarks, and histogram counts), the union of both sides sorted by
-// name. It refuses to compare snapshots whose spec-hash headers differ:
+// DiffSnapshots compares two snapshots metric by metric, the union of both
+// sides sorted by name. Counters and watermarks are one row each; a
+// histogram h is h.count, h.sum and one h.le_<bound> row per bucket. It refuses to compare snapshots whose spec-hash headers differ:
 // the metric totals of different sweep matrices are incommensurable, so
 // a stale file must be regenerated, not diffed around.
 func DiffSnapshots(base, cur Snapshot) ([]SnapshotDelta, error) {
@@ -339,6 +337,10 @@ func DiffSnapshots(base, cur Snapshot) ([]SnapshotDelta, error) {
 		}
 		for n, h := range s.Histograms {
 			put(n+".count", side, float64(h.Count))
+			put(n+".sum", side, float64(h.Sum))
+			for _, b := range h.Buckets {
+				put(fmt.Sprintf("%s.le_%d", n, b.Le), side, float64(b.N))
+			}
 		}
 	}
 	names := make([]string, 0, len(vals))
@@ -351,23 +353,4 @@ func DiffSnapshots(base, cur Snapshot) ([]SnapshotDelta, error) {
 		deltas = append(deltas, SnapshotDelta{Name: n, Base: vals[n][0], Cur: vals[n][1]})
 	}
 	return deltas, nil
-}
-
-// MetricNames returns every registered metric name, sorted (for tests
-// and the pbesweep -list output).
-func MetricNames() []string {
-	registry.Lock()
-	defer registry.Unlock()
-	names := make([]string, 0, len(registry.counters)+len(registry.watermarks)+len(registry.histograms))
-	for n := range registry.counters {
-		names = append(names, n)
-	}
-	for n := range registry.watermarks {
-		names = append(names, n)
-	}
-	for n := range registry.histograms {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -125,10 +124,10 @@ func TestSnapshotDeterministicBytes(t *testing.T) {
 	withMetrics(t, func() {
 		c.Add(3)
 		var a, b bytes.Buffer
-		if err := WriteSnapshot(&a); err != nil {
+		if err := WriteSnapshotSpec(&a, ""); err != nil {
 			t.Fatal(err)
 		}
-		if err := WriteSnapshot(&b); err != nil {
+		if err := WriteSnapshotSpec(&b, ""); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -147,17 +146,12 @@ func TestSnapshotDeterministicBytes(t *testing.T) {
 func TestMetricNamesSortedAndComplete(t *testing.T) {
 	NewCounter("test.names_a")
 	NewWatermark("test.names_b")
-	names := MetricNames()
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Fatalf("names not strictly sorted at %d: %q >= %q", i, names[i-1], names[i])
-		}
+	s := TakeSnapshot()
+	if _, ok := s.Counters["test.names_a"]; !ok {
+		t.Fatal("snapshot missing counter test.names_a")
 	}
-	joined := strings.Join(names, ",")
-	for _, want := range []string{"test.names_a", "test.names_b"} {
-		if !strings.Contains(joined, want) {
-			t.Fatalf("MetricNames missing %q", want)
-		}
+	if _, ok := s.Watermarks["test.names_b"]; !ok {
+		t.Fatal("snapshot missing watermark test.names_b")
 	}
 }
 
@@ -183,5 +177,25 @@ func TestDiffSnapshotsRejectsSpecMismatch(t *testing.T) {
 	}
 	if deltas[1].Base != 0 || deltas[1].Cur != 3 {
 		t.Fatalf("one-sided metric delta = %+v", deltas[1])
+	}
+}
+
+// A histogram whose samples moved but whose count did not must still
+// differ: the sum and the per-bucket counts are compared too.
+func TestDiffSnapshotsComparesHistogramShape(t *testing.T) {
+	base := Snapshot{Histograms: map[string]HistSnapshot{"h": {Count: 2, Sum: 10, Buckets: []HistBucket{{Le: 7, N: 2}}}}}
+	cur := Snapshot{Histograms: map[string]HistSnapshot{"h": {Count: 2, Sum: 900, Buckets: []HistBucket{{Le: 511, N: 2}}}}}
+	deltas, err := DiffSnapshots(base, cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []SnapshotDelta{{"h.count", 2, 2}, {"h.le_511", 0, 2}, {"h.le_7", 2, 0}, {"h.sum", 10, 900}}
+	if len(deltas) != len(want) {
+		t.Fatalf("deltas = %+v, want %+v", deltas, want)
+	}
+	for i, d := range want {
+		if deltas[i] != d {
+			t.Fatalf("delta %d = %+v, want %+v", i, deltas[i], d)
+		}
 	}
 }

@@ -101,9 +101,6 @@ type SeriesPoint struct {
 // Time returns the window's start in virtual time.
 func (p SeriesPoint) Time() time.Duration { return time.Duration(p.Win) * SeriesWindow }
 
-// Pid returns the shard that produced the point.
-func (p SeriesPoint) Pid() int { return p.pid }
-
 // Sum returns the window's sample sum (Mean * Count), the building block
 // for volume-style signals such as acked bytes per window.
 func (p SeriesPoint) Sum() float64 { return p.Mean * float64(p.Count) }

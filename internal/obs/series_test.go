@@ -86,8 +86,8 @@ func TestSeriesMergeTotalOrder(t *testing.T) {
 	}
 	for i, p := range pts {
 		wantWin, wantPid := int64(i/2), i%2
-		if p.Win != wantWin || p.Pid() != wantPid {
-			t.Fatalf("point %d: got (win %d, pid %d), want (%d, %d)", i, p.Win, p.Pid(), wantWin, wantPid)
+		if p.Win != wantWin || p.pid != wantPid {
+			t.Fatalf("point %d: got (win %d, pid %d), want (%d, %d)", i, p.Win, p.pid, wantWin, wantPid)
 		}
 	}
 }

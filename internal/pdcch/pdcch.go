@@ -106,26 +106,6 @@ func UESearchSpace(rnti uint16, subframe, nCCE int) []Candidate {
 	return out
 }
 
-// CommonSearchSpace returns the common candidates (aggregation levels 4
-// and 8 from CCE 0) every UE monitors.
-func CommonSearchSpace(nCCE int) []Candidate {
-	var out []Candidate
-	for _, level := range []int{4, 8} {
-		m := 4
-		if level == 8 {
-			m = 2
-		}
-		for i := 0; i < m; i++ {
-			first := level * i
-			if first+level > nCCE {
-				break
-			}
-			out = append(out, Candidate{Level: level, FirstCCE: first})
-		}
-	}
-	return out
-}
-
 // AllCandidateStarts enumerates every possible candidate location in a
 // control region (for a monitor that scans exhaustively like OWL, which
 // cannot precompute other users' search spaces without their RNTIs).

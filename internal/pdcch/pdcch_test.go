@@ -436,18 +436,6 @@ func TestSearchSpaceVariesWithSubframe(t *testing.T) {
 	}
 }
 
-func TestCommonSearchSpace(t *testing.T) {
-	cands := CommonSearchSpace(NumCCEs(100, 2))
-	if len(cands) == 0 {
-		t.Fatal("empty common search space")
-	}
-	for _, c := range cands {
-		if c.Level != 4 && c.Level != 8 {
-			t.Fatalf("common candidate at level %d", c.Level)
-		}
-	}
-}
-
 func TestAllCandidateStartsAligned(t *testing.T) {
 	for _, c := range AllCandidateStarts(20) {
 		if c.FirstCCE%c.Level != 0 || c.FirstCCE+c.Level > 20 {

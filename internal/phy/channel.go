@@ -125,9 +125,6 @@ func (c *Channel) Step(t, dt time.Duration) float64 {
 // RSSI returns the (pre-fading) RSSI at the last Step, in dBm.
 func (c *Channel) RSSI() float64 { return c.lastRSSI }
 
-// SINR returns the effective SINR at the last Step, in dB.
-func (c *Channel) SINR() float64 { return c.lastSINR }
-
 // MCS returns the modulation and coding scheme for the last Step.
 func (c *Channel) MCS() MCS { return MCSFromSINR(c.lastSINR, c.Table) }
 

@@ -112,55 +112,3 @@ func TransportFromPhysicalCBG(cp, ber float64, cbgBits int) float64 {
 	}
 	return cp * (1 - ProtocolOverhead) / (1 + TBErrorRate(ber, cbgBits))
 }
-
-// PhysicalFromTransport computes the physical capacity needed to carry a
-// transport goodput C_t at bit error rate p (the forward direction of
-// Eqn. 5). It is the exact inverse of TransportFromPhysical.
-func PhysicalFromTransport(ct float64, ber float64) float64 {
-	if ct <= 0 {
-		return 0
-	}
-	return ct * (1 + TBErrorRate(ber, int(ct))) / (1 - ProtocolOverhead)
-}
-
-// TranslationTable precomputes the Eqn. 5 transformation on a capacity grid,
-// mirroring the lookup table the paper uses to avoid solving the equation on
-// the datapath. Lookups interpolate linearly between grid points.
-type TranslationTable struct {
-	ber  float64
-	step float64
-	ct   []float64 // ct[i] = TransportFromPhysical(i*step, ber)
-}
-
-// NewTranslationTable builds a table for capacities up to maxBitsPerSubframe
-// with the given grid step (both in bits per subframe).
-func NewTranslationTable(ber, maxBitsPerSubframe, step float64) *TranslationTable {
-	if step <= 0 {
-		step = 1000
-	}
-	n := int(maxBitsPerSubframe/step) + 2
-	t := &TranslationTable{ber: ber, step: step, ct: make([]float64, n)}
-	for i := range t.ct {
-		t.ct[i] = TransportFromPhysical(float64(i)*step, ber)
-	}
-	return t
-}
-
-// BER returns the bit error rate the table was built for.
-func (t *TranslationTable) BER() float64 { return t.ber }
-
-// Transport looks up the transport goodput for a physical capacity cp in
-// bits per subframe, interpolating between grid points and falling back to
-// direct solving beyond the grid.
-func (t *TranslationTable) Transport(cp float64) float64 {
-	if cp <= 0 {
-		return 0
-	}
-	pos := cp / t.step
-	i := int(pos)
-	if i+1 >= len(t.ct) {
-		return TransportFromPhysical(cp, t.ber)
-	}
-	frac := pos - float64(i)
-	return t.ct[i] + frac*(t.ct[i+1]-t.ct[i])
-}

@@ -124,9 +124,3 @@ func MCSFromSINR(sinrDB float64, table CQITable) MCS {
 func SINRFromRSSI(rssiDBm float64) float64 {
 	return (rssiDBm + 110) * 0.9
 }
-
-// MbitPerSecPerPRB converts R_w in bits/PRB/subframe to the Mbit/s/PRB unit
-// of the paper's Figure 11(b) (1000 subframes per second).
-func MbitPerSecPerPRB(bitsPerPRB float64) float64 {
-	return bitsPerPRB * 1000 / 1e6
-}

@@ -252,11 +252,8 @@ func (c *Cell) CBGBits() int { return c.cbgBits }
 // registration order after each slot is scheduled.
 func (c *Cell) AttachMonitor(m Monitor) { c.monitors = append(c.monitors, m) }
 
-// AttachUser connects a UE to this cell under the given RNTI with the
-// given radio channel.
-func (c *Cell) AttachUser(ue *UE, rnti uint16, ch *phy.Channel) { c.attach(ue, rnti, ch) }
-
-// attach is AttachUser returning the attachment, which UE.AddCell keeps.
+// attach connects a UE to this cell under the given RNTI with the given
+// radio channel and returns the attachment, which UE.AddCell keeps.
 func (c *Cell) attach(ue *UE, rnti uint16, ch *phy.Channel) *cellUser {
 	if _, dup := c.byRNTI[rnti]; dup {
 		panic("ran: duplicate RNTI on cell")

@@ -105,7 +105,7 @@ func TestSenderShedsStaleFrames(t *testing.T) {
 	// The queue must stay near the MaxQueueDelay bound, not grow without
 	// limit: at 2.5 Mbit/s in and 0.1 Mbit/s out, an unbounded queue
 	// would hold dozens of frames.
-	if q := snd.QueuedFrames(); q > 16 {
+	if q := len(snd.queue); q > 16 {
 		t.Fatalf("queue holds %d frames despite deadline shedding", q)
 	}
 }
@@ -243,9 +243,9 @@ func TestSFUFanoutLayerSelection(t *testing.T) {
 	if ws.Released < 200 || ns.Released < 100 {
 		t.Fatalf("released wide=%d narrow=%d", ws.Released, ns.Released)
 	}
-	if sfu.Subscribers()[0].Layer() <= sfu.Subscribers()[1].Layer() {
+	if sfu.subs[0].Layer() <= sfu.subs[1].Layer() {
 		t.Fatalf("wide leg layer %d not above narrow leg layer %d",
-			sfu.Subscribers()[0].Layer(), sfu.Subscribers()[1].Layer())
+			sfu.subs[0].Layer(), sfu.subs[1].Layer())
 	}
 	if ns.LatePct() > 30 {
 		t.Fatalf("narrow leg %.1f%% late despite layer-down", ns.LatePct())

@@ -112,10 +112,6 @@ func (s *Sender) HandlePacket(now time.Duration, p *netsim.Packet) {
 	s.snd.HandlePacket(now, p)
 }
 
-// QueuedFrames returns the frames waiting (or partially sent) in the
-// pacer queue.
-func (s *Sender) QueuedFrames() int { return len(s.queue) }
-
 // QueueFrame packetizes one frame onto the pacer queue.
 func (s *Sender) QueueFrame(f Frame) {
 	n := (f.Bytes + netsim.MSS - 1) / netsim.MSS

@@ -52,9 +52,6 @@ func NewSFU(eng *sim.Engine, spec MediaSpec) *SFU {
 	return &SFU{eng: eng, spec: spec.withDefaults()}
 }
 
-// Subscribers returns the registered legs in registration order.
-func (s *SFU) Subscribers() []*Subscriber { return s.subs }
-
 // Spec returns the resolved ingest media spec.
 func (s *SFU) Spec() MediaSpec { return s.spec }
 

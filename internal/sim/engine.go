@@ -126,9 +126,6 @@ func (h *Event) Cancel() {
 	h.eng = nil
 }
 
-// Cancelled reports whether Cancel was called through this handle.
-func (h *Event) Cancelled() bool { return h != nil && h.cancelled }
-
 // At returns the virtual time the event fires at, or 0 once the handle is
 // stale (the event fired, was cancelled or was re-armed).
 func (h Event) At() time.Duration {

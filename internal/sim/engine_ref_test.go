@@ -16,9 +16,9 @@ import (
 // pre-generated operations, so cancels and resets from inside callbacks -
 // including of the firing event's own handle - are part of the script.
 // After every operation each model also records Now, Pending and the
-// touched handle's At and Cancelled. The three records must be identical,
-// and the engine's heap, positions and free list are checked after every
-// operation.
+// touched handle's At and cancelled flag. The three records must be
+// identical, and the engine's heap, positions and free list are checked
+// after every operation.
 
 const (
 	opSchedule = iota
@@ -280,7 +280,7 @@ func (m *engModel) exec(o scriptOp) {
 	case opStop:
 		m.e.Stop()
 	}
-	m.out = append(m.out, record{now: m.e.Now(), tag: -1, pending: m.e.Pending(), at: h.At(), cancelled: h.Cancelled()})
+	m.out = append(m.out, record{now: m.e.Now(), tag: -1, pending: m.e.Pending(), at: h.At(), cancelled: h.cancelled})
 	if err := checkEngine(m.e); err != nil && m.err == nil {
 		m.err = fmt.Errorf("after op %d (%+v): %w", len(m.out), o, err)
 	}
@@ -424,8 +424,8 @@ func TestResetFromOwnCallback(t *testing.T) {
 	if want := []time.Duration{time.Millisecond, 2 * time.Millisecond, 3 * time.Millisecond}; !slices.Equal(fired, want) {
 		t.Fatalf("fired at %v, want %v", fired, want)
 	}
-	if !h.Cancelled() || e.Pending() != 0 {
-		t.Fatalf("Cancelled = %v, Pending = %d after the chain ran out", h.Cancelled(), e.Pending())
+	if !h.cancelled || e.Pending() != 0 {
+		t.Fatalf("Cancelled = %v, Pending = %d after the chain ran out", h.cancelled, e.Pending())
 	}
 }
 
@@ -442,8 +442,8 @@ func TestResetStalesHandleCopies(t *testing.T) {
 		t.Fatalf("stale copy At = %v, want 0", cp.At())
 	}
 	cp.Cancel()
-	if h.Cancelled() || h.At() != 2*time.Millisecond || e.Pending() != 2 {
-		t.Fatalf("after cancelling the copy: Cancelled %v, At %v, Pending %d", h.Cancelled(), h.At(), e.Pending())
+	if h.cancelled || h.At() != 2*time.Millisecond || e.Pending() != 2 {
+		t.Fatalf("after cancelling the copy: Cancelled %v, At %v, Pending %d", h.cancelled, h.At(), e.Pending())
 	}
 	e.Run()
 	if fired != 10 {

@@ -84,8 +84,8 @@ func TestCancel(t *testing.T) {
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	if !ev.Cancelled() {
-		t.Fatal("Cancelled() = false after Cancel")
+	if !ev.cancelled {
+		t.Fatal("cancelled = false after Cancel")
 	}
 }
 
@@ -246,8 +246,8 @@ func TestCancelAfterFireStillReportsCancelled(t *testing.T) {
 	ev := e.Schedule(time.Millisecond, func() {})
 	e.Run()
 	ev.Cancel()
-	if !ev.Cancelled() {
-		t.Fatal("Cancelled() = false after Cancel on a fired event")
+	if !ev.cancelled {
+		t.Fatal("cancelled = false after Cancel on a fired event")
 	}
 }
 
@@ -275,7 +275,7 @@ func TestLazySweepBoundsHeap(t *testing.T) {
 	}
 	fired := 0
 	for i := range events {
-		if !events[i].Cancelled() {
+		if !events[i].cancelled {
 			fired++
 		}
 	}

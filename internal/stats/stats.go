@@ -97,13 +97,6 @@ func (s *Series) Min() float64 { return s.Percentile(0) }
 // Max returns the largest sample (0 for an empty series).
 func (s *Series) Max() float64 { return s.Percentile(100) }
 
-// Values returns the samples in sorted order; the slice is shared, do not
-// modify it.
-func (s *Series) Values() []float64 {
-	s.Percentile(50) // force sort
-	return s.vals
-}
-
 // Windowed accumulates byte arrivals into fixed-duration windows, the
 // 100 ms granularity of the paper's throughput order statistics.
 type Windowed struct {
@@ -162,20 +155,6 @@ func Jain(xs []float64) float64 {
 		return 0
 	}
 	return sum * sum / (float64(len(xs)) * sumSq)
-}
-
-// CDF returns (value, cumulative fraction) points for plotting a
-// distribution, one point per sample.
-func CDF(s *Series) (xs, ys []float64) {
-	v := s.Values()
-	n := len(v)
-	xs = make([]float64, n)
-	ys = make([]float64, n)
-	for i := range v {
-		xs[i] = v[i]
-		ys[i] = float64(i+1) / float64(n)
-	}
-	return xs, ys
 }
 
 // DurationSeries adapts delay samples in time.Duration to a Series in

@@ -93,16 +93,6 @@ type Scorecard struct {
 	Schemes []SchemeScore `json:"schemes"`
 }
 
-// RunScorecard expands and executes the spec, then folds the rows into
-// the ranked scorecard.
-func RunScorecard(spec *Spec, workers int, progress func(done, total int)) (*Scorecard, error) {
-	res, err := RunProgress(spec, workers, progress)
-	if err != nil {
-		return nil, err
-	}
-	return BuildScorecard(res)
-}
-
 // pointAcc accumulates the rows of one (scheme, axis, level) cell across
 // experiments, RATs, cells, noise levels and seeds.
 type pointAcc struct {

@@ -66,17 +66,26 @@ func TestJobsRejectBadFaultAxes(t *testing.T) {
 	}
 }
 
+// runScorecard runs the spec on workers and folds the rows into the
+// ranked scorecard, as pbesweep -scorecard does.
+func runScorecard(t *testing.T, spec *Spec, workers int) *Scorecard {
+	t.Helper()
+	res, err := RunProgress(spec, workers, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := BuildScorecard(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sc
+}
+
 // TestScorecardBytesStableAcrossWorkers is the scorecard's determinism
 // contract: the ranked JSON must be byte-identical for any worker count.
 func TestScorecardBytesStableAcrossWorkers(t *testing.T) {
-	serial, err := RunScorecard(scorecardTestSpec(), 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := RunScorecard(scorecardTestSpec(), 8, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := runScorecard(t, scorecardTestSpec(), 1)
+	parallel := runScorecard(t, scorecardTestSpec(), 8)
 	var a, b bytes.Buffer
 	if err := WriteScorecard(&a, serial); err != nil {
 		t.Fatal(err)
@@ -96,14 +105,8 @@ func TestScorecardBytesStableAcrossShards(t *testing.T) {
 	one.Shards = 1
 	four := scorecardTestSpec()
 	four.Shards = 4
-	s1, err := RunScorecard(one, 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s4, err := RunScorecard(four, 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s1 := runScorecard(t, one, 4)
+	s4 := runScorecard(t, four, 4)
 	// Shards is json:"-", so the bytes compare across the whole card.
 	var a, b bytes.Buffer
 	if err := WriteScorecard(&a, s1); err != nil {
@@ -118,10 +121,7 @@ func TestScorecardBytesStableAcrossShards(t *testing.T) {
 }
 
 func TestScorecardShape(t *testing.T) {
-	sc, err := RunScorecard(scorecardTestSpec(), 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc := runScorecard(t, scorecardTestSpec(), 4)
 	if len(sc.Schemes) != 2 {
 		t.Fatalf("scorecard has %d schemes, want 2", len(sc.Schemes))
 	}
@@ -168,10 +168,7 @@ func TestBuildScorecardRejectsCleanOnlyResult(t *testing.T) {
 }
 
 func TestDiffScorecardGate(t *testing.T) {
-	base, err := RunScorecard(scorecardTestSpec(), 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := runScorecard(t, scorecardTestSpec(), 4)
 	deltas, err := DiffScorecard(base, base)
 	if err != nil {
 		t.Fatal(err)

@@ -115,9 +115,6 @@ func (c *ControlTraffic) spawn(rng *rand.Rand) {
 	c.active = append(c.active, u)
 }
 
-// Durations returns the spawned users' activity lengths in subframes.
-func (c *ControlTraffic) Durations() []int { return c.durations }
-
 // RBGs returns the spawned users' RBG counts.
 func (c *ControlTraffic) RBGs() []int { return c.rbgCounts }
 

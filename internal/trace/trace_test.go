@@ -18,12 +18,12 @@ func TestControlPopulationCalibration(t *testing.T) {
 		t.Fatalf("only %d users spawned", c.TotalUsers)
 	}
 	one := 0
-	for _, d := range c.Durations() {
+	for _, d := range c.durations {
 		if d == 1 {
 			one++
 		}
 	}
-	frac := float64(one) / float64(len(c.Durations()))
+	frac := float64(one) / float64(len(c.durations))
 	// Figure 7(b): 68.2% of users are active for exactly one subframe.
 	if frac < 0.65 || frac < 0.60 || frac > 0.72 {
 		t.Fatalf("1-subframe fraction = %.3f, want ~0.682", frac)
@@ -95,7 +95,7 @@ func TestLongUsersFilterable(t *testing.T) {
 	for sf := 0; sf < 50000; sf++ {
 		c.Tick(sf, rng)
 	}
-	for i, d := range c.Durations() {
+	for i, d := range c.durations {
 		if d > 1 && c.RBGs()[i] != 1 {
 			t.Fatal("long-lived control user with >1 RBG would evade the Pa filter")
 		}

@@ -19,8 +19,10 @@
 #                  as CSV                                 -> report_run.svg, trace_run.json
 #
 # Surface gate (no simulation):
-#   surface        every pbecc/internal/... package has an importer outside
-#                  pbecc/examples/...; its own tests do not count
+#   surface        every internal package and exported symbol has a user
+#                  (scripts/surface): a package needs an importer outside
+#                  examples/ and its own directory, an exported internal/
+#                  symbol a use outside its own package's tests
 #
 # Regression gates (against the committed baselines):
 #   micro-diff     every internal/sim bench, the metro benches and the
@@ -76,20 +78,11 @@ gate_bench_build() {
   go -C benchmark test ./...
 }
 
-# A package that only an example imports (or nobody does) is surface with
-# no user in the simulator, its tests or the tools: fail and name it. Test
-# imports of other packages count as use; a package's own tests do not.
+# A package that only an example imports (or nobody does), or an exported
+# symbol that only its own package's tests call, is surface with no user in
+# the simulator, the other packages' tests or the tools: fail and name it.
 gate_surface() {
-  go list -f '{{.ImportPath}}|{{join .Imports " "}} {{join .TestImports " "}} {{join .XTestImports " "}}' ./... |
-    awk -F'|' '
-      { pkgs[NR] = $1; n = split($2, imps, " ")
-        for (i = 1; i <= n; i++)
-          if (imps[i] != $1 && $1 !~ /^pbecc\/examples\//) used[imps[i]] = 1 }
-      END { rc = 0
-        for (i = 1; i <= NR; i++)
-          if (pkgs[i] ~ /^pbecc\/internal\// && !used[pkgs[i]]) {
-            print "surface: " pkgs[i] " has no importer outside pbecc/examples/..." > "/dev/stderr"; rc = 1 }
-        exit rc }'
+  go run ./scripts/surface
 }
 
 # Each sweep worker carries one arena from job to job (harness.Arena), so
