@@ -111,6 +111,12 @@ func listAxes() {
 }
 
 func runSweep(specArg string, scorecard bool, workers, shards int, out string, obsOn, fluidBG bool) {
+	if workers < 0 {
+		fatal(fmt.Errorf("-workers %d: must be 0 (GOMAXPROCS) or positive", workers))
+	}
+	if shards < 0 {
+		fatal(fmt.Errorf("-shards %d: must be 0 (serial) or positive", shards))
+	}
 	var spec *sweep.Spec
 	switch {
 	case specArg != "":

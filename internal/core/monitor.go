@@ -20,6 +20,9 @@
 package core
 
 import (
+	"math"
+	"slices"
+
 	"pbecc/internal/phy"
 	"pbecc/internal/ran"
 )
@@ -84,8 +87,10 @@ type Monitor struct {
 	// measurement-based congestion control).
 	Noise func(bits float64) float64
 
-	cells map[int]*cellTrack
-	order []int
+	// tracks are the monitored cells in attachment order, and order
+	// their IDs.
+	tracks []*cellTrack
+	order  []int
 
 	// lastCapacity is the value the most recent CapacityBits call
 	// returned. The accuracy probe reads it through LastCapacityBits
@@ -115,7 +120,22 @@ type cellTrack struct {
 
 	users map[uint16]*userTrack
 	seen  map[uint16]int // per-ingest scratch, cleared each OnSubframe
+
+	// n caches activeUsers(nFiltered); zero until computed, and reset by
+	// every report, the only thing that changes users.
+	n         int
+	nFiltered bool
+
+	// The last Eqn 5 translation of each query, keyed on its exact
+	// inputs: a query whose C_p and BER match the previous one's bit for
+	// bit gets the previous result, which is what recomputing it would
+	// give.
+	capMemo, fairMemo eqn5Memo
 }
+
+// eqn5Memo remembers one Eqn 5 solve, ct = translate(cp, ber), as float64
+// bits. The zero value is already a true entry: Eqn 5 maps C_p = 0 to 0.
+type eqn5Memo struct{ cp, ber, ct uint64 }
 
 type subframeSample struct {
 	myPRBs int
@@ -142,41 +162,47 @@ func NewMonitor(rnti uint16) *Monitor {
 		RNTI:      rnti,
 		Window:    DefaultWindow,
 		UseFilter: true,
-		cells:     make(map[int]*cellTrack),
 	}
+}
+
+// track returns the cell's window, nil when the cell is not monitored.
+func (m *Monitor) track(id int) *cellTrack {
+	for _, ct := range m.tracks {
+		if ct.info.ID == id {
+			return ct
+		}
+	}
+	return nil
 }
 
 // AttachCell starts monitoring a component carrier. Attaching an
 // already-attached cell resets its window (the §4.1 restart when carriers
 // are activated).
 func (m *Monitor) AttachCell(info CellInfo) {
-	if _, ok := m.cells[info.ID]; !ok {
-		m.order = append(m.order, info.ID)
-	}
 	spf := info.SlotsPerSubframe
 	if spf < 1 {
 		spf = 1
 	}
-	m.cells[info.ID] = &cellTrack{
+	ct := &cellTrack{
 		info:  info,
 		spf:   spf,
 		ring:  make([]subframeSample, m.Window*spf),
 		users: make(map[uint16]*userTrack),
 		seen:  make(map[uint16]int),
 	}
+	if i := slices.Index(m.order, info.ID); i >= 0 {
+		m.tracks[i] = ct
+		return
+	}
+	m.tracks = append(m.tracks, ct)
+	m.order = append(m.order, info.ID)
 }
 
 // DetachCell stops monitoring a carrier (deactivation).
 func (m *Monitor) DetachCell(id int) {
-	if _, ok := m.cells[id]; !ok {
-		return
-	}
-	delete(m.cells, id)
-	for i, v := range m.order {
-		if v == id {
-			m.order = append(m.order[:i], m.order[i+1:]...)
-			break
-		}
+	if i := slices.Index(m.order, id); i >= 0 {
+		m.tracks = slices.Delete(m.tracks, i, i+1)
+		m.order = slices.Delete(m.order, i, i+1)
 	}
 }
 
@@ -189,8 +215,8 @@ func (m *Monitor) ActiveCellIDs() []int { return m.order }
 // It has the signature of ran.Monitor so it can be attached to either
 // cell type directly.
 func (m *Monitor) OnSubframe(rep *ran.SubframeReport) {
-	ct, ok := m.cells[rep.CellID]
-	if !ok {
+	ct := m.track(rep.CellID)
+	if ct == nil {
 		return
 	}
 	// Evict the sample leaving the window.
@@ -251,12 +277,20 @@ func (m *Monitor) OnSubframe(rep *ran.SubframeReport) {
 	if ct.fill < len(ct.ring) {
 		ct.fill++
 	}
+	ct.n = 0
 }
 
 // activeUsers returns N for one cell: the filtered competing users plus
 // the mobile itself (§4.2.1). With the filter disabled every observed
 // user counts (the ablation).
 func (ct *cellTrack) activeUsers(useFilter bool) int {
+	if ct.n == 0 || ct.nFiltered != useFilter {
+		ct.n, ct.nFiltered = ct.countUsers(useFilter), useFilter
+	}
+	return ct.n
+}
+
+func (ct *cellTrack) countUsers(useFilter bool) int {
 	n := 1 // self
 	for _, u := range ct.users {
 		if !useFilter {
@@ -275,7 +309,7 @@ func (ct *cellTrack) activeUsers(useFilter bool) int {
 // window before filtering (for the Figure 7 reproduction), not counting
 // the mobile itself.
 func (m *Monitor) DetectedUsers(cellID int) int {
-	if ct, ok := m.cells[cellID]; ok {
+	if ct := m.track(cellID); ct != nil {
 		return len(ct.users)
 	}
 	return 0
@@ -283,7 +317,7 @@ func (m *Monitor) DetectedUsers(cellID int) int {
 
 // ActiveUsers returns N for a cell after filtering, including self.
 func (m *Monitor) ActiveUsers(cellID int) int {
-	if ct, ok := m.cells[cellID]; ok {
+	if ct := m.track(cellID); ct != nil {
 		return ct.activeUsers(m.UseFilter)
 	}
 	return 0
@@ -306,25 +340,27 @@ func (ct *cellTrack) rw() float64 {
 // with different slot clocks are not directly comparable - use
 // CellCapacityPerMs or CapacityBits for cross-RAT aggregation.
 func (m *Monitor) CellCapacity(cellID int) float64 {
-	ct, ok := m.cells[cellID]
-	if !ok || ct.fill == 0 {
+	if ct := m.track(cellID); ct != nil {
+		return ct.capacity(m.UseFilter)
+	}
+	return 0
+}
+
+func (ct *cellTrack) capacity(useFilter bool) float64 {
+	if ct.fill == 0 {
 		return 0
 	}
 	w := float64(ct.fill)
 	pa := float64(ct.sumMyPRBs) / w
 	idle := float64(ct.sumIdlePRBs) / w
-	n := float64(ct.activeUsers(m.UseFilter))
+	n := float64(ct.activeUsers(useFilter))
 	return ct.rw() * (pa + idle/n)
 }
 
-// CellFairShare returns one cell's contribution to Eqn 2 in physical bits
-// per scheduling slot: R_w * P_cell/N.
-func (m *Monitor) CellFairShare(cellID int) float64 {
-	ct, ok := m.cells[cellID]
-	if !ok {
-		return 0
-	}
-	n := float64(ct.activeUsers(m.UseFilter))
+// fairShare returns one cell's contribution to Eqn 2 in physical bits per
+// scheduling slot: R_w * P_cell/N.
+func (ct *cellTrack) fairShare(useFilter bool) float64 {
+	n := float64(ct.activeUsers(useFilter))
 	return ct.rw() * float64(ct.info.NPRB) / n
 }
 
@@ -335,21 +371,10 @@ func (m *Monitor) CellFairShare(cellID int) float64 {
 // capacity unchanged, an NR µ=1 cell contributes twice its per-slot
 // capacity, and so on.
 func (m *Monitor) CellCapacityPerMs(cellID int) float64 {
-	ct, ok := m.cells[cellID]
-	if !ok {
-		return 0
+	if ct := m.track(cellID); ct != nil {
+		return ct.capacity(m.UseFilter) * float64(ct.spf)
 	}
-	return m.CellCapacity(cellID) * float64(ct.spf)
-}
-
-// CellFairSharePerMs returns one cell's Eqn 2 fair share in bits per
-// millisecond.
-func (m *Monitor) CellFairSharePerMs(cellID int) float64 {
-	ct, ok := m.cells[cellID]
-	if !ok {
-		return 0
-	}
-	return m.CellFairShare(cellID) * float64(ct.spf)
+	return 0
 }
 
 // CapacityBits returns C_t: the Eqn 3 available capacity summed over the
@@ -357,8 +382,8 @@ func (m *Monitor) CellFairSharePerMs(cellID int) float64 {
 // transport-layer goodput through Eqn 5, in bits per millisecond.
 func (m *Monitor) CapacityBits() float64 {
 	var total float64
-	for _, id := range m.order {
-		total += m.translate(id, m.CellCapacityPerMs(id))
+	for _, ct := range m.tracks {
+		total += ct.translate(ct.capacity(m.UseFilter)*float64(ct.spf), &ct.capMemo)
 	}
 	m.lastCapacity = m.noisy(total)
 	return m.lastCapacity
@@ -374,8 +399,8 @@ func (m *Monitor) LastCapacityBits() float64 { return m.lastCapacity }
 // translated to transport-layer bits per millisecond.
 func (m *Monitor) FairShareBits() float64 {
 	var total float64
-	for _, id := range m.order {
-		total += m.translate(id, m.CellFairSharePerMs(id))
+	for _, ct := range m.tracks {
+		total += ct.translate(ct.fairShare(m.UseFilter)*float64(ct.spf), &ct.fairMemo)
 	}
 	return m.noisy(total)
 }
@@ -393,20 +418,25 @@ func (m *Monitor) noisy(v float64) float64 {
 }
 
 // translate applies the Eqn 5 physical-to-transport translation with the
-// cell's retransmission granularity.
-func (m *Monitor) translate(id int, cp float64) float64 {
-	if ct := m.cells[id]; ct != nil && ct.info.CBGBits > 0 {
-		return phy.TransportFromPhysicalCBG(cp, m.cellBER(id), ct.info.CBGBits)
-	}
-	return phy.TransportFromPhysical(cp, m.cellBER(id))
-}
-
-func (m *Monitor) cellBER(id int) float64 {
-	ct := m.cells[id]
+// cell's retransmission granularity at the live BER. It solves Eqn 5 only
+// when cp or the BER differs from the inputs memo last saw.
+func (ct *cellTrack) translate(cp float64, memo *eqn5Memo) float64 {
+	ber := 1e-6
 	if ct.info.BER != nil {
-		return ct.info.BER()
+		ber = ct.info.BER()
 	}
-	return 1e-6
+	cpBits, berBits := math.Float64bits(cp), math.Float64bits(ber)
+	if memo.cp == cpBits && memo.ber == berBits {
+		return math.Float64frombits(memo.ct)
+	}
+	var c float64
+	if ct.info.CBGBits > 0 {
+		c = phy.TransportFromPhysicalCBG(cp, ber, ct.info.CBGBits)
+	} else {
+		c = phy.TransportFromPhysical(cp, ber)
+	}
+	*memo = eqn5Memo{cp: cpBits, ber: berBits, ct: math.Float64bits(c)}
+	return c
 }
 
 // BitsPerSubframeToBps converts the paper's bits-per-subframe capacity

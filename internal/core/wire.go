@@ -13,10 +13,14 @@ const feedbackMSS = 1500
 
 // EncodeRate converts a rate in bits/sec into the 32-bit feedback word:
 // the interval in microseconds between consecutive 1500-byte packets.
-// Zero encodes "no feedback".
+// Zero encodes "no feedback", which is what a rate that is zero, negative
+// or NaN encodes to; +Inf encodes to the shortest interval, 1 µs.
 func EncodeRate(bps float64) uint32 {
-	if bps <= 0 {
+	switch {
+	case !(bps > 0):
 		return 0
+	case math.IsInf(bps, 1):
+		return 1
 	}
 	us := math.Round(feedbackMSS * 8 / bps * 1e6)
 	if us < 1 {

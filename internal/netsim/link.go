@@ -46,18 +46,14 @@ type Link struct {
 	queuedBytes int
 	busy        bool
 
-	// Serialization and propagation state for the pre-bound event
-	// functions: exactly one packet serializes at a time (txPkt), and
-	// same-shard propagation is FIFO (constant delay), so deliveries pop
-	// the pending ring in schedule order. Pre-binding txDone/deliver
-	// once removes the two per-packet closures that dominated the metro
-	// allocation profile.
-	txPkt   *Packet
-	txDone  func()
-	pending []*Packet
-	pHead   int
-	deliver func()
-	pool    *PacketPool // src-engine pool: owns queue-full drops
+	// Serialization and propagation state: exactly one packet serializes
+	// at a time (txPkt, with the pre-bound txDone), and same-shard
+	// propagation - a constant delay, so FIFO - rides a sim.Line, which
+	// keeps one heap entry per link instead of one per packet in flight.
+	txPkt  *Packet
+	txDone func()
+	line   *sim.Line[*Packet]
+	pool   *PacketPool // src-engine pool: owns queue-full drops
 
 	// Counters for reporting.
 	Delivered  uint64
@@ -70,19 +66,18 @@ type Link struct {
 	queueTrack *obs.SeriesTrack
 }
 
-// queueKey is the engine-local stock of link queue and pending-ring
-// storage: a link built on a recycled engine starts with the backing arrays
-// a link of the previous run grew.
-var queueKey = sim.NewLocalKey()
+// queueKey and lineKey are the engine-local stocks of link queue and
+// propagation-line storage: a link built on a recycled engine starts with
+// the backing arrays a link of the previous run grew.
+var queueKey, lineKey = sim.NewLocalKey(), sim.NewLocalKey()
 
 // NewLink returns a link that delivers packets to dst.
 func NewLink(eng *sim.Engine, rateBps float64, delay time.Duration, queueBytes int, dst Handler) *Link {
 	l := &Link{eng: eng, RateBps: rateBps, Delay: delay, QueueBytes: queueBytes, dst: dst}
 	l.pool = PoolOf(eng)
 	stock := sim.StockOf[*Packet](eng, queueKey)
-	l.queue, l.pending = stock.Take()[:0], stock.Take()[:0]
+	l.queue = stock.Take()[:0]
 	stock.Keep(&l.queue)
-	stock.Keep(&l.pending)
 	l.txDone = func() {
 		p := l.txPkt
 		l.txPkt = nil
@@ -92,9 +87,7 @@ func NewLink(eng *sim.Engine, rateBps float64, delay time.Duration, queueBytes i
 		l.propagate(p)
 		l.transmitNext()
 	}
-	l.deliver = func() {
-		l.dst.HandlePacket(l.eng.Now(), l.popPending())
-	}
+	l.line = sim.NewLine(eng, lineKey, func(p *Packet) { l.dst.HandlePacket(l.eng.Now(), p) })
 	return l
 }
 
@@ -123,41 +116,16 @@ func NewCrossLink(src, dst *sim.Shard, rateBps float64, delay time.Duration, que
 
 // propagate carries a transmitted packet over the propagation delay to
 // the destination handler, crossing the shard boundary when the link is
-// a cross link.
-//
-// Same-shard propagation is FIFO - the delay is constant per link, so
-// deliveries fire in transmit order - which lets one pre-bound deliver
-// function pop a pending ring instead of allocating a closure per
-// packet. The cross-shard hop keeps its closure: the pending ring would
-// be shared between the sending and receiving shard's windows, which
-// run concurrently.
+// a cross link. The cross-shard hop keeps a closure per packet through the
+// cluster mailbox: the line is engine-local, and the sending and receiving
+// shards' windows run concurrently.
 func (l *Link) propagate(p *Packet) {
 	if l.xdst != nil {
 		dst := l.xdst
 		l.xsrc.Send(dst, l.Delay, func() { l.dst.HandlePacket(dst.Now(), p) })
 		return
 	}
-	l.pending = append(l.pending, p)
-	l.eng.Schedule(l.Delay, l.deliver)
-}
-
-// popPending dequeues the oldest in-flight packet, compacting the ring's
-// consumed head once it dominates the slice (amortized O(1), retained
-// capacity).
-func (l *Link) popPending() *Packet {
-	p := l.pending[l.pHead]
-	l.pending[l.pHead] = nil
-	l.pHead++
-	if l.pHead == len(l.pending) {
-		l.pending = l.pending[:0]
-		l.pHead = 0
-	} else if l.pHead > 32 && l.pHead*2 >= len(l.pending) {
-		n := copy(l.pending, l.pending[l.pHead:])
-		clearTail(l.pending, n)
-		l.pending = l.pending[:n]
-		l.pHead = 0
-	}
-	return p
+	l.line.Push(l.Delay, p)
 }
 
 // clearTail nils ps[n:] so compacted slots do not retain packets.

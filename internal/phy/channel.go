@@ -84,24 +84,25 @@ func PaperMobilityTrajectory() Trajectory {
 // SINR (with fading), the MCS the scheduler would select, and the BER that
 // drives transport-block errors.
 type Channel struct {
-	Table      CQITable
+	Table      CQITable // read by Step: MCS reports the table of the last Step
 	trajectory Trajectory
 	staticRSSI float64
 	fading     *Fading
 	lastRSSI   float64
 	lastSINR   float64
+	mcs        MCS // MCSFromSINR(lastSINR, Table), computed once per Step
 }
 
 // NewStaticChannel returns a channel pinned at a fixed RSSI with optional
 // fading.
 func NewStaticChannel(rssiDBm float64, table CQITable, fading *Fading) *Channel {
-	return &Channel{Table: table, staticRSSI: rssiDBm, fading: fading, lastRSSI: rssiDBm}
+	return &Channel{Table: table, staticRSSI: rssiDBm, fading: fading, lastRSSI: rssiDBm, mcs: MCSFromSINR(0, table)}
 }
 
 // NewMobileChannel returns a channel following an RSSI trajectory with
 // optional fading.
 func NewMobileChannel(tr Trajectory, table CQITable, fading *Fading) *Channel {
-	c := &Channel{Table: table, trajectory: tr, fading: fading}
+	c := &Channel{Table: table, trajectory: tr, fading: fading, mcs: MCSFromSINR(0, table)}
 	c.lastRSSI = tr.At(0)
 	return c
 }
@@ -119,6 +120,7 @@ func (c *Channel) Step(t, dt time.Duration) float64 {
 		offset = c.fading.Step(dt)
 	}
 	c.lastSINR = SINRFromRSSI(rssi) + offset
+	c.mcs = MCSFromSINR(c.lastSINR, c.Table)
 	return c.lastSINR
 }
 
@@ -126,7 +128,7 @@ func (c *Channel) Step(t, dt time.Duration) float64 {
 func (c *Channel) RSSI() float64 { return c.lastRSSI }
 
 // MCS returns the modulation and coding scheme for the last Step.
-func (c *Channel) MCS() MCS { return MCSFromSINR(c.lastSINR, c.Table) }
+func (c *Channel) MCS() MCS { return c.mcs }
 
 // BER returns the fitted bit error rate for the last Step.
 func (c *Channel) BER() float64 { return BERFromRSSI(c.lastRSSI) }

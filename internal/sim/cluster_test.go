@@ -247,18 +247,20 @@ func TestClusterWindowSyncAllocs(t *testing.T) {
 }
 
 // TestRecycledEngineRunsLikeNew: an engine recycled after a run that left
-// a ticker, one-shots and a re-armed handle queued, then reseeded, replays
-// a workload exactly like a new engine with that seed - same times, same
-// order, same random draws.
+// a ticker, one-shots, a re-armed handle and a busy line queued, then
+// reseeded, replays a workload exactly like a new engine with that seed -
+// same times, same order, same random draws.
 func TestRecycledEngineRunsLikeNew(t *testing.T) {
 	workload := func(e *Engine) []string {
 		var log []string
 		var h Event
+		l := NewLine(e, lineKey, func(i int) { log = append(log, fmt.Sprintf("%v line %d", e.Now(), i)) })
 		for i := 0; i < 50; i++ {
 			i := i
 			e.Schedule(time.Duration(e.Rand().Intn(40))*time.Millisecond, func() {
 				log = append(log, fmt.Sprintf("%v %d %d", e.Now(), i, e.Rand().Int63()))
 				e.Reset(&h, 2*time.Millisecond, func() { log = append(log, fmt.Sprintf("%v reset", e.Now())) })
+				l.Push(5*time.Millisecond, i)
 			})
 		}
 		e.Every(3*time.Millisecond, func() { log = append(log, fmt.Sprintf("%v tick", e.Now())) })

@@ -14,7 +14,8 @@
 // of blocks that never move, recycled through a free list, so steady-state
 // scheduling does not allocate. Each queued event records its heap position:
 // Cancel removes the entry on the spot and Reset re-keys it in place, so the
-// heap only ever holds events that will run.
+// heap only ever holds events that will run. A constant-delay hop pushes
+// onto a Line, which keeps only its earliest firing in the heap.
 package sim
 
 import (
@@ -144,6 +145,7 @@ type Engine struct {
 	rng      *rand.Rand
 	stopped  bool
 	executed uint64 // events run since New or the last Recycle
+	parked   int    // line firings waiting behind their line's head (see Line)
 
 	// Event arena. Id i < inlineEvents is inline[i]; a larger id is
 	// blocks[j>>blockBits][j&blockMask] with j = i - inlineEvents. Blocks
@@ -193,7 +195,7 @@ func (e *Engine) Recycle() {
 		e.free = int32(id)
 	}
 	e.queue = e.queue[:0]
-	e.now, e.seq, e.stopped, e.executed = 0, 0, false, 0
+	e.now, e.seq, e.stopped, e.executed, e.parked = 0, 0, false, 0, 0
 	e.seriesBuf = nil
 	for _, v := range e.locals {
 		if r, ok := v.(Recycler); ok {
@@ -323,14 +325,20 @@ func (e *Engine) At(t time.Duration, fn func()) Event {
 	if t < e.now {
 		t = e.now
 	}
+	mSched.Inc()
+	return Event{eng: e, key: e.arm(t, e.nextSeq(), fn)}
+}
+
+// arm queues fn at (t, seq), seq drawn by nextSeq - now, or at a line's
+// Push - and returns the heap key.
+func (e *Engine) arm(t time.Duration, seq uint64, fn func()) uint64 {
 	id, ev := e.alloc()
 	ev.fn = fn
-	x := entry{at: t, key: e.nextKey(id)}
-	mSched.Inc()
+	x := entry{at: t, key: seq<<idBits | uint64(id)}
 	mHeapMax.Observe(int64(len(e.queue) + 1))
 	e.queue = append(e.queue, x)
 	e.up(len(e.queue)-1, x)
-	return Event{eng: e, key: x.key}
+	return x.key
 }
 
 // Reset re-arms h to run fn after delay. It is exactly
@@ -359,7 +367,7 @@ func (e *Engine) Reset(h *Event, delay time.Duration, fn func()) {
 	old := e.queue[i]
 	id := old.id()
 	e.slot(id).fn = fn
-	x := entry{at: e.now + delay, key: e.nextKey(id)}
+	x := entry{at: e.now + delay, key: e.nextSeq()<<idBits | uint64(id)}
 	mSched.Inc()
 	mReuse.Inc()
 	if x.less(old) {
@@ -370,13 +378,13 @@ func (e *Engine) Reset(h *Event, delay time.Duration, fn func()) {
 	*h = Event{eng: e, key: x.key}
 }
 
-// nextKey draws the next sequence number and packs it over id.
-func (e *Engine) nextKey(id uint32) uint64 {
+// nextSeq draws the next sequence number.
+func (e *Engine) nextSeq() uint64 {
 	if e.seq == maxSeq {
 		panic("sim: more than 2^40 events scheduled on one engine (the heap key's sequence field is 40 bits)")
 	}
 	e.seq++
-	return e.seq<<idBits | uint64(id)
+	return e.seq
 }
 
 // slot returns the arena slot of id.
@@ -442,8 +450,9 @@ func (e *Engine) step() {
 	fn()
 }
 
-// Pending returns the number of events waiting in the queue.
-func (e *Engine) Pending() int { return len(e.queue) }
+// Pending returns the number of events waiting to fire, line firings
+// included.
+func (e *Engine) Pending() int { return len(e.queue) + e.parked }
 
 // removeAt deletes the heap entry at i, frees its arena slot and returns
 // the callback the slot held.

@@ -9,9 +9,12 @@ import (
 )
 
 // The differential engine test. A script of Schedule/At/Cancel/Reset/copy/
-// RunUntil/Run/Stop operations over numbered handle slots is replayed on
-// three models: the reference below (a slice kept sorted by (at, seq)),
+// Push/RunUntil/Run/Stop operations over numbered handle slots is replayed
+// on three models: the reference below (a slice kept sorted by (at, seq)),
 // the engine with Reset, and the engine with Reset spelled Cancel +
+// Schedule. A Push goes onto one of a few Lines, each with its own constant
+// delay drawn from the script's delays, so pushed firings share timestamps
+// with queued Schedule and Reset events; the reference treats a Push as a
 // Schedule. Every fired callback records (Now, tag) and runs its own
 // pre-generated operations, so cancels and resets from inside callbacks -
 // including of the firing event's own handle - are part of the script.
@@ -29,14 +32,23 @@ const (
 	opRunUntil
 	opRun
 	opStop
+	opPush
 )
+
+// lineDelays are the constant delays of the scripts' lines (slot mod
+// len(lineDelays) picks one); the negative one clamps to zero like
+// Schedule.
+var lineDelays = []time.Duration{-time.Millisecond, time.Millisecond, 3 * time.Millisecond}
+
+// lineKey is the engine-local stock of the test lines' rings.
+var lineKey = NewLocalKey()
 
 type scriptOp struct {
 	kind int
-	slot int           // handle slot acted on (copy: destination)
+	slot int           // handle slot acted on (copy: destination; push: line)
 	src  int           // copy source slot
 	d    time.Duration // delay; At offset from Now; RunUntil horizon from Now
-	tag  int           // callback scheduled by Schedule, At and Reset
+	tag  int           // callback scheduled by Schedule, At, Reset and Push
 }
 
 type script struct {
@@ -100,11 +112,14 @@ func (g *scriptGen) op(depth, own int) scriptOp {
 		slot = own
 	}
 	o := scriptOp{slot: slot, d: g.delay()}
-	k := g.r.Intn(100)
-	if g.bulk && depth == 0 && k >= 85 {
+	k := g.r.Intn(110)
+	if g.bulk && depth == 0 && k >= 85 && k < 100 {
 		k = g.r.Intn(60) // mostly scheduling; the final Run drains
 	}
 	switch {
+	case k >= 100:
+		o.kind = opPush
+		o.d = lineDelays[slot%len(lineDelays)]
 	case k < 25:
 		o.kind = opSchedule
 	case k < 35:
@@ -124,7 +139,7 @@ func (g *scriptGen) op(depth, own int) scriptOp {
 	default:
 		o.kind = opRun
 	}
-	if o.kind == opSchedule || o.kind == opAt || o.kind == opReset {
+	if o.kind == opSchedule || o.kind == opAt || o.kind == opReset || o.kind == opPush {
 		o.tag = g.newTag(depth, o.slot)
 	}
 	return o
@@ -220,6 +235,8 @@ func (m *refModel) exec(o scriptOp) {
 		m.run(0, false)
 	case opStop:
 		m.stopped = true
+	case opPush:
+		m.schedule(m.now+max(o.d, 0), o.tag)
 	}
 	r := record{now: m.now, tag: -1, pending: len(m.q), cancelled: h.cancelled}
 	if i := m.find(h.seq); i >= 0 {
@@ -235,6 +252,7 @@ type engModel struct {
 	e        *Engine
 	viaReset bool
 	h        []Event
+	lines    []*Line[int]
 	fns      []func()
 	out      []record
 	err      error
@@ -251,6 +269,9 @@ func newEngModel(sc *script, viaReset bool) *engModel {
 				m.exec(o)
 			}
 		}
+	}
+	for range lineDelays {
+		m.lines = append(m.lines, NewLine(m.e, lineKey, func(tag int) { m.fns[tag]() }))
 	}
 	return m
 }
@@ -279,11 +300,49 @@ func (m *engModel) exec(o scriptOp) {
 		m.e.Run()
 	case opStop:
 		m.e.Stop()
+	case opPush:
+		m.lines[o.slot%len(m.lines)].Push(o.d, o.tag)
 	}
 	m.out = append(m.out, record{now: m.e.Now(), tag: -1, pending: m.e.Pending(), at: h.At(), cancelled: h.cancelled})
-	if err := checkEngine(m.e); err != nil && m.err == nil {
+	err := checkEngine(m.e)
+	if err == nil {
+		err = checkLines(m.e, m.lines)
+	}
+	if err != nil && m.err == nil {
 		m.err = fmt.Errorf("after op %d (%+v): %w", len(m.out), o, err)
 	}
+}
+
+// checkLines verifies that each line keeps its firings in (at, seq) order,
+// that exactly the busy lines have their head queued under its reserved
+// key, and that the engine counts every other line firing as parked.
+func checkLines[T any](e *Engine, lines []*Line[T]) error {
+	parked := 0
+	for k, l := range lines {
+		for i := 1; i < l.n; i++ {
+			a, b := l.ring[l.index(i-1)], l.ring[l.index(i)]
+			if b.at < a.at || b.seq <= a.seq {
+				return fmt.Errorf("line %d: entry %d (%v, %d) after (%v, %d)", k, i, b.at, b.seq, a.at, a.seq)
+			}
+		}
+		queued := 0
+		for _, x := range e.queue {
+			if e.slot(x.id()).fn != nil && l.n > 0 && x.key>>idBits == l.ring[l.head].seq {
+				queued++
+				if x.at != l.ring[l.head].at {
+					return fmt.Errorf("line %d: head queued at %v, want %v", k, x.at, l.ring[l.head].at)
+				}
+			}
+		}
+		if want := min(l.n, 1); queued != want {
+			return fmt.Errorf("line %d with %d firings has %d heap entries, want %d", k, l.n, queued, want)
+		}
+		parked += max(l.n-1, 0)
+	}
+	if parked != e.parked {
+		return fmt.Errorf("engine counts %d parked firings, lines hold %d", e.parked, parked)
+	}
+	return nil
 }
 
 // checkEngine verifies the heap order, every queued slot's recorded
@@ -451,8 +510,9 @@ func TestResetStalesHandleCopies(t *testing.T) {
 	}
 }
 
-// TestWarmCyclesAllocateNothing pins the steady state: once the arena and
-// heap have grown, re-arming, cancelling and ticking allocate nothing.
+// TestWarmCyclesAllocateNothing pins the steady state: once the arena,
+// heap and line ring have grown, re-arming, cancelling, ticking and a
+// line's push and fire allocate nothing.
 func TestWarmCyclesAllocateNothing(t *testing.T) {
 	e := New(1)
 	noop := func() {}
@@ -462,6 +522,11 @@ func TestWarmCyclesAllocateNothing(t *testing.T) {
 	pump := e.Schedule(time.Millisecond, noop)
 	var fired Event
 	e.Every(time.Millisecond, noop)
+	l := NewLine(e, lineKey, func(int) {})
+	for k := 0; k < 100; k++ {
+		l.Push(100*time.Microsecond, k)
+		e.RunUntil(e.Now() + time.Microsecond)
+	}
 	i := 0
 	for _, c := range []struct {
 		name string
@@ -480,6 +545,10 @@ func TestWarmCyclesAllocateNothing(t *testing.T) {
 			ev.Cancel()
 		}},
 		{"ticker", func() { e.RunUntil(e.Now() + time.Millisecond) }},
+		{"line push+fire", func() {
+			l.Push(100*time.Microsecond, i)
+			e.RunUntil(e.Now() + time.Microsecond)
+		}},
 	} {
 		if n := testing.AllocsPerRun(1000, c.fn); n != 0 {
 			t.Errorf("%s: %.1f allocs per cycle, want 0", c.name, n)

@@ -1,0 +1,107 @@
+package sim
+
+import "time"
+
+// Line is a FIFO of firings on one engine, for constant-delay hops: a
+// wired link's propagation, where every value pushed fires after the ones
+// pushed before it. Push draws the value's sequence number exactly where
+// Schedule would, but only the line's earliest firing sits in the heap;
+// firing it arms the next one under the key reserved at its Push. A line's
+// firings are sorted by (at, seq) - at never decreases along the line
+// (Push enforces it) and seq always grows - so its head is its smallest
+// key, the heap's minimum is the minimum over every pending firing, and
+// the engine pops in exactly the (at, seq) order it would if each Push
+// were a Schedule. The heap holds one entry per busy line instead of one
+// per value in flight.
+//
+// Values wait in one circular ring of {value, at, seq} entries taken from
+// an engine-local Stock, so a line built on a recycled engine starts with
+// the ring a line of the previous run grew. A line cannot be cancelled
+// and must not be used after its engine is recycled.
+type Line[T any] struct {
+	eng  *Engine
+	ring []lineEntry[T] // circular, in push order; len is the capacity
+	head int
+	n    int
+	fn   func(T)
+	fire func() // pre-bound pop: arming allocates no closure
+}
+
+type lineEntry[T any] struct {
+	v   T
+	at  time.Duration
+	seq uint64
+}
+
+// NewLine returns an empty line on e that calls fn with each pushed value
+// when its firing comes due. k names the engine-local stock the line's
+// ring comes from: one key per element type T.
+func NewLine[T any](e *Engine, k LocalKey, fn func(T)) *Line[T] {
+	s := StockOf[lineEntry[T]](e, k)
+	l := &Line[T]{eng: e, fn: fn}
+	l.ring = s.Take()
+	l.ring = l.ring[:cap(l.ring)]
+	s.Keep(&l.ring)
+	l.fire = l.pop
+	return l
+}
+
+// Push fires fn(v) after delay of virtual time; a negative delay is
+// treated as zero. It draws the next sequence number as Schedule would.
+// It panics if the firing would sort before the line's last one: the
+// FIFO order is what keeps the engine's pop order exact.
+func (l *Line[T]) Push(delay time.Duration, v T) {
+	e := l.eng
+	if delay < 0 {
+		delay = 0
+	}
+	at := e.now + delay
+	if l.n > 0 && at < l.ring[l.index(l.n-1)].at {
+		panic("sim: line push fires before the line's tail (a line's delay must not shrink)")
+	}
+	seq := e.nextSeq()
+	mSched.Inc()
+	if l.n == len(l.ring) {
+		l.grow()
+	}
+	l.ring[l.index(l.n)] = lineEntry[T]{v: v, at: at, seq: seq}
+	l.n++
+	if l.n == 1 {
+		e.arm(at, seq, l.fire)
+	} else {
+		e.parked++
+	}
+}
+
+// index returns the ring position of the i-th entry from the head.
+func (l *Line[T]) index(i int) int {
+	if i += l.head; i >= len(l.ring) {
+		i -= len(l.ring)
+	}
+	return i
+}
+
+// grow doubles the ring, unrolling it so the head is at 0.
+func (l *Line[T]) grow() {
+	ring := make([]lineEntry[T], max(16, 2*len(l.ring)))
+	n := copy(ring, l.ring[l.head:])
+	copy(ring[n:], l.ring[:l.head])
+	l.ring, l.head = ring, 0
+}
+
+// pop fires the head: it arms the next firing under its reserved key, then
+// hands the head's value to fn, which may push onto the line again.
+func (l *Line[T]) pop() {
+	x := &l.ring[l.head]
+	v := x.v
+	*x = lineEntry[T]{}
+	if l.head++; l.head == len(l.ring) {
+		l.head = 0
+	}
+	if l.n--; l.n > 0 {
+		next := &l.ring[l.head]
+		l.eng.parked--
+		l.eng.arm(next.at, next.seq, l.fire)
+	}
+	l.fn(v)
+}

@@ -18,6 +18,10 @@
 #                  Perfetto trace vs docs/, and pbesim -series - parsing
 #                  as CSV                                 -> report_run.svg, trace_run.json
 #
+# Fuzz gate (no simulation):
+#   fuzz-smoke     10 s of FuzzQuantizeRate (the ACK feedback quantizer)
+#                  beyond its committed seed corpus, which go test runs
+#
 # Surface gate (no simulation):
 #   surface        every internal package and exported symbol has a user
 #                  (scripts/surface): a package needs an importer outside
@@ -83,6 +87,13 @@ gate_bench_build() {
 # the simulator, the other packages' tests or the tools: fail and name it.
 gate_surface() {
   go run ./scripts/surface
+}
+
+# The feedback quantizer is the one decoder every ACK crosses: fuzz it for
+# a few seconds past the seed corpus (a failing input lands in
+# internal/core/testdata/fuzz/, to be committed with its fix).
+gate_fuzz_smoke() {
+  go test -run '^$' -fuzz '^FuzzQuantizeRate$' -fuzztime 10s ./internal/core
 }
 
 # Each sweep worker carries one arena from job to job (harness.Arena), so
