@@ -35,6 +35,8 @@
 package fluid
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -77,17 +79,25 @@ type Session struct {
 	Phase   time.Duration
 }
 
-// activeAt reports whether the session's envelope is on at virtual time
-// t: off before Phase, then cycling on-first with period On+Off.
-func (s *Session) activeAt(t time.Duration) bool {
-	if t < s.Phase {
-		return false
+// step walks an on/off chain through every toggle at or before t. A
+// chain starts off with its first toggle at the session's phase and then
+// cycles on-first: on for onDur, off for offDur. At every t it agrees
+// with the closed form "t >= phase && (on+off == 0 || (t-phase) % (on+off)
+// < on)", so a zero on time stays off, a zero off time stays on, and a
+// chain with both zero turns on at its phase and stops there. Durations
+// must be non-negative; t must not decrease from one call to the next.
+func step[T ~uint32 | ~int64](on bool, next, t, onDur, offDur T) (bool, T) {
+	for next <= t {
+		switch {
+		case !on:
+			on, next = true, next+onDur
+		case onDur == 0 && offDur == 0:
+			return true, next
+		default:
+			on, next = false, next+offDur
+		}
 	}
-	cycle := s.On + s.Off
-	if cycle <= 0 {
-		return true
-	}
-	return (t-s.Phase)%cycle < s.On
+	return on, next
 }
 
 // Stats aggregates a scenario's fluid tier: population size and the
@@ -142,6 +152,7 @@ type CellProcess struct {
 
 	sessions []Session
 	active   []bool
+	next     []time.Duration // each session's next on/off toggle
 	backlog  []float64
 
 	last       time.Duration // accrued up to this virtual time
@@ -156,7 +167,8 @@ type CellProcess struct {
 // NewCellProcess builds the process for one cell. window is the envelope
 // update cadence (0 = DefaultWindow); maxBacklogBits caps each session's
 // backlog the way a finite per-user RLC queue caps a packet user (0 =
-// uncapped).
+// uncapped). Every session's On and Off must be non-negative, as
+// harness.Scenario.Validate checks.
 func NewCellProcess(sessions []Session, window time.Duration, maxBacklogBits float64) *CellProcess {
 	if window <= 0 {
 		window = DefaultWindow
@@ -166,7 +178,11 @@ func NewCellProcess(sessions []Session, window time.Duration, maxBacklogBits flo
 		maxBacklog: maxBacklogBits,
 		sessions:   sessions,
 		active:     make([]bool, len(sessions)),
+		next:       make([]time.Duration, len(sessions)),
 		backlog:    make([]float64, len(sessions)),
+	}
+	for i, s := range sessions {
+		p.next[i] = s.Phase
 	}
 	p.stats.Sessions = len(sessions)
 	p.stats.Cells = 1
@@ -202,8 +218,9 @@ func (p *CellProcess) Demand(now time.Duration) []ran.BackgroundDemand {
 	for now >= p.nextUpdate {
 		p.accrue(p.nextUpdate)
 		for i := range p.sessions {
-			on := p.sessions[i].activeAt(p.nextUpdate)
-			p.active[i] = on
+			s := &p.sessions[i]
+			on, next := step(p.active[i], p.next[i], p.nextUpdate, s.On, s.Off)
+			p.active[i], p.next[i] = on, next
 			if on {
 				p.stats.SessionOnWindows++
 				mSessionWindows.Inc()
@@ -248,24 +265,58 @@ func (p *CellProcess) Serve(i int, bits int) {
 func (p *CellProcess) Stats() Stats { return p.stats }
 
 // modeledSession is the compact (16-byte) per-session state of the
-// modeled tier: a million sessions fit in ~16 MB.
+// modeled tier, so a million sessions fit in 16 MiB: the session's rate,
+// its on/off/phase times in milliseconds, and its on/off chain (see
+// step): whether the envelope is on and the millisecond of its next
+// toggle.
 type modeledSession struct {
 	rateBps float32
-	onMs    uint32
-	offMs   uint32
-	phaseMs uint32
+	next    uint32
+	onMs    uint16
+	offMs   uint16
+	phaseMs uint16
+	on      uint8 // 1 while the envelope is on, else 0
 }
 
-func (m *modeledSession) activeAtMs(tMs int64) bool {
-	if tMs < int64(m.phaseMs) {
-		return false
-	}
-	cycle := int64(m.onMs) + int64(m.offMs)
-	if cycle <= 0 {
-		return true
-	}
-	return (tMs-int64(m.phaseMs))%cycle < int64(m.onMs)
+// newModeledSession builds a session from millisecond times, its chain
+// at the start.
+func newModeledSession(rateBps float32, onMs, offMs, phaseMs uint16) modeledSession {
+	return modeledSession{rateBps: rateBps, next: uint32(phaseMs), onMs: onMs, offMs: offMs, phaseMs: phaseMs}
 }
+
+// overflow names the first time DrawModeled cannot store in uint16.
+func overflow(onMs, offMs, phaseMs int64) string {
+	field, v := "phase", phaseMs
+	if uint64(onMs) > math.MaxUint16 {
+		field, v = "on", onMs
+	} else if uint64(offMs) > math.MaxUint16 {
+		field, v = "off", offMs
+	}
+	return fmt.Sprintf("fluid: modeled session %s time %d ms does not fit uint16", field, v)
+}
+
+// restart puts the chain back at its start: off, first toggle at the phase.
+func (s *modeledSession) restart() { s.on, s.next = 0, uint32(s.phaseMs) }
+
+// stepTo steps the chain through every toggle at or before t.
+func (s *modeledSession) stepTo(t uint32) {
+	on, next := step(s.on != 0, s.next, t, uint32(s.onMs), uint32(s.offMs))
+	s.next, s.on = next, 0
+	if on {
+		s.on = 1
+	}
+}
+
+// maxBlockSessions caps a block of the modeled population at 64 KiB. As
+// one 16 MiB object, a nation population drawn over and over left peak
+// RSS at about 33 or 44 MB, depending on whether the collector had freed
+// the previous population before the next was drawn; blocks this size
+// are reused piecemeal.
+const maxBlockSessions = (64 << 10) / 16
+
+// maxChainMs is the latest window start a chain can step to: a uint32
+// toggle time stays representable one uint16 duration beyond it.
+const maxChainMs = math.MaxUint32 - math.MaxUint16
 
 // Modeled is the nation-scale fluid-only tier: a population of
 // background cells whose aggregate rate processes advance one window at
@@ -276,7 +327,11 @@ type Modeled struct {
 	Cells        int
 	UsersPerCell int
 
-	sessions []modeledSession
+	// blocks hold the sessions in order, at most maxBlockSessions each:
+	// whole cells when a cell fits in one block, and blockLen sessions in
+	// every block but the last.
+	blocks   [][]modeledSession
+	blockLen int
 	chunks   []*ModeledChunk
 }
 
@@ -286,22 +341,33 @@ type Modeled struct {
 // churn population of the metro family; phases are uniform over each
 // session's cycle so the population starts in steady state. The draw
 // order is fixed, so the population is a pure function of rng's seed.
+// Times are stored in milliseconds; DrawModeled panics, naming the field,
+// on one that does not fit uint16.
 func DrawModeled(cells, perCell int, rng *rand.Rand, window time.Duration) *Modeled {
 	if window <= 0 {
 		window = DefaultWindow
 	}
-	m := &Modeled{Window: window, Cells: cells, UsersPerCell: perCell}
-	m.sessions = make([]modeledSession, cells*perCell)
-	for i := range m.sessions {
-		rate := trace.SampleUserRate(rng) * 2e6
-		on, off := trace.SessionOnOff(rng)
-		phase := time.Duration(rng.Int63n(int64(on + off)))
-		m.sessions[i] = modeledSession{
-			rateBps: float32(rate),
-			onMs:    uint32(on.Milliseconds()),
-			offMs:   uint32(off.Milliseconds()),
-			phaseMs: uint32(phase.Milliseconds()),
+	m := &Modeled{Window: window, Cells: cells, UsersPerCell: perCell, blockLen: maxBlockSessions}
+	if perCell > 0 && perCell <= maxBlockSessions {
+		m.blockLen = maxBlockSessions / perCell * perCell
+	}
+	n := cells * perCell
+	m.blocks = make([][]modeledSession, 0, (n+m.blockLen-1)/m.blockLen)
+	for lo := 0; lo < n; lo += m.blockLen {
+		// Each block is filled right after it is allocated, while it is
+		// still in cache.
+		b := make([]modeledSession, min(m.blockLen, n-lo))
+		for i := range b {
+			rate := trace.SampleUserRate(rng) * 2e6
+			on, off := trace.SessionOnOff(rng)
+			phase := time.Duration(rng.Int63n(int64(on + off)))
+			onMs, offMs, phaseMs := on.Milliseconds(), off.Milliseconds(), phase.Milliseconds()
+			if uint64(onMs|offMs|phaseMs) > math.MaxUint16 {
+				panic(overflow(onMs, offMs, phaseMs))
+			}
+			b[i] = newModeledSession(float32(rate), uint16(onMs), uint16(offMs), uint16(phaseMs))
 		}
+		m.blocks = append(m.blocks, b)
 	}
 	return m
 }
@@ -311,6 +377,7 @@ func DrawModeled(cells, perCell int, rng *rand.Rand, window time.Duration) *Mode
 // chunks). The partition depends only on (population, n); n is the
 // scenario's shard count, itself a pure function of the topology, so
 // chunk contents never depend on how many shards advance concurrently.
+// A population that earlier chunks advanced starts over from its draw.
 func (m *Modeled) Chunks(n int) []*ModeledChunk {
 	if n < 1 {
 		n = 1
@@ -318,25 +385,48 @@ func (m *Modeled) Chunks(n int) []*ModeledChunk {
 	if n > m.Cells {
 		n = m.Cells
 	}
+	for _, ch := range m.chunks {
+		if ch.started {
+			for _, b := range m.blocks {
+				for i := range b {
+					b[i].restart()
+				}
+			}
+			break
+		}
+	}
 	m.chunks = make([]*ModeledChunk, 0, n)
 	per := m.UsersPerCell
 	for c := 0; c < n; c++ {
 		loCell := m.Cells * c / n
 		hiCell := m.Cells * (c + 1) / n
 		m.chunks = append(m.chunks, &ModeledChunk{
-			window:   m.Window,
-			cells:    hiCell - loCell,
-			sessions: m.sessions[loCell*per : hiCell*per],
+			window: m.Window,
+			cells:  hiCell - loCell,
+			blocks: m.span(loCell*per, hiCell*per),
 		})
 	}
 	return m.chunks
+}
+
+// span returns the block slices that hold sessions [lo, hi), in order.
+func (m *Modeled) span(lo, hi int) [][]modeledSession {
+	var out [][]modeledSession
+	for lo < hi {
+		b := lo / m.blockLen
+		off := lo - b*m.blockLen
+		end := min(len(m.blocks[b]), off+hi-lo)
+		out = append(out, m.blocks[b][off:end])
+		lo += end - off
+	}
+	return out
 }
 
 // Stats sums every chunk's accounting in chunk order (deterministic
 // float summation). Call it after the run; chunks advance on their own
 // shards' event loops.
 func (m *Modeled) Stats() Stats {
-	s := Stats{Sessions: len(m.sessions), Cells: m.Cells}
+	s := Stats{Sessions: m.Cells * m.UsersPerCell, Cells: m.Cells}
 	for _, ch := range m.chunks {
 		s.OfferedBits += ch.offeredBits
 		s.EnvelopeUpdates += ch.windows
@@ -349,9 +439,11 @@ func (m *Modeled) Stats() Stats {
 // Advance is not safe for concurrent use; schedule it on the owning
 // shard's engine.
 type ModeledChunk struct {
-	window   time.Duration
-	cells    int
-	sessions []modeledSession
+	window  time.Duration
+	cells   int
+	blocks  [][]modeledSession
+	started bool   // Advance has stepped the chains
+	lastMs  uint32 // the window start they were stepped to
 
 	offeredBits float64
 	windows     uint64
@@ -359,18 +451,20 @@ type ModeledChunk struct {
 }
 
 // Advance accounts one envelope window ending at virtual time now: every
-// session active at the window's start offered rate x window bits.
-// Schedule it with engine.Every(window, ...).
+// session on at the window's start offered rate x window bits. Window
+// starts must not decrease from one call to the next; one before zero
+// finds every session off. Schedule it with engine.Every(window, ...).
 func (ch *ModeledChunk) Advance(now time.Duration) {
 	startMs := (now - ch.window).Milliseconds()
-	winSec := ch.window.Seconds()
 	var offered float64
 	var on uint64
-	for i := range ch.sessions {
-		if ch.sessions[i].activeAtMs(startMs) {
-			offered += float64(ch.sessions[i].rateBps) * winSec
-			on++
+	if startMs >= 0 || ch.started {
+		if startMs < int64(ch.lastMs) || startMs > maxChainMs {
+			panic(fmt.Sprintf("fluid: modeled window start %d ms after %d ms (chains step forward, to at most %d ms)",
+				startMs, ch.lastMs, maxChainMs))
 		}
+		ch.started, ch.lastMs = true, uint32(startMs)
+		offered, on = ch.sum(uint32(startMs))
 	}
 	ch.offeredBits += offered
 	ch.windows += uint64(ch.cells)
@@ -378,4 +472,22 @@ func (ch *ModeledChunk) Advance(now time.Duration) {
 	mEnvelopeUpdates.Add(uint64(ch.cells))
 	mOfferedBits.Add(uint64(offered))
 	mSessionWindows.Add(on)
+}
+
+// sum steps every chain that has a toggle due by t and adds up, in
+// session order, rate x window x on. An off session adds an exact +0, so
+// the total is bit for bit the sum over the on sessions alone.
+func (ch *ModeledChunk) sum(t uint32) (offered float64, on uint64) {
+	winSec := ch.window.Seconds()
+	for _, b := range ch.blocks {
+		for i := range b {
+			s := &b[i]
+			if t >= s.next {
+				s.stepTo(t)
+			}
+			offered += float64(s.rateBps) * winSec * float64(s.on)
+			on += uint64(s.on)
+		}
+	}
+	return offered, on
 }

@@ -3,8 +3,10 @@ package fluid
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"pbecc/internal/phy"
 	"pbecc/internal/trace"
@@ -90,11 +92,13 @@ func TestModeledCalibration(t *testing.T) {
 	m := DrawModeled(64, 16, rand.New(rand.NewSource(99)), 0)
 
 	var want float64
-	for _, s := range m.sessions {
-		on := time.Duration(s.onMs) * time.Millisecond
-		off := time.Duration(s.offMs) * time.Millisecond
-		phase := time.Duration(s.phaseMs) * time.Millisecond
-		want += float64(s.rateBps) * onTime(on, off, phase, T).Seconds()
+	for _, b := range m.blocks {
+		for _, s := range b {
+			on := time.Duration(s.onMs) * time.Millisecond
+			off := time.Duration(s.offMs) * time.Millisecond
+			phase := time.Duration(s.phaseMs) * time.Millisecond
+			want += float64(s.rateBps) * onTime(on, off, phase, T).Seconds()
+		}
 	}
 
 	ch := m.Chunks(1)[0]
@@ -191,7 +195,8 @@ func TestBacklogCap(t *testing.T) {
 }
 
 // TestSessionPhase: a session is off before its phase delay and cycles
-// on-first afterwards, matching harness.scheduleOnOff's semantics.
+// on-first afterwards, matching harness.scheduleOnOff's semantics. One
+// chain steps through the samples in order, as CellProcess.Demand does.
 func TestSessionPhase(t *testing.T) {
 	s := Session{On: 30 * time.Millisecond, Off: 70 * time.Millisecond, Phase: 50 * time.Millisecond}
 	cases := []struct {
@@ -206,9 +211,232 @@ func TestSessionPhase(t *testing.T) {
 		{149 * time.Millisecond, false},
 		{150 * time.Millisecond, true},
 	}
+	on, next := false, s.Phase
 	for _, c := range cases {
-		if got := s.activeAt(c.t); got != c.want {
-			t.Errorf("activeAt(%v) = %v, want %v", c.t, got, c.want)
+		if on, next = step(on, next, c.t, s.On, s.Off); on != c.want {
+			t.Errorf("chain at %v: on = %v, want %v", c.t, on, c.want)
 		}
 	}
+}
+
+// activeOracle is the closed form the on/off chains replace: off before
+// the phase, then on iff (t-phase) mod (on+off) < on, and on for good when
+// on+off is zero. It works in any one unit: milliseconds or nanoseconds.
+func activeOracle(on, off, phase, t int64) bool {
+	if t < phase {
+		return false
+	}
+	cycle := on + off
+	if cycle <= 0 {
+		return true
+	}
+	return (t-phase)%cycle < on
+}
+
+// oracleWindow is one window of ModeledChunk.Advance by the closed form:
+// the sessions on at startMs, summed in session order.
+func oracleWindow(ss []modeledSession, startMs int64, window time.Duration) (offered float64, on uint64) {
+	winSec := window.Seconds()
+	for _, s := range ss {
+		if activeOracle(int64(s.onMs), int64(s.offMs), int64(s.phaseMs), startMs) {
+			offered += float64(float64(s.rateBps) * winSec)
+			on++
+		}
+	}
+	return offered, on
+}
+
+// flatten copies a population's sessions out in session order.
+func flatten(m *Modeled) []modeledSession {
+	var ss []modeledSession
+	for _, b := range m.blocks {
+		ss = append(ss, b...)
+	}
+	return ss
+}
+
+// checkOracle chunks m n ways, advances every chunk at each of nows, and
+// after every Advance holds the chunk's offered bits (bit for bit) and
+// on-windows (exactly) to the closed form over the chunk's own cells.
+func checkOracle(t *testing.T, m *Modeled, n int, nows []time.Duration) {
+	t.Helper()
+	flat := flatten(m)
+	chunks := m.Chunks(n)
+	offered := make([]float64, len(chunks))
+	on := make([]uint64, len(chunks))
+	for _, now := range nows {
+		for c, ch := range chunks {
+			ch.Advance(now)
+			lo := m.Cells * c / len(chunks) * m.UsersPerCell
+			hi := m.Cells * (c + 1) / len(chunks) * m.UsersPerCell
+			o, k := oracleWindow(flat[lo:hi], (now - m.Window).Milliseconds(), m.Window)
+			offered[c] += o
+			on[c] += k
+			if math.Float64bits(ch.offeredBits) != math.Float64bits(offered[c]) || ch.onWindows != on[c] {
+				t.Fatalf("n=%d chunk %d at %v: offered %v on %d, oracle %v on %d",
+					n, c, now, ch.offeredBits, ch.onWindows, offered[c], on[c])
+			}
+		}
+	}
+}
+
+// windowEnds returns the first k window ends of w.
+func windowEnds(w time.Duration, k int) []time.Duration {
+	nows := make([]time.Duration, k)
+	for i := range nows {
+		nows[i] = time.Duration(i+1) * w
+	}
+	return nows
+}
+
+// TestModeledAdvanceMatchesOracle: the toggle chains reproduce the modulo
+// formula's accounting bit for bit, for drawn populations over several
+// seeds and chunk widths (24 users per cell, so blocks end on cell
+// boundaries short of 64 KiB and chunks split blocks), and for hand-built
+// sessions with zero on and off times sampled every millisecond, so
+// every sample lands on every toggle.
+func TestModeledAdvanceMatchesOracle(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3, 4} {
+		m := DrawModeled(300, 24, rand.New(rand.NewSource(seed)), 0)
+		if len(m.blocks) < 2 {
+			t.Fatalf("population of %d blocks; the test wants several", len(m.blocks))
+		}
+		for _, n := range []int{1, 3, 8} {
+			checkOracle(t, m, n, windowEnds(m.Window, 500))
+		}
+	}
+
+	hand := []struct{ on, off, phase uint16 }{
+		{0, 0, 0}, {0, 0, 5}, // on from the phase onward
+		{0, 7, 0}, {0, 7, 3}, // never on
+		{5, 0, 0}, {5, 0, 2}, // on from the phase onward
+		{3, 4, 0}, {1, 1, 0}, {40, 80, 40}, {100, 4000, 7999},
+		{65535, 65535, 65535},
+	}
+	ms := time.Millisecond
+	b := make([]modeledSession, len(hand))
+	for i, h := range hand {
+		b[i] = newModeledSession(float32(1e6+i), h.on, h.off, h.phase)
+	}
+	m := &Modeled{Window: ms, Cells: len(b), UsersPerCell: 1, blocks: [][]modeledSession{b}, blockLen: maxBlockSessions}
+	// now = 0 starts its window before 0 ms, so no session is on; now =
+	// 0.5 ms starts one at 0 ms, as Duration.Milliseconds truncates toward
+	// zero.
+	nows := append([]time.Duration{0, ms / 2}, windowEnds(ms, 400)...)
+	for _, n := range []int{1, 3, 8} {
+		checkOracle(t, m, n, nows)
+	}
+	m.Window = DefaultWindow
+	checkOracle(t, m, 3, append([]time.Duration{DefaultWindow - ms/2}, windowEnds(DefaultWindow, 10)...))
+}
+
+// TestModeledLayout pins the memory layout DESIGN.md promises: 16 bytes a
+// session, and blocks of at most 64 KiB that hold whole cells whenever a
+// cell fits in one, covering the population in order.
+func TestModeledLayout(t *testing.T) {
+	if got := unsafe.Sizeof(modeledSession{}); got != 16 {
+		t.Fatalf("modeledSession is %d bytes, want 16", got)
+	}
+	for _, perCell := range []int{1, 16, 24, 4096, 5000} {
+		m := DrawModeled(37, perCell, rand.New(rand.NewSource(1)), 0)
+		n := 0
+		for i, b := range m.blocks {
+			if bytes := len(b) * int(unsafe.Sizeof(b[0])); bytes > 64<<10 {
+				t.Fatalf("perCell=%d block %d holds %d bytes", perCell, i, bytes)
+			}
+			if perCell <= maxBlockSessions && len(b)%perCell != 0 {
+				t.Fatalf("perCell=%d block %d holds %d sessions: not whole cells", perCell, i, len(b))
+			}
+			n += len(b)
+		}
+		if n != 37*perCell {
+			t.Fatalf("perCell=%d blocks hold %d sessions, want %d", perCell, n, 37*perCell)
+		}
+	}
+}
+
+// TestModeledOverflowNamesField: a draw that overflows uint16 milliseconds
+// panics with the name of the first field that does.
+func TestModeledOverflowNamesField(t *testing.T) {
+	for _, c := range []struct {
+		on, off, phase int64
+		want           string
+	}{
+		{70000, 1, 1, "on time 70000 ms"},
+		{1, 65536, 70000, "off time 65536 ms"},
+		{1, 1, 65536, "phase time 65536 ms"},
+		{-1, 1, 1, "on time -1 ms"},
+	} {
+		if got := overflow(c.on, c.off, c.phase); !strings.Contains(got, c.want) {
+			t.Errorf("overflow(%d, %d, %d) = %q, want it to name %q", c.on, c.off, c.phase, got, c.want)
+		}
+	}
+}
+
+// TestModeledAdvanceAllocatesNothing: a warm Advance is a pass over the
+// chunk's blocks and nothing else.
+func TestModeledAdvanceAllocatesNothing(t *testing.T) {
+	m := DrawModeled(300, 16, rand.New(rand.NewSource(3)), 0)
+	ch := m.Chunks(2)[1]
+	now := m.Window
+	ch.Advance(now)
+	if allocs := testing.AllocsPerRun(50, func() {
+		now += m.Window
+		ch.Advance(now)
+	}); allocs != 0 {
+		t.Fatalf("Advance allocates %v times a window", allocs)
+	}
+}
+
+// TestModeledRechunkRestarts: Chunks restarts a population that earlier
+// chunks advanced, so re-chunking reproduces a fresh draw's run exactly.
+func TestModeledRechunkRestarts(t *testing.T) {
+	run := func(m *Modeled, n int) Stats {
+		for _, ch := range m.Chunks(n) {
+			for _, now := range windowEnds(m.Window, 200) {
+				ch.Advance(now)
+			}
+		}
+		return m.Stats()
+	}
+	fresh := run(DrawModeled(300, 16, rand.New(rand.NewSource(8)), 0), 3)
+	m := DrawModeled(300, 16, rand.New(rand.NewSource(8)), 0)
+	run(m, 5)
+	if again := run(m, 3); again != fresh {
+		t.Fatalf("re-chunked run %+v, fresh run %+v", again, fresh)
+	}
+}
+
+// FuzzEnvelopeChain: for any on/off/phase in uint16 milliseconds and any
+// non-decreasing sample times (two-byte little-endian steps from 0, at
+// most 64 of them), both tiers' chains - the modeled tier's in uint32
+// milliseconds, the cell tier's in nanoseconds - terminate and agree with
+// the closed form after every sample.
+func FuzzEnvelopeChain(f *testing.F) {
+	f.Fuzz(func(t *testing.T, on, off, phase uint16, steps []byte) {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			ms := time.Millisecond
+			s := newModeledSession(1e6, on, off, phase)
+			nsOn, nsNext := false, time.Duration(phase)*ms
+			var at uint32
+			for i := 0; i+1 < len(steps) && i < 128; i += 2 {
+				at += uint32(steps[i]) | uint32(steps[i+1])<<8
+				s.stepTo(at)
+				nsOn, nsNext = step(nsOn, nsNext, time.Duration(at)*ms, time.Duration(on)*ms, time.Duration(off)*ms)
+				want := activeOracle(int64(on), int64(off), int64(phase), int64(at))
+				if (s.on == 1) != want || nsOn != want {
+					t.Errorf("on=%d off=%d phase=%d at %d ms: modeled chain %d, cell chain %v, oracle %v",
+						on, off, phase, at, s.on, nsOn, want)
+					return
+				}
+			}
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("on=%d off=%d phase=%d: chain still stepping after 10 s", on, off, phase)
+		}
+	})
 }

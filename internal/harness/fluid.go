@@ -1,7 +1,9 @@
 package harness
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
 	"time"
 
 	"pbecc/internal/fluid"
@@ -36,14 +38,40 @@ type FluidSpec struct {
 	ModeledSeed         int64
 }
 
-// FluidSessions counts the spec's total background sessions (cell-bound
-// plus modeled).
-func (fl *FluidSpec) FluidSessions() int {
-	n := fl.ModeledCells * fl.ModeledUsersPerCell
-	for _, ss := range fl.Sessions {
-		n += len(ss)
+// validate names the first field of the spec that would otherwise run
+// silently wrong: sessions bound to a cell the scenario does not declare
+// (setupFluid walks declared cells only), a negative on or off time, a
+// negative Window or MaxBacklogBits (which read as the default), and a
+// modeled tier with a negative size or fewer than one user per cell.
+func (fl *FluidSpec) validate(isLTE map[int]bool) error {
+	ids := make([]int, 0, len(fl.Sessions))
+	for id := range fl.Sessions {
+		ids = append(ids, id)
 	}
-	return n
+	sort.Ints(ids)
+	for _, id := range ids {
+		if _, ok := isLTE[id]; !ok {
+			return fmt.Errorf("fluid sessions are bound to unknown cell %d", id)
+		}
+		for _, s := range fl.Sessions[id] {
+			if s.On < 0 || s.Off < 0 {
+				return fmt.Errorf("fluid session RNTI %d on cell %d has a negative on or off time", s.RNTI, id)
+			}
+		}
+	}
+	switch {
+	case fl.Window < 0:
+		return fmt.Errorf("fluid Window %v is negative", fl.Window)
+	case fl.MaxBacklogBits < 0:
+		return fmt.Errorf("fluid MaxBacklogBits %v is negative", fl.MaxBacklogBits)
+	case fl.ModeledCells < 0:
+		return fmt.Errorf("fluid ModeledCells %d is negative", fl.ModeledCells)
+	case fl.ModeledUsersPerCell < 0:
+		return fmt.Errorf("fluid ModeledUsersPerCell %d is negative", fl.ModeledUsersPerCell)
+	case fl.ModeledCells > 0 && fl.ModeledUsersPerCell < 1:
+		return fmt.Errorf("fluid ModeledUsersPerCell is 0 for %d ModeledCells; want at least 1", fl.ModeledCells)
+	}
+	return nil
 }
 
 // addFluidSession converts one would-be background UE into a fluid
@@ -111,11 +139,7 @@ func setupFluid(sc *Scenario, pl *placement, cells map[int]*ran.Cell) *fluidRunt
 		if seed == 0 {
 			seed = sc.Seed*31337 + 17
 		}
-		perCell := spec.ModeledUsersPerCell
-		if perCell <= 0 {
-			perCell = 1
-		}
-		m := fluid.DrawModeled(spec.ModeledCells, perCell, rand.New(rand.NewSource(seed)), w)
+		m := fluid.DrawModeled(spec.ModeledCells, spec.ModeledUsersPerCell, rand.New(rand.NewSource(seed)), w)
 		shards := pl.cluster.Shards()
 		for i, ch := range m.Chunks(len(shards)) {
 			ch, eng := ch, shards[i].Engine

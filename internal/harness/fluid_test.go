@@ -73,7 +73,11 @@ func TestNationComposition(t *testing.T) {
 	if got := len(sc.Fluid.Sessions); got != realCells {
 		t.Fatalf("fluid sessions on %d cells, want all %d real cells", got, realCells)
 	}
-	if got, want := sc.Fluid.FluidSessions(), sc.Fluid.ModeledCells*sc.Fluid.ModeledUsersPerCell+realCells*12; got != want {
+	got := sc.Fluid.ModeledCells * sc.Fluid.ModeledUsersPerCell
+	for _, ss := range sc.Fluid.Sessions {
+		got += len(ss)
+	}
+	if want := sc.Fluid.ModeledCells*sc.Fluid.ModeledUsersPerCell + realCells*12; got != want {
 		t.Fatalf("total fluid sessions = %d, want %d", got, want)
 	}
 }

@@ -382,7 +382,8 @@ type Result struct {
 // declared twice (LTE and NR cells share one namespace), a duplicate UE
 // ID, a UE with no cells, a UE naming an unknown cell or a cell of the
 // other RAT, an EN-DC UE with more than one NR cell, and a flow on an
-// unknown UE, of an unknown scheme, or marked SFULeg without an SFU.
+// unknown UE, of an unknown scheme, or marked SFULeg without an SFU; and
+// a fluid spec that would run silently wrong (see FluidSpec.validate).
 // BuildScenario returns this error; Run panics with it.
 func (sc *Scenario) Validate() error {
 	isLTE := make(map[int]bool, len(sc.Cells)+len(sc.NRCells))
@@ -422,6 +423,9 @@ func (sc *Scenario) Validate() error {
 		case fs.SFULeg && sc.SFU == nil:
 			return fmt.Errorf("flow %d is marked SFULeg but the scenario has no SFU", fs.ID)
 		}
+	}
+	if sc.Fluid != nil {
+		return sc.Fluid.validate(isLTE)
 	}
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"pbecc/internal/fluid"
 	"pbecc/internal/stats"
 )
 
@@ -294,6 +295,17 @@ func TestScenarioValidate(t *testing.T) {
 		{"duplicate_ue_id", func(sc *Scenario) { sc.UEs[2].ID = 2 }, "UE 2"},
 		{"lte_ids_name_nr_cell", func(sc *Scenario) { sc.UEs[0].CellIDs = []int{101} }, "cell 101"},
 		{"nr_ids_name_lte_cell", func(sc *Scenario) { sc.UEs[1].NRCellIDs = []int{1} }, "cell 1 "},
+		{"fluid_unknown_cell", func(sc *Scenario) {
+			sc.Fluid = &FluidSpec{Sessions: map[int][]fluid.Session{1: {{RNTI: 70}}, 103: {{RNTI: 71}}}}
+		}, "cell 103"},
+		{"fluid_negative_on", func(sc *Scenario) {
+			sc.Fluid = &FluidSpec{Sessions: map[int][]fluid.Session{101: {{RNTI: 72, On: -time.Millisecond}}}}
+		}, "RNTI 72"},
+		{"fluid_negative_window", func(sc *Scenario) { sc.Fluid = &FluidSpec{Window: -time.Millisecond} }, "Window -1ms"},
+		{"fluid_negative_backlog", func(sc *Scenario) { sc.Fluid = &FluidSpec{MaxBacklogBits: -1} }, "MaxBacklogBits -1"},
+		{"fluid_negative_modeled_cells", func(sc *Scenario) { sc.Fluid = &FluidSpec{ModeledCells: -4} }, "ModeledCells -4"},
+		{"fluid_negative_users", func(sc *Scenario) { sc.Fluid = &FluidSpec{ModeledUsersPerCell: -2} }, "ModeledUsersPerCell -2"},
+		{"fluid_modeled_without_users", func(sc *Scenario) { sc.Fluid = &FluidSpec{ModeledCells: 4} }, "ModeledUsersPerCell is 0"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sc := base()

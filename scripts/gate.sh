@@ -19,8 +19,9 @@
 #                  as CSV                                 -> report_run.svg, trace_run.json
 #
 # Fuzz gate (no simulation):
-#   fuzz-smoke     10 s of FuzzQuantizeRate (the ACK feedback quantizer)
-#                  beyond its committed seed corpus, which go test runs
+#   fuzz-smoke     10 s of FuzzQuantizeRate (the ACK feedback quantizer),
+#                  then 5 s of FuzzEnvelopeChain (the fluid on/off chain),
+#                  beyond their committed seed corpora, which go test runs
 #
 # Surface gate (no simulation):
 #   surface        every internal package and exported symbol has a user
@@ -89,11 +90,13 @@ gate_surface() {
   go run ./scripts/surface
 }
 
-# The feedback quantizer is the one decoder every ACK crosses: fuzz it for
-# a few seconds past the seed corpus (a failing input lands in
-# internal/core/testdata/fuzz/, to be committed with its fix).
+# The feedback quantizer is the one decoder every ACK crosses, and every
+# fluid session's envelope is an on/off chain: fuzz each for a few seconds
+# past its seed corpus (a failing input lands in the package's
+# testdata/fuzz/, to be committed with its fix).
 gate_fuzz_smoke() {
   go test -run '^$' -fuzz '^FuzzQuantizeRate$' -fuzztime 10s ./internal/core
+  go test -run '^$' -fuzz '^FuzzEnvelopeChain$' -fuzztime 5s ./internal/fluid
 }
 
 # Each sweep worker carries one arena from job to job (harness.Arena), so
