@@ -6,20 +6,34 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
+	"os"
 
 	"pbecc/internal/pdcch"
 )
 
 func main() {
 	subframes := flag.Int("subframes", 10, "number of subframes to synthesize")
-	nprb := flag.Int("nprb", 100, "cell bandwidth in PRBs")
+	nprb := flag.Int("nprb", 100, "cell bandwidth in PRBs: 25, 50, 75 or 100")
 	users := flag.Int("users", 4, "scheduled users per subframe")
 	sigma := flag.Float64("noise", 0.2, "AWGN sigma per component (0 = clean)")
 	seed := flag.Int64("seed", 1, "random seed")
 	flag.Parse()
+	switch {
+	case *nprb != 25 && *nprb != 50 && *nprb != 75 && *nprb != 100:
+		// Elsewhere formats can share a payload size (Format 1 and
+		// Format 0/1A are both 21 bits at 15 PRBs, so the decoder
+		// unpacks the wrong one), and noise-free runs at 6 and 10 PRBs
+		// recover little or nothing.
+		fatal(fmt.Errorf("-nprb %d: the codec supports 25, 50, 75 or 100 PRBs", *nprb))
+	case *subframes < 0, *users < 0:
+		fatal(errors.New("-subframes and -users must not be negative"))
+	case *sigma < 0:
+		fatal(fmt.Errorf("-noise %v is negative", *sigma))
+	}
 
 	rng := rand.New(rand.NewSource(*seed))
 	bw := pdcch.Bandwidth{NPRB: *nprb}
@@ -75,4 +89,9 @@ func main() {
 	}
 	fmt.Printf("\ntotal: placed=%d decoded=%d exact=%d (%.1f%% recovery)\n",
 		placed, decoded, correct, 100*float64(correct)/float64(max(placed, 1)))
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "pdcchdump:", err)
+	os.Exit(2)
 }

@@ -66,9 +66,8 @@ type BBR struct {
 	btlBw  cc.WindowedMax // bits/sec, windowed by round count
 	rtProp cc.WindowedMin // seconds
 
-	rtPropStamp     time.Duration // when rtProp was last refreshed
-	probeRTTDoneAt  time.Duration
-	probeRTTRoundOk bool
+	rtPropStamp    time.Duration // when rtProp was last refreshed
+	probeRTTDoneAt time.Duration
 
 	round              uint64
 	nextRoundDelivered uint64

@@ -19,7 +19,6 @@ type Result struct {
 	ThroughputMbps float64 // receiver goodput over the second half of the run
 	AvgOWDms       float64 // mean one-way delay, ms
 	P95OWDms       float64 // 95th-percentile one-way delay, ms
-	MinOWDms       float64
 	Lost           uint64
 	Received       uint64
 	Sender         *cc.Sender
@@ -54,7 +53,6 @@ func Run(seed int64, ctrl cc.Controller, rateBps float64, rtt time.Duration, que
 		ThroughputMbps: float64(bytesAfter) * 8 / (dur - half).Seconds() / 1e6,
 		AvgOWDms:       delays.Mean(),
 		P95OWDms:       delays.Percentile(95),
-		MinOWDms:       delays.Min(),
 		Lost:           snd.LostPackets,
 		Received:       rcv.Received,
 		Sender:         snd,

@@ -25,12 +25,11 @@ type Copa struct {
 	rttMin      cc.WindowedMin // over 10 s
 	rttStanding cc.WindowedMin // over srtt/2
 
-	velocity      float64
-	direction     int // +1 up, -1 down
-	dirSince      time.Duration
-	dirRTTs       int
-	lastUpdate    time.Duration
-	lastCwndOnDir float64
+	velocity   float64
+	direction  int // +1 up, -1 down
+	dirSince   time.Duration
+	dirRTTs    int
+	lastUpdate time.Duration
 
 	srtt time.Duration
 }

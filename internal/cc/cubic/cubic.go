@@ -26,8 +26,7 @@ type Cubic struct {
 	wMax       float64
 	epochStart time.Duration
 	k          float64
-	ackCount   float64 // bytes acked since epoch, for TCP-friendly est.
-	wTCP       float64
+	wTCP       float64 // RFC 8312 §4.2 W_est, grown per ACK
 
 	highestSent    uint64
 	recoveryEndSeq uint64
@@ -78,14 +77,12 @@ func (cu *Cubic) OnAck(s cc.AckSample) {
 			cu.wMax = cu.cwnd
 		}
 		cu.k = math.Cbrt(cu.wMax * (1 - beta) / c)
-		cu.ackCount = 0
 		cu.wTCP = cu.cwnd
 	}
 	t := (s.Now - cu.epochStart).Seconds()
 	target := cu.wMax + c*math.Pow(t-cu.k, 3)
 
 	// TCP-friendly region (RFC 8312 §4.2).
-	cu.ackCount += ackedMSS
 	cu.wTCP += 3 * (1 - beta) / (1 + beta) * ackedMSS / cu.cwnd
 	if cu.wTCP > target {
 		target = cu.wTCP

@@ -18,9 +18,8 @@ type FeedbackSource interface {
 	Feedback(now time.Duration, owd time.Duration, dataBytes int) (rateBps float64, internetBottleneck bool)
 }
 
-// Receiver acknowledges every data packet, echoing the send timestamp and
-// its own receive timestamp so the sender can compute RTT and one-way
-// delay, and attaching feedback when a source is configured.
+// Receiver acknowledges every data packet with its sequence number and
+// receive timestamp, attaching feedback when a source is configured.
 type Receiver struct {
 	eng      *sim.Engine
 	FlowID   int
@@ -32,9 +31,8 @@ type Receiver struct {
 	// (used by experiment instrumentation).
 	OnData func(now time.Duration, p *netsim.Packet, owd time.Duration)
 
-	// Counters.
-	Received      uint64
-	ReceivedBytes uint64
+	// Received counts data packets received.
+	Received uint64
 }
 
 // NewReceiver wires a receiver whose ACKs travel through ackPath back to
@@ -50,7 +48,6 @@ func (r *Receiver) HandlePacket(now time.Duration, p *netsim.Packet) {
 		return
 	}
 	r.Received++
-	r.ReceivedBytes += uint64(p.Size)
 	owd := now - p.SentAt
 	if r.OnData != nil {
 		r.OnData(now, p, owd)
@@ -63,9 +60,7 @@ func (r *Receiver) HandlePacket(now time.Duration, p *netsim.Packet) {
 	ack.IsAck = true
 	ack.Ack = netsim.AckInfo{
 		AckSeq:     p.Seq,
-		DataSentAt: p.SentAt,
 		ReceivedAt: now,
-		DataSize:   p.Size,
 	}
 	if r.Feedback != nil {
 		rate, btl := r.Feedback.Feedback(now, owd, p.Size)

@@ -1,7 +1,6 @@
 package sprout
 
 import (
-	"math"
 	"testing"
 	"time"
 
@@ -11,8 +10,8 @@ import (
 
 func TestConservativeLowDelay(t *testing.T) {
 	r := cctest.Run(1, New(), 20e6, 60*time.Millisecond, 1<<20, 10*time.Second)
-	// Sprout's cautious forecast bounds queueing to roughly its 100 ms
-	// delay horizon (one-way propagation here is 30 ms).
+	// Sprout's window bounds queueing to roughly its 100 ms delay
+	// horizon (one-way propagation here is 30 ms).
 	if r.P95OWDms > 140 {
 		t.Fatalf("p95 OWD = %.1f ms, want < 140", r.P95OWDms)
 	}
@@ -23,34 +22,6 @@ func TestConservativeLowDelay(t *testing.T) {
 	// shows on variable links (covered by the harness experiments).
 	if r.ThroughputMbps > 21 {
 		t.Fatalf("throughput = %.1f above link capacity", r.ThroughputMbps)
-	}
-}
-
-// forecastRate is Sprout's cautious (~5th percentile) rate forecast in
-// bits/sec, read from the belief's mean and variance.
-func forecastRate(sp *Sprout) float64 {
-	return math.Max(0, sp.rateMean-1.65*math.Sqrt(sp.rateVar))
-}
-
-func TestForecastBelowMean(t *testing.T) {
-	sp := New()
-	sp.rateMean = 10e6
-	sp.rateVar = 1e12 // sigma = 1 Mbit/s
-	f := forecastRate(sp)
-	if f >= sp.rateMean {
-		t.Fatalf("cautious forecast %.1f not below mean %.1f", f/1e6, sp.rateMean/1e6)
-	}
-	if f < 8e6 {
-		t.Fatalf("forecast %.1f too pessimistic for sigma=1", f/1e6)
-	}
-}
-
-func TestForecastNonNegative(t *testing.T) {
-	sp := New()
-	sp.rateMean = 1e6
-	sp.rateVar = 1e14
-	if forecastRate(sp) < 0 {
-		t.Fatal("negative forecast")
 	}
 }
 

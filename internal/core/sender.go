@@ -65,14 +65,6 @@ type Sender struct {
 	// the guard.
 	MisreportGuard float64
 
-	// SkipDrain (ablation) enters the Internet-bottleneck mode without
-	// the one-RTprop 0.5*BtlBw drain phase of §4.2.3.
-	SkipDrain bool
-
-	// NoRamp (ablation) jumps straight to the fed-back fair share
-	// instead of §4.1's three-RTT linear increase.
-	NoRamp bool
-
 	// Counters (instrumentation).
 	DrainEntries    uint64
 	InternetEntries uint64
@@ -136,12 +128,6 @@ func (s *Sender) OnAck(a cc.AckSample) {
 	case ModeWireless:
 		if a.InternetBottleneck {
 			s.cfCap = a.FeedbackRate
-			if s.SkipDrain {
-				s.mode = ModeInternet
-				s.InternetEntries++
-				s.bbr.ForceProbeBW(a.Now)
-				return
-			}
 			// Queue detected inside the Internet: drain at 0.5*BtlBw for
 			// one RTprop before competing (§4.2.3).
 			s.mode = ModeDrain
@@ -185,8 +171,6 @@ func (s *Sender) setTarget(now time.Duration, rate float64) {
 		}
 	}
 	switch {
-	case s.NoRamp:
-		s.rampFrom = rate
 	case s.target == 0:
 		// Connection start: linear increase from (near) zero.
 		s.rampFrom = rate / 16

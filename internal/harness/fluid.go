@@ -21,28 +21,18 @@ type FluidSpec struct {
 	// channel, but generate no packet events.
 	Sessions map[int][]fluid.Session
 
-	// Window is the envelope update cadence (0 = fluid.DefaultWindow,
-	// the PBE monitor's smoothing window).
-	Window time.Duration
-
-	// MaxBacklogBits caps each cell-bound session's backlog (0 = the
-	// owning RAT's per-user queue cap, the same bound a packet user has).
-	MaxBacklogBits float64
-
 	// ModeledCells x ModeledUsersPerCell sizes the modeled-only tier.
-	// The population is drawn inside Run from ModeledSeed (0 = derived
-	// from the scenario seed), so Scenario stays cheap to build: a
-	// million-user population materializes only when the scenario runs.
+	// The population is drawn inside Run from a seed derived from the
+	// scenario seed, so Scenario stays cheap to build: a million-user
+	// population materializes only when the scenario runs.
 	ModeledCells        int
 	ModeledUsersPerCell int
-	ModeledSeed         int64
 }
 
 // validate names the first field of the spec that would otherwise run
 // silently wrong: sessions bound to a cell the scenario does not declare
-// (setupFluid walks declared cells only), a negative on or off time, a
-// negative Window or MaxBacklogBits (which read as the default), and a
-// modeled tier with a negative size or fewer than one user per cell.
+// (setupFluid walks declared cells only), a negative on or off time, and
+// a modeled tier with a negative size or fewer than one user per cell.
 func (fl *FluidSpec) validate(isLTE map[int]bool) error {
 	ids := make([]int, 0, len(fl.Sessions))
 	for id := range fl.Sessions {
@@ -60,10 +50,6 @@ func (fl *FluidSpec) validate(isLTE map[int]bool) error {
 		}
 	}
 	switch {
-	case fl.Window < 0:
-		return fmt.Errorf("fluid Window %v is negative", fl.Window)
-	case fl.MaxBacklogBits < 0:
-		return fmt.Errorf("fluid MaxBacklogBits %v is negative", fl.MaxBacklogBits)
 	case fl.ModeledCells < 0:
 		return fmt.Errorf("fluid ModeledCells %d is negative", fl.ModeledCells)
 	case fl.ModeledUsersPerCell < 0:
@@ -111,13 +97,12 @@ type fluidRuntime struct {
 // stands up the modeled tier on the cluster's shards. Chunk-to-shard
 // assignment depends only on the shard topology - itself a pure function
 // of the scenario - so fluid output is byte-identical for any
-// Scenario.Shards value.
+// Scenario.Shards value. Envelopes update every fluid.DefaultWindow (the
+// PBE monitor's smoothing window), and a cell-bound session's backlog is
+// capped at its cell's per-user queue, the same bound a packet user has.
 func setupFluid(sc *Scenario, pl *placement, cells map[int]*ran.Cell) *fluidRuntime {
 	spec := sc.Fluid
-	w := spec.Window
-	if w <= 0 {
-		w = fluid.DefaultWindow
-	}
+	w := fluid.DefaultWindow
 	rt := &fluidRuntime{}
 	for _, id := range sc.cellIDs() {
 		ss := spec.Sessions[id]
@@ -125,21 +110,14 @@ func setupFluid(sc *Scenario, pl *placement, cells map[int]*ran.Cell) *fluidRunt
 			continue
 		}
 		cell := cells[id]
-		maxBacklog := float64(cell.PerUserQueueBytes * 8)
-		if spec.MaxBacklogBits > 0 {
-			maxBacklog = spec.MaxBacklogBits
-		}
-		p := fluid.NewCellProcess(ss, w, maxBacklog)
+		p := fluid.NewCellProcess(ss, w, float64(cell.PerUserQueueBytes*8))
 		cell.SetBackground(p)
 		rt.procs = append(rt.procs, p)
 	}
 
 	if spec.ModeledCells > 0 {
-		seed := spec.ModeledSeed
-		if seed == 0 {
-			seed = sc.Seed*31337 + 17
-		}
-		m := fluid.DrawModeled(spec.ModeledCells, spec.ModeledUsersPerCell, rand.New(rand.NewSource(seed)), w)
+		rng := rand.New(rand.NewSource(sc.Seed*31337 + 17))
+		m := fluid.DrawModeled(spec.ModeledCells, spec.ModeledUsersPerCell, rng, w)
 		shards := pl.cluster.Shards()
 		for i, ch := range m.Chunks(len(shards)) {
 			ch, eng := ch, shards[i].Engine

@@ -301,8 +301,6 @@ func TestScenarioValidate(t *testing.T) {
 		{"fluid_negative_on", func(sc *Scenario) {
 			sc.Fluid = &FluidSpec{Sessions: map[int][]fluid.Session{101: {{RNTI: 72, On: -time.Millisecond}}}}
 		}, "RNTI 72"},
-		{"fluid_negative_window", func(sc *Scenario) { sc.Fluid = &FluidSpec{Window: -time.Millisecond} }, "Window -1ms"},
-		{"fluid_negative_backlog", func(sc *Scenario) { sc.Fluid = &FluidSpec{MaxBacklogBits: -1} }, "MaxBacklogBits -1"},
 		{"fluid_negative_modeled_cells", func(sc *Scenario) { sc.Fluid = &FluidSpec{ModeledCells: -4} }, "ModeledCells -4"},
 		{"fluid_negative_users", func(sc *Scenario) { sc.Fluid = &FluidSpec{ModeledUsersPerCell: -2} }, "ModeledUsersPerCell -2"},
 		{"fluid_modeled_without_users", func(sc *Scenario) { sc.Fluid = &FluidSpec{ModeledCells: 4} }, "ModeledUsersPerCell is 0"},

@@ -260,23 +260,6 @@ func (s *stubControl) Tick(subframe int, rng *rand.Rand) []ran.ControlGrant {
 	return s.grants
 }
 
-func TestDetachUser(t *testing.T) {
-	eng := sim.New(9)
-	ue, cell, sink := newTestUE(eng, 100, -85)
-	fillQueue(ue, 100)
-	eng.RunUntil(5 * time.Millisecond)
-	cell.DetachUser(61)
-	before := len(sink.packets)
-	eng.RunUntil(50 * time.Millisecond)
-	// In-flight TBs may still deliver, but no new scheduling happens.
-	if cell.UserQueueBits(61) != 0 {
-		t.Fatal("queue must report 0 after detach")
-	}
-	if len(sink.packets) > before+200 {
-		t.Fatal("detached user kept being scheduled")
-	}
-}
-
 func TestEnqueueUnknownRNTI(t *testing.T) {
 	eng := sim.New(10)
 	cell := NewCell(eng, 1, 100, phy.Table64QAM, nil)

@@ -25,9 +25,6 @@ type Packet struct {
 	IsAck bool
 	Ack   AckInfo
 
-	// Retransmitted marks loss-recovery transmissions.
-	Retransmitted bool
-
 	// Padding marks bandwidth-probe filler from media senders: it is
 	// paced, carried and acknowledged like data but contains no frame
 	// payload, so goodput accounting skips it.
@@ -62,14 +59,12 @@ type MediaInfo struct {
 }
 
 // AckInfo is the acknowledgement payload: which data packet is being
-// acknowledged, its timestamps, and the PBE-CC feedback fields (§5: the
+// acknowledged, when it arrived, and the PBE-CC feedback fields (§5: the
 // capacity is described as an interval between 1500-byte packets; here it
 // is carried in bits per second, plus the one-bit bottleneck state).
 type AckInfo struct {
 	AckSeq     uint64        // sequence of the data packet being acked
-	DataSentAt time.Duration // echo of the data packet's SentAt
 	ReceivedAt time.Duration // when the receiver got the data packet
-	DataSize   int           // bytes of the acked data packet
 
 	// PBE-CC feedback (zero for other schemes).
 	FeedbackRate       float64 // target transport-layer rate, bits/sec; 0 = none

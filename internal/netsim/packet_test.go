@@ -72,8 +72,8 @@ func TestAckInfoSurvivesReversePath(t *testing.T) {
 	ack := &Packet{
 		FlowID: 3, Seq: 5, Size: 60, IsAck: true,
 		Ack: AckInfo{
-			AckSeq: 5, DataSentAt: time.Millisecond, ReceivedAt: 9 * time.Millisecond,
-			DataSize: 1500, FeedbackRate: 42e6, InternetBottleneck: true,
+			AckSeq: 5, ReceivedAt: 9 * time.Millisecond,
+			FeedbackRate: 42e6, InternetBottleneck: true,
 		},
 	}
 	back.Send(ack)

@@ -364,14 +364,19 @@ func TestUnpackDCIUnknownSize(t *testing.T) {
 	}
 }
 
+// TestPayloadSizesDistinct: at every bandwidth Bandwidth supports, the
+// three payload sizes the blind decoder tries are distinct, so a decoded
+// size names its format.
 func TestPayloadSizesDistinct(t *testing.T) {
-	sizes := bw100.PayloadSizes()
-	if len(sizes) != 3 {
-		t.Fatalf("expected 3 distinct sizes at 100 PRB, got %v", sizes)
-	}
-	for i := 1; i < len(sizes); i++ {
-		if sizes[i] <= sizes[i-1] {
-			t.Fatalf("sizes not increasing: %v", sizes)
+	for _, nprb := range []int{25, 50, 75, 100} {
+		sizes := Bandwidth{NPRB: nprb}.PayloadSizes()
+		if len(sizes) != 3 {
+			t.Fatalf("expected 3 distinct sizes at %d PRB, got %v", nprb, sizes)
+		}
+		for i := 1; i < len(sizes); i++ {
+			if sizes[i] <= sizes[i-1] {
+				t.Fatalf("%d PRB: sizes not increasing: %v", nprb, sizes)
+			}
 		}
 	}
 }
@@ -543,61 +548,6 @@ func TestRegionPlaceExhaustion(t *testing.T) {
 	}
 	if placed == 0 || placed > 3 {
 		t.Fatalf("placed %d messages in a 3-CCE region", placed)
-	}
-}
-
-// --- Fusion ---
-
-func TestFusionAlignsSubframes(t *testing.T) {
-	f := NewFusion(1, 2)
-	out := f.Push(CellMessages{CellID: 1, Subframe: 0})
-	if len(out) != 0 {
-		t.Fatal("premature release with one of two cells")
-	}
-	out = f.Push(CellMessages{CellID: 2, Subframe: 0})
-	if len(out) != 1 || out[0].Subframe != 0 || len(out[0].Cells) != 2 {
-		t.Fatalf("fusion release = %+v", out)
-	}
-	if out[0].Cells[0].CellID != 1 || out[0].Cells[1].CellID != 2 {
-		t.Fatal("cells not sorted by id")
-	}
-}
-
-func TestFusionInOrderRelease(t *testing.T) {
-	f := NewFusion(1, 2)
-	f.Push(CellMessages{CellID: 1, Subframe: 5}) // aligns the stream at 5
-	f.Push(CellMessages{CellID: 1, Subframe: 6})
-	f.Push(CellMessages{CellID: 2, Subframe: 6}) // complete but out of order
-	if f.PendingSubframes() != 2 {
-		t.Fatalf("pending = %d, want 2 (waiting for subframe 5)", f.PendingSubframes())
-	}
-	out := f.Push(CellMessages{CellID: 2, Subframe: 5})
-	if len(out) != 2 || out[0].Subframe != 5 || out[1].Subframe != 6 {
-		t.Fatalf("release order wrong: %+v", out)
-	}
-}
-
-func TestFusionAlignsOnFirstSubframe(t *testing.T) {
-	f := NewFusion(1, 2)
-	f.Push(CellMessages{CellID: 1, Subframe: 10})
-	out := f.Push(CellMessages{CellID: 2, Subframe: 10})
-	if len(out) != 1 || out[0].Subframe != 10 {
-		t.Fatalf("mid-stream alignment broken: %+v", out)
-	}
-	// Earlier subframes arriving after alignment are stale.
-	if out := f.Push(CellMessages{CellID: 1, Subframe: 9}); len(out) != 0 {
-		t.Fatal("stale pre-alignment subframe accepted")
-	}
-}
-
-func TestFusionIgnoresUnknownCellAndStale(t *testing.T) {
-	f := NewFusion(1)
-	if out := f.Push(CellMessages{CellID: 9, Subframe: 0}); len(out) != 0 {
-		t.Fatal("unknown cell accepted")
-	}
-	f.Push(CellMessages{CellID: 1, Subframe: 0})
-	if out := f.Push(CellMessages{CellID: 1, Subframe: 0}); len(out) != 0 {
-		t.Fatal("stale subframe accepted")
 	}
 }
 

@@ -133,11 +133,10 @@ type Cell struct {
 // RNTI; the device keeps the pointer AddCell got, so the per-packet and
 // per-slot paths never hash.
 type cellUser struct {
-	cell     *Cell
-	rnti     uint16
-	ue       *UE
-	ch       *phy.Channel
-	detached bool
+	cell *Cell
+	rnti uint16
+	ue   *UE
+	ch   *phy.Channel
 
 	// queue is the user's downlink queue, indexed from qHead (head-index
 	// dequeue with amortized compaction, retained capacity).
@@ -156,12 +155,8 @@ type cellUser struct {
 	reorder reorderState
 }
 
-// rate returns the user's physical rate in bits per PRB per slot, zero
-// once detached.
+// rate returns the user's physical rate in bits per PRB per slot.
 func (u *cellUser) rate() float64 {
-	if u.detached {
-		return 0
-	}
 	return u.ch.MCS().BitsPerPRB()
 }
 
@@ -267,28 +262,6 @@ func (c *Cell) attach(ue *UE, rnti uint16, ch *phy.Channel) *cellUser {
 	return u
 }
 
-// DetachUser removes a user; queued packets are dropped (and released:
-// the cell was their last owner). Blocks awaiting a HARQ retransmission
-// are dropped the same way when their slot comes up.
-func (c *Cell) DetachUser(rnti uint16) {
-	u, ok := c.byRNTI[rnti]
-	if !ok {
-		return
-	}
-	delete(c.byRNTI, rnti)
-	u.detached = true
-	for i, v := range c.users {
-		if v == u {
-			c.users = append(c.users[:i], c.users[i+1:]...)
-			break
-		}
-	}
-	c.pool.ReleaseAll(u.queue[u.qHead:])
-	u.queue = u.queue[:0]
-	u.qHead, u.headSent, u.queuedBits = 0, 0, 0
-	u.lastPRBs, u.lastServedBits = 0, 0
-}
-
 // Enqueue adds a downlink packet to the user's queue at this cell. It
 // reports false if the RNTI is not attached or the queue is full. On
 // either false path the packet is dropped - callers never retry a refused
@@ -297,9 +270,9 @@ func (c *Cell) Enqueue(rnti uint16, p *netsim.Packet) bool {
 	return c.enqueue(c.byRNTI[rnti], p)
 }
 
-// enqueue is Enqueue on an attachment (nil or detached = not attached).
+// enqueue is Enqueue on an attachment (nil = not attached).
 func (c *Cell) enqueue(u *cellUser, p *netsim.Packet) bool {
-	if u == nil || u.detached {
+	if u == nil {
 		c.pool.Release(p)
 		return false
 	}
@@ -382,15 +355,6 @@ func (c *Cell) tick() {
 	if due := c.pendingRetx[c.slot]; len(due) > 0 {
 		delete(c.pendingRetx, c.slot)
 		for i, tb := range due {
-			if tb.user.detached {
-				// The user detached (its RNTI may since belong to someone
-				// else, with a new sequence space): the cell is the
-				// packets' last owner.
-				c.pool.ReleaseAll(tb.completed)
-				c.putList(tb.completed)
-				c.recycle(tb)
-				continue
-			}
 			if tb.rbgs > rbgLeft {
 				// Slot exhausted: postpone the rest by one slot.
 				c.pendingRetx[c.slot+1] = append(c.pendingRetx[c.slot+1], due[i:]...)

@@ -243,6 +243,55 @@ func TestSchedulerConformance(t *testing.T) {
 				}
 			}
 		}},
+		{"natural_errors_1s", func(t *testing.T, r rat) {
+			// One second under the default error model, which draws block
+			// errors from each user's BER, so HARQ retransmissions take
+			// their share of the carrier. Every user sits at -85 dBm.
+			const rssi = -85
+			var rate float64 // analytic carrier rate at rssi, bits/s
+			run := func(seed int64, prefill ...int) []*collector {
+				eng := sim.New(seed)
+				cell := r.newCell(eng, nil)
+				cell.PerUserQueueBytes = 0
+				mcs := phy.MCSFromSINR(phy.SINRFromRSSI(rssi), cell.Table)
+				rate = mcs.BitsPerPRB() * float64(cell.NPRB) * float64(time.Second/cell.SlotDuration())
+				var sinks []*collector
+				for i, n := range prefill {
+					if n < 0 { // saturate the carrier for the whole second
+						n = int(1.2*rate/8/netsim.MSS) + 1
+					}
+					_, sink := r.attach(eng, cell, i+1, rssi, n)
+					sinks = append(sinks, sink)
+				}
+				eng.RunUntil(time.Second)
+				return sinks
+			}
+			mbps := func(c *collector) float64 { return float64(c.bytes) * 8 / 1e6 }
+
+			// floor is the share of the carrier rate a saturated user must
+			// reach, skew the largest byte ratio of two equal users.
+			floor, skew := 0.95, 1.05
+			switch r.name {
+			case "lte_100prb":
+				floor = 0.85 // CQI 14's block errors cost about 13 % here
+			case "nr_mu3_100mhz":
+				skew = 1.15 // 66 PRBs: one user keeps the odd 4-PRB RBG (DESIGN.md §3)
+			}
+			if got := mbps(run(1, -1)[0]); got < floor*rate/1e6 || got > 1.05*rate/1e6 {
+				t.Fatalf("a saturated user alone got %.1f Mbit/s of a %.1f Mbit/s carrier", got, rate/1e6)
+			}
+			pair := run(2, -1, -1)
+			if ratio := mbps(pair[0]) / mbps(pair[1]); ratio < 1/skew || ratio > skew {
+				t.Fatalf("unfair split: %.1f vs %.1f Mbit/s (ratio %.3f)", mbps(pair[0]), mbps(pair[1]), ratio)
+			}
+			// A 100-packet trickle drains within a few slots and leaves
+			// the carrier to the full-buffer user.
+			short := run(3, 100, -1)
+			if len(short[0].seqs) != 100 || mbps(short[1]) < floor*rate/1e6 {
+				t.Fatalf("trickle user got %d of 100 packets; full-buffer user %.1f Mbit/s of %.1f",
+					len(short[0].seqs), mbps(short[1]), rate/1e6)
+			}
+		}},
 		{"per_user_queue_cap", func(t *testing.T, r rat) {
 			eng := sim.New(7)
 			cell := r.newCell(eng, nil)

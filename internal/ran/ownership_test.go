@@ -26,54 +26,6 @@ func pooled(eng *sim.Engine, flow, n int) ([]*netsim.Packet, []netsim.PacketHand
 	return ps, hs
 }
 
-// TestDetachWithRetransmissionPending: a block awaiting its HARQ
-// retransmission when its user detaches must be dropped and its packets
-// released (the cell is their last owner) - not leaked, and not
-// retransmitted into the old user's sequence space when the RNTI has been
-// re-attached in the meantime.
-func TestDetachWithRetransmissionPending(t *testing.T) {
-	for _, r := range rats {
-		t.Run(r.name, func(t *testing.T) {
-			eng := sim.New(1)
-			cell := r.newCell(eng, nil)
-			// Every block fails its first attempt: block 0 of the first
-			// user, sent in slot 1, awaits a retransmission in slot 9.
-			cell.ErrorModel = func(_ uint16, _ uint64, attempt, _ int, _ float64) bool { return attempt == 0 }
-			ueA, sinkA := r.attach(eng, cell, 1, -85, 0)
-			old, handles := pooled(eng, 1, 3) // fits one transport block
-			for _, p := range old {
-				ueA.HandlePacket(0, p)
-			}
-			eng.RunUntil(slots(cell, 3))
-			if cell.ErrorTBs != 1 || cell.UserQueueBits(61) != 0 {
-				t.Fatalf("setup: ErrorTBs = %d, queued = %d bits; want the one block in HARQ", cell.ErrorTBs, cell.UserQueueBits(61))
-			}
-			cell.DetachUser(61)
-
-			// The RNTI is reused by a new device before the stale block's
-			// retransmission slot.
-			cell.ErrorModel = noErrors
-			ueB, sinkB := r.attach(eng, cell, 1, -85, 0)
-			for i := 0; i < 3; i++ {
-				ueB.HandlePacket(eng.Now(), &netsim.Packet{FlowID: 2, Seq: uint64(100 + i), Size: netsim.MSS})
-			}
-			eng.RunUntil(slots(cell, 14))
-
-			for i, h := range handles {
-				if h.Live() {
-					t.Fatalf("packet %d of the detached user's pending block was never released", i)
-				}
-			}
-			if cell.RetxPRBs != 0 || len(sinkA.seqs) != 0 {
-				t.Fatalf("stale block retransmitted: RetxPRBs = %d, old device received %v", cell.RetxPRBs, sinkA.seqs)
-			}
-			if len(sinkB.seqs) != 3 || sinkB.seqs[0] != 100 {
-				t.Fatalf("re-attached device received %v, want its own three packets", sinkB.seqs)
-			}
-		})
-	}
-}
-
 // TestUnrouteablePacketReleased: a packet released by the reorder buffer
 // for a flow nobody registered, on a device with no default handler, dies
 // at the device's flow table - on every device type.

@@ -51,8 +51,8 @@ func (s *seqSink) HandlePacket(_ time.Duration, p *netsim.Packet) { s.seqs = app
 // the same arrival script: blocks delayed by up to MaxRetransmissions HARQ
 // round trips (so up to 24 later blocks overtake them), blocks lost after
 // the last attempt, empty blocks, one block postponed well past the HARQ
-// bound (the ring must grow again), and finally a detach with blocks still
-// waiting behind one that will never come.
+// bound (the ring must grow again), and finally blocks still waiting
+// behind one that will never come.
 func TestReorderRingMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		eng := sim.New(seed)
@@ -89,24 +89,15 @@ func TestReorderRingMatchesReference(t *testing.T) {
 			script = append(script, a)
 		}
 		sort.SliceStable(script, func(i, j int) bool { return script[i].slot < script[j].slot })
-		const missing = blocks - 12 // never arrives: its user detaches first
-		detachAt := -1
-		for i, a := range script {
-			if a.seq == missing+6 {
-				detachAt = i
-			}
-		}
+		const missing = blocks - 12 // never arrives
 
 		ref := &refReorder{pending: map[uint64]refBlock{}}
 		lists := 0 // packet lists made because the cell had none to recycle
 		var lostHandles []netsim.PacketHandle
 		nextPkt := uint64(0)
-		for i, a := range script {
+		for _, a := range script {
 			if a.seq == missing {
 				continue
-			}
-			if i == detachAt {
-				cell.DetachUser(61)
 			}
 			// Build the block's packet list the way buildTB does.
 			var list []*netsim.Packet
@@ -155,7 +146,7 @@ func TestReorderRingMatchesReference(t *testing.T) {
 			}
 		}
 		if ref.next != missing || len(ref.pending) != 11 {
-			t.Fatalf("seed %d: script ended at block %d with %d pending, want %d with 11 behind the detach", seed, ref.next, len(ref.pending), missing)
+			t.Fatalf("seed %d: script ended at block %d with %d pending, want %d with 11 behind it", seed, ref.next, len(ref.pending), missing)
 		}
 		if len(cu.reorder.ring) < 64 {
 			t.Fatalf("seed %d: ring has %d slots, the postponed block should have grown it to 64", seed, len(cu.reorder.ring))

@@ -128,9 +128,6 @@ type Encoder struct {
 	layer  int
 	gopIdx int
 	ticker *sim.Ticker
-
-	FramesProduced uint64
-	LayerSwitches  uint64
 }
 
 // NewEncoder returns a stopped encoder delivering frames to sink; call
@@ -178,7 +175,6 @@ func (e *Encoder) tick() {
 		if want := e.spec.LayerFor(e.Available()); want != e.layer {
 			e.layer = want
 			e.gopIdx = 0 // layer switch requires a fresh keyframe
-			e.LayerSwitches++
 		}
 	} else {
 		e.layer = len(e.spec.Ladder) - 1
@@ -209,7 +205,6 @@ func (e *Encoder) emit(now time.Duration, seq uint64, layer int, key bool) {
 	if bytes < 1 {
 		bytes = 1
 	}
-	e.FramesProduced++
 	e.sink(Frame{
 		Seq:        seq,
 		Layer:      layer,

@@ -40,22 +40,14 @@ type Sender struct {
 
 	queue []*queuedFrame
 
-	// DisablePadding turns off bandwidth-probe padding (for sources that
-	// should stay strictly application-limited).
-	DisablePadding bool
-
 	deliveryMax cc.WindowedMax
 
 	// sShed is the flow's frame-shed series track, cached in Start (nil
 	// when the run records no series; Sample on nil is one branch).
 	sShed *obs.SeriesTrack
 
-	// Counters.
-	FramesQueued  uint64
-	FramesSent    uint64
-	FramesDropped uint64 // dropped in-queue past MaxQueueDelay
-	BytesDropped  uint64
-	PaddingSent   uint64
+	// FramesDropped counts frames shed in-queue past MaxQueueDelay.
+	FramesDropped uint64
 }
 
 type queuedFrame struct {
@@ -134,7 +126,6 @@ func (s *Sender) QueueFrame(f Frame) {
 		qf.pkts = append(qf.pkts, p)
 	}
 	s.queue = append(s.queue, qf)
-	s.FramesQueued++
 	s.snd.Pump()
 }
 
@@ -148,13 +139,8 @@ func (s *Sender) next(now time.Duration) *netsim.Packet {
 			s.FramesDropped++
 			mFramesShed.Inc()
 			s.sShed.Sample(now, 1)
-			// Only the untransmitted remainder counts as dropped bytes;
-			// the sent prefix is already in the transport's SentBytes. The
-			// remainder never reaches the wire, so the pacer is its last
-			// owner and releases it here.
-			for _, p := range head.pkts[head.sent:] {
-				s.BytesDropped += uint64(p.Size)
-			}
+			// The untransmitted remainder never reaches the wire, so the
+			// pacer is its last owner and releases it here.
 			s.pool.ReleaseAll(head.pkts[head.sent:])
 			s.queue = s.queue[1:]
 			continue
@@ -162,7 +148,6 @@ func (s *Sender) next(now time.Duration) *netsim.Packet {
 		p := head.pkts[head.sent]
 		head.sent++
 		if head.sent == len(head.pkts) {
-			s.FramesSent++
 			mFramesSent.Inc()
 			s.queue = s.queue[1:]
 		}
@@ -171,13 +156,9 @@ func (s *Sender) next(now time.Duration) *netsim.Packet {
 		s.snd.AppLimited = len(s.queue) == 0
 		return p
 	}
-	if s.DisablePadding {
-		return nil
-	}
 	// Padding probe: sent at the controller's full pacing rate, so the
 	// receiver-side estimator keeps measuring the path even when the
 	// encoder uses less than the transport offers.
-	s.PaddingSent++
 	mPadding.Inc()
 	s.snd.AppLimited = false
 	p := s.pool.Get()

@@ -38,9 +38,6 @@ type Subscriber struct {
 
 	layer  int // layer currently forwarded
 	target int // desired layer awaiting a keyframe to switch to
-
-	// LayerSwitches counts committed layer changes.
-	LayerSwitches uint64
 }
 
 // Layer returns the layer currently forwarded to this subscriber.
@@ -104,7 +101,6 @@ func (s *SFU) OnFrame(f Frame) {
 		if sub.target != sub.layer {
 			if f.Keyframe {
 				sub.layer = sub.target
-				sub.LayerSwitches++
 				mLayerSwitches.Inc()
 			} else if f.Layer == sub.layer {
 				mKeyframeGated.Inc()

@@ -91,11 +91,10 @@ func (a entry) id() uint32 { return uint32(a.key & idMask) }
 // retire the key, and sequence numbers are never reused within a run, so a
 // stale handle (a copy kept past Reset, or one whose slot was recycled) can
 // never touch a later scheduling of the run. The zero value is inert:
-// Cancel and Cancelled on it are safe no-ops.
+// Cancel on it is a safe no-op and At reads 0.
 type Event struct {
-	eng       *Engine
-	key       uint64
-	cancelled bool
+	eng *Engine
+	key uint64
 }
 
 // pos returns the heap index of the handle's event, or -1 once the handle
@@ -119,7 +118,6 @@ func (h *Event) Cancel() {
 	if h == nil {
 		return
 	}
-	h.cancelled = true
 	if i := h.pos(); i >= 0 {
 		mCancel.Inc()
 		h.eng.removeAt(i)
@@ -347,7 +345,7 @@ func (e *Engine) arm(t time.Duration, seq uint64, fn func()) uint64 {
 //	*h = e.Schedule(delay, fn)
 //
 // - it draws the next sequence number at the same point, leaves every copy
-// of the old handle stale and clears Cancelled - but an event still queued
+// of the old handle stale - but an event still queued
 // on e keeps its arena slot and has its heap entry re-keyed in place
 // instead of being removed and pushed again. Pacing timers re-armed on
 // every ACK use it.

@@ -19,9 +19,9 @@ import (
 // pre-generated operations, so cancels and resets from inside callbacks -
 // including of the firing event's own handle - are part of the script.
 // After every operation each model also records Now, Pending and the
-// touched handle's At and cancelled flag. The three records must be
-// identical, and the engine's heap, positions and free list are checked
-// after every operation.
+// touched handle's At. The three records must be identical, and the
+// engine's heap, positions and free list are checked after every
+// operation.
 
 const (
 	opSchedule = iota
@@ -59,11 +59,10 @@ type script struct {
 
 // record is one observation; tag >= 0 marks a fired callback.
 type record struct {
-	now       time.Duration
-	tag       int
-	pending   int
-	at        time.Duration
-	cancelled bool
+	now     time.Duration
+	tag     int
+	pending int
+	at      time.Duration
 }
 
 // scriptGen draws scripts. bulk scripts rarely run the engine, so the heap
@@ -163,8 +162,7 @@ type refEntry struct {
 }
 
 type refHandle struct {
-	seq       uint64 // 0: refers to nothing
-	cancelled bool
+	seq uint64 // 0: refers to nothing
 }
 
 func (m *refModel) find(seq uint64) int {
@@ -192,7 +190,6 @@ func (m *refModel) schedule(t time.Duration, tag int) refHandle {
 }
 
 func (m *refModel) cancel(h *refHandle) {
-	h.cancelled = true
 	if i := m.find(h.seq); i >= 0 {
 		m.q = slices.Delete(m.q, i, i+1)
 	}
@@ -238,7 +235,7 @@ func (m *refModel) exec(o scriptOp) {
 	case opPush:
 		m.schedule(m.now+max(o.d, 0), o.tag)
 	}
-	r := record{now: m.now, tag: -1, pending: len(m.q), cancelled: h.cancelled}
+	r := record{now: m.now, tag: -1, pending: len(m.q)}
 	if i := m.find(h.seq); i >= 0 {
 		r.at = m.q[i].at
 	}
@@ -303,7 +300,7 @@ func (m *engModel) exec(o scriptOp) {
 	case opPush:
 		m.lines[o.slot%len(m.lines)].Push(o.d, o.tag)
 	}
-	m.out = append(m.out, record{now: m.e.Now(), tag: -1, pending: m.e.Pending(), at: h.At(), cancelled: h.cancelled})
+	m.out = append(m.out, record{now: m.e.Now(), tag: -1, pending: m.e.Pending(), at: h.At()})
 	err := checkEngine(m.e)
 	if err == nil {
 		err = checkLines(m.e, m.lines)
@@ -483,8 +480,8 @@ func TestResetFromOwnCallback(t *testing.T) {
 	if want := []time.Duration{time.Millisecond, 2 * time.Millisecond, 3 * time.Millisecond}; !slices.Equal(fired, want) {
 		t.Fatalf("fired at %v, want %v", fired, want)
 	}
-	if !h.cancelled || e.Pending() != 0 {
-		t.Fatalf("Cancelled = %v, Pending = %d after the chain ran out", h.cancelled, e.Pending())
+	if h.At() != 0 || e.Pending() != 0 {
+		t.Fatalf("At = %v, Pending = %d after the chain ran out", h.At(), e.Pending())
 	}
 }
 
@@ -501,8 +498,8 @@ func TestResetStalesHandleCopies(t *testing.T) {
 		t.Fatalf("stale copy At = %v, want 0", cp.At())
 	}
 	cp.Cancel()
-	if h.cancelled || h.At() != 2*time.Millisecond || e.Pending() != 2 {
-		t.Fatalf("after cancelling the copy: Cancelled %v, At %v, Pending %d", h.cancelled, h.At(), e.Pending())
+	if h.At() != 2*time.Millisecond || e.Pending() != 2 {
+		t.Fatalf("after cancelling the copy: At %v, Pending %d", h.At(), e.Pending())
 	}
 	e.Run()
 	if fired != 10 {

@@ -84,8 +84,8 @@ func TestCancel(t *testing.T) {
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	if !ev.cancelled {
-		t.Fatal("cancelled = false after Cancel")
+	if ev.At() != 0 {
+		t.Fatal("handle still live after Cancel")
 	}
 }
 
@@ -245,9 +245,10 @@ func TestCancelAfterFireStillReportsCancelled(t *testing.T) {
 	e := New(1)
 	ev := e.Schedule(time.Millisecond, func() {})
 	e.Run()
+	e.Schedule(time.Millisecond, func() {})
 	ev.Cancel()
-	if !ev.cancelled {
-		t.Fatal("cancelled = false after Cancel on a fired event")
+	if ev.At() != 0 || e.Pending() != 1 {
+		t.Fatalf("Cancel on a fired event: At %v, Pending %d, want 0 and 1", ev.At(), e.Pending())
 	}
 }
 
@@ -275,7 +276,7 @@ func TestLazySweepBoundsHeap(t *testing.T) {
 	}
 	fired := 0
 	for i := range events {
-		if !events[i].cancelled {
+		if events[i].At() != 0 {
 			fired++
 		}
 	}
