@@ -9,23 +9,17 @@
 //	pbebench -exp nr-blockage      # 5G NR mmWave blockage scenario
 //	pbebench -list                 # show available experiment ids
 //	pbebench -list -json           # ids as JSON
-//	pbebench -exp nr-tput -json    # machine-readable tables + run cost
+//	pbebench -exp nr-tput -json    # machine-readable tables
 //
-// The -json mode emits one object per experiment: its tables plus the
-// run's memory cost (heap allocations and bytes for the run, process
-// peak RSS after it), so BENCH artifacts track the perf trajectory of
-// each experiment, not just the micro baseline.
+// The -json mode emits one object per experiment: its id, title and
+// tables. Run cost is measured by the benchmark/ harness, not here.
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"strconv"
-	"strings"
 
 	"pbecc/internal/harness"
 	"pbecc/internal/obs"
@@ -36,42 +30,6 @@ type expResult struct {
 	ID     string          `json:"id"`
 	Title  string          `json:"title"`
 	Tables []harness.Table `json:"tables"`
-	// AllocsPerOp and AllocBytesPerOp are the heap allocation count and
-	// bytes of one run of the experiment (runtime.MemStats deltas).
-	AllocsPerOp     uint64 `json:"allocs_per_op"`
-	AllocBytesPerOp uint64 `json:"alloc_bytes_per_op"`
-	// PeakRSSKB is the process high-water resident set (VmHWM) in kB
-	// after the run; 0 where the kernel does not expose it. It is
-	// cumulative across the process, so in an -exp all run each entry's
-	// value reflects the largest experiment so far.
-	PeakRSSKB uint64 `json:"peak_rss_kb"`
-}
-
-// peakRSSKB reads the process's peak resident set size from
-// /proc/self/status (Linux); other platforms report 0.
-func peakRSSKB() uint64 {
-	f, err := os.Open("/proc/self/status")
-	if err != nil {
-		return 0
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, "VmHWM:") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			return 0
-		}
-		v, err := strconv.ParseUint(fields[1], 10, 64)
-		if err != nil {
-			return 0
-		}
-		return v
-	}
-	return 0
 }
 
 func main() {
@@ -118,21 +76,9 @@ func main() {
 
 	var collected []expResult
 	run := func(e harness.Experiment) {
-		var before, after runtime.MemStats
-		if *jsonOut {
-			runtime.ReadMemStats(&before)
-		}
 		tables := e.Run(*quick)
 		if *jsonOut {
-			runtime.ReadMemStats(&after)
-			collected = append(collected, expResult{
-				ID:              e.ID,
-				Title:           e.Title,
-				Tables:          tables,
-				AllocsPerOp:     after.Mallocs - before.Mallocs,
-				AllocBytesPerOp: after.TotalAlloc - before.TotalAlloc,
-				PeakRSSKB:       peakRSSKB(),
-			})
+			collected = append(collected, expResult{ID: e.ID, Title: e.Title, Tables: tables})
 			return
 		}
 		fmt.Printf("--- running %s (%s) ---\n", e.ID, e.Title)

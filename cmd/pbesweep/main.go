@@ -1,6 +1,6 @@
 // Command pbesweep runs a declarative scenario-matrix sweep across a
 // bounded worker pool and emits machine-readable JSON results, or diffs
-// two result files for the CI benchmark-regression gate.
+// two committed artifacts.
 //
 // Usage:
 //
@@ -10,11 +10,12 @@
 //	pbesweep -spec nation-smoke -shards 8 -out n.json # 64k-cell fluid-tier slice
 //	pbesweep -spec traj -out traj.json          # trajectory slice (convergence/tracking gates)
 //	pbesweep -scorecard -out scorecard.json     # robustness ranking under faults
-//	pbesweep -obs-diff base.obs.json cur.obs.json # snapshot diff (spec-hash checked)
-//	pbesweep -diff -max-regress 10 BENCH_baseline.json BENCH_PR.json
-//	pbesweep -scorecard-diff BENCH_scorecard_baseline.json scorecard.json
-//	pbesweep -benchdiff base_bench.txt cur_bench.txt  # go test -bench gate
+//	pbesweep -diff BENCH_baseline.json BENCH_PR.json  # any result, scorecard or .obs.json
+//	pbesweep -benchdiff -max-regress 10 base.txt cur.txt  # go test -benchmem gate
 //	pbesweep -list                              # families, schemes, axes, built-in specs
+//
+// -diff prints every JSON leaf that differs and exits 1 if any does, 0
+// if none does, and 2 if the two files come from different specs.
 //
 // Results are bit-identical for any -workers value (every job starts from
 // its own seeded engine state, on engines its worker recycles, and rows
@@ -52,25 +53,26 @@ func main() {
 	shards := flag.Int("shards", 0, "parallel shard width inside sharded jobs (0 = serial); never changes results")
 	out := flag.String("out", "-", "result file ('-' = stdout)")
 	obsOn := flag.Bool("obs", false, "enable the metrics registry and write a snapshot to <out>.obs.json (stderr when -out is '-'); never changes the result")
-	diff := flag.Bool("diff", false, "diff two result files: pbesweep -diff [-max-regress N] base.json cur.json")
-	obsDiff := flag.Bool("obs-diff", false, "diff two -obs snapshot files: pbesweep -obs-diff base.obs.json cur.obs.json (rejects snapshots of different specs)")
-	scorecardDiff := flag.Bool("scorecard-diff", false, "diff two scorecard files: pbesweep -scorecard-diff [-max-regress N] base.json cur.json (robustness budget in percentage points)")
-	maxRegress := flag.Float64("max-regress", 10, "with -diff/-benchdiff: fail when any tracked metric (for -benchdiff: B/op, allocs/op) regresses more than this percentage")
-	benchDiff := flag.Bool("benchdiff", false, "diff two 'go test -bench -benchmem' output files: pbesweep -benchdiff [-max-regress N] [-allow-missing] base.txt cur.txt (ns/op is printed, never gated)")
+	diff := flag.Bool("diff", false, "print every leaf that differs between two result, scorecard or -obs snapshot files: pbesweep -diff base.json cur.json (exit 1 on any difference, 2 across specs)")
+	maxRegress := flag.Float64("max-regress", 10, "with -benchdiff: fail when B/op or allocs/op of any benchmark regresses more than this percentage")
+	benchDiff := flag.Bool("benchdiff", false, "diff two 'go test -bench -benchmem' output files: pbesweep -benchdiff [-max-regress N] [-allow-missing] base.txt cur.txt")
 	allowMissing := flag.Bool("allow-missing", false, "with -benchdiff: tolerate benchmarks present on only one side (base-ref comparisons that predate new benchmarks)")
 	list := flag.Bool("list", false, "list scenario families, schemes and spec axes")
 	prof := obs.RegisterProfileFlags(flag.CommandLine)
 	flag.Parse()
+	if !*benchDiff {
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "max-regress" || f.Name == "allow-missing" {
+				fatal(fmt.Errorf("-%s applies only to -benchdiff", f.Name))
+			}
+		})
+	}
 
 	switch {
 	case *list:
 		listAxes()
 	case *diff:
-		runDiff(flag.Args(), *maxRegress)
-	case *obsDiff:
-		runObsDiff(flag.Args())
-	case *scorecardDiff:
-		runScorecardDiff(flag.Args(), *maxRegress)
+		runDiff(flag.Args())
 	case *benchDiff:
 		runBenchDiff(flag.Args(), *maxRegress, *allowMissing)
 	default:
@@ -238,7 +240,7 @@ func progressLine(start time.Time) func(done, total int) {
 
 // writeSnapshot dumps the metrics registry: to stderr when the result
 // goes to stdout, else to <out>.obs.json beside the result file. The
-// snapshot header carries the sweep spec's hash so -obs-diff can reject
+// snapshot header carries the sweep spec's hash so -diff can reject
 // a stale snapshot from a different matrix.
 func writeSnapshot(out, specHash string) error {
 	if out == "-" {
@@ -255,95 +257,32 @@ func writeSnapshot(out, specHash string) error {
 	return f.Close()
 }
 
-// runObsDiff compares two -obs snapshots metric by metric. Exit 1 on any
-// differing metric value: the snapshot totals of one spec are exactly
-// reproducible, so any drift is a behavior change. Mismatched spec
-// hashes are a usage error (exit 2): regenerate the stale snapshot.
-func runObsDiff(args []string) {
+// runDiff prints every leaf that differs between two committed JSON
+// artifacts and exits 1 if there is any.
+func runDiff(args []string) {
 	if len(args) != 2 {
-		fatal(fmt.Errorf("-obs-diff needs exactly two .obs.json files, got %d", len(args)))
+		fatal(fmt.Errorf("-diff needs exactly two JSON files, got %d", len(args)))
 	}
-	base, err := obs.ReadSnapshot(args[0])
-	if err != nil {
-		fatal(err)
-	}
-	cur, err := obs.ReadSnapshot(args[1])
-	if err != nil {
-		fatal(err)
-	}
-	deltas, err := obs.DiffSnapshots(base, cur)
-	if err != nil {
-		fatal(err)
-	}
-	changed := 0
-	for _, d := range deltas {
-		if d.Base != d.Cur {
-			changed++
-			fmt.Printf("%-40s base=%12.0f cur=%12.0f\n", d.Name, d.Base, d.Cur)
+	var docs [2][]byte
+	for i, path := range args {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			fatal(err)
 		}
+		docs[i] = data
 	}
-	if changed > 0 {
-		fmt.Fprintf(os.Stderr, "FAIL: %d metric(s) differ between snapshots\n", changed)
-		os.Exit(1)
-	}
-	fmt.Printf("%d metrics identical\n", len(deltas))
-}
-
-// runScorecardDiff gates a fresh scorecard against the committed
-// baseline. The budget is in percentage points of mean degradation for
-// robustness_pct (the metric is already a percentage, so a relative
-// budget would blow up near zero) and in percent for clean throughput.
-func runScorecardDiff(args []string, maxRegress float64) {
-	if len(args) != 2 {
-		fatal(fmt.Errorf("-scorecard-diff needs exactly two scorecard files, got %d", len(args)))
-	}
-	base, err := sweep.ReadScorecard(args[0])
+	changes, err := sweep.Diff(docs[0], docs[1])
 	if err != nil {
-		fatal(err)
+		fatal(fmt.Errorf("%s vs %s: %w", args[0], args[1], err))
 	}
-	cur, err := sweep.ReadScorecard(args[1])
-	if err != nil {
-		fatal(err)
-	}
-	deltas, err := sweep.DiffScorecard(base, cur)
-	if err != nil {
-		fatal(err)
-	}
-	sweep.FprintDeltas(os.Stdout, deltas)
-	if worst := sweep.WorstRegression(deltas); worst > maxRegress {
-		fmt.Fprintf(os.Stderr, "FAIL: worst scorecard regression %.2f exceeds the %.2f budget\n",
-			worst, maxRegress)
-		os.Exit(1)
-	}
-}
-
-func runDiff(args []string, maxRegress float64) {
-	if len(args) != 2 {
-		fatal(fmt.Errorf("-diff needs exactly two result files, got %d", len(args)))
-	}
-	base, err := sweep.ReadResult(args[0])
-	if err != nil {
-		fatal(err)
-	}
-	cur, err := sweep.ReadResult(args[1])
-	if err != nil {
-		fatal(err)
-	}
-	deltas, err := sweep.Diff(base, cur)
-	if err != nil {
-		fatal(err)
-	}
-	sweep.FprintDeltas(os.Stdout, deltas)
-	if worst := sweep.WorstRegression(deltas); worst > maxRegress {
-		fmt.Fprintf(os.Stderr, "FAIL: worst regression %.2f%% exceeds the %.2f%% budget\n",
-			worst, maxRegress)
+	sweep.FprintChanges(os.Stdout, changes)
+	if len(changes) > 0 {
 		os.Exit(1)
 	}
 }
 
 // runBenchDiff gates `go test -bench -benchmem` output: the
-// deterministic B/op and allocs/op columns against budget; ns/op is
-// printed only.
+// deterministic B/op and allocs/op columns against budget.
 func runBenchDiff(args []string, budget float64, allowMissing bool) {
 	if len(args) != 2 {
 		fatal(fmt.Errorf("-benchdiff needs exactly two bench output files, got %d", len(args)))

@@ -829,9 +829,10 @@ type cellSet interface {
 
 // mirrorActiveCells keeps the oracle monitor - and the transport monitor
 // when there is one - tracking exactly the device's active carrier set,
-// now and on every change. The oracle's cell set is the source of truth
-// for "already attached": under the Miss fault axis the transport monitor
-// itself lags the desired set.
+// now and on every change. transport is nil only for the capacity probe
+// the series records for a scheme that reads no monitor (probe.go). The
+// oracle's cell set is the source of truth for "already attached": under
+// the Miss fault axis the transport monitor itself lags the desired set.
 func mirrorActiveCells(dev device, ueID int, channels map[[2]int]*phy.Channel, oracle *core.Monitor, transport cellSet) {
 	sync := func(active []*ran.Cell) {
 		for _, c := range active {

@@ -29,8 +29,6 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
-	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -234,7 +232,7 @@ type HistSnapshot struct {
 // Snapshot is a point-in-time copy of the registry, suitable for
 // deterministic JSON encoding (encoding/json sorts map keys). SpecHash
 // is an optional header identifying the sweep spec the snapshot was
-// recorded under (sweep.SpecHash); DiffSnapshots rejects a comparison
+// recorded under (sweep.SpecHash); pbesweep -diff rejects a comparison
 // when the hashes differ, so a stale .obs.json from an older matrix
 // cannot masquerade as a regression or an improvement.
 type Snapshot struct {
@@ -291,66 +289,4 @@ func WriteSnapshotSpec(w io.Writer, specHash string) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(s)
-}
-
-// ReadSnapshot loads a snapshot file written by WriteSnapshotSpec.
-func ReadSnapshot(path string) (Snapshot, error) {
-	var s Snapshot
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return s, err
-	}
-	if err := json.Unmarshal(data, &s); err != nil {
-		return s, fmt.Errorf("%s: %w", path, err)
-	}
-	return s, nil
-}
-
-// SnapshotDelta is one metric's value compared between two snapshots.
-type SnapshotDelta struct {
-	Name      string
-	Base, Cur float64
-}
-
-// DiffSnapshots compares two snapshots metric by metric, the union of both
-// sides sorted by name. Counters and watermarks are one row each; a
-// histogram h is h.count, h.sum and one h.le_<bound> row per bucket. It refuses to compare snapshots whose spec-hash headers differ:
-// the metric totals of different sweep matrices are incommensurable, so
-// a stale file must be regenerated, not diffed around.
-func DiffSnapshots(base, cur Snapshot) ([]SnapshotDelta, error) {
-	if base.SpecHash != cur.SpecHash {
-		return nil, fmt.Errorf("snapshots come from different sweep specs (spec_hash %q vs %q): regenerate the stale one",
-			base.SpecHash, cur.SpecHash)
-	}
-	vals := map[string][2]float64{}
-	put := func(name string, side int, v float64) {
-		pair := vals[name]
-		pair[side] = v
-		vals[name] = pair
-	}
-	for side, s := range []Snapshot{base, cur} {
-		for n, v := range s.Counters {
-			put(n, side, float64(v))
-		}
-		for n, v := range s.Watermarks {
-			put(n, side, float64(v))
-		}
-		for n, h := range s.Histograms {
-			put(n+".count", side, float64(h.Count))
-			put(n+".sum", side, float64(h.Sum))
-			for _, b := range h.Buckets {
-				put(fmt.Sprintf("%s.le_%d", n, b.Le), side, float64(b.N))
-			}
-		}
-	}
-	names := make([]string, 0, len(vals))
-	for n := range vals {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	deltas := make([]SnapshotDelta, 0, len(names))
-	for _, n := range names {
-		deltas = append(deltas, SnapshotDelta{Name: n, Base: vals[n][0], Cur: vals[n][1]})
-	}
-	return deltas, nil
 }

@@ -154,48 +154,3 @@ func TestMetricNamesSortedAndComplete(t *testing.T) {
 		t.Fatal("snapshot missing watermark test.names_b")
 	}
 }
-
-func TestDiffSnapshotsRejectsSpecMismatch(t *testing.T) {
-	base := Snapshot{SpecHash: "aaa", Counters: map[string]uint64{"x": 1}}
-	cur := Snapshot{SpecHash: "bbb", Counters: map[string]uint64{"x": 1}}
-	if _, err := DiffSnapshots(base, cur); err == nil {
-		t.Fatal("differing spec hashes not rejected")
-	}
-	// A legacy snapshot without a header must not silently compare
-	// against a stamped one either.
-	if _, err := DiffSnapshots(Snapshot{}, cur); err == nil {
-		t.Fatal("missing spec hash on one side not rejected")
-	}
-	cur.SpecHash = "aaa"
-	cur.Counters["y"] = 3
-	deltas, err := DiffSnapshots(base, cur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(deltas) != 2 || deltas[0].Name != "x" || deltas[1].Name != "y" {
-		t.Fatalf("deltas = %+v, want sorted union x,y", deltas)
-	}
-	if deltas[1].Base != 0 || deltas[1].Cur != 3 {
-		t.Fatalf("one-sided metric delta = %+v", deltas[1])
-	}
-}
-
-// A histogram whose samples moved but whose count did not must still
-// differ: the sum and the per-bucket counts are compared too.
-func TestDiffSnapshotsComparesHistogramShape(t *testing.T) {
-	base := Snapshot{Histograms: map[string]HistSnapshot{"h": {Count: 2, Sum: 10, Buckets: []HistBucket{{Le: 7, N: 2}}}}}
-	cur := Snapshot{Histograms: map[string]HistSnapshot{"h": {Count: 2, Sum: 900, Buckets: []HistBucket{{Le: 511, N: 2}}}}}
-	deltas, err := DiffSnapshots(base, cur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []SnapshotDelta{{"h.count", 2, 2}, {"h.le_511", 0, 2}, {"h.le_7", 2, 0}, {"h.sum", 10, 900}}
-	if len(deltas) != len(want) {
-		t.Fatalf("deltas = %+v, want %+v", deltas, want)
-	}
-	for i, d := range want {
-		if deltas[i] != d {
-			t.Fatalf("delta %d = %+v, want %+v", i, deltas[i], d)
-		}
-	}
-}

@@ -12,15 +12,13 @@ import (
 	"pbecc/internal/stats"
 )
 
-// Bench is one benchmark's measured cost per operation, parsed from
-// `go test -bench -benchmem` output. NsPerOp is machine-dependent;
-// BytesPerOp and AllocsPerOp are deterministic properties of the code, so
-// they can be gated against a committed baseline across machines. A
-// negative BytesPerOp/AllocsPerOp means the line carried no -benchmem
-// columns.
+// Bench is one benchmark's allocation cost per operation, parsed from
+// `go test -bench -benchmem` output. BytesPerOp and AllocsPerOp are
+// deterministic properties of the code, so they can be gated against a
+// committed baseline across machines; ns/op measures the machine as much
+// as the code and is not read (benchmark/ is the timing authority).
 type Bench struct {
 	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
 }
@@ -30,12 +28,13 @@ type Bench struct {
 // comparable across differently-sized machines.
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+(.*)$`)
 
-// ParseBench reads `go test -bench` output and returns the benchmarks it
-// found, keyed by name (without the GOMAXPROCS suffix). Non-benchmark
-// lines (PASS, ok, goos, log noise) are ignored. A duplicate name - two
-// packages declaring the same benchmark, or -count > 1 - is an error,
-// because silently keeping one run would make the diff depend on output
-// order.
+// ParseBench reads `go test -bench -benchmem` output and returns the
+// benchmarks it found, keyed by name (without the GOMAXPROCS suffix).
+// Non-benchmark lines (PASS, ok, goos, log noise) are ignored. A
+// benchmark line without the B/op and allocs/op columns is an error: it
+// would otherwise pass the gate unmeasured. So is a duplicate name - two
+// packages declaring the same benchmark, or -count > 1 - because
+// silently keeping one run would make the diff depend on output order.
 func ParseBench(r io.Reader) (map[string]Bench, error) {
 	out := map[string]Bench{}
 	sc := bufio.NewScanner(r)
@@ -55,16 +54,14 @@ func ParseBench(r io.Reader) (map[string]Bench, error) {
 				return nil, fmt.Errorf("benchmark %s: bad value %q", b.Name, fields[i])
 			}
 			switch fields[i+1] {
-			case "ns/op":
-				b.NsPerOp = v
 			case "B/op":
 				b.BytesPerOp = v
 			case "allocs/op":
 				b.AllocsPerOp = v
 			}
 		}
-		if b.NsPerOp == 0 {
-			return nil, fmt.Errorf("benchmark %s has no ns/op column", b.Name)
+		if b.BytesPerOp < 0 || b.AllocsPerOp < 0 {
+			return nil, fmt.Errorf("benchmark %s has no B/op and allocs/op columns (run with -benchmem)", b.Name)
 		}
 		out[b.Name] = b
 	}
@@ -77,11 +74,22 @@ func ParseBench(r io.Reader) (map[string]Bench, error) {
 	return out, nil
 }
 
-// DiffBench compares two parsed benchmark sets and returns one Delta per
-// metric per benchmark present in both, in name order (all three metrics
-// are lower-better). Benchmarks on only one side are an error unless
-// allowMissing is set, which tolerates them - the mode used when
-// comparing against an older base ref that predates a new benchmark.
+// Delta is one benchmark column compared between a baseline and a
+// current run. RegressPct is signed so that positive means worse: the
+// percentage the (lower-is-better) cost grew.
+type Delta struct {
+	Group      string  `json:"group"` // benchmark name
+	Metric     string  `json:"metric"`
+	Base       float64 `json:"base"`
+	Cur        float64 `json:"cur"`
+	RegressPct float64 `json:"regress_pct"`
+}
+
+// DiffBench compares two parsed benchmark sets and returns a B/op and an
+// allocs/op Delta per benchmark present in both, in name order.
+// Benchmarks on only one side are an error unless allowMissing is set,
+// which tolerates them - the mode used when comparing against an older
+// base ref that predates a new benchmark.
 func DiffBench(base, cur map[string]Bench, allowMissing bool) ([]Delta, error) {
 	names := make([]string, 0, len(cur))
 	for name := range cur {
@@ -109,27 +117,52 @@ func DiffBench(base, cur map[string]Bench, allowMissing bool) ([]Delta, error) {
 			d.RegressPct = stats.Round2(regressPct(bv, cv, false))
 			deltas = append(deltas, d)
 		}
-		add("ns/op", b.NsPerOp, c.NsPerOp)
-		if b.BytesPerOp >= 0 && c.BytesPerOp >= 0 {
-			add("B/op", b.BytesPerOp, c.BytesPerOp)
-		}
-		if b.AllocsPerOp >= 0 && c.AllocsPerOp >= 0 {
-			add("allocs/op", b.AllocsPerOp, c.AllocsPerOp)
-		}
+		add("B/op", b.BytesPerOp, c.BytesPerOp)
+		add("allocs/op", b.AllocsPerOp, c.AllocsPerOp)
 	}
 	return deltas, nil
 }
 
-// ExceededBench filters bench deltas down to gate violations: the
-// deterministic B/op and allocs/op columns regressing more than budget
-// percent. ns/op is never gated; it measures the machine as much as the
-// code.
+// ExceededBench filters bench deltas down to the ones that regress more
+// than budget percent.
 func ExceededBench(deltas []Delta, budget float64) []Delta {
 	var bad []Delta
 	for _, d := range deltas {
-		if d.Metric != "ns/op" && d.RegressPct > budget {
+		if d.RegressPct > budget {
 			bad = append(bad, d)
 		}
 	}
 	return bad
+}
+
+// regressPct returns how much worse cur is than base, in percent of base.
+// A zero or vanishing baseline cannot be expressed as a percentage: the
+// metric counts as regressed only if the current value is also worse in
+// absolute terms by any amount (reported as 100%).
+func regressPct(base, cur float64, higherBetter bool) float64 {
+	const eps = 1e-9
+	if base < eps {
+		if !higherBetter && cur > eps {
+			return 100
+		}
+		return 0
+	}
+	if higherBetter {
+		return (base - cur) / base * 100
+	}
+	return (cur - base) / base * 100
+}
+
+// FprintDeltas renders deltas as an aligned table for the CI log.
+func FprintDeltas(w io.Writer, deltas []Delta) {
+	for _, d := range deltas {
+		mark := ""
+		if d.RegressPct > 0 {
+			mark = " worse"
+		} else if d.RegressPct < 0 {
+			mark = " better"
+		}
+		fmt.Fprintf(w, "%-40s %-20s base=%10.2f cur=%10.2f %+7.2f%%%s\n",
+			d.Group, d.Metric, d.Base, d.Cur, d.RegressPct, mark)
+	}
 }

@@ -1,189 +1,210 @@
 package sweep
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-
-	"pbecc/internal/stats"
+	"math"
+	"reflect"
+	"regexp"
+	"sort"
+	"strconv"
+	"strings"
 )
 
-// Delta is one tracked metric compared between a baseline and a current
-// result. RegressPct is signed so that positive means worse: for
-// higher-is-better metrics it is the percentage lost versus the baseline,
-// for lower-is-better metrics the percentage gained.
-type Delta struct {
-	Group      string  `json:"group"` // summary key: experiment/rat/scheme
-	Metric     string  `json:"metric"`
-	Base       float64 `json:"base"`
-	Cur        float64 `json:"cur"`
-	RegressPct float64 `json:"regress_pct"`
+// Change is one JSON leaf that differs between two documents: its
+// jq-style path and the compact JSON text of each side ("" where the
+// path is absent on that side).
+type Change struct {
+	Path      string
+	Base, Cur string
 }
 
-// trackedMetric is one gate-relevant scalar per summary group.
-type trackedMetric struct {
-	name         string
-	get          func(*Summary) float64
-	higherBetter bool
-}
+// absent stands in for a key or array element one side does not have.
+type absent struct{}
 
-func trackedMetrics() []trackedMetric {
-	return []trackedMetric{
-		{"tput_mbps.mean", func(s *Summary) float64 { return s.Tput.Mean }, true},
-		{"delay_p95_ms.p50", func(s *Summary) float64 { return s.DelayP95.P50 }, false},
-		{"utilization.mean", func(s *Summary) float64 { return s.Utilization.Mean }, true},
+// Diff compares two committed JSON artifacts - a sweep result, a
+// scorecard or an -obs snapshot - and returns every leaf that differs,
+// in path order (object keys sorted, array elements by index). Where the
+// two sides are not both objects or both arrays the path is one leaf, so
+// a subtree present on one side only is one change. Leaves compare by
+// their JSON text, which the artifacts' deterministic encoders make
+// canonical: no difference is too small to report, as with cmp.
+//
+// Two documents are comparable only when their top-level "spec" (its
+// cosmetic name aside) and "spec_hash" agree; otherwise Diff errors,
+// because the numbers of different matrices say nothing about each
+// other.
+func Diff(base, cur []byte) ([]Change, error) {
+	b, err := decodeJSON(base)
+	if err != nil {
+		return nil, fmt.Errorf("base: %w", err)
 	}
+	c, err := decodeJSON(cur)
+	if err != nil {
+		return nil, fmt.Errorf("current: %w", err)
+	}
+	var header []Change
+	diffValue(".spec", specIdentity(b), specIdentity(c), &header)
+	diffValue(".spec_hash", field(b, "spec_hash"), field(c, "spec_hash"), &header)
+	if len(header) > 0 {
+		var moved []string
+		for _, ch := range header {
+			moved = append(moved, fmt.Sprintf("%s %s -> %s", ch.Path, show(ch.Base), show(ch.Cur)))
+		}
+		return nil, fmt.Errorf("the documents come from different sweep specs (regenerate the stale one): %s",
+			strings.Join(moved, "; "))
+	}
+	var changes []Change
+	diffValue("", b, c, &changes)
+	return changes, nil
 }
 
-// Diff compares the summary groups present in both results and returns one
-// delta per tracked metric, in group order. Groups present on only one
-// side are reported as errors: a silently shrinking baseline would let
-// regressions hide. The two results must come from the same spec (name
-// aside) — identical group keys can hide different seeds, durations or
-// noise levels, which shift every distribution.
-func Diff(base, cur *Result) ([]Delta, error) {
-	if err := checkSameSpec(base.Spec, cur.Spec); err != nil {
+func decodeJSON(data []byte) (any, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.UseNumber()
+	var v any
+	if err := dec.Decode(&v); err != nil {
 		return nil, err
 	}
-	bi := map[string]*Summary{}
-	for i := range base.Summaries {
-		bi[base.Summaries[i].Key()] = &base.Summaries[i]
+	return v, nil
+}
+
+// field returns a top-level member of doc, or absent.
+func field(doc any, key string) any {
+	if m, ok := doc.(map[string]any); ok {
+		if v, ok := m[key]; ok {
+			return v
+		}
 	}
-	var deltas []Delta
-	seen := map[string]bool{}
-	for i := range cur.Summaries {
-		cs := &cur.Summaries[i]
-		k := cs.Key()
-		seen[k] = true
-		bs, ok := bi[k]
-		if !ok {
-			return nil, fmt.Errorf("group %s missing from baseline (regenerate it)", k)
+	return absent{}
+}
+
+// specIdentity is the document's spec with the cosmetic name removed,
+// the same identity SpecHash hashes.
+func specIdentity(doc any) any {
+	spec, ok := field(doc, "spec").(map[string]any)
+	if !ok {
+		return field(doc, "spec")
+	}
+	id := make(map[string]any, len(spec))
+	for k, v := range spec {
+		if k != "name" {
+			id[k] = v
 		}
-		for _, m := range trackedMetrics() {
-			d := Delta{Group: k, Metric: m.name, Base: m.get(bs), Cur: m.get(cs)}
-			d.RegressPct = stats.Round2(regressPct(d.Base, d.Cur, m.higherBetter))
-			deltas = append(deltas, d)
-		}
-		// Frame-level QoE is tracked for media groups; a group changing
-		// sides (media <-> bulk) means the baseline is stale.
-		if (bs.Frame == nil) != (cs.Frame == nil) {
-			return nil, fmt.Errorf("group %s has frame metrics on only one side (regenerate the baseline)", k)
-		}
-		if bs.Frame != nil {
-			d := Delta{Group: k, Metric: "frame_p95_ms.p50",
-				Base: bs.Frame.P95Ms.P50, Cur: cs.Frame.P95Ms.P50}
-			d.RegressPct = stats.Round2(regressPct(d.Base, d.Cur, false))
-			deltas = append(deltas, d)
-		}
-		// Measurement accuracy is tracked for PBE groups: a growing mean
-		// estimation error regresses the scheme's core premise even when
-		// throughput holds.
-		if (bs.PBEErr == nil) != (cs.PBEErr == nil) {
-			return nil, fmt.Errorf("group %s has pbe_err_pct on only one side (regenerate the baseline)", k)
-		}
-		if bs.PBEErr != nil {
-			d := Delta{Group: k, Metric: "pbe_err_pct.mean",
-				Base: bs.PBEErr.Mean, Cur: cs.PBEErr.Mean}
-			d.RegressPct = stats.Round2(regressPct(d.Base, d.Cur, false))
-			deltas = append(deltas, d)
-		}
-		// Trajectory analytics regress like throughput: a scheme that
-		// converges or recovers slower, or lags the capacity signal
-		// further, fails the gate even when its mean throughput holds.
-		trajPairs := []struct {
-			name      string
-			base, cur *Metric
-		}{
-			{"conv_ms.mean", bs.Conv, cs.Conv},
-			{"track_lag_ms.mean", bs.TrackLag, cs.TrackLag},
-			{"recover_ms.mean", bs.Recover, cs.Recover},
-		}
-		for _, p := range trajPairs {
-			if (p.base == nil) != (p.cur == nil) {
-				return nil, fmt.Errorf("group %s has %s on only one side (regenerate the baseline)", k, p.name)
+	}
+	return id
+}
+
+func diffValue(path string, b, c any, out *[]Change) {
+	switch bv := b.(type) {
+	case map[string]any:
+		if cv, ok := c.(map[string]any); ok {
+			keys := make([]string, 0, len(bv)+len(cv))
+			for k := range bv {
+				keys = append(keys, k)
 			}
-			if p.base == nil {
-				continue
+			for k := range cv {
+				if _, dup := bv[k]; !dup {
+					keys = append(keys, k)
+				}
 			}
-			d := Delta{Group: k, Metric: p.name, Base: p.base.Mean, Cur: p.cur.Mean}
-			d.RegressPct = stats.Round2(regressPct(d.Base, d.Cur, false))
-			deltas = append(deltas, d)
+			sort.Strings(keys)
+			for _, k := range keys {
+				diffValue(path+pathKey(k), field(bv, k), field(cv, k), out)
+			}
+			return
+		}
+	case []any:
+		if cv, ok := c.([]any); ok {
+			for i := 0; i < max(len(bv), len(cv)); i++ {
+				var be, ce any = absent{}, absent{}
+				if i < len(bv) {
+					be = bv[i]
+				}
+				if i < len(cv) {
+					ce = cv[i]
+				}
+				diffValue(fmt.Sprintf("%s[%d]", path, i), be, ce, out)
+			}
+			return
 		}
 	}
-	for k := range bi {
-		if !seen[k] {
-			return nil, fmt.Errorf("group %s missing from current result", k)
-		}
+	if !reflect.DeepEqual(b, c) {
+		*out = append(*out, Change{Path: path, Base: leafText(b), Cur: leafText(c)})
 	}
-	return deltas, nil
+}
+
+var identKey = regexp.MustCompile(`^[A-Za-z_][A-Za-z0-9_]*$`)
+
+// pathKey renders one object key as jq does: .key, or ["key"] for a key
+// like an obs metric name that is not an identifier.
+func pathKey(k string) string {
+	if identKey.MatchString(k) {
+		return "." + k
+	}
+	return "[" + strconv.Quote(k) + "]"
+}
+
+func leafText(v any) string {
+	if _, ok := v.(absent); ok {
+		return ""
+	}
+	j, _ := json.Marshal(v)
+	return string(j)
+}
+
+// relPct is the change from base to cur in percent of |base|, when both
+// are numbers and base is not zero.
+func relPct(ch Change) (float64, bool) {
+	b, errB := strconv.ParseFloat(ch.Base, 64)
+	c, errC := strconv.ParseFloat(ch.Cur, 64)
+	if errB != nil || errC != nil || b == 0 {
+		return 0, false
+	}
+	return (c - b) / math.Abs(b) * 100, true
+}
+
+// show is a leaf's text for humans: "(absent)" for a missing side, and
+// long subtrees cut short.
+func show(text string) string {
+	const maxLen = 72
+	switch {
+	case text == "":
+		return "(absent)"
+	case len(text) > maxLen:
+		return text[:maxLen] + "..."
+	}
+	return text
+}
+
+// FprintChanges writes one line per change - path, base -> cur and, for
+// numbers, the relative change - and then the exact count.
+func FprintChanges(w io.Writer, changes []Change) {
+	for _, ch := range changes {
+		path := ch.Path
+		if path == "" {
+			path = "."
+		}
+		fmt.Fprintf(w, "%s  %s -> %s", path, show(ch.Base), show(ch.Cur))
+		if pct, ok := relPct(ch); ok {
+			fmt.Fprintf(w, "  (%+.2f%%)", pct)
+		}
+		fmt.Fprintln(w)
+	}
+	fmt.Fprintf(w, "differing leaves: %d\n", len(changes))
 }
 
 // SpecHash returns the sha256 of the spec's canonical JSON encoding with
-// the cosmetic Name field excluded - the same identity checkSameSpec
-// compares structurally. pbesweep stamps it into the -obs snapshot
-// header so a stale .obs.json cannot be diffed against a snapshot from a
-// different matrix.
+// the cosmetic Name field excluded. pbesweep stamps it into the -obs
+// snapshot header, so Diff refuses to compare snapshots of different
+// matrices.
 func SpecHash(s Spec) string {
 	s.Name = ""
 	j, _ := json.Marshal(s)
 	return fmt.Sprintf("%x", sha256.Sum256(j))
-}
-
-// checkSameSpec errors unless the two specs describe the same matrix. The
-// cosmetic Name field is excluded so a renamed baseline stays comparable.
-func checkSameSpec(base, cur Spec) error {
-	base.Name, cur.Name = "", ""
-	bj, _ := json.Marshal(base)
-	cj, _ := json.Marshal(cur)
-	if string(bj) != string(cj) {
-		return fmt.Errorf("results come from different sweep specs (regenerate the baseline):\n  baseline: %s\n  current:  %s", bj, cj)
-	}
-	return nil
-}
-
-// regressPct returns how much worse cur is than base, in percent of base.
-// A zero or vanishing baseline cannot be expressed as a percentage: the
-// metric counts as regressed only if the current value is also worse in
-// absolute terms by any amount (reported as 100%).
-func regressPct(base, cur float64, higherBetter bool) float64 {
-	const eps = 1e-9
-	if base < eps {
-		if !higherBetter && cur > eps {
-			return 100
-		}
-		return 0
-	}
-	if higherBetter {
-		return (base - cur) / base * 100
-	}
-	return (cur - base) / base * 100
-}
-
-// WorstRegression returns the largest RegressPct across deltas (0 for an
-// empty slice).
-func WorstRegression(deltas []Delta) float64 {
-	worst := 0.0
-	for _, d := range deltas {
-		if d.RegressPct > worst {
-			worst = d.RegressPct
-		}
-	}
-	return worst
-}
-
-// ReadResult loads a sweep result file written by WriteResult.
-func ReadResult(path string) (*Result, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r Result
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &r, nil
 }
 
 // WriteResult writes the result as indented JSON. The encoding is
@@ -193,20 +214,4 @@ func WriteResult(w io.Writer, r *Result) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r)
-}
-
-// FprintDeltas renders deltas as an aligned table with the worst line
-// last, for the CI log.
-func FprintDeltas(w io.Writer, deltas []Delta) {
-	for _, d := range deltas {
-		mark := ""
-		if d.RegressPct > 0 {
-			mark = " worse"
-		} else if d.RegressPct < 0 {
-			mark = " better"
-		}
-		fmt.Fprintf(w, "%-40s %-20s base=%10.2f cur=%10.2f %+7.2f%%%s\n",
-			d.Group, d.Metric, d.Base, d.Cur, d.RegressPct, mark)
-	}
-	fmt.Fprintf(w, "worst regression: %.2f%%\n", WorstRegression(deltas))
 }

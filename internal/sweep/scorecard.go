@@ -10,7 +10,7 @@
 // Every number is derived from rounded Row values through fixed-order
 // arithmetic, so a scorecard is byte-identical for any worker or shard
 // count and can be committed as a CI baseline (BENCH_scorecard_baseline
-// .json) and diffed with DiffScorecard.
+// .json) and compared with Diff.
 
 package sweep
 
@@ -18,7 +18,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 
 	"pbecc/internal/faults"
@@ -213,19 +212,6 @@ func WriteScorecard(w io.Writer, sc *Scorecard) error {
 	return enc.Encode(sc)
 }
 
-// ReadScorecard loads a scorecard file written by WriteScorecard.
-func ReadScorecard(path string) (*Scorecard, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	sc := &Scorecard{}
-	if err := json.Unmarshal(data, sc); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return sc, nil
-}
-
 // FprintScorecard renders the ranked table for humans: one line per
 // scheme, most robust first, then the per-axis breakdown.
 func FprintScorecard(w io.Writer, sc *Scorecard) {
@@ -252,38 +238,4 @@ func FprintScorecard(w io.Writer, sc *Scorecard) {
 		}
 		fmt.Fprintln(w)
 	}
-}
-
-// DiffScorecard compares a committed baseline scorecard against a fresh
-// run from the same spec: one delta per scheme for the robustness rank
-// metric (RegressPct = percentage-point increase in mean degradation)
-// and one for the clean-channel throughput it is normalized against.
-func DiffScorecard(base, cur *Scorecard) ([]Delta, error) {
-	if err := checkSameSpec(base.Spec, cur.Spec); err != nil {
-		return nil, err
-	}
-	bi := map[string]*SchemeScore{}
-	for i := range base.Schemes {
-		bi[base.Schemes[i].Scheme] = &base.Schemes[i]
-	}
-	var deltas []Delta
-	for i := range cur.Schemes {
-		cs := &cur.Schemes[i]
-		bs, ok := bi[cs.Scheme]
-		if !ok {
-			return nil, fmt.Errorf("scheme %s missing from baseline scorecard (regenerate it)", cs.Scheme)
-		}
-		deltas = append(deltas,
-			Delta{Group: "scorecard/" + cs.Scheme, Metric: "robustness_pct",
-				Base: bs.RobustnessPct, Cur: cs.RobustnessPct,
-				RegressPct: stats.Round2(cs.RobustnessPct - bs.RobustnessPct)},
-			Delta{Group: "scorecard/" + cs.Scheme, Metric: "clean_tput_mbps",
-				Base: bs.CleanTputMbps, Cur: cs.CleanTputMbps,
-				RegressPct: stats.Round2(regressPct(bs.CleanTputMbps, cs.CleanTputMbps, true))})
-	}
-	if len(cur.Schemes) != len(base.Schemes) {
-		return nil, fmt.Errorf("baseline has %d schemes, current %d (regenerate the baseline)",
-			len(base.Schemes), len(cur.Schemes))
-	}
-	return deltas, nil
 }

@@ -169,29 +169,22 @@ func TestBuildScorecardRejectsCleanOnlyResult(t *testing.T) {
 
 func TestDiffScorecardGate(t *testing.T) {
 	base := runScorecard(t, scorecardTestSpec(), 4)
-	deltas, err := DiffScorecard(base, base)
-	if err != nil {
-		t.Fatal(err)
+	if changes := mustDiff(t, base, base); len(changes) != 0 {
+		t.Fatalf("self-diff = %+v, want none", changes)
 	}
-	if got := WorstRegression(deltas); got != 0 {
-		t.Fatalf("self-diff worst regression = %v, want 0", got)
-	}
-	// A scheme getting less robust must surface as a positive delta in
-	// percentage points.
+	// A scheme getting less robust is the one change, however small: no
+	// budget lets it pass.
 	worse := *base
 	worse.Schemes = append([]SchemeScore(nil), base.Schemes...)
-	worse.Schemes[0].RobustnessPct += 7
-	deltas, err = DiffScorecard(base, &worse)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := WorstRegression(deltas); got != 7 {
-		t.Fatalf("worst regression = %v, want 7", got)
+	worse.Schemes[0].RobustnessPct += 0.01
+	changes := mustDiff(t, base, &worse)
+	if len(changes) != 1 || changes[0].Path != ".schemes[0].robustness_pct" {
+		t.Fatalf("changes = %+v, want .schemes[0].robustness_pct only", changes)
 	}
 	// A different matrix must not diff quietly.
 	other := *base
 	other.Spec.Seeds = []int64{9}
-	if _, err := DiffScorecard(base, &other); err == nil {
+	if _, err := diffDocs(t, base, &other); err == nil {
 		t.Fatal("mismatched specs diffed without error")
 	}
 }

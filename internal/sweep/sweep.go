@@ -8,12 +8,13 @@
 // engines and storage from job to job (harness.Arena), and a recycled
 // engine starts exactly as a new one - so each row is a pure function of
 // its job key: the aggregated output is bit-identical regardless of worker
-// count or completion order. That property is what lets CI diff a sweep
-// against a committed baseline (see Diff) and treat any byte difference as
-// a real behaviour change.
+// count or completion order. That property is what lets CI compare a
+// sweep with a committed baseline byte for byte and treat any difference
+// (which Diff lists leaf by leaf) as a real behaviour change.
 package sweep
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -144,6 +145,18 @@ func (s *Spec) Jobs() ([]Job, error) {
 			return nil, fmt.Errorf("seed 0 is reserved for family defaults; use any non-zero seed")
 		}
 	}
+	if err := errors.Join(
+		repeated("experiments", s.Experiments),
+		repeated("schemes", s.Schemes),
+		repeated("seeds", s.Seeds),
+		repeated("rats", s.RATs),
+		repeated("cell_counts", s.CellCounts),
+		repeated("noise_levels", s.NoiseLevels),
+		repeated("fault_axes", s.FaultAxes),
+		repeated("fault_levels", s.FaultLevels),
+	); err != nil {
+		return nil, err
+	}
 	for _, ax := range s.FaultAxes {
 		if err := new(faults.Spec).Set(ax, 0); err != nil {
 			return nil, err
@@ -206,6 +219,19 @@ func (s *Spec) Jobs() ([]Job, error) {
 		}
 	}
 	return jobs, nil
+}
+
+// repeated errors if an axis lists a value twice: the matrix would run
+// identical jobs and its summaries would count each sample twice.
+func repeated[T comparable](axis string, vals []T) error {
+	seen := make(map[T]bool, len(vals))
+	for _, v := range vals {
+		if seen[v] {
+			return fmt.Errorf("%s lists %v twice (it would run identical jobs)", axis, v)
+		}
+		seen[v] = true
+	}
+	return nil
 }
 
 // Row is one job's measured result. Metrics are rounded to two decimals so

@@ -2,6 +2,8 @@ package sweep
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -88,33 +90,47 @@ func TestBuiltins(t *testing.T) {
 }
 
 func TestJobsValidatesUpfront(t *testing.T) {
-	bad := &Spec{Experiments: []string{"nosuch"}, Schemes: []string{"pbe"}, Seeds: []int64{1}}
-	if _, err := bad.Jobs(); err == nil {
-		t.Fatal("unknown family passed validation")
+	// one is a valid one-job spec that each case breaks on one axis.
+	one := func(edit func(*Spec)) *Spec {
+		s := &Spec{Experiments: []string{"steady"}, Schemes: []string{"pbe"}, Seeds: []int64{1}}
+		edit(s)
+		return s
 	}
-	bad = &Spec{Experiments: []string{"steady"}, Schemes: []string{"nosuch"}, Seeds: []int64{1}}
-	if _, err := bad.Jobs(); err == nil {
-		t.Fatal("unknown scheme passed validation")
+	cases := []struct {
+		name string
+		spec *Spec
+		want string // substring the error must carry ("" = any error)
+	}{
+		{"unknown family", one(func(s *Spec) { s.Experiments = []string{"nosuch"} }), ""},
+		{"unknown scheme", one(func(s *Spec) { s.Schemes = []string{"nosuch"} }), ""},
+		{"empty spec", &Spec{}, ""},
+		// Seed 0 would run a mislabeled default-seed job.
+		{"seed 0", one(func(s *Spec) { s.Seeds = []int64{0} }), "seed 0"},
+		{"cell_counts on a family that ignores them", &Spec{Experiments: []string{"mobility"},
+			Schemes: []string{"pbe"}, Seeds: []int64{1}, CellCounts: []int{2}}, ""},
+		// Only the first noise level of each (experiment, RAT, scheme,
+		// cells) reaches BuildScenario, so a later negative one must be
+		// caught here.
+		{"negative noise level", one(func(s *Spec) { s.NoiseLevels = []float64{0, -0.1} }), "-0.1"},
+		// A value listed twice on any axis would run identical jobs and
+		// count their samples twice in the summaries.
+		{"repeated experiment", one(func(s *Spec) { s.Experiments = []string{"steady", "steady"} }), "experiments"},
+		{"repeated scheme", one(func(s *Spec) { s.Schemes = []string{"pbe", "bbr", "pbe"} }), "schemes"},
+		{"repeated seed", one(func(s *Spec) { s.Seeds = []int64{5, 5} }), "seeds"},
+		{"repeated rat", one(func(s *Spec) { s.RATs = []string{"nr", "nr"} }), "rats"},
+		{"repeated cell count", one(func(s *Spec) { s.CellCounts = []int{2, 2} }), "cell_counts"},
+		{"repeated noise level", one(func(s *Spec) { s.NoiseLevels = []float64{0.1, 0.1} }), "noise_levels"},
+		{"repeated fault axis", one(func(s *Spec) { s.FaultAxes = []string{"stale", "stale"} }), "fault_axes"},
+		{"repeated fault level", one(func(s *Spec) {
+			s.FaultAxes = []string{"stale"}
+			s.FaultLevels = []float64{0.5, 0.5}
+		}), "fault_levels"},
 	}
-	empty := &Spec{}
-	if _, err := empty.Jobs(); err == nil {
-		t.Fatal("empty spec passed validation")
-	}
-	zeroSeed := &Spec{Experiments: []string{"steady"}, Schemes: []string{"pbe"}, Seeds: []int64{0}}
-	if _, err := zeroSeed.Jobs(); err == nil {
-		t.Fatal("seed 0 passed validation (would run a mislabeled default-seed job)")
-	}
-	cellsOnMobility := &Spec{Experiments: []string{"mobility"}, Schemes: []string{"pbe"},
-		Seeds: []int64{1}, CellCounts: []int{2}}
-	if _, err := cellsOnMobility.Jobs(); err == nil {
-		t.Fatal("cell_counts accepted for a family that ignores them")
-	}
-	// Only the first noise level of each (experiment, RAT, scheme, cells)
-	// reaches BuildScenario, so a later negative one must be caught here.
-	negNoise := &Spec{Experiments: []string{"steady"}, Schemes: []string{"pbe"},
-		Seeds: []int64{1}, NoiseLevels: []float64{0, -0.1}}
-	if _, err := negNoise.Jobs(); err == nil || !strings.Contains(err.Error(), "-0.1") {
-		t.Fatalf("negative noise level not rejected by name: %v", err)
+	for _, c := range cases {
+		_, err := c.spec.Jobs()
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Jobs() error = %v, want one naming %q", c.name, err, c.want)
+		}
 	}
 }
 
@@ -171,6 +187,30 @@ func TestSummarizeGroups(t *testing.T) {
 	}
 }
 
+// diffDocs encodes base and cur as JSON and runs them through Diff.
+func diffDocs(t *testing.T, base, cur any) ([]Change, error) {
+	t.Helper()
+	b, err := json.Marshal(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := json.Marshal(cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Diff(b, c)
+}
+
+// mustDiff is diffDocs for documents that must be comparable.
+func mustDiff(t *testing.T, base, cur any) []Change {
+	t.Helper()
+	changes, err := diffDocs(t, base, cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return changes
+}
+
 func TestDiffFlagsRegressions(t *testing.T) {
 	base := &Result{Summaries: []Summary{{
 		Experiment: "steady", RAT: "lte", Scheme: "pbe", Jobs: 2,
@@ -180,32 +220,32 @@ func TestDiffFlagsRegressions(t *testing.T) {
 	}}}
 	cur := &Result{Summaries: []Summary{{
 		Experiment: "steady", RAT: "lte", Scheme: "pbe", Jobs: 2,
-		Tput:        Metric{Mean: 80},  // 20% worse
-		DelayP95:    Metric{P50: 45},   // 10% better
+		Tput:        Metric{Mean: 80},  // 20% lower
+		DelayP95:    Metric{P50: 45},   // 10% lower
 		Utilization: Metric{Mean: 0.5}, // unchanged
 	}}}
-	deltas, err := Diff(base, cur)
-	if err != nil {
-		t.Fatal(err)
+	changes := mustDiff(t, base, cur)
+	// Exactly the two moved leaves, in path order.
+	want := []Change{
+		{Path: ".summaries[0].delay_p95_ms.p50", Base: "50", Cur: "45"},
+		{Path: ".summaries[0].tput_mbps.mean", Base: "100", Cur: "80"},
 	}
-	if len(deltas) != 3 {
-		t.Fatalf("deltas = %d, want 3", len(deltas))
+	if !reflect.DeepEqual(changes, want) {
+		t.Fatalf("changes = %+v, want %+v", changes, want)
 	}
-	byMetric := map[string]Delta{}
-	for _, d := range deltas {
-		byMetric[d.Metric] = d
+	for i, pct := range []float64{-10, -20} {
+		if got, ok := relPct(changes[i]); !ok || got != pct {
+			t.Fatalf("%s relative change = %v (%v), want %v", changes[i].Path, got, ok, pct)
+		}
 	}
-	if got := byMetric["tput_mbps.mean"].RegressPct; got != 20 {
-		t.Fatalf("tput regression = %v, want 20", got)
+	var out bytes.Buffer
+	FprintChanges(&out, changes)
+	if !strings.Contains(out.String(), ".summaries[0].tput_mbps.mean  100 -> 80  (-20.00%)") ||
+		!strings.HasSuffix(out.String(), "\ndiffering leaves: 2\n") {
+		t.Fatalf("printed diff:\n%s", out.String())
 	}
-	if got := byMetric["delay_p95_ms.p50"].RegressPct; got != -10 {
-		t.Fatalf("delay regression = %v, want -10 (improvement)", got)
-	}
-	if got := byMetric["utilization.mean"].RegressPct; got != 0 {
-		t.Fatalf("utilization regression = %v, want 0", got)
-	}
-	if got := WorstRegression(deltas); got != 20 {
-		t.Fatalf("worst = %v, want 20", got)
+	if changes := mustDiff(t, base, base); len(changes) != 0 {
+		t.Fatalf("self-diff = %+v, want none", changes)
 	}
 }
 
@@ -216,11 +256,15 @@ func TestDiffRejectsMismatchedGroups(t *testing.T) {
 	cur := &Result{Summaries: []Summary{
 		{Experiment: "steady", RAT: "lte", Scheme: "bbr"},
 	}}
-	if _, err := Diff(base, cur); err == nil {
-		t.Fatal("mismatched groups not rejected")
+	want := []Change{{Path: ".summaries[0].scheme", Base: `"pbe"`, Cur: `"bbr"`}}
+	if changes := mustDiff(t, base, cur); !reflect.DeepEqual(changes, want) {
+		t.Fatalf("mismatched groups: changes = %+v, want %+v", changes, want)
 	}
-	if _, err := Diff(cur, base); err == nil {
-		t.Fatal("mismatched groups not rejected in reverse")
+	// A group present on one side only is one change: its whole subtree.
+	cur.Summaries = append(cur.Summaries, cur.Summaries[0])
+	changes := mustDiff(t, cur, base)
+	if len(changes) != 2 || changes[1].Path != ".summaries[1]" || changes[1].Cur != "" {
+		t.Fatalf("vanished group: changes = %+v", changes)
 	}
 }
 
@@ -234,13 +278,68 @@ func TestDiffRejectsMismatchedSpecs(t *testing.T) {
 		Spec:      Spec{Name: "new", Experiments: []string{"steady"}, Schemes: []string{"pbe"}, Seeds: []int64{1, 2}, DurationMs: 4000},
 		Summaries: summaries,
 	}
-	if _, err := Diff(base, cur); err == nil {
-		t.Fatal("differing duration_ms not rejected despite identical group keys")
+	if _, err := diffDocs(t, base, cur); err == nil || !strings.Contains(err.Error(), ".spec.duration_ms 1000 -> 4000") {
+		t.Fatalf("differing duration_ms not rejected by name despite identical group keys: %v", err)
 	}
-	// A rename alone must stay comparable.
+	// A rename alone stays comparable; the name is the one change.
 	cur.Spec.DurationMs = base.Spec.DurationMs
-	if _, err := Diff(base, cur); err != nil {
-		t.Fatalf("rename-only spec difference rejected: %v", err)
+	want := []Change{{Path: ".spec.name", Base: `"old"`, Cur: `"new"`}}
+	if changes := mustDiff(t, base, cur); !reflect.DeepEqual(changes, want) {
+		t.Fatalf("rename-only diff = %+v, want %+v", changes, want)
+	}
+	// The spec is compared across artifact kinds too: a result and a
+	// scorecard of one spec are comparable, a spec and no spec are not.
+	if _, err := diffDocs(t, base, &Scorecard{Spec: base.Spec}); err != nil {
+		t.Fatalf("same spec across artifact kinds rejected: %v", err)
+	}
+	if _, err := diffDocs(t, base, map[string]int{"x": 1}); err == nil {
+		t.Fatal("a document without a spec compared against one with a spec")
+	}
+}
+
+// The committed baselines go through the diff as they are: a copy of a
+// file is identical to it, and one edited number is the one change.
+func TestDiffCommittedBaselines(t *testing.T) {
+	at := func(v any, keys ...any) map[string]any {
+		for _, k := range keys {
+			if i, ok := k.(int); ok {
+				v = v.([]any)[i]
+			} else {
+				v = v.(map[string]any)[k.(string)]
+			}
+		}
+		return v.(map[string]any)
+	}
+	cases := []struct {
+		file, path string
+		edit       func(doc map[string]any)
+	}{
+		{"BENCH_baseline.json", ".summaries[1].tput_mbps.mean",
+			func(doc map[string]any) { at(doc, "summaries", 1, "tput_mbps")["mean"] = -1.0 }},
+		{"BENCH_scorecard_baseline.json", ".schemes[1].robustness_pct",
+			func(doc map[string]any) { at(doc, "schemes", 1)["robustness_pct"] = -1.0 }},
+	}
+	for _, c := range cases {
+		data, err := os.ReadFile("../../" + c.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if changes, err := Diff(data, bytes.Clone(data)); err != nil || len(changes) != 0 {
+			t.Fatalf("%s against itself: %d changes, err %v", c.file, len(changes), err)
+		}
+		var doc map[string]any
+		if err := json.Unmarshal(data, &doc); err != nil {
+			t.Fatal(err)
+		}
+		c.edit(doc)
+		edited, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		changes, err := Diff(data, edited)
+		if err != nil || len(changes) != 1 || changes[0].Path != c.path {
+			t.Fatalf("%s with %s edited: changes %+v, err %v", c.file, c.path, changes, err)
+		}
 	}
 }
 
@@ -324,20 +423,13 @@ func TestDiffTracksFrameDelay(t *testing.T) {
 			Frame: &FrameSummary{P95Ms: Metric{P50: p95}},
 		}}}
 	}
-	deltas, err := Diff(mk(100), mk(120))
-	if err != nil {
-		t.Fatal(err)
+	changes := mustDiff(t, mk(100), mk(120))
+	want := []Change{{Path: ".summaries[0].frame.p95_ms.p50", Base: "100", Cur: "120"}}
+	if !reflect.DeepEqual(changes, want) {
+		t.Fatalf("changes = %+v, want %+v", changes, want)
 	}
-	byMetric := map[string]Delta{}
-	for _, d := range deltas {
-		byMetric[d.Metric] = d
-	}
-	d, ok := byMetric["frame_p95_ms.p50"]
-	if !ok {
-		t.Fatal("frame delay not tracked for a media group")
-	}
-	if d.RegressPct != 20 {
-		t.Fatalf("frame p95 regression = %v, want 20", d.RegressPct)
+	if pct, _ := relPct(changes[0]); pct != 20 {
+		t.Fatalf("frame p95 relative change = %v, want 20", pct)
 	}
 }
 
@@ -349,11 +441,13 @@ func TestDiffRejectsFramePresenceMismatch(t *testing.T) {
 	withoutFrame := &Result{Summaries: []Summary{{
 		Experiment: "rtc", RAT: "lte", Scheme: "gcc",
 	}}}
-	if _, err := Diff(withFrame, withoutFrame); err == nil {
-		t.Fatal("frame metrics vanishing from a group not rejected")
+	changes := mustDiff(t, withFrame, withoutFrame)
+	if len(changes) != 1 || changes[0].Path != ".summaries[0].frame" || changes[0].Cur != "" {
+		t.Fatalf("frame metrics vanishing from a group: changes = %+v", changes)
 	}
-	if _, err := Diff(withoutFrame, withFrame); err == nil {
-		t.Fatal("frame metrics appearing in a group not rejected")
+	changes = mustDiff(t, withoutFrame, withFrame)
+	if len(changes) != 1 || changes[0].Path != ".summaries[0].frame" || changes[0].Base != "" {
+		t.Fatalf("frame metrics appearing in a group: changes = %+v", changes)
 	}
 }
 

@@ -5,7 +5,8 @@
 #   scripts/gate.sh <gate>
 #
 # Determinism gates (byte compare; writes the *_PR artifact). The sweep
-# gates run built-in specs by name (pbesweep -spec <name>; see -list):
+# gates run built-in specs by name (pbesweep -spec <name>; see -list) and,
+# when a compare fails, print the pbesweep -diff of the pair first:
 #   bench-build    builds and tests the benchmark/ module, which the root
 #                  go build ./... and go test ./... do not descend into
 #   smoke-det      smoke matrix, workers 1 vs 3 vs 8      -> BENCH_PR.json
@@ -32,13 +33,13 @@
 # Regression gates (against the committed baselines):
 #   micro-diff     every internal/sim bench, the metro benches and the
 #                  smoke sweep vs BENCH_micro_baseline.txt: B/op or
-#                  allocs/op >10% fails, ns/op is printed only
+#                  allocs/op >10% fails (ns/op is not read)
 #                  -> BENCH_MICRODIFF_PR.txt
 #   baseline-ident cmp of the five *_PR.json artifacts above against their
 #                  committed baselines: a PR that is not an announced
 #                  behaviour fix must reproduce them byte for byte. On a
-#                  mismatch it prints the pair's pbesweep -diff (or
-#                  -scorecard-diff) table - what moved - then fails
+#                  mismatch it prints the pair's pbesweep -diff - every
+#                  leaf that moved - then fails
 #
 # Timing budget:
 #   budget         sum the wall-clock of every gate run so far and fail
@@ -60,14 +61,22 @@ BUDGET_SECONDS="${GATE_BUDGET_SECONDS:-1200}"
 
 sweep() { go run ./cmd/pbesweep "$@"; }
 
+# same BASE CUR: byte-compare two sweep artifacts. cmp decides; on a
+# mismatch the pbesweep -diff of the pair says which leaves moved.
+same() {
+  cmp "$1" "$2" && return
+  sweep -diff "$1" "$2" || true
+  return 1
+}
+
 # The one micro gate: every engine bench in internal/sim at the default
 # benchtime, one iteration of each multi-second metro bench and of the
 # 160-job smoke sweep on one worker (the allocation gate of the path users
 # and CI run most), and ten of the ~60 ms metro smoke slice. B/op and
 # allocs/op are deterministic per op, so they gate at 10% even on shared
-# runners. ns/op is printed beside them but not gated: on a 2-core runner it
-# moves by a third between runs of one tree (ClusterWindowSync/workers=4),
-# so it measures the runner, not the code.
+# runners. ns/op is not read: on a 2-core runner it moves by a third
+# between runs of one tree (ClusterWindowSync/workers=4), so it measures the
+# runner, not the code (benchmark/ is the timing authority).
 gate_micro_diff() {
   go test -bench . -benchmem -run '^$' ./internal/sim/ | tee BENCH_MICRODIFF_PR.txt
   go test -bench 'Metro[0-9]|SmokeSweep' -benchmem -benchtime 1x -run '^$' . | tee -a BENCH_MICRODIFF_PR.txt
@@ -107,14 +116,14 @@ gate_smoke_det() {
   sweep -spec smoke -workers 1 -out run1.json
   sweep -spec smoke -workers 3 -out run3.json
   sweep -spec smoke -workers 8 -out BENCH_PR.json
-  cmp run1.json BENCH_PR.json
-  cmp run1.json run3.json
+  same run1.json BENCH_PR.json
+  same run1.json run3.json
 }
 
 gate_metro_det() {
   sweep -spec metro-smoke -shards 1 -out metro1.json
   sweep -spec metro-smoke -shards 4 -out BENCH_METRO_PR.json
-  cmp metro1.json BENCH_METRO_PR.json
+  same metro1.json BENCH_METRO_PR.json
 }
 
 # Observability must never feed back into the simulation: the same slice
@@ -122,13 +131,13 @@ gate_metro_det() {
 # exactly. The snapshot lands in metro_obs.json.obs.json.
 gate_obs_det() {
   sweep -spec metro-smoke -shards 4 -obs -out metro_obs.json
-  cmp BENCH_METRO_PR.json metro_obs.json
+  same BENCH_METRO_PR.json metro_obs.json
 }
 
 gate_scorecard_det() {
   sweep -spec scorecard -scorecard -workers 1 -out score1.json
   sweep -spec scorecard -scorecard -workers 8 -out BENCH_SCORECARD_PR.json
-  cmp score1.json BENCH_SCORECARD_PR.json
+  same score1.json BENCH_SCORECARD_PR.json
 }
 
 # The fluid tier's contract: 64k modeled cells / 1M+ users advanced by
@@ -136,7 +145,7 @@ gate_scorecard_det() {
 gate_nation_det() {
   sweep -spec nation-smoke -shards 1 -out nation1.json
   sweep -spec nation-smoke -shards 8 -out BENCH_NATION_PR.json
-  cmp nation1.json BENCH_NATION_PR.json
+  same nation1.json BENCH_NATION_PR.json
 }
 
 # The trajectory slice gates the series layer end to end: every row's
@@ -147,7 +156,7 @@ gate_nation_det() {
 gate_series_det() {
   sweep -spec traj -workers 1 -out traj1.json
   sweep -spec traj -workers 8 -out BENCH_TRAJ_PR.json
-  cmp traj1.json BENCH_TRAJ_PR.json
+  same traj1.json BENCH_TRAJ_PR.json
 }
 
 # The report figure must be a pure function of the scenario: two renders
@@ -172,22 +181,18 @@ gate_report_det() {
 # baselines are reproducible byte for byte. Reuses the artifacts the
 # determinism gates wrote - no extra simulation. A PR that changes
 # behaviour on purpose regenerates the baselines in the same commit, which
-# keeps this gate green and the change visible in the diff. A mismatch
-# prints the metric table of every pair that moved (budgets: 10% per
-# sweep metric, 5 points per scorecard metric) before the gate fails.
+# keeps this gate green and the change visible in the diff. Every pair is
+# compared, so one failing run shows every baseline that moved.
 gate_baseline_ident() {
-  local rc=0 pr base mode budget
-  while read -r pr base mode budget; do
-    if ! cmp "$pr" "$base"; then
-      sweep "$mode" -max-regress "$budget" "$base" "$pr" || true
-      rc=1
-    fi
+  local rc=0 pr base
+  while read -r pr base; do
+    same "$base" "$pr" || rc=1
   done <<'EOF'
-BENCH_PR.json BENCH_baseline.json -diff 10
-BENCH_METRO_PR.json BENCH_metro_baseline.json -diff 10
-BENCH_NATION_PR.json BENCH_nation_baseline.json -diff 10
-BENCH_SCORECARD_PR.json BENCH_scorecard_baseline.json -scorecard-diff 5
-BENCH_TRAJ_PR.json BENCH_traj_baseline.json -diff 10
+BENCH_PR.json BENCH_baseline.json
+BENCH_METRO_PR.json BENCH_metro_baseline.json
+BENCH_NATION_PR.json BENCH_nation_baseline.json
+BENCH_SCORECARD_PR.json BENCH_scorecard_baseline.json
+BENCH_TRAJ_PR.json BENCH_traj_baseline.json
 EOF
   return "$rc"
 }
@@ -231,9 +236,18 @@ main() {
     "$fn"
     return
   fi
-  local start end rc=0
+  # A function called as "fn || ..." runs with errexit off, so a gate would
+  # fail only on its last command; the subshell keeps errexit live and the
+  # gate fails on the first command that does.
+  local start end rc
   start=$(date +%s)
-  "$fn" || rc=$?
+  set +e
+  (
+    set -e
+    "$fn"
+  )
+  rc=$?
+  set -e
   end=$(date +%s)
   echo "$name $((end - start))" >>"$TIMES_FILE"
   echo "gate $name: $((end - start))s (exit $rc)"
