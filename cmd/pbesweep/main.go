@@ -11,11 +11,13 @@
 //	pbesweep -spec traj -out traj.json          # trajectory slice (convergence/tracking gates)
 //	pbesweep -scorecard -out scorecard.json     # robustness ranking under faults
 //	pbesweep -diff BENCH_baseline.json BENCH_PR.json  # any result, scorecard or .obs.json
-//	pbesweep -benchdiff -max-regress 10 base.txt cur.txt  # go test -benchmem gate
+//	pbesweep -benchdiff base.txt cur.txt        # go test -benchmem gate
 //	pbesweep -list                              # families, schemes, axes, built-in specs
 //
 // -diff prints every JSON leaf that differs and exits 1 if any does, 0
 // if none does, and 2 if the two files come from different specs.
+// -benchdiff exits 1 when B/op or allocs/op of any benchmark grew by more
+// than benchBudgetPct, and 2 when a benchmark is on one side only.
 //
 // Results are bit-identical for any -workers value (every job starts from
 // its own seeded engine state, on engines its worker recycles, and rows
@@ -54,19 +56,10 @@ func main() {
 	out := flag.String("out", "-", "result file ('-' = stdout)")
 	obsOn := flag.Bool("obs", false, "enable the metrics registry and write a snapshot to <out>.obs.json (stderr when -out is '-'); never changes the result")
 	diff := flag.Bool("diff", false, "print every leaf that differs between two result, scorecard or -obs snapshot files: pbesweep -diff base.json cur.json (exit 1 on any difference, 2 across specs)")
-	maxRegress := flag.Float64("max-regress", 10, "with -benchdiff: fail when B/op or allocs/op of any benchmark regresses more than this percentage")
-	benchDiff := flag.Bool("benchdiff", false, "diff two 'go test -bench -benchmem' output files: pbesweep -benchdiff [-max-regress N] [-allow-missing] base.txt cur.txt")
-	allowMissing := flag.Bool("allow-missing", false, "with -benchdiff: tolerate benchmarks present on only one side (base-ref comparisons that predate new benchmarks)")
+	benchDiff := flag.Bool("benchdiff", false, "diff two 'go test -bench -benchmem' output files: pbesweep -benchdiff base.txt cur.txt (exit 1 when B/op or allocs/op of any benchmark grew more than 10%)")
 	list := flag.Bool("list", false, "list scenario families, schemes and spec axes")
 	prof := obs.RegisterProfileFlags(flag.CommandLine)
 	flag.Parse()
-	if !*benchDiff {
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "max-regress" || f.Name == "allow-missing" {
-				fatal(fmt.Errorf("-%s applies only to -benchdiff", f.Name))
-			}
-		})
-	}
 
 	switch {
 	case *list:
@@ -74,7 +67,7 @@ func main() {
 	case *diff:
 		runDiff(flag.Args())
 	case *benchDiff:
-		runBenchDiff(flag.Args(), *maxRegress, *allowMissing)
+		runBenchDiff(flag.Args())
 	default:
 		stopProf, err := prof.Start()
 		if err != nil {
@@ -281,9 +274,13 @@ func runDiff(args []string) {
 	}
 }
 
+// benchBudgetPct is the -benchdiff gate: the most B/op or allocs/op may
+// grow. Both are deterministic per op, so the budget holds on any runner.
+const benchBudgetPct = 10
+
 // runBenchDiff gates `go test -bench -benchmem` output: the
-// deterministic B/op and allocs/op columns against budget.
-func runBenchDiff(args []string, budget float64, allowMissing bool) {
+// deterministic B/op and allocs/op columns against benchBudgetPct.
+func runBenchDiff(args []string) {
 	if len(args) != 2 {
 		fatal(fmt.Errorf("-benchdiff needs exactly two bench output files, got %d", len(args)))
 	}
@@ -300,14 +297,14 @@ func runBenchDiff(args []string, budget float64, allowMissing bool) {
 		return b
 	}
 	base, cur := parse(args[0]), parse(args[1])
-	deltas, err := sweep.DiffBench(base, cur, allowMissing)
+	deltas, err := sweep.DiffBench(base, cur)
 	if err != nil {
 		fatal(err)
 	}
 	sweep.FprintDeltas(os.Stdout, deltas)
-	if bad := sweep.ExceededBench(deltas, budget); len(bad) > 0 {
-		fmt.Fprintf(os.Stderr, "FAIL: %d benchmark metric(s) exceed the %.2f%% B/op+allocs/op budget:\n",
-			len(bad), budget)
+	if bad := sweep.ExceededBench(deltas, benchBudgetPct); len(bad) > 0 {
+		fmt.Fprintf(os.Stderr, "FAIL: %d benchmark metric(s) exceed the %d%% B/op+allocs/op budget:\n",
+			len(bad), benchBudgetPct)
 		for _, d := range bad {
 			fmt.Fprintf(os.Stderr, "  %s %s: %.2f -> %.2f (+%.2f%%)\n",
 				d.Group, d.Metric, d.Base, d.Cur, d.RegressPct)

@@ -48,7 +48,7 @@ func blockage() {
 			NRCells: []harness.NRCellSpec{{ID: 101, Mu: 3, BandwidthMHz: 100,
 				Control: trace.Idle()}},
 			UEs: []harness.UESpec{{ID: 1, RNTI: 61, NRCellIDs: []int{101},
-				NRTrajectory: nr.BlockageTrajectory(-80, 35,
+				Trajectory: nr.BlockageTrajectory(-80, 35,
 					1500*time.Millisecond, 2500*time.Millisecond)}},
 			Flows: []harness.FlowSpec{{ID: 1, UE: 1, Scheme: scheme,
 				RTTBase: 20 * time.Millisecond}},

@@ -10,12 +10,11 @@ import "time"
 
 // AckSample is everything a controller learns from one acknowledgement.
 type AckSample struct {
-	Now         time.Duration
-	Seq         uint64
-	AckedBytes  int
-	RTT         time.Duration
-	SRTT        time.Duration
-	OneWayDelay time.Duration // receiver timestamp minus send timestamp
+	Now        time.Duration
+	Seq        uint64
+	AckedBytes int
+	RTT        time.Duration
+	SRTT       time.Duration
 
 	// DeliveryRate is the BBR-style delivery-rate sample for the acked
 	// packet, in bits per second (0 when not yet measurable).
@@ -36,7 +35,6 @@ type AckSample struct {
 type LossSample struct {
 	Now           time.Duration
 	Seq           uint64
-	Bytes         int
 	InflightBytes int
 }
 

@@ -58,10 +58,7 @@ func (r *Receiver) HandlePacket(now time.Duration, p *netsim.Packet) {
 	ack.Size = AckBytes
 	ack.SentAt = now
 	ack.IsAck = true
-	ack.Ack = netsim.AckInfo{
-		AckSeq:     p.Seq,
-		ReceivedAt: now,
-	}
+	ack.Ack = netsim.AckInfo{AckSeq: p.Seq}
 	if r.Feedback != nil {
 		rate, btl := r.Feedback.Feedback(now, owd, p.Size)
 		ack.Ack.FeedbackRate = rate

@@ -309,7 +309,6 @@ func (s *Sender) HandlePacket(now time.Duration, p *netsim.Packet) {
 		AckedBytes:         info.bytes,
 		RTT:                rtt,
 		SRTT:               s.srtt,
-		OneWayDelay:        p.Ack.ReceivedAt - info.sentAt,
 		DeliveryRate:       rate,
 		AppLimited:         info.appLimited,
 		InflightBytes:      s.inflightBytes,
@@ -373,7 +372,6 @@ func (s *Sender) sweepLosses() {
 		s.ctrl.OnLoss(LossSample{
 			Now:           now,
 			Seq:           seq,
-			Bytes:         info.bytes,
 			InflightBytes: s.inflightBytes,
 		})
 		mLosses.Inc()

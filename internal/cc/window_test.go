@@ -103,7 +103,7 @@ func (r *windowRig) ack(seq uint64) {
 	now := r.eng.Now()
 	before := len(r.ctrl.acks)
 	want, ok := r.ref.ack(seq)
-	r.snd.HandlePacket(now, &netsim.Packet{IsAck: true, Ack: netsim.AckInfo{AckSeq: seq, ReceivedAt: now}})
+	r.snd.HandlePacket(now, &netsim.Packet{IsAck: true, Ack: netsim.AckInfo{AckSeq: seq}})
 	got := r.ctrl.acks[before:]
 	if !ok {
 		if len(got) != 0 {

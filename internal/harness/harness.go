@@ -105,50 +105,38 @@ func SchemeUsesMonitor(name string) bool {
 	return s != nil && s.usesMonitor
 }
 
-// CellSpec describes one LTE component carrier.
+// CellSpec describes one LTE component carrier, 64-QAM.
 type CellSpec struct {
 	ID      int
 	NPRB    int
-	Table   phy.CQITable
 	Control ran.ControlSource // nil = no control-plane chatter
 }
 
-// table returns the carrier's CQI table, 64-QAM when unset.
-func (cs CellSpec) table() phy.CQITable {
-	if cs.Table == 0 {
-		return phy.Table64QAM
-	}
-	return cs.Table
-}
-
-// NRCellSpec describes one 5G NR carrier. Cell IDs share a namespace with
-// the LTE cells (the monitor tracks both RATs in one table), so NR cells
-// conventionally number from 101.
+// NRCellSpec describes one 5G NR carrier, 256-QAM, whose width in PRBs
+// follows from Mu and BandwidthMHz (phy.NRCarrierPRBs). Cell IDs share a
+// namespace with the LTE cells (the monitor tracks both RATs in one
+// table), so NR cells conventionally number from 101.
 type NRCellSpec struct {
 	ID           int
 	Mu           int // numerology µ: 0..3
-	NPRB         int // 0 = derive from BandwidthMHz
 	BandwidthMHz int
-	Table        phy.CQITable      // 0 = 256-QAM
 	Control      ran.ControlSource // nil = no control-plane chatter
 }
 
 // UESpec describes one mobile device. A UE with only CellIDs is an LTE
 // device, one with only NRCellIDs is a standalone 5G device, and one with
 // both is an EN-DC dual-connectivity device whose first NR cell is the
-// secondary cell group behind the LTE anchor.
+// secondary cell group behind the LTE anchor. RSSI, or Trajectory when
+// set, is the signal on every carrier of the device.
 type UESpec struct {
 	ID          int
 	RNTI        uint16
 	CellIDs     []int // LTE carriers, primary first
+	NRCellIDs   []int // NR carriers
 	RSSI        float64
 	Trajectory  phy.Trajectory // overrides RSSI when non-nil
 	FadingSigma float64
 	CA          bool // LTE carrier aggregation enabled
-
-	NRCellIDs    []int          // NR carriers
-	NRRSSI       float64        // 0 = use RSSI
-	NRTrajectory phy.Trajectory // overrides NRRSSI when non-nil
 }
 
 // FlowSpec describes one end-to-end flow from a content server to a UE.
@@ -173,11 +161,11 @@ type FlowSpec struct {
 	OnPeriod  time.Duration
 	OffPeriod time.Duration
 
-	// Media, when non-nil, replaces the full-buffer sender with the
-	// frame-level RTC pipeline (encoder -> packetizer/pacer -> jitter
-	// buffer); Scheme still chooses the congestion controller. Ignored
-	// for "fixed" flows and SFU legs.
-	Media *rtc.MediaSpec
+	// Media replaces the full-buffer sender with the frame-level RTC
+	// pipeline (encoder -> packetizer/pacer -> jitter buffer); Scheme
+	// still chooses the congestion controller. Ignored for "fixed" flows
+	// and SFU legs.
+	Media bool
 
 	// SFULeg makes this flow one subscriber leg of the scenario's SFU
 	// fan-out: the relay forwards the selected simulcast layer to the
@@ -220,11 +208,11 @@ type Scenario struct {
 	// for stress-testing measurement-based congestion control.
 	CapacityNoise float64
 
-	// SFU, when non-nil, stands up an SFU fan-out: one simulcast ingest
-	// stream enters a frame-level relay over a wired path, and every
-	// flow marked SFULeg becomes a subscriber leg from the relay through
-	// the cellular network to its UE.
-	SFU *SFUSpec
+	// SFU stands up an SFU fan-out: one simulcast ingest stream enters a
+	// frame-level relay over a provisioned wired path (see
+	// buildSFUIngest), and every flow marked SFULeg becomes a subscriber
+	// leg from the relay through the cellular network to its UE.
+	SFU bool
 
 	// Sharded partitions the scenario across shard-local event engines:
 	// one shard per group of cells entangled by multi-carrier devices,
@@ -268,41 +256,18 @@ type Scenario struct {
 	Fluid *FluidSpec
 }
 
-// SFUSpec configures the fan-out relay and its ingest leg. The ingest is
-// provisioned: it paces at twice the simulcast bundle rate without
-// adapting - a production SFU's dedicated uplink - so the scenario's
-// congestion dynamics live on the subscriber legs.
-type SFUSpec struct {
-	// Media describes the ingest stream; Simulcast is forced on (an SFU
-	// needs every ladder rung to select from).
-	Media rtc.MediaSpec
-
-	// Ingest path shape: server -> SFU over a wired link.
-	IngestRTT   time.Duration // round-trip propagation (default 20 ms)
-	IngestRate  float64       // bottleneck rate (0 = unconstrained)
-	IngestQueue int           // drop-tail queue bytes (0 = unbounded)
-}
-
 // NominalCapacityMbps returns the scenario's aggregate peak physical
 // capacity: every cell at its top CQI with two spatial streams. It is the
 // denominator of the sweep runner's utilization metric.
 func (sc *Scenario) NominalCapacityMbps() float64 {
 	var bps float64
 	for _, cs := range sc.Cells {
-		peak := phy.MCS{CQI: 15, Table: cs.table(), Streams: 2}
+		peak := phy.MCS{CQI: 15, Table: phy.Table64QAM, Streams: 2}
 		bps += peak.BitsPerPRB() * float64(cs.NPRB) * 1000
 	}
 	for _, ns := range sc.NRCells {
-		table := ns.Table
-		if table == 0 {
-			table = phy.Table256QAM
-		}
-		nprb := ns.NPRB
-		if nprb == 0 {
-			nprb = phy.NRCarrierPRBs(ns.Mu, ns.BandwidthMHz)
-		}
-		peak := phy.MCS{CQI: 15, Table: table, Streams: 2}
-		bps += phy.NRCellRateBps(peak, ns.Mu, nprb)
+		peak := phy.MCS{CQI: 15, Table: phy.Table256QAM, Streams: 2}
+		bps += phy.NRCellRateBps(peak, ns.Mu, phy.NRCarrierPRBs(ns.Mu, ns.BandwidthMHz))
 	}
 	return bps / 1e6
 }
@@ -352,8 +317,7 @@ type FlowResult struct {
 // is handed back with Arena.Reclaim: its delay samples, series and engines
 // then belong to the arena's next run, so read everything needed first.
 type Result struct {
-	Scenario *Scenario
-	Flows    []*FlowResult
+	Flows []*FlowResult
 
 	// CATriggered reports whether any UE activated a secondary carrier
 	// (an LTE secondary cell or an EN-DC NR secondary cell group).
@@ -379,11 +343,13 @@ type Result struct {
 }
 
 // Validate reports the first structural error in the scenario: a cell ID
-// declared twice (LTE and NR cells share one namespace), a duplicate UE
-// ID, a UE with no cells, a UE naming an unknown cell or a cell of the
-// other RAT, an EN-DC UE with more than one NR cell, and a flow on an
-// unknown UE, of an unknown scheme, or marked SFULeg without an SFU; and
-// a fluid spec that would run silently wrong (see FluidSpec.validate).
+// declared twice (LTE and NR cells share one namespace), an LTE cell with
+// no PRBs, an NR cell whose (Mu, BandwidthMHz) has no 3GPP carrier width,
+// a duplicate UE ID, a UE with no cells, a UE naming an unknown cell or a
+// cell of the other RAT, an EN-DC UE with more than one NR cell, and a
+// flow on an unknown UE, of an unknown scheme, marked SFULeg without an
+// SFU, or with a negative Start, Stop, OnPeriod or OffPeriod; and a fluid
+// spec that would run silently wrong (see FluidSpec.validate).
 // BuildScenario returns this error; Run panics with it.
 func (sc *Scenario) Validate() error {
 	isLTE := make(map[int]bool, len(sc.Cells)+len(sc.NRCells))
@@ -392,6 +358,16 @@ func (sc *Scenario) Validate() error {
 			return fmt.Errorf("cell %d declared twice", id)
 		}
 		isLTE[id] = i < len(sc.Cells)
+	}
+	for _, cs := range sc.Cells {
+		if cs.NPRB < 1 {
+			return fmt.Errorf("LTE cell %d has %d PRBs; want at least 1", cs.ID, cs.NPRB)
+		}
+	}
+	for _, ns := range sc.NRCells {
+		if phy.NRCarrierPRBs(ns.Mu, ns.BandwidthMHz) == 0 {
+			return fmt.Errorf("NR cell %d: µ=%d at %d MHz has no 3GPP carrier width", ns.ID, ns.Mu, ns.BandwidthMHz)
+		}
 	}
 	ues := make(map[int]bool, len(sc.UEs))
 	for _, us := range sc.UEs {
@@ -420,8 +396,11 @@ func (sc *Scenario) Validate() error {
 			return fmt.Errorf("flow %d is on unknown UE %d", fs.ID, fs.UE)
 		case fs.Scheme != "fixed" && lookupScheme(fs.Scheme) == nil:
 			return fmt.Errorf("flow %d has unknown scheme %q (valid: %v or \"fixed\")", fs.ID, fs.Scheme, Schemes)
-		case fs.SFULeg && sc.SFU == nil:
+		case fs.SFULeg && !sc.SFU:
 			return fmt.Errorf("flow %d is marked SFULeg but the scenario has no SFU", fs.ID)
+		case fs.Start < 0 || fs.Stop < 0 || fs.OnPeriod < 0 || fs.OffPeriod < 0:
+			return fmt.Errorf("flow %d has negative timing: Start %v, Stop %v, OnPeriod %v, OffPeriod %v",
+				fs.ID, fs.Start, fs.Stop, fs.OnPeriod, fs.OffPeriod)
 		}
 	}
 	if sc.Fluid != nil {
@@ -460,7 +439,7 @@ func run(sc *Scenario, a *Arena) *Result {
 	}
 	pl := newPlacement(sc, a)
 	b := &build{sc: sc, a: a, pl: pl,
-		res:      &Result{Scenario: sc, PRBSamples: map[int][]float64{}, cluster: pl.cluster},
+		res:      &Result{PRBSamples: map[int][]float64{}, cluster: pl.cluster},
 		cells:    map[int]*ran.Cell{},
 		specs:    make(map[int]*UESpec, len(sc.UEs)),
 		devices:  map[int]device{},
@@ -482,12 +461,11 @@ func run(sc *Scenario, a *Arena) *Result {
 // buildCells stands up every LTE and NR cell, then the fluid tier on them.
 func (b *build) buildCells() {
 	for _, cs := range b.sc.Cells {
-		b.cells[cs.ID] = lte.NewCell(b.pl.byCell[cs.ID].Engine, cs.ID, cs.NPRB, cs.table(), cs.Control)
+		b.cells[cs.ID] = lte.NewCell(b.pl.byCell[cs.ID].Engine, cs.ID, cs.NPRB, phy.Table64QAM, cs.Control)
 	}
 	for _, ns := range b.sc.NRCells {
 		b.cells[ns.ID] = nr.NewCell(b.pl.byCell[ns.ID].Engine, nr.Config{
-			ID: ns.ID, Mu: ns.Mu, NPRB: ns.NPRB, BandwidthMHz: ns.BandwidthMHz,
-			Table: ns.Table, Control: ns.Control,
+			ID: ns.ID, Mu: ns.Mu, BandwidthMHz: ns.BandwidthMHz, Control: ns.Control,
 		})
 	}
 	if b.sc.Fluid != nil {
@@ -499,38 +477,34 @@ func (b *build) buildCells() {
 // an EN-DC device whose LTE anchor carries one NR secondary cell group.
 func (b *build) buildDevice(us *UESpec) {
 	eng := b.pl.ueShard(us).Engine
-	channel := func(cid int, rssi float64, traj phy.Trajectory) *phy.Channel {
+	channel := func(cid int) *phy.Channel {
 		var fading *phy.Fading
 		if us.FadingSigma > 0 {
 			fading = phy.NewFading(us.FadingSigma, 50*time.Millisecond, eng.Rand())
 		}
 		var ch *phy.Channel
-		if traj != nil {
-			ch = phy.NewMobileChannel(traj, b.cells[cid].Table, fading)
+		if us.Trajectory != nil {
+			ch = phy.NewMobileChannel(us.Trajectory, b.cells[cid].Table, fading)
 		} else {
-			ch = phy.NewStaticChannel(rssi, b.cells[cid].Table, fading)
+			ch = phy.NewStaticChannel(us.RSSI, b.cells[cid].Table, fading)
 		}
 		b.channels[[2]int{us.ID, cid}] = ch
 		return ch
 	}
-	addCells := func(ue *ran.UE, ids []int, rssi float64, traj phy.Trajectory) {
+	addCells := func(ue *ran.UE, ids []int) {
 		for _, cid := range ids {
-			ue.AddCell(b.cells[cid], channel(cid, rssi, traj))
+			ue.AddCell(b.cells[cid], channel(cid))
 		}
 	}
 	b.specs[us.ID] = us
-	nrRSSI := us.NRRSSI
-	if nrRSSI == 0 {
-		nrRSSI = us.RSSI
-	}
 	if len(us.CellIDs) == 0 {
 		ue := nr.NewUE(eng, us.ID, us.RNTI)
-		addCells(ue, us.NRCellIDs, nrRSSI, us.NRTrajectory)
+		addCells(ue, us.NRCellIDs)
 		b.devices[us.ID] = ue
 		return
 	}
 	anchor := lte.NewUE(eng, us.ID, us.RNTI)
-	addCells(anchor, us.CellIDs, us.RSSI, us.Trajectory)
+	addCells(anchor, us.CellIDs)
 	anchor.SetCarrierAggregation(us.CA)
 	if len(us.NRCellIDs) == 0 {
 		anchor.Start()
@@ -538,15 +512,14 @@ func (b *build) buildDevice(us *UESpec) {
 		return
 	}
 	cid := us.NRCellIDs[0]
-	endc := nr.NewENDC(eng, us.ID, us.RNTI, anchor, b.cells[cid], channel(cid, nrRSSI, us.NRTrajectory))
+	endc := nr.NewENDC(eng, anchor, b.cells[cid], channel(cid))
 	endc.Start()
 	b.devices[us.ID] = endc
 }
 
 // buildMonitors gives every UE hosting a monitor-using flow one PBE
 // monitor, fed by every configured cell but tracking only the active set,
-// and its measurement-accuracy probe, whose oracle mirrors every attach
-// and detach but takes the direct (noise-free, decode-free) feed.
+// and its measurement-accuracy probe (newProbe).
 func (b *build) buildMonitors() {
 	sc := b.sc
 	for _, fs := range sc.Flows {
@@ -565,9 +538,6 @@ func (b *build) buildMonitors() {
 				return v * (1 + sigma*rng.NormFloat64())
 			}
 		}
-		probe := newPBEProbe(mon, us.RNTI)
-		b.probes[fs.UE] = probe
-
 		// Monitor-fault axes interpose an injector on every attach,
 		// detach and control feed. The probe's oracle stays on the
 		// direct path: it is the fault-free reference PBEErrPct is
@@ -579,20 +549,14 @@ func (b *build) buildMonitors() {
 			inj := faults.New(sh.Engine, mon, sc.Faults, sc.Seed, us.RNTI)
 			transport, wrap = inj, inj.WrapFeed
 		}
-		mirrorActiveCells(b.devices[fs.UE], us.ID, b.channels, probe.oracle, transport)
-
-		ids := us.cellIDs()
-		for i, cid := range ids {
+		for i, cid := range us.cellIDs() {
 			// The bit-level PDCCH encode/decode path models the LTE
 			// control channel only; NR control information always feeds
 			// the monitor directly.
 			decode := sc.MonitorDecodesPDCCH && i < len(us.CellIDs)
 			b.cells[cid].AttachMonitor(wrap(monitorFeed(decode, b.cells[cid], mon)))
-			b.cells[cid].AttachMonitor(probe.oracle.OnSubframe)
 		}
-		// The accuracy sampler runs once per primary-cell slot, attached
-		// after both feeds so it observes fully ingested windows.
-		b.cells[ids[0]].AttachMonitor(probe.sampler(sh.Engine, us.ID))
+		b.probes[fs.UE] = b.newProbe(us, mon, transport)
 	}
 }
 
@@ -600,8 +564,8 @@ func (b *build) buildMonitors() {
 // order.
 func (b *build) buildFlows() {
 	var sfu *rtc.SFU
-	if b.sc.SFU != nil {
-		sfu = buildSFUIngest(b.pl.core.Engine, b.sc)
+	if b.sc.SFU {
+		sfu = buildSFUIngest(b.pl.core.Engine)
 	}
 	for i := range b.sc.Flows {
 		b.buildFlow(&b.sc.Flows[i], sfu)
@@ -670,7 +634,7 @@ func (b *build) buildFlow(fs *FlowSpec, sfu *rtc.SFU) {
 	switch {
 	case sfu != nil && fs.SFULeg:
 		attachSubscriber(ueSh, b.pl.core, sfu, fs, fr, dev, ctrl, fb, onData, end)
-	case fs.Media != nil:
+	case fs.Media:
 		attachMediaFlow(ueEng, fs, fr, dev, ctrl, fb, onData, end)
 	default:
 		var snd *cc.Sender
@@ -922,18 +886,10 @@ func scheduleOnOff(eng *sim.Engine, ct *netsim.CrossTraffic, fs *FlowSpec, stop 
 			ct.Start()
 		}
 	}
-	var cycle func(at time.Duration)
-	cycle = func(at time.Duration) {
-		if at >= stop {
-			return
-		}
+	// Validate rejects negative periods, so with OnPeriod > 0 every cycle
+	// advances.
+	for at := fs.Start; at < stop; at += fs.OnPeriod + fs.OffPeriod {
 		eng.At(at, start)
-		off := at + fs.OnPeriod
-		if off > stop {
-			off = stop
-		}
-		eng.At(off, ct.Stop)
-		cycle(at + fs.OnPeriod + fs.OffPeriod)
+		eng.At(min(at+fs.OnPeriod, stop), ct.Stop)
 	}
-	cycle(fs.Start)
 }

@@ -295,6 +295,12 @@ func TestScenarioValidate(t *testing.T) {
 		{"duplicate_ue_id", func(sc *Scenario) { sc.UEs[2].ID = 2 }, "UE 2"},
 		{"lte_ids_name_nr_cell", func(sc *Scenario) { sc.UEs[0].CellIDs = []int{101} }, "cell 101"},
 		{"nr_ids_name_lte_cell", func(sc *Scenario) { sc.UEs[1].NRCellIDs = []int{1} }, "cell 1 "},
+		{"nr_bandwidth_without_prbs", func(sc *Scenario) { sc.NRCells[0].BandwidthMHz = 7 }, "NR cell 101"},
+		{"lte_zero_prbs", func(sc *Scenario) { sc.Cells[0].NPRB = 0 }, "LTE cell 1 "},
+		{"negative_off_period", func(sc *Scenario) {
+			sc.Flows[1].OnPeriod, sc.Flows[1].OffPeriod = time.Second, -time.Second
+		}, "flow 2"},
+		{"negative_start", func(sc *Scenario) { sc.Flows[0].Start = -time.Millisecond }, "flow 1"},
 		{"fluid_unknown_cell", func(sc *Scenario) {
 			sc.Fluid = &FluidSpec{Sessions: map[int][]fluid.Session{1: {{RNTI: 70}}, 103: {{RNTI: 71}}}}
 		}, "cell 103"},

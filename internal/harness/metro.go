@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"time"
 
-	"pbecc/internal/rtc"
 	"pbecc/internal/trace"
 )
 
@@ -63,11 +62,7 @@ func MetroScenario(scheme string, p Params) *Scenario {
 		Duration:    dur,
 		Sharded:     true,
 		StreamStats: true,
-		SFU: &SFUSpec{
-			IngestRTT:   20 * time.Millisecond,
-			IngestRate:  100e6,
-			IngestQueue: 128 * 1500,
-		},
+		SFU:         true,
 	}
 
 	control := func(idx int) *trace.ControlTraffic {
@@ -150,7 +145,7 @@ func MetroScenario(scheme string, p Params) *Scenario {
 			fl.InternetQueue = 256 * 1500
 		case k == 1:
 			fl.Scheme = "gcc"
-			fl.Media = &rtc.MediaSpec{}
+			fl.Media = true
 		case k == 2 && cellIdx%sfuStep == 0 && cellIdx/sfuStep < metroSFULegs:
 			fl.Scheme = "gcc"
 			fl.SFULeg = true

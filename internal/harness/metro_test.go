@@ -81,7 +81,7 @@ func TestMetroComposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sc.Sharded || !sc.StreamStats || sc.SFU == nil {
+	if !sc.Sharded || !sc.StreamStats || !sc.SFU {
 		t.Fatalf("metro must be sharded + streaming + SFU, got %+v", sc)
 	}
 	if len(sc.Cells) != 4 || len(sc.NRCells) != 4 {
@@ -99,7 +99,7 @@ func TestMetroComposition(t *testing.T) {
 		switch {
 		case fs.SFULeg:
 			legs++
-		case fs.Media != nil:
+		case fs.Media:
 			media++
 		case fs.Scheme == "fixed":
 			fixed++

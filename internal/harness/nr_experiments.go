@@ -86,7 +86,7 @@ func nrBlockageScenario(scheme string, dur, blockStart, blockEnd time.Duration) 
 		Duration: dur,
 		NRCells:  []NRCellSpec{{ID: 101, Mu: 3, BandwidthMHz: 100, Control: trace.Idle()}},
 		UEs: []UESpec{{ID: 1, RNTI: 61, NRCellIDs: []int{101},
-			NRTrajectory: nr.BlockageTrajectory(-80, 35, blockStart, blockEnd)}},
+			Trajectory: nr.BlockageTrajectory(-80, 35, blockStart, blockEnd)}},
 		Flows: []FlowSpec{{ID: 1, UE: 1, Scheme: scheme, Start: 0, RTTBase: 20 * time.Millisecond}},
 	}
 	return sc

@@ -168,7 +168,7 @@ func addOnOffCompetitor(sc *Scenario, level float64) {
 	if rssi == 0 {
 		rssi = -90 // target rides a trajectory: give the adversary a plain cell-center signal
 	}
-	adv := UESpec{ID: maxUE + 1, RNTI: maxRNTI + 1, RSSI: rssi, NRRSSI: target.NRRSSI}
+	adv := UESpec{ID: maxUE + 1, RNTI: maxRNTI + 1, RSSI: rssi}
 	// Peak rate scaled by intensity: enough to claim most of the cell
 	// during an on-phase (the §6.3.3 competitor's regime), per RAT.
 	rate := level * 80e6

@@ -32,65 +32,85 @@ var (
 // noise - the ground truth the paper's Figure 6 methodology compares
 // against. Once per primary-cell scheduling slot it records the relative
 // error between the estimate the transport last acted on and the oracle's
-// current value.
+// current value. A truth-only probe has no transport monitor: it records
+// the oracle's capacity alone.
 //
-// The probe is strictly passive and always on for PBE flows: it reads the
-// transport monitor only through Monitor.LastCapacityBits (never calling
-// CapacityBits, which would draw from the Noise hook's RNG and perturb
-// the run it observes), and the oracle has no noise source, so its own
-// CapacityBits calls are pure. Sweep rows are therefore byte-identical
-// whether or not the obs layer is enabled.
+// The probe is strictly passive: it reads the transport monitor only
+// through Monitor.LastCapacityBits (never calling CapacityBits, which
+// would draw from the Noise hook's RNG and perturb the run it observes),
+// and the oracle has no noise source, so its own CapacityBits calls are
+// pure. Sweep rows are therefore byte-identical whether or not the obs
+// layer is enabled, and attaching a probe never changes the run.
 type pbeProbe struct {
-	mon    *core.Monitor
+	eng    *sim.Engine
+	ueID   int
+	mon    *core.Monitor // nil for a truth-only probe
 	oracle *core.Monitor
+
+	// The capacity tracks, looked up at the first sample; nil when the
+	// run records no series (Sample on nil is one branch).
+	seriesInit           bool
+	truthTrack, estTrack *obs.SeriesTrack
 
 	sumAbs float64
 	n      uint64
 }
 
-// newPBEProbe builds the probe for one UE's transport monitor. The caller
-// must mirror every AttachCell/DetachCell on the oracle and feed it each
-// cell's reports directly (bypassing any PDCCH decode path).
-func newPBEProbe(mon *core.Monitor, rnti uint16) *pbeProbe {
-	oracle := core.NewMonitor(rnti)
-	oracle.UseFilter = mon.UseFilter
-	return &pbeProbe{mon: mon, oracle: oracle}
+// newProbe stands up UE us's probe. Its oracle mirrors every attach and
+// detach of the device's active set and takes each carrier's reports
+// directly (no noise, no decode path, no fault injector); sample runs
+// once per primary-cell slot. mon is the transport monitor and transport
+// its attached-cell side (the monitor itself or a fault injector in front
+// of it); both are nil for a truth-only probe. The caller attaches the
+// transport feeds first, so the oracle and sample observe fully ingested
+// slots.
+func (b *build) newProbe(us *UESpec, mon *core.Monitor, transport cellSet) *pbeProbe {
+	oracle := core.NewMonitor(us.RNTI)
+	oracle.UseFilter = !b.sc.DisableUserFilter
+	p := &pbeProbe{eng: b.pl.ueShard(us).Engine, ueID: us.ID, mon: mon, oracle: oracle}
+	mirrorActiveCells(b.devices[us.ID], us.ID, b.channels, oracle, transport)
+	ids := us.cellIDs()
+	for _, cid := range ids {
+		b.cells[cid].AttachMonitor(oracle.OnSubframe)
+	}
+	b.cells[ids[0]].AttachMonitor(p.sample)
+	return p
 }
 
-// sampler returns the per-slot callback attached to the UE's primary
-// cell, after both monitor feeds, so it observes a fully ingested slot.
-// When the run records series it downsamples truth and estimate into the
-// capacity tracks.
-func (p *pbeProbe) sampler(eng *sim.Engine, ueID int) ran.Monitor {
-	var truthTrack, estTrack *obs.SeriesTrack
-	seriesInit := false
-	return func(rep *ran.SubframeReport) {
-		if !seriesInit {
-			seriesInit = true
-			if sb := eng.SeriesBuffer(); sb != nil {
-				truthTrack = sb.Track(seriesTruth, ueID)
-				estTrack = sb.Track(seriesEst, ueID)
+// sample is the per-slot callback on the UE's primary cell. When the run
+// records series it downsamples truth and, with a transport monitor, the
+// estimate into the capacity tracks.
+func (p *pbeProbe) sample(*ran.SubframeReport) {
+	if !p.seriesInit {
+		p.seriesInit = true
+		if sb := p.eng.SeriesBuffer(); sb != nil {
+			p.truthTrack = sb.Track(seriesTruth, p.ueID)
+			if p.mon != nil {
+				p.estTrack = sb.Track(seriesEst, p.ueID)
 			}
 		}
-		est := p.mon.LastCapacityBits()
-		truth := p.oracle.CapacityBits()
-		if truth > 0 {
-			truthTrack.Sample(eng.Now(), truth/1e3)
-		}
-		if est <= 0 || truth <= 0 {
-			return // no feedback taken yet, or an empty window
-		}
-		estTrack.Sample(eng.Now(), est/1e3)
-		e := (est - truth) / truth
-		if e < 0 {
-			e = -e
-		}
-		p.sumAbs += e
-		p.n++
-		if obs.Enabled() {
-			mProbeSamples.Inc()
-			mProbeErrPct.Observe(int64(e * 100))
-		}
+	}
+	truth := p.oracle.CapacityBits()
+	if truth > 0 {
+		p.truthTrack.Sample(p.eng.Now(), truth/1e3)
+	}
+	if p.mon == nil {
+		return
+	}
+	est := p.mon.LastCapacityBits()
+	if est <= 0 || truth <= 0 {
+		return // no feedback taken yet, or an empty window
+	}
+	p.estTrack.Sample(p.eng.Now(), est/1e3)
+	e := (est - truth) / truth
+	if e < 0 {
+		e = -e
+	}
+	p.sumAbs += e
+	p.n++
+	if obs.Enabled() {
+		mProbeSamples.Inc()
+		mProbeErrPct.Observe(int64(e * 100))
 	}
 }
 
@@ -103,13 +123,11 @@ func (p *pbeProbe) ErrPct() float64 {
 	return 100 * p.sumAbs / float64(p.n)
 }
 
-// buildTruthOracle stands up a truth-only oracle monitor for the measured
-// (first) flow's UE when that flow's scheme never reads the PBE monitor:
-// the series layer still needs the ground-truth capacity trajectory so
-// convergence time and tracking lag are defined for every scheme. The
-// oracle mirrors the probe oracle's attach discipline (direct feeds, no
-// noise, no decode path) and is strictly passive, so attaching it never
-// changes the run.
+// buildTruthOracle stands up a truth-only probe for the measured (first)
+// flow's UE when the run records series and that flow's scheme never
+// reads the PBE monitor: the series layer still needs the ground-truth
+// capacity trajectory so convergence time and tracking lag are defined
+// for every scheme.
 func (b *build) buildTruthOracle() {
 	sc := b.sc
 	if !sc.Series || len(sc.Flows) == 0 {
@@ -119,24 +137,5 @@ func (b *build) buildTruthOracle() {
 	if fs.Scheme == "fixed" || SchemeUsesMonitor(fs.Scheme) {
 		return
 	}
-	us := b.specs[fs.UE]
-	eng := b.pl.ueShard(us).Engine
-	sb := eng.SeriesBuffer()
-	if sb == nil {
-		return
-	}
-	oracle := core.NewMonitor(us.RNTI)
-	oracle.UseFilter = !sc.DisableUserFilter
-	mirrorActiveCells(b.devices[fs.UE], us.ID, b.channels, oracle, nil)
-	ids := us.cellIDs()
-	for _, cid := range ids {
-		b.cells[cid].AttachMonitor(oracle.OnSubframe)
-	}
-
-	track := sb.Track(seriesTruth, us.ID)
-	b.cells[ids[0]].AttachMonitor(func(rep *ran.SubframeReport) {
-		if truth := oracle.CapacityBits(); truth > 0 {
-			track.Sample(eng.Now(), truth/1e3)
-		}
-	})
+	b.newProbe(b.specs[fs.UE], nil, nil)
 }

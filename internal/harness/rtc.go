@@ -9,9 +9,16 @@ import (
 	"pbecc/internal/sim"
 )
 
-// sfuIngestFlowID keeps the ingest leg's flow ID out of the subscriber
-// flows' namespace (subscriber IDs count up from 1).
-const sfuIngestFlowID = 1000
+// The SFU ingest leg: a server streams into the relay over a wired link.
+const (
+	// sfuIngestFlowID keeps the ingest leg's flow ID out of the
+	// subscriber flows' namespace (subscriber IDs count up from 1).
+	sfuIngestFlowID = 1000
+
+	sfuIngestRTT   = 20 * time.Millisecond // round-trip propagation
+	sfuIngestRate  = 100e6                 // bottleneck rate, bits/sec
+	sfuIngestQueue = 128 * 1500            // drop-tail queue, bytes
+)
 
 // provisionedController paces at a fixed rate with a generous window:
 // the SFU's dedicated ingest uplink.
@@ -32,7 +39,7 @@ func (c *provisionedController) CWND() int                                      
 func attachMediaFlow(eng *sim.Engine, fs *FlowSpec, fr *FlowResult, dev device,
 	ctrl cc.Controller, fb cc.FeedbackSource,
 	onData func(time.Duration, *netsim.Packet, time.Duration), end time.Duration) {
-	spec := *fs.Media
+	var spec rtc.MediaSpec
 	var msnd *rtc.Sender
 	ackLink := netsim.NewLink(eng, 0, fs.RTTBase/2, 0,
 		netsim.HandlerFunc(func(now time.Duration, p *netsim.Packet) {
@@ -62,32 +69,27 @@ func attachMediaFlow(eng *sim.Engine, fs *FlowSpec, fr *FlowResult, dev device,
 // buildSFUIngest stands the relay up: a content server encodes every
 // simulcast rung and streams them over a wired path into the SFU, whose
 // jitter buffer reassembles frames and fans them out to the subscriber
-// legs registered afterwards.
-func buildSFUIngest(eng *sim.Engine, sc *Scenario) *rtc.SFU {
-	sp := sc.SFU
-	spec := sp.Media
-	spec.Simulcast = true
+// legs registered afterwards. The ingest is provisioned: it paces at twice
+// the simulcast bundle rate without adapting - a production SFU's
+// dedicated uplink - so the scenario's congestion dynamics live on the
+// subscriber legs.
+func buildSFUIngest(eng *sim.Engine) *rtc.SFU {
+	spec := rtc.MediaSpec{Simulcast: true}
 	sfu := rtc.NewSFU(eng, spec)
 
-	// A dedicated uplink: pace at twice the full simulcast bundle so the
-	// ingest never becomes the experiment's bottleneck.
 	var bundle float64
-	for _, r := range sfu.Spec().Ladder {
+	for _, r := range rtc.DefaultLadder {
 		bundle += r
 	}
 	ctrl := &provisionedController{rate: 2 * bundle}
-	rtt := sp.IngestRTT
-	if rtt == 0 {
-		rtt = 20 * time.Millisecond
-	}
 	var isnd *rtc.Sender
-	ackLink := netsim.NewLink(eng, 0, rtt/2, 0,
+	ackLink := netsim.NewLink(eng, 0, sfuIngestRTT/2, 0,
 		netsim.HandlerFunc(func(now time.Duration, p *netsim.Packet) {
 			isnd.HandlePacket(now, p)
 		}))
 	ircv := rtc.NewReceiver(eng, sfuIngestFlowID, ackLink, spec)
 	ircv.OnFrame = func(f rtc.Frame, _ time.Duration) { sfu.OnFrame(f) }
-	path := netsim.NewLink(eng, sp.IngestRate, rtt/2, sp.IngestQueue, ircv)
+	path := netsim.NewLink(eng, sfuIngestRate, sfuIngestRTT/2, sfuIngestQueue, ircv)
 	isnd = rtc.NewSender(eng, sfuIngestFlowID, path, ctrl, spec)
 	enc := rtc.NewEncoder(eng, spec, isnd.QueueFrame)
 	isnd.Start()
@@ -137,7 +139,7 @@ func attachSubscriber(ue, core *sim.Shard, sfu *rtc.SFU, fs *FlowSpec, fr *FlowR
 func RTCScenario(scheme string, p Params) *Scenario {
 	sc := SteadyScenario(scheme, p)
 	sc.Name = "rtc-" + p.rat() + "-" + scheme
-	sc.Flows[0].Media = &rtc.MediaSpec{}
+	sc.Flows[0].Media = true
 	return sc
 }
 
@@ -155,11 +157,7 @@ func SFUScenario(scheme string, p Params) *Scenario {
 	cellsPerRAT := p.cellCount(2)
 	sc := &Scenario{
 		Name: "sfu-" + p.rat() + "-" + scheme, Seed: 77, Duration: p.dur(4 * time.Second),
-		SFU: &SFUSpec{
-			IngestRTT:   20 * time.Millisecond,
-			IngestRate:  100e6,
-			IngestQueue: 128 * 1500,
-		},
+		SFU: true,
 	}
 	for c := 0; c < cellsPerRAT; c++ {
 		sc.Cells = append(sc.Cells, CellSpec{ID: 1 + c, NPRB: 100, Control: controlFor(p)})

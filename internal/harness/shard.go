@@ -76,7 +76,7 @@ func newPlacement(sc *Scenario, a *Arena) *placement {
 		pl.byCell[id] = roots[r]
 	}
 
-	if sc.SFU != nil {
+	if sc.SFU {
 		// The relay fans out to subscribers on many cell shards; giving
 		// it a dedicated wired-core shard keeps every leg a true
 		// cross-shard boundary instead of serializing on one cell.

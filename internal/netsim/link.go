@@ -209,7 +209,6 @@ func (l *Link) transmitNext() {
 type Sink struct {
 	Count uint64
 	Bytes uint64
-	Fn    func(now time.Duration, p *Packet)
 	Pool  *PacketPool
 }
 
@@ -217,9 +216,6 @@ type Sink struct {
 func (s *Sink) HandlePacket(now time.Duration, p *Packet) {
 	s.Count++
 	s.Bytes += uint64(p.Size)
-	if s.Fn != nil {
-		s.Fn(now, p)
-	}
 	if s.Pool != nil {
 		s.Pool.Release(p)
 	}

@@ -7,10 +7,21 @@ import (
 	"pbecc/internal/sim"
 )
 
+// observer counts deliveries like a Sink and hands each one to fn.
+type observer struct {
+	Sink
+	fn func(now time.Duration, p *Packet)
+}
+
+func (o *observer) HandlePacket(now time.Duration, p *Packet) {
+	o.Sink.HandlePacket(now, p)
+	o.fn(now, p)
+}
+
 func TestPureDelayLink(t *testing.T) {
 	eng := sim.New(1)
 	var at time.Duration
-	sink := &Sink{Fn: func(now time.Duration, p *Packet) { at = now }}
+	sink := &observer{fn: func(now time.Duration, p *Packet) { at = now }}
 	l := NewLink(eng, 0, 25*time.Millisecond, 0, sink)
 	l.Send(&Packet{Size: MSS})
 	eng.Run()
@@ -25,7 +36,7 @@ func TestPureDelayLink(t *testing.T) {
 func TestSerializationDelay(t *testing.T) {
 	eng := sim.New(1)
 	var times []time.Duration
-	sink := &Sink{Fn: func(now time.Duration, p *Packet) { times = append(times, now) }}
+	sink := &observer{fn: func(now time.Duration, p *Packet) { times = append(times, now) }}
 	// 12 Mbit/s: one 1500-byte packet takes exactly 1 ms to serialize.
 	l := NewLink(eng, 12e6, 0, 0, sink)
 	for i := 0; i < 3; i++ {
@@ -83,7 +94,7 @@ func TestQueueDrainsAfterBurst(t *testing.T) {
 func TestFIFOOrder(t *testing.T) {
 	eng := sim.New(1)
 	var seqs []uint64
-	sink := &Sink{Fn: func(now time.Duration, p *Packet) { seqs = append(seqs, p.Seq) }}
+	sink := &observer{fn: func(now time.Duration, p *Packet) { seqs = append(seqs, p.Seq) }}
 	l := NewLink(eng, 10e6, 5*time.Millisecond, 0, sink)
 	for i := 0; i < 20; i++ {
 		l.Send(&Packet{Seq: uint64(i), Size: MSS})
@@ -99,7 +110,7 @@ func TestFIFOOrder(t *testing.T) {
 func TestLinkChaining(t *testing.T) {
 	eng := sim.New(1)
 	var at time.Duration
-	sink := &Sink{Fn: func(now time.Duration, p *Packet) { at = now }}
+	sink := &observer{fn: func(now time.Duration, p *Packet) { at = now }}
 	l2 := NewLink(eng, 0, 10*time.Millisecond, 0, sink)
 	l1 := NewLink(eng, 12e6, 10*time.Millisecond, 0, l2)
 	l1.Send(&Packet{Size: MSS})

@@ -59,12 +59,11 @@ type MediaInfo struct {
 }
 
 // AckInfo is the acknowledgement payload: which data packet is being
-// acknowledged, when it arrived, and the PBE-CC feedback fields (§5: the
-// capacity is described as an interval between 1500-byte packets; here it
-// is carried in bits per second, plus the one-bit bottleneck state).
+// acknowledged and the PBE-CC feedback fields (§5: the capacity is
+// described as an interval between 1500-byte packets; here it is carried
+// in bits per second, plus the one-bit bottleneck state).
 type AckInfo struct {
-	AckSeq     uint64        // sequence of the data packet being acked
-	ReceivedAt time.Duration // when the receiver got the data packet
+	AckSeq uint64 // sequence of the data packet being acked
 
 	// PBE-CC feedback (zero for other schemes).
 	FeedbackRate       float64 // target transport-layer rate, bits/sec; 0 = none

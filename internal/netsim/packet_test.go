@@ -15,7 +15,7 @@ func TestMediaMetadataSurvivesLinkChain(t *testing.T) {
 	eng := sim.New(1)
 	var got *Packet
 	var at time.Duration
-	sink := &Sink{Fn: func(now time.Duration, p *Packet) { got, at = p, now }}
+	sink := &observer{fn: func(now time.Duration, p *Packet) { got, at = p, now }}
 	last := NewLink(eng, 0, 5*time.Millisecond, 0, sink)
 	mid := NewLink(eng, 12e6, 2*time.Millisecond, 64*1500, last)
 	first := NewLink(eng, 0, 3*time.Millisecond, 0, mid)
@@ -66,15 +66,12 @@ func TestPaddingFlagAndMediaPredicate(t *testing.T) {
 func TestAckInfoSurvivesReversePath(t *testing.T) {
 	eng := sim.New(1)
 	var got *Packet
-	sink := &Sink{Fn: func(now time.Duration, p *Packet) { got = p }}
+	sink := &observer{fn: func(now time.Duration, p *Packet) { got = p }}
 	back := NewLink(eng, 0, 10*time.Millisecond, 0, sink)
 
 	ack := &Packet{
 		FlowID: 3, Seq: 5, Size: 60, IsAck: true,
-		Ack: AckInfo{
-			AckSeq: 5, ReceivedAt: 9 * time.Millisecond,
-			FeedbackRate: 42e6, InternetBottleneck: true,
-		},
+		Ack: AckInfo{AckSeq: 5, FeedbackRate: 42e6, InternetBottleneck: true},
 	}
 	back.Send(ack)
 	eng.RunUntil(time.Second)

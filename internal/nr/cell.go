@@ -1,7 +1,7 @@
 // Package nr configures the shared RAN scheduler core (package ran) as a
 // 5G New Radio carrier: flexible numerology (subcarrier spacing 15 kHz *
 // 2^µ, so slots of 1/0.5/0.25/0.125 ms), wide sub-6 and mmWave carriers,
-// 256-QAM by default, the TS 38.214 RBG sizes, PRB-granular control
+// 256-QAM, the TS 38.214 RBG sizes, PRB-granular control
 // grants, and code-block-group HARQ. It adds what only NR has: the mmWave
 // blockage profile and an EN-DC dual-connectivity UE that aggregates an
 // LTE anchor with an NR secondary cell (the non-standalone deployment the
@@ -47,58 +47,37 @@ const DefaultPerUserQueueBytes = 6_000_000
 // thresholds keep their meaning on NR cells despite the 16-PRB RBGs.
 const ControlGrantPRBs = 4
 
-// Config describes one NR carrier.
+// Config describes one NR carrier: 256-QAM, each user's downlink queue
+// capped at DefaultPerUserQueueBytes.
 type Config struct {
 	ID int
 	Mu int // numerology µ: 0..3 (slot = 1 ms / 2^µ)
 
-	// NPRB is the carrier width in PRBs. When zero it is derived from
-	// BandwidthMHz via the 3GPP transmission-bandwidth tables.
-	NPRB         int
+	// BandwidthMHz sets the carrier width in PRBs through the 3GPP
+	// transmission-bandwidth tables (phy.NRCarrierPRBs).
 	BandwidthMHz int
-
-	// Table selects the CQI table; zero means 256-QAM, the NR default.
-	Table phy.CQITable
 
 	// Control produces control-plane grants once per subframe (nil = quiet
 	// cell).
 	Control ran.ControlSource
-
-	// PerUserQueueBytes caps each user's downlink queue; zero selects
-	// DefaultPerUserQueueBytes, negative means unbounded.
-	PerUserQueueBytes int
 }
 
 // NewCell creates an NR cell from the config and starts its slot ticker on
-// the engine. It panics if the carrier width cannot be determined.
+// the engine. It panics if (Mu, BandwidthMHz) has no 3GPP carrier width.
 func NewCell(eng *sim.Engine, cfg Config) *Cell {
-	nprb := cfg.NPRB
+	nprb := phy.NRCarrierPRBs(cfg.Mu, cfg.BandwidthMHz)
 	if nprb == 0 {
-		nprb = phy.NRCarrierPRBs(cfg.Mu, cfg.BandwidthMHz)
-	}
-	if nprb <= 0 {
-		panic("nr: cell needs NPRB or a defined µ/bandwidth combination")
-	}
-	table := cfg.Table
-	if table == 0 {
-		table = phy.Table256QAM
-	}
-	queueBytes := cfg.PerUserQueueBytes
-	switch {
-	case queueBytes == 0:
-		queueBytes = DefaultPerUserQueueBytes
-	case queueBytes < 0:
-		queueBytes = 0
+		panic("nr: cell needs a defined µ/bandwidth combination")
 	}
 	return ran.NewCell(eng, ran.CellConfig{
-		ID: cfg.ID, NPRB: nprb, Table: table, Control: cfg.Control,
+		ID: cfg.ID, NPRB: nprb, Table: phy.Table256QAM, Control: cfg.Control,
 		SlotsPerSubframe: phy.NRSlotsPerSubframe(cfg.Mu),
 		RBGSize:          rbgSizeFor(nprb),
 		ControlGrantPRBs: ControlGrantPRBs,
 		RotateUsers:      true,
 		CBGBits:          CodeBlockBits,
 
-		PerUserQueueBytes: queueBytes,
+		PerUserQueueBytes: DefaultPerUserQueueBytes,
 	})
 }
 

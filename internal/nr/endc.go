@@ -18,9 +18,7 @@ import (
 type ENDC struct {
 	ran.FlowTable
 
-	eng  *sim.Engine
-	ID   int
-	RNTI uint16
+	eng *sim.Engine
 
 	anchor *ran.UE
 	nrLeg  *ran.UE
@@ -46,19 +44,18 @@ type ENDC struct {
 // NewENDC builds a dual-connectivity UE from an LTE anchor and one NR
 // secondary cell. The anchor must already be attached to its LTE cells;
 // the EN-DC UE takes over its flow routing (packets released by either leg
-// merge through the EN-DC flow table). The NR leg attaches immediately but
-// stays inactive until demand activates it.
-func NewENDC(eng *sim.Engine, id int, rnti uint16, anchor *ran.UE, nrCell *Cell, nrCh *phy.Channel) *ENDC {
+// merge through the EN-DC flow table). The NR leg, which shares the
+// anchor's ID and RNTI, attaches immediately but stays inactive until
+// demand activates it.
+func NewENDC(eng *sim.Engine, anchor *ran.UE, nrCell *Cell, nrCh *phy.Channel) *ENDC {
 	e := &ENDC{
 		FlowTable: ran.NewFlowTable(eng),
 		eng:       eng,
-		ID:        id,
-		RNTI:      rnti,
 		anchor:    anchor,
 		nrCell:    nrCell,
 		scg:       ran.NewActivation(),
 	}
-	e.nrLeg = NewUE(eng, id, rnti)
+	e.nrLeg = NewUE(eng, anchor.ID, anchor.RNTI)
 	e.nrLeg.AddCell(nrCell, nrCh)
 	merge := netsim.HandlerFunc(e.Route)
 	anchor.SetDefaultHandler(merge)

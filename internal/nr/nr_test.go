@@ -203,7 +203,7 @@ func TestENDCActivatesAndAggregates(t *testing.T) {
 	anchor := lte.NewUE(eng, 1, 61)
 	anchor.AddCell(anchorCell, phy.NewStaticChannel(-90, phy.Table64QAM, nil))
 	anchor.SetCarrierAggregation(false)
-	endc := NewENDC(eng, 1, 61, anchor, nrCell, phy.NewStaticChannel(-90, nrCell.Table, nil))
+	endc := NewENDC(eng, anchor, nrCell, phy.NewStaticChannel(-90, nrCell.Table, nil))
 	sink := &netsim.Sink{}
 	endc.SetDefaultHandler(sink)
 	endc.Start()
@@ -239,7 +239,7 @@ func TestENDCDeactivates(t *testing.T) {
 	anchor := lte.NewUE(eng, 1, 61)
 	anchor.AddCell(anchorCell, phy.NewStaticChannel(-90, phy.Table64QAM, nil))
 	anchor.SetCarrierAggregation(false)
-	endc := NewENDC(eng, 1, 61, anchor, nrCell, phy.NewStaticChannel(-90, nrCell.Table, nil))
+	endc := NewENDC(eng, anchor, nrCell, phy.NewStaticChannel(-90, nrCell.Table, nil))
 	endc.SetDefaultHandler(&netsim.Sink{})
 	endc.Start()
 

@@ -222,19 +222,21 @@ type Decoded struct {
 type Decoder struct {
 	// Sigma is the assumed noise level for LLR scaling (0 = noiseless).
 	Sigma float64
-	// MinRedundancyBits skips (location, size) hypotheses whose coded
-	// length exceeds the block length by less than this, since such
-	// near-uncoded candidates validate on noise.
-	MinRedundancyBits int
-	// MinEnergy skips candidates whose mean symbol energy is below this
-	// threshold (unoccupied CCEs in a synthesized region are silent).
-	MinEnergy float64
 }
 
-// NewDecoder returns a decoder with validation thresholds suited to the
-// given channel noise sigma.
+const (
+	// minRedundancyBits skips (location, size) hypotheses whose coded
+	// length exceeds the block length by less than this, since such
+	// near-uncoded candidates validate on noise.
+	minRedundancyBits = 64
+	// minEnergy skips candidates whose mean symbol energy is below this
+	// threshold (unoccupied CCEs in a synthesized region are silent).
+	minEnergy = 0.1
+)
+
+// NewDecoder returns a decoder for the given channel noise sigma.
 func NewDecoder(sigma float64) *Decoder {
-	return &Decoder{Sigma: sigma, MinRedundancyBits: 64, MinEnergy: 0.1}
+	return &Decoder{Sigma: sigma}
 }
 
 // acceptThreshold returns the maximum acceptable re-encode mismatch
@@ -265,7 +267,7 @@ func (dec *Decoder) Decode(r *Region) []Decoded {
 	var results []Decoded
 	for _, c := range AllCandidateStarts(r.NCCE) {
 		syms := r.Symbols[c.FirstCCE*SymbolsPerCCE : (c.FirstCCE+c.Level)*SymbolsPerCCE]
-		if symbolEnergy(syms) < dec.MinEnergy {
+		if symbolEnergy(syms) < minEnergy {
 			continue
 		}
 		llr := demodulateQPSK(syms, dec.Sigma)
@@ -281,7 +283,7 @@ func (dec *Decoder) Decode(r *Region) []Decoded {
 // tryCandidate attempts one (location, payload size) hypothesis.
 func (dec *Decoder) tryCandidate(llr []float64, payloadBits int, c Candidate, bw Bandwidth) (Decoded, bool) {
 	blockBits := payloadBits + 16
-	if c.Level*BitsPerCCE-blockBits < dec.MinRedundancyBits {
+	if c.Level*BitsPerCCE-blockBits < minRedundancyBits {
 		return Decoded{}, false
 	}
 	coded := deRateMatch(llr, blockBits)

@@ -49,7 +49,7 @@ func TestUnrouteablePacketReleased(t *testing.T) {
 			anchor := lte.NewUE(eng, 1, 61)
 			anchor.AddCell(lte.NewCell(eng, 1, 100, phy.Table64QAM, nil), phy.NewStaticChannel(-85, phy.Table64QAM, nil))
 			cell := nr.NewCell(eng, nr.Config{ID: 101, Mu: 1, BandwidthMHz: 100})
-			return nr.NewENDC(eng, 1, 61, anchor, cell, phy.NewStaticChannel(-85, cell.Table, nil))
+			return nr.NewENDC(eng, anchor, cell, phy.NewStaticChannel(-85, cell.Table, nil))
 		}},
 	}
 	for _, d := range devices {

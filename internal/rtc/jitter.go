@@ -58,8 +58,7 @@ func (fs *FrameStats) LatePct() float64 {
 // frames are abandoned and playout resumes — mirroring how a video
 // decoder must wait for, then give up on, missing references.
 type JitterBuffer struct {
-	eng  *sim.Engine
-	spec MediaSpec
+	eng *sim.Engine
 
 	next    uint64 // next frame seq to release
 	started bool
@@ -86,8 +85,8 @@ type pendingFrame struct {
 }
 
 // NewJitterBuffer returns a buffer for one media flow.
-func NewJitterBuffer(eng *sim.Engine, spec MediaSpec) *JitterBuffer {
-	return &JitterBuffer{eng: eng, spec: spec.withDefaults(), pending: map[uint64]*pendingFrame{}}
+func NewJitterBuffer(eng *sim.Engine) *JitterBuffer {
+	return &JitterBuffer{eng: eng, pending: map[uint64]*pendingFrame{}}
 }
 
 // Stats exposes the accumulated frame metrics.
@@ -186,12 +185,12 @@ func (jb *JitterBuffer) release(now time.Duration, pf *pendingFrame) {
 	delay := now - pf.frame.CapturedAt
 	jb.stats.Released++
 	jb.stats.Delay.AddDuration(delay)
-	if delay > jb.spec.Deadline {
+	if delay > deadline {
 		jb.stats.PastDeadline++
 	}
 	jb.delayTrack.Sample(now, float64(delay.Microseconds())/1000)
 	if jb.stats.Released > 1 {
-		if gap, allowed := now-jb.lastRelease, 3*jb.spec.FrameInterval()/2; gap > allowed {
+		if gap, allowed := now-jb.lastRelease, 3*frameInterval/2; gap > allowed {
 			jb.stats.FreezeTime += gap - allowed
 			jb.freezeTrack.Sample(now, float64((gap-allowed).Microseconds())/1000)
 		}

@@ -18,7 +18,7 @@ func TestJitterBufferNeverReleasesOutOfOrder(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		eng := sim.New(int64(trial))
-		jb := NewJitterBuffer(eng, MediaSpec{})
+		jb := NewJitterBuffer(eng)
 
 		var released []Frame
 		jb.OnFrame = func(f Frame, delay time.Duration) { released = append(released, f) }
@@ -90,7 +90,7 @@ func TestJitterBufferNeverReleasesOutOfOrder(t *testing.T) {
 // cannot complete a frame that is still missing data.
 func TestJitterBufferDuplicatesDoNotInflate(t *testing.T) {
 	eng := sim.New(1)
-	jb := NewJitterBuffer(eng, MediaSpec{})
+	jb := NewJitterBuffer(eng)
 	var released int
 	jb.OnFrame = func(f Frame, delay time.Duration) { released++ }
 

@@ -26,82 +26,50 @@ type Frame struct {
 	CapturedAt time.Duration
 }
 
-// DefaultLadder is the simulcast rate ladder in bits per second, a
-// conventional WebRTC-style spread from audio-grade video to full HD.
+// DefaultLadder is the ascending encoder rate ladder in bits per second, a
+// conventional WebRTC-style spread from audio-grade video to full HD. The
+// adaptive encoder moves along it; a simulcast encoder produces every rung.
 var DefaultLadder = []float64{300e3, 1e6, 2.5e6, 5e6, 8e6}
 
-// MediaSpec describes one media stream. The zero value of every field
-// selects the default noted on it.
+// Every media stream shares one shape: an interactive-grade call.
+const (
+	fps = 30 // frames per second
+	gop = 30 // frames per group-of-pictures: one keyframe per second
+
+	// keyframeBoost is the keyframe size relative to the GoP's average
+	// frame. Delta frames shrink so the GoP hits the target rate on
+	// average.
+	keyframeBoost = 4
+
+	// headroom is the fraction of the transport's offered rate the
+	// encoder (or the SFU's layer selector) dares to use.
+	headroom = 0.85
+
+	// deadline is the per-frame play deadline measured from capture; a
+	// frame released later counts as past-deadline.
+	deadline = 200 * time.Millisecond
+
+	// maxQueueDelay bounds how long a frame may wait in the sender queue
+	// before the pacer drops it instead of building latency.
+	maxQueueDelay = 400 * time.Millisecond
+
+	// frameInterval is the capture period.
+	frameInterval = time.Second / fps
+)
+
+// MediaSpec describes one media stream.
 type MediaSpec struct {
-	FPS int // frames per second (default 30)
-	GoP int // frames per group-of-pictures (default 30: one keyframe/s)
-
-	// Ladder is the ascending encoder rate ladder in bits/sec (default
-	// DefaultLadder). The adaptive encoder moves along it; a simulcast
-	// encoder produces every rung.
-	Ladder []float64
-
-	// KeyframeBoost is the keyframe size relative to the GoP's average
-	// frame (default 4). Delta frames shrink so the GoP hits the target
-	// rate on average.
-	KeyframeBoost float64
-
-	// Headroom is the fraction of the transport's offered rate the
-	// encoder (or the SFU's layer selector) dares to use (default 0.85).
-	Headroom float64
-
-	// Deadline is the per-frame play deadline measured from capture; a
-	// frame released later counts as past-deadline (default 200 ms,
-	// interactive-grade).
-	Deadline time.Duration
-
-	// MaxQueueDelay bounds how long a frame may wait in the sender queue
-	// before the pacer drops it instead of building latency (default
-	// 400 ms).
-	MaxQueueDelay time.Duration
-
 	// Simulcast makes the encoder produce every ladder rung each tick
 	// (the SFU ingest configuration) instead of adapting a single stream.
 	Simulcast bool
 }
 
-// withDefaults fills the zero fields.
-func (m MediaSpec) withDefaults() MediaSpec {
-	if m.FPS == 0 {
-		m.FPS = 30
-	}
-	if m.GoP == 0 {
-		m.GoP = 30
-	}
-	if len(m.Ladder) == 0 {
-		m.Ladder = DefaultLadder
-	}
-	if m.KeyframeBoost == 0 {
-		m.KeyframeBoost = 4
-	}
-	if m.Headroom == 0 {
-		m.Headroom = 0.85
-	}
-	if m.Deadline == 0 {
-		m.Deadline = 200 * time.Millisecond
-	}
-	if m.MaxQueueDelay == 0 {
-		m.MaxQueueDelay = 400 * time.Millisecond
-	}
-	return m
-}
-
-// FrameInterval is the capture period.
-func (m MediaSpec) FrameInterval() time.Duration {
-	return time.Second / time.Duration(m.FPS)
-}
-
-// LayerFor returns the highest ladder index whose rate fits within
+// layerFor returns the highest ladder index whose rate fits within
 // headroom times the available rate (the lowest rung when nothing fits).
-func (m MediaSpec) LayerFor(availableBps float64) int {
+func layerFor(availableBps float64) int {
 	layer := 0
-	for i, r := range m.Ladder {
-		if r <= m.Headroom*availableBps {
+	for i, r := range DefaultLadder {
+		if r <= headroom*availableBps {
 			layer = i
 		}
 	}
@@ -133,11 +101,8 @@ type Encoder struct {
 // NewEncoder returns a stopped encoder delivering frames to sink; call
 // Start.
 func NewEncoder(eng *sim.Engine, spec MediaSpec, sink func(Frame)) *Encoder {
-	return &Encoder{eng: eng, spec: spec.withDefaults(), sink: sink}
+	return &Encoder{eng: eng, spec: spec, sink: sink}
 }
-
-// Spec returns the encoder's resolved (defaulted) spec.
-func (e *Encoder) Spec() MediaSpec { return e.spec }
 
 // Layer returns the current adaptive layer.
 func (e *Encoder) Layer() int { return e.layer }
@@ -148,7 +113,7 @@ func (e *Encoder) Start() {
 		return
 	}
 	e.tick()
-	e.ticker = e.eng.Every(e.spec.FrameInterval(), e.tick)
+	e.ticker = e.eng.Every(frameInterval, e.tick)
 }
 
 // Stop halts the encoder; it can be restarted.
@@ -165,19 +130,19 @@ func (e *Encoder) tick() {
 	e.seq++
 	if e.spec.Simulcast {
 		key := e.gopIdx == 0
-		for layer := range e.spec.Ladder {
+		for layer := range DefaultLadder {
 			e.emit(now, seq, layer, key)
 		}
 		e.advanceGoP()
 		return
 	}
 	if e.Available != nil {
-		if want := e.spec.LayerFor(e.Available()); want != e.layer {
+		if want := layerFor(e.Available()); want != e.layer {
 			e.layer = want
 			e.gopIdx = 0 // layer switch requires a fresh keyframe
 		}
 	} else {
-		e.layer = len(e.spec.Ladder) - 1
+		e.layer = len(DefaultLadder) - 1
 	}
 	e.emit(now, seq, e.layer, e.gopIdx == 0)
 	e.advanceGoP()
@@ -185,22 +150,21 @@ func (e *Encoder) tick() {
 
 func (e *Encoder) advanceGoP() {
 	e.gopIdx++
-	if e.gopIdx >= e.spec.GoP {
+	if e.gopIdx >= gop {
 		e.gopIdx = 0
 	}
 }
 
 // emit produces one frame at the layer's ladder rate: the keyframe gets
-// KeyframeBoost times the GoP-average size, delta frames shrink to keep
+// keyframeBoost times the GoP-average size, delta frames shrink to keep
 // the long-run rate on target.
 func (e *Encoder) emit(now time.Duration, seq uint64, layer int, key bool) {
-	avg := e.spec.Ladder[layer] / float64(e.spec.FPS) / 8 // bytes/frame
+	avg := DefaultLadder[layer] / fps / 8 // bytes/frame
 	var bytes float64
 	if key {
-		bytes = e.spec.KeyframeBoost * avg
+		bytes = keyframeBoost * avg
 	} else {
-		g, b := float64(e.spec.GoP), e.spec.KeyframeBoost
-		bytes = avg * (g - b) / (g - 1)
+		bytes = avg * (gop - keyframeBoost) / (gop - 1)
 	}
 	if bytes < 1 {
 		bytes = 1

@@ -33,14 +33,13 @@ type Receiver struct {
 
 // NewReceiver wires a media receiver whose ACKs travel through ackPath.
 func NewReceiver(eng *sim.Engine, flowID int, ackPath netsim.Handler, spec MediaSpec) *Receiver {
-	spec = spec.withDefaults()
 	r := &Receiver{tr: cc.NewReceiver(eng, flowID, ackPath)}
 	buffers := 1
 	if spec.Simulcast {
-		buffers = len(spec.Ladder)
+		buffers = len(DefaultLadder)
 	}
 	for i := 0; i < buffers; i++ {
-		jb := NewJitterBuffer(eng, spec)
+		jb := NewJitterBuffer(eng)
 		jb.OnFrame = func(f Frame, delay time.Duration) {
 			if r.OnFrame != nil {
 				r.OnFrame(f, delay)

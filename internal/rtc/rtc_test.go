@@ -14,7 +14,7 @@ import (
 func TestEncoderGoPStructureAndRate(t *testing.T) {
 	eng := sim.New(1)
 	var frames []Frame
-	enc := NewEncoder(eng, MediaSpec{FPS: 30, GoP: 30}, func(f Frame) { frames = append(frames, f) })
+	enc := NewEncoder(eng, MediaSpec{}, func(f Frame) { frames = append(frames, f) })
 	enc.Available = func() float64 { return 8e6 } // top rung at default headroom? 8e6*0.85=6.8M -> layer 5e6
 	enc.Start()
 	eng.RunUntil(2 * time.Second)
@@ -102,7 +102,7 @@ func TestSenderShedsStaleFrames(t *testing.T) {
 	if uint64(shed) != snd.FramesDropped {
 		t.Fatalf("rtc.shed series counts %d sheds, sender dropped %d frames", shed, snd.FramesDropped)
 	}
-	// The queue must stay near the MaxQueueDelay bound, not grow without
+	// The queue must stay near the maxQueueDelay bound, not grow without
 	// limit: at 2.5 Mbit/s in and 0.1 Mbit/s out, an unbounded queue
 	// would hold dozens of frames.
 	if q := len(snd.queue); q > 16 {
@@ -122,7 +122,7 @@ func (c *fixedRateController) CWND() int                                        
 
 func TestJitterBufferReassemblyAndOrder(t *testing.T) {
 	eng := sim.New(1)
-	jb := NewJitterBuffer(eng, MediaSpec{})
+	jb := NewJitterBuffer(eng)
 	var released []uint64
 	jb.OnFrame = func(f Frame, delay time.Duration) { released = append(released, f.Seq) }
 
@@ -145,7 +145,7 @@ func TestJitterBufferReassemblyAndOrder(t *testing.T) {
 
 func TestJitterBufferSkipsLostFrame(t *testing.T) {
 	eng := sim.New(1)
-	jb := NewJitterBuffer(eng, MediaSpec{})
+	jb := NewJitterBuffer(eng)
 	var released []uint64
 	jb.OnFrame = func(f Frame, delay time.Duration) { released = append(released, f.Seq) }
 
@@ -286,7 +286,7 @@ func TestStreamPlayer(t *testing.T) {
 // packets and releasing frames allocates nothing.
 func TestJitterBufferAddAllocatesNothing(t *testing.T) {
 	eng := sim.New(1)
-	jb := NewJitterBuffer(eng, MediaSpec{})
+	jb := NewJitterBuffer(eng)
 	p := &netsim.Packet{Size: 1000, Media: netsim.MediaInfo{FrameBytes: 2000}}
 	var seq uint64
 	frame := func() {

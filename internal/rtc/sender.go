@@ -17,14 +17,14 @@ var (
 )
 
 // Frame-shed series (40 ms windows; tid = flow ID): one sample per frame
-// shed past MaxQueueDelay, so a window's Count is its shed volume.
+// shed past maxQueueDelay, so a window's Count is its shed volume.
 var seriesShed = obs.Series("rtc.shed")
 
 // Sender is the media transport: it packetizes queued frames into
 // MSS-sized packets carrying frame metadata and ships them through a
 // cc.Sender, so pacing, windowing, RTT estimation and loss detection are
 // exactly the bulk transport's — only the payload source differs. Frames
-// that have waited past MaxQueueDelay since capture are dropped — even
+// that have waited past maxQueueDelay since capture are dropped — even
 // mid-transmission — because an RTC sender sheds load instead of
 // building latency and a past-deadline frame is useless to the decoder.
 // When the frame queue is empty the pacer emits padding packets at the
@@ -34,7 +34,6 @@ var seriesShed = obs.Series("rtc.shed")
 // could never earn a higher simulcast layer.
 type Sender struct {
 	eng  *sim.Engine
-	spec MediaSpec
 	snd  *cc.Sender
 	pool *netsim.PacketPool
 
@@ -46,7 +45,7 @@ type Sender struct {
 	// when the run records no series; Sample on nil is one branch).
 	sShed *obs.SeriesTrack
 
-	// FramesDropped counts frames shed in-queue past MaxQueueDelay.
+	// FramesDropped counts frames shed in-queue past maxQueueDelay.
 	FramesDropped uint64
 }
 
@@ -57,9 +56,11 @@ type queuedFrame struct {
 }
 
 // NewSender wires a media sender for flowID transmitting into out under
-// ctrl. Call Start, then QueueFrame (typically as an Encoder's sink).
-func NewSender(eng *sim.Engine, flowID int, out netsim.Handler, ctrl cc.Controller, spec MediaSpec) *Sender {
-	s := &Sender{eng: eng, spec: spec.withDefaults(), pool: netsim.PoolOf(eng)}
+// ctrl. Call Start, then QueueFrame (typically as an Encoder's sink). The
+// sender ships whatever frames it is handed, so it reads nothing of the
+// stream's spec.
+func NewSender(eng *sim.Engine, flowID int, out netsim.Handler, ctrl cc.Controller, _ MediaSpec) *Sender {
+	s := &Sender{eng: eng, pool: netsim.PoolOf(eng)}
 	s.snd = cc.NewSender(eng, flowID, out, ctrl)
 	s.snd.Source = s.next
 	s.snd.AppLimited = true
@@ -130,12 +131,12 @@ func (s *Sender) QueueFrame(f Frame) {
 }
 
 // next implements the cc.Sender source: the pacer pulls the next packet,
-// shedding frames that have already waited past MaxQueueDelay and
+// shedding frames that have already waited past maxQueueDelay and
 // falling back to padding when no frame is queued.
 func (s *Sender) next(now time.Duration) *netsim.Packet {
 	for len(s.queue) > 0 {
 		head := s.queue[0]
-		if now-head.frame.CapturedAt > s.spec.MaxQueueDelay {
+		if now-head.frame.CapturedAt > maxQueueDelay {
 			s.FramesDropped++
 			mFramesShed.Inc()
 			s.sShed.Sample(now, 1)

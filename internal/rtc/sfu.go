@@ -33,7 +33,6 @@ type SFU struct {
 // Subscriber is one fan-out leg: a media sender paced by its own
 // controller, plus the layer-selection state.
 type Subscriber struct {
-	ID   int
 	Send *Sender
 
 	layer  int // layer currently forwarded
@@ -43,13 +42,13 @@ type Subscriber struct {
 // Layer returns the layer currently forwarded to this subscriber.
 func (s *Subscriber) Layer() int { return s.layer }
 
-// NewSFU returns a relay for an ingest stream described by spec (the
-// ladder defines the selectable layers).
+// NewSFU returns a relay for an ingest stream described by spec; every
+// rung of DefaultLadder is a selectable layer.
 func NewSFU(eng *sim.Engine, spec MediaSpec) *SFU {
-	return &SFU{eng: eng, spec: spec.withDefaults()}
+	return &SFU{eng: eng, spec: spec}
 }
 
-// Spec returns the resolved ingest media spec.
+// Spec returns the ingest media spec.
 func (s *SFU) Spec() MediaSpec { return s.spec }
 
 // LegSpec returns the spec a subscriber leg uses: the ingest spec minus
@@ -64,10 +63,7 @@ func (s *SFU) LegSpec() MediaSpec {
 // subscribers start on the lowest layer and climb as their controller
 // finds rate.
 func (s *SFU) AddSubscriber(flowID int, out netsim.Handler, ctrl cc.Controller) *Subscriber {
-	sub := &Subscriber{
-		ID:   flowID,
-		Send: NewSender(s.eng, flowID, out, ctrl, s.spec),
-	}
+	sub := &Subscriber{Send: NewSender(s.eng, flowID, out, ctrl, s.spec)}
 	s.subs = append(s.subs, sub)
 	return sub
 }
@@ -97,7 +93,7 @@ func (s *SFU) Stop() {
 // keyframe and that no capture seq is ever forwarded twice.
 func (s *SFU) OnFrame(f Frame) {
 	for _, sub := range s.subs {
-		sub.target = s.spec.LayerFor(sub.Send.AvailableRate())
+		sub.target = layerFor(sub.Send.AvailableRate())
 		if sub.target != sub.layer {
 			if f.Keyframe {
 				sub.layer = sub.target

@@ -26,10 +26,12 @@ type Bench struct {
 // benchLine matches "BenchmarkName-8   123456   95.3 ns/op [...]". The
 // -N GOMAXPROCS suffix is stripped from the name so results stay
 // comparable across differently-sized machines.
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+(.*)$`)
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d.*)$`)
 
 // ParseBench reads `go test -bench -benchmem` output and returns the
 // benchmarks it found, keyed by name (without the GOMAXPROCS suffix).
+// The iteration count may be left out, as in the committed baseline,
+// which keeps only the B/op and allocs/op columns.
 // Non-benchmark lines (PASS, ok, goos, log noise) are ignored. A
 // benchmark line without the B/op and allocs/op columns is an error: it
 // would otherwise pass the gate unmeasured. So is a duplicate name - two
@@ -48,6 +50,9 @@ func ParseBench(r io.Reader) (map[string]Bench, error) {
 			return nil, fmt.Errorf("duplicate benchmark %s (ran with -count > 1?)", b.Name)
 		}
 		fields := strings.Fields(m[2])
+		if len(fields)%2 == 1 {
+			fields = fields[1:] // the iteration count; the rest are value-unit pairs
+		}
 		for i := 0; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
@@ -86,26 +91,19 @@ type Delta struct {
 }
 
 // DiffBench compares two parsed benchmark sets and returns a B/op and an
-// allocs/op Delta per benchmark present in both, in name order.
-// Benchmarks on only one side are an error unless allowMissing is set,
-// which tolerates them - the mode used when comparing against an older
-// base ref that predates a new benchmark.
-func DiffBench(base, cur map[string]Bench, allowMissing bool) ([]Delta, error) {
+// allocs/op Delta per benchmark, in name order. A benchmark on only one
+// side is an error: it would otherwise leave the gate unmeasured.
+func DiffBench(base, cur map[string]Bench) ([]Delta, error) {
 	names := make([]string, 0, len(cur))
 	for name := range cur {
 		if _, ok := base[name]; !ok {
-			if allowMissing {
-				continue
-			}
 			return nil, fmt.Errorf("benchmark %s missing from baseline (regenerate it)", name)
 		}
 		names = append(names, name)
 	}
-	if !allowMissing {
-		for name := range base {
-			if _, ok := cur[name]; !ok {
-				return nil, fmt.Errorf("benchmark %s missing from current run", name)
-			}
+	for name := range base {
+		if _, ok := cur[name]; !ok {
+			return nil, fmt.Errorf("benchmark %s missing from current run", name)
 		}
 	}
 	sort.Strings(names)

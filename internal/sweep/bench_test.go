@@ -42,6 +42,16 @@ func TestParseBench(t *testing.T) {
 	}
 }
 
+func TestParseBenchWithoutIterations(t *testing.T) {
+	b, err := ParseBench(strings.NewReader("BenchmarkMetro1Shard  48.56 measured-Mbit/s  2048 B/op  16 allocs/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := b["BenchmarkMetro1Shard"]; m.BytesPerOp != 2048 || m.AllocsPerOp != 16 {
+		t.Fatalf("Metro1Shard = %+v", m)
+	}
+}
+
 func TestParseBenchErrors(t *testing.T) {
 	cases := map[string]string{
 		"no benchmarks": "goos: linux\nPASS\n",
@@ -65,7 +75,7 @@ func TestDiffBenchAndGate(t *testing.T) {
 	cur := map[string]Bench{
 		"BenchmarkA": {Name: "BenchmarkA", BytesPerOp: 1000, AllocsPerOp: 12},
 	}
-	deltas, err := DiffBench(base, cur, false)
+	deltas, err := DiffBench(base, cur)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,15 +98,7 @@ func TestDiffBenchMissing(t *testing.T) {
 		"BenchmarkA": {Name: "BenchmarkA", BytesPerOp: 64, AllocsPerOp: 1},
 		"BenchmarkB": {Name: "BenchmarkB", BytesPerOp: 32, AllocsPerOp: 1},
 	}
-	if _, err := DiffBench(base, cur, false); err == nil {
-		t.Fatal("one-sided benchmark accepted without -allow-missing")
-	}
-	deltas, err := DiffBench(base, cur, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Only the common benchmark contributes.
-	if len(deltas) != 2 || deltas[0].Group != "BenchmarkA" || deltas[1].Group != "BenchmarkA" {
-		t.Fatalf("allow-missing deltas = %+v, want BenchmarkA's B/op and allocs/op", deltas)
+	if _, err := DiffBench(base, cur); err == nil {
+		t.Fatal("benchmark missing from the baseline accepted")
 	}
 }
