@@ -83,9 +83,10 @@ func main() {
 func listAxes() {
 	fmt.Println("scenario families (spec \"experiments\"):")
 	for _, f := range harness.Families() {
-		fmt.Printf("  %-12s %s (rats: %v)\n", f.ID, f.Title, f.RATs)
+		fmt.Printf("  %-12s %s\n", f.ID, f.Title)
 	}
 	fmt.Printf("schemes: %v\n", harness.Schemes)
+	fmt.Printf("rats (every family): %v\n", []string{harness.RATLTE, harness.RATNR})
 	fmt.Println("other axes: seeds, rats, cell_counts, noise_levels, busy, duration_ms, fluid")
 	fmt.Printf("fault axes (spec \"fault_axes\" + \"fault_levels\", see -scorecard): %v\n", faults.Axes())
 	fmt.Println("built-in specs (-spec <name>; job counts include the fault-axis expansion):")

@@ -15,7 +15,7 @@ import (
 
 func scenario(scheme string) *harness.Scenario {
 	return &harness.Scenario{
-		Name: "competition-" + scheme, Seed: 18, Duration: 16 * time.Second,
+		Seed: 18, Duration: 16 * time.Second,
 		Cells: []harness.CellSpec{{ID: 1, NPRB: 100, Control: trace.Idle()}},
 		UEs: []harness.UESpec{
 			{ID: 1, RNTI: 61, CellIDs: []int{1}, RSSI: -90},

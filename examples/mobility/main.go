@@ -15,7 +15,7 @@ import (
 
 func scenario(scheme string) *harness.Scenario {
 	return &harness.Scenario{
-		Name: "mobility-" + scheme, Seed: 16, Duration: 40 * time.Second,
+		Seed: 16, Duration: 40 * time.Second,
 		Cells: []harness.CellSpec{{ID: 1, NPRB: 100, Control: trace.Idle()}},
 		UEs: []harness.UESpec{{
 			ID: 1, RNTI: 61, CellIDs: []int{1},

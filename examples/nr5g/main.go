@@ -44,7 +44,7 @@ func blockage() {
 	fmt.Println("2. mmWave blockage: µ=3, 100 MHz, 35 dB blockage at t=1.5..2.5s")
 	for _, scheme := range []string{"pbe", "cubic"} {
 		sc := &harness.Scenario{
-			Name: "nr5g-blockage-" + scheme, Seed: 42, Duration: 4 * time.Second,
+			Seed: 42, Duration: 4 * time.Second,
 			NRCells: []harness.NRCellSpec{{ID: 101, Mu: 3, BandwidthMHz: 100,
 				Control: trace.Idle()}},
 			UEs: []harness.UESpec{{ID: 1, RNTI: 61, NRCellIDs: []int{101},
@@ -63,7 +63,7 @@ func blockage() {
 func dualConnectivity() {
 	fmt.Println("3. EN-DC: 20 MHz LTE anchor + µ=1 100 MHz NR secondary")
 	sc := &harness.Scenario{
-		Name: "nr5g-endc", Seed: 7, Duration: 4 * time.Second,
+		Seed: 7, Duration: 4 * time.Second,
 		Cells:   []harness.CellSpec{{ID: 1, NPRB: 100, Control: trace.Idle()}},
 		NRCells: []harness.NRCellSpec{{ID: 101, Mu: 1, BandwidthMHz: 100, Control: trace.Idle()}},
 		UEs: []harness.UESpec{{ID: 1, RNTI: 61, CellIDs: []int{1},

@@ -12,7 +12,6 @@ import (
 
 func main() {
 	sc := &harness.Scenario{
-		Name:     "quickstart",
 		Seed:     1,
 		Duration: 8 * time.Second,
 		// One 20 MHz cell (100 PRBs).

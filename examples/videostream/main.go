@@ -20,7 +20,7 @@ const videoMbps = 25.0
 
 func scenario(scheme string) *harness.Scenario {
 	return &harness.Scenario{
-		Name: "video-" + scheme, Seed: 33, Duration: 40 * time.Second,
+		Seed: 33, Duration: 40 * time.Second,
 		Cells: []harness.CellSpec{{ID: 1, NPRB: 50, Control: trace.Idle()}},
 		UEs: []harness.UESpec{{
 			ID: 1, RNTI: 61, CellIDs: []int{1},

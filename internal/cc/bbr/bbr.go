@@ -96,14 +96,11 @@ func New() *BBR {
 	return b
 }
 
-// Name implements cc.Controller.
-func (b *BBR) Name() string { return "bbr" }
-
 // RTprop returns the current propagation-delay estimate.
 func (b *BBR) RTprop() time.Duration { return time.Duration(b.rtProp.Get()) }
 
 // OnSent implements cc.Controller.
-func (b *BBR) OnSent(now time.Duration, seq uint64, bytes, inflight int) {
+func (b *BBR) OnSent(now time.Duration, seq uint64, inflight int) {
 	b.inflight = inflight
 }
 

@@ -116,9 +116,8 @@ type probeWrap struct {
 	probe func()
 }
 
-func (w *probeWrap) Name() string { return w.b.Name() }
-func (w *probeWrap) OnSent(now time.Duration, seq uint64, bytes, inflight int) {
-	w.b.OnSent(now, seq, bytes, inflight)
+func (w *probeWrap) OnSent(now time.Duration, seq uint64, inflight int) {
+	w.b.OnSent(now, seq, inflight)
 }
 func (w *probeWrap) OnAck(s cc.AckSample) {
 	w.b.OnAck(s)
@@ -127,12 +126,6 @@ func (w *probeWrap) OnAck(s cc.AckSample) {
 func (w *probeWrap) OnLoss(l cc.LossSample) { w.b.OnLoss(l) }
 func (w *probeWrap) PacingRate() float64    { return w.b.PacingRate() }
 func (w *probeWrap) CWND() int              { return w.b.CWND() }
-
-func TestName(t *testing.T) {
-	if New().Name() != "bbr" {
-		t.Fatal("name")
-	}
-}
 
 func TestStateString(t *testing.T) {
 	names := map[State]string{Startup: "Startup", Drain: "Drain", ProbeBW: "ProbeBW", ProbeRTT: "ProbeRTT"}

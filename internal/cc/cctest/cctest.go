@@ -21,7 +21,6 @@ type Result struct {
 	P95OWDms       float64 // 95th-percentile one-way delay, ms
 	Lost           uint64
 	Received       uint64
-	Sender         *cc.Sender
 }
 
 // Run drives ctrl over a single bottleneck of rateBps with the given
@@ -55,6 +54,5 @@ func Run(seed int64, ctrl cc.Controller, rateBps float64, rtt time.Duration, que
 		P95OWDms:       delays.Percentile(95),
 		Lost:           snd.LostPackets,
 		Received:       rcv.Received,
-		Sender:         snd,
 	}
 }

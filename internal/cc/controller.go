@@ -43,10 +43,8 @@ type LossSample struct {
 // constraint (rate-based algorithms return a generous CWND, window-based
 // ones return 0 for an unpaced flow).
 type Controller interface {
-	// Name returns the scheme's short name (used in reports).
-	Name() string
 	// OnSent is called when a data packet enters the network.
-	OnSent(now time.Duration, seq uint64, bytes, inflightBytes int)
+	OnSent(now time.Duration, seq uint64, inflightBytes int)
 	// OnAck is called per acknowledgement.
 	OnAck(s AckSample)
 	// OnLoss is called per lost packet.

@@ -25,11 +25,10 @@ type Copa struct {
 	rttMin      cc.WindowedMin // over 10 s
 	rttStanding cc.WindowedMin // over srtt/2
 
-	velocity   float64
-	direction  int // +1 up, -1 down
-	dirSince   time.Duration
-	dirRTTs    int
-	lastUpdate time.Duration
+	velocity  float64
+	direction int // +1 up, -1 down
+	dirSince  time.Duration
+	dirRTTs   int
 
 	srtt time.Duration
 }
@@ -42,11 +41,8 @@ func New() *Copa {
 	return co
 }
 
-// Name implements cc.Controller.
-func (co *Copa) Name() string { return "copa" }
-
 // OnSent implements cc.Controller.
-func (co *Copa) OnSent(now time.Duration, seq uint64, bytes, inflight int) {}
+func (co *Copa) OnSent(now time.Duration, seq uint64, inflight int) {}
 
 // OnAck implements cc.Controller.
 func (co *Copa) OnAck(s cc.AckSample) {

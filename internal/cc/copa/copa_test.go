@@ -70,9 +70,3 @@ func TestWindowFloor(t *testing.T) {
 		t.Fatalf("window below floor: %v", co.cwnd)
 	}
 }
-
-func TestName(t *testing.T) {
-	if New().Name() != "copa" {
-		t.Fatal("name")
-	}
-}

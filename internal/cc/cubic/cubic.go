@@ -31,8 +31,6 @@ type Cubic struct {
 	highestSent    uint64
 	recoveryEndSeq uint64
 	inRecovery     bool
-
-	lastRTT time.Duration
 }
 
 // New returns a CUBIC controller.
@@ -43,15 +41,12 @@ func New() *Cubic {
 	}
 }
 
-// Name implements cc.Controller.
-func (cu *Cubic) Name() string { return "cubic" }
-
 // InSlowStart reports whether the window is below the slow-start
 // threshold.
 func (cu *Cubic) InSlowStart() bool { return cu.cwnd < cu.ssthresh }
 
 // OnSent implements cc.Controller.
-func (cu *Cubic) OnSent(now time.Duration, seq uint64, bytes, inflight int) {
+func (cu *Cubic) OnSent(now time.Duration, seq uint64, inflight int) {
 	if seq > cu.highestSent {
 		cu.highestSent = seq
 	}
@@ -59,7 +54,6 @@ func (cu *Cubic) OnSent(now time.Duration, seq uint64, bytes, inflight int) {
 
 // OnAck implements cc.Controller.
 func (cu *Cubic) OnAck(s cc.AckSample) {
-	cu.lastRTT = s.SRTT
 	if cu.inRecovery && s.Seq >= cu.recoveryEndSeq {
 		cu.inRecovery = false
 	}

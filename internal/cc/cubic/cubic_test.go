@@ -26,7 +26,7 @@ func TestSlowStartDoubles(t *testing.T) {
 func TestLossMultiplicativeDecrease(t *testing.T) {
 	cu := New()
 	cu.cwnd = 100
-	cu.OnSent(0, 500, 1500, 0)
+	cu.OnSent(0, 500, 0)
 	cu.OnLoss(cc.LossSample{Now: time.Second, Seq: 100})
 	if got := cu.cwnd; got < 69 || got > 71 {
 		t.Fatalf("window after loss = %.1f, want 70 (beta=0.7)", got)
@@ -39,7 +39,7 @@ func TestLossMultiplicativeDecrease(t *testing.T) {
 func TestLossCoalescedPerWindow(t *testing.T) {
 	cu := New()
 	cu.cwnd = 100
-	cu.OnSent(0, 500, 1500, 0)
+	cu.OnSent(0, 500, 0)
 	cu.OnLoss(cc.LossSample{Now: time.Second, Seq: 100})
 	w := cu.cwnd
 	// More losses from the same window of data must not reduce again.
@@ -49,7 +49,7 @@ func TestLossCoalescedPerWindow(t *testing.T) {
 		t.Fatalf("window reduced twice in one episode: %.1f -> %.1f", w, cu.cwnd)
 	}
 	// A loss from data sent after recovery began does reduce.
-	cu.OnSent(0, 600, 1500, 0)
+	cu.OnSent(0, 600, 0)
 	cu.OnAck(cc.AckSample{Now: time.Second, Seq: 501, AckedBytes: 1500, SRTT: 50 * time.Millisecond})
 	cu.OnLoss(cc.LossSample{Now: 2 * time.Second, Seq: 600})
 	if cu.cwnd >= w {
@@ -61,7 +61,7 @@ func TestFastConvergence(t *testing.T) {
 	cu := New()
 	cu.cwnd = 100
 	cu.wMax = 120 // window is below the previous max: shrink wMax further
-	cu.OnSent(0, 1, 1500, 0)
+	cu.OnSent(0, 1, 0)
 	cu.OnLoss(cc.LossSample{Now: time.Second, Seq: 1})
 	want := 100 * (2 - beta) / 2
 	if cu.wMax != want {
@@ -74,7 +74,7 @@ func TestCubicGrowthConcaveThenConvex(t *testing.T) {
 	// grows past it (convex) - the defining CUBIC shape.
 	cu := New()
 	cu.cwnd = 100
-	cu.OnSent(0, 1, 1500, 0)
+	cu.OnSent(0, 1, 0)
 	cu.OnLoss(cc.LossSample{Now: 0, Seq: 1})
 	base := cu.cwnd
 	var atK, late float64
@@ -130,12 +130,6 @@ func TestUtilizationShallowBuffer(t *testing.T) {
 	}
 	if r.Lost == 0 {
 		t.Fatal("no losses in shallow buffer - detector broken?")
-	}
-}
-
-func TestName(t *testing.T) {
-	if New().Name() != "cubic" {
-		t.Fatal("name")
 	}
 }
 

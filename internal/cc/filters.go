@@ -43,9 +43,6 @@ func (w *WindowedMax) Get() float64 {
 	return w.samples[0].v
 }
 
-// Reset clears the filter.
-func (w *WindowedMax) Reset() { w.samples = w.samples[:0] }
-
 // Update inserts a sample and evicts out-of-window or dominated entries.
 func (w *WindowedMin) Update(at time.Duration, v float64) {
 	cut := 0
@@ -66,6 +63,3 @@ func (w *WindowedMin) Get() float64 {
 	}
 	return w.samples[0].v
 }
-
-// Reset clears the filter.
-func (w *WindowedMin) Reset() { w.samples = w.samples[:0] }

@@ -49,11 +49,8 @@ func New() *GCC {
 	return g
 }
 
-// Name implements cc.Controller.
-func (g *GCC) Name() string { return "gcc" }
-
 // OnSent implements cc.Controller.
-func (g *GCC) OnSent(now time.Duration, seq uint64, bytes, inflight int) {}
+func (g *GCC) OnSent(now time.Duration, seq uint64, inflight int) {}
 
 // OnAck implements cc.Controller.
 func (g *GCC) OnAck(s cc.AckSample) {

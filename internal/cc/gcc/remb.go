@@ -34,9 +34,6 @@ func NewREMB() *REMB {
 	}
 }
 
-// Rate returns the current receiver-side estimate in bits per second.
-func (r *REMB) Rate() float64 { return r.aimd.rate }
-
 // Overusing reports whether the detector currently hypothesizes an
 // overused (queue-building) bottleneck.
 func (r *REMB) Overusing() bool { return r.lastSignal == usageOver }

@@ -41,19 +41,10 @@ var (
 	mConserve = obs.NewCounter("pbertc.conservative_packets")
 )
 
-// Controller is the sender side: plain GCC under the scheme name
-// "pbertc". Create with New and attach a NewFeedback as the flow's
-// receiver-side feedback source; without one it degrades exactly as GCC
-// does (loss ceiling bounded by measured delivery rate).
-type Controller struct {
-	*gcc.GCC
-}
-
-// New returns the sender-side controller.
-func New() *Controller { return &Controller{GCC: gcc.New()} }
-
-// Name implements cc.Controller.
-func (c *Controller) Name() string { return "pbertc" }
+// New returns the sender side: plain GCC. Attach a NewFeedback as the
+// flow's receiver-side feedback source; without one it degrades exactly as
+// GCC does (loss ceiling bounded by measured delivery rate).
+func New() *gcc.GCC { return gcc.New() }
 
 // Feedback is the receiver side of the hybrid: a GCC REMB estimator
 // whose region is steered by the PBE monitor through the gcc
@@ -86,9 +77,6 @@ var _ cc.FeedbackSource = (*Feedback)(nil)
 func NewFeedback(mon *core.Monitor) *Feedback {
 	return &Feedback{mon: mon, det: core.NewDetector(), remb: gcc.NewREMB(), floorArmed: true}
 }
-
-// InternetBottleneck reports the detector's current state.
-func (f *Feedback) InternetBottleneck() bool { return f.det.InternetBottleneck() }
 
 // Feedback implements cc.FeedbackSource: fold one received data packet
 // into the estimator and return (rate, internet-bottleneck bit).

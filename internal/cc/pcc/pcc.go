@@ -39,7 +39,6 @@ const (
 // miRecord tracks one monitor interval.
 type miRecord struct {
 	rate     float64
-	start    time.Duration
 	end      time.Duration
 	firstSeq uint64
 	lastSeq  uint64
@@ -77,12 +76,6 @@ func New() *PCC {
 	return &PCC{state: starting, rate: 2 * minRate, miDur: 20 * time.Millisecond}
 }
 
-// Name implements cc.Controller.
-func (p *PCC) Name() string { return "pcc" }
-
-// Rate returns the current base rate in bits/sec.
-func (p *PCC) Rate() float64 { return p.rate }
-
 // utility computes Allegro's utility for a monitor interval.
 func utility(rate float64, acked, lost int) float64 {
 	total := acked + lost
@@ -111,7 +104,7 @@ func (p *PCC) trialRate(t int) float64 {
 }
 
 // OnSent implements cc.Controller: attribute the packet to the current MI.
-func (p *PCC) OnSent(now time.Duration, seq uint64, bytes, inflight int) {
+func (p *PCC) OnSent(now time.Duration, seq uint64, inflight int) {
 	if p.cur == nil || now >= p.cur.end {
 		p.rotateMI(now)
 	}
@@ -135,7 +128,7 @@ func (p *PCC) rotateMI(now time.Duration) {
 		p.trialsEmitted++
 		trial = p.trialsEmitted
 	}
-	p.cur = &miRecord{rate: p.trialRate(trial), start: now, end: now + p.miDur, trial: trial, epoch: p.epoch}
+	p.cur = &miRecord{rate: p.trialRate(trial), end: now + p.miDur, trial: trial, epoch: p.epoch}
 }
 
 // record finds the MI owning seq.

@@ -44,8 +44,8 @@ func TestConvergesNearCapacity(t *testing.T) {
 	if r.ThroughputMbps < 6 {
 		t.Fatalf("PCC got %.1f Mbit/s of 20 after 15s", r.ThroughputMbps)
 	}
-	if p.Rate() > 40e6 {
-		t.Fatalf("PCC rate %.1f Mbit/s runaway above capacity", p.Rate()/1e6)
+	if p.rate > 40e6 {
+		t.Fatalf("PCC rate %.1f Mbit/s runaway above capacity", p.rate/1e6)
 	}
 }
 
@@ -110,9 +110,9 @@ func TestStartingDoublesOnImprovement(t *testing.T) {
 func TestSentSeqAttribution(t *testing.T) {
 	p := New()
 	p.miDur = 10 * time.Millisecond
-	p.OnSent(0, 1, 1500, 1500)
-	p.OnSent(time.Millisecond, 2, 1500, 3000)
-	p.OnSent(11*time.Millisecond, 3, 1500, 4500) // rotates to a new MI
+	p.OnSent(0, 1, 1500)
+	p.OnSent(time.Millisecond, 2, 3000)
+	p.OnSent(11*time.Millisecond, 3, 4500) // rotates to a new MI
 	if m := p.record(1); m == nil || m == p.cur {
 		t.Fatal("seq 1 must belong to the first (closed) MI")
 	}
@@ -121,11 +121,5 @@ func TestSentSeqAttribution(t *testing.T) {
 	}
 	if p.record(99) != nil {
 		t.Fatal("unknown seq must not match")
-	}
-}
-
-func TestName(t *testing.T) {
-	if New().Name() != "pcc" {
-		t.Fatal("name")
 	}
 }

@@ -21,7 +21,6 @@ type FeedbackSource interface {
 // Receiver acknowledges every data packet with its sequence number and
 // receive timestamp, attaching feedback when a source is configured.
 type Receiver struct {
-	eng      *sim.Engine
 	FlowID   int
 	ackPath  netsim.Handler
 	Feedback FeedbackSource
@@ -38,7 +37,7 @@ type Receiver struct {
 // NewReceiver wires a receiver whose ACKs travel through ackPath back to
 // the sender.
 func NewReceiver(eng *sim.Engine, flowID int, ackPath netsim.Handler) *Receiver {
-	return &Receiver{eng: eng, FlowID: flowID, ackPath: ackPath, pool: netsim.PoolOf(eng)}
+	return &Receiver{FlowID: flowID, ackPath: ackPath, pool: netsim.PoolOf(eng)}
 }
 
 // HandlePacket implements netsim.Handler for data packets released by the

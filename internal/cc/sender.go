@@ -87,8 +87,6 @@ type Sender struct {
 	SentPackets  uint64
 	AckedPackets uint64
 	LostPackets  uint64
-	SentBytes    uint64
-	AckedBytes   uint64
 
 	// Last observed controller decision, for change-triggered metric
 	// emission.
@@ -152,12 +150,6 @@ func NewSender(eng *sim.Engine, flowID int, out netsim.Handler, ctrl Controller)
 
 // Controller returns the congestion controller driving this sender.
 func (s *Sender) Controller() Controller { return s.ctrl }
-
-// SRTT returns the smoothed RTT estimate.
-func (s *Sender) SRTT() time.Duration { return s.srtt }
-
-// InflightBytes returns bytes sent but not yet acked or declared lost.
-func (s *Sender) InflightBytes() int { return s.inflightBytes }
 
 // Start begins transmission and loss detection.
 func (s *Sender) Start() {
@@ -255,8 +247,7 @@ func (s *Sender) sendOne(now time.Duration) int {
 	}
 	s.inflightBytes += p.Size
 	s.SentPackets++
-	s.SentBytes += uint64(p.Size)
-	s.ctrl.OnSent(now, seq, p.Size, s.inflightBytes)
+	s.ctrl.OnSent(now, seq, s.inflightBytes)
 	s.out.HandlePacket(now, p)
 	return p.Size
 }
@@ -283,7 +274,6 @@ func (s *Sender) HandlePacket(now time.Duration, p *netsim.Packet) {
 	s.delivered += uint64(info.bytes)
 	s.deliveredAt = now
 	s.AckedPackets++
-	s.AckedBytes += uint64(info.bytes)
 
 	rtt := now - info.sentAt
 	if s.srtt == 0 {

@@ -42,11 +42,8 @@ func New() *Sprout {
 	return &Sprout{cwnd: cc.InitialCwnd}
 }
 
-// Name implements cc.Controller.
-func (sp *Sprout) Name() string { return "sprout" }
-
 // OnSent implements cc.Controller.
-func (sp *Sprout) OnSent(now time.Duration, seq uint64, bytes, inflight int) {}
+func (sp *Sprout) OnSent(now time.Duration, seq uint64, inflight int) {}
 
 // OnAck implements cc.Controller.
 func (sp *Sprout) OnAck(s cc.AckSample) {

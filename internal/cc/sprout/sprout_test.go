@@ -46,9 +46,3 @@ func TestBeliefTracksObservations(t *testing.T) {
 		t.Fatalf("belief = %.1f Mbit/s, want ~12", sp.rateMean/1e6)
 	}
 }
-
-func TestName(t *testing.T) {
-	if New().Name() != "sprout" {
-		t.Fatal("name")
-	}
-}

@@ -48,11 +48,8 @@ func New() *Verus {
 	return &Verus{cwnd: float64(cc.InitialCwnd) / mss, ratio: ratioMax}
 }
 
-// Name implements cc.Controller.
-func (v *Verus) Name() string { return "verus" }
-
 // OnSent implements cc.Controller.
-func (v *Verus) OnSent(now time.Duration, seq uint64, bytes, inflight int) {}
+func (v *Verus) OnSent(now time.Duration, seq uint64, inflight int) {}
 
 // OnAck implements cc.Controller.
 func (v *Verus) OnAck(s cc.AckSample) {

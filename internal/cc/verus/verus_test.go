@@ -80,9 +80,3 @@ func TestLossHalves(t *testing.T) {
 		t.Fatalf("cwnd after loss = %v", v.cwnd)
 	}
 }
-
-func TestName(t *testing.T) {
-	if New().Name() != "verus" {
-		t.Fatal("name")
-	}
-}

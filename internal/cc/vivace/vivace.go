@@ -57,12 +57,6 @@ func New() *Vivace {
 	return &Vivace{rate: 2 * minRate, miDur: 20 * time.Millisecond, confidence: 1}
 }
 
-// Name implements cc.Controller.
-func (v *Vivace) Name() string { return "vivace" }
-
-// Rate returns the current base rate in bits/sec.
-func (v *Vivace) Rate() float64 { return v.rate }
-
 func (v *Vivace) trialRate() float64 {
 	if v.half == 0 {
 		return v.rate * (1 + eps)
@@ -89,7 +83,7 @@ func (v *Vivace) utility(m *miRecord) float64 {
 }
 
 // OnSent implements cc.Controller.
-func (v *Vivace) OnSent(now time.Duration, seq uint64, bytes, inflight int) {}
+func (v *Vivace) OnSent(now time.Duration, seq uint64, inflight int) {}
 
 // OnAck implements cc.Controller.
 func (v *Vivace) OnAck(s cc.AckSample) {

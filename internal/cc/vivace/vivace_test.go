@@ -74,8 +74,8 @@ func TestConvergesReasonably(t *testing.T) {
 	if r.ThroughputMbps < 4 {
 		t.Fatalf("Vivace got %.1f Mbit/s of 20", r.ThroughputMbps)
 	}
-	if v.Rate() > 60e6 {
-		t.Fatalf("Vivace rate runaway: %.1f Mbit/s", v.Rate()/1e6)
+	if v.rate > 60e6 {
+		t.Fatalf("Vivace rate runaway: %.1f Mbit/s", v.rate/1e6)
 	}
 }
 
@@ -89,11 +89,5 @@ func TestRateFloorHolds(t *testing.T) {
 	v.closeMI(2 * time.Millisecond)
 	if v.rate < minRate {
 		t.Fatalf("rate below floor: %v", v.rate)
-	}
-}
-
-func TestName(t *testing.T) {
-	if New().Name() != "vivace" {
-		t.Fatal("name")
 	}
 }

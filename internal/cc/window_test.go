@@ -145,8 +145,8 @@ func (r *windowRig) sweep() {
 func (r *windowRig) check() {
 	r.t.Helper()
 	s := r.snd
-	if live := liveSlots(s); live != len(r.ref.sent) || s.InflightBytes() != r.ref.inflight() {
-		r.t.Fatalf("live %d / inflight %d, model has %d / %d", live, s.InflightBytes(), len(r.ref.sent), r.ref.inflight())
+	if live := liveSlots(s); live != len(r.ref.sent) || s.inflightBytes != r.ref.inflight() {
+		r.t.Fatalf("live %d / inflight %d, model has %d / %d", live, s.inflightBytes, len(r.ref.sent), r.ref.inflight())
 	}
 	if n := s.nextSeq - s.base + 1; n > uint64(len(s.ring)) {
 		r.t.Fatalf("window [%d,%d] wider than the %d-slot ring", s.base, s.nextSeq, len(s.ring))
@@ -285,20 +285,19 @@ func TestSenderWindowGrowsWhenNeverAcked(t *testing.T) {
 		r.ack(uint64(seq) + 1)
 	}
 	r.check()
-	if r.snd.AckedPackets != pkts || r.snd.InflightBytes() != 0 {
-		t.Fatalf("acked %d of %d, %d bytes still in flight", r.snd.AckedPackets, pkts, r.snd.InflightBytes())
+	if r.snd.AckedPackets != pkts || r.snd.inflightBytes != 0 {
+		t.Fatalf("acked %d of %d, %d bytes still in flight", r.snd.AckedPackets, pkts, r.snd.inflightBytes)
 	}
 }
 
 // quietCtrl is a window-only controller that records nothing.
 type quietCtrl struct{ cwnd int }
 
-func (quietCtrl) Name() string                           { return "quiet" }
-func (quietCtrl) OnSent(time.Duration, uint64, int, int) {}
-func (quietCtrl) OnAck(AckSample)                        {}
-func (quietCtrl) OnLoss(LossSample)                      {}
-func (quietCtrl) PacingRate() float64                    { return 0 }
-func (c quietCtrl) CWND() int                            { return c.cwnd }
+func (quietCtrl) OnSent(time.Duration, uint64, int) {}
+func (quietCtrl) OnAck(AckSample)                   {}
+func (quietCtrl) OnLoss(LossSample)                 {}
+func (quietCtrl) PacingRate() float64               { return 0 }
+func (c quietCtrl) CWND() int                       { return c.cwnd }
 
 // TestSenderSteadyStateAllocatesNothing pins the per-packet loop: once the
 // ring has reached the window's size, an ACK plus the transmission it

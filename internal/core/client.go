@@ -47,9 +47,6 @@ func (d *Detector) Threshold() time.Duration {
 	return d.Dprop() + RetxAllowance + JitterAllowance
 }
 
-// InternetBottleneck returns the current state.
-func (d *Detector) InternetBottleneck() bool { return d.internet }
-
 // Observe folds in one packet's one-way delay; npkt is the Eqn 6
 // consecutive-packet threshold at the current rate. It returns the state
 // after this packet.

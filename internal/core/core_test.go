@@ -69,7 +69,7 @@ func TestDetectorSwitchesAfterNpkt(t *testing.T) {
 			break
 		}
 	}
-	if !d.InternetBottleneck() {
+	if !d.internet {
 		t.Fatal("never switched to Internet-bottleneck state")
 	}
 	if n != 5 {
@@ -79,7 +79,7 @@ func TestDetectorSwitchesAfterNpkt(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		d.Observe(2*time.Second+time.Duration(i)*time.Millisecond, 45*time.Millisecond, 5)
 	}
-	if d.InternetBottleneck() {
+	if d.internet {
 		t.Fatal("never switched back to wireless state")
 	}
 	if d.Transitions != 2 {
@@ -378,21 +378,21 @@ func TestSenderDrainThenInternet(t *testing.T) {
 	s := NewSender()
 	s.OnAck(ackWith(0, 40e6, false))
 	s.OnAck(ackWith(100*time.Millisecond, 40e6, false))
-	if s.Mode() != ModeWireless {
+	if s.mode != ModeWireless {
 		t.Fatal("must start wireless")
 	}
 	// Internet bottleneck detected: one-RTprop drain at 0.5*BtlBw.
 	s.OnAck(ackWith(200*time.Millisecond, 30e6, true))
-	if s.Mode() != ModeDrain {
-		t.Fatalf("mode = %v, want drain", s.Mode())
+	if s.mode != ModeDrain {
+		t.Fatalf("mode = %v, want drain", s.mode)
 	}
 	if got := s.PacingRate(); math.Abs(got-10e6) > 1e5 {
 		t.Fatalf("drain pacing = %v, want 0.5*BtlBw = 10e6", got)
 	}
 	// After one RTprop the sender enters the cellular-tailored BBR.
 	s.OnAck(ackWith(250*time.Millisecond, 30e6, true))
-	if s.Mode() != ModeInternet {
-		t.Fatalf("mode = %v, want internet", s.Mode())
+	if s.mode != ModeInternet {
+		t.Fatalf("mode = %v, want internet", s.mode)
 	}
 	if s.DrainEntries != 1 || s.InternetEntries != 1 {
 		t.Fatalf("counters = %d/%d", s.DrainEntries, s.InternetEntries)
@@ -405,7 +405,7 @@ func TestSenderInternetProbeCappedByCf(t *testing.T) {
 	s.OnAck(ackWith(100*time.Millisecond, 40e6, false))
 	s.OnAck(ackWith(200*time.Millisecond, 15e6, true))
 	s.OnAck(ackWith(260*time.Millisecond, 15e6, true))
-	if s.Mode() != ModeInternet {
+	if s.mode != ModeInternet {
 		t.Skip("internet mode not reached")
 	}
 	// Walk through the gain cycle; whenever the pacing gain exceeds 1,
@@ -425,8 +425,8 @@ func TestSenderSwitchBackToWireless(t *testing.T) {
 	s.OnAck(ackWith(200*time.Millisecond, 30e6, true))
 	s.OnAck(ackWith(260*time.Millisecond, 30e6, true))
 	s.OnAck(ackWith(400*time.Millisecond, 40e6, false))
-	if s.Mode() != ModeWireless {
-		t.Fatalf("mode = %v, want wireless after state bit clears", s.Mode())
+	if s.mode != ModeWireless {
+		t.Fatalf("mode = %v, want wireless after state bit clears", s.mode)
 	}
 }
 
@@ -434,12 +434,12 @@ func TestSenderDrainAbortsIfStateClears(t *testing.T) {
 	s := NewSender()
 	s.OnAck(ackWith(0, 40e6, false))
 	s.OnAck(ackWith(200*time.Millisecond, 30e6, true))
-	if s.Mode() != ModeDrain {
+	if s.mode != ModeDrain {
 		t.Fatal("want drain")
 	}
 	s.OnAck(ackWith(210*time.Millisecond, 40e6, false))
-	if s.Mode() != ModeWireless {
-		t.Fatalf("mode = %v, want wireless (drain aborted)", s.Mode())
+	if s.mode != ModeWireless {
+		t.Fatalf("mode = %v, want wireless (drain aborted)", s.mode)
 	}
 }
 

@@ -112,7 +112,7 @@ func TestSenderModeNeverInvalid(t *testing.T) {
 			now += time.Duration(1+rng.Intn(10)) * time.Millisecond
 			a := ackWith(now, float64(1+rng.Intn(100))*1e6, rng.Intn(4) == 0)
 			s.OnAck(a)
-			if s.Mode() != ModeWireless && s.Mode() != ModeDrain && s.Mode() != ModeInternet {
+			if s.mode != ModeWireless && s.mode != ModeDrain && s.mode != ModeInternet {
 				return false
 			}
 			if s.PacingRate() < 0 {

@@ -78,12 +78,6 @@ func NewSender() *Sender {
 	return s
 }
 
-// Name implements cc.Controller.
-func (s *Sender) Name() string { return "pbe" }
-
-// Mode returns the current operating mode.
-func (s *Sender) Mode() Mode { return s.mode }
-
 // RTprop returns the sender's propagation-delay estimate.
 func (s *Sender) RTprop() time.Duration {
 	if v := s.rtProp.Get(); v > 0 {
@@ -96,9 +90,9 @@ func (s *Sender) RTprop() time.Duration {
 }
 
 // OnSent implements cc.Controller.
-func (s *Sender) OnSent(now time.Duration, seq uint64, bytes, inflight int) {
+func (s *Sender) OnSent(now time.Duration, seq uint64, inflight int) {
 	s.now = now
-	s.bbr.OnSent(now, seq, bytes, inflight)
+	s.bbr.OnSent(now, seq, inflight)
 }
 
 // OnLoss implements cc.Controller: like BBR, PBE-CC reacts to loss only

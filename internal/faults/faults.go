@@ -121,14 +121,6 @@ func (s *Spec) Set(axis string, level float64) error {
 	return nil
 }
 
-// Level reads one named axis (0 for an unknown one).
-func (s Spec) Level(axis string) float64 {
-	if p, _ := s.axis(axis); p != nil {
-		return *p
-	}
-	return 0
-}
-
 // RegisterFlags declares one -fault-<axis> flag per axis on fs, each
 // setting that axis of s. Validate checks the [0, 1] range afterwards.
 func (s *Spec) RegisterFlags(fs *flag.FlagSet) {

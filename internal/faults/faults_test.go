@@ -39,8 +39,8 @@ func TestSpecSetLevelRoundTrip(t *testing.T) {
 		if err := s.Set(axis, lv); err != nil {
 			t.Fatalf("Set(%q): %v", axis, err)
 		}
-		if got := s.Level(axis); got != lv {
-			t.Fatalf("Level(%q) = %v, want %v", axis, got, lv)
+		if p, _ := s.axis(axis); *p != lv {
+			t.Fatalf("axis %q = %v after Set, want %v", axis, *p, lv)
 		}
 	}
 	if err := s.Set("bogus", 1); err == nil {

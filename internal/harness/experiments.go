@@ -305,12 +305,11 @@ func Figure3(quick bool) []Table {
 	ue.SetCarrierAggregation(false)
 	type rel struct {
 		seq     uint64
-		sent    time.Duration
 		release time.Duration
 	}
 	var rels []rel
 	ue.SetDefaultHandler(netsim.HandlerFunc(func(now time.Duration, p *netsim.Packet) {
-		rels = append(rels, rel{p.Seq, p.SentAt, now})
+		rels = append(rels, rel{p.Seq, now})
 	}))
 	ue.Start()
 	for i := 0; i < 400; i++ {
@@ -761,7 +760,7 @@ func fairnessScenario(schemes [3]string, rtts [3]time.Duration, dur time.Duratio
 		return time.Duration(sec * scale * float64(time.Second))
 	}
 	return &Scenario{
-		Name: "fairness", Seed: 21, Duration: dur,
+		Seed: 21, Duration: dur,
 		Cells: []CellSpec{{ID: 1, NPRB: 100, Control: trace.Idle()}},
 		UEs: []UESpec{
 			{ID: 1, RNTI: 61, CellIDs: []int{1}, RSSI: -90},

@@ -177,7 +177,6 @@ type FlowSpec struct {
 
 // Scenario is a complete experiment.
 type Scenario struct {
-	Name     string
 	Seed     int64
 	Duration time.Duration
 	Cells    []CellSpec
@@ -348,7 +347,8 @@ type Result struct {
 // a duplicate UE ID, a UE with no cells, a UE naming an unknown cell or a
 // cell of the other RAT, an EN-DC UE with more than one NR cell, and a
 // flow on an unknown UE, of an unknown scheme, marked SFULeg without an
-// SFU, or with a negative Start, Stop, OnPeriod or OffPeriod; and a fluid
+// SFU, with a negative Start, Stop, OnPeriod or OffPeriod, or with a
+// non-zero Stop before its Start or after the scenario's Duration; and a fluid
 // spec that would run silently wrong (see FluidSpec.validate).
 // BuildScenario returns this error; Run panics with it.
 func (sc *Scenario) Validate() error {
@@ -401,6 +401,9 @@ func (sc *Scenario) Validate() error {
 		case fs.Start < 0 || fs.Stop < 0 || fs.OnPeriod < 0 || fs.OffPeriod < 0:
 			return fmt.Errorf("flow %d has negative timing: Start %v, Stop %v, OnPeriod %v, OffPeriod %v",
 				fs.ID, fs.Start, fs.Stop, fs.OnPeriod, fs.OffPeriod)
+		case fs.Stop != 0 && (fs.Stop < fs.Start || fs.Stop > sc.Duration):
+			return fmt.Errorf("flow %d stops at %v, outside its run from Start %v to the scenario's Duration %v",
+				fs.ID, fs.Stop, fs.Start, sc.Duration)
 		}
 	}
 	if sc.Fluid != nil {

@@ -1,11 +1,13 @@
 package harness
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"pbecc/internal/core"
 	"pbecc/internal/fluid"
 	"pbecc/internal/stats"
 )
@@ -14,7 +16,7 @@ import (
 // (~39.9 Mbit/s), no carrier aggregation, 40 ms base RTT.
 func idleCellScenario(scheme string, seed int64) *Scenario {
 	return &Scenario{
-		Name: "idle-" + scheme, Seed: seed, Duration: 8 * time.Second,
+		Seed: seed, Duration: 8 * time.Second,
 		Cells: []CellSpec{{ID: 1, NPRB: 100}},
 		UEs:   []UESpec{{ID: 1, RNTI: 61, CellIDs: []int{1}, RSSI: -93}},
 		Flows: []FlowSpec{{ID: 1, UE: 1, Scheme: scheme, Start: 0, RTTBase: 40 * time.Millisecond}},
@@ -94,7 +96,7 @@ func TestPBEWirelessBottleneckStateResidency(t *testing.T) {
 
 func TestTwoPBEFlowsFairShare(t *testing.T) {
 	sc := &Scenario{
-		Name: "fair2", Seed: 5, Duration: 10 * time.Second,
+		Seed: 5, Duration: 10 * time.Second,
 		Cells: []CellSpec{{ID: 1, NPRB: 100}},
 		UEs: []UESpec{
 			{ID: 1, RNTI: 61, CellIDs: []int{1}, RSSI: -93},
@@ -136,7 +138,7 @@ func TestControlledCompetitionTracking(t *testing.T) {
 	// competitor (the §6.3.3 structure, scaled). PBE must keep delay low
 	// throughout and reclaim capacity during off periods.
 	sc := &Scenario{
-		Name: "competition", Seed: 6, Duration: 12 * time.Second,
+		Seed: 6, Duration: 12 * time.Second,
 		Cells: []CellSpec{{ID: 1, NPRB: 100}},
 		UEs: []UESpec{
 			{ID: 1, RNTI: 61, CellIDs: []int{1}, RSSI: -93},
@@ -164,7 +166,7 @@ func TestControlledCompetitionTracking(t *testing.T) {
 
 func TestCarrierAggregationWithPBE(t *testing.T) {
 	sc := &Scenario{
-		Name: "ca", Seed: 7, Duration: 6 * time.Second,
+		Seed: 7, Duration: 6 * time.Second,
 		Cells: []CellSpec{{ID: 1, NPRB: 100}, {ID: 2, NPRB: 100}},
 		UEs:   []UESpec{{ID: 1, RNTI: 61, CellIDs: []int{1, 2}, RSSI: -93, CA: true}},
 		Flows: []FlowSpec{{ID: 1, UE: 1, Scheme: "pbe", Start: 0, RTTBase: 40 * time.Millisecond}},
@@ -185,7 +187,7 @@ func TestCarrierAggregationWithPBE(t *testing.T) {
 
 func TestConservativeSchemeNoCA(t *testing.T) {
 	sc := &Scenario{
-		Name: "noca", Seed: 8, Duration: 6 * time.Second,
+		Seed: 8, Duration: 6 * time.Second,
 		Cells: []CellSpec{{ID: 1, NPRB: 100}, {ID: 2, NPRB: 100}},
 		UEs:   []UESpec{{ID: 1, RNTI: 61, CellIDs: []int{1, 2}, RSSI: -93, CA: true}},
 		Flows: []FlowSpec{{ID: 1, UE: 1, Scheme: "sprout", Start: 0, RTTBase: 40 * time.Millisecond}},
@@ -193,7 +195,7 @@ func TestConservativeSchemeNoCA(t *testing.T) {
 	r := Run(sc)
 	_ = r // Sprout may or may not trigger; the assertion is on Copa below.
 	sc2 := &Scenario{
-		Name: "noca2", Seed: 8, Duration: 6 * time.Second,
+		Seed: 8, Duration: 6 * time.Second,
 		Cells: []CellSpec{{ID: 1, NPRB: 100}, {ID: 2, NPRB: 100}},
 		UEs:   []UESpec{{ID: 1, RNTI: 61, CellIDs: []int{1, 2}, RSSI: -93, CA: true}},
 		Flows: []FlowSpec{{ID: 1, UE: 1, Scheme: "copa", Start: 0, RTTBase: 40 * time.Millisecond}},
@@ -241,9 +243,26 @@ func TestSchemeTable(t *testing.T) {
 	if !slices.Equal(Schemes, want) {
 		t.Fatalf("Schemes = %v, want %v", Schemes, want)
 	}
+	// Each row's concrete controller and feedback types, "" for no feedback.
+	types := map[string][2]string{
+		"pbe":    {"*core.Sender", "*core.Client"},
+		"bbr":    {"*bbr.BBR", ""},
+		"cubic":  {"*cubic.Cubic", ""},
+		"verus":  {"*verus.Verus", ""},
+		"sprout": {"*sprout.Sprout", ""},
+		"copa":   {"*copa.Copa", ""},
+		"pcc":    {"*pcc.PCC", ""},
+		"vivace": {"*vivace.Vivace", ""},
+		"gcc":    {"*gcc.GCC", "*gcc.REMB"},
+		"pbertc": {"*gcc.GCC", "*pbertc.Feedback"},
+	}
 	for _, s := range schemes {
-		if got := s.controller().Name(); got != s.name {
-			t.Errorf("row %q builds controller %q", s.name, got)
+		got := [2]string{fmt.Sprintf("%T", s.controller()), ""}
+		if s.feedback != nil {
+			got[1] = fmt.Sprintf("%T", s.feedback(core.NewMonitor(61)))
+		}
+		if got != types[s.name] {
+			t.Errorf("row %q builds %v, want %v", s.name, got, types[s.name])
 		}
 		if got, want := SchemeUsesMonitor(s.name), s.name == "pbe" || s.name == "pbertc"; got != want {
 			t.Errorf("SchemeUsesMonitor(%q) = %v, want %v", s.name, got, want)
@@ -301,6 +320,14 @@ func TestScenarioValidate(t *testing.T) {
 			sc.Flows[1].OnPeriod, sc.Flows[1].OffPeriod = time.Second, -time.Second
 		}, "flow 2"},
 		{"negative_start", func(sc *Scenario) { sc.Flows[0].Start = -time.Millisecond }, "flow 1"},
+		{"stop_before_start", func(sc *Scenario) {
+			sc.Duration = 4 * time.Second
+			sc.Flows[1].Start, sc.Flows[1].Stop = 2*time.Second, time.Second
+		}, "flow 2"},
+		{"stop_after_duration", func(sc *Scenario) {
+			sc.Duration = 4 * time.Second
+			sc.Flows[2].Stop = 5 * time.Second
+		}, "flow 3"},
 		{"fluid_unknown_cell", func(sc *Scenario) {
 			sc.Fluid = &FluidSpec{Sessions: map[int][]fluid.Session{1: {{RNTI: 70}}, 103: {{RNTI: 71}}}}
 		}, "cell 103"},

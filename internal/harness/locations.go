@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"fmt"
 	"time"
 
 	"pbecc/internal/trace"
@@ -37,15 +36,6 @@ func LocationGrid() []Location {
 			Busy:   i%8 < 5, // 25 of 40 busy
 			RSSI:   rssiSteps[i%len(rssiSteps)],
 		}
-		kind := "outdoor"
-		if loc.Indoor {
-			kind = "indoor"
-		}
-		state := "idle"
-		if loc.Busy {
-			state = "busy"
-		}
-		loc.Name = fmt.Sprintf("loc%02d-%s-%dcc-%s", i, kind, ccs, state)
 		locs = append(locs, loc)
 	}
 	return locs
@@ -69,7 +59,6 @@ func RepresentativeLocations() []Location {
 // two background data users; the test flow always runs on UE 1.
 func LocationScenario(loc Location, scheme string, dur time.Duration) *Scenario {
 	sc := &Scenario{
-		Name:     loc.Name + "-" + scheme,
 		Seed:     int64(1000 + loc.Index), // same conditions across schemes
 		Duration: dur,
 	}

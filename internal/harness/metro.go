@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"fmt"
 	"math/rand"
 	"time"
 
@@ -57,7 +56,6 @@ func MetroScenario(scheme string, p Params) *Scenario {
 	rng := rand.New(rand.NewSource(seed * 7919))
 
 	sc := &Scenario{
-		Name:        fmt.Sprintf("metro-%dc-%s-%s", cells, p.rat(), scheme),
 		Seed:        seed,
 		Duration:    dur,
 		Sharded:     true,

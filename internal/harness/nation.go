@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"fmt"
 	"time"
 )
 
@@ -37,7 +36,6 @@ func NationScenario(scheme string, p Params) *Scenario {
 		fg.Seed = 52525
 	}
 	sc := MetroScenario(scheme, fg)
-	sc.Name = fmt.Sprintf("nation-%dfg-%dm-%s-%s", fg.Cells, NationModeledCells, p.rat(), scheme)
 	if sc.Fluid == nil {
 		sc.Fluid = &FluidSpec{}
 	}

@@ -22,7 +22,6 @@ import (
 // background data users.
 func NRScenario(scheme string, mu, bwMHz int, rssi float64, busy bool, dur time.Duration) *Scenario {
 	sc := &Scenario{
-		Name:     fmt.Sprintf("nr-mu%d-%dmhz-%s", mu, bwMHz, scheme),
 		Seed:     int64(3000 + mu),
 		Duration: dur,
 	}
@@ -81,7 +80,6 @@ func NRTput(quick bool) []Table {
 // slots) at 100 MHz with an abrupt 35 dB blockage window.
 func nrBlockageScenario(scheme string, dur, blockStart, blockEnd time.Duration) *Scenario {
 	sc := &Scenario{
-		Name:     "nr-blockage-" + scheme,
 		Seed:     3100,
 		Duration: dur,
 		NRCells:  []NRCellSpec{{ID: 101, Mu: 3, BandwidthMHz: 100, Control: trace.Idle()}},
@@ -146,13 +144,13 @@ func NRDualConnectivity(quick bool) []Table {
 		Header: []string{"scheme", "lte-only tput", "en-dc tput", "gain", "nr activated"}}
 	for _, s := range schemes {
 		lteOnly := &Scenario{
-			Name: "nr-dc-lte-" + s, Seed: 3200, Duration: dur,
+			Seed: 3200, Duration: dur,
 			Cells: []CellSpec{{ID: 1, NPRB: 100, Control: trace.Idle()}},
 			UEs:   []UESpec{{ID: 1, RNTI: 61, CellIDs: []int{1}, RSSI: -90}},
 			Flows: []FlowSpec{{ID: 1, UE: 1, Scheme: s, Start: 0, RTTBase: 40 * time.Millisecond}},
 		}
 		endc := &Scenario{
-			Name: "nr-dc-" + s, Seed: 3200, Duration: dur,
+			Seed: 3200, Duration: dur,
 			Cells:   []CellSpec{{ID: 1, NPRB: 100, Control: trace.Idle()}},
 			NRCells: []NRCellSpec{{ID: 101, Mu: 1, BandwidthMHz: 100, Control: trace.Idle()}},
 			UEs: []UESpec{{ID: 1, RNTI: 61, CellIDs: []int{1}, NRCellIDs: []int{101},

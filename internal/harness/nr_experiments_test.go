@@ -171,7 +171,7 @@ func TestNRScenarioBuilders(t *testing.T) {
 		}
 	}()
 	Run(&Scenario{
-		Name: "bad", Seed: 1, Duration: 10 * time.Millisecond,
+		Seed: 1, Duration: 10 * time.Millisecond,
 		UEs:   []UESpec{{ID: 1, RNTI: 61}},
 		Flows: []FlowSpec{{ID: 1, UE: 1, Scheme: "bbr"}},
 	})

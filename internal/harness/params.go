@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"pbecc/internal/faults"
@@ -200,10 +199,10 @@ func controlFor(p Params) ran.ControlSource {
 // Family is one parameterizable scenario generator: where the figure
 // experiments bake every choice into a closure, a family exposes the
 // choices as Params so the sweep runner can expand a matrix over them.
+// Every family builds both RATs.
 type Family struct {
 	ID    string
 	Title string
-	RATs  []string
 	// CellsAxis reports whether the family honors Params.Cells; a
 	// sweep listing cell counts over a family that ignores them would
 	// run mislabeled duplicate jobs, so BuildScenario rejects that.
@@ -219,19 +218,19 @@ type Family struct {
 // Families returns the sweepable scenario families.
 func Families() []Family {
 	return []Family{
-		{"steady", "single flow in steady state at one location", []string{RATLTE, RATNR}, true, 0, SteadyScenario},
-		{"mobility", "mobility trajectory (LTE) / mmWave blockage (NR)", []string{RATLTE, RATNR}, false, 0, MobilityScenario},
-		{"competition", "on-off competitor sharing the cell", []string{RATLTE, RATNR}, false, 0, CompetitionScenario},
-		{"multiflow", "two concurrent flows from one device", []string{RATLTE, RATNR}, false, 0, MultiflowScenario},
-		{"rtc", "interactive frame-level video call (GoP source + jitter buffer)", []string{RATLTE, RATNR}, true, 0, RTCScenario},
-		{"sfu", "SFU fan-out: one ingest to 32 subscribers across LTE and NR cells", []string{RATLTE, RATNR}, true, 0, SFUScenario},
-		{"metro", "city-scale sharded mix: 64-256 cells, 16 UEs/cell, bulk+rtc+sfu flows with churn", []string{RATLTE, RATNR}, true, 2, MetroScenario},
-		{"nation", "nation-scale hybrid: metro packet foreground + 64k fluid-modeled cells / 1M+ users", []string{RATLTE, RATNR}, true, 2, NationScenario},
+		{"steady", "single flow in steady state at one location", true, 0, SteadyScenario},
+		{"mobility", "mobility trajectory (LTE) / mmWave blockage (NR)", false, 0, MobilityScenario},
+		{"competition", "on-off competitor sharing the cell", false, 0, CompetitionScenario},
+		{"multiflow", "two concurrent flows from one device", false, 0, MultiflowScenario},
+		{"rtc", "interactive frame-level video call (GoP source + jitter buffer)", true, 0, RTCScenario},
+		{"sfu", "SFU fan-out: one ingest to 32 subscribers across LTE and NR cells", true, 0, SFUScenario},
+		{"metro", "city-scale sharded mix: 64-256 cells, 16 UEs/cell, bulk+rtc+sfu flows with churn", true, 2, MetroScenario},
+		{"nation", "nation-scale hybrid: metro packet foreground + 64k fluid-modeled cells / 1M+ users", true, 2, NationScenario},
 	}
 }
 
 // BuildScenario builds one family's scenario for a scheme, validating the
-// params, scheme name, family ID and RAT support first and the built
+// params, scheme name and family ID first and the built
 // scenario (Scenario.Validate) last.
 func BuildScenario(family, scheme string, p Params) (*Scenario, error) {
 	if err := p.Validate(); err != nil {
@@ -243,9 +242,6 @@ func BuildScenario(family, scheme string, p Params) (*Scenario, error) {
 	for _, f := range Families() {
 		if f.ID != family {
 			continue
-		}
-		if !slices.Contains(f.RATs, p.rat()) {
-			return nil, fmt.Errorf("family %q does not support RAT %q", family, p.rat())
 		}
 		if p.Cells > 0 && !f.CellsAxis {
 			return nil, fmt.Errorf("family %q does not support the cell-count axis", family)
@@ -290,11 +286,6 @@ func SteadyScenario(scheme string, p Params) *Scenario {
 		Busy:   p.Busy,
 		RSSI:   p.rssi(-91),
 	}
-	state := "idle"
-	if loc.Busy {
-		state = "busy"
-	}
-	loc.Name = fmt.Sprintf("steady-%dcc-%s", loc.CCs, state)
 	return p.apply(LocationScenario(loc, scheme, p.dur(4*time.Second)))
 }
 
@@ -309,7 +300,7 @@ func MobilityScenario(scheme string, p Params) *Scenario {
 		return p.apply(sc)
 	}
 	sc := &Scenario{
-		Name: "mobility-" + scheme, Seed: 16, Duration: p.dur(40 * time.Second),
+		Seed: 16, Duration: p.dur(40 * time.Second),
 		Cells: []CellSpec{{ID: 1, NPRB: 100, Control: controlFor(p)}},
 		UEs: []UESpec{{ID: 1, RNTI: 61, CellIDs: []int{1},
 			Trajectory: phy.PaperMobilityTrajectory(), FadingSigma: 2}},
@@ -325,7 +316,7 @@ func CompetitionScenario(scheme string, p Params) *Scenario {
 	if p.rat() == RATNR {
 		dur := p.dur(16 * time.Second)
 		sc := &Scenario{
-			Name: "nr-compete-" + scheme, Seed: 3300, Duration: dur,
+			Seed: 3300, Duration: dur,
 			NRCells: []NRCellSpec{{ID: 101, Mu: 1, BandwidthMHz: 100, Control: controlFor(p)}},
 			UEs: []UESpec{
 				{ID: 1, RNTI: 61, NRCellIDs: []int{101}, RSSI: p.rssi(-88)},
@@ -348,7 +339,7 @@ func CompetitionScenario(scheme string, p Params) *Scenario {
 		start, on, off = dur/8, dur/4, dur/4
 	}
 	sc := &Scenario{
-		Name: "competition-" + scheme, Seed: 18, Duration: dur,
+		Seed: 18, Duration: dur,
 		Cells: []CellSpec{{ID: 1, NPRB: 100, Control: controlFor(p)}},
 		UEs: []UESpec{
 			{ID: 1, RNTI: 61, CellIDs: []int{1}, RSSI: p.rssi(-90)},
@@ -369,7 +360,6 @@ func MultiflowScenario(scheme string, p Params) *Scenario {
 	dur := p.dur(20 * time.Second)
 	if p.rat() == RATNR {
 		sc := NRScenario(scheme, 1, 100, p.rssi(-88), p.Busy, dur)
-		sc.Name = "nr-two-" + scheme
 		sc.Flows = append(sc.Flows, FlowSpec{
 			ID: len(sc.Flows) + 1, UE: 1, Scheme: scheme, Start: 0,
 			RTTBase: 46 * time.Millisecond,
@@ -377,7 +367,7 @@ func MultiflowScenario(scheme string, p Params) *Scenario {
 		return p.apply(sc)
 	}
 	sc := &Scenario{
-		Name: "two-" + scheme, Seed: 20, Duration: dur,
+		Seed: 20, Duration: dur,
 		Cells: []CellSpec{{ID: 1, NPRB: 100, Control: controlFor(p)}},
 		UEs:   []UESpec{{ID: 1, RNTI: 61, CellIDs: []int{1}, RSSI: p.rssi(-90)}},
 		Flows: []FlowSpec{

@@ -16,7 +16,7 @@ func TestBuildScenarioValidation(t *testing.T) {
 		t.Fatal("unknown RAT accepted")
 	}
 	for _, f := range Families() {
-		for _, rat := range f.RATs {
+		for _, rat := range []string{RATLTE, RATNR} {
 			sc, err := BuildScenario(f.ID, "pbe", Params{RAT: rat})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", f.ID, rat, err)

@@ -24,12 +24,11 @@ const (
 // the SFU's dedicated ingest uplink.
 type provisionedController struct{ rate float64 }
 
-func (c *provisionedController) Name() string                                          { return "provisioned" }
-func (c *provisionedController) OnSent(now time.Duration, seq uint64, bytes, infl int) {}
-func (c *provisionedController) OnAck(s cc.AckSample)                                  {}
-func (c *provisionedController) OnLoss(l cc.LossSample)                                {}
-func (c *provisionedController) PacingRate() float64                                   { return c.rate }
-func (c *provisionedController) CWND() int                                             { return 1 << 30 }
+func (c *provisionedController) OnSent(now time.Duration, seq uint64, infl int) {}
+func (c *provisionedController) OnAck(s cc.AckSample)                           {}
+func (c *provisionedController) OnLoss(l cc.LossSample)                         {}
+func (c *provisionedController) PacingRate() float64                            { return c.rate }
+func (c *provisionedController) CWND() int                                      { return 1 << 30 }
 
 // attachMediaFlow wires one frame-level RTC flow: encoder ->
 // packetizer/pacer -> (internet bottleneck) -> tower -> UE -> jitter
@@ -138,7 +137,6 @@ func attachSubscriber(ue, core *sim.Shard, sfu *rtc.SFU, fs *FlowSpec, fr *FlowR
 // CapacityNoise axes, like steady.
 func RTCScenario(scheme string, p Params) *Scenario {
 	sc := SteadyScenario(scheme, p)
-	sc.Name = "rtc-" + p.rat() + "-" + scheme
 	sc.Flows[0].Media = true
 	return sc
 }
@@ -156,7 +154,7 @@ const SFUSubscribers = 32
 func SFUScenario(scheme string, p Params) *Scenario {
 	cellsPerRAT := p.cellCount(2)
 	sc := &Scenario{
-		Name: "sfu-" + p.rat() + "-" + scheme, Seed: 77, Duration: p.dur(4 * time.Second),
+		Seed: 77, Duration: p.dur(4 * time.Second),
 		SFU: true,
 	}
 	for c := 0; c < cellsPerRAT; c++ {

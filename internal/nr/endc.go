@@ -93,21 +93,6 @@ func (e *ENDC) Start() {
 	}
 }
 
-// Stop halts both legs' tickers.
-func (e *ENDC) Stop() {
-	e.anchor.Stop()
-	if e.ticker != nil {
-		e.ticker.Stop()
-		e.ticker = nil
-	}
-}
-
-// Delivered returns the packets released in order across both legs.
-func (e *ENDC) Delivered() uint64 { return e.anchor.Delivered + e.nrLeg.Delivered }
-
-// LostPackets returns the packets lost after HARQ exhaustion on either leg.
-func (e *ENDC) LostPackets() uint64 { return e.anchor.LostPackets + e.nrLeg.LostPackets }
-
 // HandlePacket dispatches an arriving downlink packet: to the anchor while
 // the NR leg is inactive, otherwise to the leg with the smaller estimated
 // drain time (the network's bearer split across RATs). Drain times compare

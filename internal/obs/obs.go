@@ -81,8 +81,7 @@ func registerName(name string) {
 // increments from parallel shards sum to the same total regardless of
 // interleaving, so counters are safe to snapshot deterministically.
 type Counter struct {
-	name string
-	v    atomic.Uint64
+	v atomic.Uint64
 }
 
 // NewCounter registers a counter under a unique name.
@@ -90,7 +89,7 @@ func NewCounter(name string) *Counter {
 	registry.Lock()
 	defer registry.Unlock()
 	registerName(name)
-	c := &Counter{name: name}
+	c := &Counter{}
 	registry.counters[name] = c
 	return c
 }
@@ -109,16 +108,12 @@ func (c *Counter) Add(n uint64) {
 	}
 }
 
-// Value returns the current total.
-func (c *Counter) Value() uint64 { return c.v.Load() }
-
 // Watermark tracks the maximum observed value. Max is commutative, so -
 // like a counter - the final value is independent of the order in which
 // parallel shards observe. (A last-write-wins gauge would not be; that
 // is why the registry has no plain gauge type.)
 type Watermark struct {
-	name string
-	v    atomic.Int64
+	v atomic.Int64
 }
 
 // NewWatermark registers a high-watermark metric under a unique name.
@@ -126,7 +121,7 @@ func NewWatermark(name string) *Watermark {
 	registry.Lock()
 	defer registry.Unlock()
 	registerName(name)
-	w := &Watermark{name: name}
+	w := &Watermark{}
 	registry.watermarks[name] = w
 	return w
 }
@@ -147,9 +142,6 @@ func (w *Watermark) Observe(v int64) {
 	}
 }
 
-// Value returns the highest observed value.
-func (w *Watermark) Value() int64 { return w.v.Load() }
-
 // histBuckets is the number of power-of-two histogram buckets: bucket i
 // counts samples v with bits.Len64(v) == i, i.e. 0, 1, 2-3, 4-7, ... up
 // to the full uint64 range.
@@ -160,7 +152,6 @@ const histBuckets = 65
 // bit-length computation - no float math, no allocation - and bucket
 // counts are order-independent sums.
 type Histogram struct {
-	name    string
 	count   atomic.Uint64
 	sum     atomic.Uint64
 	buckets [histBuckets]atomic.Uint64
@@ -171,7 +162,7 @@ func NewHistogram(name string) *Histogram {
 	registry.Lock()
 	defer registry.Unlock()
 	registerName(name)
-	h := &Histogram{name: name}
+	h := &Histogram{}
 	registry.histograms[name] = h
 	return h
 }
@@ -188,12 +179,6 @@ func (h *Histogram) Observe(v int64) {
 	h.sum.Add(uint64(v))
 	h.buckets[bits.Len64(uint64(v))].Add(1)
 }
-
-// Count returns the number of observed samples.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// Sum returns the sum of observed samples.
-func (h *Histogram) Sum() uint64 { return h.sum.Load() }
 
 // Reset zeroes every registered metric (between sweep runs, and in
 // tests). It does not change the enabled flag.

@@ -29,9 +29,9 @@ func TestDisabledMetricsRecordNothing(t *testing.T) {
 	c.Add(41)
 	w.Observe(7)
 	h.Observe(9)
-	if c.Value() != 0 || w.Value() != 0 || h.Count() != 0 {
+	if c.v.Load() != 0 || w.v.Load() != 0 || h.count.Load() != 0 {
 		t.Fatalf("disabled metrics recorded: counter=%d watermark=%d hist=%d",
-			c.Value(), w.Value(), h.Count())
+			c.v.Load(), w.v.Load(), h.count.Load())
 	}
 }
 
@@ -48,21 +48,21 @@ func TestCounterWatermarkHistogram(t *testing.T) {
 		for _, v := range []int64{0, 1, 2, 3, 4, -8} {
 			h.Observe(v)
 		}
-		if c.Value() != 10 {
-			t.Fatalf("counter = %d, want 10", c.Value())
+		if c.v.Load() != 10 {
+			t.Fatalf("counter = %d, want 10", c.v.Load())
 		}
-		if w.Value() != 12 {
-			t.Fatalf("watermark = %d, want 12", w.Value())
+		if w.v.Load() != 12 {
+			t.Fatalf("watermark = %d, want 12", w.v.Load())
 		}
 		// -8 clamps to 0.
-		if h.Count() != 6 || h.Sum() != 10 {
-			t.Fatalf("histogram count=%d sum=%d, want 6/10", h.Count(), h.Sum())
+		if h.count.Load() != 6 || h.sum.Load() != 10 {
+			t.Fatalf("histogram count=%d sum=%d, want 6/10", h.count.Load(), h.sum.Load())
 		}
 	})
 	// Reset (run by withMetrics on exit) must zero everything.
-	if c.Value() != 0 || w.Value() != 0 || h.Count() != 0 {
+	if c.v.Load() != 0 || w.v.Load() != 0 || h.count.Load() != 0 {
 		t.Fatalf("Reset left state: counter=%d watermark=%d hist=%d",
-			c.Value(), w.Value(), h.Count())
+			c.v.Load(), w.v.Load(), h.count.Load())
 	}
 }
 
@@ -82,8 +82,8 @@ func TestWatermarkConcurrentMax(t *testing.T) {
 			}(g)
 		}
 		wg.Wait()
-		if w.Value() != 7999 {
-			t.Fatalf("concurrent watermark = %d, want 7999", w.Value())
+		if w.v.Load() != 7999 {
+			t.Fatalf("concurrent watermark = %d, want 7999", w.v.Load())
 		}
 	})
 }

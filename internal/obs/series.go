@@ -41,9 +41,6 @@ type SeriesDef struct {
 	name string
 }
 
-// Name returns the registered signal name.
-func (d *SeriesDef) Name() string { return d.name }
-
 var seriesRegistry = struct {
 	sync.Mutex
 	defs map[string]*SeriesDef

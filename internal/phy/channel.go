@@ -37,9 +37,6 @@ func (f *Fading) Step(dt time.Duration) float64 {
 	return f.state
 }
 
-// Offset returns the current dB offset without advancing the process.
-func (f *Fading) Offset() float64 { return f.state }
-
 // TrajectorySegment linearly interpolates RSSI between two instants.
 type TrajectorySegment struct {
 	Start, End time.Duration
@@ -123,9 +120,6 @@ func (c *Channel) Step(t, dt time.Duration) float64 {
 	c.mcs = MCSFromSINR(c.lastSINR, c.Table)
 	return c.lastSINR
 }
-
-// RSSI returns the (pre-fading) RSSI at the last Step, in dBm.
-func (c *Channel) RSSI() float64 { return c.lastRSSI }
 
 // MCS returns the modulation and coding scheme for the last Step.
 func (c *Channel) MCS() MCS { return c.mcs }

@@ -241,11 +241,9 @@ func TestFadingStationary(t *testing.T) {
 
 func TestFadingOffsetDoesNotAdvance(t *testing.T) {
 	f := NewFading(3, 50*time.Millisecond, rand.New(rand.NewSource(2)))
-	f.Step(time.Millisecond)
-	a := f.Offset()
-	b := f.Offset()
-	if a != b {
-		t.Fatal("Offset must not advance the process")
+	a := f.Step(time.Millisecond)
+	if b := f.Step(0); b != a {
+		t.Fatalf("a zero-length step moved the offset from %v to %v", a, b)
 	}
 }
 
@@ -284,8 +282,8 @@ func TestStaticChannel(t *testing.T) {
 	if math.Abs(sinr-22.5) > 1e-9 {
 		t.Fatalf("static channel SINR = %v, want 22.5", sinr)
 	}
-	if c.RSSI() != -85 {
-		t.Fatalf("RSSI = %v", c.RSSI())
+	if c.lastRSSI != -85 {
+		t.Fatalf("RSSI = %v", c.lastRSSI)
 	}
 	if !c.MCS().Valid() {
 		t.Fatal("MCS at -85 dBm must be valid")

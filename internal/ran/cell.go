@@ -222,9 +222,6 @@ func NewCell(eng *sim.Engine, cfg CellConfig) *Cell {
 	return c
 }
 
-// Stop halts the cell's slot ticker.
-func (c *Cell) Stop() { c.ticker.Stop() }
-
 // Slot returns the index of the last processed slot.
 func (c *Cell) Slot() int { return c.slot }
 

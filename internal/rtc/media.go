@@ -104,9 +104,6 @@ func NewEncoder(eng *sim.Engine, spec MediaSpec, sink func(Frame)) *Encoder {
 	return &Encoder{eng: eng, spec: spec, sink: sink}
 }
 
-// Layer returns the current adaptive layer.
-func (e *Encoder) Layer() int { return e.layer }
-
 // Start begins producing frames, the first immediately.
 func (e *Encoder) Start() {
 	if e.ticker != nil {

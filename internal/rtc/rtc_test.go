@@ -113,12 +113,11 @@ func TestSenderShedsStaleFrames(t *testing.T) {
 // fixedRateController paces at a constant rate with a generous window.
 type fixedRateController struct{ rate float64 }
 
-func (c *fixedRateController) Name() string                                          { return "fixed" }
-func (c *fixedRateController) OnSent(now time.Duration, seq uint64, bytes, infl int) {}
-func (c *fixedRateController) OnAck(s cc.AckSample)                                  {}
-func (c *fixedRateController) OnLoss(l cc.LossSample)                                {}
-func (c *fixedRateController) PacingRate() float64                                   { return c.rate }
-func (c *fixedRateController) CWND() int                                             { return 1 << 30 }
+func (c *fixedRateController) OnSent(now time.Duration, seq uint64, infl int) {}
+func (c *fixedRateController) OnAck(s cc.AckSample)                           {}
+func (c *fixedRateController) OnLoss(l cc.LossSample)                         {}
+func (c *fixedRateController) PacingRate() float64                            { return c.rate }
+func (c *fixedRateController) CWND() int                                      { return 1 << 30 }
 
 func TestJitterBufferReassemblyAndOrder(t *testing.T) {
 	eng := sim.New(1)
@@ -243,9 +242,9 @@ func TestSFUFanoutLayerSelection(t *testing.T) {
 	if ws.Released < 200 || ns.Released < 100 {
 		t.Fatalf("released wide=%d narrow=%d", ws.Released, ns.Released)
 	}
-	if sfu.subs[0].Layer() <= sfu.subs[1].Layer() {
+	if sfu.subs[0].layer <= sfu.subs[1].layer {
 		t.Fatalf("wide leg layer %d not above narrow leg layer %d",
-			sfu.subs[0].Layer(), sfu.subs[1].Layer())
+			sfu.subs[0].layer, sfu.subs[1].layer)
 	}
 	if ns.LatePct() > 30 {
 		t.Fatalf("narrow leg %.1f%% late despite layer-down", ns.LatePct())

@@ -88,9 +88,6 @@ func (s *Sender) AvailableRate() float64 {
 // counters and SRTT live there).
 func (s *Sender) Transport() *cc.Sender { return s.snd }
 
-// Controller returns the congestion controller driving this sender.
-func (s *Sender) Controller() cc.Controller { return s.snd.Controller() }
-
 // Start begins transmission and loss detection.
 func (s *Sender) Start() {
 	s.sShed = s.eng.SeriesBuffer().Track(seriesShed, s.snd.FlowID)

@@ -39,9 +39,6 @@ type Subscriber struct {
 	target int // desired layer awaiting a keyframe to switch to
 }
 
-// Layer returns the layer currently forwarded to this subscriber.
-func (s *Subscriber) Layer() int { return s.layer }
-
 // NewSFU returns a relay for an ingest stream described by spec; every
 // rung of DefaultLadder is a selectable layer.
 func NewSFU(eng *sim.Engine, spec MediaSpec) *SFU {
@@ -72,13 +69,6 @@ func (s *SFU) AddSubscriber(flowID int, out netsim.Handler, ctrl cc.Controller) 
 func (s *SFU) Start() {
 	for _, sub := range s.subs {
 		sub.Send.Start()
-	}
-}
-
-// Stop halts every leg.
-func (s *SFU) Stop() {
-	for _, sub := range s.subs {
-		sub.Send.Stop()
 	}
 }
 

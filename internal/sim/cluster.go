@@ -171,10 +171,6 @@ func (c *Cluster) DeclareLookahead(d time.Duration) {
 	}
 }
 
-// Now returns the start of the current synchronization window, the time
-// every shard has reached together.
-func (c *Cluster) Now() time.Duration { return c.clock }
-
 // RunUntil advances every shard to exactly time t. With no declared
 // lookahead the shards are independent and each runs straight through;
 // otherwise the cluster alternates bounded execution windows (each one
@@ -366,9 +362,6 @@ type crossEvent struct {
 	seq uint64
 	fn  func()
 }
-
-// ID returns the shard's index within its cluster.
-func (s *Shard) ID() int { return s.id }
 
 // Cluster returns the owning cluster.
 func (s *Shard) Cluster() *Cluster { return s.cluster }

@@ -34,7 +34,7 @@ func clusterTrace(t *testing.T, seed int64, nShards, workers int, dur time.Durat
 				delay := la + time.Duration(r%7)*time.Millisecond
 				src, sentAt := i, s.Now()
 				s.Send(dst, delay, func() {
-					j := dst.ID()
+					j := dst.id
 					logs[j] = append(logs[j], fmt.Sprintf("recv %v from=%d sent=%v", dst.Now(), src, sentAt))
 				})
 			}

@@ -125,15 +125,6 @@ func (h *Event) Cancel() {
 	h.eng = nil
 }
 
-// At returns the virtual time the event fires at, or 0 once the handle is
-// stale (the event fired, was cancelled or was re-armed).
-func (h Event) At() time.Duration {
-	if i := h.pos(); i >= 0 {
-		return h.eng.queue[i].at
-	}
-	return 0
-}
-
 // Engine is a discrete-event simulator with a virtual clock.
 // The zero value is not usable; construct with New.
 type Engine struct {
@@ -141,7 +132,6 @@ type Engine struct {
 	queue    []entry
 	seq      uint64
 	rng      *rand.Rand
-	stopped  bool
 	executed uint64 // events run since New or the last Recycle
 	parked   int    // line firings waiting behind their line's head (see Line)
 
@@ -193,7 +183,7 @@ func (e *Engine) Recycle() {
 		e.free = int32(id)
 	}
 	e.queue = e.queue[:0]
-	e.now, e.seq, e.stopped, e.executed, e.parked = 0, 0, false, 0, 0
+	e.now, e.seq, e.executed, e.parked = 0, 0, 0, 0
 	e.seriesBuf = nil
 	for _, v := range e.locals {
 		if r, ok := v.(Recycler); ok {
@@ -415,25 +405,20 @@ func (e *Engine) alloc() (uint32, *event) {
 	return id, e.slot(id)
 }
 
-// Stop makes Run and RunUntil return after the currently executing event.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Run executes events until the queue is empty or Stop is called.
+// Run executes events until the queue is empty.
 func (e *Engine) Run() {
-	e.stopped = false
-	for len(e.queue) > 0 && !e.stopped {
+	for len(e.queue) > 0 {
 		e.step()
 	}
 }
 
 // RunUntil executes events with timestamps <= t, then advances the clock
-// to exactly t. It returns early if Stop is called.
+// to exactly t.
 func (e *Engine) RunUntil(t time.Duration) {
-	e.stopped = false
-	for len(e.queue) > 0 && !e.stopped && e.queue[0].at <= t {
+	for len(e.queue) > 0 && e.queue[0].at <= t {
 		e.step()
 	}
-	if !e.stopped && e.now < t {
+	if e.now < t {
 		e.now = t
 	}
 }

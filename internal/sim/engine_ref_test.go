@@ -9,7 +9,7 @@ import (
 )
 
 // The differential engine test. A script of Schedule/At/Cancel/Reset/copy/
-// Push/RunUntil/Run/Stop operations over numbered handle slots is replayed
+// Push/RunUntil/Run operations over numbered handle slots is replayed
 // on three models: the reference below (a slice kept sorted by (at, seq)),
 // the engine with Reset, and the engine with Reset spelled Cancel +
 // Schedule. A Push goes onto one of a few Lines, each with its own constant
@@ -31,7 +31,6 @@ const (
 	opCopy
 	opRunUntil
 	opRun
-	opStop
 	opPush
 )
 
@@ -63,6 +62,15 @@ type record struct {
 	tag     int
 	pending int
 	at      time.Duration
+}
+
+// eventAt returns the virtual time h fires at, or 0 once the handle is
+// stale (the event fired, was cancelled or was re-armed).
+func eventAt(h Event) time.Duration {
+	if i := h.pos(); i >= 0 {
+		return h.eng.queue[i].at
+	}
+	return 0
 }
 
 // scriptGen draws scripts. bulk scripts rarely run the engine, so the heap
@@ -127,11 +135,9 @@ func (g *scriptGen) op(depth, own int) scriptOp {
 		o.kind = opCancel
 	case k < 70:
 		o.kind = opReset
-	case k < 77:
+	case k < 85 || depth > 0:
 		o.kind = opCopy
 		o.src = g.r.Intn(g.sc.slots)
-	case k < 85 || depth > 0:
-		o.kind = opStop
 	case k < 95:
 		o.kind = opRunUntil
 		o.d = time.Duration(g.r.Intn(5)) * time.Millisecond
@@ -146,13 +152,12 @@ func (g *scriptGen) op(depth, own int) scriptOp {
 
 // refModel is the reference: a slice kept sorted by (at, seq).
 type refModel struct {
-	sc      *script
-	now     time.Duration
-	seq     uint64
-	q       []refEntry
-	stopped bool
-	h       []refHandle
-	out     []record
+	sc  *script
+	now time.Duration
+	seq uint64
+	q   []refEntry
+	h   []refHandle
+	out []record
 }
 
 type refEntry struct {
@@ -197,8 +202,7 @@ func (m *refModel) cancel(h *refHandle) {
 }
 
 func (m *refModel) run(t time.Duration, bounded bool) {
-	m.stopped = false
-	for len(m.q) > 0 && !m.stopped && (!bounded || m.q[0].at <= t) {
+	for len(m.q) > 0 && (!bounded || m.q[0].at <= t) {
 		x := m.q[0]
 		m.q = slices.Delete(m.q, 0, 1)
 		m.now = x.at
@@ -207,7 +211,7 @@ func (m *refModel) run(t time.Duration, bounded bool) {
 			m.exec(o)
 		}
 	}
-	if bounded && !m.stopped && m.now < t {
+	if bounded && m.now < t {
 		m.now = t
 	}
 }
@@ -230,8 +234,6 @@ func (m *refModel) exec(o scriptOp) {
 		m.run(m.now+o.d, true)
 	case opRun:
 		m.run(0, false)
-	case opStop:
-		m.stopped = true
 	case opPush:
 		m.schedule(m.now+max(o.d, 0), o.tag)
 	}
@@ -295,12 +297,10 @@ func (m *engModel) exec(o scriptOp) {
 		m.e.RunUntil(m.e.Now() + o.d)
 	case opRun:
 		m.e.Run()
-	case opStop:
-		m.e.Stop()
 	case opPush:
 		m.lines[o.slot%len(m.lines)].Push(o.d, o.tag)
 	}
-	m.out = append(m.out, record{now: m.e.Now(), tag: -1, pending: m.e.Pending(), at: h.At()})
+	m.out = append(m.out, record{now: m.e.Now(), tag: -1, pending: m.e.Pending(), at: eventAt(*h)})
 	err := checkEngine(m.e)
 	if err == nil {
 		err = checkLines(m.e, m.lines)
@@ -374,8 +374,7 @@ func replay(t *testing.T, name string, sc *script) {
 	t.Helper()
 	ref := &refModel{sc: sc, h: make([]refHandle, sc.slots)}
 	reset, spelled := newEngModel(sc, true), newEngModel(sc, false)
-	// Callbacks may Stop a Run, so the script ends by running until the
-	// queue is empty.
+	// The script ends by running until the queue is empty.
 	drain := scriptOp{kind: opRun}
 	for i := 0; i < len(sc.top) || len(ref.q) > 0; i++ {
 		o := drain
@@ -480,8 +479,8 @@ func TestResetFromOwnCallback(t *testing.T) {
 	if want := []time.Duration{time.Millisecond, 2 * time.Millisecond, 3 * time.Millisecond}; !slices.Equal(fired, want) {
 		t.Fatalf("fired at %v, want %v", fired, want)
 	}
-	if h.At() != 0 || e.Pending() != 0 {
-		t.Fatalf("At = %v, Pending = %d after the chain ran out", h.At(), e.Pending())
+	if eventAt(h) != 0 || e.Pending() != 0 {
+		t.Fatalf("At = %v, Pending = %d after the chain ran out", eventAt(h), e.Pending())
 	}
 }
 
@@ -494,12 +493,12 @@ func TestResetStalesHandleCopies(t *testing.T) {
 	e.Schedule(time.Millisecond, func() {}) // h is not the only entry
 	cp := h
 	e.Reset(&h, 2*time.Millisecond, func() { fired += 10 })
-	if cp.At() != 0 {
-		t.Fatalf("stale copy At = %v, want 0", cp.At())
+	if eventAt(cp) != 0 {
+		t.Fatalf("stale copy At = %v, want 0", eventAt(cp))
 	}
 	cp.Cancel()
-	if h.At() != 2*time.Millisecond || e.Pending() != 2 {
-		t.Fatalf("after cancelling the copy: At %v, Pending %d", h.At(), e.Pending())
+	if eventAt(h) != 2*time.Millisecond || e.Pending() != 2 {
+		t.Fatalf("after cancelling the copy: At %v, Pending %d", eventAt(h), e.Pending())
 	}
 	e.Run()
 	if fired != 10 {

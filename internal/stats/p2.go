@@ -33,9 +33,6 @@ func NewP2(p float64) *P2 {
 	return e
 }
 
-// Count returns the number of observations.
-func (e *P2) Count() int { return e.n }
-
 // Add feeds one observation.
 func (e *P2) Add(v float64) {
 	if e.n < 5 {
@@ -123,32 +120,27 @@ func (e *P2) Value() float64 {
 	return e.q[2]
 }
 
-// P2Digest bundles P2 estimators for a fixed set of quantiles plus exact
-// running mean/min/max/count, presenting the same query surface as a
-// Series at O(1) memory. It is the streaming backend behind per-flow
-// percentiles in metro-scale runs.
+// P2Digest bundles P2 estimators for digestQuantiles plus exact running
+// mean/min/max/count, presenting the same query surface as a Series at
+// O(1) memory. It is the streaming backend behind per-flow percentiles in
+// metro-scale runs.
 type P2Digest struct {
-	targets []float64
-	ests    []*P2
-	n       int
-	sum     float64
-	min     float64
-	max     float64
+	ests [len(digestQuantiles)]*P2
+	n    int
+	sum  float64
+	min  float64
+	max  float64
 }
 
-// DefaultQuantiles are the order statistics the paper's evaluation (and
-// the sweep rows) report.
-var DefaultQuantiles = []float64{0.10, 0.25, 0.50, 0.75, 0.90, 0.95, 0.99}
+// digestQuantiles are the quantiles a P2Digest tracks: the median and
+// 95th-percentile delay that sweep rows and reports read.
+var digestQuantiles = [...]float64{0.50, 0.95}
 
-// NewP2Digest returns a digest tracking the given quantiles
-// (DefaultQuantiles when none are passed).
-func NewP2Digest(quantiles ...float64) *P2Digest {
-	if len(quantiles) == 0 {
-		quantiles = DefaultQuantiles
-	}
-	d := &P2Digest{targets: quantiles}
-	for _, q := range quantiles {
-		d.ests = append(d.ests, NewP2(q))
+// NewP2Digest returns an empty digest.
+func NewP2Digest() *P2Digest {
+	d := &P2Digest{}
+	for i, q := range digestQuantiles {
+		d.ests[i] = NewP2(q)
 	}
 	return d
 }
@@ -199,13 +191,13 @@ func (d *P2Digest) Percentile(p float64) float64 {
 	}
 	q := p / 100
 	best := -1
-	for i, t := range d.targets {
-		if best < 0 || math.Abs(t-q) < math.Abs(d.targets[best]-q) {
+	for i, t := range digestQuantiles {
+		if best < 0 || math.Abs(t-q) < math.Abs(digestQuantiles[best]-q) {
 			best = i
 		}
 	}
-	if best < 0 || math.Abs(d.targets[best]-q) > 0.025 {
-		panic(fmt.Sprintf("stats: percentile %.4g not tracked by digest %v", p, d.targets))
+	if math.Abs(digestQuantiles[best]-q) > 0.025 {
+		panic(fmt.Sprintf("stats: percentile %.4g not tracked by digest %v", p, digestQuantiles))
 	}
 	return d.ests[best].Value()
 }
@@ -214,8 +206,7 @@ func (d *P2Digest) Percentile(p float64) float64 {
 // milliseconds, mirroring DurationSeries over Series.
 type DurationP2 struct{ P2Digest }
 
-// NewDurationP2 returns a streaming duration digest over the default
-// quantile set.
+// NewDurationP2 returns an empty streaming duration digest.
 func NewDurationP2() *DurationP2 {
 	return &DurationP2{P2Digest: *NewP2Digest()}
 }

@@ -17,7 +17,6 @@ type Dist interface {
 	Percentile(p float64) float64
 	Mean() float64
 	Len() int
-	Min() float64
 	Max() float64
 }
 

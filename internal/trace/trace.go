@@ -115,9 +115,6 @@ func (c *ControlTraffic) spawn(rng *rand.Rand) {
 	c.active = append(c.active, u)
 }
 
-// RBGs returns the spawned users' RBG counts.
-func (c *ControlTraffic) RBGs() []int { return c.rbgCounts }
-
 // poisson samples a Poisson variate by Knuth's method (lambda is small).
 func poisson(rng *rand.Rand, lambda float64) int {
 	if lambda <= 0 {

@@ -29,12 +29,12 @@ func TestControlPopulationCalibration(t *testing.T) {
 		t.Fatalf("1-subframe fraction = %.3f, want ~0.682", frac)
 	}
 	fourPRB := 0
-	for _, r := range c.RBGs() {
+	for _, r := range c.rbgCounts {
 		if r == 1 {
 			fourPRB++
 		}
 	}
-	pfrac := float64(fourPRB) / float64(len(c.RBGs()))
+	pfrac := float64(fourPRB) / float64(len(c.rbgCounts))
 	// Figure 7(b): ~47.7% of users occupy exactly four PRBs (one RBG).
 	if pfrac < 0.40 || pfrac > 0.56 {
 		t.Fatalf("4-PRB fraction = %.3f, want ~0.48", pfrac)
@@ -96,7 +96,7 @@ func TestLongUsersFilterable(t *testing.T) {
 		c.Tick(sf, rng)
 	}
 	for i, d := range c.durations {
-		if d > 1 && c.RBGs()[i] != 1 {
+		if d > 1 && c.rbgCounts[i] != 1 {
 			t.Fatal("long-lived control user with >1 RBG would evade the Pa filter")
 		}
 		if d > longUserMaxDur {

@@ -25,10 +25,12 @@
 #                  beyond their committed seed corpora, which go test runs
 #
 # Surface gate (no simulation):
-#   surface        every internal package and exported symbol has a user
-#                  (scripts/surface): a package needs an importer outside
+#   surface        every internal package, exported symbol and struct field
+#                  has a user (scripts/surface, go/types-resolved, test
+#                  packages included): a package needs an importer outside
 #                  examples/ and its own directory, an exported internal/
-#                  symbol a use outside its own package's tests
+#                  symbol a use outside its own package's tests, a struct
+#                  field in a non-test internal/ file a read anywhere
 #
 # Regression gates (against the committed baselines):
 #   micro-diff     every internal/sim bench, the metro benches and the
@@ -93,9 +95,10 @@ gate_bench_build() {
   go -C benchmark test ./...
 }
 
-# A package that only an example imports (or nobody does), or an exported
-# symbol that only its own package's tests call, is surface with no user in
-# the simulator, the other packages' tests or the tools: fail and name it.
+# A package that only an example imports (or nobody does), an exported
+# symbol that only its own package's tests call, or a struct field that
+# nothing reads, is surface with no user in the simulator, the other
+# packages' tests or the tools: fail and name it.
 gate_surface() {
   go run ./scripts/surface
 }

@@ -1,5 +1,12 @@
 package main
 
-import "fixture/internal/b"
+import (
+	"fixture/internal/a"
+	"fixture/internal/b"
+)
 
-func main() { b.Run(nil) }
+func main() {
+	b.Run(nil)
+	b.Probe(b.Info{}, &a.Config{})
+	b.Area(a.Square{})
+}
