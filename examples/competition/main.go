@@ -7,31 +7,24 @@ package main
 
 import (
 	"fmt"
+	"log"
 	"time"
 
 	"pbecc/internal/harness"
-	"pbecc/internal/trace"
 )
 
-func scenario(scheme string) *harness.Scenario {
-	return &harness.Scenario{
-		Seed: 18, Duration: 16 * time.Second,
-		Cells: []harness.CellSpec{{ID: 1, NPRB: 100, Control: trace.Idle()}},
-		UEs: []harness.UESpec{
-			{ID: 1, RNTI: 61, CellIDs: []int{1}, RSSI: -90},
-			{ID: 2, RNTI: 62, CellIDs: []int{1}, RSSI: -90},
-		},
-		Flows: []harness.FlowSpec{
-			{ID: 1, UE: 1, Scheme: scheme, Start: 0, RTTBase: 40 * time.Millisecond},
-			{ID: 2, UE: 2, Scheme: "fixed", FixedRate: 60e6,
-				Start: 4 * time.Second, OnPeriod: 4 * time.Second, OffPeriod: 4 * time.Second},
-		},
+// run runs the competition family's LTE scenario, cut to two competitor
+// cycles, and returns the flow under test.
+func run(scheme string) *harness.FlowResult {
+	sc, err := harness.BuildScenario("competition", scheme, harness.Params{Duration: 16 * time.Second})
+	if err != nil {
+		log.Fatal(err)
 	}
+	return harness.Run(sc).Flows[0]
 }
 
 func main() {
-	pbe := harness.Run(scenario("pbe")).Flows[0]
-	bbr := harness.Run(scenario("bbr")).Flows[0]
+	pbe, bbr := run("pbe"), run("bbr")
 
 	fmt.Println("competitor: 60 Mbit/s, ON during [4,8)s and [12,16)s")
 	fmt.Println("t(s)   pbe(Mbit/s)  bbr(Mbit/s)  competitor")

@@ -6,26 +6,19 @@ package main
 
 import (
 	"fmt"
+	"log"
 	"time"
 
 	"pbecc/internal/harness"
-	"pbecc/internal/phy"
-	"pbecc/internal/trace"
 )
 
-func scenario(scheme string) *harness.Scenario {
-	return &harness.Scenario{
-		Seed: 16, Duration: 40 * time.Second,
-		Cells: []harness.CellSpec{{ID: 1, NPRB: 100, Control: trace.Idle()}},
-		UEs: []harness.UESpec{{
-			ID: 1, RNTI: 61, CellIDs: []int{1},
-			Trajectory:  phy.PaperMobilityTrajectory(),
-			FadingSigma: 2,
-		}},
-		Flows: []harness.FlowSpec{{
-			ID: 1, UE: 1, Scheme: scheme, Start: 0, RTTBase: 40 * time.Millisecond,
-		}},
+// run runs the mobility family's LTE walk and returns its one flow.
+func run(scheme string) *harness.FlowResult {
+	sc, err := harness.BuildScenario("mobility", scheme, harness.Params{})
+	if err != nil {
+		log.Fatal(err)
 	}
+	return harness.Run(sc).Flows[0]
 }
 
 func avgWindow(f *harness.FlowResult, from, to time.Duration) float64 {
@@ -44,8 +37,7 @@ func avgWindow(f *harness.FlowResult, from, to time.Duration) float64 {
 }
 
 func main() {
-	pbe := harness.Run(scenario("pbe")).Flows[0]
-	bbr := harness.Run(scenario("bbr")).Flows[0]
+	pbe, bbr := run("pbe"), run("bbr")
 
 	fmt.Println("trajectory: -85 dBm, move to -105 dBm over [13,26)s, back by 30s")
 	fmt.Println("t(s)   pbe(Mbit/s)  bbr(Mbit/s)")

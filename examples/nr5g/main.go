@@ -64,7 +64,7 @@ func dualConnectivity() {
 	fmt.Println("3. EN-DC: 20 MHz LTE anchor + µ=1 100 MHz NR secondary")
 	sc := &harness.Scenario{
 		Seed: 7, Duration: 4 * time.Second,
-		Cells:   []harness.CellSpec{{ID: 1, NPRB: 100, Control: trace.Idle()}},
+		Cells:   []harness.CellSpec{{ID: 1, Control: trace.Idle()}},
 		NRCells: []harness.NRCellSpec{{ID: 101, Mu: 1, BandwidthMHz: 100, Control: trace.Idle()}},
 		UEs: []harness.UESpec{{ID: 1, RNTI: 61, CellIDs: []int{1},
 			NRCellIDs: []int{101}, RSSI: -90}},

@@ -15,7 +15,7 @@ func main() {
 		Seed:     1,
 		Duration: 8 * time.Second,
 		// One 20 MHz cell (100 PRBs).
-		Cells: []harness.CellSpec{{ID: 1, NPRB: 100}},
+		Cells: []harness.CellSpec{{ID: 1}},
 		// One phone at good signal strength (-93 dBm), no carrier
 		// aggregation configured.
 		UEs: []harness.UESpec{{ID: 1, RNTI: 61, CellIDs: []int{1}, RSSI: -93}},

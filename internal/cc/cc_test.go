@@ -35,6 +35,18 @@ func loop(eng *sim.Engine, ctrl Controller, fwdRate float64, delay time.Duration
 	return snd, rcv, fwd
 }
 
+// countSent wraps snd's out handler and returns the number of packets it
+// has passed on.
+func countSent(snd *Sender) *uint64 {
+	n := new(uint64)
+	out := snd.out
+	snd.out = netsim.HandlerFunc(func(now time.Duration, p *netsim.Packet) {
+		*n++
+		out.HandlePacket(now, p)
+	})
+	return n
+}
+
 func TestPacedRateThroughput(t *testing.T) {
 	eng := sim.New(1)
 	ctrl := &fakeCtrl{rate: 12e6, cwnd: 1 << 30}
@@ -118,6 +130,7 @@ func TestInflightAccounting(t *testing.T) {
 	eng := sim.New(6)
 	ctrl := &fakeCtrl{rate: 20e6, cwnd: 1 << 30}
 	snd, _, _ := loop(eng, ctrl, 20e6, 40*time.Millisecond, 1<<20)
+	sent := countSent(snd)
 	snd.Start()
 	eng.RunUntil(2 * time.Second)
 	snd.Stop()
@@ -126,9 +139,9 @@ func TestInflightAccounting(t *testing.T) {
 	if snd.inflightBytes != 0 {
 		t.Fatalf("inflight = %d after drain, want 0", snd.inflightBytes)
 	}
-	if snd.AckedPackets+snd.LostPackets != snd.SentPackets {
+	if snd.AckedPackets+snd.LostPackets != *sent {
 		t.Fatalf("acked %d + lost %d != sent %d",
-			snd.AckedPackets, snd.LostPackets, snd.SentPackets)
+			snd.AckedPackets, snd.LostPackets, *sent)
 	}
 }
 
@@ -160,12 +173,13 @@ func TestStopHaltsTransmission(t *testing.T) {
 	eng := sim.New(8)
 	ctrl := &fakeCtrl{rate: 12e6, cwnd: 1 << 30}
 	snd, _, _ := loop(eng, ctrl, 100e6, 20*time.Millisecond, 0)
+	sent := countSent(snd)
 	snd.Start()
 	eng.RunUntil(500 * time.Millisecond)
 	snd.Stop()
-	sentAtStop := snd.SentPackets
+	sentAtStop := *sent
 	eng.RunUntil(time.Second)
-	if snd.SentPackets != sentAtStop {
+	if *sent != sentAtStop {
 		t.Fatal("sender kept transmitting after Stop")
 	}
 	if snd.running {

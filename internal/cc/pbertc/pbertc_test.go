@@ -110,7 +110,7 @@ func TestWirelessStatePinsToEntitlement(t *testing.T) {
 	monitorFeed(mon2, mcs, 10, 90) // attach cell
 	rep := &ran.SubframeReport{CellID: 1, NPRB: 100,
 		Allocs: []ran.Alloc{{RNTI: 61, PRBs: 10, MCS: mcs}, {RNTI: 99, PRBs: 90, MCS: mcs}}}
-	for i := 0; i < 2*core.DefaultWindow; i++ {
+	for i := 0; i < 2*core.Window; i++ {
 		mon2.OnSubframe(rep)
 	}
 	ct, cf := mon2.CapacityBits(), mon2.FairShareBits()
@@ -166,7 +166,7 @@ func TestInternetBitClearsRegionHooks(t *testing.T) {
 		BER:  func() float64 { return 1e-6 }})
 	rep := &ran.SubframeReport{CellID: 1, NPRB: 100,
 		Allocs: []ran.Alloc{{RNTI: 61, PRBs: 10, MCS: mcs}, {RNTI: 99, PRBs: 90, MCS: mcs}}}
-	for i := 0; i < 2*core.DefaultWindow; i++ {
+	for i := 0; i < 2*core.Window; i++ {
 		mon.OnSubframe(rep)
 	}
 	entitledBps := core.BitsPerSubframeToBps(max(mon.CapacityBits(), mon.FairShareBits()))
@@ -210,7 +210,7 @@ func TestSoleOccupantKeepsStartupRamp(t *testing.T) {
 		BER:  func() float64 { return 1e-6 }})
 	rep := &ran.SubframeReport{CellID: 1, NPRB: 100,
 		Allocs: []ran.Alloc{{RNTI: 61, PRBs: 30, MCS: mcs}}}
-	for i := 0; i < 2*core.DefaultWindow; i++ {
+	for i := 0; i < 2*core.Window; i++ {
 		mon.OnSubframe(rep)
 	}
 	f := NewFeedback(mon)

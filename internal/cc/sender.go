@@ -40,7 +40,6 @@ type Sender struct {
 	FlowID int
 	out    netsim.Handler
 	ctrl   Controller
-	mss    int
 
 	// Sent-packet window: a power-of-two ring indexed by seq&mask. Every
 	// sequence in [base, nextSeq] owns its slot, so an ACK is looked up by
@@ -84,7 +83,6 @@ type Sender struct {
 	AppLimited bool
 
 	// Counters.
-	SentPackets  uint64
 	AckedPackets uint64
 	LostPackets  uint64
 
@@ -135,7 +133,6 @@ func NewSender(eng *sim.Engine, flowID int, out netsim.Handler, ctrl Controller)
 		FlowID: flowID,
 		out:    out,
 		ctrl:   ctrl,
-		mss:    netsim.MSS,
 		base:   1,
 		pool:   netsim.PoolOf(eng),
 	}
@@ -190,7 +187,7 @@ func (s *Sender) pump() {
 	now := s.eng.Now()
 	for {
 		cwnd := s.ctrl.CWND()
-		if s.inflightBytes+s.mss > cwnd && s.inflightBytes > 0 {
+		if s.inflightBytes+netsim.MSS > cwnd && s.inflightBytes > 0 {
 			return // window-limited: an ACK or loss will re-pump
 		}
 		rate := s.ctrl.PacingRate()
@@ -229,7 +226,7 @@ func (s *Sender) sendOne(now time.Duration) int {
 		}
 	} else {
 		p = s.pool.Get()
-		p.Size = s.mss
+		p.Size = netsim.MSS
 	}
 	s.nextSeq++
 	seq := s.nextSeq
@@ -246,7 +243,6 @@ func (s *Sender) sendOne(now time.Duration) int {
 		live:                true,
 	}
 	s.inflightBytes += p.Size
-	s.SentPackets++
 	s.ctrl.OnSent(now, seq, s.inflightBytes)
 	s.out.HandlePacket(now, p)
 	return p.Size

@@ -224,7 +224,7 @@ func TestSenderWindowMatchesReference(t *testing.T) {
 				resolved = resolved[256:]
 			}
 		}
-		t.Logf("seed %d: %d sent, %d acked, %d lost, ring %d slots, srtt %v", seed, r.snd.SentPackets, r.snd.AckedPackets, r.snd.LostPackets, len(r.snd.ring), r.snd.srtt)
+		t.Logf("seed %d: %d sent, %d acked, %d lost, ring %d slots, srtt %v", seed, r.snd.nextSeq, r.snd.AckedPackets, r.snd.LostPackets, len(r.snd.ring), r.snd.srtt)
 		if len(r.snd.ring) <= initialWindow {
 			t.Fatalf("seed %d: ring never grew past %d slots", seed, initialWindow)
 		}

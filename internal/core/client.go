@@ -29,9 +29,6 @@ type Detector struct {
 	internet   bool
 	aboveCount int
 	belowCount int
-
-	// Transitions counts state switches (instrumentation).
-	Transitions int
 }
 
 // NewDetector returns a detector with the paper's 10-second D_prop window.
@@ -65,11 +62,9 @@ func (d *Detector) Observe(now time.Duration, owd time.Duration, npkt int) bool 
 	}
 	if !d.internet && d.aboveCount >= npkt {
 		d.internet = true
-		d.Transitions++
 		d.aboveCount = 0
 	} else if d.internet && d.belowCount >= npkt {
 		d.internet = false
-		d.Transitions++
 		d.belowCount = 0
 	}
 	return d.internet

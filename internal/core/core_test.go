@@ -75,15 +75,11 @@ func TestDetectorSwitchesAfterNpkt(t *testing.T) {
 	if n != 5 {
 		t.Fatalf("switched after %d packets, want 5 (Npkt)", n)
 	}
-	// And back after npkt in-band packets.
+	// And back after npkt in-band packets, not before.
 	for i := 0; i < 5; i++ {
-		d.Observe(2*time.Second+time.Duration(i)*time.Millisecond, 45*time.Millisecond, 5)
-	}
-	if d.internet {
-		t.Fatal("never switched back to wireless state")
-	}
-	if d.Transitions != 2 {
-		t.Fatalf("transitions = %d, want 2", d.Transitions)
+		if d.Observe(2*time.Second+time.Duration(i)*time.Millisecond, 45*time.Millisecond, 5) != (i < 4) {
+			t.Fatalf("in-band packet %d: internet = %v, want %v", i+1, d.internet, i < 4)
+		}
 	}
 }
 
@@ -393,9 +389,6 @@ func TestSenderDrainThenInternet(t *testing.T) {
 	s.OnAck(ackWith(250*time.Millisecond, 30e6, true))
 	if s.mode != ModeInternet {
 		t.Fatalf("mode = %v, want internet", s.mode)
-	}
-	if s.DrainEntries != 1 || s.InternetEntries != 1 {
-		t.Fatalf("counters = %d/%d", s.DrainEntries, s.InternetEntries)
 	}
 }
 

@@ -33,7 +33,6 @@ func TestMonitorMemoIsExact(t *testing.T) {
 		rate := map[int]float64{}
 		ber := map[int]float64{}
 		m := NewMonitor(61)
-		m.Window = 1 + r.Intn(10)
 		attach := func(info CellInfo) {
 			id := info.ID
 			info.Rate = func() float64 { return rate[id] }
@@ -55,7 +54,12 @@ func TestMonitorMemoIsExact(t *testing.T) {
 		for step := 0; step < 600; step++ {
 			switch k := r.Intn(20); {
 			case k < 12:
-				m.OnSubframe(randomReport(r, infos[r.Intn(len(infos))]))
+				// A run of slots, so windows fill and evict between the
+				// re-attaches below.
+				info := infos[r.Intn(len(infos))]
+				for n := 1 + r.Intn(Window); n > 0; n-- {
+					m.OnSubframe(randomReport(r, info))
+				}
 			case k < 16:
 				poke()
 			case k < 17:

@@ -35,9 +35,9 @@ const (
 	FilterMinPRBs      = 4.0
 )
 
-// DefaultWindow is the averaging window in subframes for Eqn 3's
-// smoothing, "the most recent RTprop subframes" (40 for a 40 ms RTT).
-const DefaultWindow = 40
+// Window is the averaging window in subframes for Eqn 3's smoothing, "the
+// most recent RTprop subframes" (40 for a 40 ms RTT).
+const Window = 40
 
 // CellInfo describes one component carrier the monitor decodes.
 type CellInfo struct {
@@ -72,8 +72,7 @@ type CellInfo struct {
 // must never be attached to cells on different shards (the lte/nr
 // layers enforce the matching invariant for devices).
 type Monitor struct {
-	RNTI   uint16
-	Window int
+	RNTI uint16
 
 	// UseFilter can be disabled for the ablation study of the §4.2.1
 	// control-traffic filter.
@@ -155,12 +154,10 @@ type userTrack struct {
 	prbs      int
 }
 
-// NewMonitor returns a monitor for the given UE RNTI with the default
-// 40-subframe smoothing window.
+// NewMonitor returns a monitor for the given UE RNTI.
 func NewMonitor(rnti uint16) *Monitor {
 	return &Monitor{
 		RNTI:      rnti,
-		Window:    DefaultWindow,
 		UseFilter: true,
 	}
 }
@@ -186,7 +183,7 @@ func (m *Monitor) AttachCell(info CellInfo) {
 	ct := &cellTrack{
 		info:  info,
 		spf:   spf,
-		ring:  make([]subframeSample, m.Window*spf),
+		ring:  make([]subframeSample, Window*spf),
 		users: make(map[uint16]*userTrack),
 		seen:  make(map[uint16]int),
 	}

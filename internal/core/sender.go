@@ -64,10 +64,6 @@ type Sender struct {
 	// against malicious capacity reports sketched in §7. Zero disables
 	// the guard.
 	MisreportGuard float64
-
-	// Counters (instrumentation).
-	DrainEntries    uint64
-	InternetEntries uint64
 }
 
 // NewSender returns a PBE-CC sender controller.
@@ -126,7 +122,6 @@ func (s *Sender) OnAck(a cc.AckSample) {
 			// one RTprop before competing (§4.2.3).
 			s.mode = ModeDrain
 			s.drainEnd = a.Now + s.RTprop()
-			s.DrainEntries++
 			return
 		}
 		s.setTarget(a.Now, a.FeedbackRate)
@@ -140,7 +135,6 @@ func (s *Sender) OnAck(a cc.AckSample) {
 		}
 		if a.Now >= s.drainEnd {
 			s.mode = ModeInternet
-			s.InternetEntries++
 			s.bbr.ForceProbeBW(a.Now)
 		}
 	case ModeInternet:

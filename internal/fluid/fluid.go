@@ -14,7 +14,7 @@
 //     the PBE-CC monitor decodes the same competing load it would see
 //     from packet users, while no packet, queue, HARQ process or
 //     delivery event ever exists for them. The on/off envelope is
-//     re-evaluated once per monitor smoothing window (core.DefaultWindow
+//     re-evaluated once per monitor smoothing window (core.Window
 //     subframes, 40 ms), not per packet: between updates the envelope is
 //     a constant rate.
 //
@@ -51,7 +51,7 @@ import (
 // DefaultWindow is the envelope update cadence: the PBE monitor's
 // smoothing window (40 subframes at 1 ms), so the background load PBE
 // measures moves on exactly the timescale its estimator smooths over.
-const DefaultWindow = core.DefaultWindow * time.Millisecond
+const DefaultWindow = core.Window * time.Millisecond
 
 // QuantumBits is the packetization quantum: a session joins the
 // water-fill only once a full MSS-sized packet's worth of bits is

@@ -438,7 +438,7 @@ func Figure7(quick bool) []Table {
 	eng := sim.New(7)
 	cell := lte.NewCell(eng, 1, 100, phy.Table64QAM, trace.Busy())
 	mon := core.NewMonitor(61)
-	mon.AttachCell(core.CellInfo{ID: 1, NPRB: 100, Rate: func() float64 { return 400 }})
+	mon.AttachCell(core.CellInfo{ID: 1, Rate: func() float64 { return 400 }})
 	cell.AttachMonitor(mon.OnSubframe)
 	var raw, filtered stats.Series
 	cell.AttachMonitor(func(rep *ran.SubframeReport) {
@@ -761,7 +761,7 @@ func fairnessScenario(schemes [3]string, rtts [3]time.Duration, dur time.Duratio
 	}
 	return &Scenario{
 		Seed: 21, Duration: dur,
-		Cells: []CellSpec{{ID: 1, NPRB: 100, Control: trace.Idle()}},
+		Cells: []CellSpec{{ID: 1, Control: trace.Idle()}},
 		UEs: []UESpec{
 			{ID: 1, RNTI: 61, CellIDs: []int{1}, RSSI: -90},
 			{ID: 2, RNTI: 62, CellIDs: []int{1}, RSSI: -90},

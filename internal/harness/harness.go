@@ -105,10 +105,12 @@ func SchemeUsesMonitor(name string) bool {
 	return s != nil && s.usesMonitor
 }
 
-// CellSpec describes one LTE component carrier, 64-QAM.
+// lteNPRB is every LTE carrier's width: 100 PRBs, 20 MHz.
+const lteNPRB = 100
+
+// CellSpec describes one 20 MHz LTE component carrier, 64-QAM.
 type CellSpec struct {
 	ID      int
-	NPRB    int
 	Control ran.ControlSource // nil = no control-plane chatter
 }
 
@@ -260,9 +262,9 @@ type Scenario struct {
 // denominator of the sweep runner's utilization metric.
 func (sc *Scenario) NominalCapacityMbps() float64 {
 	var bps float64
-	for _, cs := range sc.Cells {
+	for range sc.Cells {
 		peak := phy.MCS{CQI: 15, Table: phy.Table64QAM, Streams: 2}
-		bps += peak.BitsPerPRB() * float64(cs.NPRB) * 1000
+		bps += peak.BitsPerPRB() * lteNPRB * 1000
 	}
 	for _, ns := range sc.NRCells {
 		peak := phy.MCS{CQI: 15, Table: phy.Table256QAM, Streams: 2}
@@ -273,7 +275,6 @@ func (sc *Scenario) NominalCapacityMbps() float64 {
 
 // FlowResult is one flow's measured performance.
 type FlowResult struct {
-	ID     int
 	Scheme string
 
 	Tput *stats.Series // Mbit/s per 100 ms window
@@ -358,11 +359,6 @@ func (sc *Scenario) Validate() error {
 			return fmt.Errorf("cell %d declared twice", id)
 		}
 		isLTE[id] = i < len(sc.Cells)
-	}
-	for _, cs := range sc.Cells {
-		if cs.NPRB < 1 {
-			return fmt.Errorf("LTE cell %d has %d PRBs; want at least 1", cs.ID, cs.NPRB)
-		}
 	}
 	for _, ns := range sc.NRCells {
 		if phy.NRCarrierPRBs(ns.Mu, ns.BandwidthMHz) == 0 {
@@ -464,7 +460,7 @@ func run(sc *Scenario, a *Arena) *Result {
 // buildCells stands up every LTE and NR cell, then the fluid tier on them.
 func (b *build) buildCells() {
 	for _, cs := range b.sc.Cells {
-		b.cells[cs.ID] = lte.NewCell(b.pl.byCell[cs.ID].Engine, cs.ID, cs.NPRB, phy.Table64QAM, cs.Control)
+		b.cells[cs.ID] = lte.NewCell(b.pl.byCell[cs.ID].Engine, cs.ID, lteNPRB, phy.Table64QAM, cs.Control)
 	}
 	for _, ns := range b.sc.NRCells {
 		b.cells[ns.ID] = nr.NewCell(b.pl.byCell[ns.ID].Engine, nr.Config{
@@ -589,7 +585,7 @@ func (b *build) buildFlow(fs *FlowSpec, sfu *rtc.SFU) {
 	} else {
 		delay = b.a.delaySeries()
 	}
-	fr := &FlowResult{ID: fs.ID, Scheme: fs.Scheme, Tput: &stats.Series{}, Delay: delay}
+	fr := &FlowResult{Scheme: fs.Scheme, Tput: &stats.Series{}, Delay: delay}
 	b.res.Flows = append(b.res.Flows, fr)
 	dev := b.devices[fs.UE]
 	ueSh := b.pl.ueShard(b.specs[fs.UE])

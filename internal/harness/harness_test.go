@@ -17,7 +17,7 @@ import (
 func idleCellScenario(scheme string, seed int64) *Scenario {
 	return &Scenario{
 		Seed: seed, Duration: 8 * time.Second,
-		Cells: []CellSpec{{ID: 1, NPRB: 100}},
+		Cells: []CellSpec{{ID: 1}},
 		UEs:   []UESpec{{ID: 1, RNTI: 61, CellIDs: []int{1}, RSSI: -93}},
 		Flows: []FlowSpec{{ID: 1, UE: 1, Scheme: scheme, Start: 0, RTTBase: 40 * time.Millisecond}},
 	}
@@ -97,7 +97,7 @@ func TestPBEWirelessBottleneckStateResidency(t *testing.T) {
 func TestTwoPBEFlowsFairShare(t *testing.T) {
 	sc := &Scenario{
 		Seed: 5, Duration: 10 * time.Second,
-		Cells: []CellSpec{{ID: 1, NPRB: 100}},
+		Cells: []CellSpec{{ID: 1}},
 		UEs: []UESpec{
 			{ID: 1, RNTI: 61, CellIDs: []int{1}, RSSI: -93},
 			{ID: 2, RNTI: 62, CellIDs: []int{1}, RSSI: -93},
@@ -126,9 +126,9 @@ func TestTwoPBEFlowsFairShare(t *testing.T) {
 			j, rates[0], rates[1])
 	}
 	// And both keep low delay.
-	for _, f := range r.Flows {
+	for i, f := range r.Flows {
 		if p95 := f.Delay.Percentile(95); p95 > 80 {
-			t.Fatalf("flow %d p95 delay = %.1f ms under competition", f.ID, p95)
+			t.Fatalf("flow %d p95 delay = %.1f ms under competition", sc.Flows[i].ID, p95)
 		}
 	}
 }
@@ -139,7 +139,7 @@ func TestControlledCompetitionTracking(t *testing.T) {
 	// throughout and reclaim capacity during off periods.
 	sc := &Scenario{
 		Seed: 6, Duration: 12 * time.Second,
-		Cells: []CellSpec{{ID: 1, NPRB: 100}},
+		Cells: []CellSpec{{ID: 1}},
 		UEs: []UESpec{
 			{ID: 1, RNTI: 61, CellIDs: []int{1}, RSSI: -93},
 			{ID: 2, RNTI: 62, CellIDs: []int{1}, RSSI: -93},
@@ -167,7 +167,7 @@ func TestControlledCompetitionTracking(t *testing.T) {
 func TestCarrierAggregationWithPBE(t *testing.T) {
 	sc := &Scenario{
 		Seed: 7, Duration: 6 * time.Second,
-		Cells: []CellSpec{{ID: 1, NPRB: 100}, {ID: 2, NPRB: 100}},
+		Cells: []CellSpec{{ID: 1}, {ID: 2}},
 		UEs:   []UESpec{{ID: 1, RNTI: 61, CellIDs: []int{1, 2}, RSSI: -93, CA: true}},
 		Flows: []FlowSpec{{ID: 1, UE: 1, Scheme: "pbe", Start: 0, RTTBase: 40 * time.Millisecond}},
 	}
@@ -188,7 +188,7 @@ func TestCarrierAggregationWithPBE(t *testing.T) {
 func TestConservativeSchemeNoCA(t *testing.T) {
 	sc := &Scenario{
 		Seed: 8, Duration: 6 * time.Second,
-		Cells: []CellSpec{{ID: 1, NPRB: 100}, {ID: 2, NPRB: 100}},
+		Cells: []CellSpec{{ID: 1}, {ID: 2}},
 		UEs:   []UESpec{{ID: 1, RNTI: 61, CellIDs: []int{1, 2}, RSSI: -93, CA: true}},
 		Flows: []FlowSpec{{ID: 1, UE: 1, Scheme: "sprout", Start: 0, RTTBase: 40 * time.Millisecond}},
 	}
@@ -196,7 +196,7 @@ func TestConservativeSchemeNoCA(t *testing.T) {
 	_ = r // Sprout may or may not trigger; the assertion is on Copa below.
 	sc2 := &Scenario{
 		Seed: 8, Duration: 6 * time.Second,
-		Cells: []CellSpec{{ID: 1, NPRB: 100}, {ID: 2, NPRB: 100}},
+		Cells: []CellSpec{{ID: 1}, {ID: 2}},
 		UEs:   []UESpec{{ID: 1, RNTI: 61, CellIDs: []int{1, 2}, RSSI: -93, CA: true}},
 		Flows: []FlowSpec{{ID: 1, UE: 1, Scheme: "copa", Start: 0, RTTBase: 40 * time.Millisecond}},
 	}
@@ -281,7 +281,7 @@ func TestSchemeTable(t *testing.T) {
 func TestScenarioValidate(t *testing.T) {
 	base := func() *Scenario {
 		return &Scenario{
-			Cells:   []CellSpec{{ID: 1, NPRB: 100}},
+			Cells:   []CellSpec{{ID: 1}},
 			NRCells: []NRCellSpec{{ID: 101, Mu: 1, BandwidthMHz: 100}, {ID: 102, Mu: 1, BandwidthMHz: 100}},
 			UEs: []UESpec{
 				{ID: 1, RNTI: 61, CellIDs: []int{1}},
@@ -315,7 +315,6 @@ func TestScenarioValidate(t *testing.T) {
 		{"lte_ids_name_nr_cell", func(sc *Scenario) { sc.UEs[0].CellIDs = []int{101} }, "cell 101"},
 		{"nr_ids_name_lte_cell", func(sc *Scenario) { sc.UEs[1].NRCellIDs = []int{1} }, "cell 1 "},
 		{"nr_bandwidth_without_prbs", func(sc *Scenario) { sc.NRCells[0].BandwidthMHz = 7 }, "NR cell 101"},
-		{"lte_zero_prbs", func(sc *Scenario) { sc.Cells[0].NPRB = 0 }, "LTE cell 1 "},
 		{"negative_off_period", func(sc *Scenario) {
 			sc.Flows[1].OnPeriod, sc.Flows[1].OffPeriod = time.Second, -time.Second
 		}, "flow 2"},

@@ -63,7 +63,7 @@ func LocationScenario(loc Location, scheme string, dur time.Duration) *Scenario 
 		Duration: dur,
 	}
 	for c := 1; c <= loc.CCs; c++ {
-		cs := CellSpec{ID: c, NPRB: 100}
+		cs := CellSpec{ID: c}
 		if loc.Busy {
 			cs.Control = trace.Busy()
 		} else {

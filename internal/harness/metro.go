@@ -70,7 +70,7 @@ func MetroScenario(scheme string, p Params) *Scenario {
 		return trace.Idle()
 	}
 	for c := 0; c < nLTE; c++ {
-		sc.Cells = append(sc.Cells, CellSpec{ID: 1 + c, NPRB: 100, Control: control(c)})
+		sc.Cells = append(sc.Cells, CellSpec{ID: 1 + c, Control: control(c)})
 	}
 	for c := 0; c < nNR; c++ {
 		sc.NRCells = append(sc.NRCells, NRCellSpec{

@@ -15,7 +15,6 @@ import (
 func metroFingerprint(t *testing.T, res *Result) []byte {
 	t.Helper()
 	type flowFP struct {
-		ID       int
 		Scheme   string
 		Tput     float64
 		P50, P95 float64
@@ -28,9 +27,9 @@ func metroFingerprint(t *testing.T, res *Result) []byte {
 	var fps []flowFP
 	for _, f := range res.Flows {
 		fp := flowFP{
-			ID: f.ID, Scheme: f.Scheme,
-			Tput: f.AvgTputMbps,
-			P50:  f.Delay.Percentile(50), P95: f.Delay.Percentile(95),
+			Scheme: f.Scheme,
+			Tput:   f.AvgTputMbps,
+			P50:    f.Delay.Percentile(50), P95: f.Delay.Percentile(95),
 			Mean: f.Delay.Mean(),
 			Recv: f.Received, Lost: f.Lost,
 		}

@@ -145,13 +145,13 @@ func NRDualConnectivity(quick bool) []Table {
 	for _, s := range schemes {
 		lteOnly := &Scenario{
 			Seed: 3200, Duration: dur,
-			Cells: []CellSpec{{ID: 1, NPRB: 100, Control: trace.Idle()}},
+			Cells: []CellSpec{{ID: 1, Control: trace.Idle()}},
 			UEs:   []UESpec{{ID: 1, RNTI: 61, CellIDs: []int{1}, RSSI: -90}},
 			Flows: []FlowSpec{{ID: 1, UE: 1, Scheme: s, Start: 0, RTTBase: 40 * time.Millisecond}},
 		}
 		endc := &Scenario{
 			Seed: 3200, Duration: dur,
-			Cells:   []CellSpec{{ID: 1, NPRB: 100, Control: trace.Idle()}},
+			Cells:   []CellSpec{{ID: 1, Control: trace.Idle()}},
 			NRCells: []NRCellSpec{{ID: 101, Mu: 1, BandwidthMHz: 100, Control: trace.Idle()}},
 			UEs: []UESpec{{ID: 1, RNTI: 61, CellIDs: []int{1}, NRCellIDs: []int{101},
 				RSSI: -90}},

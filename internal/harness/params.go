@@ -301,7 +301,7 @@ func MobilityScenario(scheme string, p Params) *Scenario {
 	}
 	sc := &Scenario{
 		Seed: 16, Duration: p.dur(40 * time.Second),
-		Cells: []CellSpec{{ID: 1, NPRB: 100, Control: controlFor(p)}},
+		Cells: []CellSpec{{ID: 1, Control: controlFor(p)}},
 		UEs: []UESpec{{ID: 1, RNTI: 61, CellIDs: []int{1},
 			Trajectory: phy.PaperMobilityTrajectory(), FadingSigma: 2}},
 		Flows: []FlowSpec{{ID: 1, UE: 1, Scheme: scheme, Start: 0, RTTBase: 40 * time.Millisecond}},
@@ -340,7 +340,7 @@ func CompetitionScenario(scheme string, p Params) *Scenario {
 	}
 	sc := &Scenario{
 		Seed: 18, Duration: dur,
-		Cells: []CellSpec{{ID: 1, NPRB: 100, Control: controlFor(p)}},
+		Cells: []CellSpec{{ID: 1, Control: controlFor(p)}},
 		UEs: []UESpec{
 			{ID: 1, RNTI: 61, CellIDs: []int{1}, RSSI: p.rssi(-90)},
 			{ID: 2, RNTI: 62, CellIDs: []int{1}, RSSI: p.rssi(-90)},
@@ -368,7 +368,7 @@ func MultiflowScenario(scheme string, p Params) *Scenario {
 	}
 	sc := &Scenario{
 		Seed: 20, Duration: dur,
-		Cells: []CellSpec{{ID: 1, NPRB: 100, Control: controlFor(p)}},
+		Cells: []CellSpec{{ID: 1, Control: controlFor(p)}},
 		UEs:   []UESpec{{ID: 1, RNTI: 61, CellIDs: []int{1}, RSSI: p.rssi(-90)}},
 		Flows: []FlowSpec{
 			{ID: 1, UE: 1, Scheme: scheme, Start: 0, RTTBase: 40 * time.Millisecond},

@@ -158,7 +158,7 @@ func SFUScenario(scheme string, p Params) *Scenario {
 		SFU: true,
 	}
 	for c := 0; c < cellsPerRAT; c++ {
-		sc.Cells = append(sc.Cells, CellSpec{ID: 1 + c, NPRB: 100, Control: controlFor(p)})
+		sc.Cells = append(sc.Cells, CellSpec{ID: 1 + c, Control: controlFor(p)})
 		sc.NRCells = append(sc.NRCells, NRCellSpec{ID: 101 + c, Mu: 1, BandwidthMHz: 100, Control: controlFor(p)})
 	}
 	for i := 0; i < SFUSubscribers; i++ {

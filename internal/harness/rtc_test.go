@@ -87,20 +87,20 @@ func TestSFUScenarioFansOutToEveryUE(t *testing.T) {
 		t.Fatalf("subscribers not spread across RATs: %d LTE, %d NR", lte, nr)
 	}
 	res := Run(sc)
-	for _, fr := range res.Flows {
+	for i, fr := range res.Flows {
 		if fr.Frames == nil {
-			t.Fatalf("subscriber %d has no frame metrics", fr.ID)
+			t.Fatalf("subscriber %d has no frame metrics", sc.Flows[i].ID)
 		}
 		if fr.Frames.Released == 0 {
-			t.Fatalf("subscriber %d released no frames", fr.ID)
+			t.Fatalf("subscriber %d released no frames", sc.Flows[i].ID)
 		}
 	}
 	if res.Flows[0].Scheme != "pbe" {
 		t.Fatalf("measured subscriber runs %q, want pbe", res.Flows[0].Scheme)
 	}
-	for _, fr := range res.Flows[1:] {
+	for i, fr := range res.Flows[1:] {
 		if fr.Scheme != "gcc" {
-			t.Fatalf("background subscriber %d runs %q, want gcc", fr.ID, fr.Scheme)
+			t.Fatalf("background subscriber %d runs %q, want gcc", sc.Flows[1+i].ID, fr.Scheme)
 		}
 	}
 }

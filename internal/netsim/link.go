@@ -55,11 +55,7 @@ type Link struct {
 	line   *sim.Line[*Packet]
 	pool   *PacketPool // src-engine pool: owns queue-full drops
 
-	// Counters for reporting.
-	Delivered  uint64
-	Drops      uint64
-	SentBytes  uint64
-	DropsBytes uint64
+	Drops uint64 // packets the full queue dropped
 
 	// queueTrack, when non-nil, downsamples the queue depth into the
 	// run's series (EnableQueueSeries); nil costs one branch per sample.
@@ -81,8 +77,6 @@ func NewLink(eng *sim.Engine, rateBps float64, delay time.Duration, queueBytes i
 	l.txDone = func() {
 		p := l.txPkt
 		l.txPkt = nil
-		l.Delivered++
-		l.SentBytes += uint64(p.Size)
 		mDelivered.Inc()
 		l.propagate(p)
 		l.transmitNext()
@@ -152,15 +146,12 @@ func (l *Link) HandlePacket(now time.Duration, p *Packet) { l.Send(p) }
 func (l *Link) Send(p *Packet) {
 	if l.RateBps <= 0 {
 		// Pure-delay link: no queueing.
-		l.Delivered++
-		l.SentBytes += uint64(p.Size)
 		mDelivered.Inc()
 		l.propagate(p)
 		return
 	}
 	if l.QueueBytes > 0 && l.queuedBytes+p.Size > l.QueueBytes {
 		l.Drops++
-		l.DropsBytes += uint64(p.Size)
 		mDropped.Inc()
 		l.pool.Release(p) // drop-tail: the link is the packet's last owner
 		return

@@ -36,9 +36,7 @@ type ENDC struct {
 	scg    *ran.Activation
 	ticker *sim.Ticker
 
-	// Counters.
-	Activations   uint64
-	Deactivations uint64
+	Activations uint64 // NR leg activations
 }
 
 // NewENDC builds a dual-connectivity UE from an LTE anchor and one NR
@@ -142,7 +140,6 @@ func (e *ENDC) tick() {
 	// Deactivation: the window's load would fit in the anchor alone.
 	if e.nrActive && e.scg.DeactivationDue(now) &&
 		e.scg.ServedFits(e.anchor.RateBps()/1000*ran.DeactWindow) {
-		e.Deactivations++
 		e.setNRActive(now, false)
 	}
 }

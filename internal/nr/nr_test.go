@@ -248,14 +248,13 @@ func TestENDCDeactivates(t *testing.T) {
 	eng.At(0, high.Start)
 	eng.At(2*time.Second, high.Stop)
 	eng.At(2*time.Second, low.Start)
-	eng.RunUntil(5 * time.Second)
-
-	if endc.Activations == 0 {
-		t.Fatal("never activated")
+	eng.RunUntil(2 * time.Second)
+	if !endc.nrActive {
+		t.Fatal("NR leg inactive under saturating load")
 	}
-	if endc.Deactivations == 0 || endc.nrActive {
-		t.Fatalf("NR leg did not deactivate after load drop (deact=%d active=%v)",
-			endc.Deactivations, endc.nrActive)
+	eng.RunUntil(5 * time.Second)
+	if endc.nrActive {
+		t.Fatal("NR leg did not deactivate after load drop")
 	}
 }
 

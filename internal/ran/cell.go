@@ -79,7 +79,6 @@ type Cell struct {
 	slotDur     time.Duration
 	pendingRetx map[int][]*transportBlock
 	rng         *rand.Rand
-	ticker      *sim.Ticker
 	pool        *netsim.PacketPool
 
 	rbgSize          int
@@ -218,7 +217,7 @@ func NewCell(eng *sim.Engine, cfg CellConfig) *Cell {
 		rep:               &SubframeReport{CellID: cfg.ID, NPRB: cfg.NPRB},
 	}
 	c.deliverFn = c.deliverPending
-	c.ticker = eng.Every(c.slotDur, c.tick)
+	eng.Every(c.slotDur, c.tick)
 	return c
 }
 

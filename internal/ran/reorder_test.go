@@ -58,7 +58,6 @@ func TestReorderRingMatchesReference(t *testing.T) {
 		eng := sim.New(seed)
 		cell := NewCell(eng, CellConfig{ID: 1, NPRB: 100, Table: phy.Table64QAM,
 			SlotsPerSubframe: 1, RBGSize: 4, ControlGrantPRBs: 4})
-		cell.ticker.Stop() // the test plays the cell's part
 		ue := NewUE(eng, 1, 61, false)
 		ue.AddCell(cell, phy.NewStaticChannel(-85, phy.Table64QAM, nil))
 		sink := &seqSink{}

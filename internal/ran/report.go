@@ -78,7 +78,8 @@ type ControlGrant struct {
 
 // ControlSource produces the control-plane grants of each subframe.
 // Implementations keep their own state across subframes; package trace
-// provides a population calibrated to Figure 7.
+// provides a population calibrated to Figure 7. The returned slice is only
+// read before the next Tick call, so implementations can reuse a buffer.
 type ControlSource interface {
 	Tick(subframe int, rng *rand.Rand) []ControlGrant
 }

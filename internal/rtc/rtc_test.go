@@ -251,35 +251,6 @@ func TestSFUFanoutLayerSelection(t *testing.T) {
 	}
 }
 
-func TestStreamPlayer(t *testing.T) {
-	window := 100 * time.Millisecond
-	var times []time.Duration
-	var rates []float64
-	// 40 windows at 10 Mbit/s, then 20 at 0, then 40 at 10.
-	for i := 0; i < 100; i++ {
-		times = append(times, time.Duration(i)*window)
-		switch {
-		case i < 40:
-			rates = append(rates, 10)
-		case i < 60:
-			rates = append(rates, 0)
-		default:
-			rates = append(rates, 10)
-		}
-	}
-	p := StreamPlayer{BitrateMbps: 5, StartupSecs: 1, MaxBufferSecs: 2}
-	startup, rebuffer := p.Play(window, times, rates)
-	// 5 Mbit buffers in 0.5 s at 10 Mbit/s.
-	if startup != 400*time.Millisecond {
-		t.Fatalf("startup %v, want 400ms", startup)
-	}
-	// The 2 s outage is partially covered by the 2 s buffer cap minus
-	// drain; some rebuffering is inevitable.
-	if rebuffer <= 0 || rebuffer > 2*time.Second {
-		t.Fatalf("rebuffer %v out of range", rebuffer)
-	}
-}
-
 // TestJitterBufferAddAllocatesNothing pins steady-state playout: once the
 // buffer has recycled a few frames (and its delay series has room), adding
 // packets and releasing frames allocates nothing.

@@ -38,12 +38,8 @@ type ControlTraffic struct {
 	ArrivalPerMs float64
 
 	active   []ctrlUser
+	grants   []ran.ControlGrant // Tick's result, reused
 	nextRNTI uint32
-
-	// Counters for the Figure 7 reproduction.
-	TotalUsers uint64
-	durations  []int
-	rbgCounts  []int
 }
 
 type ctrlUser struct {
@@ -69,7 +65,7 @@ func (c *ControlTraffic) Tick(subframe int, rng *rand.Rand) []ran.ControlGrant {
 	for n := poisson(rng, c.ArrivalPerMs); n > 0; n-- {
 		c.spawn(rng)
 	}
-	grants := make([]ran.ControlGrant, 0, len(c.active))
+	grants := c.grants[:0]
 	out := c.active[:0]
 	for i := range c.active {
 		u := &c.active[i]
@@ -80,11 +76,11 @@ func (c *ControlTraffic) Tick(subframe int, rng *rand.Rand) []ran.ControlGrant {
 		}
 	}
 	c.active = out
+	c.grants = grants
 	return grants
 }
 
 func (c *ControlTraffic) spawn(rng *rand.Rand) {
-	c.TotalUsers++
 	c.nextRNTI++
 	if c.nextRNTI > 0xFFF0 {
 		c.nextRNTI = 0x4000
@@ -110,8 +106,6 @@ func (c *ControlTraffic) spawn(rng *rand.Rand) {
 			u.remaining = longUserMaxDur
 		}
 	}
-	c.durations = append(c.durations, u.remaining)
-	c.rbgCounts = append(c.rbgCounts, u.rbgs)
 	c.active = append(c.active, u)
 }
 

@@ -8,33 +8,59 @@ import (
 	"pbecc/internal/ran"
 )
 
+// userRun is one control user as its grants show it: the subframes it was
+// granted in a row and its RBGs.
+type userRun struct{ dur, rbgs int }
+
+// userRuns ticks c for n subframes and groups the grants into per-user
+// runs. A grant whose RNTI was granted in the previous subframe continues
+// that user's run; any other starts a new user, so an RNTI that reappears
+// after the allocator wraps at 0xFFF0 counts again.
+func userRuns(t *testing.T, c *ControlTraffic, rng *rand.Rand, n int) []userRun {
+	var runs []userRun
+	prev, cur := map[uint16]int{}, map[uint16]int{} // RNTI -> index in runs
+	for sf := 0; sf < n; sf++ {
+		clear(cur)
+		for _, g := range c.Tick(sf, rng) {
+			i, ok := prev[g.RNTI]
+			if !ok {
+				i = len(runs)
+				runs = append(runs, userRun{rbgs: g.RBGs})
+			} else if runs[i].rbgs != g.RBGs {
+				t.Fatalf("RNTI %#x changed from %d to %d RBGs mid-run", g.RNTI, runs[i].rbgs, g.RBGs)
+			}
+			runs[i].dur++
+			cur[g.RNTI] = i
+		}
+		prev, cur = cur, prev
+	}
+	return runs
+}
+
 func TestControlPopulationCalibration(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	c := Busy()
-	for sf := 0; sf < 200000; sf++ {
-		c.Tick(sf, rng)
-	}
-	if c.TotalUsers < 60000 {
-		t.Fatalf("only %d users spawned", c.TotalUsers)
+	runs := userRuns(t, Busy(), rng, 200000)
+	if len(runs) < 60000 {
+		t.Fatalf("only %d users spawned", len(runs))
 	}
 	one := 0
-	for _, d := range c.durations {
-		if d == 1 {
+	for _, r := range runs {
+		if r.dur == 1 {
 			one++
 		}
 	}
-	frac := float64(one) / float64(len(c.durations))
+	frac := float64(one) / float64(len(runs))
 	// Figure 7(b): 68.2% of users are active for exactly one subframe.
 	if frac < 0.65 || frac < 0.60 || frac > 0.72 {
 		t.Fatalf("1-subframe fraction = %.3f, want ~0.682", frac)
 	}
 	fourPRB := 0
-	for _, r := range c.rbgCounts {
-		if r == 1 {
+	for _, r := range runs {
+		if r.rbgs == 1 {
 			fourPRB++
 		}
 	}
-	pfrac := float64(fourPRB) / float64(len(c.rbgCounts))
+	pfrac := float64(fourPRB) / float64(len(runs))
 	// Figure 7(b): ~47.7% of users occupy exactly four PRBs (one RBG).
 	if pfrac < 0.40 || pfrac > 0.56 {
 		t.Fatalf("4-PRB fraction = %.3f, want ~0.48", pfrac)
@@ -50,7 +76,7 @@ func TestBusyCellActiveUserWindow(t *testing.T) {
 	window := map[uint16]int{}
 	var events [][]ran.ControlGrant
 	for sf := 0; sf < 20000; sf++ {
-		g := c.Tick(sf, rng)
+		g := append([]ran.ControlGrant(nil), c.Tick(sf, rng)...) // Tick reuses its slice
 		events = append(events, g)
 		for _, u := range g {
 			window[u.RNTI]++
@@ -91,16 +117,12 @@ func TestIdlePresetNearlyQuiet(t *testing.T) {
 
 func TestLongUsersFilterable(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	c := Busy()
-	for sf := 0; sf < 50000; sf++ {
-		c.Tick(sf, rng)
-	}
-	for i, d := range c.durations {
-		if d > 1 && c.rbgCounts[i] != 1 {
+	for _, r := range userRuns(t, Busy(), rng, 50000) {
+		if r.dur > 1 && r.rbgs != 1 {
 			t.Fatal("long-lived control user with >1 RBG would evade the Pa filter")
 		}
-		if d > longUserMaxDur {
-			t.Fatalf("duration %d beyond cap", d)
+		if r.dur > longUserMaxDur {
+			t.Fatalf("duration %d beyond cap", r.dur)
 		}
 	}
 }

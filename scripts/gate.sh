@@ -27,10 +27,12 @@
 # Surface gate (no simulation):
 #   surface        every internal package, exported symbol and struct field
 #                  has a user (scripts/surface, go/types-resolved, test
-#                  packages included): a package needs an importer outside
-#                  examples/ and its own directory, an exported internal/
-#                  symbol a use outside its own package's tests, a struct
-#                  field in a non-test internal/ file a read anywhere
+#                  packages included, examples/ never a user): a package
+#                  needs an importer outside its own directory, an
+#                  exported internal/ symbol a use and a struct field in a
+#                  non-test internal/ file a read, each from non-test code
+#                  or another directory's tests; x.f = append(x.f, ...)
+#                  does not read x.f
 #
 # Regression gates (against the committed baselines):
 #   micro-diff     every internal/sim bench, the metro benches and the

@@ -8,14 +8,14 @@
 //     and its own directory (test imports count);
 //   - every exported func, type, const, var and method declared in a
 //     non-test file under internal/, interface methods included, is used by
-//     a non-test file anywhere or a test file in another directory. Uses
-//     inside the symbol's own declaration, or as a method's receiver, do not
-//     count;
+//     a non-test file outside examples/ or by a test file in another
+//     directory. Uses inside the symbol's own declaration, or as a method's
+//     receiver, do not count;
 //   - every struct field declared in a non-test file under internal/ is read
-//     by some file, tests included. Assignment, ++/-- and composite-literal
-//     keys write a field and do not count. A field with a json tag counts as
-//     read, as does every field of a struct used as a map key. Embedded and
-//     blank fields are not checked.
+//     by the same users. Assignment, ++/--, composite-literal keys and the
+//     x.f inside x.f = append(x.f, ...) write a field and do not count. A
+//     field with a json tag counts as read, as does every field of a struct
+//     used as a map key. Embedded and blank fields are not checked.
 //
 // Every use resolves to the object it names. A used interface method also
 // credits the same-named method of every type in the module that implements
@@ -84,13 +84,12 @@ type pkg struct {
 	checking             bool
 }
 
-// symbol is a declaration a rule checks: an exported name (field false) or a
-// struct field. A package violation reuses it with only pos and label set.
+// symbol is a declaration a rule checks: an exported name or a struct field.
+// A package violation reuses it with only pos and label set.
 type symbol struct {
 	pos   token.Pos
 	dir   string
 	label string
-	field bool
 }
 
 // ifaceUse is a call or method value of an interface method, from non-test
@@ -108,18 +107,17 @@ type checker struct {
 	std      types.Importer
 	imported map[string]bool
 	syms     []symbol
-	// uses[p] holds "" when a non-test file uses the object declared at p,
-	// and the directory of each test file that does.
+	// uses[p] holds "" when a non-test file uses (for a field, reads) the
+	// object declared at p, and the directory of each test file that does.
 	uses   map[token.Pos]map[string]bool
-	reads  map[token.Pos]bool // fields read
-	ifaces map[ifaceUse]bool  // interface methods used
+	ifaces map[ifaceUse]bool // interface methods used
 }
 
 // check returns the violations in the module rooted at root, in file and
 // line order.
 func check(root string) ([]string, error) {
 	c := &checker{root: root, fset: token.NewFileSet(), pkgs: map[string]*pkg{}, imported: map[string]bool{},
-		uses: map[token.Pos]map[string]bool{}, reads: map[token.Pos]bool{}, ifaces: map[ifaceUse]bool{}}
+		uses: map[token.Pos]map[string]bool{}, ifaces: map[ifaceUse]bool{}}
 	if err := c.load(); err != nil {
 		return nil, err
 	}
@@ -164,10 +162,16 @@ func check(root string) ([]string, error) {
 
 func internal(dir string) bool { return strings.HasPrefix(dir+"/", "internal/") }
 
-func (c *checker) used(s symbol) bool {
-	if s.field {
-		return c.reads[s.pos]
+// use records that from ("" or a test file's directory) uses the object
+// declared at pos.
+func (c *checker) use(pos token.Pos, from string) {
+	if c.uses[pos] == nil {
+		c.uses[pos] = map[string]bool{}
 	}
+	c.uses[pos][from] = true
+}
+
+func (c *checker) used(s symbol) bool {
 	for from := range c.uses[s.pos] {
 		if from != s.dir {
 			return true
@@ -388,15 +392,19 @@ func (c *checker) dependsOn(q *pkg, target string, seen map[string]bool) bool {
 	return false
 }
 
-// walk records what f imports and every use and field read in it.
+// walk records what f imports and every use and field read in it. Nothing
+// under examples/ is recorded.
 func (c *checker) walk(f *ast.File, p *pkg, test bool, info *types.Info) {
+	if strings.HasPrefix(p.dir+"/", "examples/") {
+		return
+	}
 	from := ""
 	if test {
 		from = p.dir
 	}
 	for _, im := range f.Imports {
 		ip, _ := strconv.Unquote(im.Path.Value)
-		if !strings.HasPrefix(p.dir+"/", "examples/") && ip != p.path {
+		if ip != p.path {
 			c.imported[ip] = true
 		}
 	}
@@ -433,8 +441,11 @@ func (c *checker) walkDecl(d ast.Node, from string, info *types.Info) {
 		case *ast.FieldList:
 			return n != recv
 		case *ast.AssignStmt:
-			for _, e := range n.Lhs {
+			for i, e := range n.Lhs {
 				write(e)
+				if len(n.Rhs) == len(n.Lhs) && selfAppend(e, n.Rhs[i], info) {
+					write(n.Rhs[i].(*ast.CallExpr).Args[0])
+				}
 			}
 		case *ast.IncDecStmt:
 			write(n.X)
@@ -450,7 +461,7 @@ func (c *checker) walkDecl(d ast.Node, from string, info *types.Info) {
 				writes[id] = true // a struct literal's field key; no other key is a field
 			}
 		case *ast.MapType:
-			c.readAll(info.TypeOf(n.Key))
+			c.readAll(info.TypeOf(n.Key), from)
 		case *ast.Ident:
 			obj := info.Uses[n]
 			if obj == nil || !obj.Pos().IsValid() {
@@ -458,17 +469,14 @@ func (c *checker) walkDecl(d ast.Node, from string, info *types.Info) {
 			}
 			if v, ok := obj.(*types.Var); ok && v.IsField() {
 				if !writes[n] {
-					c.reads[v.Pos()] = true
+					c.use(v.Pos(), from)
 				}
 				return true
 			}
 			if obj.Pos() >= d.Pos() && obj.Pos() < d.End() {
 				return true
 			}
-			if c.uses[obj.Pos()] == nil {
-				c.uses[obj.Pos()] = map[string]bool{}
-			}
-			c.uses[obj.Pos()][from] = true
+			c.use(obj.Pos(), from)
 			if fn, ok := obj.(*types.Func); ok {
 				if r := fn.Type().(*types.Signature).Recv(); r != nil && types.IsInterface(r.Type()) {
 					c.ifaces[ifaceUse{fn, from}] = true
@@ -479,17 +487,33 @@ func (c *checker) walkDecl(d ast.Node, from string, info *types.Info) {
 	})
 }
 
-// readAll marks every field of a struct type t as read, and those of the
-// structs and arrays it holds by value: comparing or hashing t reads them.
-func (c *checker) readAll(t types.Type) {
+// selfAppend reports whether rhs is append(lhs, ...), which writes lhs and
+// reads nothing of it a caller could see.
+func selfAppend(lhs, rhs ast.Expr, info *types.Info) bool {
+	call, ok := ast.Unparen(rhs).(*ast.CallExpr)
+	if !ok || len(call.Args) == 0 {
+		return false
+	}
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok {
+		return false
+	}
+	b, ok := info.Uses[id].(*types.Builtin)
+	return ok && b.Name() == "append" && types.ExprString(call.Args[0]) == types.ExprString(lhs)
+}
+
+// readAll marks every field of a struct type t as read from from, and those
+// of the structs and arrays it holds by value: comparing or hashing t reads
+// them.
+func (c *checker) readAll(t types.Type, from string) {
 	switch u := t.Underlying().(type) {
 	case *types.Struct:
 		for i := 0; i < u.NumFields(); i++ {
-			c.reads[u.Field(i).Pos()] = true
-			c.readAll(u.Field(i).Type())
+			c.use(u.Field(i).Pos(), from)
+			c.readAll(u.Field(i).Type(), from)
 		}
 	case *types.Array:
-		c.readAll(u.Elem())
+		c.readAll(u.Elem(), from)
 	}
 }
 
@@ -497,12 +521,12 @@ func (c *checker) readAll(t types.Type) {
 // file of an internal/ package, declares. A method the standard library
 // calls is not registered.
 func (c *checker) declare(f *ast.File, p *pkg) {
-	add := func(id *ast.Ident, label string, field bool) {
-		c.syms = append(c.syms, symbol{pos: id.Pos(), dir: p.dir, label: f.Name.Name + "." + label, field: field})
+	add := func(id *ast.Ident, label string) {
+		c.syms = append(c.syms, symbol{pos: id.Pos(), dir: p.dir, label: f.Name.Name + "." + label})
 	}
 	method := func(id *ast.Ident, owner string) {
 		if id.IsExported() && stdMethods[id.Name] != sigKey(p.info.Defs[id].(*types.Func)) {
-			add(id, owner+"."+id.Name, false)
+			add(id, owner+"."+id.Name)
 		}
 	}
 	for _, d := range f.Decls {
@@ -510,7 +534,7 @@ func (c *checker) declare(f *ast.File, p *pkg) {
 		case *ast.FuncDecl:
 			if d.Recv == nil {
 				if d.Name.IsExported() {
-					add(d.Name, d.Name.Name, false)
+					add(d.Name, d.Name.Name)
 				}
 				continue
 			}
@@ -525,7 +549,7 @@ func (c *checker) declare(f *ast.File, p *pkg) {
 				switch s := s.(type) {
 				case *ast.TypeSpec:
 					if s.Name.IsExported() {
-						add(s.Name, s.Name.Name, false)
+						add(s.Name, s.Name.Name)
 					}
 					if it, ok := s.Type.(*ast.InterfaceType); ok {
 						for _, m := range it.Methods.List {
@@ -537,7 +561,7 @@ func (c *checker) declare(f *ast.File, p *pkg) {
 				case *ast.ValueSpec:
 					for _, id := range s.Names {
 						if id.IsExported() {
-							add(id, id.Name, false)
+							add(id, id.Name)
 						}
 					}
 				}
@@ -569,7 +593,7 @@ func (c *checker) declare(f *ast.File, p *pkg) {
 				}
 				for _, id := range fl.Names {
 					if id.Name != "_" {
-						add(id, owner+"."+id.Name, true)
+						add(id, owner+"."+id.Name)
 					}
 				}
 			}
@@ -632,11 +656,7 @@ func (c *checker) creditImplementations() {
 					continue types
 				}
 			}
-			impl := set[u.fn.Name()]
-			if c.uses[impl.Pos()] == nil {
-				c.uses[impl.Pos()] = map[string]bool{}
-			}
-			c.uses[impl.Pos()][u.from] = true
+			c.use(set[u.fn.Name()].Pos(), u.from)
 		}
 	}
 }

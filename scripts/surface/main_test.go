@@ -29,6 +29,10 @@ func TestCheckFixture(t *testing.T) {
 		{"type named only by its methods' receivers", "a.Orphan", true},
 		{"method whose only use is a same-named field of another type", "a.(*Meter).Rate", true},
 		{"field that is only assigned", "a.Config.Written", true},
+		{"field read only by its own package's test", "a.Config.OwnRead", true},
+		{"field read by another package's test", "a.Config.OtherRead", false},
+		{"field that is only appended to itself", "a.Log.entries", true},
+		{"func used only from examples/", "a.ExampleOnly", true},
 		{"json-tagged field", "a.Config.Tagged", false},
 		{"field of a map key", "a.Key.X", false},
 		{"func field that is called", "b.Info.Rate", false},

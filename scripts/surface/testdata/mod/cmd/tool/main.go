@@ -9,4 +9,5 @@ func main() {
 	b.Run(nil)
 	b.Probe(b.Info{}, &a.Config{})
 	b.Area(a.Square{})
+	new(a.Log).Add(1)
 }

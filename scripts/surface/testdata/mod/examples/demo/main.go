@@ -1,5 +1,11 @@
 package main
 
-import "fixture/internal/c"
+import (
+	"fixture/internal/a"
+	"fixture/internal/c"
+)
 
-func main() { c.C() }
+func main() {
+	c.C()
+	a.ExampleOnly()
+}

@@ -24,11 +24,23 @@ type Meter struct{}
 
 func (m *Meter) Rate() float64 { return 0 }
 
-// Config's Written is only ever assigned; Tagged is read by encoding/json.
+// Config's Written is only ever assigned; Tagged is read by encoding/json;
+// OwnRead is read only by this package's test, OtherRead only by package b's.
 type Config struct {
-	Written int
-	Tagged  int `json:"tagged"`
+	Written   int
+	Tagged    int `json:"tagged"`
+	OwnRead   int
+	OtherRead int
 }
+
+// Log's entries are only ever appended to themselves.
+type Log struct{ entries []int }
+
+// Add appends x to l's entries.
+func (l *Log) Add(x int) { l.entries = append(l.entries, x) }
+
+// ExampleOnly is called only from examples/.
+func ExampleOnly() {}
 
 // Key's fields are read by every map that hashes a Key.
 type Key struct{ X, Y int }

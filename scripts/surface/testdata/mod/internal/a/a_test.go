@@ -2,4 +2,9 @@ package a
 
 import "testing"
 
-func TestOwn(t *testing.T) { OwnTestOnly() }
+func TestOwn(t *testing.T) {
+	OwnTestOnly()
+	if (Config{}).OwnRead != 0 {
+		t.Fatal("OwnRead")
+	}
+}

@@ -6,4 +6,9 @@ import (
 	"fixture/internal/a"
 )
 
-func TestOther(t *testing.T) { a.OtherTest() }
+func TestOther(t *testing.T) {
+	a.OtherTest()
+	if (a.Config{}).OtherRead != 0 {
+		t.Fatal("OtherRead")
+	}
+}
