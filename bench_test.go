@@ -1,10 +1,10 @@
 package pbecc
 
-// One benchmark per table and figure of the paper's evaluation: each
-// regenerates the experiment through the same code path as cmd/pbebench
-// (quick mode keeps -bench=. tractable; run `pbebench -exp <id>` for the
-// full grid and printed rows). Reported metric: wall time to regenerate
-// the experiment.
+// Engine-level benches that the micro gate (scripts/gate.sh micro-diff)
+// and DESIGN.md cite: NR slot scheduling, the RTC/SFU families, the metro
+// scenario at several shard widths, the smoke sweep and two ablations.
+// The figures are covered by TestRunAllExperimentsQuick; benchmark/ is
+// the timing authority.
 
 import (
 	"testing"
@@ -17,56 +17,6 @@ import (
 	"pbecc/internal/sim"
 	"pbecc/internal/sweep"
 )
-
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	var run func(quick bool) []harness.Table
-	for _, e := range harness.Experiments() {
-		if e.ID == id {
-			run = e.Run
-		}
-	}
-	if run == nil {
-		b.Fatalf("unknown experiment %q", id)
-	}
-	for i := 0; i < b.N; i++ {
-		tables := run(true)
-		if len(tables) == 0 || len(tables[0].Rows) == 0 {
-			b.Fatalf("%s produced no output", id)
-		}
-	}
-}
-
-func BenchmarkTable1(b *testing.B)    { benchExperiment(b, "table1") }
-func BenchmarkFigure2(b *testing.B)   { benchExperiment(b, "fig2") }
-func BenchmarkFigure3(b *testing.B)   { benchExperiment(b, "fig3") }
-func BenchmarkFigure5(b *testing.B)   { benchExperiment(b, "fig5") }
-func BenchmarkFigure6a(b *testing.B)  { benchExperiment(b, "fig6a") }
-func BenchmarkFigure6b(b *testing.B)  { benchExperiment(b, "fig6b") }
-func BenchmarkFigure7(b *testing.B)   { benchExperiment(b, "fig7") }
-func BenchmarkFigure8(b *testing.B)   { benchExperiment(b, "fig8") }
-func BenchmarkFigure9(b *testing.B)   { benchExperiment(b, "fig9") }
-func BenchmarkFigure11(b *testing.B)  { benchExperiment(b, "fig11") }
-func BenchmarkFigure12(b *testing.B)  { benchExperiment(b, "fig12") }
-func BenchmarkFigure13(b *testing.B)  { benchExperiment(b, "fig13") }
-func BenchmarkFigure14(b *testing.B)  { benchExperiment(b, "fig14") }
-func BenchmarkFigure15(b *testing.B)  { benchExperiment(b, "fig15") }
-func BenchmarkFigure16(b *testing.B)  { benchExperiment(b, "fig16") }
-func BenchmarkFigure17(b *testing.B)  { benchExperiment(b, "fig17") }
-func BenchmarkFigure18(b *testing.B)  { benchExperiment(b, "fig18") }
-func BenchmarkFigure19(b *testing.B)  { benchExperiment(b, "fig19") }
-func BenchmarkFigure20(b *testing.B)  { benchExperiment(b, "fig20") }
-func BenchmarkFigure21a(b *testing.B) { benchExperiment(b, "fig21a") }
-func BenchmarkFigure21b(b *testing.B) { benchExperiment(b, "fig21b") }
-func BenchmarkFigure21c(b *testing.B) { benchExperiment(b, "fig21c") }
-func BenchmarkFigure21d(b *testing.B) { benchExperiment(b, "fig21d") }
-
-// 5G NR benches: the nr-* experiments added with internal/nr.
-
-func BenchmarkNRTput(b *testing.B)             { benchExperiment(b, "nr-tput") }
-func BenchmarkNRBlockage(b *testing.B)         { benchExperiment(b, "nr-blockage") }
-func BenchmarkNRDualConnectivity(b *testing.B) { benchExperiment(b, "nr-dc") }
-func BenchmarkNRCompete(b *testing.B)          { benchExperiment(b, "nr-compete") }
 
 // BenchmarkNRSlotScheduling isolates the NR cell's slot loop from the
 // transport stack: four saturated users on a µ=3 mmWave carrier, 8000
@@ -176,8 +126,6 @@ func BenchmarkSmokeSweep(b *testing.B) {
 }
 
 // Ablation benches: the design-choice studies DESIGN.md calls out.
-
-func BenchmarkAblationSuite(b *testing.B) { benchExperiment(b, "ablation") }
 
 // BenchmarkAblationDecode compares the oracle monitor path against the
 // bit-level PDCCH blind-decode path on the same scenario, reporting the

@@ -21,15 +21,14 @@ import (
 	"fmt"
 	"os"
 
-	"pbecc/internal/harness"
+	"pbecc/internal/figures"
 	"pbecc/internal/obs"
 )
 
 // expResult is one experiment's -json entry.
 type expResult struct {
-	ID     string          `json:"id"`
-	Title  string          `json:"title"`
-	Tables []harness.Table `json:"tables"`
+	figures.Experiment
+	Tables []figures.Table `json:"tables"`
 }
 
 func main() {
@@ -55,56 +54,44 @@ func main() {
 
 	if *list {
 		if *jsonOut {
-			type entry struct {
-				ID    string `json:"id"`
-				Title string `json:"title"`
-			}
-			var out []entry
-			for _, e := range harness.Experiments() {
-				out = append(out, entry{e.ID, e.Title})
-			}
-			if err := enc.Encode(out); err != nil {
+			if err := enc.Encode(figures.Experiments()); err != nil {
 				fatal(err)
 			}
 			return
 		}
-		for _, e := range harness.Experiments() {
+		for _, e := range figures.Experiments() {
 			fmt.Printf("%-12s %s\n", e.ID, e.Title)
 		}
 		return
 	}
 
-	var collected []expResult
-	run := func(e harness.Experiment) {
-		tables := e.Run(*quick)
-		if *jsonOut {
-			collected = append(collected, expResult{ID: e.ID, Title: e.Title, Tables: tables})
-			return
-		}
-		fmt.Printf("--- running %s (%s) ---\n", e.ID, e.Title)
-		for _, t := range tables {
-			t.Fprint(os.Stdout)
-		}
-	}
-
 	// Resolve the experiment before running anything, so an unknown ID
 	// fails fast with a non-zero exit in every output mode (-json
 	// included) and lists what would have been valid.
-	var matched []harness.Experiment
-	for _, e := range harness.Experiments() {
+	var matched []figures.Experiment
+	for _, e := range figures.Experiments() {
 		if *exp == "all" || e.ID == *exp {
 			matched = append(matched, e)
 		}
 	}
 	if len(matched) == 0 {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q; valid ids:\n", *exp)
-		for _, e := range harness.Experiments() {
+		for _, e := range figures.Experiments() {
 			fmt.Fprintf(os.Stderr, "  %s\n", e.ID)
 		}
 		os.Exit(2)
 	}
+	var collected []expResult
 	for _, e := range matched {
-		run(e)
+		tables := e.Run(*quick)
+		if *jsonOut {
+			collected = append(collected, expResult{e, tables})
+			continue
+		}
+		fmt.Printf("--- running %s (%s) ---\n", e.ID, e.Title)
+		for _, t := range tables {
+			t.Fprint(os.Stdout)
+		}
 	}
 	if *jsonOut {
 		if err := enc.Encode(collected); err != nil {

@@ -87,7 +87,8 @@ func listAxes() {
 	}
 	fmt.Printf("schemes: %v\n", harness.Schemes)
 	fmt.Printf("rats (every family): %v\n", []string{harness.RATLTE, harness.RATNR})
-	fmt.Println("other axes: seeds, rats, cell_counts, noise_levels, busy, duration_ms, fluid")
+	fmt.Printf("other axes: seeds, rats, locations (grid spots 0-%d; steady on lte only), cell_counts, noise_levels, busy, duration_ms, fluid\n",
+		len(harness.LocationGrid())-1)
 	fmt.Printf("fault axes (spec \"fault_axes\" + \"fault_levels\", see -scorecard): %v\n", faults.Axes())
 	fmt.Println("built-in specs (-spec <name>; job counts include the fault-axis expansion):")
 	for _, spec := range sweep.Builtins() {

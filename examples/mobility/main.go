@@ -21,21 +21,6 @@ func run(scheme string) *harness.FlowResult {
 	return harness.Run(sc).Flows[0]
 }
 
-func avgWindow(f *harness.FlowResult, from, to time.Duration) float64 {
-	var sum float64
-	n := 0
-	for i, tm := range f.TimelineT {
-		if tm >= from && tm < to {
-			sum += f.TimelineR[i]
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
 func main() {
 	pbe, bbr := run("pbe"), run("bbr")
 
@@ -43,8 +28,8 @@ func main() {
 	fmt.Println("t(s)   pbe(Mbit/s)  bbr(Mbit/s)")
 	for from := time.Duration(0); from < 40*time.Second; from += 2 * time.Second {
 		fmt.Printf("%5.0f  %11.1f  %11.1f\n", from.Seconds(),
-			avgWindow(pbe, from, from+2*time.Second),
-			avgWindow(bbr, from, from+2*time.Second))
+			pbe.TimelineAvg(from, from+2*time.Second),
+			bbr.TimelineAvg(from, from+2*time.Second))
 	}
 	fmt.Printf("\nsummary:      avg tput    p95 delay\n")
 	fmt.Printf("  pbe        %7.1f    %7.1f ms\n", pbe.AvgTputMbps, pbe.Delay.Percentile(95))

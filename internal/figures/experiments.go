@@ -1,4 +1,8 @@
-package harness
+// Package figures regenerates the paper's tables and figures and the 5G
+// NR experiments, one registry entry each, for cmd/pbebench. A figure that
+// compares schemes over scenario-family jobs builds a sweep spec and runs
+// its jobs on the sweep worker pool (points).
+package figures
 
 import (
 	"fmt"
@@ -7,12 +11,14 @@ import (
 	"time"
 
 	"pbecc/internal/core"
+	"pbecc/internal/harness"
 	"pbecc/internal/lte"
 	"pbecc/internal/netsim"
 	"pbecc/internal/phy"
 	"pbecc/internal/ran"
 	"pbecc/internal/sim"
 	"pbecc/internal/stats"
+	"pbecc/internal/sweep"
 	"pbecc/internal/trace"
 )
 
@@ -64,42 +70,42 @@ func (t *Table) Fprint(w io.Writer) {
 
 // Experiment regenerates one table or figure of the paper.
 type Experiment struct {
-	ID    string
-	Title string
-	Run   func(quick bool) []Table
+	ID    string                   `json:"id"`
+	Title string                   `json:"title"`
+	Run   func(quick bool) []Table `json:"-"`
 }
 
-// Experiments returns the full per-figure registry (DESIGN.md §4).
+// Experiments returns the full per-figure registry (DESIGN.md §5).
 func Experiments() []Experiment {
 	return []Experiment{
-		{"table1", "Summary speedup/delay-reduction vs BBR, Verus, Copa", Table1},
-		{"fig2", "Secondary-carrier activation and deactivation trace", Figure2},
-		{"fig3", "HARQ retransmission and reordering-buffer delay", Figure3},
-		{"fig5", "Per-subframe PRB tracking across users", Figure5},
-		{"fig6a", "Retransmission and protocol overhead vs offered load", Figure6a},
-		{"fig6b", "Transport block error rate vs size", Figure6b},
-		{"fig7", "Active-user counts and the control-traffic filter", Figure7},
-		{"fig8", "One-way delay under increasing offered load", Figure8},
-		{"fig9", "BBR's eight-phase pacing-gain cycle", Figure9},
-		{"fig11", "Cell status micro-benchmark (users, physical rates)", Figure11},
-		{"fig12", "Throughput / 95th-pct delay CDFs across locations", Figure12},
-		{"fig13", "Order statistics at four indoor locations", Figure13},
-		{"fig14", "Order statistics at two outdoor locations", Figure14},
-		{"fig15", "Locations triggering carrier aggregation per scheme", Figure15},
-		{"fig16", "Mobility: throughput and delay per scheme", Figure16},
-		{"fig17", "Mobility timeline: PBE-CC vs BBR", Figure17},
-		{"fig18", "Controlled competition: throughput and delay", Figure18},
-		{"fig19", "Competition timeline: PBE-CC vs BBR", Figure19},
-		{"fig20", "Two concurrent connections from one device", Figure20},
-		{"fig21a", "Multi-user fairness (three PBE flows)", Figure21a},
-		{"fig21b", "RTT fairness (52/64/297 ms flows)", Figure21b},
-		{"fig21c", "TCP friendliness: two PBE flows + one BBR", Figure21c},
-		{"fig21d", "TCP friendliness: two PBE flows + one CUBIC", Figure21d},
-		{"ablation", "Design ablations: baseline, no Ta/Pa filter, bit-level PDCCH decode, misreport guard", Ablations},
-		{"nr-tput", "5G NR single-cell throughput and delay per scheme", NRTput},
-		{"nr-blockage", "mmWave blockage: PBE tracks the capacity collapse", NRBlockage},
-		{"nr-dc", "EN-DC dual connectivity: LTE anchor + NR secondary", NRDualConnectivity},
-		{"nr-compete", "NR cell competition: PBE vs on-off competitor", NRCompete},
+		{ID: "table1", Title: "Summary speedup/delay-reduction vs BBR, Verus, Copa", Run: Table1},
+		{ID: "fig2", Title: "Secondary-carrier activation and deactivation trace", Run: Figure2},
+		{ID: "fig3", Title: "HARQ retransmission and reordering-buffer delay", Run: Figure3},
+		{ID: "fig5", Title: "Per-subframe PRB tracking across users", Run: Figure5},
+		{ID: "fig6a", Title: "Retransmission and protocol overhead vs offered load", Run: Figure6a},
+		{ID: "fig6b", Title: "Transport block error rate vs size", Run: Figure6b},
+		{ID: "fig7", Title: "Active-user counts and the control-traffic filter", Run: Figure7},
+		{ID: "fig8", Title: "One-way delay under increasing offered load", Run: Figure8},
+		{ID: "fig9", Title: "BBR's eight-phase pacing-gain cycle", Run: Figure9},
+		{ID: "fig11", Title: "Cell status micro-benchmark (users, physical rates)", Run: Figure11},
+		{ID: "fig12", Title: "Throughput / 95th-pct delay CDFs across locations", Run: Figure12},
+		{ID: "fig13", Title: "Order statistics at four indoor locations", Run: Figure13},
+		{ID: "fig14", Title: "Order statistics at two outdoor locations", Run: Figure14},
+		{ID: "fig15", Title: "Locations triggering carrier aggregation per scheme", Run: Figure15},
+		{ID: "fig16", Title: "Mobility: throughput and delay per scheme", Run: Figure16},
+		{ID: "fig17", Title: "Mobility timeline: PBE-CC vs BBR", Run: Figure17},
+		{ID: "fig18", Title: "Controlled competition: throughput and delay", Run: Figure18},
+		{ID: "fig19", Title: "Competition timeline: PBE-CC vs BBR", Run: Figure19},
+		{ID: "fig20", Title: "Two concurrent connections from one device", Run: Figure20},
+		{ID: "fig21a", Title: "Multi-user fairness (three PBE flows)", Run: Figure21a},
+		{ID: "fig21b", Title: "RTT fairness (52/64/297 ms flows)", Run: Figure21b},
+		{ID: "fig21c", Title: "TCP friendliness: two PBE flows + one BBR", Run: Figure21c},
+		{ID: "fig21d", Title: "TCP friendliness: two PBE flows + one CUBIC", Run: Figure21d},
+		{ID: "ablation", Title: "Design ablations: baseline, no Ta/Pa filter, bit-level PDCCH decode, misreport guard", Run: Ablations},
+		{ID: "nr-tput", Title: "5G NR single-cell throughput and delay per scheme", Run: NRTput},
+		{ID: "nr-blockage", Title: "mmWave blockage: PBE tracks the capacity collapse", Run: NRBlockage},
+		{ID: "nr-dc", Title: "EN-DC dual connectivity: LTE anchor + NR secondary", Run: NRDualConnectivity},
+		{ID: "nr-compete", Title: "NR cell competition: PBE vs on-off competitor", Run: NRCompete},
 	}
 }
 
@@ -107,57 +113,79 @@ func f0(v float64) string { return fmt.Sprintf("%.0f", v) }
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 
-func gridDuration(quick bool) time.Duration {
-	if quick {
-		return 2 * time.Second
-	}
-	return 6 * time.Second
+// point is what a swept figure reads of one job's measured flow. Its
+// values are unrounded: rounding the sweep's 2-decimal rows again can move
+// a printed digit.
+type point struct {
+	job                      sweep.Job
+	tput, avgDelay, p50, p95 float64 // Mbit/s; one-way delay in ms
+	internet                 float64 // time share in PBE's Internet-bottleneck state
+	ca                       bool    // a secondary carrier was activated
 }
 
-func gridLocations(quick bool) []Location {
-	locs := LocationGrid()
-	if quick {
-		return []Location{locs[0], locs[3], locs[11], locs[16]}
-	}
-	return locs
-}
-
-// runGrid measures one scheme across locations, returning per-location
-// average throughput, average delay and 95th-percentile delay.
-type gridPoint struct {
-	loc      Location
-	tput     float64
-	avgDelay float64
-	p95Delay float64
-	internet float64
-}
-
-func runGrid(scheme string, quick bool) []gridPoint {
-	var pts []gridPoint
-	dur := gridDuration(quick)
-	for _, loc := range gridLocations(quick) {
-		r := Run(LocationScenario(loc, scheme, dur))
-		f := r.Flows[0]
-		pts = append(pts, gridPoint{
-			loc:      loc,
-			tput:     f.AvgTputMbps,
-			avgDelay: f.Delay.Mean(),
-			p95Delay: f.Delay.Percentile(95),
-			internet: f.InternetFrac,
-		})
+// points runs a swept figure's jobs on the sweep worker pool and
+// measures each, in job order.
+func points(spec *sweep.Spec) []point {
+	pts, err := sweep.Map(spec, 0, false, nil, measure)
+	if err != nil {
+		panic(fmt.Sprintf("figures: %s: %v", spec.Name, err)) // the specs are built in
 	}
 	return pts
+}
+
+func measure(j sweep.Job, _ *harness.Scenario, r *harness.Result) point {
+	f := r.Flows[0]
+	avg := f.Delay.Mean() // before Percentile sorts the samples, which can move the sum's last bit
+	return point{j, f.AvgTputMbps, avg, f.Delay.Percentile(50), f.Delay.Percentile(95), f.InternetFrac, r.CATriggered}
+}
+
+// byScheme groups points by scheme, keeping each scheme's in job order.
+func byScheme(pts []point) map[string][]point {
+	runs := map[string][]point{}
+	for _, p := range pts {
+		runs[p.job.Scheme] = append(runs[p.job.Scheme], p)
+	}
+	return runs
+}
+
+// quickOr returns q in quick mode and full otherwise.
+func quickOr[T any](quick bool, q, full T) T {
+	if quick {
+		return q
+	}
+	return full
+}
+
+// schemeSpec runs each scheme once on a family at one seed: the seed its
+// builder defaults to keeps a figure's historical scenario.
+func schemeSpec(id, family, rat string, schemes []string, seed int64, dur time.Duration) *sweep.Spec {
+	return &sweep.Spec{Name: id, Experiments: []string{family}, Schemes: schemes,
+		Seeds: []int64{seed}, RATs: []string{rat}, DurationMs: int(dur / time.Millisecond)}
+}
+
+// gridSpec runs each scheme at every grid location with at least minCCs
+// carriers - of the whole grid, or of four busy locations when quick - for
+// 6 s (2 s quick) per job at seed 1, each location's own scenario seed.
+func gridSpec(id string, schemes []string, minCCs int, quick bool) *sweep.Spec {
+	spec := schemeSpec(id, "steady", harness.RATLTE, schemes, 1, quickOr(quick, 2*time.Second, 6*time.Second))
+	locs := harness.LocationGrid()
+	if quick {
+		locs = []harness.Location{locs[0], locs[3], locs[11], locs[16]}
+	}
+	for _, l := range locs {
+		if l.CCs >= minCCs {
+			spec.Locations = append(spec.Locations, l.Index)
+		}
+	}
+	return spec
 }
 
 // Table1 reproduces the paper's Table 1: PBE-CC's throughput speedup and
 // delay reduction versus BBR, Verus and Copa, averaged over busy and idle
 // links separately.
 func Table1(quick bool) []Table {
-	schemes := []string{"pbe", "bbr", "verus", "copa"}
-	grid := map[string][]gridPoint{}
-	for _, s := range schemes {
-		grid[s] = runGrid(s, quick)
-	}
+	grid := byScheme(points(gridSpec("table1", []string{"pbe", "bbr", "verus", "copa"}, 1, quick)))
+	locs := harness.LocationGrid()
 	t := &Table{
 		ID:    "table1",
 		Title: "PBE-CC speedup and delay reduction (paper Table 1)",
@@ -169,15 +197,15 @@ func Table1(quick bool) []Table {
 		for _, busy := range []bool{true, false} {
 			var speedup, p95red, avgred stats.Series
 			for i, p := range grid["pbe"] {
-				if p.loc.Busy != busy {
+				if locs[*p.job.Location].Busy != busy {
 					continue
 				}
 				b := grid[base][i]
 				if b.tput > 0 {
 					speedup.Add(p.tput / b.tput)
 				}
-				if p.p95Delay > 0 {
-					p95red.Add(b.p95Delay / p.p95Delay)
+				if p.p95 > 0 {
+					p95red.Add(b.p95 / p.p95)
 				}
 				if p.avgDelay > 0 {
 					avgred.Add(b.avgDelay / p.avgDelay)
@@ -191,7 +219,7 @@ func Table1(quick bool) []Table {
 		}
 	}
 	for _, p := range grid["pbe"] {
-		if p.loc.Busy {
+		if locs[*p.job.Location].Busy {
 			internetBusy.Add(p.internet)
 		} else {
 			internetIdle.Add(p.internet)
@@ -537,14 +565,10 @@ func Figure11(quick bool) []Table {
 // grid: distribution of average throughput and 95th-percentile delay.
 func Figure12(quick bool) []Table {
 	schemes := []string{"pbe", "bbr", "cubic", "verus"}
-	tput := Table{ID: "fig12a", Title: "Average throughput across locations (Mbit/s)",
-		Header: []string{"percentile", "pbe", "bbr", "cubic", "verus"}}
-	delay := Table{ID: "fig12b", Title: "95th-percentile delay across locations (ms)",
-		Header: []string{"percentile", "pbe", "bbr", "cubic", "verus"}}
-	res := map[string][]gridPoint{}
-	for _, s := range schemes {
-		res[s] = runGrid(s, quick)
-	}
+	res := byScheme(points(gridSpec("fig12", schemes, 1, quick)))
+	header := append([]string{"percentile"}, schemes...)
+	tput := Table{ID: "fig12a", Title: "Average throughput across locations (Mbit/s)", Header: header}
+	delay := Table{ID: "fig12b", Title: "95th-percentile delay across locations (ms)", Header: header}
 	for _, p := range []float64{10, 25, 50, 75, 90} {
 		rowT := []string{f1(p)}
 		rowD := []string{f1(p)}
@@ -552,7 +576,7 @@ func Figure12(quick bool) []Table {
 			var ts, ds stats.Series
 			for _, g := range res[s] {
 				ts.Add(g.tput)
-				ds.Add(g.p95Delay)
+				ds.Add(g.p95)
 			}
 			rowT = append(rowT, f1(ts.Percentile(p)))
 			rowD = append(rowD, f1(ds.Percentile(p)))
@@ -567,7 +591,7 @@ func Figure12(quick bool) []Table {
 
 // orderStatsAt runs all ten schemes at a set of locations and reports
 // the 10/25/50/75/90th percentiles of windowed throughput and delay.
-func orderStatsAt(id, title string, locs []Location, quick bool) []Table {
+func orderStatsAt(id, title string, locs []harness.Location, quick bool) []Table {
 	dur := 5 * time.Second
 	if quick {
 		dur = 2 * time.Second
@@ -576,8 +600,8 @@ func orderStatsAt(id, title string, locs []Location, quick bool) []Table {
 	for _, loc := range locs {
 		t := Table{ID: id, Title: fmt.Sprintf("%s @ %s", title, loc.Name),
 			Header: []string{"scheme", "tput p10/p25/p50/p75/p90 (Mbit/s)", "delay p10/p25/p50/p75/p90 (ms)"}}
-		for _, s := range Schemes {
-			r := Run(LocationScenario(loc, s, dur))
+		for _, s := range harness.Schemes {
+			r := harness.Run(harness.LocationScenario(loc, s, dur))
 			f := r.Flows[0]
 			t.Rows = append(t.Rows, []string{s,
 				pct5(f.Tput), pct5(f.Delay)})
@@ -595,7 +619,7 @@ func pct5(s stats.Dist) string {
 
 // Figure13 details the four indoor representative locations.
 func Figure13(quick bool) []Table {
-	locs := RepresentativeLocations()[:4]
+	locs := harness.RepresentativeLocations()[:4]
 	if quick {
 		locs = locs[:1]
 	}
@@ -604,7 +628,7 @@ func Figure13(quick bool) []Table {
 
 // Figure14 details the two outdoor representative locations.
 func Figure14(quick bool) []Table {
-	locs := RepresentativeLocations()[4:]
+	locs := harness.RepresentativeLocations()[4:]
 	if quick {
 		locs = locs[:1]
 	}
@@ -614,48 +638,30 @@ func Figure14(quick bool) []Table {
 // Figure15 counts at how many CA-capable locations each scheme causes the
 // network to activate a secondary carrier.
 func Figure15(quick bool) []Table {
-	var locs []Location
-	for _, l := range gridLocations(quick) {
-		if l.CCs >= 2 {
-			locs = append(locs, l)
-		}
-	}
-	if quick && len(locs) > 2 {
-		locs = locs[:2]
-	}
-	t := &Table{ID: "fig15", Title: fmt.Sprintf("CA triggered at N of %d locations", len(locs)),
+	res := byScheme(points(gridSpec("fig15", harness.Schemes, 2, quick)))
+	of := len(res["pbe"])
+	t := &Table{ID: "fig15", Title: fmt.Sprintf("CA triggered at N of %d locations", of),
 		Header: []string{"scheme", "triggered", "of"}}
-	dur := gridDuration(quick)
-	for _, s := range Schemes {
+	for _, s := range harness.Schemes {
 		n := 0
-		for _, loc := range locs {
-			if Run(LocationScenario(loc, s, dur)).CATriggered {
+		for _, p := range res[s] {
+			if p.ca {
 				n++
 			}
 		}
-		t.Rows = append(t.Rows, []string{s, fmt.Sprint(n), fmt.Sprint(len(locs))})
+		t.Rows = append(t.Rows, []string{s, fmt.Sprint(n), fmt.Sprint(of)})
 	}
 	t.Notes = append(t.Notes, "paper Fig 15: PBE/BBR/Verus/CUBIC trigger CA almost everywhere; Copa/PCC/Vivace/Sprout rarely")
 	return []Table{*t}
 }
 
-func mobilityScenario(scheme string, dur time.Duration) *Scenario {
-	return MobilityScenario(scheme, Params{Duration: dur})
-}
-
-// Figure16 runs the mobility trajectory (-85 -> -105 -> -85 dBm) for all
-// ten schemes.
+// Figure16 tabulates the mobility trajectory (-85 -> -105 -> -85 dBm) for
+// all ten schemes.
 func Figure16(quick bool) []Table {
-	dur := 40 * time.Second
-	if quick {
-		dur = 8 * time.Second
-	}
 	t := &Table{ID: "fig16", Title: "Mobility: average throughput and delay",
 		Header: []string{"scheme", "avg tput(Mbit/s)", "median delay(ms)", "p95 delay(ms)"}}
-	for _, s := range Schemes {
-		f := Run(mobilityScenario(s, dur)).Flows[0]
-		t.Rows = append(t.Rows, []string{s, f1(f.AvgTputMbps),
-			f1(f.Delay.Percentile(50)), f1(f.Delay.Percentile(95))})
+	for _, p := range points(schemeSpec("fig16", "mobility", harness.RATLTE, harness.Schemes, 16, quickOr(quick, 8*time.Second, 40*time.Second))) {
+		t.Rows = append(t.Rows, []string{p.job.Scheme, f1(p.tput), f1(p.p50), f1(p.p95)})
 	}
 	t.Notes = append(t.Notes, "paper: PBE 55 Mbit/s at p95 64 ms; BBR similar rate at 156 ms")
 	return []Table{*t}
@@ -668,38 +674,28 @@ func Figure17(quick bool) []Table {
 	if quick {
 		dur = 10 * time.Second
 	}
-	res := map[string]*FlowResult{}
+	res := map[string]*harness.FlowResult{}
 	for _, s := range []string{"pbe", "bbr"} {
-		res[s] = Run(mobilityScenario(s, dur)).Flows[0]
+		res[s] = harness.Run(harness.MobilityScenario(s, harness.Params{Duration: dur})).Flows[0]
 	}
 	t := &Table{ID: "fig17", Title: "Mobility timeline (2 s medians)",
 		Header: []string{"t(s)", "pbe tput", "bbr tput"}}
 	for from := time.Duration(0); from < dur; from += 2 * time.Second {
 		t.Rows = append(t.Rows, []string{
 			f0(from.Seconds()),
-			f1(timelineAvg(res["pbe"], from, from+2*time.Second)),
-			f1(timelineAvg(res["bbr"], from, from+2*time.Second))})
+			f1(res["pbe"].TimelineAvg(from, from+2*time.Second)),
+			f1(res["bbr"].TimelineAvg(from, from+2*time.Second))})
 	}
 	t.Notes = append(t.Notes, "paper Fig 17: PBE tracks the dip without queue buildup; BBR overshoots on recovery")
 	return []Table{*t}
 }
 
-func competitionScenario(scheme string, dur time.Duration) *Scenario {
-	return CompetitionScenario(scheme, Params{Duration: dur})
-}
-
-// Figure18 evaluates all schemes against the controlled on-off competitor.
+// Figure18 tabulates all schemes against the controlled on-off competitor.
 func Figure18(quick bool) []Table {
-	dur := 40 * time.Second
-	if quick {
-		dur = 8 * time.Second
-	}
 	t := &Table{ID: "fig18", Title: "Controlled competition: throughput and delay",
 		Header: []string{"scheme", "avg tput(Mbit/s)", "avg delay(ms)", "p95 delay(ms)"}}
-	for _, s := range Schemes {
-		f := Run(competitionScenario(s, dur)).Flows[0]
-		t.Rows = append(t.Rows, []string{s, f1(f.AvgTputMbps), f1(f.Delay.Mean()),
-			f1(f.Delay.Percentile(95))})
+	for _, p := range points(schemeSpec("fig18", "competition", harness.RATLTE, harness.Schemes, 18, quickOr(quick, 8*time.Second, 40*time.Second))) {
+		t.Rows = append(t.Rows, []string{p.job.Scheme, f1(p.tput), f1(p.avgDelay), f1(p.p95)})
 	}
 	t.Notes = append(t.Notes, "paper: PBE 57 Mbit/s at 61/71 ms vs BBR 62 Mbit/s at 147/227 ms")
 	return []Table{*t}
@@ -712,9 +708,9 @@ func Figure19(quick bool) []Table {
 	if quick {
 		dur = 12 * time.Second
 	}
-	res := map[string]*FlowResult{}
+	res := map[string]*harness.FlowResult{}
 	for _, s := range []string{"pbe", "bbr"} {
-		res[s] = Run(competitionScenario(s, dur)).Flows[0]
+		res[s] = harness.Run(harness.CompetitionScenario(s, harness.Params{Duration: dur})).Flows[0]
 	}
 	t := &Table{ID: "fig19", Title: "Competition timeline (200 ms averages)",
 		Header: []string{"t(s)", "pbe tput", "bbr tput", "competitor"}}
@@ -726,8 +722,8 @@ func Figure19(quick bool) []Table {
 		}
 		t.Rows = append(t.Rows, []string{
 			f1(from.Seconds()),
-			f1(timelineAvg(res["pbe"], from, from+500*time.Millisecond)),
-			f1(timelineAvg(res["bbr"], from, from+500*time.Millisecond)),
+			f1(res["pbe"].TimelineAvg(from, from+500*time.Millisecond)),
+			f1(res["bbr"].TimelineAvg(from, from+500*time.Millisecond)),
 			comp})
 	}
 	return []Table{*t}
@@ -741,8 +737,8 @@ func Figure20(quick bool) []Table {
 	}
 	t := &Table{ID: "fig20", Title: "Two concurrent flows, one device",
 		Header: []string{"scheme", "flow1 tput", "flow2 tput", "flow1 p50 delay", "flow2 p50 delay", "jain"}}
-	for _, s := range Schemes {
-		r := Run(MultiflowScenario(s, Params{Duration: dur}))
+	for _, s := range harness.Schemes {
+		r := harness.Run(harness.MultiflowScenario(s, harness.Params{Duration: dur}))
 		a, b := r.Flows[0], r.Flows[1]
 		t.Rows = append(t.Rows, []string{s, f1(a.AvgTputMbps), f1(b.AvgTputMbps),
 			f1(a.Delay.Percentile(50)), f1(b.Delay.Percentile(50)),
@@ -754,20 +750,20 @@ func Figure20(quick bool) []Table {
 
 // fairnessScenario builds the §6.4 experiments: three flows staggered
 // 0/10/20 s to 60/50/40 s on a shared primary cell.
-func fairnessScenario(schemes [3]string, rtts [3]time.Duration, dur time.Duration) *Scenario {
+func fairnessScenario(schemes [3]string, rtts [3]time.Duration, dur time.Duration) *harness.Scenario {
 	scale := dur.Seconds() / 60
 	at := func(sec float64) time.Duration {
 		return time.Duration(sec * scale * float64(time.Second))
 	}
-	return &Scenario{
+	return &harness.Scenario{
 		Seed: 21, Duration: dur,
-		Cells: []CellSpec{{ID: 1, Control: trace.Idle()}},
-		UEs: []UESpec{
+		Cells: []harness.CellSpec{{ID: 1, Control: trace.Idle()}},
+		UEs: []harness.UESpec{
 			{ID: 1, RNTI: 61, CellIDs: []int{1}, RSSI: -90},
 			{ID: 2, RNTI: 62, CellIDs: []int{1}, RSSI: -90},
 			{ID: 3, RNTI: 63, CellIDs: []int{1}, RSSI: -90},
 		},
-		Flows: []FlowSpec{
+		Flows: []harness.FlowSpec{
 			{ID: 1, UE: 1, Scheme: schemes[0], Start: 0, Stop: at(60), RTTBase: rtts[0]},
 			{ID: 2, UE: 2, Scheme: schemes[1], Start: at(10), Stop: at(50), RTTBase: rtts[1]},
 			{ID: 3, UE: 3, Scheme: schemes[2], Start: at(20), Stop: at(40), RTTBase: rtts[2]},
@@ -784,7 +780,7 @@ func fairnessTable(id, title string, schemes [3]string, rtts [3]time.Duration, q
 		dur = 12 * time.Second
 	}
 	sc := fairnessScenario(schemes, rtts, dur)
-	r := Run(sc)
+	r := harness.Run(sc)
 	t := &Table{ID: id, Title: title,
 		Header: []string{"t(s)", "ue1 PRBs", "ue2 PRBs", "ue3 PRBs"}}
 	for i, tm := range r.PRBTimes {
@@ -851,48 +847,32 @@ func Ablations(quick bool) []Table {
 	if quick {
 		dur = 3 * time.Second
 	}
-	loc := Location{Index: 200, Name: "ablation", Indoor: true, CCs: 1, Busy: true, RSSI: -91}
+	loc := harness.Location{Index: 200, Name: "ablation", Indoor: true, CCs: 1, Busy: true, RSSI: -91}
 	t := &Table{ID: "ablation", Title: "PBE-CC design ablations",
 		Header: []string{"variant", "avg tput(Mbit/s)", "p95 delay(ms)"}}
 
-	base := Run(LocationScenario(loc, "pbe", dur)).Flows[0]
+	base := harness.Run(harness.LocationScenario(loc, "pbe", dur)).Flows[0]
 	t.Rows = append(t.Rows, []string{"baseline", f1(base.AvgTputMbps), f1(base.Delay.Percentile(95))})
 
-	noFilter := LocationScenario(loc, "pbe", dur)
+	noFilter := harness.LocationScenario(loc, "pbe", dur)
 	noFilter.DisableUserFilter = true
-	f := Run(noFilter).Flows[0]
+	f := harness.Run(noFilter).Flows[0]
 	t.Rows = append(t.Rows, []string{"no Ta/Pa filter", f1(f.AvgTputMbps), f1(f.Delay.Percentile(95))})
 
-	decoded := LocationScenario(loc, "pbe", dur)
+	decoded := harness.LocationScenario(loc, "pbe", dur)
 	decoded.MonitorDecodesPDCCH = true
 	if !quick {
-		f = Run(decoded).Flows[0]
+		f = harness.Run(decoded).Flows[0]
 		t.Rows = append(t.Rows, []string{"bit-level PDCCH decode", f1(f.AvgTputMbps), f1(f.Delay.Percentile(95))})
 	}
 
-	guard := LocationScenario(loc, "pbe", dur)
+	guard := harness.LocationScenario(loc, "pbe", dur)
 	guard.MisreportGuard = 2
-	f = Run(guard).Flows[0]
+	f = harness.Run(guard).Flows[0]
 	t.Rows = append(t.Rows, []string{"misreport guard 2x", f1(f.AvgTputMbps), f1(f.Delay.Percentile(95))})
 
 	t.Notes = append(t.Notes,
 		"without the filter, inflated N shrinks the fair share on busy cells",
 		"the bit-level row (full runs only) prices blind decoding against the oracle feed; its gap is unexplained (ROADMAP \"Decode in the loop\")")
 	return []Table{*t}
-}
-
-// timelineAvg averages a flow's 100 ms throughput timeline over [from, to).
-func timelineAvg(f *FlowResult, from, to time.Duration) float64 {
-	var sum float64
-	n := 0
-	for i, tm := range f.TimelineT {
-		if tm >= from && tm < to {
-			sum += f.TimelineR[i]
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
 }

@@ -1,11 +1,16 @@
-package harness
+package harness_test
 
 import (
 	"fmt"
 	"os"
 	"strings"
 	"testing"
+
+	"pbecc/internal/figures"
 )
+
+// The figure registry lives in internal/figures; these tests regenerate
+// its figures, which run the harness's scenarios end to end.
 
 // TestRunAllExperimentsQuick is table-driven over every registered
 // experiment ID - including the nr-* additions - so a new experiment is
@@ -13,7 +18,7 @@ import (
 // produce at least one table with at least one row, with every row matching
 // its header width.
 func TestRunAllExperimentsQuick(t *testing.T) {
-	for _, e := range Experiments() {
+	for _, e := range figures.Experiments() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			tables := e.Run(true)
@@ -39,7 +44,7 @@ func TestRunAllExperimentsQuick(t *testing.T) {
 }
 
 func TestTable1Shape(t *testing.T) {
-	tables := Table1(true)
+	tables := figures.Table1(true)
 	tb := tables[0]
 	if len(tb.Rows) != 6 {
 		t.Fatalf("table1 rows = %d, want 6 (3 baselines x busy/idle)", len(tb.Rows))
@@ -62,7 +67,7 @@ func TestTable1Shape(t *testing.T) {
 }
 
 func TestFigure6bMonotone(t *testing.T) {
-	tb := Figure6b(true)[0]
+	tb := figures.Figure6b(true)[0]
 	prev := -1.0
 	for _, row := range tb.Rows {
 		var v float64
@@ -77,7 +82,7 @@ func TestFigure6bMonotone(t *testing.T) {
 }
 
 func TestFigure7FilterEffect(t *testing.T) {
-	tb := Figure7(true)[0]
+	tb := figures.Figure7(true)[0]
 	last := tb.Rows[len(tb.Rows)-1] // mean row
 	var raw, filtered float64
 	fmt.Sscanf(last[1], "%f", &raw)
@@ -94,7 +99,7 @@ func TestFigure7FilterEffect(t *testing.T) {
 }
 
 func TestFigure2Activates(t *testing.T) {
-	tb := Figure2(true)[0]
+	tb := figures.Figure2(true)[0]
 	foundSecondary := false
 	for _, row := range tb.Rows {
 		var s2 float64
@@ -109,7 +114,7 @@ func TestFigure2Activates(t *testing.T) {
 }
 
 func TestFigure8MinDelayStable(t *testing.T) {
-	tb := Figure8(true)[0]
+	tb := figures.Figure8(true)[0]
 	// The minimum delay must stay near propagation at every load (the
 	// paper's observation enabling D_prop estimation).
 	var mins []float64

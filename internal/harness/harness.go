@@ -313,6 +313,23 @@ type FlowResult struct {
 	probe   *pbeProbe    // its UE's accuracy probe, if its scheme uses the monitor
 }
 
+// TimelineAvg averages the flow's 100 ms throughput timeline over
+// [from, to), in Mbit/s (0 when no sample falls inside).
+func (f *FlowResult) TimelineAvg(from, to time.Duration) float64 {
+	var sum float64
+	n := 0
+	for i, tm := range f.TimelineT {
+		if tm >= from && tm < to {
+			sum += f.TimelineR[i]
+			n++
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	return sum / float64(n)
+}
+
 // Result is a completed scenario. A result from Arena.Run is valid until it
 // is handed back with Arena.Reclaim: its delay samples, series and engines
 // then belong to the arena's next run, so read everything needed first.

@@ -157,8 +157,8 @@ func TestControlledCompetitionTracking(t *testing.T) {
 	}
 	// Rate during competitor-on (t in [3,5]s) must be well below the rate
 	// during competitor-off (t in [7,9]s).
-	onRate := timelineAvg(f, 3*time.Second, 5*time.Second)
-	offRate := timelineAvg(f, 7*time.Second, 9*time.Second)
+	onRate := f.TimelineAvg(3*time.Second, 5*time.Second)
+	offRate := f.TimelineAvg(7*time.Second, 9*time.Second)
 	if offRate < onRate*1.3 {
 		t.Fatalf("PBE did not reclaim idle capacity: on=%.1f off=%.1f Mbit/s", onRate, offRate)
 	}

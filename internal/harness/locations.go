@@ -111,3 +111,34 @@ func LocationScenario(loc Location, scheme string, dur time.Duration) *Scenario 
 	}
 	return sc
 }
+
+// NRScenario builds a single-UE, single-NR-cell scenario: the 5G analogue
+// of LocationScenario. A busy cell adds control-plane chatter and two
+// background data users.
+func NRScenario(scheme string, mu, bwMHz int, rssi float64, busy bool, dur time.Duration) *Scenario {
+	sc := &Scenario{
+		Seed:     int64(3000 + mu),
+		Duration: dur,
+	}
+	cell := NRCellSpec{ID: 101, Mu: mu, BandwidthMHz: bwMHz}
+	if busy {
+		cell.Control = trace.Busy()
+	} else {
+		cell.Control = trace.Idle()
+	}
+	sc.NRCells = []NRCellSpec{cell}
+	sc.UEs = append(sc.UEs, UESpec{ID: 1, RNTI: 61, NRCellIDs: []int{101}, RSSI: rssi, FadingSigma: 1.5})
+	sc.Flows = append(sc.Flows, FlowSpec{ID: 1, UE: 1, Scheme: scheme, Start: 0, RTTBase: 30 * time.Millisecond})
+	if busy {
+		sc.UEs = append(sc.UEs,
+			UESpec{ID: 2, RNTI: 62, NRCellIDs: []int{101}, RSSI: rssi + 3},
+			UESpec{ID: 3, RNTI: 63, NRCellIDs: []int{101}, RSSI: rssi - 4},
+		)
+		sc.Flows = append(sc.Flows,
+			FlowSpec{ID: 2, UE: 2, Scheme: "fixed", FixedRate: 60e6, Start: 0},
+			FlowSpec{ID: 3, UE: 3, Scheme: "fixed", FixedRate: 30e6,
+				Start: dur / 4, OnPeriod: dur / 4, OffPeriod: dur / 8},
+		)
+	}
+	return sc
+}

@@ -1,13 +1,16 @@
-package harness
+package harness_test
 
 import (
 	"strconv"
 	"testing"
 	"time"
+
+	"pbecc/internal/figures"
+	"pbecc/internal/harness"
 )
 
 // findRow returns the first row whose first cell matches key.
-func findRow(tb *Table, key string) []string {
+func findRow(tb *figures.Table, key string) []string {
 	for _, r := range tb.Rows {
 		if r[0] == key {
 			return r
@@ -28,7 +31,7 @@ func cellFloat(t *testing.T, row []string, col int) float64 {
 // TestNRTputPBELowDelay checks the headline NR behaviour: PBE-CC fills a
 // wide NR carrier at a small fraction of the loss-based baselines' delay.
 func TestNRTputPBELowDelay(t *testing.T) {
-	tb := NRTput(true)[0]
+	tb := figures.NRTput(true)[0]
 	for _, links := range []string{"idle", "busy"} {
 		var pbe, cubic []string
 		for _, r := range tb.Rows {
@@ -64,7 +67,7 @@ func TestNRTputPBELowDelay(t *testing.T) {
 // RTTs and keep delay bounded, while the loss-based baseline overshoots
 // into the stalled queue.
 func TestNRBlockageTracking(t *testing.T) {
-	tables := NRBlockage(true)
+	tables := figures.NRBlockage(true)
 	timeline, delays := tables[0], tables[1]
 
 	// During the steady blocked phase (skipping the transition bin) every
@@ -125,7 +128,7 @@ func TestNRBlockageTracking(t *testing.T) {
 // TestNRDualConnectivityGain checks the EN-DC UE activates its NR leg and
 // clearly outperforms the same device locked to LTE.
 func TestNRDualConnectivityGain(t *testing.T) {
-	tb := NRDualConnectivity(true)[0]
+	tb := figures.NRDualConnectivity(true)[0]
 	row := findRow(&tb, "pbe")
 	if row == nil {
 		t.Fatal("missing pbe row")
@@ -142,7 +145,7 @@ func TestNRDualConnectivityGain(t *testing.T) {
 // TestNRCompeteDelay checks PBE concedes to the on-off competitor without
 // building a queue: comparable throughput at far lower p95 delay.
 func TestNRCompeteDelay(t *testing.T) {
-	tb := NRCompete(true)[0]
+	tb := figures.NRCompete(true)[0]
 	pbe, bbr := findRow(&tb, "pbe"), findRow(&tb, "bbr")
 	if pbe == nil || bbr == nil {
 		t.Fatal("missing rows")
@@ -159,8 +162,8 @@ func TestNRCompeteDelay(t *testing.T) {
 // counts from bandwidth, EN-DC UEs need exactly one NR cell, and the
 // harness rejects UEs with no cells.
 func TestNRScenarioBuilders(t *testing.T) {
-	sc := NRScenario("bbr", 1, 100, -88, false, 200*time.Millisecond)
-	r := Run(sc)
+	sc := harness.NRScenario("bbr", 1, 100, -88, false, 200*time.Millisecond)
+	r := harness.Run(sc)
 	if len(r.Flows) != 1 || r.Flows[0].Received == 0 {
 		t.Fatal("NR scenario moved no packets")
 	}
@@ -170,10 +173,10 @@ func TestNRScenarioBuilders(t *testing.T) {
 			t.Fatal("UE with no cells did not panic")
 		}
 	}()
-	Run(&Scenario{
+	harness.Run(&harness.Scenario{
 		Seed: 1, Duration: 10 * time.Millisecond,
-		UEs:   []UESpec{{ID: 1, RNTI: 61}},
-		Flows: []FlowSpec{{ID: 1, UE: 1, Scheme: "bbr"}},
+		UEs:   []harness.UESpec{{ID: 1, RNTI: 61}},
+		Flows: []harness.FlowSpec{{ID: 1, UE: 1, Scheme: "bbr"}},
 	})
 }
 
@@ -181,7 +184,7 @@ func TestNRScenarioBuilders(t *testing.T) {
 // nr-* experiments join the paper figures.
 func TestExperimentIDsUnique(t *testing.T) {
 	seen := map[string]bool{}
-	for _, e := range Experiments() {
+	for _, e := range figures.Experiments() {
 		if seen[e.ID] {
 			t.Fatalf("duplicate experiment id %q", e.ID)
 		}

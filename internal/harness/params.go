@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"pbecc/internal/faults"
+	"pbecc/internal/nr"
 	"pbecc/internal/phy"
 	"pbecc/internal/ran"
 	"pbecc/internal/trace"
@@ -12,8 +13,9 @@ import (
 
 // Params are the knobs the sweep runner varies across jobs: the axes of
 // the paper's evaluation matrix (Figs. 8-21) plus the measurement-noise
-// robustness axis. Zero values keep each scenario family's defaults, so
-// the figure experiments and the sweep share one set of builders.
+// robustness axis. Zero values keep each scenario family's defaults; the
+// grid and per-scheme figures (internal/figures) are sweeps over these
+// families and run on the sweep worker pool.
 type Params struct {
 	Seed     int64         // engine seed; 0 = family default
 	Duration time.Duration // scenario length; 0 = family default
@@ -21,6 +23,11 @@ type Params struct {
 	RAT      string        // "lte" (default) or "nr"
 	Busy     bool          // add calibrated control chatter + background users
 	RSSI     float64       // signal strength in dBm; 0 = family default
+
+	// Location puts the steady family's LTE flow at LocationGrid()[*Location],
+	// with that spot's carriers and load (so no Cells or Busy). Seed s runs
+	// at 1000*s + index: the spot's own seed at s = 1, unique per pair.
+	Location *int
 
 	// CapacityNoise is the std (as a fraction of the estimate) of
 	// multiplicative Gaussian noise on the PBE monitor's capacity
@@ -104,6 +111,14 @@ func (p Params) Validate() error {
 	case "", RATLTE, RATNR:
 	default:
 		return fmt.Errorf("unknown RAT %q (valid: %q, %q)", p.RAT, RATLTE, RATNR)
+	}
+	if l := p.Location; l != nil {
+		if n := len(LocationGrid()); *l < 0 || *l >= n {
+			return fmt.Errorf("location %d outside the grid (valid: 0-%d)", *l, n-1)
+		}
+		if p.rat() != RATLTE || p.Cells > 0 || p.Busy {
+			return fmt.Errorf("location %d is an LTE grid spot with its own carriers and load: set no nr RAT, cells or busy", *l)
+		}
 	}
 	return nil
 }
@@ -249,6 +264,9 @@ func BuildScenario(family, scheme string, p Params) (*Scenario, error) {
 		if p.Cells > 0 && p.Cells < f.MinCells {
 			return nil, fmt.Errorf("family %q needs at least %d cells (got %d)", family, f.MinCells, p.Cells)
 		}
+		if p.Location != nil && f.ID != "steady" {
+			return nil, fmt.Errorf("family %q does not support the location axis (only steady does)", family)
+		}
 		sc := f.Build(scheme, p)
 		if err := sc.Validate(); err != nil {
 			return nil, fmt.Errorf("family %q built an invalid scenario: %w", family, err)
@@ -279,12 +297,13 @@ func SteadyScenario(scheme string, p Params) *Scenario {
 		}
 		return p.apply(sc)
 	}
-	loc := Location{
-		Index:  1, // Index%3 != 0: no Internet bottleneck on the path
-		Indoor: true,
-		CCs:    p.cellCount(1),
-		Busy:   p.Busy,
-		RSSI:   p.rssi(-91),
+	// Index%3 != 0: no Internet bottleneck on the path.
+	loc := Location{Index: 1, Indoor: true, CCs: p.cellCount(1), Busy: p.Busy, RSSI: p.rssi(-91)}
+	if p.Location != nil {
+		loc = LocationGrid()[*p.Location]
+		if p.Seed != 0 {
+			p.Seed = 1000*p.Seed + int64(loc.Index)
+		}
 	}
 	return p.apply(LocationScenario(loc, scheme, p.dur(4*time.Second)))
 }
@@ -294,9 +313,16 @@ func SteadyScenario(scheme string, p Params) *Scenario {
 // where capacity collapses faster than any end-to-end signal.
 func MobilityScenario(scheme string, p Params) *Scenario {
 	if p.rat() == RATNR {
+		// µ=3 (120 kHz SCS, 0.125 ms slots) at 100 MHz with an abrupt
+		// 35 dB blockage over the run's middle quarter.
 		dur := p.dur(8 * time.Second)
-		sc := nrBlockageScenario(scheme, dur, dur*3/8, dur*5/8)
-		sc.NRCells[0].Control = controlFor(p)
+		sc := &Scenario{
+			Seed: 3100, Duration: dur,
+			NRCells: []NRCellSpec{{ID: 101, Mu: 3, BandwidthMHz: 100, Control: controlFor(p)}},
+			UEs: []UESpec{{ID: 1, RNTI: 61, NRCellIDs: []int{101},
+				Trajectory: nr.BlockageTrajectory(-80, 35, dur*3/8, dur*5/8)}},
+			Flows: []FlowSpec{{ID: 1, UE: 1, Scheme: scheme, Start: 0, RTTBase: 20 * time.Millisecond}},
+		}
 		return p.apply(sc)
 	}
 	sc := &Scenario{

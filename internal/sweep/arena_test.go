@@ -38,7 +38,7 @@ func TestArenaIsolation(t *testing.T) {
 	arena := harness.NewArena()
 	var retained uint64
 	for i, j := range jobs {
-		fwd[i] = runJob(spec, j, arena)
+		fwd[i] = runJob(spec, j, arena, true, rowOf)
 		if h := heapInUse(); h > base && h-base > retained {
 			retained = h - base
 		}
@@ -51,7 +51,7 @@ func TestArenaIsolation(t *testing.T) {
 
 	arena = harness.NewArena()
 	for i := len(jobs) - 1; i >= 0; i-- {
-		if got := runJob(spec, jobs[i], arena); got != fwd[i] {
+		if got := runJob(spec, jobs[i], arena, true, rowOf); got != fwd[i] {
 			t.Fatalf("job %d (%s/%s/%s seed %d) differs run in reverse order:\n forward %+v\n reverse %+v",
 				i, jobs[i].Experiment, jobs[i].RAT, jobs[i].Scheme, jobs[i].Seed, fwd[i], got)
 		}
@@ -75,7 +75,7 @@ func TestArenaWarmRepeat(t *testing.T) {
 	bytesOf := func() (uint64, Row) {
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		row := runJob(spec, job, arena)
+		row := runJob(spec, job, arena, true, rowOf)
 		runtime.ReadMemStats(&m1)
 		return m1.TotalAlloc - m0.TotalAlloc, row
 	}

@@ -34,6 +34,7 @@ type Spec struct {
 	Schemes     []string  `json:"schemes"`                // congestion-control algorithms
 	Seeds       []int64   `json:"seeds"`                  // engine seeds
 	RATs        []string  `json:"rats,omitempty"`         // "lte"/"nr"; default ["lte"]
+	Locations   []int     `json:"locations,omitempty"`    // harness.LocationGrid() indices (steady family, LTE)
 	CellCounts  []int     `json:"cell_counts,omitempty"`  // 0 = family default
 	NoiseLevels []float64 `json:"noise_levels,omitempty"` // capacity-noise std fractions; default [0]
 	Busy        bool      `json:"busy,omitempty"`         // busy-cell variant of every scenario
@@ -72,6 +73,7 @@ type Job struct {
 	Experiment string  `json:"experiment"`
 	RAT        string  `json:"rat"`
 	Scheme     string  `json:"scheme"`
+	Location   *int    `json:"location,omitempty"` // nil = the family's own placement
 	Cells      int     `json:"cells,omitempty"`
 	Noise      float64 `json:"noise,omitempty"`
 	FaultAxis  string  `json:"fault_axis,omitempty"` // "" = clean channel
@@ -85,6 +87,7 @@ func (j Job) params(spec *Spec) harness.Params {
 		Duration:      time.Duration(spec.DurationMs) * time.Millisecond,
 		Cells:         j.Cells,
 		RAT:           j.RAT,
+		Location:      j.Location,
 		Busy:          spec.Busy,
 		CapacityNoise: j.Noise,
 		Shards:        spec.Shards,
@@ -130,11 +133,12 @@ func (s *Spec) faultPoints(scheme string) []faultPoint {
 }
 
 // Jobs expands the matrix in a fixed documented order (experiment, RAT,
-// scheme, cells, noise, fault point, seed - outermost to innermost) and
-// validates every distinct combination against the harness registry
-// before any job runs. Schemes that do not consume the monitor's capacity
-// feed ignore measurement noise and monitor-fault axes, so for them those
-// axes collapse to their clean points instead of running duplicate jobs.
+// scheme, location, cells, noise, fault point, seed - outermost to
+// innermost) and validates every distinct combination against the harness
+// registry before any job runs. Schemes that do not consume the monitor's
+// capacity feed ignore measurement noise and monitor-fault axes, so for
+// them those axes collapse to their clean points instead of running
+// duplicate jobs.
 func (s *Spec) Jobs() ([]Job, error) {
 	if len(s.Experiments) == 0 || len(s.Schemes) == 0 || len(s.Seeds) == 0 {
 		return nil, fmt.Errorf("sweep spec needs experiments, schemes and seeds (got %d/%d/%d)",
@@ -150,6 +154,7 @@ func (s *Spec) Jobs() ([]Job, error) {
 		repeated("schemes", s.Schemes),
 		repeated("seeds", s.Seeds),
 		repeated("rats", s.RATs),
+		repeated("locations", s.Locations),
 		repeated("cell_counts", s.CellCounts),
 		repeated("noise_levels", s.NoiseLevels),
 		repeated("fault_axes", s.FaultAxes),
@@ -184,9 +189,13 @@ func (s *Spec) Jobs() ([]Job, error) {
 	if len(noises) == 0 {
 		noises = []float64{0}
 	}
-	// Validity depends only on (experiment, scheme, RAT, cells), not on
-	// seed, noise or fault point: validate each distinct combination once.
-	validated := map[string]bool{}
+	locations := []*int{nil}
+	if len(s.Locations) > 0 {
+		locations = make([]*int, len(s.Locations))
+		for i := range s.Locations {
+			locations[i] = &s.Locations[i]
+		}
+	}
 	var jobs []Job
 	for _, exp := range s.Experiments {
 		for _, rat := range rats {
@@ -196,21 +205,23 @@ func (s *Spec) Jobs() ([]Job, error) {
 					noiseAxis = []float64{0}
 				}
 				faultAxis := s.faultPoints(scheme)
-				for _, cells := range cellCounts {
-					for _, noise := range noiseAxis {
-						for _, fp := range faultAxis {
-							for _, seed := range s.Seeds {
-								j := Job{Index: len(jobs), Experiment: exp, RAT: rat,
-									Scheme: scheme, Cells: cells, Noise: noise,
-									FaultAxis: fp.axis, FaultLevel: fp.level, Seed: seed}
-								key := fmt.Sprintf("%s|%s|%s|%d", exp, rat, scheme, cells)
-								if !validated[key] {
-									if _, err := harness.BuildScenario(exp, scheme, j.params(s)); err != nil {
-										return nil, fmt.Errorf("job %d: %w", j.Index, err)
-									}
-									validated[key] = true
+				for _, loc := range locations {
+					for _, cells := range cellCounts {
+						// Validity depends only on the axes so far, not on
+						// noise, fault point or seed: build the first job of
+						// each combination once.
+						first := Job{Index: len(jobs), Experiment: exp, RAT: rat, Scheme: scheme,
+							Location: loc, Cells: cells, Noise: noiseAxis[0], Seed: s.Seeds[0]}
+						if _, err := harness.BuildScenario(exp, scheme, first.params(s)); err != nil {
+							return nil, fmt.Errorf("job %d: %w", first.Index, err)
+						}
+						for _, noise := range noiseAxis {
+							for _, fp := range faultAxis {
+								for _, seed := range s.Seeds {
+									jobs = append(jobs, Job{Index: len(jobs), Experiment: exp, RAT: rat,
+										Scheme: scheme, Location: loc, Cells: cells, Noise: noise,
+										FaultAxis: fp.axis, FaultLevel: fp.level, Seed: seed})
 								}
-								jobs = append(jobs, j)
 							}
 						}
 					}
@@ -240,6 +251,7 @@ type Row struct {
 	Experiment string  `json:"experiment"`
 	RAT        string  `json:"rat"`
 	Scheme     string  `json:"scheme"`
+	Location   *int    `json:"location,omitempty"`
 	Cells      int     `json:"cells,omitempty"`
 	Noise      float64 `json:"noise,omitempty"`
 	FaultAxis  string  `json:"fault_axis,omitempty"`
@@ -368,12 +380,30 @@ func Run(spec *Spec, workers int) (*Result, error) {
 	return RunProgress(spec, workers, nil)
 }
 
-// RunProgress is Run with a completion callback: progress(done, total) is
-// invoked once per finished job, from worker goroutines but never
-// concurrently (an internal lock serializes calls), with done strictly
-// increasing. Progress reporting observes the sweep and cannot affect
-// it - rows still land at their job's index.
+// RunProgress is Run with a completion callback (see Map).
 func RunProgress(spec *Spec, workers int, progress func(done, total int)) (*Result, error) {
+	// Rows always record series: they are byte-identical with the series
+	// layer on or off (the determinism tests pin this), so keeping it on
+	// means the trajectory fields exist for every row and the -obs
+	// determinism gate still holds.
+	rows, err := Map(spec, workers, true, progress, rowOf)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Spec: *spec, Rows: rows, Summaries: Summarize(rows)}, nil
+}
+
+// Map is how a sweep runs its jobs: across at most workers goroutines
+// (default GOMAXPROCS), each with its own harness.Arena, so a job runs on
+// the storage the worker's previous job grew. series records each job's
+// virtual-time series (harness.Result.Series). measure reads each job's
+// scenario and result before the arena reclaims the result, and keeps no
+// reference into it; its value lands at the job's index, so the output is
+// identical for any worker count. progress(done, total), if non-nil, is
+// invoked once per finished job, from worker goroutines but never
+// concurrently, with done strictly increasing; it cannot affect the sweep.
+func Map[T any](spec *Spec, workers int, series bool, progress func(done, total int),
+	measure func(Job, *harness.Scenario, *harness.Result) T) ([]T, error) {
 	jobs, err := spec.Jobs()
 	if err != nil {
 		return nil, err
@@ -384,7 +414,7 @@ func RunProgress(spec *Spec, workers int, progress func(done, total int)) (*Resu
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}
-	rows := make([]Row, len(jobs))
+	out := make([]T, len(jobs))
 	idx := make(chan int)
 	var wg sync.WaitGroup
 	var mu sync.Mutex
@@ -393,11 +423,9 @@ func RunProgress(spec *Spec, workers int, progress func(done, total int)) (*Resu
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// One arena per worker: each job runs on the storage the
-			// worker's previous job grew (see harness.Arena).
 			arena := harness.NewArena()
 			for i := range idx {
-				rows[i] = runJob(spec, jobs[i], arena)
+				out[i] = runJob(spec, jobs[i], arena, series, measure)
 				if progress != nil {
 					mu.Lock()
 					done++
@@ -412,28 +440,31 @@ func RunProgress(spec *Spec, workers int, progress func(done, total int)) (*Resu
 	}
 	close(idx)
 	wg.Wait()
-	return &Result{Spec: *spec, Rows: rows, Summaries: Summarize(rows)}, nil
+	return out, nil
 }
 
-// runJob executes one job on the worker's arena and measures the first
-// flow, which every scenario family reserves for the scheme under test.
-// The row is built completely before the result is handed back to the
-// arena: nothing reads the result after Reclaim.
-func runJob(spec *Spec, j Job, arena *harness.Arena) Row {
+// runJob executes one job on the worker's arena and returns what measure
+// reads of it before the result goes back to the arena.
+func runJob[T any](spec *Spec, j Job, arena *harness.Arena, series bool,
+	measure func(Job, *harness.Scenario, *harness.Result) T) T {
 	sc, err := harness.BuildScenario(j.Experiment, j.Scheme, j.params(spec))
 	if err != nil {
 		// Jobs() validated this combination already.
 		panic(fmt.Sprintf("sweep: job %d became unbuildable: %v", j.Index, err))
 	}
-	// Series recording is unconditional: rows are byte-identical with the
-	// series layer on or off (the determinism tests pin this), so keeping
-	// it on means the trajectory fields exist for every row and the -obs
-	// determinism gate still holds.
-	sc.Series = true
+	sc.Series = series
 	res := arena.Run(sc)
+	v := measure(j, sc, res)
+	arena.Reclaim(res)
+	return v
+}
+
+// rowOf measures a job's first flow, which every scenario family reserves
+// for the scheme under test.
+func rowOf(j Job, sc *harness.Scenario, res *harness.Result) Row {
 	f := res.Flows[0]
 	row := Row{
-		Experiment: j.Experiment, RAT: j.RAT, Scheme: j.Scheme,
+		Experiment: j.Experiment, RAT: j.RAT, Scheme: j.Scheme, Location: j.Location,
 		Cells: j.Cells, Noise: j.Noise,
 		FaultAxis: j.FaultAxis, FaultLevel: j.FaultLevel, Seed: j.Seed,
 		TputMbps:    stats.Round2(f.AvgTputMbps),
@@ -475,7 +506,6 @@ func runJob(spec *Spec, j Job, arena *harness.Arena) Row {
 			row.EstAUC = stats.Round2(auc)
 		}
 	}
-	arena.Reclaim(res)
 	return row
 }
 

@@ -7,6 +7,10 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
+
+	"pbecc/internal/harness"
+	"pbecc/internal/stats"
 )
 
 func testSpec() *Spec {
@@ -56,6 +60,83 @@ func TestJobsExpansionOrderAndCount(t *testing.T) {
 		if jobs[i] != again[i] {
 			t.Fatalf("job %d differs between expansions", i)
 		}
+	}
+}
+
+// TestJobsExpandLocations pins where the location axis sits in the
+// expansion order (inside scheme, outside seed) and how a located job's
+// seed maps to its scenario seed.
+func TestJobsExpandLocations(t *testing.T) {
+	s := &Spec{
+		Experiments: []string{"steady"},
+		Schemes:     []string{"pbe", "bbr"},
+		Seeds:       []int64{1, 2},
+		Locations:   []int{13, 3},
+	}
+	jobs, err := s.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 2 * 2 * 2; len(jobs) != want {
+		t.Fatalf("expanded %d jobs, want %d", len(jobs), want)
+	}
+	for i, want := range []struct {
+		scheme   string
+		location int
+		seed     int64
+	}{{"pbe", 13, 1}, {"pbe", 13, 2}, {"pbe", 3, 1}, {"pbe", 3, 2},
+		{"bbr", 13, 1}, {"bbr", 13, 2}, {"bbr", 3, 1}, {"bbr", 3, 2}} {
+		j := jobs[i]
+		if j.Scheme != want.scheme || j.Location == nil || *j.Location != want.location || j.Seed != want.seed {
+			t.Fatalf("job %d = %+v, want %+v", i, j, want)
+		}
+	}
+	// Seed s runs at 1000*s + index: seed 1 is the grid figures' seed.
+	for _, c := range []struct {
+		job  int
+		seed int64
+	}{{0, 1013}, {1, 2013}, {3, 2003}} {
+		sc, err := harness.BuildScenario("steady", "pbe", jobs[c.job].params(s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sc.Seed != c.seed {
+			t.Errorf("job %d runs at scenario seed %d, want %d", c.job, sc.Seed, c.seed)
+		}
+	}
+}
+
+// TestLocatedRowsMatchGridRuns pins that a located row at seed 1 is the
+// 2-decimal rounding of the grid location's own scenario, on one busy and
+// one idle location.
+func TestLocatedRowsMatchGridRuns(t *testing.T) {
+	const dur = 600 * time.Millisecond
+	spec := &Spec{Experiments: []string{"steady"}, Schemes: []string{"pbe"},
+		Seeds: []int64{1}, Locations: []int{3, 13}, DurationMs: int(dur / time.Millisecond)}
+	grid := harness.LocationGrid()
+	if !grid[3].Busy || grid[13].Busy {
+		t.Fatal("want location 3 busy and 13 idle")
+	}
+	res, err := Run(spec, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, loc := range spec.Locations {
+		r := res.Rows[i]
+		f := harness.Run(harness.LocationScenario(grid[loc], "pbe", dur)).Flows[0]
+		want := []float64{stats.Round2(f.AvgTputMbps), stats.Round2(f.Delay.Percentile(50)),
+			stats.Round2(f.Delay.Percentile(95)), stats.Round2(f.PBEErrPct)}
+		got := []float64{r.TputMbps, r.DelayP50Ms, r.DelayP95Ms, r.PBEErrPct}
+		if r.Location == nil || *r.Location != loc || !reflect.DeepEqual(got, want) {
+			t.Errorf("location %d: row %+v carries %v, want %v", loc, r, got, want)
+		}
+	}
+	var buf bytes.Buffer
+	if err := WriteResult(&buf, res); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `"location": 13`) {
+		t.Error("result JSON does not name the row's location")
 	}
 }
 
@@ -125,6 +206,27 @@ func TestJobsValidatesUpfront(t *testing.T) {
 			s.FaultAxes = []string{"stale"}
 			s.FaultLevels = []float64{0.5, 0.5}
 		}), "fault_levels"},
+		{"repeated location", one(func(s *Spec) { s.Locations = []int{4, 4} }), "locations"},
+		// A grid location is an LTE spot of the steady family with its
+		// own carriers and load.
+		{"location on another family", one(func(s *Spec) {
+			s.Experiments = []string{"mobility"}
+			s.Locations = []int{3}
+		}), "location axis"},
+		{"location on nr", one(func(s *Spec) {
+			s.RATs = []string{"lte", "nr"}
+			s.Locations = []int{3}
+		}), "LTE grid spot"},
+		{"location with cell counts", one(func(s *Spec) {
+			s.CellCounts = []int{2}
+			s.Locations = []int{3}
+		}), "carriers and load"},
+		{"location on a busy spec", one(func(s *Spec) {
+			s.Busy = true
+			s.Locations = []int{3}
+		}), "carriers and load"},
+		{"location past the grid", one(func(s *Spec) { s.Locations = []int{0, 40} }), "0-39"},
+		{"negative location", one(func(s *Spec) { s.Locations = []int{-1} }), "0-39"},
 	}
 	for _, c := range cases {
 		_, err := c.spec.Jobs()
