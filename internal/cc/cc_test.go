@@ -1,6 +1,7 @@
 package cc
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -271,6 +272,76 @@ func TestWindowedMaxDominance(t *testing.T) {
 	w.Update(100*time.Millisecond, 1000)
 	if w.Get() != 1000 {
 		t.Fatalf("new max = %v", w.Get())
+	}
+}
+
+// refExtremum is the reference model the windowed filters' ring is
+// checked against: the re-sliced candidate list they used to keep, kept
+// here only as the test's oracle.
+type refExtremum struct {
+	window  time.Duration
+	samples []timedValue
+	max     bool
+}
+
+func (w *refExtremum) update(at time.Duration, v float64) float64 {
+	cut := 0
+	for cut < len(w.samples) && w.samples[cut].at < at-w.window {
+		cut++
+	}
+	w.samples = w.samples[cut:]
+	for n := len(w.samples); n > 0; n = len(w.samples) {
+		if old := w.samples[n-1].v; w.max && old > v || !w.max && old < v {
+			break
+		}
+		w.samples = w.samples[:n-1]
+	}
+	w.samples = append(w.samples, timedValue{at, v})
+	return w.samples[0].v
+}
+
+// TestWindowedFiltersMatchReference drives both filters and the re-sliced
+// model with random walks - long monotone runs that keep every sample a
+// candidate and outgrow the ring, gaps that expire the whole window, and
+// repeated values - and requires the same extremum after every update.
+// Once warmed, a filter must not allocate.
+func TestWindowedFiltersMatchReference(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		window := time.Duration(1+r.Intn(200)) * time.Millisecond
+		wmax, wmin := WindowedMax{Window: window}, WindowedMin{Window: window}
+		rmax, rmin := refExtremum{window: window, max: true}, refExtremum{window: window}
+		at, v := time.Duration(0), 100.0
+		drift := 1.0
+		for i := 0; i < 20000; i++ {
+			switch k := r.Intn(100); {
+			case k < 2:
+				at += 3 * window // every candidate expires
+			case k < 5:
+				drift = -drift
+			}
+			at += time.Duration(r.Intn(3)) * time.Millisecond
+			v += drift * float64(r.Intn(3))
+			wmax.Update(at, v)
+			wmin.Update(at, v)
+			if got, want := wmax.Get(), rmax.update(at, v); got != want {
+				t.Fatalf("seed %d update %d: max %v, model %v", seed, i, got, want)
+			}
+			if got, want := wmin.Get(), rmin.update(at, v); got != want {
+				t.Fatalf("seed %d update %d: min %v, model %v", seed, i, got, want)
+			}
+		}
+		steady := func() {
+			for i := 0; i < 1000; i++ {
+				at += time.Millisecond
+				v += drift * float64(r.Intn(3))
+				wmax.Update(at, v)
+				wmin.Update(at, v)
+			}
+		}
+		if n := testing.AllocsPerRun(1, steady); n != 0 {
+			t.Fatalf("seed %d: 1000 warmed updates allocate %v times, want 0", seed, n)
+		}
 	}
 }
 

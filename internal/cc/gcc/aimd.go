@@ -34,13 +34,15 @@ const (
 )
 
 // rateWindow measures the incoming throughput over a sliding window, the
-// R_hat input to the AIMD controller. samples[head:] are the window's
-// samples; expired ones are skipped by advancing head and compacted away
-// in bulk, so the backing array stops growing once it spans a window.
+// R_hat input to the AIMD controller. The window's samples sit in a
+// power-of-two ring, oldest at head; the ring doubles when a window holds
+// more samples than it has slots and is never shrunk, so it stops growing
+// once it spans a window.
 type rateWindow struct {
 	window  time.Duration
 	samples []rateSample
 	head    int
+	n       int
 	bytes   int
 }
 
@@ -49,24 +51,32 @@ type rateSample struct {
 	bytes int
 }
 
+// rateWindowInitial is the ring's first size in samples.
+const rateWindowInitial = 64
+
 func newRateWindow(window time.Duration) *rateWindow {
 	return &rateWindow{window: window}
 }
 
 func (r *rateWindow) add(now time.Duration, bytes int) {
-	r.samples = append(r.samples, rateSample{now, bytes})
+	if r.n == len(r.samples) {
+		grown := make([]rateSample, max(rateWindowInitial, 2*len(r.samples)))
+		for i := 0; i < r.n; i++ {
+			grown[i] = r.samples[(r.head+i)&(len(r.samples)-1)]
+		}
+		r.samples, r.head = grown, 0
+	}
+	r.samples[(r.head+r.n)&(len(r.samples)-1)] = rateSample{now, bytes}
+	r.n++
 	r.bytes += bytes
 	r.expire(now)
 }
 
 func (r *rateWindow) expire(now time.Duration) {
-	for r.head < len(r.samples) && r.samples[r.head].at < now-r.window {
+	for r.n > 0 && r.samples[r.head].at < now-r.window {
 		r.bytes -= r.samples[r.head].bytes
-		r.head++
-	}
-	if r.head > 0 && r.head*2 >= len(r.samples) {
-		n := copy(r.samples, r.samples[r.head:])
-		r.samples, r.head = r.samples[:n], 0
+		r.head = (r.head + 1) & (len(r.samples) - 1)
+		r.n--
 	}
 }
 
@@ -74,7 +84,7 @@ func (r *rateWindow) expire(now time.Duration) {
 // window has data).
 func (r *rateWindow) rate(now time.Duration) float64 {
 	r.expire(now)
-	if r.head == len(r.samples) {
+	if r.n == 0 {
 		return 0
 	}
 	span := r.window

@@ -70,8 +70,10 @@ type trendline struct {
 	numDeltas     int
 	accumDelayMs  float64
 	smoothedDelay float64
-	times         []float64 // group arrival time, ms
-	delays        []float64 // smoothed accumulated delay, ms
+	// The retained samples, oldest first: times[:n] are group arrival
+	// times (ms) and delays[:n] the smoothed accumulated delays (ms).
+	times, delays [trendlineWindow]float64
+	n             int
 	firstArrival  time.Duration
 	haveFirst     bool
 }
@@ -90,22 +92,23 @@ func (t *trendline) update(arrival time.Duration, deltaMs float64) float64 {
 	} else {
 		t.smoothedDelay = trendlineSmoothing*t.smoothedDelay + (1-trendlineSmoothing)*t.accumDelayMs
 	}
-	if len(t.times) == trendlineWindow {
+	if t.n == trendlineWindow {
 		// Drop the oldest sample in place: the arrays keep their oldest-to-
-		// newest order (the slope sums depend on it) and never reallocate.
-		copy(t.times, t.times[1:])
-		copy(t.delays, t.delays[1:])
-		t.times, t.delays = t.times[:trendlineWindow-1], t.delays[:trendlineWindow-1]
+		// newest order, which the slope sums depend on.
+		copy(t.times[:], t.times[1:])
+		copy(t.delays[:], t.delays[1:])
+		t.n--
 	}
-	t.times = append(t.times, float64((arrival-t.firstArrival).Microseconds())/1000)
-	t.delays = append(t.delays, t.smoothedDelay)
+	t.times[t.n] = float64((arrival - t.firstArrival).Microseconds()) / 1000
+	t.delays[t.n] = t.smoothedDelay
+	t.n++
 	return t.slope()
 }
 
 // slope is the least-squares fit over the retained samples (0 until two
 // samples exist).
 func (t *trendline) slope() float64 {
-	n := len(t.times)
+	n := t.n
 	if n < 2 {
 		return 0
 	}

@@ -209,8 +209,9 @@ func TestREMBFeedbackInterface(t *testing.T) {
 }
 
 // TestWindowsAllocateNothing pins the receive-rate window and the
-// trendline at zero allocations once warmed: expired samples are skipped
-// in place instead of re-sliced away, so append never reallocates.
+// trendline at zero allocations once warmed: the rate window is a ring
+// that expired samples leave in place, and the trendline's samples are
+// fixed arrays.
 func TestWindowsAllocateNothing(t *testing.T) {
 	r := newRateWindow(500 * time.Millisecond)
 	var tl trendline
@@ -231,6 +232,27 @@ func TestWindowsAllocateNothing(t *testing.T) {
 	if n := testing.AllocsPerRun(1, batch); n != 0 {
 		t.Fatalf("5000 warmed add/rate/update steps allocate %v times, want 0", n)
 	}
+	// Nor does a fresh trendline, which every REMB starts with.
+	fresh := func() {
+		var tl trendline
+		for i := 0; i < 2*trendlineWindow; i++ {
+			tl.update(time.Duration(i)*time.Millisecond, 0.25)
+		}
+	}
+	if n := testing.AllocsPerRun(10, fresh); n != 0 {
+		t.Fatalf("a fresh trendline's first %d updates allocate %v times, want 0", 2*trendlineWindow, n)
+	}
+	// A fresh rate window filling to 2,000 samples grows by doubling:
+	// once for its first 64 slots and five times more, up to 2,048.
+	fill := func() {
+		w := newRateWindow(500 * time.Millisecond)
+		for i := 0; i < 2000; i++ {
+			w.add(time.Duration(i)*100*time.Microsecond, 1200)
+		}
+	}
+	if n := testing.AllocsPerRun(10, fill); n > 7 {
+		t.Fatalf("filling a fresh rate window to 2000 samples allocates %v times, want at most 7", n)
+	}
 }
 
 // TestTrendlineKeepsNewestWindow checks the in-place shift against the
@@ -247,7 +269,9 @@ func TestTrendlineKeepsNewestWindow(t *testing.T) {
 		if len(ts) > trendlineWindow {
 			ts, ds = ts[1:], ds[1:]
 		}
-		ref := trendline{times: ts, delays: ds}
+		ref := trendline{n: len(ts)}
+		copy(ref.times[:], ts)
+		copy(ref.delays[:], ds)
 		if want := ref.slope(); got != want {
 			t.Fatalf("sample %d: slope %v, want %v", i, got, want)
 		}

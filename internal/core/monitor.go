@@ -91,6 +91,10 @@ type Monitor struct {
 	tracks []*cellTrack
 	order  []int
 
+	// spare holds detached cells' windows, so a later attach reuses their
+	// storage instead of allocating a fresh ring.
+	spare []*cellTrack
+
 	// lastCapacity is the value the most recent CapacityBits call
 	// returned. The accuracy probe reads it through LastCapacityBits
 	// instead of calling CapacityBits itself: a fresh call would draw
@@ -117,8 +121,23 @@ type cellTrack struct {
 	sumMyRate   float64
 	myRateN     int
 
-	users map[uint16]*userTrack
-	seen  map[uint16]int // per-ingest scratch, cleared each OnSubframe
+	// users has one entry per competing RNTI with an allocation in the
+	// window, in no particular order: every reader sums or counts over
+	// all of them. A cell has a few dozen live RNTIs at most, so a linear
+	// scan beats hashing.
+	users []userTrack
+
+	// grants holds the window's competing grants, one entry per RNTI per
+	// slot, in slot order: a FIFO in a power-of-two ring, the oldest
+	// slot's entries first from gHead. Each sample records how many
+	// entries are its own, so evicting a sample pops that many. The ring
+	// doubles when full and is kept across resets, so the window stops
+	// allocating once it has held its busiest 40 ms.
+	grants      []userAlloc
+	gHead, gLen int
+	// slotGrants is scratch for the report being ingested: its competing
+	// grants summed per RNTI.
+	slotGrants []userAlloc
 
 	// n caches activeUsers(nFiltered); zero until computed, and reset by
 	// every report, the only thing that changes users.
@@ -140,7 +159,7 @@ type subframeSample struct {
 	myPRBs int
 	myRate float64
 	idle   int
-	allocs []userAlloc
+	grants int // entries of this sample in cellTrack.grants
 }
 
 type userAlloc struct {
@@ -150,8 +169,54 @@ type userAlloc struct {
 
 // userTrack accumulates one RNTI's activity within the window.
 type userTrack struct {
+	rnti      uint16
 	subframes int
 	prbs      int
+}
+
+// user returns the index of rnti's entry in ct.users, -1 when it has none.
+func (ct *cellTrack) user(rnti uint16) int {
+	for i := range ct.users {
+		if ct.users[i].rnti == rnti {
+			return i
+		}
+	}
+	return -1
+}
+
+// pushGrants appends one sample's grants to the FIFO, doubling the ring
+// while they do not fit.
+func (ct *cellTrack) pushGrants(gs []userAlloc) {
+	if need := ct.gLen + len(gs); need > len(ct.grants) {
+		n := max(grantsInitial, len(ct.grants))
+		for n < need {
+			n *= 2
+		}
+		grown := make([]userAlloc, n)
+		for i := 0; i < ct.gLen; i++ {
+			grown[i] = ct.grants[(ct.gHead+i)&(len(ct.grants)-1)]
+		}
+		ct.grants, ct.gHead = grown, 0
+	}
+	for _, g := range gs {
+		ct.grants[(ct.gHead+ct.gLen)&(len(ct.grants)-1)] = g
+		ct.gLen++
+	}
+}
+
+// grantsInitial is the grant ring's first size.
+const grantsInitial = 64
+
+// addPRBs adds prbs to rnti's entry of a slot's grants, appending the
+// entry on the RNTI's first grant in the slot.
+func addPRBs(allocs []userAlloc, rnti uint16, prbs int) []userAlloc {
+	for i := range allocs {
+		if allocs[i].rnti == rnti {
+			allocs[i].prbs += prbs
+			return allocs
+		}
+	}
+	return append(allocs, userAlloc{rnti: rnti, prbs: prbs})
 }
 
 // NewMonitor returns a monitor for the given UE RNTI.
@@ -180,24 +245,43 @@ func (m *Monitor) AttachCell(info CellInfo) {
 	if spf < 1 {
 		spf = 1
 	}
-	ct := &cellTrack{
-		info:  info,
-		spf:   spf,
-		ring:  make([]subframeSample, Window*spf),
-		users: make(map[uint16]*userTrack),
-		seen:  make(map[uint16]int),
+	i := slices.Index(m.order, info.ID)
+	var ct *cellTrack
+	switch n := len(m.spare); {
+	case i >= 0:
+		ct = m.tracks[i]
+	case n > 0:
+		ct = m.spare[n-1]
+		m.spare[n-1] = nil
+		m.spare = m.spare[:n-1]
+	default:
+		ct = &cellTrack{}
 	}
-	if i := slices.Index(m.order, info.ID); i >= 0 {
-		m.tracks[i] = ct
-		return
+	ct.reset(info, spf)
+	if i < 0 {
+		m.tracks = append(m.tracks, ct)
+		m.order = append(m.order, info.ID)
 	}
-	m.tracks = append(m.tracks, ct)
-	m.order = append(m.order, info.ID)
+}
+
+// reset empties the window for the carrier info describes. The sample
+// ring, the grant ring and the user list keep their storage.
+func (ct *cellTrack) reset(info CellInfo, spf int) {
+	ring := ct.ring
+	if n := Window * spf; cap(ring) >= n {
+		ring = ring[:n]
+		clear(ring)
+	} else {
+		ring = make([]subframeSample, n)
+	}
+	*ct = cellTrack{info: info, spf: spf, ring: ring, users: ct.users[:0],
+		grants: ct.grants, slotGrants: ct.slotGrants[:0]}
 }
 
 // DetachCell stops monitoring a carrier (deactivation).
 func (m *Monitor) DetachCell(id int) {
 	if i := slices.Index(m.order, id); i >= 0 {
+		m.spare = append(m.spare, m.tracks[i])
 		m.tracks = slices.Delete(m.tracks, i, i+1)
 		m.order = slices.Delete(m.order, i, i+1)
 	}
@@ -225,22 +309,26 @@ func (m *Monitor) OnSubframe(rep *ran.SubframeReport) {
 			ct.sumMyRate -= old.myRate
 			ct.myRateN--
 		}
-		for _, ua := range old.allocs {
-			u := ct.users[ua.rnti]
+		for k := 0; k < old.grants; k++ {
+			ua := ct.grants[ct.gHead]
+			ct.gHead = (ct.gHead + 1) & (len(ct.grants) - 1)
+			ct.gLen--
+			i := ct.user(ua.rnti)
+			u := &ct.users[i]
 			u.subframes--
 			u.prbs -= ua.prbs
 			if u.subframes == 0 {
-				delete(ct.users, ua.rnti)
+				last := len(ct.users) - 1
+				ct.users[i] = ct.users[last]
+				ct.users = ct.users[:last]
 			}
 		}
 	}
 
-	// The evicted slot is the one being overwritten, so its allocs
-	// capacity can be reused for the incoming sample. Per-user PRB sums
-	// are order-independent, so ranging the scratch map is safe.
-	s := subframeSample{idle: rep.IdlePRBs(), allocs: ct.ring[ct.next].allocs[:0]}
-	seen := ct.seen
-	clear(seen)
+	// Per-user PRB sums are integers, so the order grants are folded in
+	// cannot change them.
+	s := subframeSample{idle: rep.IdlePRBs()}
+	slot := ct.slotGrants[:0]
 	for i := range rep.Allocs {
 		a := &rep.Allocs[i]
 		if a.RNTI == m.RNTI {
@@ -248,11 +336,9 @@ func (m *Monitor) OnSubframe(rep *ran.SubframeReport) {
 			s.myRate = a.MCS.BitsPerPRB()
 			continue
 		}
-		seen[a.RNTI] += a.PRBs
+		slot = addPRBs(slot, a.RNTI, a.PRBs)
 	}
-	for rnti, prbs := range seen {
-		s.allocs = append(s.allocs, userAlloc{rnti: rnti, prbs: prbs})
-	}
+	ct.slotGrants = slot
 	// Insert.
 	if s.myPRBs > 0 {
 		ct.sumMyRate += s.myRate
@@ -260,15 +346,16 @@ func (m *Monitor) OnSubframe(rep *ran.SubframeReport) {
 	}
 	ct.sumMyPRBs += s.myPRBs
 	ct.sumIdlePRBs += s.idle
-	for _, ua := range s.allocs {
-		u := ct.users[ua.rnti]
-		if u == nil {
-			u = &userTrack{}
-			ct.users[ua.rnti] = u
+	for _, ua := range slot {
+		if i := ct.user(ua.rnti); i >= 0 {
+			ct.users[i].subframes++
+			ct.users[i].prbs += ua.prbs
+		} else {
+			ct.users = append(ct.users, userTrack{rnti: ua.rnti, subframes: 1, prbs: ua.prbs})
 		}
-		u.subframes++
-		u.prbs += ua.prbs
 	}
+	ct.pushGrants(slot)
+	s.grants = len(slot)
 	ct.ring[ct.next] = s
 	ct.next = (ct.next + 1) % len(ct.ring)
 	if ct.fill < len(ct.ring) {

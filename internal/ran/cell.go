@@ -74,12 +74,12 @@ type Cell struct {
 	byRNTI     map[uint16]*cellUser
 	monitors   []Monitor
 
-	slot        int
-	spf         int // slots per subframe
-	slotDur     time.Duration
-	pendingRetx map[int][]*transportBlock
-	rng         *rand.Rand
-	pool        *netsim.PacketPool
+	slot    int
+	spf     int // slots per subframe
+	slotDur time.Duration
+	retx    retxRing
+	rng     *rand.Rand
+	pool    *netsim.PacketPool
 
 	rbgSize          int
 	controlGrantPRBs int
@@ -95,7 +95,10 @@ type Cell struct {
 	// transmit order at the next slot boundary. listFree recycles the
 	// blocks' packet lists: a list travels block -> delivery entry ->
 	// reorder slot and comes back here once its last packet is routed or
-	// released, so it has exactly one owner at any time.
+	// released, so it has exactly one owner at any time. The block and
+	// list free lists, the HARQ ring and the delivery queue come from the
+	// engine's cell stock (storage.go), so a cell on a recycled engine
+	// starts with what a cell of the previous run grew.
 	rep          *SubframeReport
 	blUsers      []*cellUser
 	wants        []int
@@ -195,6 +198,14 @@ type tbDelivery struct {
 // attachment of the previous run grew.
 var queueKey = sim.NewLocalKey()
 
+// tbListInitial is the capacity of a new transport-block packet list:
+// enough for most blocks, so a list rarely regrows on its way to the
+// largest block it will carry.
+const tbListInitial = 8
+
+// reorderKey is the engine-local stock of reorder rings.
+var reorderKey = sim.NewLocalKey()
+
 // NewCell creates a cell and starts its slot ticker on the engine.
 func NewCell(eng *sim.Engine, cfg CellConfig) *Cell {
 	c := &Cell{
@@ -204,7 +215,6 @@ func NewCell(eng *sim.Engine, cfg CellConfig) *Cell {
 		Table:             cfg.Table,
 		control:           cfg.Control,
 		byRNTI:            make(map[uint16]*cellUser),
-		pendingRetx:       make(map[int][]*transportBlock),
 		rng:               eng.Rand(),
 		spf:               cfg.SlotsPerSubframe,
 		slotDur:           time.Millisecond / time.Duration(cfg.SlotsPerSubframe),
@@ -216,6 +226,8 @@ func NewCell(eng *sim.Engine, cfg CellConfig) *Cell {
 		pool:              netsim.PoolOf(eng),
 		rep:               &SubframeReport{CellID: cfg.ID, NPRB: cfg.NPRB},
 	}
+	st := cellStockOf(eng).take(c)
+	c.tbFree, c.listFree, c.retx, c.deliveries = st.tbFree, st.listFree, st.retx, st.deliveries
 	c.deliverFn = c.deliverPending
 	eng.Every(c.slotDur, c.tick)
 	return c
@@ -253,6 +265,10 @@ func (c *Cell) attach(ue *UE, rnti uint16, ch *phy.Channel) *cellUser {
 	queues := sim.StockOf[*netsim.Packet](c.eng, queueKey)
 	u.queue = queues.Take()[:0]
 	queues.Keep(&u.queue)
+	rings := sim.StockOf[tbArrival](c.eng, reorderKey)
+	u.reorder.ring = rings.Take()
+	clear(u.reorder.ring)
+	rings.Keep(&u.reorder.ring)
 	c.users = append(c.users, u)
 	c.byRNTI[rnti] = u
 	return u
@@ -347,32 +363,29 @@ func (c *Cell) tick() {
 	}
 	rbgLeft := (prbLeft + c.rbgSize - 1) / c.rbgSize
 
-	// 2. HARQ retransmissions scheduled for this slot.
-	if due := c.pendingRetx[c.slot]; len(due) > 0 {
-		delete(c.pendingRetx, c.slot)
-		for i, tb := range due {
-			if tb.rbgs > rbgLeft {
-				// Slot exhausted: postpone the rest by one slot.
-				c.pendingRetx[c.slot+1] = append(c.pendingRetx[c.slot+1], due[i:]...)
-				break
-			}
-			prbs := tb.rbgs * c.rbgSize
-			if prbs > prbLeft {
-				prbs = prbLeft
-			}
-			rep.Allocs = append(rep.Allocs, Alloc{
-				RNTI: tb.user.rnti, FirstRBG: cursor / c.rbgSize,
-				NumRBGs: tb.rbgs, PRBs: prbs,
-				MCS: tb.mcs, TBBits: tb.bits, NDI: false,
-			})
-			c.RetxPRBs += uint64(prbs)
-			tb.user.lastPRBs += prbs
-			cursor += prbs
-			prbLeft -= prbs
-			rbgLeft -= tb.rbgs
-			c.transmit(tb)
+	// 2. HARQ retransmissions scheduled for this slot; what no longer
+	// fits is postponed by one slot.
+	c.retx.serve(c.slot, func(tb *transportBlock) bool {
+		if tb.rbgs > rbgLeft {
+			return false
 		}
-	}
+		prbs := tb.rbgs * c.rbgSize
+		if prbs > prbLeft {
+			prbs = prbLeft
+		}
+		rep.Allocs = append(rep.Allocs, Alloc{
+			RNTI: tb.user.rnti, FirstRBG: cursor / c.rbgSize,
+			NumRBGs: tb.rbgs, PRBs: prbs,
+			MCS: tb.mcs, TBBits: tb.bits, NDI: false,
+		})
+		c.RetxPRBs += uint64(prbs)
+		tb.user.lastPRBs += prbs
+		cursor += prbs
+		prbLeft -= prbs
+		rbgLeft -= tb.rbgs
+		c.transmit(tb)
+		return true
+	})
 
 	// 3. Water-fill the remaining RBGs over backlogged data users. Fluid
 	// background users (virtual aggregate sessions, see SetBackground)
@@ -474,6 +487,8 @@ func (c *Cell) buildTB(u *cellUser, rbgs, bits int, mcs phy.MCS) *transportBlock
 		tb.completed = c.listFree[n-1]
 		c.listFree[n-1] = nil
 		c.listFree = c.listFree[:n-1]
+	} else {
+		tb.completed = make([]*netsim.Packet, 0, tbListInitial)
 	}
 	capBytes := bits / 8
 	served := 0
@@ -566,8 +581,37 @@ func (c *Cell) transmit(tb *transportBlock) {
 		}
 		tb.bits = failed * c.cbgBits
 	}
-	retxAt := c.slot + HARQDelaySlots
-	c.pendingRetx[retxAt] = append(c.pendingRetx[retxAt], tb)
+	c.retx.add(c.slot+HARQDelaySlots, tb)
+}
+
+// retxRing holds the blocks awaiting a HARQ retransmission: one list per
+// slot, at index slot % len. A block failed in slot s is due in slot
+// s+HARQDelaySlots, and serving slot s can postpone blocks to s+1, so
+// the pending slots always lie within [s, s+HARQDelaySlots] and never
+// share an index. The lists are emptied in place, so once each has grown
+// to the most blocks one slot ever carries, HARQ allocates nothing.
+type retxRing [HARQDelaySlots + 2][]*transportBlock
+
+// add queues blocks at the end of slot's list.
+func (r *retxRing) add(slot int, tbs ...*transportBlock) {
+	l := &r[slot%len(r)]
+	*l = append(*l, tbs...)
+}
+
+// serve offers slot's blocks to fit in queueing order until fit refuses
+// one (the slot is full): that block and every later one move, in order,
+// to the end of slot+1's list. slot's list is empty afterwards. fit may
+// add blocks to any other slot.
+func (r *retxRing) serve(slot int, fit func(*transportBlock) bool) {
+	l := &r[slot%len(r)]
+	for i, tb := range *l {
+		if !fit(tb) {
+			r.add(slot+1, (*l)[i:]...)
+			break
+		}
+	}
+	clear(*l)
+	*l = (*l)[:0]
 }
 
 // queueDelivery appends the block's outcome to the coalesced delivery

@@ -17,8 +17,11 @@ type WaterFiller struct {
 // policy.
 func (f *WaterFiller) Fill(wants []int, capacity, rotate int) []int {
 	if cap(f.grants) < len(wants) {
-		f.grants = make([]int, len(wants))
-		f.unsat = make([]int, 0, len(wants))
+		// Double, so a cell whose backlogged-user count creeps up one at
+		// a time regrows its storage a few times, not once per new high.
+		n := max(len(wants), 2*cap(f.grants))
+		f.grants = make([]int, n)
+		f.unsat = make([]int, 0, n)
 	}
 	grants := f.grants[:len(wants)]
 	for i := range grants {

@@ -1,6 +1,7 @@
 package rtc
 
 import (
+	"slices"
 	"time"
 
 	"pbecc/internal/netsim"
@@ -63,7 +64,10 @@ type JitterBuffer struct {
 	next    uint64 // next frame seq to release
 	started bool
 	pending map[uint64]*pendingFrame
-	spare   []*pendingFrame // released or abandoned frames, seen maps cleared on reuse
+	// spare holds released or abandoned frames for reuse (their seen
+	// lists are emptied then); it comes from the engine's stock
+	// (spareKey).
+	spare []*pendingFrame
 
 	lastRelease time.Duration
 
@@ -74,23 +78,48 @@ type JitterBuffer struct {
 	// Series tracks (EnableSeries); nil when the run records no series.
 	delayTrack, freezeTrack *obs.SeriesTrack
 
-	stats FrameStats
+	// stats is held[0]: the one-element slice comes from the engine's
+	// stock (statsKey), so the frame-delay array a buffer of the previous
+	// run grew takes this run's samples.
+	stats *FrameStats
+	held  []FrameStats
 }
 
 type pendingFrame struct {
 	frame    Frame
 	got      int
-	seen     map[int]bool // packet offsets received, so duplicates cannot complete a frame
+	seen     []int // packet offsets received, ascending, so duplicates cannot complete a frame
 	complete bool
 }
 
+// spareKey is the engine-local stock of spare-frame lists: a buffer built
+// on a recycled engine starts with the frame records, and their seen
+// lists, that a buffer of the previous run left spare.
+var spareKey = sim.NewLocalKey()
+
+// statsKey is the engine-local stock of frame statistics.
+var statsKey = sim.NewLocalKey()
+
 // NewJitterBuffer returns a buffer for one media flow.
 func NewJitterBuffer(eng *sim.Engine) *JitterBuffer {
-	return &JitterBuffer{eng: eng, pending: map[uint64]*pendingFrame{}}
+	jb := &JitterBuffer{eng: eng, pending: map[uint64]*pendingFrame{}}
+	spares := sim.StockOf[*pendingFrame](eng, spareKey)
+	jb.spare = spares.Take()
+	spares.Keep(&jb.spare)
+	stats := sim.StockOf[FrameStats](eng, statsKey)
+	if jb.held = stats.Take(); jb.held == nil {
+		jb.held = make([]FrameStats, 1)
+	}
+	stats.Keep(&jb.held)
+	jb.stats = &jb.held[0]
+	delay := jb.stats.Delay
+	delay.Reset()
+	*jb.stats = FrameStats{Delay: delay}
+	return jb
 }
 
 // Stats exposes the accumulated frame metrics.
-func (jb *JitterBuffer) Stats() *FrameStats { return &jb.stats }
+func (jb *JitterBuffer) Stats() *FrameStats { return jb.stats }
 
 // EnableSeries downsamples the buffer's frame delay and freeze onsets
 // into the run's series under flow tid. Simulcast layers of one flow
@@ -120,7 +149,7 @@ func (jb *JitterBuffer) Add(now time.Duration, p *netsim.Packet) {
 	}
 	pf := jb.pending[m.FrameSeq]
 	if pf == nil {
-		pf = jb.newFrame()
+		pf = jb.newFrame((m.FrameBytes + netsim.MSS - 1) / netsim.MSS)
 		pf.frame = Frame{
 			Seq:        m.FrameSeq,
 			Layer:      int(m.Layer),
@@ -130,10 +159,14 @@ func (jb *JitterBuffer) Add(now time.Duration, p *netsim.Packet) {
 		}
 		jb.pending[m.FrameSeq] = pf
 	}
-	if pf.complete || pf.seen[m.Offset] {
+	if pf.complete {
 		return
 	}
-	pf.seen[m.Offset] = true
+	i, dup := slices.BinarySearch(pf.seen, m.Offset)
+	if dup {
+		return
+	}
+	pf.seen = slices.Insert(pf.seen, i, m.Offset)
 	pf.got += p.Size
 	if pf.got < m.FrameBytes {
 		return
@@ -148,17 +181,21 @@ func (jb *JitterBuffer) Add(now time.Duration, p *netsim.Packet) {
 	}
 }
 
-// newFrame returns an empty pending frame, recycled from the spare list
-// when one is there: steady-state playout allocates nothing per frame.
-func (jb *JitterBuffer) newFrame() *pendingFrame {
-	n := len(jb.spare)
-	if n == 0 {
-		return &pendingFrame{seen: map[int]bool{}}
+// newFrame returns an empty pending frame with room to record pkts
+// packets, recycled from the spare list when one is there: steady-state
+// playout allocates nothing per frame.
+func (jb *JitterBuffer) newFrame(pkts int) *pendingFrame {
+	var pf *pendingFrame
+	if n := len(jb.spare); n > 0 {
+		pf = jb.spare[n-1]
+		jb.spare = jb.spare[:n-1]
+		*pf = pendingFrame{seen: pf.seen[:0]}
+	} else {
+		pf = &pendingFrame{}
 	}
-	pf := jb.spare[n-1]
-	jb.spare = jb.spare[:n-1]
-	clear(pf.seen)
-	*pf = pendingFrame{seen: pf.seen}
+	if cap(pf.seen) < pkts {
+		pf.seen = make([]int, 0, pkts)
+	}
 	return pf
 }
 

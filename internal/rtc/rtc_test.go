@@ -1,6 +1,7 @@
 package rtc
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -105,8 +106,41 @@ func TestSenderShedsStaleFrames(t *testing.T) {
 	// The queue must stay near the maxQueueDelay bound, not grow without
 	// limit: at 2.5 Mbit/s in and 0.1 Mbit/s out, an unbounded queue
 	// would hold dozens of frames.
-	if q := len(snd.queue); q > 16 {
+	if q := snd.queued; q > 16 {
 		t.Fatalf("queue holds %d frames despite deadline shedding", q)
+	}
+}
+
+// TestSenderSkipsEmptyFrames queues a 0-byte frame ahead of real ones: it
+// has no packet to send, so the sender drops it instead of parking an
+// empty record at the head of its queue. The 40 real frames that follow
+// outgrow the initial frame ring twice; every one of their packets must
+// still leave in queue order.
+func TestSenderSkipsEmptyFrames(t *testing.T) {
+	eng := sim.New(1)
+	type sent struct {
+		seq uint64
+		off int
+	}
+	var got []sent
+	out := netsim.HandlerFunc(func(_ time.Duration, p *netsim.Packet) {
+		if !p.Padding {
+			got = append(got, sent{p.Media.FrameSeq, p.Media.Offset})
+		}
+	})
+	snd := NewSender(eng, 1, out, &fixedRateController{rate: 100e6}, MediaSpec{})
+	snd.QueueFrame(Frame{Seq: 0, Bytes: 0})
+	var want []sent
+	for seq := uint64(1); seq <= 40; seq++ {
+		snd.QueueFrame(Frame{Seq: seq, Bytes: 4000})
+		for off := 0; off < 4000; off += netsim.MSS {
+			want = append(want, sent{seq, off})
+		}
+	}
+	snd.Start()
+	eng.RunUntil(100 * time.Millisecond)
+	if !slices.Equal(got, want) {
+		t.Fatalf("sent %v, want %v", got, want)
 	}
 }
 

@@ -37,7 +37,15 @@ type Sender struct {
 	snd  *cc.Sender
 	pool *netsim.PacketPool
 
-	queue []*queuedFrame
+	// frames is the pacer queue: a power-of-two ring of frame records,
+	// the queued ones at frames[(head+i)&(len-1)] for i < queued, oldest
+	// first. A record keeps its packet list's capacity when it is reused,
+	// and the ring comes from the engine's stock (frameKey), so a sender
+	// built on a recycled engine starts with the records its predecessor
+	// grew.
+	frames []queuedFrame
+	head   int
+	queued int
 
 	deliveryMax cc.WindowedMax
 
@@ -55,16 +63,29 @@ type queuedFrame struct {
 	sent  int
 }
 
+// initialFrames is the frame ring's starting size: a stream queues at most
+// maxQueueDelay's worth of frames (12 at 30 fps) before the pacer sheds.
+const initialFrames = 16
+
+// frameKey is the engine-local stock of frame rings.
+var frameKey = sim.NewLocalKey()
+
 // NewSender wires a media sender for flowID transmitting into out under
 // ctrl. Call Start, then QueueFrame (typically as an Encoder's sink). The
 // sender ships whatever frames it is handed, so it reads nothing of the
 // stream's spec.
 func NewSender(eng *sim.Engine, flowID int, out netsim.Handler, ctrl cc.Controller, _ MediaSpec) *Sender {
 	s := &Sender{eng: eng, pool: netsim.PoolOf(eng)}
+	frames := sim.StockOf[queuedFrame](eng, frameKey)
+	if s.frames = frames.Take(); s.frames == nil {
+		s.frames = make([]queuedFrame, initialFrames)
+	}
+	frames.Keep(&s.frames)
 	s.snd = cc.NewSender(eng, flowID, out, ctrl)
 	s.snd.Source = s.next
 	s.snd.AppLimited = true
 	s.deliveryMax.Window = 2 * time.Second
+	s.deliveryMax.TakeRing(eng)
 	s.snd.OnAckHook = func(a cc.AckSample) {
 		if a.DeliveryRate > 0 && !a.AppLimited {
 			s.deliveryMax.Update(a.Now, a.DeliveryRate)
@@ -102,10 +123,18 @@ func (s *Sender) HandlePacket(now time.Duration, p *netsim.Packet) {
 	s.snd.HandlePacket(now, p)
 }
 
-// QueueFrame packetizes one frame onto the pacer queue.
+// QueueFrame packetizes one frame onto the pacer queue. A frame with no
+// bytes is dropped: nothing of it would reach the wire.
 func (s *Sender) QueueFrame(f Frame) {
-	n := (f.Bytes + netsim.MSS - 1) / netsim.MSS
-	qf := &queuedFrame{frame: f, pkts: make([]*netsim.Packet, 0, n)}
+	if f.Bytes <= 0 {
+		return
+	}
+	if s.queued == len(s.frames) {
+		s.growFrames()
+	}
+	qf := &s.frames[(s.head+s.queued)&(len(s.frames)-1)]
+	s.queued++
+	qf.frame, qf.pkts, qf.sent = f, qf.pkts[:0], 0
 	for off := 0; off < f.Bytes; off += netsim.MSS {
 		size := netsim.MSS
 		if f.Bytes-off < size {
@@ -123,16 +152,34 @@ func (s *Sender) QueueFrame(f Frame) {
 		}
 		qf.pkts = append(qf.pkts, p)
 	}
-	s.queue = append(s.queue, qf)
 	s.snd.Pump()
+}
+
+// growFrames doubles the full frame ring, moving the records (and their
+// packet lists) to the front in queue order.
+func (s *Sender) growFrames() {
+	grown := make([]queuedFrame, 2*len(s.frames))
+	for i := range s.frames {
+		grown[i] = s.frames[(s.head+i)&(len(s.frames)-1)]
+	}
+	s.frames, s.head = grown, 0
+}
+
+// popFrame retires the head record, keeping its packet list's capacity.
+func (s *Sender) popFrame() {
+	qf := &s.frames[s.head]
+	clear(qf.pkts)
+	qf.pkts = qf.pkts[:0]
+	s.head = (s.head + 1) & (len(s.frames) - 1)
+	s.queued--
 }
 
 // next implements the cc.Sender source: the pacer pulls the next packet,
 // shedding frames that have already waited past maxQueueDelay and
 // falling back to padding when no frame is queued.
 func (s *Sender) next(now time.Duration) *netsim.Packet {
-	for len(s.queue) > 0 {
-		head := s.queue[0]
+	for s.queued > 0 {
+		head := &s.frames[s.head]
 		if now-head.frame.CapturedAt > maxQueueDelay {
 			s.FramesDropped++
 			mFramesShed.Inc()
@@ -140,18 +187,18 @@ func (s *Sender) next(now time.Duration) *netsim.Packet {
 			// The untransmitted remainder never reaches the wire, so the
 			// pacer is its last owner and releases it here.
 			s.pool.ReleaseAll(head.pkts[head.sent:])
-			s.queue = s.queue[1:]
+			s.popFrame()
 			continue
 		}
 		p := head.pkts[head.sent]
 		head.sent++
 		if head.sent == len(head.pkts) {
 			mFramesSent.Inc()
-			s.queue = s.queue[1:]
+			s.popFrame()
 		}
 		// Delivery-rate samples reflect network capacity only while more
 		// data is backlogged behind this packet.
-		s.snd.AppLimited = len(s.queue) == 0
+		s.snd.AppLimited = s.queued == 0
 		return p
 	}
 	// Padding probe: sent at the controller's full pacing rate, so the

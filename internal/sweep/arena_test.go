@@ -89,3 +89,53 @@ func TestArenaWarmRepeat(t *testing.T) {
 		t.Fatalf("warmed repeat allocated %d bytes, more than 30 %% of the first run's %d", warm, first)
 	}
 }
+
+// allocBudget is each smoke family's budget in allocations per extra
+// simulated second of a job on a warmed arena, over both RATs and the
+// three smoke schemes, pinned a few allocations above what the jobs
+// achieve (at most steady 12, competition 14, multiflow 21, rtc 14, sfu
+// 239 at seed 1).
+// What remains is mostly the result a longer run returns - its rate
+// timeline and trajectory - and, on the SFU legs, GCC's windows, which
+// have no engine to inherit storage from and still grow to their size.
+var allocBudget = map[string]float64{
+	"steady":      16,
+	"competition": 17,
+	"multiflow":   28,
+	"rtc":         16,
+	"sfu":         270,
+}
+
+// TestJobAllocsPerSimSecond pins what a running job allocates end to end:
+// for every smoke family, scheme and RAT (seed 1), on an arena warmed by
+// the 2 s job, the allocations of the 2 s job minus those of the 1 s job
+// must stay within the family's budget. The frame queue, the HARQ ring,
+// the monitor's window and RNTI list, the cell's blocks and packet lists,
+// the windowed filters and the jitter buffer's frame records all recycle
+// their storage; reverting any one of them breaks a budget.
+func TestJobAllocsPerSimSecond(t *testing.T) {
+	spec := Smoke()
+	for _, fam := range spec.Experiments {
+		for _, rat := range spec.RATs {
+			for _, scheme := range spec.Schemes {
+				j := Job{Experiment: fam, RAT: rat, Scheme: scheme, Seed: 1}
+				arena := harness.NewArena()
+				run := func(ms int) func() {
+					s := *spec
+					s.DurationMs = ms
+					return func() { runJob(&s, j, arena, true, rowOf) }
+				}
+				// With AllocsPerRun's own warm-up run, the 2 s job is
+				// measured after two 2 s jobs, so the stocks have settled
+				// on its working set, and the 1 s job after a 1 s job.
+				run(2000)()
+				perSecond := testing.AllocsPerRun(1, run(2000)) - testing.AllocsPerRun(1, run(1000))
+				t.Logf("%s/%s/%s: %.0f allocs per extra simulated second", fam, rat, scheme, perSecond)
+				if budget := allocBudget[fam]; perSecond > budget {
+					t.Errorf("%s/%s/%s allocates %.0f times per extra simulated second, budget %.0f",
+						fam, rat, scheme, perSecond, budget)
+				}
+			}
+		}
+	}
+}

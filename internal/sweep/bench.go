@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"regexp"
 	"sort"
 	"strconv"
@@ -32,8 +33,9 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d.*)$`)
 // benchmarks it found, keyed by name (without the GOMAXPROCS suffix).
 // The iteration count may be left out, as in the committed baseline,
 // which keeps only the B/op and allocs/op columns.
-// Non-benchmark lines (PASS, ok, goos, log noise) are ignored. A
-// benchmark line without the B/op and allocs/op columns is an error: it
+// Non-benchmark lines (PASS, ok, goos, log noise) are ignored. A value
+// that is not a finite, non-negative number is an error, and so is a
+// benchmark line without the B/op and allocs/op columns: it
 // would otherwise pass the gate unmeasured. So is a duplicate name - two
 // packages declaring the same benchmark, or -count > 1 - because
 // silently keeping one run would make the diff depend on output order.
@@ -55,7 +57,9 @@ func ParseBench(r io.Reader) (map[string]Bench, error) {
 		}
 		for i := 0; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
-			if err != nil {
+			if err != nil || v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+				// A NaN or infinite cost would make every comparison with
+				// it pass the gate.
 				return nil, fmt.Errorf("benchmark %s: bad value %q", b.Name, fields[i])
 			}
 			switch fields[i+1] {

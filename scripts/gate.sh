@@ -21,8 +21,10 @@
 #
 # Fuzz gate (no simulation):
 #   fuzz-smoke     10 s of FuzzQuantizeRate (the ACK feedback quantizer),
-#                  then 5 s of FuzzEnvelopeChain (the fluid on/off chain),
-#                  beyond their committed seed corpora, which go test runs
+#                  then 5 s each of FuzzEnvelopeChain (the fluid on/off
+#                  chain), FuzzParseBench (the -benchdiff text input) and
+#                  FuzzDiff (the pbesweep -diff JSON input), beyond their
+#                  committed seed corpora, which go test runs
 #
 # Surface gate (no simulation):
 #   surface        every internal package, exported symbol and struct field
@@ -105,13 +107,16 @@ gate_surface() {
   go run ./scripts/surface
 }
 
-# The feedback quantizer is the one decoder every ACK crosses, and every
-# fluid session's envelope is an on/off chain: fuzz each for a few seconds
-# past its seed corpus (a failing input lands in the package's
-# testdata/fuzz/, to be committed with its fix).
+# The feedback quantizer is the one decoder every ACK crosses, every
+# fluid session's envelope is an on/off chain, and the micro and diff
+# gates stand on the two sweep parsers: fuzz the quantizer for 10 s and
+# each of the others for 5 s past its seed corpus (a failing input lands
+# in the package's testdata/fuzz/, to be committed with its fix).
 gate_fuzz_smoke() {
   go test -run '^$' -fuzz '^FuzzQuantizeRate$' -fuzztime 10s ./internal/core
   go test -run '^$' -fuzz '^FuzzEnvelopeChain$' -fuzztime 5s ./internal/fluid
+  go test -run '^$' -fuzz '^FuzzParseBench$' -fuzztime 5s ./internal/sweep
+  go test -run '^$' -fuzz '^FuzzDiff$' -fuzztime 5s ./internal/sweep
 }
 
 # Each sweep worker carries one arena from job to job (harness.Arena), so
