@@ -49,7 +49,7 @@ func main() {
 		fatal(fmt.Errorf("-out and -csv both name stdout: give one of them a file"))
 	}
 
-	var panels []panel
+	var scs []*harness.Scenario
 	for _, scheme := range strings.Split(*schemes, ",") {
 		scheme = strings.TrimSpace(scheme)
 		if scheme == "" {
@@ -63,18 +63,21 @@ func main() {
 			fatal(err)
 		}
 		sc.Series = true
-		res := harness.Run(sc)
-		if res.Series == nil {
-			fatal(fmt.Errorf("scenario produced no series recorder"))
-		}
-		tr := sweep.BuildTrajectory(res.Series, sc.Flows[0].ID, sc.Flows[0].UE)
-		if len(tr.Rate) == 0 {
-			fatal(fmt.Errorf("scheme %s recorded no trajectory", scheme))
-		}
-		panels = append(panels, panel{scheme: scheme, traj: tr})
+		scs = append(scs, sc)
 	}
-	if len(panels) == 0 {
+	if len(scs) == 0 {
 		fatal(fmt.Errorf("no schemes given"))
+	}
+	// Every family reserves its first flow for the scheme under test.
+	panels := sweep.Pool(len(scs), 0, nil, func(i int) *harness.Scenario { return scs[i] },
+		func(_ int, sc *harness.Scenario, res *harness.Result) panel {
+			f := sc.Flows[0]
+			return panel{scheme: f.Scheme, traj: sweep.BuildTrajectory(res.Series, f.ID, f.UE)}
+		})
+	for _, p := range panels {
+		if len(p.traj.Rate) == 0 {
+			fatal(fmt.Errorf("scheme %s recorded no trajectory", p.scheme))
+		}
 	}
 
 	title := fmt.Sprintf("%s/%s seed %d", *family, *rat, *seed)

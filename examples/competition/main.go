@@ -28,20 +28,14 @@ func main() {
 
 	fmt.Println("competitor: 60 Mbit/s, ON during [4,8)s and [12,16)s")
 	fmt.Println("t(s)   pbe(Mbit/s)  bbr(Mbit/s)  competitor")
-	for i, tm := range pbe.TimelineT {
-		if i%5 != 0 {
-			continue
-		}
+	for tm := time.Duration(0); tm < 16*time.Second; tm += 500 * time.Millisecond {
 		comp := "off"
 		phase := (tm - 4*time.Second) % (8 * time.Second)
 		if tm >= 4*time.Second && phase < 4*time.Second {
 			comp = "ON"
 		}
-		var bbrRate float64
-		if i < len(bbr.TimelineR) {
-			bbrRate = bbr.TimelineR[i]
-		}
-		fmt.Printf("%5.1f  %11.1f  %11.1f  %s\n", tm.Seconds(), pbe.TimelineR[i], bbrRate, comp)
+		fmt.Printf("%5.1f  %11.1f  %11.1f  %s\n", tm.Seconds(),
+			pbe.TimelineAvg(tm, tm+100*time.Millisecond), bbr.TimelineAvg(tm, tm+100*time.Millisecond), comp)
 	}
 	fmt.Printf("\nsummary:       avg tput   avg delay   p95 delay\n")
 	fmt.Printf("  pbe         %7.1f    %7.1f ms  %7.1f ms\n",

@@ -1,7 +1,8 @@
 // Package figures regenerates the paper's tables and figures and the 5G
 // NR experiments, one registry entry each, for cmd/pbebench. A figure that
 // compares schemes over scenario-family jobs builds a sweep spec and runs
-// its jobs on the sweep worker pool (points).
+// its jobs on the sweep worker pool (points); every other figure that runs
+// harness scenarios hands them to the same pool (sweep.Pool).
 package figures
 
 import (
@@ -146,6 +147,25 @@ func byScheme(pts []point) map[string][]point {
 		runs[p.job.Scheme] = append(runs[p.job.Scheme], p)
 	}
 	return runs
+}
+
+// eachScheme runs scenario(s) for every scheme s on the sweep's scenario
+// pool and returns what measure reads of each run, in scheme order.
+func eachScheme[T any](schemes []string, scenario func(scheme string) *harness.Scenario,
+	measure func(scheme string, r *harness.Result) T) []T {
+	return sweep.Pool(len(schemes), 0, nil,
+		func(i int) *harness.Scenario { return scenario(schemes[i]) },
+		func(i int, _ *harness.Scenario, r *harness.Result) T { return measure(schemes[i], r) })
+}
+
+// windowAvgs averages a flow's throughput over consecutive step-long
+// intervals from from up to to, in Mbit/s.
+func windowAvgs(f *harness.FlowResult, from, to, step time.Duration) []float64 {
+	var avgs []float64
+	for t := from; t < to; t += step {
+		avgs = append(avgs, f.TimelineAvg(t, t+step))
+	}
+	return avgs
 }
 
 // quickOr returns q in quick mode and full otherwise.
@@ -592,21 +612,17 @@ func Figure12(quick bool) []Table {
 // orderStatsAt runs all ten schemes at a set of locations and reports
 // the 10/25/50/75/90th percentiles of windowed throughput and delay.
 func orderStatsAt(id, title string, locs []harness.Location, quick bool) []Table {
-	dur := 5 * time.Second
-	if quick {
-		dur = 2 * time.Second
-	}
+	dur := quickOr(quick, 2*time.Second, 5*time.Second)
 	var out []Table
 	for _, loc := range locs {
-		t := Table{ID: id, Title: fmt.Sprintf("%s @ %s", title, loc.Name),
-			Header: []string{"scheme", "tput p10/p25/p50/p75/p90 (Mbit/s)", "delay p10/p25/p50/p75/p90 (ms)"}}
-		for _, s := range harness.Schemes {
-			r := harness.Run(harness.LocationScenario(loc, s, dur))
-			f := r.Flows[0]
-			t.Rows = append(t.Rows, []string{s,
-				pct5(f.Tput), pct5(f.Delay)})
-		}
-		out = append(out, t)
+		out = append(out, Table{ID: id, Title: fmt.Sprintf("%s @ %s", title, loc.Name),
+			Header: []string{"scheme", "tput p10/p25/p50/p75/p90 (Mbit/s)", "delay p10/p25/p50/p75/p90 (ms)"},
+			Rows: eachScheme(harness.Schemes,
+				func(s string) *harness.Scenario { return harness.LocationScenario(loc, s, dur) },
+				func(s string, r *harness.Result) []string {
+					f := r.Flows[0]
+					return []string{s, pct5(f.Tput), pct5(f.Delay)}
+				})})
 	}
 	return out
 }
@@ -670,21 +686,16 @@ func Figure16(quick bool) []Table {
 // Figure17 compares PBE-CC and BBR per two-second interval along the
 // trajectory.
 func Figure17(quick bool) []Table {
-	dur := 40 * time.Second
-	if quick {
-		dur = 10 * time.Second
-	}
-	res := map[string]*harness.FlowResult{}
-	for _, s := range []string{"pbe", "bbr"} {
-		res[s] = harness.Run(harness.MobilityScenario(s, harness.Params{Duration: dur})).Flows[0]
-	}
-	t := &Table{ID: "fig17", Title: "Mobility timeline (2 s medians)",
+	dur := quickOr(quick, 10*time.Second, 40*time.Second)
+	step := 2 * time.Second
+	tl := eachScheme([]string{"pbe", "bbr"},
+		func(s string) *harness.Scenario { return harness.MobilityScenario(s, harness.Params{Duration: dur}) },
+		func(_ string, r *harness.Result) []float64 { return windowAvgs(r.Flows[0], 0, dur, step) })
+	t := &Table{ID: "fig17", Title: "Mobility timeline (2 s means)",
 		Header: []string{"t(s)", "pbe tput", "bbr tput"}}
-	for from := time.Duration(0); from < dur; from += 2 * time.Second {
-		t.Rows = append(t.Rows, []string{
-			f0(from.Seconds()),
-			f1(res["pbe"].TimelineAvg(from, from+2*time.Second)),
-			f1(res["bbr"].TimelineAvg(from, from+2*time.Second))})
+	for k := range tl[0] {
+		from := time.Duration(k) * step
+		t.Rows = append(t.Rows, []string{f0(from.Seconds()), f1(tl[0][k]), f1(tl[1][k])})
 	}
 	t.Notes = append(t.Notes, "paper Fig 17: PBE tracks the dip without queue buildup; BBR overshoots on recovery")
 	return []Table{*t}
@@ -704,46 +715,40 @@ func Figure18(quick bool) []Table {
 // Figure19 prints the PBE/BBR reaction timeline around competitor on-off
 // events.
 func Figure19(quick bool) []Table {
-	dur := 24 * time.Second
-	if quick {
-		dur = 12 * time.Second
-	}
-	res := map[string]*harness.FlowResult{}
-	for _, s := range []string{"pbe", "bbr"} {
-		res[s] = harness.Run(harness.CompetitionScenario(s, harness.Params{Duration: dur})).Flows[0]
-	}
-	t := &Table{ID: "fig19", Title: "Competition timeline (200 ms averages)",
+	dur := quickOr(quick, 12*time.Second, 24*time.Second)
+	from, step := 3*time.Second, 500*time.Millisecond
+	tl := eachScheme([]string{"pbe", "bbr"},
+		func(s string) *harness.Scenario { return harness.CompetitionScenario(s, harness.Params{Duration: dur}) },
+		func(_ string, r *harness.Result) []float64 {
+			return windowAvgs(r.Flows[0], from, min(dur, 16*time.Second), step)
+		})
+	t := &Table{ID: "fig19", Title: "Competition timeline (500 ms averages)",
 		Header: []string{"t(s)", "pbe tput", "bbr tput", "competitor"}}
-	for from := 3 * time.Second; from < dur && from < 16*time.Second; from += 500 * time.Millisecond {
+	for k := range tl[0] {
+		at := from + time.Duration(k)*step
 		comp := "off"
-		phase := (from - 4*time.Second) % (8 * time.Second)
-		if from >= 4*time.Second && phase < 4*time.Second {
+		phase := (at - 4*time.Second) % (8 * time.Second)
+		if at >= 4*time.Second && phase < 4*time.Second {
 			comp = "ON"
 		}
-		t.Rows = append(t.Rows, []string{
-			f1(from.Seconds()),
-			f1(res["pbe"].TimelineAvg(from, from+500*time.Millisecond)),
-			f1(res["bbr"].TimelineAvg(from, from+500*time.Millisecond)),
-			comp})
+		t.Rows = append(t.Rows, []string{f1(at.Seconds()), f1(tl[0][k]), f1(tl[1][k]), comp})
 	}
 	return []Table{*t}
 }
 
 // Figure20 runs two concurrent connections from one device per scheme.
 func Figure20(quick bool) []Table {
-	dur := 20 * time.Second
-	if quick {
-		dur = 5 * time.Second
-	}
+	dur := quickOr(quick, 5*time.Second, 20*time.Second)
 	t := &Table{ID: "fig20", Title: "Two concurrent flows, one device",
-		Header: []string{"scheme", "flow1 tput", "flow2 tput", "flow1 p50 delay", "flow2 p50 delay", "jain"}}
-	for _, s := range harness.Schemes {
-		r := harness.Run(harness.MultiflowScenario(s, harness.Params{Duration: dur}))
-		a, b := r.Flows[0], r.Flows[1]
-		t.Rows = append(t.Rows, []string{s, f1(a.AvgTputMbps), f1(b.AvgTputMbps),
-			f1(a.Delay.Percentile(50)), f1(b.Delay.Percentile(50)),
-			f2(stats.Jain([]float64{a.AvgTputMbps, b.AvgTputMbps}))})
-	}
+		Header: []string{"scheme", "flow1 tput", "flow2 tput", "flow1 p50 delay", "flow2 p50 delay", "jain"},
+		Rows: eachScheme(harness.Schemes,
+			func(s string) *harness.Scenario { return harness.MultiflowScenario(s, harness.Params{Duration: dur}) },
+			func(s string, r *harness.Result) []string {
+				a, b := r.Flows[0], r.Flows[1]
+				return []string{s, f1(a.AvgTputMbps), f1(b.AvgTputMbps),
+					f1(a.Delay.Percentile(50)), f1(b.Delay.Percentile(50)),
+					f2(stats.Jain([]float64{a.AvgTputMbps, b.AvgTputMbps}))}
+			})}
 	t.Notes = append(t.Notes, "paper: PBE 26/28 Mbit/s with 48/56 ms; BBR unbalanced 10/35")
 	return []Table{*t}
 }
@@ -775,42 +780,41 @@ func fairnessScenario(schemes [3]string, rtts [3]time.Duration, dur time.Duratio
 // fairnessTable runs a fairness scenario and reports PRB shares plus Jain
 // indices over the two- and three-flow phases.
 func fairnessTable(id, title string, schemes [3]string, rtts [3]time.Duration, quick bool) []Table {
-	dur := 30 * time.Second
-	if quick {
-		dur = 12 * time.Second
-	}
+	dur := quickOr(quick, 12*time.Second, 30*time.Second)
 	sc := fairnessScenario(schemes, rtts, dur)
-	r := harness.Run(sc)
-	t := &Table{ID: id, Title: title,
-		Header: []string{"t(s)", "ue1 PRBs", "ue2 PRBs", "ue3 PRBs"}}
-	for i, tm := range r.PRBTimes {
-		if i%4 != 0 {
-			continue
-		}
-		t.Rows = append(t.Rows, []string{
-			f1(tm.Seconds()),
-			f1(r.PRBSamples[1][i]), f1(r.PRBSamples[2][i]), f1(r.PRBSamples[3][i])})
-	}
-	// Jain over the three-flow phase [after flow3 start, before flow3 stop].
-	start3 := sc.Flows[2].Start + dur/10
-	stop3 := sc.Flows[2].Stop - dur/30
-	var shares3 []float64
-	for ue := 1; ue <= 3; ue++ {
-		var sum float64
-		n := 0
-		for i, tm := range r.PRBTimes {
-			if tm >= start3 && tm < stop3 {
-				sum += r.PRBSamples[ue][i]
-				n++
+	return sweep.Pool(1, 0, nil, func(int) *harness.Scenario { return sc },
+		func(_ int, sc *harness.Scenario, r *harness.Result) []Table {
+			t := &Table{ID: id, Title: title,
+				Header: []string{"t(s)", "ue1 PRBs", "ue2 PRBs", "ue3 PRBs"}}
+			for i, tm := range r.PRBTimes {
+				if i%4 != 0 {
+					continue
+				}
+				t.Rows = append(t.Rows, []string{
+					f1(tm.Seconds()),
+					f1(r.PRBSamples[1][i]), f1(r.PRBSamples[2][i]), f1(r.PRBSamples[3][i])})
 			}
-		}
-		if n > 0 {
-			shares3 = append(shares3, sum/float64(n))
-		}
-	}
-	t.Notes = append(t.Notes,
-		fmt.Sprintf("Jain index over 3-flow phase: %.4f (paper: 0.98-0.9997)", stats.Jain(shares3)))
-	return []Table{*t}
+			// Jain over the three-flow phase [after flow3 start, before flow3 stop].
+			start3 := sc.Flows[2].Start + dur/10
+			stop3 := sc.Flows[2].Stop - dur/30
+			var shares3 []float64
+			for ue := 1; ue <= 3; ue++ {
+				var sum float64
+				n := 0
+				for i, tm := range r.PRBTimes {
+					if tm >= start3 && tm < stop3 {
+						sum += r.PRBSamples[ue][i]
+						n++
+					}
+				}
+				if n > 0 {
+					shares3 = append(shares3, sum/float64(n))
+				}
+			}
+			t.Notes = append(t.Notes,
+				fmt.Sprintf("Jain index over 3-flow phase: %.4f (paper: 0.98-0.9997)", stats.Jain(shares3)))
+			return []Table{*t}
+		})[0]
 }
 
 // Figure21a: three PBE flows with similar RTTs.
@@ -843,34 +847,32 @@ func Figure21d(quick bool) []Table {
 
 // Ablations quantifies the design choices DESIGN.md calls out.
 func Ablations(quick bool) []Table {
-	dur := 6 * time.Second
-	if quick {
-		dur = 3 * time.Second
-	}
+	dur := quickOr(quick, 3*time.Second, 6*time.Second)
 	loc := harness.Location{Index: 200, Name: "ablation", Indoor: true, CCs: 1, Busy: true, RSSI: -91}
-	t := &Table{ID: "ablation", Title: "PBE-CC design ablations",
-		Header: []string{"variant", "avg tput(Mbit/s)", "p95 delay(ms)"}}
-
-	base := harness.Run(harness.LocationScenario(loc, "pbe", dur)).Flows[0]
-	t.Rows = append(t.Rows, []string{"baseline", f1(base.AvgTputMbps), f1(base.Delay.Percentile(95))})
-
-	noFilter := harness.LocationScenario(loc, "pbe", dur)
-	noFilter.DisableUserFilter = true
-	f := harness.Run(noFilter).Flows[0]
-	t.Rows = append(t.Rows, []string{"no Ta/Pa filter", f1(f.AvgTputMbps), f1(f.Delay.Percentile(95))})
-
-	decoded := harness.LocationScenario(loc, "pbe", dur)
-	decoded.MonitorDecodesPDCCH = true
-	if !quick {
-		f = harness.Run(decoded).Flows[0]
-		t.Rows = append(t.Rows, []string{"bit-level PDCCH decode", f1(f.AvgTputMbps), f1(f.Delay.Percentile(95))})
+	type variant struct {
+		name string
+		set  func(*harness.Scenario)
 	}
-
-	guard := harness.LocationScenario(loc, "pbe", dur)
-	guard.MisreportGuard = 2
-	f = harness.Run(guard).Flows[0]
-	t.Rows = append(t.Rows, []string{"misreport guard 2x", f1(f.AvgTputMbps), f1(f.Delay.Percentile(95))})
-
+	variants := []variant{
+		{"baseline", func(*harness.Scenario) {}},
+		{"no Ta/Pa filter", func(sc *harness.Scenario) { sc.DisableUserFilter = true }},
+	}
+	if !quick {
+		variants = append(variants, variant{"bit-level PDCCH decode", func(sc *harness.Scenario) { sc.MonitorDecodesPDCCH = true }})
+	}
+	variants = append(variants, variant{"misreport guard 2x", func(sc *harness.Scenario) { sc.MisreportGuard = 2 }})
+	t := &Table{ID: "ablation", Title: "PBE-CC design ablations",
+		Header: []string{"variant", "avg tput(Mbit/s)", "p95 delay(ms)"},
+		Rows: sweep.Pool(len(variants), 0, nil,
+			func(i int) *harness.Scenario {
+				sc := harness.LocationScenario(loc, "pbe", dur)
+				variants[i].set(sc)
+				return sc
+			},
+			func(i int, _ *harness.Scenario, r *harness.Result) []string {
+				f := r.Flows[0]
+				return []string{variants[i].name, f1(f.AvgTputMbps), f1(f.Delay.Percentile(95))}
+			})}
 	t.Notes = append(t.Notes,
 		"without the filter, inflated N shrinks the fair share on busy cells",
 		"the bit-level row (full runs only) prices blind decoding against the oracle feed; its gap is unexplained (ROADMAP \"Decode in the loop\")")

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"pbecc/internal/harness"
+	"pbecc/internal/sweep"
 	"pbecc/internal/trace"
 )
 
@@ -40,37 +41,41 @@ func NRTput(quick bool) []Table {
 // mmWave blockage: the carrier collapses from ~900 to ~10 Mbit/s within
 // 10 ms, holds, and recovers.
 func NRBlockage(quick bool) []Table {
-	dur := 8 * time.Second
-	if quick {
-		dur = 4 * time.Second
-	}
+	dur := quickOr(quick, 4*time.Second, 8*time.Second)
+	step := 250 * time.Millisecond
 	// The NR mobility family blocks the carrier over the run's middle
 	// quarter.
 	blockStart, blockEnd := dur*3/8, dur*5/8
-	res := map[string]*harness.FlowResult{}
-	for _, s := range []string{"pbe", "cubic", "bbr"} {
-		res[s] = harness.Run(harness.MobilityScenario(s, harness.Params{Duration: dur, RAT: harness.RATNR})).Flows[0]
+	type read struct {
+		tl            []float64
+		avg, p95, max float64
 	}
+	schemes := []string{"pbe", "cubic", "bbr"}
+	res := eachScheme(schemes,
+		func(s string) *harness.Scenario {
+			return harness.MobilityScenario(s, harness.Params{Duration: dur, RAT: harness.RATNR})
+		},
+		func(_ string, r *harness.Result) read {
+			f := r.Flows[0]
+			tl := windowAvgs(f, 0, dur, step)
+			avg := f.Delay.Mean() // before Percentile sorts the samples
+			return read{tl, avg, f.Delay.Percentile(95), f.Delay.Max()}
+		})
 	timeline := &Table{ID: "nr-blockage", Title: "mmWave blockage timeline (250 ms averages, Mbit/s)",
 		Header: []string{"t(s)", "pbe", "cubic", "bbr", "blocked"}}
-	for from := time.Duration(0); from < dur; from += 250 * time.Millisecond {
+	for k := range res[0].tl {
+		from := time.Duration(k) * step
 		blocked := "-"
 		if from >= blockStart && from < blockEnd {
 			blocked = "BLOCKED"
 		}
 		timeline.Rows = append(timeline.Rows, []string{
-			f1(from.Seconds()),
-			f1(res["pbe"].TimelineAvg(from, from+250*time.Millisecond)),
-			f1(res["cubic"].TimelineAvg(from, from+250*time.Millisecond)),
-			f1(res["bbr"].TimelineAvg(from, from+250*time.Millisecond)),
-			blocked})
+			f1(from.Seconds()), f1(res[0].tl[k]), f1(res[1].tl[k]), f1(res[2].tl[k]), blocked})
 	}
 	delays := &Table{ID: "nr-blockage-delay", Title: "mmWave blockage: one-way delay per scheme",
 		Header: []string{"scheme", "avg delay(ms)", "p95 delay(ms)", "max delay(ms)"}}
-	for _, s := range []string{"pbe", "cubic", "bbr"} {
-		f := res[s]
-		delays.Rows = append(delays.Rows, []string{s, f1(f.Delay.Mean()),
-			f1(f.Delay.Percentile(95)), f1(f.Delay.Max())})
+	for i, s := range schemes {
+		delays.Rows = append(delays.Rows, []string{s, f1(res[i].avg), f1(res[i].p95), f1(res[i].max)})
 	}
 	delays.Notes = append(delays.Notes,
 		"PBE reads the collapse off the control channel within a few slots and paces down;",
@@ -81,38 +86,37 @@ func NRBlockage(quick bool) []Table {
 // NRDualConnectivity compares an EN-DC device (LTE anchor + NR µ=1
 // 100 MHz secondary) against the same device locked to LTE.
 func NRDualConnectivity(quick bool) []Table {
-	dur := 6 * time.Second
-	schemes := []string{"pbe", "bbr"}
-	if quick {
-		dur = 3 * time.Second
-		schemes = []string{"pbe"}
+	dur := quickOr(quick, 3*time.Second, 6*time.Second)
+	schemes := quickOr(quick, []string{"pbe"}, []string{"pbe", "bbr"})
+	// Scenario 2k is scheme k locked to LTE, 2k+1 the same device with EN-DC.
+	type read struct {
+		tput        float64
+		nrActivated bool
 	}
-	t := &Table{ID: "nr-dc", Title: "EN-DC: LTE anchor + NR secondary vs LTE-only",
-		Header: []string{"scheme", "lte-only tput", "en-dc tput", "gain", "nr activated"}}
-	for _, s := range schemes {
-		lteOnly := &harness.Scenario{
+	runs := sweep.Pool(2*len(schemes), 0, nil, func(i int) *harness.Scenario {
+		sc := &harness.Scenario{
 			Seed: 3200, Duration: dur,
 			Cells: []harness.CellSpec{{ID: 1, Control: trace.Idle()}},
 			UEs:   []harness.UESpec{{ID: 1, RNTI: 61, CellIDs: []int{1}, RSSI: -90}},
-			Flows: []harness.FlowSpec{{ID: 1, UE: 1, Scheme: s, Start: 0, RTTBase: 40 * time.Millisecond}},
+			Flows: []harness.FlowSpec{{ID: 1, UE: 1, Scheme: schemes[i/2], Start: 0, RTTBase: 40 * time.Millisecond}},
 		}
-		endc := &harness.Scenario{
-			Seed: 3200, Duration: dur,
-			Cells:   []harness.CellSpec{{ID: 1, Control: trace.Idle()}},
-			NRCells: []harness.NRCellSpec{{ID: 101, Mu: 1, BandwidthMHz: 100, Control: trace.Idle()}},
-			UEs: []harness.UESpec{{ID: 1, RNTI: 61, CellIDs: []int{1}, NRCellIDs: []int{101},
-				RSSI: -90}},
-			Flows: []harness.FlowSpec{{ID: 1, UE: 1, Scheme: s, Start: 0, RTTBase: 40 * time.Millisecond}},
+		if i%2 == 1 {
+			sc.NRCells = []harness.NRCellSpec{{ID: 101, Mu: 1, BandwidthMHz: 100, Control: trace.Idle()}}
+			sc.UEs[0].NRCellIDs = []int{101}
 		}
-		a := harness.Run(lteOnly).Flows[0]
-		r := harness.Run(endc)
-		b := r.Flows[0]
+		return sc
+	}, func(_ int, _ *harness.Scenario, r *harness.Result) read {
+		return read{r.Flows[0].AvgTputMbps, r.NRActivated}
+	})
+	t := &Table{ID: "nr-dc", Title: "EN-DC: LTE anchor + NR secondary vs LTE-only",
+		Header: []string{"scheme", "lte-only tput", "en-dc tput", "gain", "nr activated"}}
+	for k, s := range schemes {
+		lteOnly, endc := runs[2*k], runs[2*k+1]
 		gain := 0.0
-		if a.AvgTputMbps > 0 {
-			gain = b.AvgTputMbps / a.AvgTputMbps
+		if lteOnly.tput > 0 {
+			gain = endc.tput / lteOnly.tput
 		}
-		t.Rows = append(t.Rows, []string{s, f1(a.AvgTputMbps), f1(b.AvgTputMbps),
-			f2(gain) + "x", fmt.Sprint(r.NRActivated)})
+		t.Rows = append(t.Rows, []string{s, f1(lteOnly.tput), f1(endc.tput), f2(gain) + "x", fmt.Sprint(endc.nrActivated)})
 	}
 	t.Notes = append(t.Notes,
 		"the NR leg activates after ~100 ms of sustained anchor demand (EN-DC, 3GPP option 3);",

@@ -296,10 +296,6 @@ type FlowResult struct {
 	// in percent (PBE flows only; see pbeProbe).
 	PBEErrPct float64
 
-	// Timeline series sampled every 100 ms (rate in Mbit/s).
-	TimelineT []time.Duration
-	TimelineR []float64
-
 	// Frames holds frame-level QoE metrics for media flows (nil for
 	// bulk flows).
 	Frames *rtc.FrameStats
@@ -313,16 +309,25 @@ type FlowResult struct {
 	probe   *pbeProbe    // its UE's accuracy probe, if its scheme uses the monitor
 }
 
-// TimelineAvg averages the flow's 100 ms throughput timeline over
-// [from, to), in Mbit/s (0 when no sample falls inside).
+// TimelineAvg averages the flow's 100 ms throughput windows that start in
+// [from, to), in Mbit/s (0 when none does). Windows of the flow's active
+// period [start, stop) count; a window with no delivery counts as zero.
 func (f *FlowResult) TimelineAvg(from, to time.Duration) float64 {
+	w := f.windows.Window
+	buckets := f.windows.Buckets()
 	var sum float64
 	n := 0
-	for i, tm := range f.TimelineT {
-		if tm >= from && tm < to {
-			sum += f.TimelineR[i]
-			n++
+	for i := 0; i < int(f.stop/w); i++ {
+		t := time.Duration(i) * w
+		if t < f.start || t >= f.stop || t < from || t >= to {
+			continue
 		}
+		var b float64
+		if i < len(buckets) {
+			b = buckets[i]
+		}
+		sum += b * 8 / w.Seconds() / 1e6
+		n++
 	}
 	if n == 0 {
 		return 0
@@ -755,7 +760,6 @@ func (fr *FlowResult) collect() {
 		if span > 0 {
 			fr.AvgTputMbps = bytes * 8 / span / 1e6
 		}
-		fr.buildTimeline()
 	}
 	if fr.snd != nil {
 		fr.Lost = fr.snd.LostPackets
@@ -850,25 +854,6 @@ func mirrorActiveCells(dev device, ueID int, channels map[[2]int]*phy.Channel, o
 // MeasuresInternetState reports whether InternetFrac was measured: the
 // flow's receiver ran the PBE client's bottleneck detector.
 func (fr *FlowResult) MeasuresInternetState() bool { return fr.pbe != nil }
-
-func (fr *FlowResult) buildTimeline() {
-	buckets := fr.windows.Buckets()
-	// Pad to the flow's stop time so silent periods (a starved sender)
-	// appear as zero-rate windows rather than a truncated series.
-	n := int(fr.stop / fr.windows.Window)
-	for i := 0; i < n; i++ {
-		t := time.Duration(i) * fr.windows.Window
-		if t < fr.start || t >= fr.stop {
-			continue
-		}
-		var b float64
-		if i < len(buckets) {
-			b = buckets[i]
-		}
-		fr.TimelineT = append(fr.TimelineT, t)
-		fr.TimelineR = append(fr.TimelineR, b*8/fr.windows.Window.Seconds()/1e6)
-	}
-}
 
 // monitorFeed returns the feed of cell reports into mon, routed through
 // the PDCCH encode/blind-decode pipeline when decode is set.

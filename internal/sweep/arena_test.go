@@ -7,6 +7,13 @@ import (
 	"pbecc/internal/harness"
 )
 
+// runJob runs one job on arena the way a pool worker does and returns its
+// row.
+func runJob(spec *Spec, j Job, arena *harness.Arena) Row {
+	return runOn(arena, j.Index, func(int) *harness.Scenario { return j.scenario(spec, true) },
+		func(_ int, sc *harness.Scenario, res *harness.Result) Row { return rowOf(j, sc, res) })
+}
+
 // heapInUse is the live heap after a full collection.
 func heapInUse() uint64 {
 	var m runtime.MemStats
@@ -38,7 +45,7 @@ func TestArenaIsolation(t *testing.T) {
 	arena := harness.NewArena()
 	var retained uint64
 	for i, j := range jobs {
-		fwd[i] = runJob(spec, j, arena, true, rowOf)
+		fwd[i] = runJob(spec, j, arena)
 		if h := heapInUse(); h > base && h-base > retained {
 			retained = h - base
 		}
@@ -51,7 +58,7 @@ func TestArenaIsolation(t *testing.T) {
 
 	arena = harness.NewArena()
 	for i := len(jobs) - 1; i >= 0; i-- {
-		if got := runJob(spec, jobs[i], arena, true, rowOf); got != fwd[i] {
+		if got := runJob(spec, jobs[i], arena); got != fwd[i] {
 			t.Fatalf("job %d (%s/%s/%s seed %d) differs run in reverse order:\n forward %+v\n reverse %+v",
 				i, jobs[i].Experiment, jobs[i].RAT, jobs[i].Scheme, jobs[i].Seed, fwd[i], got)
 		}
@@ -75,7 +82,7 @@ func TestArenaWarmRepeat(t *testing.T) {
 	bytesOf := func() (uint64, Row) {
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		row := runJob(spec, job, arena, true, rowOf)
+		row := runJob(spec, job, arena)
 		runtime.ReadMemStats(&m1)
 		return m1.TotalAlloc - m0.TotalAlloc, row
 	}
@@ -123,7 +130,7 @@ func TestJobAllocsPerSimSecond(t *testing.T) {
 				run := func(ms int) func() {
 					s := *spec
 					s.DurationMs = ms
-					return func() { runJob(&s, j, arena, true, rowOf) }
+					return func() { runJob(&s, j, arena) }
 				}
 				// With AllocsPerRun's own warm-up run, the 2 s job is
 				// measured after two 2 s jobs, so the stocks have settled

@@ -245,18 +245,10 @@ func repeated[T comparable](axis string, vals []T) error {
 	return nil
 }
 
-// Row is one job's measured result. Metrics are rounded to two decimals so
-// result files stay stable and diffable.
+// Row is one job's key and measured result. Metrics are rounded to two
+// decimals so result files stay stable and diffable.
 type Row struct {
-	Experiment string  `json:"experiment"`
-	RAT        string  `json:"rat"`
-	Scheme     string  `json:"scheme"`
-	Location   *int    `json:"location,omitempty"`
-	Cells      int     `json:"cells,omitempty"`
-	Noise      float64 `json:"noise,omitempty"`
-	FaultAxis  string  `json:"fault_axis,omitempty"`
-	FaultLevel float64 `json:"fault_level,omitempty"`
-	Seed       int64   `json:"seed"`
+	Job
 
 	TputMbps    float64 `json:"tput_mbps"`
 	DelayP50Ms  float64 `json:"delay_p50_ms"`
@@ -393,28 +385,50 @@ func RunProgress(spec *Spec, workers int, progress func(done, total int)) (*Resu
 	return &Result{Spec: *spec, Rows: rows, Summaries: Summarize(rows)}, nil
 }
 
-// Map is how a sweep runs its jobs: across at most workers goroutines
-// (default GOMAXPROCS), each with its own harness.Arena, so a job runs on
-// the storage the worker's previous job grew. series records each job's
-// virtual-time series (harness.Result.Series). measure reads each job's
-// scenario and result before the arena reclaims the result, and keeps no
-// reference into it; its value lands at the job's index, so the output is
-// identical for any worker count. progress(done, total), if non-nil, is
-// invoked once per finished job, from worker goroutines but never
-// concurrently, with done strictly increasing; it cannot affect the sweep.
+// Map is how a sweep runs its jobs: Jobs() on the scenario pool (Pool).
+// series records each job's virtual-time series (harness.Result.Series).
+// measure reads each job's scenario and result before the arena reclaims
+// the result, and keeps no reference into it; its value lands at the job's
+// index, so the output is identical for any worker count.
 func Map[T any](spec *Spec, workers int, series bool, progress func(done, total int),
 	measure func(Job, *harness.Scenario, *harness.Result) T) ([]T, error) {
 	jobs, err := spec.Jobs()
 	if err != nil {
 		return nil, err
 	}
+	return Pool(len(jobs), workers, progress,
+		func(i int) *harness.Scenario { return jobs[i].scenario(spec, series) },
+		func(i int, sc *harness.Scenario, res *harness.Result) T { return measure(jobs[i], sc, res) }), nil
+}
+
+// scenario builds the job's scenario.
+func (j Job) scenario(spec *Spec, series bool) *harness.Scenario {
+	sc, err := harness.BuildScenario(j.Experiment, j.Scheme, j.params(spec))
+	if err != nil {
+		// Jobs() validated this combination already.
+		panic(fmt.Sprintf("sweep: job %d became unbuildable: %v", j.Index, err))
+	}
+	sc.Series = series
+	return sc
+}
+
+// Pool runs n scenarios across at most workers goroutines (default
+// GOMAXPROCS), each with its own harness.Arena, so a scenario runs on the
+// storage the worker's previous one grew. A worker builds scenario i with
+// build(i), runs it, and reads it with measure(i, sc, res) before the arena
+// reclaims the result; measure must read everything it needs then (the
+// arena reuses each flow's delay samples) and keep no reference into the
+// result. Its value lands at index i, so the output is identical for any
+// worker count. progress(done, total), if non-nil, is invoked once per
+// finished scenario, from worker goroutines but never concurrently, with
+// done strictly increasing; it cannot affect the output.
+func Pool[T any](n, workers int, progress func(done, total int), build func(i int) *harness.Scenario,
+	measure func(i int, sc *harness.Scenario, res *harness.Result) T) []T {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	out := make([]T, len(jobs))
+	workers = min(workers, n)
+	out := make([]T, n)
 	idx := make(chan int)
 	var wg sync.WaitGroup
 	var mu sync.Mutex
@@ -425,36 +439,31 @@ func Map[T any](spec *Spec, workers int, series bool, progress func(done, total 
 			defer wg.Done()
 			arena := harness.NewArena()
 			for i := range idx {
-				out[i] = runJob(spec, jobs[i], arena, series, measure)
+				out[i] = runOn(arena, i, build, measure)
 				if progress != nil {
 					mu.Lock()
 					done++
-					progress(done, len(jobs))
+					progress(done, n)
 					mu.Unlock()
 				}
 			}
 		}()
 	}
-	for i := range jobs {
+	for i := 0; i < n; i++ {
 		idx <- i
 	}
 	close(idx)
 	wg.Wait()
-	return out, nil
+	return out
 }
 
-// runJob executes one job on the worker's arena and returns what measure
+// runOn runs scenario i on the worker's arena and returns what measure
 // reads of it before the result goes back to the arena.
-func runJob[T any](spec *Spec, j Job, arena *harness.Arena, series bool,
-	measure func(Job, *harness.Scenario, *harness.Result) T) T {
-	sc, err := harness.BuildScenario(j.Experiment, j.Scheme, j.params(spec))
-	if err != nil {
-		// Jobs() validated this combination already.
-		panic(fmt.Sprintf("sweep: job %d became unbuildable: %v", j.Index, err))
-	}
-	sc.Series = series
+func runOn[T any](arena *harness.Arena, i int, build func(int) *harness.Scenario,
+	measure func(int, *harness.Scenario, *harness.Result) T) T {
+	sc := build(i)
 	res := arena.Run(sc)
-	v := measure(j, sc, res)
+	v := measure(i, sc, res)
 	arena.Reclaim(res)
 	return v
 }
@@ -464,9 +473,7 @@ func runJob[T any](spec *Spec, j Job, arena *harness.Arena, series bool,
 func rowOf(j Job, sc *harness.Scenario, res *harness.Result) Row {
 	f := res.Flows[0]
 	row := Row{
-		Experiment: j.Experiment, RAT: j.RAT, Scheme: j.Scheme, Location: j.Location,
-		Cells: j.Cells, Noise: j.Noise,
-		FaultAxis: j.FaultAxis, FaultLevel: j.FaultLevel, Seed: j.Seed,
+		Job:         j,
 		TputMbps:    stats.Round2(f.AvgTputMbps),
 		DelayP50Ms:  stats.Round2(f.Delay.Percentile(50)),
 		DelayP95Ms:  stats.Round2(f.Delay.Percentile(95)),

@@ -272,9 +272,9 @@ func TestParallelismDoesNotChangeBytes(t *testing.T) {
 
 func TestSummarizeGroups(t *testing.T) {
 	rows := []Row{
-		{Experiment: "steady", RAT: "lte", Scheme: "pbe", Seed: 1, TputMbps: 10, DelayP95Ms: 20, Utilization: 0.1},
-		{Experiment: "steady", RAT: "lte", Scheme: "pbe", Seed: 2, TputMbps: 30, DelayP95Ms: 40, Utilization: 0.3},
-		{Experiment: "steady", RAT: "lte", Scheme: "bbr", Seed: 1, TputMbps: 5, DelayP95Ms: 50, Utilization: 0.05},
+		{Job: Job{Experiment: "steady", RAT: "lte", Scheme: "pbe", Seed: 1}, TputMbps: 10, DelayP95Ms: 20, Utilization: 0.1},
+		{Job: Job{Experiment: "steady", RAT: "lte", Scheme: "pbe", Seed: 2}, TputMbps: 30, DelayP95Ms: 40, Utilization: 0.3},
+		{Job: Job{Experiment: "steady", RAT: "lte", Scheme: "bbr", Seed: 1}, TputMbps: 5, DelayP95Ms: 50, Utilization: 0.05},
 	}
 	sums := Summarize(rows)
 	if len(sums) != 2 {
