@@ -14,13 +14,26 @@ const MSS = 1500
 
 // Packet is one simulated datagram. Data packets flow server->mobile;
 // acknowledgement packets carry receiver state back, including PBE-CC's
-// capacity feedback.
+// capacity feedback. The field order keeps it at 128 bytes, so 63
+// packets fill one 8 KB pool block; a reordering that grows it fails
+// TestPacketLayout.
 type Packet struct {
 	FlowID int
 	Seq    uint64
 	Size   int // bytes on the wire
 
 	SentAt time.Duration // sender transmit timestamp (virtual time)
+
+	// Pool bookkeeping (see pool.go), kept in the first cache line with
+	// the fields every hop reads. pool is the free list the packet
+	// returns to on release, nil for packets allocated outside a pool
+	// (their release is a no-op and the GC owns them). gen increments at
+	// every release, invalidating outstanding PacketHandles; pooled
+	// marks a packet currently sitting in a free list, making a double
+	// release detectable.
+	pool   *PacketPool
+	gen    uint64
+	pooled bool
 
 	IsAck bool
 	Ack   AckInfo
@@ -35,16 +48,6 @@ type Packet struct {
 	// belongs to, the frame's total size for receiver-side reassembly,
 	// and the capture timestamp for deadline metrics.
 	Media MediaInfo
-
-	// Pool bookkeeping (see pool.go). pool is the free list the packet
-	// returns to on release, nil for packets allocated outside a pool
-	// (their release is a no-op and the GC owns them). gen increments at
-	// every release, invalidating outstanding PacketHandles; pooled
-	// marks a packet currently sitting in a free list, making a double
-	// release detectable.
-	pool   *PacketPool
-	gen    uint64
-	pooled bool
 }
 
 // MediaInfo is the RTP-like per-packet media metadata. A packet is a media

@@ -44,20 +44,23 @@ func SetPooling(on bool) (prev bool) {
 // shard pools without synchronization, because release rewrites the
 // packet's pool binding while holding the only live reference.
 //
-// The pool survives its engine's Recycle: the slab records every packet
-// the pool created, and Recycle takes back the ones the run touched -
-// including packets still queued or in flight, whose generation it bumps
-// so no handle from the run stays live - while dropping the rest.
+// The pool survives its engine's Recycle. Packets come from fixed blocks
+// of packetBlock packets, handed out in order through a cursor whenever
+// the free list is empty; Recycle takes every packet the cursor handed
+// out back at once - including packets still queued or in flight, whose
+// generation it bumps so no handle from the run stays live - by resetting
+// the cursor. Blocks are never freed, so the pool keeps the largest
+// working set any run on its engine touched.
 type PacketPool struct {
-	free []*Packet
-
-	// slab is every packet this pool created and still owns. After a
-	// Recycle the free list equals the slab, so the free list's low-water
-	// mark since then bounds what the run touched: free[:low] still holds
-	// slab[:low], untouched, and slab[low:] were handed out.
-	slab []*Packet
-	low  int
+	free   []*Packet
+	blocks []*[packetBlock]Packet
+	next   int // packets the cursor handed out since the last Recycle
 }
+
+// packetBlock is the number of packets per block. 63 128-byte packets and
+// the 8-byte header the allocator puts before a large object with pointers
+// fill the 8 KB size class; 64 would round up to the 9.25 KB class.
+const packetBlock = 63
 
 // poolKey is the engine-local slot of the engine's packet pool.
 var poolKey = sim.NewLocalKey()
@@ -74,25 +77,30 @@ func PoolOf(eng *sim.Engine) *PacketPool {
 	return p
 }
 
-// Get returns a zeroed packet, reusing a released one when possible.
+// Get returns a zeroed packet, reusing a released one when possible and
+// otherwise taking the next one from the blocks.
 func (pp *PacketPool) Get() *Packet {
 	if poolingOff.Load() {
 		return &Packet{}
 	}
-	n := len(pp.free)
-	if n == 0 {
-		p := &Packet{pool: pp}
-		pp.slab = append(pp.slab, p)
-		return p
+	var p *Packet
+	if n := len(pp.free); n > 0 {
+		p = pp.free[n-1]
+		pp.free[n-1] = nil
+		pp.free = pp.free[:n-1]
+	} else {
+		b := pp.next / packetBlock
+		if b == len(pp.blocks) {
+			pp.blocks = append(pp.blocks, new([packetBlock]Packet))
+		}
+		p = &pp.blocks[b][pp.next%packetBlock]
+		pp.next++
 	}
-	p := pp.free[n-1]
-	pp.free[n-1] = nil
-	pp.free = pp.free[:n-1]
-	pp.low = min(pp.low, n-1)
-	mPktReuse.Inc()
 	gen := p.gen
-	*p = Packet{}
-	p.pool, p.gen = pp, gen
+	if gen != 0 { // released or recycled before: not fresh from a block
+		mPktReuse.Inc()
+	}
+	*p = Packet{pool: pp, gen: gen}
 	return p
 }
 
@@ -114,27 +122,24 @@ func (pp *PacketPool) Release(p *Packet) {
 	pp.free = append(pp.free, p)
 }
 
-// Recycle implements sim.Recycler: every packet the run took from the
-// slab returns to the free list - one still held elsewhere first has its
-// generation bumped, so its handles go stale - and the free list becomes
-// the slab again. Untouched packets and packets other pools created are
-// dropped, so the pool keeps one run's working set. The cost is O(packets
-// the run touched).
+// Recycle implements sim.Recycler: every packet the cursor handed out
+// since the last Recycle goes back to the blocks - one still held
+// elsewhere first has its generation bumped, so its handles go stale -
+// and the cursor restarts at the first block. The free list is cleared:
+// it holds only packets the cursor handed out, this pool's or, adopted,
+// another pool's, which that pool's Recycle takes back (every engine of a
+// cluster or an arena recycles together). The cost is O(packets the cursor
+// handed out).
 func (pp *PacketPool) Recycle() {
-	used := pp.slab[pp.low:]
-	for _, p := range used {
-		if !p.pooled {
+	for i := range pp.next {
+		if p := &pp.blocks[i/packetBlock][i%packetBlock]; !p.pooled {
 			p.gen++
 			p.pooled = true
 		}
-		p.pool = pp
 	}
-	n := copy(pp.slab, used)
-	clear(pp.slab[n:])
-	pp.slab = pp.slab[:n]
 	clear(pp.free)
-	pp.free = append(pp.free[:0], pp.slab...)
-	pp.low = n
+	pp.free = pp.free[:0]
+	pp.next = 0
 }
 
 // ReleaseAll releases every packet in ps and zeroes the slice's

@@ -1,7 +1,9 @@
 package netsim
 
 import (
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"pbecc/internal/sim"
 )
@@ -117,60 +119,133 @@ func TestPacketPoolCrossPoolAdoption(t *testing.T) {
 // TestPacketPoolRecycle: recycling the engine takes back every packet the
 // run took from the pool - released or still held - and handles to them
 // stay stale even once the next run is handed the same packets; that run
-// allocates nothing, and a run that needs fewer leaves the pool holding
-// only those. Packets adopted from another pool go back to their maker.
+// allocates nothing, and neither does a smaller run after it, whose
+// recycle keeps the larger set. A packet adopted into another pool's free
+// list is dropped there at recycle and handed out again by its maker.
 func TestPacketPoolRecycle(t *testing.T) {
-	eng := sim.New(1)
-	pp := PoolOf(eng)
-	var ps []*Packet
-	var hs []PacketHandle
-	for i := 0; i < 6; i++ {
-		p := pp.Get()
-		ps, hs = append(ps, p), append(hs, HandleOf(p))
+	eng, engB := sim.New(1), sim.New(2)
+	pp, other := PoolOf(eng), PoolOf(engB)
+	const n = 2*packetBlock + 5
+	ps := make([]*Packet, n)
+	hs := make([]PacketHandle, n)
+	for i := range ps {
+		ps[i] = pp.Get()
+		hs[i] = HandleOf(ps[i])
 	}
 	pp.Release(ps[0])
-	pp.Release(ps[1]) // ps[2:] are still queued or in flight at the end
-	other := PoolOf(sim.New(2))
+	pp.Release(ps[1])
+	other.Release(ps[2]) // adopted across shards; ps[3:] are still held
 	foreign := other.Get()
-	pp.Release(foreign)
+	if foreign != ps[2] {
+		t.Fatal("the adopting pool must hand its adopted packet out first")
+	}
+	pp.Release(foreign) // back into the maker's free list before the end
 
 	eng.Recycle()
-	if len(pp.free) != 6 || len(pp.slab) != 6 {
-		t.Fatalf("after recycle: %d free, slab %d; want the run's 6 packets", len(pp.free), len(pp.slab))
+	engB.Recycle()
+	for i, h := range hs {
+		if h.Live() || h.Packet() != nil {
+			t.Fatalf("handle %d from the previous run is live after recycle", i)
+		}
+	}
+	if len(pp.free) != 0 || len(other.free) != 0 {
+		t.Fatalf("free lists hold %d and %d packets after recycle, want 0", len(pp.free), len(other.free))
 	}
 	mine := map[*Packet]bool{}
 	for _, p := range ps {
 		mine[p] = true
 	}
-	var again []*Packet
-	for i := 0; i < 6; i++ {
-		p := pp.Get()
-		if !mine[p] {
-			t.Fatal("the next run got a packet the pool did not take back")
+	again := make([]*Packet, n)
+	if allocs, _ := allocsOf(func() {
+		for i := range again {
+			again[i] = pp.Get()
 		}
-		again = append(again, p)
+	}); allocs != 0 {
+		t.Fatalf("the next run's %d packets cost %d allocations, want 0", n, allocs)
 	}
-	for i, h := range hs {
-		if h.Live() {
-			t.Fatalf("handle %d from the previous run is live in the next", i)
+	seen := map[*Packet]bool{}
+	for i, p := range again {
+		if !mine[p] || seen[p] {
+			t.Fatalf("packet %d of the next run is not one of the previous run's, or repeats", i)
 		}
+		seen[p] = true
+		if p.pool != pp || p.pooled || p.gen == 0 {
+			t.Fatalf("packet %d handed out as pool %p, pooled %v, gen %d", i, p.pool, p.pooled, p.gen)
+		}
+		if h := HandleOf(p); !h.Live() {
+			t.Fatalf("the new owner's handle of packet %d is stale", i)
+		}
+	}
+	if got := other.Get(); mine[got] {
+		t.Fatal("the adopting pool handed out its maker's packet after recycle")
 	}
 
-	// The next run releases two and holds the rest; the one after touches
-	// only two packets, so the other four are dropped.
-	pp.Release(again[0])
-	pp.Release(again[1])
+	// A smaller run after the large one: the recycle keeps every block.
 	eng.Recycle()
-	a, b := pp.Get(), pp.Get()
-	pp.Release(a)
-	_ = b // still held at the end
+	pp.Release(pp.Get())
+	pp.Get() // still held at the end
 	eng.Recycle()
-	if len(pp.slab) != 2 || len(pp.free) != 2 {
-		t.Fatalf("after a smaller run: slab %d, free %d; want 2", len(pp.slab), len(pp.free))
+	if len(pp.blocks) != 3 {
+		t.Fatalf("after a smaller run the pool keeps %d blocks, want the 3 the largest run needed", len(pp.blocks))
 	}
-	for _, p := range pp.free {
-		if p == foreign || !p.pooled || p.pool != pp {
-			t.Fatal("free list holds a packet this pool does not own")
+	if allocs, _ := allocsOf(func() {
+		for range n {
+			pp.Get()
+		}
+	}); allocs != 0 {
+		t.Fatalf("a run as large as the largest before cost %d allocations, want 0", allocs)
+	}
+}
+
+// TestPacketPoolBlocks: n live packets cost at most ceil(n/63) block
+// allocations and a few hundred bytes of bookkeeping (the block table and
+// the free list), and a packet released in between is handed out again
+// before the cursor moves on.
+func TestPacketPoolBlocks(t *testing.T) {
+	for _, n := range []int{1, packetBlock - 1, packetBlock, packetBlock + 1, 5*packetBlock + 17} {
+		pp := PoolOf(sim.New(1))
+		_, bytes := allocsOf(func() {
+			for range n {
+				pp.Get()
+				pp.Release(pp.Get())
+			}
+		})
+		live := n + 1 // the released packet stays in the free list
+		blocks := (live + packetBlock - 1) / packetBlock
+		if len(pp.blocks) != blocks {
+			t.Errorf("%d live packets: %d blocks, want %d", live, len(pp.blocks), blocks)
+		}
+		if limit := blocks*8192 + 512; bytes > uint64(limit) {
+			t.Errorf("%d live packets: %d bytes allocated, want at most %d", live, bytes, limit)
+		}
+	}
+}
+
+// allocsOf counts the heap allocations of one call of f and their bytes.
+func allocsOf(f func()) (n, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+}
+
+// TestPacketLayout pins the packet at 128 bytes, so 63 fill one 8 KB
+// block, with the pool bookkeeping Release reads in its first 64 bytes,
+// beside the fields every hop reads.
+func TestPacketLayout(t *testing.T) {
+	var p Packet
+	if got := unsafe.Sizeof(p); got != 128 {
+		t.Fatalf("Sizeof(Packet{}) = %d, want 128", got)
+	}
+	for name, end := range map[string]uintptr{
+		"pool":   unsafe.Offsetof(p.pool) + unsafe.Sizeof(p.pool),
+		"gen":    unsafe.Offsetof(p.gen) + unsafe.Sizeof(p.gen),
+		"pooled": unsafe.Offsetof(p.pooled) + unsafe.Sizeof(p.pooled),
+	} {
+		if end > 64 {
+			t.Errorf("%s ends at byte %d, outside the first cache line", name, end)
 		}
 	}
 }

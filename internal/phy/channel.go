@@ -25,7 +25,7 @@ func NewFading(sigmaDB float64, coherence time.Duration, rng *rand.Rand) *Fading
 
 // Step advances the process by dt and returns the new dB offset.
 func (f *Fading) Step(dt time.Duration) float64 {
-	if f.rng == nil || f.SigmaDB == 0 {
+	if f.flat() {
 		return 0
 	}
 	tau := f.Coherence
@@ -36,6 +36,10 @@ func (f *Fading) Step(dt time.Duration) float64 {
 	f.state = f.state*rho + f.rng.NormFloat64()*f.SigmaDB*math.Sqrt(1-rho*rho)
 	return f.state
 }
+
+// flat reports whether Step returns 0 without advancing: no process, no
+// noise source or no deviation.
+func (f *Fading) flat() bool { return f == nil || f.rng == nil || f.SigmaDB == 0 }
 
 // TrajectorySegment linearly interpolates RSSI between two instants.
 type TrajectorySegment struct {
@@ -88,6 +92,11 @@ type Channel struct {
 	lastRSSI   float64
 	lastSINR   float64
 	mcs        MCS // MCSFromSINR(lastSINR, Table), computed once per Step
+
+	// held is set once a Step of a channel with no trajectory and flat
+	// fading has computed lastSINR and mcs: later Steps return them as
+	// they are until Table differs from mcs.Table.
+	held bool
 }
 
 // NewStaticChannel returns a channel pinned at a fixed RSSI with optional
@@ -107,6 +116,11 @@ func NewMobileChannel(tr Trajectory, table CQITable, fading *Fading) *Channel {
 // Step advances the channel to virtual time t (called once per subframe)
 // and returns the effective SINR in dB.
 func (c *Channel) Step(t, dt time.Duration) float64 {
+	fixed := c.trajectory == nil && c.fading.flat()
+	if fixed && c.held && c.mcs.Table == c.Table {
+		return c.lastSINR
+	}
+	c.held = fixed
 	rssi := c.staticRSSI
 	if c.trajectory != nil {
 		rssi = c.trajectory.At(t)

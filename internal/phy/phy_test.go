@@ -307,6 +307,63 @@ func TestMobileChannelFollowsTrajectory(t *testing.T) {
 	}
 }
 
+// TestChannelStepMatchesFreshComputation: Step, which holds a fixed
+// channel's SINR and MCS after its first call, reports at every step what
+// computing SINR, MCS and BER afresh gives, across Table switches, for
+// static, mobile and faded channels.
+func TestChannelStepMatchesFreshComputation(t *testing.T) {
+	const dt = time.Millisecond
+	tr := PaperMobilityTrajectory()
+	fading := func(sigma float64, seed int64) *Fading {
+		if sigma < 0 {
+			return nil
+		}
+		return NewFading(sigma, 50*time.Millisecond, rand.New(rand.NewSource(seed)))
+	}
+	for _, c := range []struct {
+		name   string
+		mobile bool
+		sigma  float64 // < 0: no fading process
+	}{
+		{"static", false, -1},
+		{"static flat-faded", false, 0},
+		{"static faded", false, 4},
+		{"mobile", true, -1},
+		{"mobile faded", true, 4},
+	} {
+		var ch *Channel
+		if c.mobile {
+			ch = NewMobileChannel(tr, Table64QAM, fading(c.sigma, 7))
+		} else {
+			ch = NewStaticChannel(-92, Table64QAM, fading(c.sigma, 7))
+		}
+		ref := fading(c.sigma, 7) // the same draws, stepped alongside
+		for k := 0; k <= 400; k++ {
+			switch k {
+			case 150:
+				ch.Table = Table256QAM
+			case 300:
+				ch.Table = Table64QAM
+			}
+			now := time.Duration(k) * 100 * time.Millisecond
+			rssi := -92.0
+			if c.mobile {
+				rssi = tr.At(now)
+			}
+			want := SINRFromRSSI(rssi) + ref.Step(dt)
+			if got := ch.Step(now, dt); got != want {
+				t.Fatalf("%s step %d: SINR %v, fresh %v", c.name, k, got, want)
+			}
+			if got, want := ch.MCS(), MCSFromSINR(want, ch.Table); got != want {
+				t.Fatalf("%s step %d: MCS %+v, fresh %+v", c.name, k, got, want)
+			}
+			if got, want := ch.BER(), BERFromRSSI(rssi); got != want {
+				t.Fatalf("%s step %d: BER %v, fresh %v", c.name, k, got, want)
+			}
+		}
+	}
+}
+
 func BenchmarkTransportFromPhysical(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		TransportFromPhysical(60000, 2.5e-6)

@@ -120,7 +120,10 @@ func (h *Event) Cancel() {
 	}
 	if i := h.pos(); i >= 0 {
 		mCancel.Inc()
-		h.eng.removeAt(i)
+		e := h.eng
+		id := e.queue[i].id()
+		e.drop(i)
+		e.release(id)
 	}
 	h.eng = nil
 }
@@ -133,7 +136,13 @@ type Engine struct {
 	seq      uint64
 	rng      *rand.Rand
 	executed uint64 // events run since New or the last Recycle
-	parked   int    // line firings waiting behind their line's head (see Line)
+	parked   int32  // line firings waiting behind their line's head (see Line); 32 bits keep spent in the same word
+
+	// spent is set while a callback runs and nothing has been armed since
+	// it fired: queue[0] is then the firing event's entry, its slot
+	// already free. Every other entry sorts after it, so it is a valid
+	// root; the callback's first arm overwrites it with one sift down.
+	spent bool
 
 	// Event arena. Id i < inlineEvents is inline[i]; a larger id is
 	// blocks[j>>blockBits][j&blockMask] with j = i - inlineEvents. Blocks
@@ -323,6 +332,12 @@ func (e *Engine) arm(t time.Duration, seq uint64, fn func()) uint64 {
 	id, ev := e.alloc()
 	ev.fn = fn
 	x := entry{at: t, key: seq<<idBits | uint64(id)}
+	if e.spent {
+		e.spent = false
+		mHeapMax.Observe(int64(len(e.queue)))
+		e.down(0, x)
+		return x.key
+	}
 	mHeapMax.Observe(int64(len(e.queue) + 1))
 	e.queue = append(e.queue, x)
 	e.up(len(e.queue)-1, x)
@@ -405,7 +420,8 @@ func (e *Engine) alloc() (uint32, *event) {
 	return id, e.slot(id)
 }
 
-// Run executes events until the queue is empty.
+// Run executes events until the queue is empty. Neither Run nor RunUntil
+// may be called from inside a callback (see step).
 func (e *Engine) Run() {
 	for len(e.queue) > 0 {
 		e.step()
@@ -423,24 +439,38 @@ func (e *Engine) RunUntil(t time.Duration) {
 	}
 }
 
-// step pops and executes the earliest event. Its slot is freed before the
-// callback runs, so the callback may schedule into it.
+// step executes the earliest event. Its slot is freed before the callback
+// runs, so the callback may schedule into it, but its heap entry stays at
+// the root, spent, for the callback's first arm to take over: a firing
+// that re-arms (a line's next firing, a ticker, a pacer) costs one sift
+// instead of a removal and an insertion. The root is dropped only if the
+// callback armed nothing.
 func (e *Engine) step() {
-	at := e.queue[0].at
-	fn := e.removeAt(0)
-	e.now = at
+	x := e.queue[0]
+	fn := e.release(x.id())
+	e.now = x.at
 	e.executed++
+	e.spent = true
 	fn()
+	if e.spent {
+		e.spent = false
+		e.drop(0)
+	}
 }
 
 // Pending returns the number of events waiting to fire, line firings
 // included.
-func (e *Engine) Pending() int { return len(e.queue) + e.parked }
+func (e *Engine) Pending() int {
+	n := len(e.queue) + int(e.parked)
+	if e.spent {
+		n--
+	}
+	return n
+}
 
-// removeAt deletes the heap entry at i, frees its arena slot and returns
-// the callback the slot held.
-func (e *Engine) removeAt(i int) func() {
-	id := e.queue[i].id()
+// drop deletes the heap entry at i. Its arena slot is the caller's to
+// release.
+func (e *Engine) drop(i int) {
 	n := len(e.queue) - 1
 	last := e.queue[n]
 	e.queue = e.queue[:n]
@@ -451,6 +481,10 @@ func (e *Engine) removeAt(i int) func() {
 	default:
 		e.down(i, last)
 	}
+}
+
+// release frees arena slot id and returns the callback it held.
+func (e *Engine) release(id uint32) func() {
 	ev := e.slot(id)
 	fn := ev.fn
 	ev.fn, ev.pos, ev.next = nil, -1, e.free

@@ -336,7 +336,7 @@ func checkLines[T any](e *Engine, lines []*Line[T]) error {
 		}
 		parked += max(l.n-1, 0)
 	}
-	if parked != e.parked {
+	if parked != int(e.parked) {
 		return fmt.Errorf("engine counts %d parked firings, lines hold %d", e.parked, parked)
 	}
 	return nil
@@ -344,17 +344,26 @@ func checkLines[T any](e *Engine, lines []*Line[T]) error {
 
 // checkEngine verifies the heap order, every queued slot's recorded
 // position, and that each arena slot is either queued or on the free list.
+// Inside a callback that has armed nothing yet, the root is the firing
+// event's spent entry: its slot must be free (no callback, position -1,
+// on the free list) and is counted once, as free.
 func checkEngine(e *Engine) error {
 	q := e.queue
+	if e.spent && len(q) == 0 {
+		return fmt.Errorf("spent root on an empty heap")
+	}
 	for i := range q {
 		if i > 0 && q[i].less(q[(i-1)/4]) {
 			return fmt.Errorf("heap order broken at %d", i)
+		}
+		if i == 0 && e.spent {
+			continue
 		}
 		if p := e.slot(q[i].id()).pos; p != int32(i) {
 			return fmt.Errorf("entry %d records position %d", i, p)
 		}
 	}
-	free := 0
+	free, spentFree := 0, false
 	for id := e.free; id >= 0; id = e.slot(uint32(id)).next {
 		if free++; free > int(e.slots) {
 			return fmt.Errorf("free list cycles")
@@ -362,9 +371,19 @@ func checkEngine(e *Engine) error {
 		if ev := e.slot(uint32(id)); ev.pos != -1 || ev.fn != nil {
 			return fmt.Errorf("free slot %d holds pos %d or a callback", id, ev.pos)
 		}
+		if e.spent && uint32(id) == q[0].id() {
+			spentFree = true
+		}
 	}
-	if free+len(q) != int(e.slots) {
-		return fmt.Errorf("%d free + %d queued != %d slots", free, len(q), e.slots)
+	queued := len(q)
+	if e.spent {
+		if !spentFree {
+			return fmt.Errorf("spent root's slot %d is not on the free list", q[0].id())
+		}
+		queued--
+	}
+	if free+queued != int(e.slots) {
+		return fmt.Errorf("%d free + %d queued != %d slots", free, queued, e.slots)
 	}
 	return nil
 }
