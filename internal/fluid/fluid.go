@@ -19,19 +19,21 @@
 //     a constant rate.
 //
 //   - Modeled is the nation-scale tier: fluid-only cells with no
-//     packet-level counterpart at all. Their populations advance one
-//     window at a time on shard-local tickers - O(sessions) work per
-//     40 ms window instead of O(packets) events - which is what lets a
-//     scenario model 64k+ cells and a million users in CI-feasible
-//     wall-clock.
+//     packet-level counterpart at all. They read nothing from the packet
+//     world and write nothing to it, so they need no event loop: a chunk
+//     accounts a whole run's windows in one pass over its sessions, each
+//     session walking its on/off chain across the windows once - one
+//     visit per session per run instead of an event per packet or a scan
+//     per window - which is what lets a scenario model 64k+ cells and a
+//     million users in CI-feasible wall-clock.
 //
 // Session parameters are drawn from the paper's measured user
 // populations: per-user physical rates from trace.SampleUserRate
 // (Figure 11(b)) and session on/off cycles from trace.SessionOnOff
-// (Figure 7-style short-session dominance). All draws happen at
-// build/setup time from a scenario-seeded source, so a fluid population
-// is a pure function of its seed and results stay byte-identical for
-// any worker or shard width.
+// (Figure 7-style short-session dominance). All draws come from a
+// scenario-seeded source before the population advances, so a fluid
+// population is a pure function of its seed and results stay
+// byte-identical for any worker or shard width.
 package fluid
 
 import (
@@ -319,9 +321,11 @@ const maxBlockSessions = (64 << 10) / 16
 const maxChainMs = math.MaxUint32 - math.MaxUint16
 
 // Modeled is the nation-scale fluid-only tier: a population of
-// background cells whose aggregate rate processes advance one window at
-// a time with no per-slot scheduling at all. Split it into per-shard
-// chunks with Chunks and drive each chunk from its shard's engine.
+// background cells whose aggregate rate processes are accounted once per
+// window with no per-slot scheduling at all. They read nothing from the
+// packet world and write nothing back, so they need no engine: split the
+// population into chunks with Chunks and advance each chunk through a
+// run's windows with AdvanceWindows.
 type Modeled struct {
 	Window       time.Duration
 	Cells        int
@@ -372,12 +376,13 @@ func DrawModeled(cells, perCell int, rng *rand.Rand, window time.Duration) *Mode
 	return m
 }
 
-// Chunks partitions the population into n per-shard chunks (cell
-// boundaries are respected, so one cell's sessions never straddle two
-// chunks). The partition depends only on (population, n); n is the
-// scenario's shard count, itself a pure function of the topology, so
-// chunk contents never depend on how many shards advance concurrently.
-// A population that earlier chunks advanced starts over from its draw.
+// Chunks partitions the population into n chunks (cell boundaries are
+// respected, so one cell's sessions never straddle two chunks). The
+// partition depends only on (population, n) and fixes the order in which
+// each chunk sums its offered bits, so a caller reproduces a result only
+// at the same n; the harness passes the scenario's shard count, a pure
+// function of the topology. A population that earlier chunks advanced
+// starts over from its draw.
 func (m *Modeled) Chunks(n int) []*ModeledChunk {
 	if n < 1 {
 		n = 1
@@ -423,8 +428,7 @@ func (m *Modeled) span(lo, hi int) [][]modeledSession {
 }
 
 // Stats sums every chunk's accounting in chunk order (deterministic
-// float summation). Call it after the run; chunks advance on their own
-// shards' event loops.
+// float summation). Call it once the chunks are advanced.
 func (m *Modeled) Stats() Stats {
 	s := Stats{Sessions: m.Cells * m.UsersPerCell, Cells: m.Cells}
 	for _, ch := range m.chunks {
@@ -435,59 +439,167 @@ func (m *Modeled) Stats() Stats {
 	return s
 }
 
-// ModeledChunk is the slice of a modeled population owned by one shard.
-// Advance is not safe for concurrent use; schedule it on the owning
-// shard's engine.
+// ModeledChunk is a cell-contiguous slice of a modeled population. It is
+// not safe for concurrent use: one goroutine advances it at a time.
 type ModeledChunk struct {
 	window  time.Duration
 	cells   int
 	blocks  [][]modeledSession
-	started bool   // Advance has stepped the chains
+	started bool   // the chains have been stepped
 	lastMs  uint32 // the window start they were stepped to
+
+	// A batch's scratch: the window starts that step the chains, in
+	// milliseconds; each one's offered bits; and the difference array of
+	// its on-count (an on run over windows [i, j) adds 1 at i, -1 at j).
+	starts []uint32
+	acc    []float64
+	diff   []int64
 
 	offeredBits float64
 	windows     uint64
 	onWindows   uint64
 }
 
-// Advance accounts one envelope window ending at virtual time now: every
-// session on at the window's start offered rate x window bits. Window
-// starts must not decrease from one call to the next; one before zero
-// finds every session off. Schedule it with engine.Every(window, ...).
+// Advance accounts one envelope window ending at virtual time now; it is
+// AdvanceWindows with a batch of one.
 func (ch *ModeledChunk) Advance(now time.Duration) {
-	startMs := (now - ch.window).Milliseconds()
-	var offered float64
-	var on uint64
-	if startMs >= 0 || ch.started {
-		if startMs < int64(ch.lastMs) || startMs > maxChainMs {
-			panic(fmt.Sprintf("fluid: modeled window start %d ms after %d ms (chains step forward, to at most %d ms)",
-				startMs, ch.lastMs, maxChainMs))
-		}
-		ch.started, ch.lastMs = true, uint32(startMs)
-		offered, on = ch.sum(uint32(startMs))
-	}
-	ch.offeredBits += offered
-	ch.windows += uint64(ch.cells)
-	ch.onWindows += on
-	mEnvelopeUpdates.Add(uint64(ch.cells))
-	mOfferedBits.Add(uint64(offered))
-	mSessionWindows.Add(on)
+	ch.AdvanceWindows([]time.Duration{now})
 }
 
-// sum steps every chain that has a toggle due by t and adds up, in
-// session order, rate x window x on. An off session adds an exact +0, so
-// the total is bit for bit the sum over the on sessions alone.
-func (ch *ModeledChunk) sum(t uint32) (offered float64, on uint64) {
+// AdvanceWindows accounts one envelope window ending at each of ends, in
+// order: every session on at a window's start offers rate x window bits
+// in it. Window starts must not decrease from one window to the next;
+// one before zero finds every session off. The result - accounting,
+// chains and panics - is that of one Advance call per window, but each
+// session is visited once per batch, not once per window.
+func (ch *ModeledChunk) AdvanceWindows(ends []time.Duration) {
+	// Check the starts as per-window calls would; the windows before a
+	// bad one are still accounted before the panic.
+	var bad string
+	ch.starts = ch.starts[:0]
+	for k, now := range ends {
+		startMs := (now - ch.window).Milliseconds()
+		if startMs < 0 && !ch.started {
+			continue
+		}
+		if startMs < int64(ch.lastMs) || startMs > maxChainMs {
+			bad = fmt.Sprintf("fluid: modeled window start %d ms after %d ms (chains step forward, to at most %d ms)",
+				startMs, ch.lastMs, maxChainMs)
+			ends = ends[:k]
+			break
+		}
+		ch.started, ch.lastMs = true, uint32(startMs)
+		ch.starts = append(ch.starts, uint32(startMs))
+	}
+	// Windows before the first that steps the chains offer nothing.
+	ch.walk()
+	var on int64
+	var onWindows, offered uint64
+	for k, bits := range ch.acc {
+		on += ch.diff[k]
+		onWindows += uint64(on)
+		ch.offeredBits += bits
+		offered += uint64(bits)
+	}
+	ch.onWindows += onWindows
+	ch.windows += uint64(ch.cells) * uint64(len(ends))
+	mEnvelopeUpdates.Add(uint64(ch.cells) * uint64(len(ends)))
+	mOfferedBits.Add(offered)
+	mSessionWindows.Add(onWindows)
+	if bad != "" {
+		panic(bad)
+	}
+}
+
+// walk accounts the windows starting at ch.starts into ch.acc and
+// ch.diff. Each session, in session order, walks its chain across the
+// batch once, a run of windows at a time: it steps where a window start
+// reaches its next toggle, finds the run's end by index arithmetic, and
+// adds its bits to every window of an on run. So every window's sum
+// receives the terms of a per-window pass over the on sessions, in the
+// same order, with exact +0 terms between them, which change no bit
+// (DESIGN.md §10).
+func (ch *ModeledChunk) walk() {
+	ts := ch.starts
+	n := len(ts)
+	ch.acc = resize(ch.acc, n)
+	ch.diff = resize(ch.diff, n+1)
+	acc, diff := ch.acc, ch.diff
+	if n == 0 {
+		return
+	}
 	winSec := ch.window.Seconds()
+	// A run's end is guessed from starts one window apart; a reciprocal
+	// of the window in milliseconds spares the guess a division.
+	inv := math.MaxUint32 / uint64(max(ch.window.Milliseconds(), 1))
+	last := ts[n-1]
 	for _, b := range ch.blocks {
 		for i := range b {
 			s := &b[i]
-			if t >= s.next {
-				s.stepTo(t)
+			// The explicit conversion rounds the product on its own, so
+			// it is never fused into the addition below.
+			bits := float64(float64(s.rateBps) * winSec)
+			onMs, offMs := uint32(s.onMs), uint32(s.offMs)
+			o, next := s.on, s.next // o is 1 while the chain is on
+			stepped := false
+			for k := 0; k < n; {
+				if ts[k] >= next {
+					var on bool
+					on, next = step(o != 0, next, ts[k], onMs, offMs)
+					o, stepped = 0, true
+					if on {
+						o = 1
+					}
+				}
+				// The run lasts until a start reaches the next toggle; a
+				// stopped chain (on + off = 0) stays on to the end.
+				end := n
+				if next <= last && (o == 0 || onMs|offMs != 0) {
+					end = runEnd(ts, k, next, inv)
+				}
+				// A run's first window takes bits x o, an exact +0 when
+				// off, which spares a branch; an on run's others take bits.
+				acc[k] += bits * float64(o)
+				diff[k] += int64(o)
+				diff[end] -= int64(o)
+				stop := k + 1
+				if o != 0 {
+					stop = end
+				}
+				for j := range acc[k+1 : stop] {
+					acc[k+1+j] += bits
+				}
+				k = end
 			}
-			offered += float64(s.rateBps) * winSec * float64(s.on)
-			on += uint64(s.on)
+			if stepped {
+				s.next, s.on = next, o
+			}
 		}
 	}
-	return offered, on
+}
+
+// runEnd returns the first index after k whose start is at or after t,
+// where ts[k] < t <= the last start. It guesses from starts evenly spaced
+// w ms apart, as a run's windows are, with inv = (2^32-1)/w: the guess is
+// then exact or one short. A guess off by more is corrected by stepping.
+func runEnd(ts []uint32, k int, t uint32, inv uint64) int {
+	j := min(k+1+int(uint64(t-ts[k]-1)*inv>>32), len(ts)-1)
+	for j > k+1 && ts[j-1] >= t {
+		j--
+	}
+	for ts[j] < t {
+		j++
+	}
+	return j
+}
+
+// resize returns s with length n and every element zero, reusing its
+// storage when it is large enough.
+func resize[T int64 | float64](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }

@@ -3,6 +3,7 @@ package fluid
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -247,34 +248,102 @@ func oracleWindow(ss []modeledSession, startMs int64, window time.Duration) (off
 }
 
 // flatten copies a population's sessions out in session order.
-func flatten(m *Modeled) []modeledSession {
-	var ss []modeledSession
+func flatten(m *Modeled) []modeledSession { return flattenInto(nil, m) }
+
+// flattenInto is flatten into dst's storage.
+func flattenInto(dst []modeledSession, m *Modeled) []modeledSession {
+	dst = dst[:0]
 	for _, b := range m.blocks {
-		ss = append(ss, b...)
+		dst = append(dst, b...)
 	}
-	return ss
+	return dst
 }
 
-// checkOracle chunks m n ways, advances every chunk at each of nows, and
-// after every Advance holds the chunk's offered bits (bit for bit) and
-// on-windows (exactly) to the closed form over the chunk's own cells.
+// oracleBatches are the batch sizes checkOracle advances in: one window
+// (Advance), a few, and a whole run.
+var oracleBatches = []int{1, 3, 8, 0}
+
+// checkOracle chunks m n ways and, for each of oracleBatches, advances
+// every chunk through nows in batches of that many windows (all of them
+// for 0). After each batch it holds every window's offered bits (bit for
+// bit) and on-count (exactly) to the closed form over the chunk's own
+// cells, each chunk's totals to the oracle's running sums, and every
+// session's chain to the one that stepping window by window leaves.
 func checkOracle(t *testing.T, m *Modeled, n int, nows []time.Duration) {
 	t.Helper()
+	type window struct {
+		offered float64
+		on      uint64
+	}
+	n = min(n, m.Cells)
+	span := func(c int) (int, int) {
+		return m.Cells * c / n * m.UsersPerCell, m.Cells * (c + 1) / n * m.UsersPerCell
+	}
 	flat := flatten(m)
-	chunks := m.Chunks(n)
-	offered := make([]float64, len(chunks))
-	on := make([]uint64, len(chunks))
-	for _, now := range nows {
-		for c, ch := range chunks {
-			ch.Advance(now)
-			lo := m.Cells * c / len(chunks) * m.UsersPerCell
-			hi := m.Cells * (c + 1) / len(chunks) * m.UsersPerCell
-			o, k := oracleWindow(flat[lo:hi], (now - m.Window).Milliseconds(), m.Window)
-			offered[c] += o
-			on[c] += k
-			if math.Float64bits(ch.offeredBits) != math.Float64bits(offered[c]) || ch.onWindows != on[c] {
-				t.Fatalf("n=%d chunk %d at %v: offered %v on %d, oracle %v on %d",
-					n, c, now, ch.offeredBits, ch.onWindows, offered[c], on[c])
+	oracle := make([][]window, n)
+	for c := range oracle {
+		first, last := span(c)
+		for _, now := range nows {
+			o, k := oracleWindow(flat[first:last], (now - m.Window).Milliseconds(), m.Window)
+			oracle[c] = append(oracle[c], window{o, k})
+		}
+	}
+	for _, batch := range oracleBatches {
+		chunks := m.Chunks(n)
+		ref, got := flatten(m), []modeledSession(nil)
+		if batch == 0 {
+			batch = len(nows)
+		}
+		offered := make([]float64, n)
+		on := make([]uint64, n)
+		for lo := 0; lo < len(nows); lo += batch {
+			ends := nows[lo:min(lo+batch, len(nows))]
+			for c, ch := range chunks {
+				ch.AdvanceWindows(ends)
+				// The windows before the first that steps the chains are
+				// idle: they offer nothing and have no accumulator.
+				idle := len(ends) - len(ch.acc)
+				var running int64
+				for k := range ends {
+					var got window
+					if k >= idle {
+						running += ch.diff[k-idle]
+						got = window{ch.acc[k-idle], uint64(running)}
+					}
+					want := oracle[c][lo+k]
+					if math.Float64bits(got.offered) != math.Float64bits(want.offered) || got.on != want.on {
+						t.Fatalf("n=%d batch=%d chunk %d window ending %v: %+v, oracle %+v",
+							n, batch, c, ends[k], got, want)
+					}
+					offered[c] += want.offered
+					on[c] += want.on
+				}
+				if math.Float64bits(ch.offeredBits) != math.Float64bits(offered[c]) || ch.onWindows != on[c] {
+					t.Fatalf("n=%d batch=%d chunk %d after %v: offered %v on %d, oracle %v on %d",
+						n, batch, c, ends[len(ends)-1], ch.offeredBits, ch.onWindows, offered[c], on[c])
+				}
+			}
+			// Stepping to a start walks every toggle before it, so the
+			// reference steps only at the starts it is compared at. Batches
+			// of one window are compared only at the end, which keeps the
+			// race-detector run short.
+			if batch == 1 && lo+1 < len(nows) {
+				continue
+			}
+			if startMs := (ends[len(ends)-1] - m.Window).Milliseconds(); startMs >= 0 {
+				for i := range ref {
+					if uint32(startMs) >= ref[i].next {
+						ref[i].stepTo(uint32(startMs))
+					}
+				}
+			}
+			if got = flattenInto(got, m); !slices.Equal(got, ref) {
+				for i := range got {
+					if got[i] != ref[i] {
+						t.Fatalf("n=%d batch=%d after %v: session %d chain %+v, per-window stepping %+v",
+							n, batch, ends[len(ends)-1], i, got[i], ref[i])
+					}
+				}
 			}
 		}
 	}
@@ -290,11 +359,11 @@ func windowEnds(w time.Duration, k int) []time.Duration {
 }
 
 // TestModeledAdvanceMatchesOracle: the toggle chains reproduce the modulo
-// formula's accounting bit for bit, for drawn populations over several
-// seeds and chunk widths (24 users per cell, so blocks end on cell
-// boundaries short of 64 KiB and chunks split blocks), and for hand-built
-// sessions with zero on and off times sampled every millisecond, so
-// every sample lands on every toggle.
+// formula's accounting bit for bit, window by window and in batches, for
+// drawn populations over several seeds and chunk widths (24 users per
+// cell, so blocks end on cell boundaries short of 64 KiB and chunks split
+// blocks), and for hand-built sessions with zero on and off times
+// sampled every millisecond, so every sample lands on every toggle.
 func TestModeledAdvanceMatchesOracle(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 4} {
 		m := DrawModeled(300, 24, rand.New(rand.NewSource(seed)), 0)
@@ -304,6 +373,14 @@ func TestModeledAdvanceMatchesOracle(t *testing.T) {
 		for _, n := range []int{1, 3, 8} {
 			checkOracle(t, m, n, windowEnds(m.Window, 500))
 		}
+		// Starts further apart than a window, and repeated ones, make a
+		// run's end guess overshoot and undershoot.
+		var uneven []time.Duration
+		for i := 0; i < 60; i++ {
+			end := time.Duration(i*(i+1)/2+1) * m.Window
+			uneven = append(uneven, end, end)
+		}
+		checkOracle(t, m, 3, uneven)
 	}
 
 	hand := []struct{ on, off, phase uint16 }{
@@ -321,7 +398,7 @@ func TestModeledAdvanceMatchesOracle(t *testing.T) {
 	m := &Modeled{Window: ms, Cells: len(b), UsersPerCell: 1, blocks: [][]modeledSession{b}, blockLen: maxBlockSessions}
 	// now = 0 starts its window before 0 ms, so no session is on; now =
 	// 0.5 ms starts one at 0 ms, as Duration.Milliseconds truncates toward
-	// zero.
+	// zero, and so does the next window: two equal starts.
 	nows := append([]time.Duration{0, ms / 2}, windowEnds(ms, 400)...)
 	for _, n := range []int{1, 3, 8} {
 		checkOracle(t, m, n, nows)
@@ -373,8 +450,8 @@ func TestModeledOverflowNamesField(t *testing.T) {
 	}
 }
 
-// TestModeledAdvanceAllocatesNothing: a warm Advance is a pass over the
-// chunk's blocks and nothing else.
+// TestModeledAdvanceAllocatesNothing: a warm Advance, and a warm batch,
+// is a pass over the chunk's blocks and nothing else.
 func TestModeledAdvanceAllocatesNothing(t *testing.T) {
 	m := DrawModeled(300, 16, rand.New(rand.NewSource(3)), 0)
 	ch := m.Chunks(2)[1]
@@ -385,6 +462,51 @@ func TestModeledAdvanceAllocatesNothing(t *testing.T) {
 		ch.Advance(now)
 	}); allocs != 0 {
 		t.Fatalf("Advance allocates %v times a window", allocs)
+	}
+	ends := windowEnds(m.Window, 8)
+	for i := range ends {
+		ends[i] += now
+	}
+	ch.AdvanceWindows(ends)
+	if allocs := testing.AllocsPerRun(50, func() {
+		for i := range ends {
+			ends[i] += 8 * m.Window
+		}
+		ch.AdvanceWindows(ends)
+	}); allocs != 0 {
+		t.Fatalf("AdvanceWindows allocates %v times a batch of 8 windows", allocs)
+	}
+}
+
+// TestModeledBatchPanicsLikeWindows: a batch with a start that steps
+// back, or past the last start a chain can reach, accounts the windows
+// before it and then panics with the message a per-window Advance gives.
+func TestModeledBatchPanicsLikeWindows(t *testing.T) {
+	w := DefaultWindow
+	back := append(windowEnds(w, 5), 3*w)
+	far := append(windowEnds(w, 5), w+time.Duration(maxChainMs+1)*time.Millisecond)
+	for _, ends := range [][]time.Duration{back, far} {
+		run := func(advance func(*ModeledChunk)) (msg any, st Stats) {
+			m := DrawModeled(40, 16, rand.New(rand.NewSource(4)), 0)
+			ch := m.Chunks(1)[0]
+			func() {
+				defer func() { msg = recover() }()
+				advance(ch)
+			}()
+			return msg, m.Stats()
+		}
+		batchMsg, batch := run(func(ch *ModeledChunk) { ch.AdvanceWindows(ends) })
+		msg, each := run(func(ch *ModeledChunk) {
+			for _, now := range ends {
+				ch.Advance(now)
+			}
+		})
+		if msg == nil || batchMsg != msg {
+			t.Errorf("batch panicked with %v, per-window calls with %v", batchMsg, msg)
+		}
+		if batch != each || batch.EnvelopeUpdates != 5*40 {
+			t.Errorf("before the panic a batch accounted %+v, per-window calls %+v", batch, each)
+		}
 	}
 }
 

@@ -22,9 +22,10 @@ type FluidSpec struct {
 	Sessions map[int][]fluid.Session
 
 	// ModeledCells x ModeledUsersPerCell sizes the modeled-only tier.
-	// The population is drawn inside Run from a seed derived from the
-	// scenario seed, so Scenario stays cheap to build: a million-user
-	// population materializes only when the scenario runs.
+	// Run draws the population on its own goroutine, beside the cluster,
+	// from a seed derived from the scenario seed, so Scenario stays cheap
+	// to build: a million-user population materializes only when the
+	// scenario runs for at least one envelope window.
 	ModeledCells        int
 	ModeledUsersPerCell int
 }
@@ -87,19 +88,40 @@ func addFluidSession(sc *Scenario, us *UESpec, rate float64, on, off, phase time
 }
 
 // fluidRuntime holds a running scenario's fluid processes for post-run
-// stats collection, in deterministic (cell declaration) order.
+// stats collection, in deterministic (cell declaration) order, and the
+// modeled tier's goroutine.
 type fluidRuntime struct {
-	procs   []*fluid.CellProcess
-	modeled *fluid.Modeled
+	procs []*fluid.CellProcess
+
+	// modeled is the modeled tier's accounting. Its goroutine writes it
+	// and closes done; a panic there is kept in failed, for stats to
+	// raise on the caller's goroutine.
+	modeled fluid.Stats
+	done    chan struct{}
+	failed  any
 }
 
 // setupFluid binds the spec's cell-bound sessions to their cells and
-// stands up the modeled tier on the cluster's shards. Chunk-to-shard
-// assignment depends only on the shard topology - itself a pure function
-// of the scenario - so fluid output is byte-identical for any
-// Scenario.Shards value. Envelopes update every fluid.DefaultWindow (the
-// PBE monitor's smoothing window), and a cell-bound session's backlog is
-// capped at its cell's per-user queue, the same bound a packet user has.
+// starts the modeled tier. Envelopes update every fluid.DefaultWindow
+// (the PBE monitor's smoothing window), and a cell-bound session's
+// backlog is capped at its cell's per-user queue, the same bound a
+// packet user has.
+//
+// The modeled tier reads nothing from the packet world and writes nothing
+// back, so it runs beside the cluster on one goroutine that touches no
+// engine, arena or series: it draws the population and advances each
+// chunk, in chunk order, through every window that ends in the run (at
+// w, 2w, ... up to and including Duration, the times an engine.Every(w)
+// ticker fires before RunUntil(Duration) returns). A run shorter than one
+// window draws nothing. There is one chunk per shard of the topology:
+// the partition fixes the float sums, so fluid output stays byte-
+// identical for any Scenario.Shards value.
+//
+// The goroutine counts as one of the run's Shards workers; the cluster
+// advances its shards on the others (at least one). With one busy
+// goroutine more than there are workers, the Go scheduler shares the
+// cores out differently from run to run: in some runs the shards hold
+// every core and the tier finishes alone, a third later.
 func setupFluid(sc *Scenario, pl *placement, cells map[int]*ran.Cell) *fluidRuntime {
 	spec := sc.Fluid
 	w := fluid.DefaultWindow
@@ -115,27 +137,54 @@ func setupFluid(sc *Scenario, pl *placement, cells map[int]*ran.Cell) *fluidRunt
 		rt.procs = append(rt.procs, p)
 	}
 
-	if spec.ModeledCells > 0 {
-		rng := rand.New(rand.NewSource(sc.Seed*31337 + 17))
-		m := fluid.DrawModeled(spec.ModeledCells, spec.ModeledUsersPerCell, rng, w)
-		shards := pl.cluster.Shards()
-		for i, ch := range m.Chunks(len(shards)) {
-			ch, eng := ch, shards[i].Engine
-			eng.Every(w, func() { ch.Advance(eng.Now()) })
-		}
-		rt.modeled = m
+	if spec.ModeledCells == 0 {
+		return rt
 	}
+	rt.modeled = fluid.Stats{Sessions: spec.ModeledCells * spec.ModeledUsersPerCell, Cells: spec.ModeledCells}
+	windows := int(sc.Duration / w)
+	if windows == 0 {
+		return rt
+	}
+	ends := make([]time.Duration, windows)
+	for k := range ends {
+		ends[k] = time.Duration(k+1) * w
+	}
+	chunks := len(pl.cluster.Shards())
+	pl.cluster.SetWorkers(sc.Shards - 1)
+	rt.done = make(chan struct{})
+	go func() {
+		defer func() {
+			rt.failed = recover()
+			close(rt.done)
+		}()
+		m := fluid.DrawModeled(spec.ModeledCells, spec.ModeledUsersPerCell, rand.New(rand.NewSource(sc.Seed*31337+17)), w)
+		for _, ch := range m.Chunks(chunks) {
+			ch.AdvanceWindows(ends)
+		}
+		rt.modeled = m.Stats()
+	}()
 	return rt
 }
 
-// stats sums every fluid process's accounting in deterministic order.
+// join waits for the modeled tier's goroutine, if there is one. Run
+// defers it, so the goroutine never outlives Run on any return path.
+func (rt *fluidRuntime) join() {
+	if rt != nil && rt.done != nil {
+		<-rt.done
+	}
+}
+
+// stats joins the modeled tier, raising its panic if it had one, and sums
+// every fluid process's accounting in deterministic order.
 func (rt *fluidRuntime) stats() *fluid.Stats {
+	rt.join()
+	if rt.failed != nil {
+		panic(rt.failed)
+	}
 	s := &fluid.Stats{}
 	for _, p := range rt.procs {
 		s.Add(p.Stats())
 	}
-	if rt.modeled != nil {
-		s.Add(rt.modeled.Stats())
-	}
+	s.Add(rt.modeled)
 	return s
 }

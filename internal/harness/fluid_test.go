@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
 	"pbecc/internal/fluid"
+	"pbecc/internal/obs"
 )
 
 // nationFingerprint extends the metro fingerprint with the fluid tier's
@@ -48,6 +51,87 @@ func TestNationByteIdenticalAcrossShards(t *testing.T) {
 		if got := runNation(t, shards); !bytes.Equal(base, got) {
 			t.Fatalf("results differ between -shards 1 and -shards %d", shards)
 		}
+	}
+}
+
+// TestNationModeledMatchesTickers holds the modeled tier's goroutine to
+// the path it replaced: every chunk advanced one window at a time at each
+// time k·w <= Duration a shard ticker fired. The reference is the run
+// without a modeled tier (the cell-bound sessions alone) plus that
+// per-window pass over the same population and chunking; fluid.Stats
+// must match under Float64bits, and the fluid counters exactly, for runs
+// shorter than a window, at its edges and over many windows, at 1 and 4
+// shards.
+func TestNationModeledMatchesTickers(t *testing.T) {
+	obs.Reset()
+	obs.Enable()
+	defer func() {
+		obs.Disable()
+		obs.Reset()
+	}()
+	counters := []string{"fluid.envelope_updates", "fluid.session_on_windows", "fluid.offered_bits"}
+	run := func(dur time.Duration, shards int, modeled bool) (*Scenario, *Result, obs.Snapshot) {
+		sc, err := BuildScenario("nation", "pbe", Params{Seed: 3, Cells: 2, Duration: dur, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !modeled {
+			sc.Fluid.ModeledCells = 0
+		}
+		obs.Reset()
+		res := Run(sc)
+		return sc, res, obs.TakeSnapshot()
+	}
+	ms := time.Millisecond
+	for _, dur := range []time.Duration{ms, 39 * ms, 40 * ms, 41 * ms, 250 * ms, time.Second} {
+		sc, bound, want := run(dur, 1, false)
+		obs.Reset()
+		w := fluid.DefaultWindow
+		m := fluid.DrawModeled(NationModeledCells, NationModeledUsersPerCell, rand.New(rand.NewSource(sc.Seed*31337+17)), w)
+		chunks := m.Chunks(len(bound.cluster.Shards()))
+		for now := w; now <= dur; now += w {
+			for _, ch := range chunks {
+				ch.Advance(now)
+			}
+		}
+		ticks := obs.TakeSnapshot()
+		ref := *bound.Fluid
+		ref.Add(m.Stats())
+
+		for _, shards := range []int{1, 4} {
+			_, res, got := run(dur, shards, true)
+			g := *res.Fluid
+			if math.Float64bits(g.OfferedBits) != math.Float64bits(ref.OfferedBits) ||
+				math.Float64bits(g.ServedBits) != math.Float64bits(ref.ServedBits) ||
+				math.Float64bits(g.DroppedBits) != math.Float64bits(ref.DroppedBits) || g != ref {
+				t.Errorf("%v at %d shards: stats %+v, per-window tickers %+v", dur, shards, g, ref)
+			}
+			for _, name := range counters {
+				if a, b := got.Counters[name], want.Counters[name]+ticks.Counters[name]; a != b {
+					t.Errorf("%v at %d shards: %s = %d, per-window tickers %d", dur, shards, name, a, b)
+				}
+			}
+		}
+	}
+}
+
+// TestNationShortRunDrawsNothing: a run shorter than one envelope window
+// never draws the modeled population (16 bytes a session, 16.8 MB), yet
+// still reports its size.
+func TestNationShortRunDrawsNothing(t *testing.T) {
+	sc, err := BuildScenario("nation", "pbe", Params{Seed: 1, Duration: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res := Run(sc)
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 4<<20 {
+		t.Errorf("a 1 ms nation run allocated %d bytes, want under 4 MB", alloc)
+	}
+	if res.Fluid.Sessions != 1_048_624 || res.Fluid.Cells != 65_540 {
+		t.Errorf("fluid stats report %d sessions on %d cells, want 1048624 on 65540", res.Fluid.Sessions, res.Fluid.Cells)
 	}
 }
 

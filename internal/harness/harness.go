@@ -468,6 +468,7 @@ func run(sc *Scenario, a *Arena) *Result {
 		probes:   map[int]*pbeProbe{},
 	}
 	b.buildCells()
+	defer b.fluid.join()
 	for i := range sc.UEs {
 		b.buildDevice(&sc.UEs[i])
 	}
@@ -640,7 +641,7 @@ func (b *build) buildFlow(fs *FlowSpec, sfu *rtc.SFU) {
 		fr.pbe, _ = fb.(*core.Client)
 	}
 
-	windows := stats.NewWindowed(100 * time.Millisecond)
+	windows := stats.NewWindowed(100*time.Millisecond, stop)
 	start := fs.Start
 	fr.windows = windows
 	fr.start, fr.stop = start, stop

@@ -9,10 +9,10 @@ import (
 // competitors, RTC calls, an SFU fan-out and fluid background on every
 // real cell) riding on top of a modeled-only population of 64k fluid
 // cells and over a million background users. Modeled cells never
-// instantiate a scheduler or tick per slot - their aggregate rate
-// envelopes advance once per monitor window on the existing shards - so
-// the event volume still scales with the packet foreground and a nation
-// run fits the CI smoke budget.
+// instantiate a scheduler or tick per slot - Run accounts their aggregate
+// rate envelopes, one per monitor window, on one goroutine beside the
+// shards, with no event at all - so the event volume still scales with
+// the packet foreground and a nation run fits the CI smoke budget.
 const (
 	// NationModeledCells x NationModeledUsersPerCell is the modeled-only
 	// population: 65536 cells, 1,048,576 users.

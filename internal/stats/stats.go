@@ -104,12 +104,17 @@ type Windowed struct {
 }
 
 // NewWindowed returns an accumulator with the given window (100 ms if
-// zero).
-func NewWindowed(window time.Duration) *Windowed {
+// zero). The windows of arrivals up to until (none if until is 0) are
+// allocated up front; a later arrival grows them.
+func NewWindowed(window, until time.Duration) *Windowed {
 	if window <= 0 {
 		window = 100 * time.Millisecond
 	}
-	return &Windowed{Window: window}
+	w := &Windowed{Window: window}
+	if until > 0 {
+		w.buckets = make([]float64, 0, int(until/window)+1)
+	}
+	return w
 }
 
 // Add records bytes arriving at virtual time at.
@@ -124,7 +129,7 @@ func (w *Windowed) Add(at time.Duration, bytes int) {
 // RatesMbps converts the windows observed so far into Mbit/s samples.
 // Windows before from or after to are excluded; pass 0,0 for all.
 func (w *Windowed) RatesMbps(from, to time.Duration) *Series {
-	s := &Series{}
+	s := &Series{vals: make([]float64, 0, len(w.buckets))}
 	for i, b := range w.buckets {
 		t := time.Duration(i) * w.Window
 		if t < from || (to > 0 && t >= to) {

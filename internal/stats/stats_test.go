@@ -87,7 +87,7 @@ func TestMean(t *testing.T) {
 }
 
 func TestWindowedThroughput(t *testing.T) {
-	w := NewWindowed(100 * time.Millisecond)
+	w := NewWindowed(100*time.Millisecond, 0)
 	// 125 kB in window 0 => 10 Mbit/s; 250 kB in window 3 => 20 Mbit/s.
 	w.Add(10*time.Millisecond, 62500)
 	w.Add(90*time.Millisecond, 62500)
@@ -104,14 +104,20 @@ func TestWindowedThroughput(t *testing.T) {
 	}
 }
 
+// TestWindowedRange also holds a sized accumulator to one allocation: the
+// windows up to until, and the rates series, are allocated once.
 func TestWindowedRange(t *testing.T) {
-	w := NewWindowed(100 * time.Millisecond)
+	w := NewWindowed(100*time.Millisecond, 900*time.Millisecond)
+	sized := cap(w.buckets)
 	for i := 0; i < 10; i++ {
 		w.Add(time.Duration(i)*100*time.Millisecond, 12500) // 1 Mbit/s each
 	}
+	if sized != 10 || cap(w.buckets) != sized {
+		t.Fatalf("windows sized for %d, grown to %d; want 10 throughout", sized, cap(w.buckets))
+	}
 	all := w.RatesMbps(0, 0)
-	if all.Len() != 10 {
-		t.Fatalf("all windows = %d", all.Len())
+	if all.Len() != 10 || cap(all.vals) != 10 {
+		t.Fatalf("all windows = %d in a series of capacity %d", all.Len(), cap(all.vals))
 	}
 	mid := w.RatesMbps(200*time.Millisecond, 500*time.Millisecond)
 	if mid.Len() != 3 {
@@ -120,7 +126,7 @@ func TestWindowedRange(t *testing.T) {
 }
 
 func TestWindowedDefault(t *testing.T) {
-	w := NewWindowed(0)
+	w := NewWindowed(0, 0)
 	if w.Window != 100*time.Millisecond {
 		t.Fatalf("default window = %v", w.Window)
 	}
