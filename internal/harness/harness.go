@@ -594,8 +594,8 @@ func (b *build) buildFlows() {
 	}
 }
 
-// buildFlow wires one flow - a fixed-rate source, an SFU leg, a media
-// flow or a bulk download - and its measurement.
+// buildFlow wires one flow - a fixed-rate source, or a controlled flow
+// (a bulk download, an RTC call or an SFU leg) - and its measurement.
 func (b *build) buildFlow(fs *FlowSpec, sfu *rtc.SFU) {
 	sc, end := b.sc, b.sc.Duration
 	stop := fs.Stop
@@ -641,10 +641,8 @@ func (b *build) buildFlow(fs *FlowSpec, sfu *rtc.SFU) {
 		fr.pbe, _ = fb.(*core.Client)
 	}
 
-	windows := stats.NewWindowed(100*time.Millisecond, stop)
-	start := fs.Start
-	fr.windows = windows
-	fr.start, fr.stop = start, stop
+	start, windows := fs.Start, stats.NewWindowed(100*time.Millisecond, stop)
+	fr.windows, fr.start, fr.stop = windows, start, stop
 	onData := func(now time.Duration, p *netsim.Packet, owd time.Duration) {
 		if now < start || now > stop || p.Padding {
 			return
@@ -653,33 +651,53 @@ func (b *build) buildFlow(fs *FlowSpec, sfu *rtc.SFU) {
 		fr.Delay.AddDuration(owd)
 	}
 
-	switch {
-	case sfu != nil && fs.SFULeg:
-		attachSubscriber(ueSh, b.pl.core, sfu, fs, fr, dev, ctrl, fb, onData, end)
-	case fs.Media:
-		attachMediaFlow(ueEng, fs, fr, dev, ctrl, fb, onData, end)
-	default:
-		var snd *cc.Sender
-		ackLink := netsim.NewLink(ueEng, 0, fs.RTTBase/2, 0,
-			netsim.HandlerFunc(func(now time.Duration, p *netsim.Packet) {
-				snd.HandlePacket(now, p)
-			}))
+	// Every controlled flow takes one path: data runs server -> (internet
+	// bottleneck) -> tower -> UE, ACKs return over a second link, and the
+	// server runs on srv - the UE's cell shard, or the core for an SFU leg.
+	leg := sfu != nil && fs.SFULeg
+	srv, spec := ueSh, rtc.MediaSpec{}
+	if leg {
+		srv, spec = b.pl.core, sfu.LegSpec()
+	}
+	ackLink := netsim.NewCrossLink(ueSh, srv, 0, fs.RTTBase/2, 0,
+		netsim.HandlerFunc(func(now time.Duration, p *netsim.Packet) {
+			fr.snd.HandlePacket(now, p) // the transport under every sender
+		}))
+	if leg || fs.Media {
+		mrcv := rtc.NewReceiver(ueEng, fs.ID, ackLink, spec)
+		mrcv.Transport().Feedback = fb
+		mrcv.OnData = onData
+		mrcv.EnableSeries(fs.ID)
+		dev.RegisterFlow(fs.ID, mrcv)
+		fr.Frames = mrcv.Stats()
+	} else {
 		rcv := cc.NewReceiver(ueEng, fs.ID, ackLink)
 		rcv.Feedback = fb
 		rcv.OnData = onData
 		dev.RegisterFlow(fs.ID, rcv)
+	}
 
-		// Data path: sender -> (internet bottleneck) -> tower -> UE.
-		// The content server is pinned to its UE's cell shard, so the
-		// whole loop is shard-local.
-		bottleneck := netsim.NewLink(ueEng, fs.InternetRate, fs.RTTBase/2, fs.InternetQueue, dev)
-		bottleneck.EnableQueueSeries(fs.ID)
-		snd = cc.NewSender(ueEng, fs.ID, bottleneck, ctrl)
-		fr.snd = snd
-		ueEng.At(start, snd.Start)
-		if stop < end {
-			ueEng.At(stop, snd.Stop)
-		}
+	data := netsim.NewCrossLink(srv, ueSh, fs.InternetRate, fs.RTTBase/2, fs.InternetQueue, dev)
+	data.EnableQueueSeries(fs.ID)
+	var run, halt func()
+	switch {
+	case leg: // the controller paces the forwarding and picks the layer
+		fr.msnd = sfu.AddSubscriber(fs.ID, data, ctrl).Send
+		fr.snd, run, halt = fr.msnd.Transport(), fr.msnd.Start, fr.msnd.Stop
+	case fs.Media: // the controller paces the packets and drives the encoder
+		msnd := rtc.NewSender(srv.Engine, fs.ID, data, ctrl, spec)
+		enc := rtc.NewEncoder(srv.Engine, spec, msnd.QueueFrame)
+		enc.Available = msnd.AvailableRate
+		fr.msnd, fr.snd = msnd, msnd.Transport()
+		run = func() { msnd.Start(); enc.Start() }
+		halt = func() { enc.Stop(); msnd.Stop() }
+	default:
+		snd := cc.NewSender(srv.Engine, fs.ID, data, ctrl)
+		fr.snd, run, halt = snd, snd.Start, snd.Stop
+	}
+	srv.Engine.At(start, run)
+	if stop < end {
+		srv.Engine.At(stop, halt)
 	}
 }
 

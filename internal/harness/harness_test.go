@@ -350,3 +350,44 @@ func TestScenarioValidate(t *testing.T) {
 		})
 	}
 }
+
+// TestFlowKindsHonourTheirPath holds every controlled flow kind - a bulk
+// download, an RTC call and an SFU leg - to the one path buildFlow wires:
+// capping flow 0's Internet bottleneck well below its free goodput caps
+// the goodput, and no packet reaches the UE sooner than the data link's
+// propagation delay, RTTBase/2.
+func TestFlowKindsHonourTheirPath(t *testing.T) {
+	for _, tc := range []struct {
+		family string
+		cap    float64 // bits/sec
+	}{
+		{"steady", 10e6}, // ~13.7 Mbit/s free
+		{"rtc", 3e6},     // ~4.5 Mbit/s free
+		{"sfu", 1e6},     // ~1.9 Mbit/s free
+	} {
+		t.Run(tc.family, func(t *testing.T) {
+			t.Parallel()
+			run := func(rate float64) *FlowResult {
+				sc, err := BuildScenario(tc.family, "gcc", Params{Seed: 1, Duration: 4 * time.Second})
+				if err != nil {
+					t.Fatal(err)
+				}
+				fs := &sc.Flows[0]
+				fs.InternetRate, fs.InternetQueue = rate, 1<<18
+				fr := Run(sc).Flows[0]
+				if minOWD := time.Duration(fr.Delay.Percentile(0) * float64(time.Millisecond)); minOWD < fs.RTTBase/2 {
+					t.Errorf("rate %g: smallest one-way delay %v < RTTBase/2 = %v", rate, minOWD, fs.RTTBase/2)
+				}
+				return fr
+			}
+			free, capped := run(0).AvgTputMbps, run(tc.cap).AvgTputMbps
+			t.Logf("goodput %.2f Mbit/s free, %.2f Mbit/s under a %g Mbit/s cap", free, capped, tc.cap/1e6)
+			if capped > tc.cap/1e6 {
+				t.Errorf("goodput %.2f Mbit/s through a %g Mbit/s Internet bottleneck", capped, tc.cap/1e6)
+			}
+			if capped >= free {
+				t.Errorf("capped goodput %.2f Mbit/s not below the free run's %.2f", capped, free)
+			}
+		})
+	}
+}

@@ -30,41 +30,6 @@ func (c *provisionedController) OnLoss(l cc.LossSample)                         
 func (c *provisionedController) PacingRate() float64                            { return c.rate }
 func (c *provisionedController) CWND() int                                      { return 1 << 30 }
 
-// attachMediaFlow wires one frame-level RTC flow: encoder ->
-// packetizer/pacer -> (internet bottleneck) -> tower -> UE -> jitter
-// buffer, with acknowledgements returning over the reverse path. The
-// congestion controller paces the media packets and drives the encoder's
-// rate-ladder adaptation.
-func attachMediaFlow(eng *sim.Engine, fs *FlowSpec, fr *FlowResult, dev device,
-	ctrl cc.Controller, fb cc.FeedbackSource,
-	onData func(time.Duration, *netsim.Packet, time.Duration), end time.Duration) {
-	var spec rtc.MediaSpec
-	var msnd *rtc.Sender
-	ackLink := netsim.NewLink(eng, 0, fs.RTTBase/2, 0,
-		netsim.HandlerFunc(func(now time.Duration, p *netsim.Packet) {
-			msnd.HandlePacket(now, p)
-		}))
-	mrcv := rtc.NewReceiver(eng, fs.ID, ackLink, spec)
-	mrcv.Transport().Feedback = fb
-	mrcv.OnData = onData
-	mrcv.EnableSeries(fs.ID)
-	dev.RegisterFlow(fs.ID, mrcv)
-
-	bottleneck := netsim.NewLink(eng, fs.InternetRate, fs.RTTBase/2, fs.InternetQueue, dev)
-	bottleneck.EnableQueueSeries(fs.ID)
-	msnd = rtc.NewSender(eng, fs.ID, bottleneck, ctrl, spec)
-	enc := rtc.NewEncoder(eng, spec, msnd.QueueFrame)
-	enc.Available = msnd.AvailableRate
-
-	fr.Frames = mrcv.Stats()
-	fr.msnd = msnd
-	fr.snd = msnd.Transport()
-	eng.At(fr.start, func() { msnd.Start(); enc.Start() })
-	if fr.stop < end {
-		eng.At(fr.stop, func() { enc.Stop(); msnd.Stop() })
-	}
-}
-
 // buildSFUIngest stands the relay up: a content server encodes every
 // simulcast rung and streams them over a wired path into the SFU, whose
 // jitter buffer reassembles frames and fans them out to the subscriber
@@ -94,40 +59,6 @@ func buildSFUIngest(eng *sim.Engine) *rtc.SFU {
 	isnd.Start()
 	enc.Start()
 	return sfu
-}
-
-// attachSubscriber wires one SFU fan-out leg: the relay forwards the
-// subscriber's selected simulcast layer through the cellular network to
-// the UE's jitter buffer; the leg's own congestion controller paces the
-// forwarding and drives layer selection. The forwarding pacer lives on
-// the wired-core shard with the relay; the receiver lives on the UE's
-// cell shard; the two wired hops between them are the scenario's
-// cross-shard boundaries (plain links when both sides share a shard).
-func attachSubscriber(ue, core *sim.Shard, sfu *rtc.SFU, fs *FlowSpec, fr *FlowResult, dev device,
-	ctrl cc.Controller, fb cc.FeedbackSource,
-	onData func(time.Duration, *netsim.Packet, time.Duration), end time.Duration) {
-	var sub *rtc.Subscriber
-	ackLink := netsim.NewCrossLink(ue, core, 0, fs.RTTBase/2, 0,
-		netsim.HandlerFunc(func(now time.Duration, p *netsim.Packet) {
-			sub.Send.HandlePacket(now, p)
-		}))
-	srcv := rtc.NewReceiver(ue.Engine, fs.ID, ackLink, sfu.LegSpec())
-	srcv.Transport().Feedback = fb
-	srcv.OnData = onData
-	srcv.EnableSeries(fs.ID)
-	dev.RegisterFlow(fs.ID, srcv)
-
-	dataPath := netsim.NewCrossLink(core, ue, fs.InternetRate, fs.RTTBase/2, fs.InternetQueue, dev)
-	dataPath.EnableQueueSeries(fs.ID)
-	sub = sfu.AddSubscriber(fs.ID, dataPath, ctrl)
-
-	fr.Frames = srcv.Stats()
-	fr.msnd = sub.Send
-	fr.snd = sub.Send.Transport()
-	core.Engine.At(fr.start, sub.Send.Start)
-	if fr.stop < end {
-		core.Engine.At(fr.stop, sub.Send.Stop)
-	}
 }
 
 // RTCScenario is the interactive-call family: the steady-state topology
