@@ -2,7 +2,8 @@ package pbecc
 
 // Engine-level benches that the micro gate (scripts/gate.sh micro-diff)
 // and DESIGN.md cite: NR slot scheduling, the RTC/SFU families, the metro
-// scenario at several shard widths, the smoke sweep and two ablations.
+// scenario at several shard widths, the nation scenario, the smoke sweep
+// and two ablations.
 // The figures are covered by TestRunAllExperimentsQuick; benchmark/ is
 // the timing authority.
 
@@ -105,6 +106,23 @@ func BenchmarkMetroSmokeSlice(b *testing.B) {
 		}
 		if harness.Run(sc).Flows[0].Received == 0 {
 			b.Fatal("measured flow received nothing")
+		}
+	}
+}
+
+// BenchmarkNation is the nation family's allocation gate: one 4 s run at
+// two shards (run with -benchtime 1x), the shape of the benchmark's
+// nation_fluid workload. Its B/op holds the million modeled sessions to a
+// streamed pass; a stored population would add 16 MiB.
+func BenchmarkNation(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		sc, err := harness.BuildScenario("nation", "pbe", harness.Params{
+			Seed: 1, Duration: 4 * time.Second, Shards: 2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res := harness.Run(sc); res.Fluid.SessionOnWindows == 0 {
+			b.Fatal("the modeled tier accounted no on window")
 		}
 	}
 }

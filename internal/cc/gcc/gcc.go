@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"pbecc/internal/cc"
+	"pbecc/internal/sim"
 )
 
 // Loss-based ceiling parameters (GCC draft §5): heavy loss cuts the
@@ -48,6 +49,11 @@ func New() *GCC {
 	g.deliveryMax.Window = 2 * time.Second
 	return g
 }
+
+// TakeRings gives the controller's delivery-rate filter the ring that a
+// filter of the previous run on the recycled engine eng grew (see
+// cc.WindowedMax.TakeRing). Call it before the first OnAck.
+func (g *GCC) TakeRings(eng *sim.Engine) { g.deliveryMax.TakeRing(eng) }
 
 // OnSent implements cc.Controller.
 func (g *GCC) OnSent(now time.Duration, seq uint64, inflight int) {}

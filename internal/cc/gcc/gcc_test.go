@@ -1,6 +1,7 @@
 package gcc
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -275,5 +276,34 @@ func TestTrendlineKeepsNewestWindow(t *testing.T) {
 		if want := ref.slope(); got != want {
 			t.Fatalf("sample %d: slope %v, want %v", i, got, want)
 		}
+	}
+}
+
+// TestRingsComeBackFromTheEngine: an estimator and a controller that take
+// their rings from a recycled engine get the ones the previous run grew,
+// so the same run grows nothing again.
+func TestRingsComeBackFromTheEngine(t *testing.T) {
+	eng := sim.New(1)
+	run := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r, g := NewREMB(), New()
+		r.TakeRings(eng)
+		g.TakeRings(eng)
+		// 2000 packets in 200 ms: every one stays in the 500 ms rate
+		// window, and each delivery sample, smaller than the last, stays
+		// a candidate of the 2 s maximum.
+		for i := 0; i < 2000; i++ {
+			now := time.Duration(i) * 100 * time.Microsecond
+			r.Observe(now, 20*time.Millisecond, 1200)
+			g.OnAck(cc.AckSample{Now: now, DeliveryRate: float64(1e9 - i)})
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	first := run()
+	eng.Recycle()
+	if again := run(); again >= first/8 {
+		t.Fatalf("a run on the recycled engine allocated %d bytes, the first %d", again, first)
 	}
 }

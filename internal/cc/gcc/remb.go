@@ -1,6 +1,10 @@
 package gcc
 
-import "time"
+import (
+	"time"
+
+	"pbecc/internal/sim"
+)
 
 // REMB is the receiver side of GCC: it runs the arrival-time filter,
 // overuse detector and AIMD rate region on every received data packet and
@@ -32,6 +36,18 @@ func NewREMB() *REMB {
 		aimd: newAIMD(StartRate),
 		in:   newRateWindow(incomingWindow),
 	}
+}
+
+// rateKey is the engine-local stock of incoming-rate rings.
+var rateKey = sim.NewLocalKey()
+
+// TakeRings gives the estimator the incoming-rate ring that an estimator
+// of the previous run on the recycled engine eng grew, and registers it
+// for the next run. Call it before the first Observe.
+func (r *REMB) TakeRings(eng *sim.Engine) {
+	rings := sim.StockOf[rateSample](eng, rateKey)
+	r.in.samples = rings.Take()
+	rings.Keep(&r.in.samples)
 }
 
 // Overusing reports whether the detector currently hypothesizes an

@@ -33,6 +33,7 @@ import (
 	"pbecc/internal/core"
 	"pbecc/internal/netsim"
 	"pbecc/internal/obs"
+	"pbecc/internal/sim"
 )
 
 var (
@@ -77,6 +78,10 @@ var _ cc.FeedbackSource = (*Feedback)(nil)
 func NewFeedback(mon *core.Monitor) *Feedback {
 	return &Feedback{mon: mon, det: core.NewDetector(), remb: gcc.NewREMB(), floorArmed: true}
 }
+
+// TakeRings hands the estimator the engine's stock of rings (see
+// gcc.REMB.TakeRings). Call it before the first Feedback.
+func (f *Feedback) TakeRings(eng *sim.Engine) { f.remb.TakeRings(eng) }
 
 // Feedback implements cc.FeedbackSource: fold one received data packet
 // into the estimator and return (rate, internet-bottleneck bit).

@@ -309,23 +309,24 @@ func (s *modeledSession) stepTo(t uint32) {
 	}
 }
 
-// maxBlockSessions caps a block of the modeled population at 64 KiB. As
-// one 16 MiB object, a nation population drawn over and over left peak
-// RSS at about 33 or 44 MB, depending on whether the collector had freed
-// the previous population before the next was drawn; blocks this size
-// are reused piecemeal.
+// maxBlockSessions caps a block of the modeled population at 64 KiB, so
+// a block stays in L2 from its draw to its walk. StreamModeled draws and
+// walks one block at a time in a single buffer of this size, so peak RSS
+// does not grow with the population; a stored population (DrawModeled)
+// is kept in blocks this size, reused piecemeal.
 const maxBlockSessions = (64 << 10) / 16
 
 // maxChainMs is the latest window start a chain can step to: a uint32
 // toggle time stays representable one uint16 duration beyond it.
 const maxChainMs = math.MaxUint32 - math.MaxUint16
 
-// Modeled is the nation-scale fluid-only tier: a population of
+// Modeled is the nation-scale fluid-only tier, stored: a population of
 // background cells whose aggregate rate processes are accounted once per
 // window with no per-slot scheduling at all. They read nothing from the
 // packet world and write nothing back, so they need no engine: split the
 // population into chunks with Chunks and advance each chunk through a
-// run's windows with AdvanceWindows.
+// run's windows with AdvanceWindows. StreamModeled gives the same
+// accounting without keeping the population.
 type Modeled struct {
 	Window       time.Duration
 	Cells        int
@@ -340,13 +341,8 @@ type Modeled struct {
 }
 
 // DrawModeled draws a modeled population of cells x perCell sessions
-// from the paper's user-rate and session-churn distributions. Rates are
-// two PRBs' worth of trace.SampleUserRate, matching the packet-level
-// churn population of the metro family; phases are uniform over each
-// session's cycle so the population starts in steady state. The draw
-// order is fixed, so the population is a pure function of rng's seed.
-// Times are stored in milliseconds; DrawModeled panics, naming the field,
-// on one that does not fit uint16.
+// (see drawBlock) and stores it. The draw order is fixed, so the
+// population is a pure function of rng's seed.
 func DrawModeled(cells, perCell int, rng *rand.Rand, window time.Duration) *Modeled {
 	if window <= 0 {
 		window = DefaultWindow
@@ -361,20 +357,81 @@ func DrawModeled(cells, perCell int, rng *rand.Rand, window time.Duration) *Mode
 		// Each block is filled right after it is allocated, while it is
 		// still in cache.
 		b := make([]modeledSession, min(m.blockLen, n-lo))
-		for i := range b {
-			rate := trace.SampleUserRate(rng) * 2e6
-			on, off := trace.SessionOnOff(rng)
-			phase := time.Duration(rng.Int63n(int64(on + off)))
-			onMs, offMs, phaseMs := on.Milliseconds(), off.Milliseconds(), phase.Milliseconds()
-			if uint64(onMs|offMs|phaseMs) > math.MaxUint16 {
-				panic(overflow(onMs, offMs, phaseMs))
-			}
-			b[i] = newModeledSession(float32(rate), uint16(onMs), uint16(offMs), uint16(phaseMs))
-		}
+		drawBlock(b, rng)
 		m.blocks = append(m.blocks, b)
 	}
 	return m
 }
+
+// drawBlock fills b with the population's next len(b) sessions, drawn
+// from the paper's user-rate and session-churn distributions. Rates are
+// two PRBs' worth of trace.SampleUserRate, matching the packet-level
+// churn population of the metro family; phases are uniform over each
+// session's cycle so the population starts in steady state. Times are
+// stored in milliseconds; drawBlock panics, naming the field, on one
+// that does not fit uint16.
+func drawBlock(b []modeledSession, rng *rand.Rand) {
+	for i := range b {
+		rate := trace.SampleUserRate(rng) * 2e6
+		on, off := trace.SessionOnOff(rng)
+		phase := time.Duration(rng.Int63n(int64(on + off)))
+		onMs, offMs, phaseMs := on.Milliseconds(), off.Milliseconds(), phase.Milliseconds()
+		if uint64(onMs|offMs|phaseMs) > math.MaxUint16 {
+			panic(overflow(onMs, offMs, phaseMs))
+		}
+		b[i] = newModeledSession(float32(rate), uint16(onMs), uint16(offMs), uint16(phaseMs))
+	}
+}
+
+// StreamModeled is DrawModeled, Chunks(n) and one AdvanceWindows(ends)
+// per chunk, in chunk order, in one pass that keeps no population: it
+// returns the Stats those calls leave, bit for bit. A run none of whose
+// windows starts at or after zero draws nothing.
+func StreamModeled(cells, perCell int, rng *rand.Rand, window time.Duration, n int, ends []time.Duration) Stats {
+	s := Stats{Sessions: cells * perCell, Cells: cells}
+	streamChunks(cells, perCell, rng, window, n, ends, s.addChunk)
+	return s
+}
+
+// streamChunks is StreamModeled's pass, handing each chunk to done once
+// its windows are folded; the chunk is reused for the next one. Each
+// chunk's sessions are drawn, in session order, a block at a time into
+// one buffer of at most maxBlockSessions, and each block is walked into
+// the chunk's accumulators while it is still in cache. Nothing reads the
+// chains the walk leaves in the buffer.
+func streamChunks(cells, perCell int, rng *rand.Rand, window time.Duration, n int, ends []time.Duration, done func(*ModeledChunk)) {
+	if window <= 0 {
+		window = DefaultWindow
+	}
+	var buf []modeledSession
+	ch := &ModeledChunk{}
+	n = chunkCount(n, cells)
+	for c := 0; c < n; c++ {
+		lo, hi := chunkCells(cells, n, c)
+		*ch = ModeledChunk{window: window, cells: hi - lo, starts: ch.starts, acc: ch.acc, diff: ch.diff}
+		windows, bad := ch.prepare(ends)
+		if len(ch.starts) > 0 {
+			if buf == nil {
+				buf = make([]modeledSession, min(maxBlockSessions, cells*perCell))
+			}
+			for left := (hi - lo) * perCell; left > 0; left -= len(buf) {
+				b := buf[:min(left, len(buf))]
+				drawBlock(b, rng)
+				ch.walk(b)
+			}
+		}
+		ch.fold(windows, bad)
+		done(ch)
+	}
+}
+
+// chunkCount is how many chunks Chunks(n) makes of a population of cells:
+// n, at least one and at most one a cell.
+func chunkCount(n, cells int) int { return min(max(n, 1), cells) }
+
+// chunkCells returns the cells [lo, hi) of chunk c of n: the partition
+// of Chunks, which StreamModeled shares.
+func chunkCells(cells, n, c int) (lo, hi int) { return cells * c / n, cells * (c + 1) / n }
 
 // Chunks partitions the population into n chunks (cell boundaries are
 // respected, so one cell's sessions never straddle two chunks). The
@@ -384,12 +441,7 @@ func DrawModeled(cells, perCell int, rng *rand.Rand, window time.Duration) *Mode
 // function of the topology. A population that earlier chunks advanced
 // starts over from its draw.
 func (m *Modeled) Chunks(n int) []*ModeledChunk {
-	if n < 1 {
-		n = 1
-	}
-	if n > m.Cells {
-		n = m.Cells
-	}
+	n = chunkCount(n, m.Cells)
 	for _, ch := range m.chunks {
 		if ch.started {
 			for _, b := range m.blocks {
@@ -403,8 +455,7 @@ func (m *Modeled) Chunks(n int) []*ModeledChunk {
 	m.chunks = make([]*ModeledChunk, 0, n)
 	per := m.UsersPerCell
 	for c := 0; c < n; c++ {
-		loCell := m.Cells * c / n
-		hiCell := m.Cells * (c + 1) / n
+		loCell, hiCell := chunkCells(m.Cells, n, c)
 		m.chunks = append(m.chunks, &ModeledChunk{
 			window: m.Window,
 			cells:  hiCell - loCell,
@@ -432,11 +483,16 @@ func (m *Modeled) span(lo, hi int) [][]modeledSession {
 func (m *Modeled) Stats() Stats {
 	s := Stats{Sessions: m.Cells * m.UsersPerCell, Cells: m.Cells}
 	for _, ch := range m.chunks {
-		s.OfferedBits += ch.offeredBits
-		s.EnvelopeUpdates += ch.windows
-		s.SessionOnWindows += ch.onWindows
+		s.addChunk(ch)
 	}
 	return s
+}
+
+// addChunk adds an advanced chunk's accounting to s.
+func (s *Stats) addChunk(ch *ModeledChunk) {
+	s.OfferedBits += ch.offeredBits
+	s.EnvelopeUpdates += ch.windows
+	s.SessionOnWindows += ch.onWindows
 }
 
 // ModeledChunk is a cell-contiguous slice of a modeled population. It is
@@ -473,10 +529,22 @@ func (ch *ModeledChunk) Advance(now time.Duration) {
 // chains and panics - is that of one Advance call per window, but each
 // session is visited once per batch, not once per window.
 func (ch *ModeledChunk) AdvanceWindows(ends []time.Duration) {
-	// Check the starts as per-window calls would; the windows before a
-	// bad one are still accounted before the panic.
-	var bad string
+	windows, bad := ch.prepare(ends)
+	for _, b := range ch.blocks {
+		ch.walk(b)
+	}
+	ch.fold(windows, bad)
+}
+
+// prepare starts a batch: it checks the window starts of ends as
+// per-window calls would, collects those that step the chains in
+// ch.starts (windows before the first offer nothing), and zeroes the
+// batch's accumulators. It returns how many windows come before the first
+// bad start - all of them when none is bad - and that start's panic,
+// which fold raises once those windows are accounted.
+func (ch *ModeledChunk) prepare(ends []time.Duration) (windows int, bad string) {
 	ch.starts = ch.starts[:0]
+	windows = len(ends)
 	for k, now := range ends {
 		startMs := (now - ch.window).Milliseconds()
 		if startMs < 0 && !ch.started {
@@ -485,14 +553,20 @@ func (ch *ModeledChunk) AdvanceWindows(ends []time.Duration) {
 		if startMs < int64(ch.lastMs) || startMs > maxChainMs {
 			bad = fmt.Sprintf("fluid: modeled window start %d ms after %d ms (chains step forward, to at most %d ms)",
 				startMs, ch.lastMs, maxChainMs)
-			ends = ends[:k]
+			windows = k
 			break
 		}
 		ch.started, ch.lastMs = true, uint32(startMs)
 		ch.starts = append(ch.starts, uint32(startMs))
 	}
-	// Windows before the first that steps the chains offer nothing.
-	ch.walk()
+	ch.acc = resize(ch.acc, len(ch.starts))
+	ch.diff = resize(ch.diff, len(ch.starts)+1)
+	return windows, bad
+}
+
+// fold ends a batch of windows: it adds the batch's accumulators to the
+// chunk's totals and the fluid counters, then raises prepare's panic.
+func (ch *ModeledChunk) fold(windows int, bad string) {
 	var on int64
 	var onWindows, offered uint64
 	for k, bits := range ch.acc {
@@ -502,8 +576,8 @@ func (ch *ModeledChunk) AdvanceWindows(ends []time.Duration) {
 		offered += uint64(bits)
 	}
 	ch.onWindows += onWindows
-	ch.windows += uint64(ch.cells) * uint64(len(ends))
-	mEnvelopeUpdates.Add(uint64(ch.cells) * uint64(len(ends)))
+	ch.windows += uint64(ch.cells) * uint64(windows)
+	mEnvelopeUpdates.Add(uint64(ch.cells) * uint64(windows))
 	mOfferedBits.Add(offered)
 	mSessionWindows.Add(onWindows)
 	if bad != "" {
@@ -511,19 +585,17 @@ func (ch *ModeledChunk) AdvanceWindows(ends []time.Duration) {
 	}
 }
 
-// walk accounts the windows starting at ch.starts into ch.acc and
-// ch.diff. Each session, in session order, walks its chain across the
-// batch once, a run of windows at a time: it steps where a window start
+// walk accounts block b's sessions in the windows starting at ch.starts
+// into ch.acc and ch.diff. Each session, in session order, walks its
+// chain across the batch once, a run of windows at a time: it steps where a window start
 // reaches its next toggle, finds the run's end by index arithmetic, and
 // adds its bits to every window of an on run. So every window's sum
 // receives the terms of a per-window pass over the on sessions, in the
 // same order, with exact +0 terms between them, which change no bit
 // (DESIGN.md §10).
-func (ch *ModeledChunk) walk() {
+func (ch *ModeledChunk) walk(b []modeledSession) {
 	ts := ch.starts
 	n := len(ts)
-	ch.acc = resize(ch.acc, n)
-	ch.diff = resize(ch.diff, n+1)
 	acc, diff := ch.acc, ch.diff
 	if n == 0 {
 		return
@@ -533,47 +605,45 @@ func (ch *ModeledChunk) walk() {
 	// of the window in milliseconds spares the guess a division.
 	inv := math.MaxUint32 / uint64(max(ch.window.Milliseconds(), 1))
 	last := ts[n-1]
-	for _, b := range ch.blocks {
-		for i := range b {
-			s := &b[i]
-			// The explicit conversion rounds the product on its own, so
-			// it is never fused into the addition below.
-			bits := float64(float64(s.rateBps) * winSec)
-			onMs, offMs := uint32(s.onMs), uint32(s.offMs)
-			o, next := s.on, s.next // o is 1 while the chain is on
-			stepped := false
-			for k := 0; k < n; {
-				if ts[k] >= next {
-					var on bool
-					on, next = step(o != 0, next, ts[k], onMs, offMs)
-					o, stepped = 0, true
-					if on {
-						o = 1
-					}
+	for i := range b {
+		s := &b[i]
+		// The explicit conversion rounds the product on its own, so
+		// it is never fused into the addition below.
+		bits := float64(float64(s.rateBps) * winSec)
+		onMs, offMs := uint32(s.onMs), uint32(s.offMs)
+		o, next := s.on, s.next // o is 1 while the chain is on
+		stepped := false
+		for k := 0; k < n; {
+			if ts[k] >= next {
+				var on bool
+				on, next = step(o != 0, next, ts[k], onMs, offMs)
+				o, stepped = 0, true
+				if on {
+					o = 1
 				}
-				// The run lasts until a start reaches the next toggle; a
-				// stopped chain (on + off = 0) stays on to the end.
-				end := n
-				if next <= last && (o == 0 || onMs|offMs != 0) {
-					end = runEnd(ts, k, next, inv)
-				}
-				// A run's first window takes bits x o, an exact +0 when
-				// off, which spares a branch; an on run's others take bits.
-				acc[k] += bits * float64(o)
-				diff[k] += int64(o)
-				diff[end] -= int64(o)
-				stop := k + 1
-				if o != 0 {
-					stop = end
-				}
-				for j := range acc[k+1 : stop] {
-					acc[k+1+j] += bits
-				}
-				k = end
 			}
-			if stepped {
-				s.next, s.on = next, o
+			// The run lasts until a start reaches the next toggle; a
+			// stopped chain (on + off = 0) stays on to the end.
+			end := n
+			if next <= last && (o == 0 || onMs|offMs != 0) {
+				end = runEnd(ts, k, next, inv)
 			}
+			// A run's first window takes bits x o, an exact +0 when
+			// off, which spares a branch; an on run's others take bits.
+			acc[k] += bits * float64(o)
+			diff[k] += int64(o)
+			diff[end] -= int64(o)
+			stop := k + 1
+			if o != 0 {
+				stop = end
+			}
+			for j := range acc[k+1 : stop] {
+				acc[k+1+j] += bits
+			}
+			k = end
+		}
+		if stepped {
+			s.next, s.on = next, o
 		}
 	}
 }

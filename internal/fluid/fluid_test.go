@@ -3,6 +3,7 @@ package fluid
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -504,6 +505,14 @@ func TestModeledBatchPanicsLikeWindows(t *testing.T) {
 		if msg == nil || batchMsg != msg {
 			t.Errorf("batch panicked with %v, per-window calls with %v", batchMsg, msg)
 		}
+		streamMsg := func() (msg any) {
+			defer func() { msg = recover() }()
+			StreamModeled(40, 16, rand.New(rand.NewSource(4)), 0, 1, ends)
+			return nil
+		}()
+		if streamMsg != msg {
+			t.Errorf("streamed pass panicked with %v, per-window calls with %v", streamMsg, msg)
+		}
 		if batch != each || batch.EnvelopeUpdates != 5*40 {
 			t.Errorf("before the panic a batch accounted %+v, per-window calls %+v", batch, each)
 		}
@@ -526,6 +535,76 @@ func TestModeledRechunkRestarts(t *testing.T) {
 	run(m, 5)
 	if again := run(m, 3); again != fresh {
 		t.Fatalf("re-chunked run %+v, fresh run %+v", again, fresh)
+	}
+}
+
+// TestStreamModeledMatchesStored: the streamed pass leaves every chunk's
+// offered bits (under Float64bits), on-windows and windows where the
+// stored path - DrawModeled, Chunks(n), one AdvanceWindows per chunk -
+// leaves them, and returns the stored Stats, at 1, 2, 3 and 8 chunks: for
+// a cell count 8 does not divide, windows that start before zero, a
+// population smaller than one block and one whose blocks split every
+// cell. A run shorter than one window draws nothing.
+func TestStreamModeledMatchesStored(t *testing.T) {
+	type chunk struct{ offered, on, windows uint64 }
+	w := DefaultWindow
+	early := append([]time.Duration{w / 2, w - time.Millisecond}, windowEnds(w, 60)...)
+	for _, c := range []struct {
+		cells, perCell int
+		ends           []time.Duration
+	}{
+		{300, 24, windowEnds(w, 100)},
+		{301, 16, early},
+		{5, 16, windowEnds(w, 100)}, // 80 sessions
+		{7, 5000, windowEnds(w, 30)},
+	} {
+		for _, n := range []int{1, 2, 3, 8} {
+			seed := int64(c.cells + n)
+			m := DrawModeled(c.cells, c.perCell, rand.New(rand.NewSource(seed)), w)
+			var want, got []chunk
+			for _, ch := range m.Chunks(n) {
+				ch.AdvanceWindows(c.ends)
+				want = append(want, chunk{math.Float64bits(ch.offeredBits), ch.onWindows, ch.windows})
+			}
+			streamChunks(c.cells, c.perCell, rand.New(rand.NewSource(seed)), w, n, c.ends, func(ch *ModeledChunk) {
+				got = append(got, chunk{math.Float64bits(ch.offeredBits), ch.onWindows, ch.windows})
+			})
+			if !slices.Equal(got, want) {
+				t.Errorf("%d x %d sessions in %d chunks: streamed chunks %+v, stored %+v", c.cells, c.perCell, n, got, want)
+			}
+			st := StreamModeled(c.cells, c.perCell, rand.New(rand.NewSource(seed)), w, n, c.ends)
+			if ref := m.Stats(); st != ref || math.Float64bits(st.OfferedBits) != math.Float64bits(ref.OfferedBits) {
+				t.Errorf("%d x %d sessions in %d chunks: streamed %+v, stored %+v", c.cells, c.perCell, n, st, ref)
+			}
+		}
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	st := StreamModeled(65536, 16, rng, w, 3, nil)
+	if want := (Stats{Sessions: 1 << 20, Cells: 65536}); st != want {
+		t.Errorf("a run of no window accounted %+v, want %+v", st, want)
+	}
+	if rng.Int63() != rand.New(rand.NewSource(1)).Int63() {
+		t.Error("a run of no window drew sessions")
+	}
+}
+
+// TestStreamModeledKeepsNoPopulation: a streamed pass allocates less than
+// one byte a session (its one block buffer and a batch's scratch), where
+// the stored population takes 16.
+func TestStreamModeledKeepsNoPopulation(t *testing.T) {
+	const cells, perCell = 16384, 16
+	rng := rand.New(rand.NewSource(1))
+	ends := windowEnds(DefaultWindow, 25)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	st := StreamModeled(cells, perCell, rng, 0, 3, ends)
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= cells*perCell {
+		t.Errorf("a streamed pass over %d sessions allocated %d bytes", cells*perCell, alloc)
+	}
+	if st.SessionOnWindows == 0 {
+		t.Error("the streamed pass accounted no on window")
 	}
 }
 

@@ -23,9 +23,9 @@ type FluidSpec struct {
 
 	// ModeledCells x ModeledUsersPerCell sizes the modeled-only tier.
 	// Run draws the population on its own goroutine, beside the cluster,
-	// from a seed derived from the scenario seed, so Scenario stays cheap
-	// to build: a million-user population materializes only when the
-	// scenario runs for at least one envelope window.
+	// from a seed derived from the scenario seed, a block at a time, so
+	// Scenario stays cheap to build and a million-user population is never
+	// held in memory; a run shorter than one envelope window draws none.
 	ModeledCells        int
 	ModeledUsersPerCell int
 }
@@ -109,11 +109,12 @@ type fluidRuntime struct {
 //
 // The modeled tier reads nothing from the packet world and writes nothing
 // back, so it runs beside the cluster on one goroutine that touches no
-// engine, arena or series: it draws the population and advances each
-// chunk, in chunk order, through every window that ends in the run (at
-// w, 2w, ... up to and including Duration, the times an engine.Every(w)
-// ticker fires before RunUntil(Duration) returns). A run shorter than one
-// window draws nothing. There is one chunk per shard of the topology:
+// engine, arena or series: fluid.StreamModeled draws the population a
+// block at a time and accounts each chunk, in chunk order, through every
+// window that ends in the run (at w, 2w, ... up to and including
+// Duration, the times an engine.Every(w) ticker fires before
+// RunUntil(Duration) returns), keeping no population. A run shorter than
+// one window draws nothing. There is one chunk per shard of the topology:
 // the partition fixes the float sums, so fluid output stays byte-
 // identical for any Scenario.Shards value.
 //
@@ -157,11 +158,8 @@ func setupFluid(sc *Scenario, pl *placement, cells map[int]*ran.Cell) *fluidRunt
 			rt.failed = recover()
 			close(rt.done)
 		}()
-		m := fluid.DrawModeled(spec.ModeledCells, spec.ModeledUsersPerCell, rand.New(rand.NewSource(sc.Seed*31337+17)), w)
-		for _, ch := range m.Chunks(chunks) {
-			ch.AdvanceWindows(ends)
-		}
-		rt.modeled = m.Stats()
+		rt.modeled = fluid.StreamModeled(spec.ModeledCells, spec.ModeledUsersPerCell,
+			rand.New(rand.NewSource(sc.Seed*31337+17)), w, chunks, ends)
 	}()
 	return rt
 }

@@ -66,6 +66,11 @@ var schemes = []scheme{
 	{"pbertc", controller(pbertc.New), feedback(pbertc.NewFeedback), true},
 }
 
+// ringTaker is a controller or feedback source whose windows keep their
+// rings in the stock of the engine it runs on, so a recycled engine's
+// next run starts with the rings this one grew (gcc, pbertc).
+type ringTaker interface{ TakeRings(eng *sim.Engine) }
+
 // controller and feedback adapt a scheme package's constructor, which
 // returns its concrete type, to the table's column types.
 func controller[C cc.Controller](newC func() C) func() cc.Controller {
@@ -658,6 +663,12 @@ func (b *build) buildFlow(fs *FlowSpec, sfu *rtc.SFU) {
 	srv, spec := ueSh, rtc.MediaSpec{}
 	if leg {
 		srv, spec = b.pl.core, sfu.LegSpec()
+	}
+	if r, ok := ctrl.(ringTaker); ok {
+		r.TakeRings(srv.Engine)
+	}
+	if r, ok := fb.(ringTaker); ok {
+		r.TakeRings(ueEng)
 	}
 	ackLink := netsim.NewCrossLink(ueSh, srv, 0, fs.RTTBase/2, 0,
 		netsim.HandlerFunc(func(now time.Duration, p *netsim.Packet) {

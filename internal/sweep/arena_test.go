@@ -101,16 +101,15 @@ func TestArenaWarmRepeat(t *testing.T) {
 // simulated second of a job on a warmed arena, over both RATs and the
 // three smoke schemes, pinned a few allocations above what the jobs
 // achieve (at most steady 12, competition 14, multiflow 21, rtc 14, sfu
-// 239 at seed 1).
+// 39 at seed 1).
 // What remains is mostly the result a longer run returns - its rate
-// timeline and trajectory - and, on the SFU legs, GCC's windows, which
-// have no engine to inherit storage from and still grow to their size.
+// timeline and trajectory.
 var allocBudget = map[string]float64{
 	"steady":      16,
 	"competition": 17,
 	"multiflow":   28,
 	"rtc":         16,
-	"sfu":         270,
+	"sfu":         50,
 }
 
 // TestJobAllocsPerSimSecond pins what a running job allocates end to end:
@@ -118,8 +117,9 @@ var allocBudget = map[string]float64{
 // the 2 s job, the allocations of the 2 s job minus those of the 1 s job
 // must stay within the family's budget. The frame queue, the HARQ ring,
 // the monitor's window and RNTI list, the cell's blocks and packet lists,
-// the windowed filters and the jitter buffer's frame records all recycle
-// their storage; reverting any one of them breaks a budget.
+// the windowed filters, GCC's rate window and the jitter buffer's frame
+// records all recycle their storage; reverting any one of them breaks a
+// budget.
 func TestJobAllocsPerSimSecond(t *testing.T) {
 	spec := Smoke()
 	for _, fam := range spec.Experiments {

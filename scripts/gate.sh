@@ -39,8 +39,8 @@
 #                  does not read x.f
 #
 # Regression gates (against the committed baselines):
-#   micro-diff     every internal/sim bench, the metro benches and the
-#                  smoke sweep vs BENCH_micro_baseline.txt: B/op or
+#   micro-diff     every internal/sim bench, the metro and nation benches
+#                  and the smoke sweep vs BENCH_micro_baseline.txt: B/op or
 #                  allocs/op >10% fails, as does a benchmark on one
 #                  side only (ns/op is not read)
 #                  -> BENCH_MICRODIFF_PR.txt
@@ -79,7 +79,8 @@ same() {
 }
 
 # The one micro gate: every engine bench in internal/sim at the default
-# benchtime, one iteration of each multi-second metro bench and of the
+# benchtime, one iteration of each multi-second metro bench, of a 4 s
+# nation run (its modeled tier must not hold its population) and of the
 # 160-job smoke sweep on one worker (the allocation gate of the path users
 # and CI run most), and ten of the ~60 ms metro smoke slice. B/op and
 # allocs/op are deterministic per op, so they gate at 10% even on shared
@@ -88,7 +89,7 @@ same() {
 # runner, not the code (benchmark/ is the timing authority).
 gate_micro_diff() {
   go test -bench . -benchmem -run '^$' ./internal/sim/ | tee BENCH_MICRODIFF_PR.txt
-  go test -bench 'Metro[0-9]|SmokeSweep' -benchmem -benchtime 1x -run '^$' . | tee -a BENCH_MICRODIFF_PR.txt
+  go test -bench 'Metro[0-9]|Nation|SmokeSweep' -benchmem -benchtime 1x -run '^$' . | tee -a BENCH_MICRODIFF_PR.txt
   go test -bench 'MetroSmokeSlice' -benchmem -benchtime 10x -run '^$' . | tee -a BENCH_MICRODIFF_PR.txt
   sweep -benchdiff BENCH_micro_baseline.txt BENCH_MICRODIFF_PR.txt
 }
