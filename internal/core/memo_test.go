@@ -5,10 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 
-	"pbecc/internal/cc"
-	"pbecc/internal/netsim"
 	"pbecc/internal/phy"
 	"pbecc/internal/ran"
 )
@@ -136,42 +133,4 @@ func uncachedTotals(m *Monitor, ber map[int]float64) (capacity, fair float64) {
 		}
 	}
 	return capacity, fair
-}
-
-// TestSenderWindowMemoIsExact: the wireless-mode window, asked for
-// between ACKs whose feedback rate and RTT repeat and change, and while
-// the ramp moves the rate, equals a fresh computation from the sender's
-// current rate and RTprop.
-func TestSenderWindowMemoIsExact(t *testing.T) {
-	rates := []float64{20e6, 40e6, 40e6, 55e6}
-	// RTprop, a 10 s minimum, moves as the RTT's floor does.
-	floors := []time.Duration{40, 30, 50, 45, 20}
-	r := rand.New(rand.NewSource(1))
-	s := NewSender()
-	var now time.Duration
-	hits := 0
-	for i := 0; i < 5000; i++ {
-		now += time.Duration(r.Intn(16)) * time.Millisecond
-		a := ackWith(now, rates[r.Intn(len(rates))], false)
-		a.RTT = (floors[i/1000] + time.Duration(r.Intn(3))) * time.Millisecond
-		s.OnAck(a)
-		for q := 0; q < 2; q++ {
-			rate := s.wirelessRate()
-			if s.mode != ModeWireless || rate <= 0 {
-				continue
-			}
-			want := cc.BDPBytes(rate, s.RTprop()+harqCwndAllowance)
-			want += want/4 + 4*netsim.MSS
-			want = max(want, cc.MinCwnd)
-			if math.Float64bits(rate) == s.wnd.rate {
-				hits++
-			}
-			if got := s.CWND(); got != want {
-				t.Fatalf("ack %d at %v: window %d, fresh %d", i, now, got, want)
-			}
-		}
-	}
-	if hits == 0 {
-		t.Fatal("no query repeated the last window's rate")
-	}
 }

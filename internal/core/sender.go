@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"time"
 
 	"pbecc/internal/cc"
@@ -60,23 +59,11 @@ type Sender struct {
 
 	bbr *bbr.BBR
 
-	// wnd is the last wireless-mode window, keyed on its exact inputs.
-	wnd cwndMemo
-
 	// MisreportGuard, when positive, caps the fed-back rate at this
 	// multiple of the measured delivery rate - the server-side defence
 	// against malicious capacity reports sketched in §7. Zero disables
 	// the guard.
 	MisreportGuard float64
-}
-
-// cwndMemo remembers one wireless-mode window: w for the rate with
-// float64 bits rate and the round trip rtt. The zero value matches no
-// query, since a window is computed only for a positive rate.
-type cwndMemo struct {
-	rate uint64
-	rtt  time.Duration
-	w    int
 }
 
 // NewSender returns a PBE-CC sender controller.
@@ -242,20 +229,12 @@ func (s *Sender) CWND() int {
 		if rate <= 0 {
 			return cc.InitialCwnd
 		}
-		// The pump asks again with the same inputs between ACKs; the
-		// window is a pure function of them.
-		key := cwndMemo{rate: math.Float64bits(rate), rtt: s.RTprop() + harqCwndAllowance}
-		if key.rate == s.wnd.rate && key.rtt == s.wnd.rtt {
-			return s.wnd.w
-		}
-		w := cc.BDPBytes(rate, key.rtt)
+		w := cc.BDPBytes(rate, s.RTprop()+harqCwndAllowance)
 		w += w / 4
 		w += 4 * netsim.MSS
 		if w < cc.MinCwnd {
 			w = cc.MinCwnd
 		}
-		key.w = w
-		s.wnd = key
 		return w
 	case ModeDrain:
 		w := cc.BDPBytes(s.PacingRate(), s.RTprop()) + 4*netsim.MSS

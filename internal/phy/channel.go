@@ -97,11 +97,6 @@ type Channel struct {
 	// fading has computed lastSINR and mcs: later Steps return them as
 	// they are until Table differs from mcs.Table.
 	held bool
-
-	// ber is BERFromRSSI of the RSSI whose bits are berRSSI, once berSet.
-	ber     float64
-	berRSSI uint64
-	berSet  bool
 }
 
 // NewStaticChannel returns a channel pinned at a fixed RSSI with optional
@@ -143,11 +138,5 @@ func (c *Channel) Step(t, dt time.Duration) float64 {
 // MCS returns the modulation and coding scheme for the last Step.
 func (c *Channel) MCS() MCS { return c.mcs }
 
-// BER returns the fitted bit error rate for the last Step. It is
-// recomputed only when the RSSI's bits differ from the last call's.
-func (c *Channel) BER() float64 {
-	if bits := math.Float64bits(c.lastRSSI); !c.berSet || bits != c.berRSSI {
-		c.ber, c.berRSSI, c.berSet = BERFromRSSI(c.lastRSSI), bits, true
-	}
-	return c.ber
-}
+// BER returns the fitted bit error rate for the last Step.
+func (c *Channel) BER() float64 { return BERFromRSSI(c.lastRSSI) }
