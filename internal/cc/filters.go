@@ -27,51 +27,31 @@ type timedValue struct {
 }
 
 // monoQueue is the candidate list of a windowed extremum, oldest first,
-// each candidate better than every later one. It is a power-of-two ring
-// (the candidates at ring[(head+i)&(len-1)] for i < n) that doubles when
-// full and is never shrunk, so expiring or dominated candidates free
-// their slots in place and the ring stops growing once it spans the
-// longest candidate list.
-type monoQueue struct {
-	ring    []timedValue
-	head, n int
-}
-
-// monoQueueInitial is the ring's first size.
-const monoQueueInitial = 16
+// each candidate better than every later one.
+type monoQueue struct{ sim.Ring[timedValue] }
 
 // push evicts the candidates older than at-window, then the newest
 // candidates that are no better than v (no larger for a maximum, no
 // smaller for a minimum), and appends v.
 func (q *monoQueue) push(at, window time.Duration, v float64, isMax bool) {
-	mask := len(q.ring) - 1
-	for q.n > 0 && q.ring[q.head].at < at-window {
-		q.head = (q.head + 1) & mask
-		q.n--
+	for q.Len() > 0 && q.Front().at < at-window {
+		q.PopFront()
 	}
-	for q.n > 0 {
-		if old := q.ring[(q.head+q.n-1)&mask].v; !(isMax && old <= v || !isMax && old >= v) {
+	for q.Len() > 0 {
+		if old := q.At(q.Len() - 1).v; !(isMax && old <= v || !isMax && old >= v) {
 			break
 		}
-		q.n--
+		q.PopBack()
 	}
-	if q.n == len(q.ring) {
-		grown := make([]timedValue, max(monoQueueInitial, 2*len(q.ring)))
-		for i := 0; i < q.n; i++ {
-			grown[i] = q.ring[(q.head+i)&mask]
-		}
-		q.ring, q.head, mask = grown, 0, len(grown)-1
-	}
-	q.ring[(q.head+q.n)&mask] = timedValue{at, v}
-	q.n++
+	q.PushBack(timedValue{at, v})
 }
 
 // best returns the window's extremum (0 if empty).
 func (q *monoQueue) best() float64 {
-	if q.n == 0 {
+	if q.Len() == 0 {
 		return 0
 	}
-	return q.ring[q.head].v
+	return q.Front().v
 }
 
 // Update inserts a sample and evicts out-of-window or dominated entries.
@@ -92,8 +72,4 @@ var filterKey = sim.NewLocalKey()
 // TakeRing gives the filter the ring that a filter of the previous run on
 // the recycled engine eng grew, and registers it for the next run. Call
 // it before the first Update.
-func (w *WindowedMax) TakeRing(eng *sim.Engine) {
-	rings := sim.StockOf[timedValue](eng, filterKey)
-	w.q.ring = rings.Take()
-	rings.Keep(&w.q.ring)
-}
+func (w *WindowedMax) TakeRing(eng *sim.Engine) { w.q.FromStock(eng, filterKey) }

@@ -3,6 +3,8 @@ package gcc
 import (
 	"math"
 	"time"
+
+	"pbecc/internal/sim"
 )
 
 // Rate-control constants, following the WebRTC AIMD controller: decrease
@@ -34,15 +36,11 @@ const (
 )
 
 // rateWindow measures the incoming throughput over a sliding window, the
-// R_hat input to the AIMD controller. The window's samples sit in a
-// power-of-two ring, oldest at head; the ring doubles when a window holds
-// more samples than it has slots and is never shrunk, so it stops growing
-// once it spans a window.
+// R_hat input to the AIMD controller, from the window's samples, oldest
+// first.
 type rateWindow struct {
 	window  time.Duration
-	samples []rateSample
-	head    int
-	n       int
+	samples sim.Ring[rateSample]
 	bytes   int
 }
 
@@ -59,24 +57,17 @@ func newRateWindow(window time.Duration) *rateWindow {
 }
 
 func (r *rateWindow) add(now time.Duration, bytes int) {
-	if r.n == len(r.samples) {
-		grown := make([]rateSample, max(rateWindowInitial, 2*len(r.samples)))
-		for i := 0; i < r.n; i++ {
-			grown[i] = r.samples[(r.head+i)&(len(r.samples)-1)]
-		}
-		r.samples, r.head = grown, 0
+	if r.samples.Len() == 0 {
+		r.samples.Reserve(rateWindowInitial) // a no-op once the ring has grown
 	}
-	r.samples[(r.head+r.n)&(len(r.samples)-1)] = rateSample{now, bytes}
-	r.n++
+	r.samples.PushBack(rateSample{now, bytes})
 	r.bytes += bytes
 	r.expire(now)
 }
 
 func (r *rateWindow) expire(now time.Duration) {
-	for r.n > 0 && r.samples[r.head].at < now-r.window {
-		r.bytes -= r.samples[r.head].bytes
-		r.head = (r.head + 1) & (len(r.samples) - 1)
-		r.n--
+	for r.samples.Len() > 0 && r.samples.Front().at < now-r.window {
+		r.bytes -= r.samples.PopFront().bytes
 	}
 }
 
@@ -84,11 +75,11 @@ func (r *rateWindow) expire(now time.Duration) {
 // window has data).
 func (r *rateWindow) rate(now time.Duration) float64 {
 	r.expire(now)
-	if r.n == 0 {
+	if r.samples.Len() == 0 {
 		return 0
 	}
 	span := r.window
-	if elapsed := now - r.samples[r.head].at; elapsed < span {
+	if elapsed := now - r.samples.Front().at; elapsed < span {
 		// Window not yet full: avoid overestimating from a short span,
 		// but never divide by less than one burst interval.
 		if elapsed < burstInterval {

@@ -44,11 +44,7 @@ var rateKey = sim.NewLocalKey()
 // TakeRings gives the estimator the incoming-rate ring that an estimator
 // of the previous run on the recycled engine eng grew, and registers it
 // for the next run. Call it before the first Observe.
-func (r *REMB) TakeRings(eng *sim.Engine) {
-	rings := sim.StockOf[rateSample](eng, rateKey)
-	r.in.samples = rings.Take()
-	rings.Keep(&r.in.samples)
-}
+func (r *REMB) TakeRings(eng *sim.Engine) { r.in.samples.FromStock(eng, rateKey) }
 
 // Overusing reports whether the detector currently hypothesizes an
 // overused (queue-building) bottleneck.

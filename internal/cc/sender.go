@@ -41,16 +41,14 @@ type Sender struct {
 	out    netsim.Handler
 	ctrl   Controller
 
-	// Sent-packet window: a power-of-two ring indexed by seq&mask. Every
-	// sequence in [base, nextSeq] owns its slot, so an ACK is looked up by
-	// index arithmetic and walking from base visits packets in send order.
-	// A slot is reused only after base has advanced past a resolved (acked
-	// or lost) packet; the ring doubles when the window outgrows it. Between
-	// events base is the oldest unresolved sequence, nextSeq+1 when there
-	// is none.
+	// Sent-packet window: sequence seq of [base, nextSeq] sits at
+	// ring.At(seq-base), so an ACK is looked up by index arithmetic and
+	// walking from the front visits packets in send order. The front is
+	// popped once it is resolved (acked or lost). Between events base is
+	// the oldest unresolved sequence, nextSeq+1 when there is none.
 	nextSeq       uint64
 	base          uint64
-	ring          []sentPkt
+	ring          sim.Ring[sentPkt]
 	inflightBytes int
 	pool          *netsim.PacketPool
 
@@ -106,14 +104,9 @@ type sentPkt struct {
 	live                bool // sent and neither acked nor declared lost
 }
 
-// initialWindow is the sent-packet ring's starting size in packets; a
-// flow whose in-flight window outgrows it doubles the ring.
-const initialWindow = 64
-
 // ringKey is the engine-local stock of sent-packet rings: a sender built
 // on a recycled engine starts with the ring a sender of the previous run
-// grew. Any power-of-two ring works - every slot of [base, nextSeq] is
-// written before it is read - so a larger ring only means fewer doublings.
+// grew.
 var ringKey = sim.NewLocalKey()
 
 // lossSweepInterval is how often the in-flight list is scanned for
@@ -136,11 +129,7 @@ func NewSender(eng *sim.Engine, flowID int, out netsim.Handler, ctrl Controller)
 		base:   1,
 		pool:   netsim.PoolOf(eng),
 	}
-	rings := sim.StockOf[sentPkt](eng, ringKey)
-	if s.ring = rings.Take(); s.ring == nil {
-		s.ring = make([]sentPkt, initialWindow)
-	}
-	rings.Keep(&s.ring)
+	s.ring.FromStock(eng, ringKey)
 	s.pumpFn = s.pump
 	return s
 }
@@ -231,17 +220,14 @@ func (s *Sender) sendOne(now time.Duration) int {
 	s.nextSeq++
 	seq := s.nextSeq
 	p.FlowID, p.Seq, p.SentAt = s.FlowID, seq, now
-	if seq-s.base == uint64(len(s.ring)) {
-		s.growRing()
-	}
-	*s.slot(seq) = sentPkt{
+	s.ring.PushBack(sentPkt{
 		bytes:               p.Size,
 		sentAt:              now,
 		deliveredAtSend:     s.delivered,
 		deliveredTimeAtSend: s.deliveredAt,
 		appLimited:          s.AppLimited,
 		live:                true,
-	}
+	})
 	s.inflightBytes += p.Size
 	s.ctrl.OnSent(now, seq, s.inflightBytes)
 	s.out.HandlePacket(now, p)
@@ -260,7 +246,7 @@ func (s *Sender) HandlePacket(now time.Duration, p *netsim.Packet) {
 	if seq < s.base || seq > s.nextSeq {
 		return // resolved long ago, or never sent
 	}
-	slot := s.slot(seq)
+	slot := s.ring.At(int(seq - s.base))
 	if !slot.live {
 		return // already declared lost or duplicate
 	}
@@ -344,8 +330,8 @@ func (s *Sender) sweepLosses() {
 		slack = 10 * time.Millisecond
 	}
 	threshold := s.srtt + slack + harqReorderAllowance
-	for seq := s.base; seq <= s.nextSeq; seq++ {
-		info := s.slot(seq)
+	for i := 0; i < s.ring.Len(); i++ {
+		info := s.ring.At(i)
 		if !info.live {
 			continue
 		}
@@ -357,7 +343,7 @@ func (s *Sender) sweepLosses() {
 		s.LostPackets++
 		s.ctrl.OnLoss(LossSample{
 			Now:           now,
-			Seq:           seq,
+			Seq:           s.base + uint64(i),
 			InflightBytes: s.inflightBytes,
 		})
 		mLosses.Inc()
@@ -394,21 +380,8 @@ func (s *Sender) observeSeries(now time.Duration, ackedBytes int) {
 // advanceBase moves the window's lower edge past the acked/lost prefix,
 // freeing those slots for reuse.
 func (s *Sender) advanceBase() {
-	for s.base <= s.nextSeq && !s.slot(s.base).live {
+	for s.ring.Len() > 0 && !s.ring.Front().live {
+		s.ring.PopFront()
 		s.base++
-	}
-}
-
-// slot returns the ring slot that seq, a sequence of the window, owns.
-func (s *Sender) slot(seq uint64) *sentPkt { return &s.ring[seq&uint64(len(s.ring)-1)] }
-
-// growRing doubles the ring, keeping every sequence of [base, nextSeq) at
-// its new seq&mask slot. Called when the next sequence would land on the
-// slot base still owns.
-func (s *Sender) growRing() {
-	old := s.ring
-	s.ring = make([]sentPkt, 2*len(old))
-	for seq := s.base; seq < s.nextSeq; seq++ {
-		*s.slot(seq) = old[seq&uint64(len(old)-1)]
 	}
 }

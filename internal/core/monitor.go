@@ -25,6 +25,7 @@ import (
 
 	"pbecc/internal/phy"
 	"pbecc/internal/ran"
+	"pbecc/internal/sim"
 )
 
 // Filter thresholds of §4.2.1: users active for at most FilterMinSubframes
@@ -128,13 +129,11 @@ type cellTrack struct {
 	users []userTrack
 
 	// grants holds the window's competing grants, one entry per RNTI per
-	// slot, in slot order: a FIFO in a power-of-two ring, the oldest
-	// slot's entries first from gHead. Each sample records how many
-	// entries are its own, so evicting a sample pops that many. The ring
-	// doubles when full and is kept across resets, so the window stops
-	// allocating once it has held its busiest 40 ms.
-	grants      []userAlloc
-	gHead, gLen int
+	// slot, in slot order, the oldest slot's first. Each sample records
+	// how many entries are its own, so evicting a sample pops that many.
+	// The ring is kept across resets, so the window stops allocating once
+	// it has held its busiest 40 ms.
+	grants sim.Ring[userAlloc]
 	// slotGrants is scratch for the report being ingested: its competing
 	// grants summed per RNTI.
 	slotGrants []userAlloc
@@ -183,29 +182,6 @@ func (ct *cellTrack) user(rnti uint16) int {
 	}
 	return -1
 }
-
-// pushGrants appends one sample's grants to the FIFO, doubling the ring
-// while they do not fit.
-func (ct *cellTrack) pushGrants(gs []userAlloc) {
-	if need := ct.gLen + len(gs); need > len(ct.grants) {
-		n := max(grantsInitial, len(ct.grants))
-		for n < need {
-			n *= 2
-		}
-		grown := make([]userAlloc, n)
-		for i := 0; i < ct.gLen; i++ {
-			grown[i] = ct.grants[(ct.gHead+i)&(len(ct.grants)-1)]
-		}
-		ct.grants, ct.gHead = grown, 0
-	}
-	for _, g := range gs {
-		ct.grants[(ct.gHead+ct.gLen)&(len(ct.grants)-1)] = g
-		ct.gLen++
-	}
-}
-
-// grantsInitial is the grant ring's first size.
-const grantsInitial = 64
 
 // addPRBs adds prbs to rnti's entry of a slot's grants, appending the
 // entry on the RNTI's first grant in the slot.
@@ -274,8 +250,12 @@ func (ct *cellTrack) reset(info CellInfo, spf int) {
 	} else {
 		ring = make([]subframeSample, n)
 	}
+	grants := ct.grants
+	for grants.Len() > 0 {
+		grants.PopFront()
+	}
 	*ct = cellTrack{info: info, spf: spf, ring: ring, users: ct.users[:0],
-		grants: ct.grants, slotGrants: ct.slotGrants[:0]}
+		grants: grants, slotGrants: ct.slotGrants[:0]}
 }
 
 // DetachCell stops monitoring a carrier (deactivation).
@@ -310,9 +290,7 @@ func (m *Monitor) OnSubframe(rep *ran.SubframeReport) {
 			ct.myRateN--
 		}
 		for k := 0; k < old.grants; k++ {
-			ua := ct.grants[ct.gHead]
-			ct.gHead = (ct.gHead + 1) & (len(ct.grants) - 1)
-			ct.gLen--
+			ua := ct.grants.PopFront()
 			i := ct.user(ua.rnti)
 			u := &ct.users[i]
 			u.subframes--
@@ -353,8 +331,8 @@ func (m *Monitor) OnSubframe(rep *ran.SubframeReport) {
 		} else {
 			ct.users = append(ct.users, userTrack{rnti: ua.rnti, subframes: 1, prbs: ua.prbs})
 		}
+		ct.grants.PushBack(ua)
 	}
-	ct.pushGrants(slot)
 	s.grants = len(slot)
 	ct.ring[ct.next] = s
 	ct.next = (ct.next + 1) % len(ct.ring)

@@ -152,16 +152,25 @@ func setupFluid(sc *Scenario, pl *placement, cells map[int]*ran.Cell) *fluidRunt
 	}
 	chunks := len(pl.cluster.Shards())
 	pl.cluster.SetWorkers(sc.Shards - 1)
+	rt.start(func() fluid.Stats {
+		return fluid.StreamModeled(spec.ModeledCells, spec.ModeledUsersPerCell,
+			rand.New(rand.NewSource(sc.Seed*31337+17)), w, chunks, ends)
+	})
+	return rt
+}
+
+// start runs the modeled tier's accounting on its own goroutine, keeping
+// what it returns in modeled, or its panic in failed, and closing done
+// either way.
+func (rt *fluidRuntime) start(account func() fluid.Stats) {
 	rt.done = make(chan struct{})
 	go func() {
 		defer func() {
 			rt.failed = recover()
 			close(rt.done)
 		}()
-		rt.modeled = fluid.StreamModeled(spec.ModeledCells, spec.ModeledUsersPerCell,
-			rand.New(rand.NewSource(sc.Seed*31337+17)), w, chunks, ends)
+		rt.modeled = account()
 	}()
-	return rt
 }
 
 // join waits for the modeled tier's goroutine, if there is one. Run

@@ -135,6 +135,32 @@ func TestNationShortRunDrawsNothing(t *testing.T) {
 	}
 }
 
+// TestModeledTierPanicReachesCaller: a panic on the modeled tier's
+// goroutine is not lost there. join still returns, and stats - the
+// caller's first read of the tier - panics with the same value.
+func TestModeledTierPanicReachesCaller(t *testing.T) {
+	rt := &fluidRuntime{}
+	rt.start(func() fluid.Stats { panic("modeled tier failed") })
+	joined := make(chan struct{})
+	go func() {
+		rt.join()
+		close(joined)
+	}()
+	select {
+	case <-joined:
+	case <-time.After(10 * time.Second):
+		t.Fatal("join did not return after the modeled tier panicked")
+	}
+	got := func() (v any) {
+		defer func() { v = recover() }()
+		rt.stats()
+		return nil
+	}()
+	if got != "modeled tier failed" {
+		t.Fatalf("stats raised %v, want the modeled tier's panic", got)
+	}
+}
+
 // TestNationComposition: the family must deliver what its registry entry
 // promises - a metro-style packet foreground with fluid background on
 // every real cell, plus the fixed >=64k-cell / >=1M-user modeled tier.

@@ -122,13 +122,18 @@ type CellSpec struct {
 // NRCellSpec describes one 5G NR carrier, 256-QAM, whose width in PRBs
 // follows from Mu and BandwidthMHz (phy.NRCarrierPRBs). Cell IDs share a
 // namespace with the LTE cells (the monitor tracks both RATs in one
-// table), so NR cells conventionally number from 101.
+// table), so NR cells conventionally number from 101 (nrCellID).
 type NRCellSpec struct {
 	ID           int
 	Mu           int // numerology µ: 0..3
 	BandwidthMHz int
 	Control      ran.ControlSource // nil = no control-plane chatter
 }
+
+// nrCellID is the ID of the c-th NR cell of a scenario whose nLTE LTE
+// cells number from 1: 101 upward, or upward from just past the last LTE
+// cell when there are more than 100 of them.
+func nrCellID(nLTE, c int) int { return max(101, nLTE+1) + c }
 
 // UESpec describes one mobile device. A UE with only CellIDs is an LTE
 // device, one with only NRCellIDs is a standalone 5G device, and one with
@@ -427,6 +432,13 @@ func (sc *Scenario) Validate() error {
 		case fs.Stop != 0 && (fs.Stop < fs.Start || fs.Stop > sc.Duration):
 			return fmt.Errorf("flow %d stops at %v, outside its run from Start %v to the scenario's Duration %v",
 				fs.ID, fs.Stop, fs.Start, sc.Duration)
+		case fs.RTTBase < 0:
+			return fmt.Errorf("flow %d has negative RTTBase %v", fs.ID, fs.RTTBase)
+		case fs.SFULeg && sc.Sharded && fs.RTTBase/2 <= 0:
+			// The leg's server is the SFU's own shard, so both of its
+			// links cross shards and need a positive one-way delay.
+			return fmt.Errorf("flow %d is an SFU leg of a sharded scenario and needs an RTTBase of at least 2ns, not %v",
+				fs.ID, fs.RTTBase)
 		}
 	}
 	if sc.Fluid != nil {

@@ -319,6 +319,11 @@ func TestScenarioValidate(t *testing.T) {
 			sc.Flows[1].OnPeriod, sc.Flows[1].OffPeriod = time.Second, -time.Second
 		}, "flow 2"},
 		{"negative_start", func(sc *Scenario) { sc.Flows[0].Start = -time.Millisecond }, "flow 1"},
+		{"negative_rtt_base", func(sc *Scenario) { sc.Flows[1].RTTBase = -time.Millisecond }, "flow 2 has negative RTTBase"},
+		{"sharded_sfu_leg_without_rtt_base", func(sc *Scenario) {
+			sc.Sharded, sc.SFU = true, true
+			sc.Flows[2].SFULeg = true
+		}, "flow 3 is an SFU leg"},
 		{"stop_before_start", func(sc *Scenario) {
 			sc.Duration = 4 * time.Second
 			sc.Flows[1].Start, sc.Flows[1].Stop = 2*time.Second, time.Second

@@ -74,7 +74,7 @@ func MetroScenario(scheme string, p Params) *Scenario {
 	}
 	for c := 0; c < nNR; c++ {
 		sc.NRCells = append(sc.NRCells, NRCellSpec{
-			ID: 101 + c, Mu: 1, BandwidthMHz: 100, Control: control(nLTE + c),
+			ID: nrCellID(nLTE, c), Mu: 1, BandwidthMHz: 100, Control: control(nLTE + c),
 		})
 	}
 
@@ -101,14 +101,14 @@ func MetroScenario(scheme string, p Params) *Scenario {
 		if cellIdx < nLTE {
 			ue.CellIDs = []int{1 + cellIdx}
 		} else {
-			ue.NRCellIDs = []int{101 + (cellIdx - nLTE)}
+			ue.NRCellIDs = []int{nrCellID(nLTE, cellIdx-nLTE)}
 		}
 		if k == 3 && cellIdx < nLTE && cellIdx < nNR {
 			// EN-DC device: LTE anchor j entangled with NR secondary j.
 			// A dedicated RNTI range keeps it collision-free on the NR
 			// cell, whose native users also count 61 upward.
 			ue.RNTI = uint16(300 + k)
-			ue.NRCellIDs = []int{101 + cellIdx}
+			ue.NRCellIDs = []int{nrCellID(nLTE, cellIdx)}
 		}
 		if p.FluidBackground && k >= 4 {
 			// Fluid tier: slots 4-15 become per-cell rate envelopes

@@ -238,9 +238,9 @@ func Families() []Family {
 		{"competition", "on-off competitor sharing the cell", false, 0, CompetitionScenario},
 		{"multiflow", "two concurrent flows from one device", false, 0, MultiflowScenario},
 		{"rtc", "interactive frame-level video call (GoP source + jitter buffer)", true, 0, RTCScenario},
-		{"sfu", "SFU fan-out: one ingest to 32 subscribers across LTE and NR cells", true, 0, SFUScenario},
+		{"sfu", "SFU fan-out: one ingest to 32 subscribers across LTE and NR cells (up to 128 per RAT)", true, 0, SFUScenario},
 		{"metro", "city-scale sharded mix: 64-256 cells, 16 UEs/cell, bulk+rtc+sfu flows with churn", true, 2, MetroScenario},
-		{"nation", "nation-scale hybrid: metro packet foreground + 64k fluid-modeled cells / 1M+ users", true, 2, NationScenario},
+		{"nation", "nation-scale hybrid: metro packet foreground (up to 256 cells) + 64k fluid-modeled cells / 1M+ users", true, 2, NationScenario},
 	}
 }
 

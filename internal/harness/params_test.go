@@ -178,3 +178,35 @@ func TestParamsValidate(t *testing.T) {
 		}
 	}
 }
+
+// TestCellAxisFamiliesBuildAtTheirMaximum builds every family that honors
+// Params.Cells at the most cells it advertises, on both RATs. NR cells
+// used to number from 101 whatever the LTE count, so metro and nation
+// above 200 cells and sfu above 100 per RAT declared a cell twice.
+func TestCellAxisFamiliesBuildAtTheirMaximum(t *testing.T) {
+	maxCells := map[string]struct{ cells, total int }{
+		"steady": {3, 3},     // LTE aggregates 1-3 carriers
+		"rtc":    {3, 3},     // the steady topology
+		"sfu":    {128, 256}, // cells per RAT
+		"metro":  {256, 256},
+		"nation": {256, 256}, // the packet foreground
+	}
+	for _, f := range Families() {
+		if !f.CellsAxis {
+			continue
+		}
+		want, ok := maxCells[f.ID]
+		if !ok {
+			t.Fatalf("family %q honors Params.Cells but has no maximum in this table", f.ID)
+		}
+		for _, rat := range []string{RATLTE, RATNR} {
+			sc, err := BuildScenario(f.ID, "pbe", Params{RAT: rat, Cells: want.cells})
+			if err != nil {
+				t.Fatalf("%s/%s at %d cells: %v", f.ID, rat, want.cells, err)
+			}
+			if got := len(sc.Cells) + len(sc.NRCells); got != want.total {
+				t.Fatalf("%s/%s at %d cells built %d cells, want %d", f.ID, rat, want.cells, got, want.total)
+			}
+		}
+	}
+}

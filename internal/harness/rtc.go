@@ -90,7 +90,7 @@ func SFUScenario(scheme string, p Params) *Scenario {
 	}
 	for c := 0; c < cellsPerRAT; c++ {
 		sc.Cells = append(sc.Cells, CellSpec{ID: 1 + c, Control: controlFor(p)})
-		sc.NRCells = append(sc.NRCells, NRCellSpec{ID: 101 + c, Mu: 1, BandwidthMHz: 100, Control: controlFor(p)})
+		sc.NRCells = append(sc.NRCells, NRCellSpec{ID: nrCellID(cellsPerRAT, c), Mu: 1, BandwidthMHz: 100, Control: controlFor(p)})
 	}
 	for i := 0; i < SFUSubscribers; i++ {
 		onNR := i%2 == 1
@@ -99,7 +99,7 @@ func SFUScenario(scheme string, p Params) *Scenario {
 		}
 		ue := UESpec{ID: i + 1, RNTI: uint16(61 + i), RSSI: p.rssi(-85 - float64(i%6)*3)}
 		if onNR {
-			ue.NRCellIDs = []int{101 + i%cellsPerRAT}
+			ue.NRCellIDs = []int{nrCellID(cellsPerRAT, i%cellsPerRAT)}
 		} else {
 			ue.CellIDs = []int{1 + i%cellsPerRAT}
 		}

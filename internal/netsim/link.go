@@ -39,10 +39,8 @@ type Link struct {
 	// the packet into xdst's shard through the cluster mailbox.
 	xsrc, xdst *sim.Shard
 
-	// Drop-tail queue, indexed from qHead (head-index dequeue with
-	// amortized compaction instead of an O(n) shift per packet).
-	queue       []*Packet
-	qHead       int
+	// Drop-tail queue.
+	queue       sim.Ring[*Packet]
 	queuedBytes int
 	busy        bool
 
@@ -71,9 +69,7 @@ var queueKey, lineKey = sim.NewLocalKey(), sim.NewLocalKey()
 func NewLink(eng *sim.Engine, rateBps float64, delay time.Duration, queueBytes int, dst Handler) *Link {
 	l := &Link{eng: eng, RateBps: rateBps, Delay: delay, QueueBytes: queueBytes, dst: dst}
 	l.pool = PoolOf(eng)
-	stock := sim.StockOf[*Packet](eng, queueKey)
-	l.queue = stock.Take()[:0]
-	stock.Keep(&l.queue)
+	l.queue.FromStock(eng, queueKey)
 	l.txDone = func() {
 		p := l.txPkt
 		l.txPkt = nil
@@ -122,13 +118,6 @@ func (l *Link) propagate(p *Packet) {
 	l.line.Push(l.Delay, p)
 }
 
-// clearTail nils ps[n:] so compacted slots do not retain packets.
-func clearTail(ps []*Packet, n int) {
-	for i := n; i < len(ps); i++ {
-		ps[i] = nil
-	}
-}
-
 // EnableQueueSeries marks this link as the measured bottleneck of flow
 // tid: its drop-tail queue depth is downsampled into the run's "net.queue"
 // series. A no-op when the run records no series.
@@ -156,7 +145,7 @@ func (l *Link) Send(p *Packet) {
 		l.pool.Release(p) // drop-tail: the link is the packet's last owner
 		return
 	}
-	l.queue = append(l.queue, p)
+	l.queue.PushBack(p)
 	l.queuedBytes += p.Size
 	if obs.Enabled() {
 		mQueueBytes.Observe(int64(l.queuedBytes))
@@ -169,22 +158,12 @@ func (l *Link) Send(p *Packet) {
 }
 
 func (l *Link) transmitNext() {
-	if l.qHead == len(l.queue) {
-		l.queue = l.queue[:0]
-		l.qHead = 0
+	if l.queue.Len() == 0 {
 		l.busy = false
 		return
 	}
 	l.busy = true
-	p := l.queue[l.qHead]
-	l.queue[l.qHead] = nil
-	l.qHead++
-	if l.qHead > 32 && l.qHead*2 >= len(l.queue) {
-		n := copy(l.queue, l.queue[l.qHead:])
-		clearTail(l.queue, n)
-		l.queue = l.queue[:n]
-		l.qHead = 0
-	}
+	p := l.queue.PopFront()
 	l.queuedBytes -= p.Size
 	l.queueTrack.Sample(l.eng.Now(), float64(l.queuedBytes)/1e3)
 

@@ -142,15 +142,6 @@ func (pp *PacketPool) Recycle() {
 	pp.next = 0
 }
 
-// ReleaseAll releases every packet in ps and zeroes the slice's
-// backing entries, for bulk drop points (queue flushes, detach).
-func (pp *PacketPool) ReleaseAll(ps []*Packet) {
-	for i, p := range ps {
-		pp.Release(p)
-		ps[i] = nil
-	}
-}
-
 // PacketHandle is a generation-stamped reference to a packet, for
 // holders that may outlive the packet's consumption (diagnostics,
 // tests). Once the packet is released - and possibly reused for an

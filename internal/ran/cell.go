@@ -140,10 +140,8 @@ type cellUser struct {
 	ue   *UE
 	ch   *phy.Channel
 
-	// queue is the user's downlink queue, indexed from qHead (head-index
-	// dequeue with amortized compaction, retained capacity).
-	queue      []*netsim.Packet
-	qHead      int
+	// queue is the user's downlink queue.
+	queue      sim.Ring[*netsim.Packet]
 	headSent   int // bytes of the head packet already carried in earlier TBs
 	queuedBits int
 	nextTB     uint64
@@ -262,13 +260,8 @@ func (c *Cell) attach(ue *UE, rnti uint16, ch *phy.Channel) *cellUser {
 		panic("ran: duplicate RNTI on cell")
 	}
 	u := &cellUser{cell: c, rnti: rnti, ue: ue, ch: ch}
-	queues := sim.StockOf[*netsim.Packet](c.eng, queueKey)
-	u.queue = queues.Take()[:0]
-	queues.Keep(&u.queue)
-	rings := sim.StockOf[tbArrival](c.eng, reorderKey)
-	u.reorder.ring = rings.Take()
-	clear(u.reorder.ring)
-	rings.Keep(&u.reorder.ring)
+	u.queue.FromStock(c.eng, queueKey)
+	u.reorder.ring.FromStock(c.eng, reorderKey)
 	c.users = append(c.users, u)
 	c.byRNTI[rnti] = u
 	return u
@@ -293,7 +286,7 @@ func (c *Cell) enqueue(u *cellUser, p *netsim.Packet) bool {
 		c.pool.Release(p)
 		return false
 	}
-	u.queue = append(u.queue, p)
+	u.queue.PushBack(p)
 	u.queuedBits += p.Size * 8
 	return true
 }
@@ -492,8 +485,8 @@ func (c *Cell) buildTB(u *cellUser, rbgs, bits int, mcs phy.MCS) *transportBlock
 	}
 	capBytes := bits / 8
 	served := 0
-	for capBytes > 0 && u.qHead < len(u.queue) {
-		head := u.queue[u.qHead]
+	for capBytes > 0 && u.queue.Len() > 0 {
+		head := *u.queue.Front()
 		rem := head.Size - u.headSent
 		take := rem
 		if take > capBytes {
@@ -503,22 +496,9 @@ func (c *Cell) buildTB(u *cellUser, rbgs, bits int, mcs phy.MCS) *transportBlock
 		capBytes -= take
 		served += take
 		if u.headSent == head.Size {
-			tb.completed = append(tb.completed, head)
-			u.queue[u.qHead] = nil
-			u.qHead++
+			tb.completed = append(tb.completed, u.queue.PopFront())
 			u.headSent = 0
 		}
-	}
-	if u.qHead == len(u.queue) {
-		u.queue = u.queue[:0]
-		u.qHead = 0
-	} else if u.qHead > 32 && u.qHead*2 >= len(u.queue) {
-		n := copy(u.queue, u.queue[u.qHead:])
-		for i := n; i < len(u.queue); i++ {
-			u.queue[i] = nil
-		}
-		u.queue = u.queue[:n]
-		u.qHead = 0
 	}
 	u.queuedBits -= served * 8
 	u.lastServedBits += served * 8

@@ -84,8 +84,8 @@ func (c *Cell) reclaim() cellStorage {
 		c.retx[i] = c.retx[i][:0]
 	}
 	for _, u := range c.users {
-		for j := range u.reorder.ring {
-			if a := &u.reorder.ring[j]; a.held {
+		for j := 0; j < u.reorder.ring.Len(); j++ {
+			if a := u.reorder.ring.At(j); a.held {
 				c.putList(a.packets)
 			}
 		}

@@ -73,38 +73,20 @@ type UE struct {
 	Deactivations uint64
 }
 
-// reorderState is one carrier's reordering buffer: a power-of-two ring in
-// which the block with sequence seq waits at ring[seq&mask] until every
-// earlier block has arrived. HARQ bounds how far ahead of next a block
-// normally arrives (MaxRetransmissions x HARQDelaySlots slots, one new
-// block per slot); the ring doubles when an arrival is further ahead.
+// reorderState is one carrier's reordering buffer: the block with
+// sequence seq waits at ring.At(seq-next) until every earlier block has
+// arrived, and the ring spans next up to the furthest arrival. HARQ
+// bounds how far ahead of next a block normally arrives
+// (MaxRetransmissions x HARQDelaySlots slots, one new block per slot).
 type reorderState struct {
 	next uint64 // sequence of the next block to release
-	ring []tbArrival
+	ring sim.Ring[tbArrival]
 }
 
 type tbArrival struct {
 	packets []*netsim.Packet
 	ok      bool
 	held    bool // the slot holds a block awaiting release
-}
-
-// reorderInitialSlots is the ring's first size, allocated on a carrier's
-// first delivery.
-const reorderInitialSlots = 8
-
-// grow doubles the ring, keeping every held block at its seq&mask slot.
-func (st *reorderState) grow() {
-	old := st.ring
-	n := 2 * len(old)
-	if n == 0 {
-		n = reorderInitialSlots
-	}
-	st.ring = make([]tbArrival, n)
-	for i := range old {
-		seq := st.next + uint64(i)
-		st.ring[seq&uint64(n-1)] = old[seq&uint64(len(old)-1)]
-	}
 }
 
 // NewUE creates a UE; add component carriers with AddCell (primary first),
@@ -252,18 +234,12 @@ func (u *UE) deliverTB(cu *cellUser, seq uint64, packets []*netsim.Packet, ok bo
 	if seq < st.next {
 		panic("ran: transport block delivered twice")
 	}
-	for seq-st.next >= uint64(len(st.ring)) {
-		st.grow()
+	for seq-st.next >= uint64(st.ring.Len()) {
+		st.ring.PushBack(tbArrival{})
 	}
-	mask := uint64(len(st.ring) - 1)
-	st.ring[seq&mask] = tbArrival{packets: packets, ok: ok, held: true}
-	for {
-		slot := &st.ring[st.next&mask]
-		if !slot.held {
-			return
-		}
-		a := *slot
-		*slot = tbArrival{}
+	*st.ring.At(int(seq - st.next)) = tbArrival{packets: packets, ok: ok, held: true}
+	for st.ring.Len() > 0 && st.ring.Front().held {
+		a := st.ring.PopFront()
 		st.next++
 		for _, p := range a.packets {
 			if !a.ok {

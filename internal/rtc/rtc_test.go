@@ -106,7 +106,7 @@ func TestSenderShedsStaleFrames(t *testing.T) {
 	// The queue must stay near the maxQueueDelay bound, not grow without
 	// limit: at 2.5 Mbit/s in and 0.1 Mbit/s out, an unbounded queue
 	// would hold dozens of frames.
-	if q := snd.queued; q > 16 {
+	if q := snd.frames.Len(); q > 16 {
 		t.Fatalf("queue holds %d frames despite deadline shedding", q)
 	}
 }
@@ -114,7 +114,7 @@ func TestSenderShedsStaleFrames(t *testing.T) {
 // TestSenderSkipsEmptyFrames queues a 0-byte frame ahead of real ones: it
 // has no packet to send, so the sender drops it instead of parking an
 // empty record at the head of its queue. The 40 real frames that follow
-// outgrow the initial frame ring twice; every one of their packets must
+// outgrow the first frame ring twice; every one of their packets must
 // still leave in queue order.
 func TestSenderSkipsEmptyFrames(t *testing.T) {
 	eng := sim.New(1)

@@ -37,15 +37,13 @@ type Sender struct {
 	snd  *cc.Sender
 	pool *netsim.PacketPool
 
-	// frames is the pacer queue: a power-of-two ring of frame records,
-	// the queued ones at frames[(head+i)&(len-1)] for i < queued, oldest
-	// first. A record keeps its packet list's capacity when it is reused,
-	// and the ring comes from the engine's stock (frameKey), so a sender
-	// built on a recycled engine starts with the records its predecessor
-	// grew.
-	frames []queuedFrame
-	head   int
-	queued int
+	// frames is the pacer queue, oldest first, and pkts the queued
+	// frames' untransmitted packets in the same order: the front frame's
+	// first. Both rings come from the engine's stock (frameKey, pktKey),
+	// so a sender built on a recycled engine starts with the rings its
+	// predecessor grew.
+	frames sim.Ring[queuedFrame]
+	pkts   sim.Ring[*netsim.Packet]
 
 	deliveryMax cc.WindowedMax
 
@@ -58,17 +56,13 @@ type Sender struct {
 }
 
 type queuedFrame struct {
-	frame Frame
-	pkts  []*netsim.Packet
-	sent  int
+	capturedAt time.Duration
+	left       int // the frame's packets still in pkts
 }
 
-// initialFrames is the frame ring's starting size: a stream queues at most
-// maxQueueDelay's worth of frames (12 at 30 fps) before the pacer sheds.
-const initialFrames = 16
-
-// frameKey is the engine-local stock of frame rings.
-var frameKey = sim.NewLocalKey()
+// frameKey and pktKey are the engine-local stocks of frame and packet
+// rings.
+var frameKey, pktKey = sim.NewLocalKey(), sim.NewLocalKey()
 
 // NewSender wires a media sender for flowID transmitting into out under
 // ctrl. Call Start, then QueueFrame (typically as an Encoder's sink). The
@@ -76,11 +70,8 @@ var frameKey = sim.NewLocalKey()
 // stream's spec.
 func NewSender(eng *sim.Engine, flowID int, out netsim.Handler, ctrl cc.Controller, _ MediaSpec) *Sender {
 	s := &Sender{eng: eng, pool: netsim.PoolOf(eng)}
-	frames := sim.StockOf[queuedFrame](eng, frameKey)
-	if s.frames = frames.Take(); s.frames == nil {
-		s.frames = make([]queuedFrame, initialFrames)
-	}
-	frames.Keep(&s.frames)
+	s.frames.FromStock(eng, frameKey)
+	s.pkts.FromStock(eng, pktKey)
 	s.snd = cc.NewSender(eng, flowID, out, ctrl)
 	s.snd.Source = s.next
 	s.snd.AppLimited = true
@@ -129,12 +120,7 @@ func (s *Sender) QueueFrame(f Frame) {
 	if f.Bytes <= 0 {
 		return
 	}
-	if s.queued == len(s.frames) {
-		s.growFrames()
-	}
-	qf := &s.frames[(s.head+s.queued)&(len(s.frames)-1)]
-	s.queued++
-	qf.frame, qf.pkts, qf.sent = f, qf.pkts[:0], 0
+	qf := queuedFrame{capturedAt: f.CapturedAt}
 	for off := 0; off < f.Bytes; off += netsim.MSS {
 		size := netsim.MSS
 		if f.Bytes-off < size {
@@ -150,55 +136,39 @@ func (s *Sender) QueueFrame(f Frame) {
 			Keyframe:   f.Keyframe,
 			CapturedAt: f.CapturedAt,
 		}
-		qf.pkts = append(qf.pkts, p)
+		s.pkts.PushBack(p)
+		qf.left++
 	}
+	s.frames.PushBack(qf)
 	s.snd.Pump()
-}
-
-// growFrames doubles the full frame ring, moving the records (and their
-// packet lists) to the front in queue order.
-func (s *Sender) growFrames() {
-	grown := make([]queuedFrame, 2*len(s.frames))
-	for i := range s.frames {
-		grown[i] = s.frames[(s.head+i)&(len(s.frames)-1)]
-	}
-	s.frames, s.head = grown, 0
-}
-
-// popFrame retires the head record, keeping its packet list's capacity.
-func (s *Sender) popFrame() {
-	qf := &s.frames[s.head]
-	clear(qf.pkts)
-	qf.pkts = qf.pkts[:0]
-	s.head = (s.head + 1) & (len(s.frames) - 1)
-	s.queued--
 }
 
 // next implements the cc.Sender source: the pacer pulls the next packet,
 // shedding frames that have already waited past maxQueueDelay and
 // falling back to padding when no frame is queued.
 func (s *Sender) next(now time.Duration) *netsim.Packet {
-	for s.queued > 0 {
-		head := &s.frames[s.head]
-		if now-head.frame.CapturedAt > maxQueueDelay {
+	for s.frames.Len() > 0 {
+		head := s.frames.Front()
+		if now-head.capturedAt > maxQueueDelay {
 			s.FramesDropped++
 			mFramesShed.Inc()
 			s.sShed.Sample(now, 1)
 			// The untransmitted remainder never reaches the wire, so the
 			// pacer is its last owner and releases it here.
-			s.pool.ReleaseAll(head.pkts[head.sent:])
-			s.popFrame()
+			for ; head.left > 0; head.left-- {
+				s.pool.Release(s.pkts.PopFront())
+			}
+			s.frames.PopFront()
 			continue
 		}
-		p := head.pkts[head.sent]
-		head.sent++
-		if head.sent == len(head.pkts) {
+		p := s.pkts.PopFront()
+		if head.left--; head.left == 0 {
 			mFramesSent.Inc()
-			s.popFrame()
+			s.frames.PopFront()
 		}
 		// Delivery-rate samples reflect network capacity only while more
 		// data is backlogged behind this packet.
-		s.snd.AppLimited = s.queued == 0
+		s.snd.AppLimited = s.frames.Len() == 0
 		return p
 	}
 	// Padding probe: sent at the controller's full pacing rate, so the

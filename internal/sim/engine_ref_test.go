@@ -316,25 +316,26 @@ func (m *engModel) exec(o scriptOp) {
 func checkLines[T any](e *Engine, lines []*Line[T]) error {
 	parked := 0
 	for k, l := range lines {
-		for i := 1; i < l.n; i++ {
-			a, b := l.ring[l.index(i-1)], l.ring[l.index(i)]
+		n := l.ring.Len()
+		for i := 1; i < n; i++ {
+			a, b := l.ring.At(i-1), l.ring.At(i)
 			if b.at < a.at || b.seq <= a.seq {
 				return fmt.Errorf("line %d: entry %d (%v, %d) after (%v, %d)", k, i, b.at, b.seq, a.at, a.seq)
 			}
 		}
 		queued := 0
 		for _, x := range e.queue {
-			if e.slot(x.id()).fn != nil && l.n > 0 && x.key>>idBits == l.ring[l.head].seq {
+			if e.slot(x.id()).fn != nil && n > 0 && x.key>>idBits == l.ring.Front().seq {
 				queued++
-				if x.at != l.ring[l.head].at {
-					return fmt.Errorf("line %d: head queued at %v, want %v", k, x.at, l.ring[l.head].at)
+				if x.at != l.ring.Front().at {
+					return fmt.Errorf("line %d: head queued at %v, want %v", k, x.at, l.ring.Front().at)
 				}
 			}
 		}
-		if want := min(l.n, 1); queued != want {
-			return fmt.Errorf("line %d with %d firings has %d heap entries, want %d", k, l.n, queued, want)
+		if want := min(n, 1); queued != want {
+			return fmt.Errorf("line %d with %d firings has %d heap entries, want %d", k, n, queued, want)
 		}
-		parked += max(l.n-1, 0)
+		parked += max(n-1, 0)
 	}
 	if parked != int(e.parked) {
 		return fmt.Errorf("engine counts %d parked firings, lines hold %d", e.parked, parked)

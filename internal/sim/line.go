@@ -14,15 +14,13 @@ import "time"
 // were a Schedule. The heap holds one entry per busy line instead of one
 // per value in flight.
 //
-// Values wait in one circular ring of {value, at, seq} entries taken from
-// an engine-local Stock, so a line built on a recycled engine starts with
-// the ring a line of the previous run grew. A line cannot be cancelled
-// and must not be used after its engine is recycled.
+// Values wait in a Ring of {value, at, seq} entries whose buffer comes
+// from an engine-local Stock, so a line built on a recycled engine starts
+// with the ring a line of the previous run grew. A line cannot be
+// cancelled and must not be used after its engine is recycled.
 type Line[T any] struct {
 	eng  *Engine
-	ring []lineEntry[T] // circular, in push order; len is the capacity
-	head int
-	n    int
+	ring Ring[lineEntry[T]] // in push order
 	fn   func(T)
 	fire func() // pre-bound pop: arming allocates no closure
 }
@@ -37,11 +35,8 @@ type lineEntry[T any] struct {
 // when its firing comes due. k names the engine-local stock the line's
 // ring comes from: one key per element type T.
 func NewLine[T any](e *Engine, k LocalKey, fn func(T)) *Line[T] {
-	s := StockOf[lineEntry[T]](e, k)
 	l := &Line[T]{eng: e, fn: fn}
-	l.ring = s.Take()
-	l.ring = l.ring[:cap(l.ring)]
-	s.Keep(&l.ring)
+	l.ring.FromStock(e, k)
 	l.fire = l.pop
 	return l
 }
@@ -56,50 +51,26 @@ func (l *Line[T]) Push(delay time.Duration, v T) {
 		delay = 0
 	}
 	at := e.now + delay
-	if l.n > 0 && at < l.ring[l.index(l.n-1)].at {
+	n := l.ring.Len()
+	if n > 0 && at < l.ring.At(n-1).at {
 		panic("sim: line push fires before the line's tail (a line's delay must not shrink)")
 	}
 	seq := e.nextSeq()
 	mSched.Inc()
-	if l.n == len(l.ring) {
-		l.grow()
-	}
-	l.ring[l.index(l.n)] = lineEntry[T]{v: v, at: at, seq: seq}
-	l.n++
-	if l.n == 1 {
+	l.ring.PushBack(lineEntry[T]{v: v, at: at, seq: seq})
+	if n == 0 {
 		e.arm(at, seq, l.fire)
 	} else {
 		e.parked++
 	}
 }
 
-// index returns the ring position of the i-th entry from the head.
-func (l *Line[T]) index(i int) int {
-	if i += l.head; i >= len(l.ring) {
-		i -= len(l.ring)
-	}
-	return i
-}
-
-// grow doubles the ring, unrolling it so the head is at 0.
-func (l *Line[T]) grow() {
-	ring := make([]lineEntry[T], max(16, 2*len(l.ring)))
-	n := copy(ring, l.ring[l.head:])
-	copy(ring[n:], l.ring[:l.head])
-	l.ring, l.head = ring, 0
-}
-
 // pop fires the head: it arms the next firing under its reserved key, then
 // hands the head's value to fn, which may push onto the line again.
 func (l *Line[T]) pop() {
-	x := &l.ring[l.head]
-	v := x.v
-	*x = lineEntry[T]{}
-	if l.head++; l.head == len(l.ring) {
-		l.head = 0
-	}
-	if l.n--; l.n > 0 {
-		next := &l.ring[l.head]
+	v := l.ring.PopFront().v
+	if l.ring.Len() > 0 {
+		next := l.ring.Front()
 		l.eng.parked--
 		l.eng.arm(next.at, next.seq, l.fire)
 	}

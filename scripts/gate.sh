@@ -24,8 +24,9 @@
 #                  then 5 s each of FuzzEnvelopeChain (the fluid on/off
 #                  chain), FuzzParseBench (the -benchdiff text input),
 #                  FuzzDiff (the pbesweep -diff JSON input), FuzzUnpackDCI
-#                  (the DCI codec's round trip) and FuzzDecodeRegion (the
-#                  PDCCH blind decoder on arbitrary symbols), beyond their
+#                  (the DCI codec's round trip), FuzzDecodeRegion (the
+#                  PDCCH blind decoder on arbitrary symbols) and FuzzRing
+#                  (sim.Ring against a plain-slice deque), beyond their
 #                  committed seed corpora, which go test runs
 #
 # Surface gate (no simulation):
@@ -112,8 +113,9 @@ gate_surface() {
 
 # The feedback quantizer is the one decoder every ACK crosses, every
 # fluid session's envelope is an on/off chain, the micro and diff gates
-# stand on the two sweep parsers, and the monitor's PDCCH path decodes
-# whatever the control region holds: fuzz the quantizer for 10 s and
+# stand on the two sweep parsers, the monitor's PDCCH path decodes
+# whatever the control region holds, and every packet queue is a
+# sim.Ring: fuzz the quantizer for 10 s and
 # each of the others for 5 s past its seed corpus (a failing input lands
 # in the package's testdata/fuzz/, to be committed with its fix).
 gate_fuzz_smoke() {
@@ -123,6 +125,7 @@ gate_fuzz_smoke() {
   go test -run '^$' -fuzz '^FuzzDiff$' -fuzztime 5s ./internal/sweep
   go test -run '^$' -fuzz '^FuzzUnpackDCI$' -fuzztime 5s ./internal/pdcch
   go test -run '^$' -fuzz '^FuzzDecodeRegion$' -fuzztime 5s ./internal/pdcch
+  go test -run '^$' -fuzz '^FuzzRing$' -fuzztime 5s ./internal/sim
 }
 
 # Each sweep worker carries one arena from job to job (harness.Arena), so
